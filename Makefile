@@ -1,4 +1,4 @@
-.PHONY: all build test fmt bench bench-smoke perf perf-par perf-interp fuzz clean
+.PHONY: all build test fmt bench bench-smoke bench-check perf perf-par perf-interp fuzz clean
 
 all: build
 
@@ -22,6 +22,12 @@ bench:
 # sink and validate the emitted Chrome trace with the in-tree JSON reader.
 bench-smoke:
 	dune exec bench/main.exe -- smoke
+
+# End-to-end benchmark self-check: quick cycles of every osrbench workload,
+# traced and untraced; fails unless every metric is emitted, every oracle
+# passes and per-cycle counts repeat across runs.
+bench-check:
+	python3 osrbench/run.py --self-check
 
 # Feasibility-sweep timing + BENCH_feasibility.json + Chrome trace.
 perf:

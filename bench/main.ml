@@ -521,8 +521,8 @@ let pool_sweep ~(pool : Parallel.Pool.t) ?(telemetry = Telemetry.null)
       let fwd_ctx, bwd_ctx =
         Ctx.make_pair ~fbase:kd.fbase ~fopt:kd.fopt ~mapper:kd.mapper ()
       in
-      let fwd = F.analyze_par ~telemetry ~pool fwd_ctx in
-      let bwd = F.analyze_par ~telemetry ~pool bwd_ctx in
+      let fwd = F.analyze ~telemetry ~pool fwd_ctx in
+      let bwd = F.analyze ~telemetry ~pool bwd_ctx in
       acc + fwd.F.total_points + bwd.F.total_points)
     0 kds
 
@@ -897,9 +897,7 @@ let smoke () =
           let s_seq = F.analyze ~telemetry:(Telemetry.create ()) (mk ()) in
           let c_seq = Telemetry.counters_json () in
           Telemetry.reset_counters ();
-          let s_par =
-            F.analyze_par ~telemetry:(Telemetry.create ()) ~pool ~chunk:16 (mk ())
-          in
+          let s_par = F.analyze ~telemetry:(Telemetry.create ()) ~pool ~chunk:8 (mk ()) in
           let c_par = Telemetry.counters_json () in
           if s_seq <> s_par then
             fail "parallel sweep summary differs from sequential for %s" kd.entry.benchmark;
@@ -1053,8 +1051,8 @@ let micro () =
       Test.make ~name:"OSR transition end-to-end"
         (Staged.stage (fun () ->
              ignore
-               (Osrir.Osr_runtime.run_transition ~src:kd.fbase ~args:kd.entry.default_args
-                  ~at:src_point ~target:kd.fopt ~landing plan)));
+               (Osrir.Osr_runtime.Reference.run_transition_full ~src:kd.fbase
+                  ~args:kd.entry.default_args ~at:src_point ~target:kd.fopt ~landing plan)));
     ]
   in
   print_endline "Timing micro-benchmarks (monotonic clock, Bechamel):";

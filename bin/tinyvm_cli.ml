@@ -50,14 +50,14 @@ let args_opt =
     value & opt_all int []
     & info [ "a"; "arg" ] ~docv:"N" ~doc:"Function argument (repeatable; default: the kernel's)")
 
-(* --- domain sharding (-j) -------------------------------------------- *)
+(* --- sweep sharding (-j, osr-points / osr-run) ----------------------- *)
 
 let jobs_arg =
   Arg.(
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Shard the heavy analyses across $(docv) domains.  Output is deterministic: \
+          "Shard the feasibility sweep across $(docv) domains.  Output is deterministic: \
            reports, statistics counters and remarks are byte-equal to a $(b,-j 1) run.")
 
 let with_pool (jobs : int) (f : Parallel.Pool.t option -> 'a) : 'a =
@@ -167,19 +167,9 @@ let with_telemetry (o : telem_opts) (f : Telemetry.sink -> unit) : unit =
       Printf.printf "wrote %s (%d events)\n" path (List.length (Telemetry.trace_events sink)))
     o.trace_out
 
-let prepare ?telemetry ?pool (e : Corpus.Kernels.entry) =
+let prepare ?telemetry (e : Corpus.Kernels.entry) =
   let fbase, dbg = Corpus.Dsl.to_fbase e.kernel in
-  let r =
-    match pool with
-    | Some pool -> List.hd (P.apply_corpus ~pool ?telemetry [ fbase ])
-    | None -> P.apply ?telemetry fbase
-  in
-  (r, dbg)
-
-let analyze_with ?pool ~telemetry ctx =
-  match pool with
-  | Some pool -> F.analyze_par ~telemetry ~pool ctx
-  | None -> F.analyze ~telemetry ctx
+  (P.apply ?telemetry fbase, dbg)
 
 (* --- list ----------------------------------------------------------- *)
 
@@ -209,12 +199,11 @@ let show_cmd =
 (* --- run ------------------------------------------------------------ *)
 
 let run_cmd =
-  let run (entry : Corpus.Kernels.entry) opt args fuel engine jobs telem =
+  let run (entry : Corpus.Kernels.entry) opt args fuel engine telem =
     guarded @@ fun () ->
-    with_pool jobs @@ fun pool ->
     with_telemetry telem @@ fun sink ->
     let (module E : Tinyvm.Engine.S) = engine_mod engine in
-    let r, _ = prepare ~telemetry:sink ?pool entry in
+    let r, _ = prepare ~telemetry:sink entry in
     let f = if opt then r.P.fopt else r.P.fbase in
     let args = if args = [] then entry.default_args else args in
     match
@@ -236,31 +225,25 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Execute a kernel in the TinyVM.")
     Term.(
-      const run $ bench_arg $ opt_flag $ args_opt $ fuel_arg $ engine_arg $ jobs_arg
-      $ telem_term)
+      const run $ bench_arg $ opt_flag $ args_opt $ fuel_arg $ engine_arg $ telem_term)
 
 (* --- opt (file) ------------------------------------------------------ *)
 
 let opt_cmd =
   let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ir") in
-  let run path jobs telem =
-    with_pool jobs @@ fun pool ->
+  let run path telem =
     with_telemetry telem @@ fun sink ->
     let src = In_channel.with_open_text path In_channel.input_all in
     let f = Miniir.Ir_parser.parse_func src in
     Miniir.Verifier.verify_exn f;
-    let r =
-      match pool with
-      | Some pool -> List.hd (P.apply_corpus ~pool ~telemetry:sink [ f ])
-      | None -> P.apply ~telemetry:sink f
-    in
+    let r = P.apply ~telemetry:sink f in
     print_string (Ir.func_to_string r.P.fopt);
     Printf.printf "; actions: %d\n"
       (List.length (Passes.Code_mapper.actions_in_order r.P.mapper))
   in
   Cmd.v
     (Cmd.info "opt" ~doc:"Parse an IR file, run the optimization pipeline, print the result.")
-    Term.(const run $ file_arg $ jobs_arg $ telem_term)
+    Term.(const run $ file_arg $ telem_term)
 
 (* --- osr-points ------------------------------------------------------ *)
 
@@ -268,10 +251,10 @@ let osr_points_cmd =
   let run (entry : Corpus.Kernels.entry) backward jobs telem =
     with_pool jobs @@ fun pool ->
     with_telemetry telem @@ fun sink ->
-    let r, _ = prepare ~telemetry:sink ?pool entry in
+    let r, _ = prepare ~telemetry:sink entry in
     let dir = if backward then Ctx.Opt_to_base else Ctx.Base_to_opt in
     let ctx = Ctx.make ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper dir in
-    let s = analyze_with ?pool ~telemetry:sink ctx in
+    let s = F.analyze ?pool ~telemetry:sink ctx in
     Printf.printf "%s, %s: %d points — %d with empty c, %d live-feasible, %d avail-feasible\n"
       entry.benchmark
       (if backward then "fopt → fbase" else "fbase → fopt")
@@ -337,7 +320,7 @@ let osr_run_cmd =
     with_telemetry telem @@ fun sink ->
     let (module E : Tinyvm.Engine.S) = engine_mod engine in
     let module Rt = Osrir.Osr_runtime.Make (E) in
-    let r, _ = prepare ~telemetry:sink ?pool entry in
+    let r, _ = prepare ~telemetry:sink entry in
     let args = if args = [] then entry.default_args else args in
     let src, target, dir =
       if backward then (r.P.fopt, r.P.fbase, Ctx.Opt_to_base)
@@ -352,7 +335,7 @@ let osr_run_cmd =
     let ctx = Ctx.make ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper dir in
     (* The full sweep classifies every point (and feeds the reconstruct
        counters); the chosen point's avail plan is then looked up in it. *)
-    let s = analyze_with ?pool ~telemetry:sink ctx in
+    let s = F.analyze ?pool ~telemetry:sink ctx in
     match List.find_opt (fun (rep : F.point_report) -> rep.point = at) s.reports with
     | None -> die (Tinyvm.Osr_error.No_such_point { func = src.Ir.fname; point = at })
     | Some { landing = None; _ } ->

@@ -47,8 +47,9 @@ let () =
     in
     let at, landing, plan = List.nth sites (Random.State.int rng (List.length sites)) in
     let arrival = Random.State.int rng 3 in
-    let result =
-      Rt.run_transition ~arrival ~src ~args:entry.default_args ~at ~target ~landing plan
+    let result, _ =
+      Rt.Compiled.run_transition_full ~arrival ~src ~args:entry.default_args ~at ~target
+        ~landing plan
     in
     let ok = Interp.equal_result reference result in
     if not ok then all_equal := false;

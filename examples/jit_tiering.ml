@@ -15,6 +15,7 @@ module F = Osrir.Feasibility
 module R = Osrir.Reconstruct_ir
 module Interp = Tinyvm.Interp
 module Rt = Osrir.Osr_runtime
+module Compiled = Tinyvm.Engine.Compiled
 
 let hot_threshold = 20
 
@@ -66,14 +67,14 @@ let () =
 
   (* Drive the machine by hand so we can report the tier switch. *)
   let cont = Osrir.Contfun.generate r.fopt ~landing plan in
-  let machine = Interp.create r.fbase ~args:entry.default_args in
+  let machine = Compiled.create r.fbase ~args:entry.default_args in
   let hits = ref 0 in
-  let guard (_ : Interp.machine) =
+  let guard (_ : Compiled.machine) =
     incr hits;
     !hits > hot_threshold
   in
   let result, osr =
-    Rt.run_with_osr machine [ { Rt.at = site_point; guard; cont } ]
+    Rt.Compiled.run_with_osr machine [ { Rt.at = site_point; guard; cont } ]
   in
   (match osr.Rt.transition with
   | Some t ->

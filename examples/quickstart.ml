@@ -86,9 +86,9 @@ let () =
             (List.length plan.transfers) (R.comp_size plan);
           let args = [ 10; 3 ] in
           let reference = Interp.run r.fbase ~args in
-          let osr =
-            Osrir.Osr_runtime.run_transition ~arrival:2 ~src:r.fbase ~args ~at:point
-              ~target:r.fopt ~landing plan
+          let osr, _ =
+            Osrir.Osr_runtime.Compiled.run_transition_full ~arrival:2 ~src:r.fbase ~args
+              ~at:point ~target:r.fopt ~landing plan
           in
           Fmt.pr "reference: %a@." Interp.pp_result reference;
           Fmt.pr "with OSR : %a@." Interp.pp_result osr;

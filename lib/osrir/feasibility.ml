@@ -53,9 +53,9 @@ let stat_keep =
     ~desc:"registers kept artificially alive across avail plans"
 
 (* Classify one source point against [t], bumping counters and emitting
-   remarks through [telemetry].  This is the unit of work both the
-   sequential sweep and the parallel chunks run: per-point output order and
-   counter totals are identical whichever driver calls it. *)
+   remarks through [telemetry].  This is the unit of work of every sweep
+   slice: per-point output order and counter totals are identical however
+   the points are sharded. *)
 let classify_point ~(config : Reconstruct_ir.config) ~(telemetry : Telemetry.sink)
     (t : Osr_ctx.t) ~(fname : string) (p : int) : point_report =
   Telemetry.bump telemetry stat_points;
@@ -68,51 +68,37 @@ let classify_point ~(config : Reconstruct_ir.config) ~(telemetry : Telemetry.sin
         avail_plan = None }
   | Some landing -> (
       let live, avail = Reconstruct_ir.for_point_both ~config t ~src_point:p ~landing in
-      (match (live, avail) with
-      | Ok lp, _ when Reconstruct_ir.plan_is_empty lp && lp.keep = [] ->
-          Telemetry.bump telemetry stat_empty
-      | Ok _, _ -> Telemetry.bump telemetry stat_live
+      let report classification live_plan avail_plan =
+        { point = p; landing = Some landing; classification; live_plan; avail_plan }
+      in
+      match (live, avail) with
+      | Ok lp, _ ->
+          let classification =
+            if Reconstruct_ir.plan_is_empty lp && lp.keep = [] then begin
+              Telemetry.bump telemetry stat_empty;
+              Empty
+            end
+            else begin
+              Telemetry.bump telemetry stat_live;
+              With_live lp
+            end
+          in
+          report classification (Some lp) (Result.to_option avail)
       | Error _, Ok ap ->
           Telemetry.bump telemetry stat_avail;
           Telemetry.add telemetry stat_keep (List.length ap.Reconstruct_ir.keep);
           Telemetry.remark telemetry ~pass:"reconstruct" ~func:fname ~instr:p
             (fun () ->
               Printf.sprintf "point %d needs avail: keep {%s} alive" p
-                (String.concat ", " ap.Reconstruct_ir.keep))
+                (String.concat ", " ap.Reconstruct_ir.keep));
+          report (With_avail ap) None (Some ap)
       | Error x, Error _ ->
           Telemetry.bump telemetry stat_infeasible;
           Telemetry.remark telemetry ~pass:"reconstruct" ~func:fname ~instr:p
             (fun () ->
               Printf.sprintf "bottom at point %d: %%%s unavailable in the source frame"
-                p x));
-      match (live, avail) with
-      | Ok lp, _ when Reconstruct_ir.plan_is_empty lp && lp.keep = [] ->
-          {
-            point = p;
-            landing = Some landing;
-            classification = Empty;
-            live_plan = Some lp;
-            avail_plan = (match avail with Ok ap -> Some ap | Error _ -> None);
-          }
-      | Ok lp, _ ->
-          {
-            point = p;
-            landing = Some landing;
-            classification = With_live lp;
-            live_plan = Some lp;
-            avail_plan = (match avail with Ok ap -> Some ap | Error _ -> None);
-          }
-      | Error _, Ok ap ->
-          {
-            point = p;
-            landing = Some landing;
-            classification = With_avail ap;
-            live_plan = None;
-            avail_plan = Some ap;
-          }
-      | Error _, Error _ ->
-          { point = p; landing = Some landing; classification = Infeasible;
-            live_plan = None; avail_plan = None })
+                p x);
+          report Infeasible None None)
 
 (* One fold computes every summary counter (the tiers nest: empty ⊆
    live_ok ⊆ avail_ok). *)
@@ -129,61 +115,51 @@ let summarize (reports : point_report list) : summary =
   in
   { total_points; empty; live_ok; avail_ok; reports }
 
+(* With a multi-domain [pool], the point list is cut into [chunk]-sized
+   slices, each classified by whichever domain claims it using a
+   domain-private {!Osr_ctx.fork} (fresh memo tables, shared read-only
+   analyses — no locks on the hot path) and a task-private
+   {!Telemetry.fork}.  Slices are concatenated and sub-sinks joined in
+   slice order, so reports, counters and remarks are byte-equal to the
+   inline sweep's no matter the domain count or schedule.  Without a pool,
+   with a 1-domain pool or with a single slice, the sweep runs inline: no
+   forks, no merge, no overhead. *)
 let analyze ?(config = Reconstruct_ir.default_config) ?(telemetry = Telemetry.null)
-    (t : Osr_ctx.t) : summary =
+    ?(pool : Parallel.Pool.t option) ?(chunk = 64) (t : Osr_ctx.t) : summary =
   let fname = t.Osr_ctx.src.Osr_ctx.func.Ir.fname in
   let points = Osr_ctx.source_points t in
-  let reports =
-    Telemetry.with_span telemetry ~cat:"analysis" "feasibility" @@ fun () ->
-    List.map (classify_point ~config ~telemetry t ~fname) points
-  in
-  summarize reports
-
-(** {!analyze} across a domain pool: the point list is cut into [chunk]-
-    sized slices, each slice classified by whichever domain claims it using
-    a domain-private {!Osr_ctx.fork} (fresh memo tables, shared read-only
-    analyses — no locks on the hot path) and a task-private
-    {!Telemetry.fork}.  Slices are concatenated and sub-sinks joined in
-    slice order, so reports, counters and remarks are byte-equal to the
-    sequential sweep's no matter the domain count or schedule — the
-    determinism contract [test/suite_parallel.ml] checks.  With one domain
-    (or one slice) this {e is} the sequential sweep: no forks, no merge,
-    no overhead. *)
-let analyze_par ?(config = Reconstruct_ir.default_config) ?(telemetry = Telemetry.null)
-    ~(pool : Parallel.Pool.t) ?(chunk = 64) (t : Osr_ctx.t) : summary =
-  let fname = t.Osr_ctx.src.Osr_ctx.func.Ir.fname in
-  let points = Array.of_list (Osr_ctx.source_points t) in
-  let n = Array.length points in
   let chunk = max 1 chunk in
-  let nchunks = (n + chunk - 1) / chunk in
   let reports =
     Telemetry.with_span telemetry ~cat:"analysis" "feasibility" @@ fun () ->
-    if Parallel.Pool.jobs pool = 1 || nchunks <= 1 then
-      List.map (classify_point ~config ~telemetry t ~fname) (Array.to_list points)
-    else begin
-      (* Freeze the shared state from the owning domain before any worker
-         can touch it: forks created inside workers then only read. *)
-      ignore (Osr_ctx.fork t : Osr_ctx.t);
-      let sinks = Array.init nchunks (fun _ -> Telemetry.fork telemetry) in
-      let slices =
-        Parallel.Pool.run pool ~chunk:1
-          ~scratch:(fun () -> Osr_ctx.fork t)
-          (fun ctx ci ->
-            let lo = ci * chunk in
-            let hi = min n (lo + chunk) in
-            let sink = sinks.(ci) in
-            (* Ascending order inside the slice: remark emission order must
-               match the sequential sweep's. *)
-            let acc = ref [] in
-            for i = lo to hi - 1 do
-              acc := classify_point ~config ~telemetry:sink ctx ~fname points.(i) :: !acc
-            done;
-            List.rev !acc)
-          nchunks
-      in
-      Array.iter (Telemetry.join telemetry) sinks;
-      List.concat (Array.to_list slices)
-    end
+    match pool with
+    | Some pool when Parallel.Pool.jobs pool > 1 && List.compare_length_with points chunk > 0
+      ->
+        let points = Array.of_list points in
+        let n = Array.length points in
+        let nchunks = (n + chunk - 1) / chunk in
+        (* Freeze the shared state from the owning domain before any worker
+           can touch it: forks created inside workers then only read. *)
+        ignore (Osr_ctx.fork t : Osr_ctx.t);
+        let sinks = Array.init nchunks (fun _ -> Telemetry.fork telemetry) in
+        let slices =
+          Parallel.Pool.run pool ~chunk:1
+            ~scratch:(fun () -> Osr_ctx.fork t)
+            (fun ctx ci ->
+              let lo = ci * chunk in
+              let hi = min n (lo + chunk) in
+              let sink = sinks.(ci) in
+              (* Ascending order inside the slice: remark emission order
+                 must match the inline sweep's. *)
+              let acc = ref [] in
+              for i = lo to hi - 1 do
+                acc := classify_point ~config ~telemetry:sink ctx ~fname points.(i) :: !acc
+              done;
+              List.rev !acc)
+            nchunks
+        in
+        Array.iter (Telemetry.join telemetry) sinks;
+        List.concat (Array.to_list slices)
+    | Some _ | None -> List.map (classify_point ~config ~telemetry t ~fname) points
   in
   summarize reports
 
@@ -192,38 +168,33 @@ let percentages (s : summary) : float * float * float =
   let pct n = 100.0 *. float_of_int n /. float_of_int (max 1 s.total_points) in
   (pct s.empty, pct s.live_ok, pct s.avail_ok)
 
-(** Compensation-code size statistics over the feasible points — the |c|
-    columns of Table 3.  [`Live] averages over live-feasible points,
-    [`Avail] over all avail-feasible points (the paper's note: "averages
-    are calculated on different sets of program points"). *)
-let comp_stats (s : summary) (which : [ `Live | `Avail ]) : float * int =
-  let sizes =
-    List.filter_map
-      (fun r ->
-        match which with
-        | `Live -> Option.map Reconstruct_ir.comp_size r.live_plan
-        | `Avail -> Option.map Reconstruct_ir.comp_size r.avail_plan)
-      s.reports
-  in
+(* Average and peak of a size sample; (0, 0) when empty. *)
+let mean_max (sizes : int list) : float * int =
   match sizes with
   | [] -> (0.0, 0)
   | _ ->
       let sum = List.fold_left ( + ) 0 sizes in
       (float_of_int sum /. float_of_int (List.length sizes), List.fold_left max 0 sizes)
 
+(** Compensation-code size statistics over the feasible points — the |c|
+    columns of Table 3.  [`Live] averages over live-feasible points,
+    [`Avail] over all avail-feasible points (the paper's note: "averages
+    are calculated on different sets of program points"). *)
+let comp_stats (s : summary) (which : [ `Live | `Avail ]) : float * int =
+  mean_max
+    (List.filter_map
+       (fun r ->
+         Option.map Reconstruct_ir.comp_size
+           (match which with `Live -> r.live_plan | `Avail -> r.avail_plan))
+       s.reports)
+
 (** Keep-set size statistics (|K_avail| of Table 3) over the points that
     actually keep something alive. *)
 let keep_stats (s : summary) : float * int =
-  let sizes =
-    List.filter_map
-      (fun r ->
-        match r.avail_plan with
-        | Some p when p.keep <> [] -> Some (List.length p.keep)
-        | Some _ | None -> None)
-      s.reports
-  in
-  match sizes with
-  | [] -> (0.0, 0)
-  | _ ->
-      let sum = List.fold_left ( + ) 0 sizes in
-      (float_of_int sum /. float_of_int (List.length sizes), List.fold_left max 0 sizes)
+  mean_max
+    (List.filter_map
+       (fun r ->
+         match r.avail_plan with
+         | Some p when p.keep <> [] -> Some (List.length p.keep)
+         | Some _ | None -> None)
+       s.reports)

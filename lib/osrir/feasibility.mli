@@ -24,25 +24,20 @@ type summary = {
 }
 
 val analyze :
-  ?config:Reconstruct_ir.config -> ?telemetry:Telemetry.sink -> Osr_ctx.t -> summary
-(** Classify every source program point of the context's direction.  A live
-    [telemetry] sink receives a ["feasibility"] span, per-outcome counters
-    (group ["reconstruct"]) and remarks explaining infeasible and
-    avail-only points. *)
-
-val analyze_par :
   ?config:Reconstruct_ir.config ->
   ?telemetry:Telemetry.sink ->
-  pool:Parallel.Pool.t ->
+  ?pool:Parallel.Pool.t ->
   ?chunk:int ->
   Osr_ctx.t ->
   summary
-(** {!analyze} with the point list sharded into [chunk]-sized slices
-    (default 64) across the pool's domains, each domain querying its own
-    {!Osr_ctx.fork}.  Deterministic-merge contract: reports, telemetry
-    counters and remarks are byte-equal to {!analyze}'s regardless of the
-    domain count.  With a 1-domain pool this degrades to exactly the
-    sequential sweep. *)
+(** Classify every source program point of the context's direction.  A live
+    [telemetry] sink receives a ["feasibility"] span, per-outcome counters
+    (group ["reconstruct"]) and remarks explaining infeasible and
+    avail-only points.  With a multi-domain [pool] the point list is
+    sharded into [chunk]-sized slices (default 64), each domain querying
+    its own {!Osr_ctx.fork}; without one (or with a 1-domain pool) the
+    sweep runs inline.  Deterministic-merge contract: reports, counters and
+    remarks are byte-equal whatever the pool. *)
 
 val percentages : summary -> float * float * float
 (** (empty, live, avail) percentages for the Figure 7/8 stacked bars. *)

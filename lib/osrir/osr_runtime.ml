@@ -24,11 +24,13 @@ open Import
     {!Osr_error.t}, and resumes the {e source} frame exactly where it was.
     An aborted transition is observably a no-op.
 
-    The runtime is engine-polymorphic: {!Make} works over any
-    {!Tinyvm.Engine.S} (the reference interpreter or the compiled
-    slot-register engine).  The top level of this module is the
-    reference-engine instantiation — the historical API — and {!Compiled}
-    is the compiled-engine one. *)
+    The runtime is engine-polymorphic and written once: {!Make} builds the
+    runtime signature {!S} over any {!Tinyvm.Engine.S}.  {!Compiled} runs
+    on the compiled slot-register engine and is the production runtime;
+    {!Reference} runs on the tree-walking interpreter and serves only as
+    the differential oracle.  Armed points live in a direct-indexed
+    [site option array] keyed by instruction id — O(1) per step, one guard
+    evaluation per arrival. *)
 
 module Engine = Tinyvm.Engine
 
@@ -44,6 +46,7 @@ type transition_stats = {
 }
 
 type abort = { abort_at : int; reason : Osr_error.t }
+(** One aborted (rolled-back) transition attempt. *)
 
 type osr_outcome = {
   transition : transition_stats option;  (** the committed transition, if any *)
@@ -88,7 +91,55 @@ let stat_aborted =
   Telemetry.counter ~group:"osr" "transition.aborted"
     ~desc:"OSR transitions aborted and rolled back"
 
-module Make (E : Engine.S) = struct
+(** The runtime over one engine's machines. *)
+module type S = sig
+  type machine
+
+  val fire :
+    ?hooks:hooks -> ?validate:bool -> machine -> machine gsite -> (machine, Osr_error.t) result
+  (** Attempt the transition now, transactionally: build the continuation
+      machine sharing the source machine's memory, run χ (the entry block)
+      to the landing point, and validate the reconstructed frame.  [Ok]
+      returns the continuation machine {e paused at the landing point},
+      committed — statistics bumped, remark emitted.  [Error] means the
+      attempt was rolled back: the shared memory is byte-identical to its
+      pre-attempt state and the source machine is untouched, so the caller
+      can simply keep stepping it. *)
+
+  val run_with_osr :
+    ?fuel:int ->
+    ?validate:bool ->
+    ?hooks:hooks ->
+    machine ->
+    machine gsite list ->
+    (Interp.outcome, Interp.trap) result * osr_outcome
+  (** Run the machine, transferring control at the first armed point whose
+      guard fires and whose transition commits; continue in the
+      continuation to completion.  Aborted attempts disarm their site,
+      count in [osr.transition.aborted], and leave the source run
+      observably untouched.  Events observed before the transition belong
+      to the activation. *)
+
+  val run_transition_full :
+    ?fuel:int ->
+    ?arrival:int ->
+    ?validate:bool ->
+    ?hooks:hooks ->
+    ?telemetry:Telemetry.sink ->
+    src:Ir.func ->
+    args:int list ->
+    at:int ->
+    target:Ir.func ->
+    landing:int ->
+    Reconstruct_ir.plan ->
+    (Interp.outcome, Interp.trap) result * osr_outcome
+  (** One-shot helper: run [src], transition at the [arrival]-th (default
+      first) dynamic arrival at [at] into [target] at [landing] using
+      [plan]; also report what the OSR machinery did (committed
+      transition, aborted attempts). *)
+end
+
+module Make (E : Engine.S) : S with type machine := E.machine = struct
   (* Evaluate the parameter sources in the source frame. *)
   let eval_sources (m : E.machine) ~(at : int) (sources : Ir.value list) :
       (int list, Osr_error.t) result =
@@ -120,14 +171,6 @@ module Make (E : Engine.S) = struct
            sources)
     with Bad e -> Error e
 
-  (** Attempt the transition now, transactionally: build the continuation
-      machine sharing the source machine's memory, run χ (the entry block)
-      to the landing point, and validate the reconstructed frame.  [Ok]
-      returns the continuation machine {e paused at the landing point},
-      committed — statistics bumped, remark emitted.  [Error] means the
-      attempt was rolled back: the shared memory is byte-identical to its
-      pre-attempt state and the source machine is untouched, so the caller
-      can simply keep stepping it. *)
   let fire ?(hooks = no_hooks) ?(validate = true) (m : E.machine) (site : E.machine gsite)
       : (E.machine, Osr_error.t) result =
     let fname = (E.func m).Ir.fname in
@@ -215,11 +258,6 @@ module Make (E : Engine.S) = struct
                           (List.length entry.Ir.body));
                     Ok cont)))
 
-  (** Run [machine], transferring control at the first armed point whose
-      guard fires and whose transition commits; continue in the
-      continuation to completion.  Aborted attempts disarm their site,
-      count in [osr.transition.aborted], and leave the source run
-      observably untouched. *)
   let run_with_osr ?(fuel = 10_000_000) ?(validate = true) ?(hooks = no_hooks)
       (machine : E.machine) (sites : E.machine gsite list) :
       (Interp.outcome, Interp.trap) result * osr_outcome =
@@ -320,11 +358,6 @@ module Make (E : Engine.S) = struct
     in
     go ()
 
-  (** One-shot helper used by tests, the CLI and benchmarks: run [src],
-      transition at the [n]-th dynamic arrival (default first) at source
-      point [at] into [target] at [landing] using [plan].  Returns the
-      final result plus what the OSR machinery did (committed transition,
-      aborted attempts). *)
   let run_transition_full ?(fuel = 10_000_000) ?(arrival = 0) ?(validate = true)
       ?(hooks = no_hooks) ?telemetry ~(src : Ir.func) ~(args : int list) ~(at : int)
       ~(target : Ir.func) ~(landing : int) (plan : Reconstruct_ir.plan) :
@@ -338,19 +371,10 @@ module Make (E : Engine.S) = struct
       hit
     in
     run_with_osr ~fuel ~validate ~hooks machine [ { at; guard; cont } ]
-
-  (** [run_transition_full] without the OSR outcome (the historical API). *)
-  let run_transition ?fuel ?arrival ?validate ?hooks ?telemetry ~src ~args ~at ~target
-      ~landing plan : (Interp.outcome, Interp.trap) result =
-    fst
-      (run_transition_full ?fuel ?arrival ?validate ?hooks ?telemetry ~src ~args ~at
-         ~target ~landing plan)
 end
 
-(* The historical reference-engine API, unchanged for existing callers. *)
-include Make (Engine.Reference)
-
-type site = Interp.machine gsite
-
-(* The compiled-engine runtime. *)
+(** The production runtime, on the compiled engine. *)
 module Compiled = Make (Engine.Compiled)
+
+(** The reference-interpreter runtime: the differential oracle. *)
+module Reference = Make (Engine.Reference)

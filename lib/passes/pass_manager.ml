@@ -162,11 +162,8 @@ let apply ?(pipeline = standard_pipeline) ?(verify = true) ?(sandbox = true)
     [List.map apply]. *)
 let apply_corpus ?(pool : Parallel.Pool.t option) ?pipeline ?verify ?sandbox
     ?(telemetry = Telemetry.null) (fs : Ir.func list) : apply_result list =
-  let sequential () = List.map (fun f -> apply ?pipeline ?verify ?sandbox ~telemetry f) fs in
   match pool with
-  | None -> sequential ()
-  | Some pool when Parallel.Pool.jobs pool = 1 -> sequential ()
-  | Some pool ->
+  | Some pool when Parallel.Pool.jobs pool > 1 ->
       let arr = Array.of_list fs in
       let n = Array.length arr in
       let sinks = Array.init n (fun _ -> Telemetry.fork telemetry) in
@@ -178,6 +175,7 @@ let apply_corpus ?(pool : Parallel.Pool.t option) ?pipeline ?verify ?sandbox
       in
       Array.iter (Telemetry.join telemetry) sinks;
       Array.to_list results
+  | Some _ | None -> List.map (fun f -> apply ?pipeline ?verify ?sandbox ~telemetry f) fs
 
 (** Run mem2reg in place on a freshly built alloca-form function to obtain
     the paper's [fbase] (clang -O0 + mem2reg). *)

@@ -5,55 +5,37 @@
     observe the current point via [next_instr_id], and read/write the frame
     by register name.  Two implementations:
 
-    - {!Reference}: the original tree-walking {!Interp}, wrapped unchanged;
+    - {!Reference}: the original tree-walking {!Interp}, wrapped unchanged
+      — the semantic oracle the differential tests hold the compiled
+      engine to;
     - {!Compiled}: a tight dispatch loop over {!Compile.program} — numbered
       frame slots, pre-resolved branches, φ-nodes as per-edge parallel
-      moves.
+      moves — the production engine.
 
-    Both produce byte-identical observables: same [outcome] (return value,
+    Each engine supplies only its step core; [run_machine], [run] and
+    [run_to_point] come from the one loop in {!Interp.Run}.  Both produce
+    byte-identical observables: same [outcome] (return value,
     event trace, step count), same traps with the same payloads, and the
     same sequence of [next_instr_id] values, so OSR transitions and the
     differential tests run on either engine interchangeably. *)
 
 module Ir = Miniir.Ir
 
-(** The step-wise machine API common to both engines. *)
+(** The step-wise machine API common to both engines: the step core
+    ({!Interp.STEP}), frame access by register name, and the whole-run
+    drivers, which both engines derive from the one loop in {!Interp.Run}. *)
 module type S = sig
   val name : string
 
-  type machine
-
-  val create :
-    ?memory:Interp.memory ->
-    ?telemetry:Telemetry.sink ->
-    ?fuel:int ->
-    Ir.func ->
-    args:int list ->
-    machine
-  (** Fresh machine at the function's entry.  Shares [memory] when given
-      (how OSR transitions keep the store invariant).  [fuel] (default
-      unlimited) bounds the machine's lifetime step count; exhaustion traps
-      with [Interp.Fuel_exhausted].
-      @raise Interp.Trap on an argument-count mismatch *)
-
-  val step : machine -> Interp.status
-  (** Execute one instruction or terminator (φ-moves run on the taken
-      edge, within the branch's step). *)
+  include Interp.STEP
+  (** [create] shares [memory] when given (how OSR transitions keep the
+      store invariant); [step] runs φ-moves on the taken edge, within the
+      branch's step. *)
 
   val status : machine -> Interp.status
-  val next_instr_id : machine -> int option
   val func : machine -> Ir.func
   val memory : machine -> Interp.memory
   val telemetry : machine -> Telemetry.sink
-  val steps : machine -> int
-
-  val fuel : machine -> int
-  (** Remaining step budget ([max_int] = unlimited). *)
-
-  val set_fuel : machine -> int -> unit
-
-  val events_rev : machine -> Interp.event list
-  (** Observable events so far, most recent first. *)
 
   val read_reg : machine -> Ir.reg -> int option
   (** [None] when the register is currently undefined (or unknown). *)
@@ -66,20 +48,7 @@ module type S = sig
   (** Make the register read as undefined (fault injection / frame
       surgery). *)
 
-  val run_machine : ?fuel:int -> machine -> (Interp.outcome, Interp.trap) result
-  (** Run to completion; [fuel] (default 10M) further clamps the machine's
-      remaining budget.  Exhaustion is [Error (Fuel_exhausted _)], never an
-      exception. *)
-
-  val run :
-    ?fuel:int ->
-    ?memory:Interp.memory ->
-    ?telemetry:Telemetry.sink ->
-    Ir.func ->
-    args:int list ->
-    (Interp.outcome, Interp.trap) result
-
-  val run_to_point : ?fuel:int -> ?skip:int -> machine -> point:int -> machine option
+  include Interp.RUN with type machine := machine
 end
 
 (* ------------------------------------------------------------------ *)
@@ -105,18 +74,13 @@ module Reference : S with type machine = Interp.machine = struct
   let read_reg (m : machine) (r : Ir.reg) = Hashtbl.find_opt m.Interp.frame r
   let write_reg (m : machine) (r : Ir.reg) (v : int) = Hashtbl.replace m.Interp.frame r v
   let clear_reg (m : machine) (r : Ir.reg) = Hashtbl.remove m.Interp.frame r
-  let run_machine = Interp.run_machine
-  let run = Interp.run
-  let run_to_point = Interp.run_to_point
+
+  include (Interp : Interp.RUN with type machine := machine)
 end
 
 (* ------------------------------------------------------------------ *)
 (* Compiled engine: dispatch over the flat program                      *)
 (* ------------------------------------------------------------------ *)
-
-let stat_compiled_steps =
-  Telemetry.counter ~group:"interp" "compiled_steps"
-    ~desc:"instructions executed by the compiled engine"
 
 module Compiled = struct
   let name = "compiled"
@@ -248,7 +212,6 @@ module Compiled = struct
     | Running -> (
         m.steps <- m.steps + 1;
         Telemetry.bump m.tel Interp.stat_steps;
-        Telemetry.bump m.tel stat_compiled_steps;
         let pc = m.pc in
         let at = m.prog.ids.(pc) in
         try
@@ -353,43 +316,17 @@ module Compiled = struct
     | Some k -> m.defined.(k) <- false
     | None -> ()
 
-  let run_machine ?(fuel = 10_000_000) (m : machine) : (Interp.outcome, Interp.trap) result
-      =
-    if (if m.fuel_stop = max_int then max_int else m.fuel_stop - m.steps) > fuel then
-      m.fuel_stop <- m.steps + fuel;
-    let rec go () =
-      match step m with
-      | Running -> go ()
-      | Returned ret -> Ok { Interp.ret; events = List.rev m.events; steps = m.steps }
-      | Trapped t -> Error t
-    in
-    go ()
+  include Interp.Run (struct
+    type nonrec machine = machine
 
-  let run ?fuel ?memory ?telemetry (f : Ir.func) ~(args : int list) :
-      (Interp.outcome, Interp.trap) result =
-    match create ?memory ?telemetry f ~args with
-    | m -> run_machine ?fuel m
-    | exception Interp.Trap t -> Error t
-
-  let run_to_point ?(fuel = 10_000_000) ?(skip = 0) (m : machine) ~(point : int) :
-      machine option =
-    let rec go budget remaining =
-      if budget = 0 then None
-      else
-        match next_instr_id m with
-        | Some id when id = point ->
-            if remaining = 0 then Some m
-            else begin
-              ignore (step m : Interp.status);
-              go (budget - 1) (remaining - 1)
-            end
-        | Some _ -> (
-            match step m with
-            | Running -> go (budget - 1) remaining
-            | Returned _ | Trapped _ -> None)
-        | None -> None
-    in
-    go fuel skip
+    let create = create
+    let step = step
+    let next_instr_id = next_instr_id
+    let steps = steps
+    let fuel = fuel
+    let set_fuel = set_fuel
+    let events_rev = events_rev
+  end)
 end
 
 (* The Compiled struct must satisfy the engine signature (checked here;

@@ -267,23 +267,90 @@ let fuel_left (m : machine) : int =
 let set_fuel (m : machine) (n : int) : unit =
   m.fuel_stop <- (if n >= max_int - m.steps then max_int else m.steps + n)
 
-(** Run a machine to completion.  [fuel] further clamps the machine's own
-    budget for this run; exhaustion is a [Fuel_exhausted] trap. *)
-let run_machine ?(fuel = 10_000_000) (m : machine) : (outcome, trap) result =
-  if fuel_left m > fuel then set_fuel m fuel;
-  let rec go () =
-    match step m with
-    | Running -> go ()
-    | Returned ret -> Ok { ret; events = List.rev m.events; steps = m.steps }
-    | Trapped t -> Error t
-  in
-  go ()
+(** The step core both engines expose: enough to pause, resume and observe
+    a machine.  {!Run} derives every whole-run driver from it, so the
+    reference interpreter and the compiled engine share one run loop. *)
+module type STEP = sig
+  type machine
 
-(** Convenience one-shot execution. *)
-let run ?fuel ?memory ?telemetry (f : Ir.func) ~(args : int list) : (outcome, trap) result =
-  match create ?memory ?telemetry f ~args with
-  | m -> run_machine ?fuel m
-  | exception Trap t -> Error t
+  val create :
+    ?memory:memory -> ?telemetry:Telemetry.sink -> ?fuel:int -> Ir.func -> args:int list -> machine
+
+  val step : machine -> status
+  val next_instr_id : machine -> int option
+  val steps : machine -> int
+  val fuel : machine -> int
+  val set_fuel : machine -> int -> unit
+  val events_rev : machine -> event list
+end
+
+module type RUN = sig
+  type machine
+
+  val run_machine : ?fuel:int -> machine -> (outcome, trap) result
+
+  val run :
+    ?fuel:int ->
+    ?memory:memory ->
+    ?telemetry:Telemetry.sink ->
+    Ir.func ->
+    args:int list ->
+    (outcome, trap) result
+
+  val run_to_point : ?fuel:int -> ?skip:int -> machine -> point:int -> machine option
+end
+
+module Run (M : STEP) : RUN with type machine := M.machine = struct
+  (* The clamp goes through the engine's [set_fuel], which saturates: a
+     huge [fuel] on a machine that has already run must not overflow the
+     stop line. *)
+  let run_machine ?(fuel = 10_000_000) (m : M.machine) : (outcome, trap) result =
+    if M.fuel m > fuel then M.set_fuel m fuel;
+    let rec go () =
+      match M.step m with
+      | Running -> go ()
+      | Returned ret -> Ok { ret; events = List.rev (M.events_rev m); steps = M.steps m }
+      | Trapped t -> Error t
+    in
+    go ()
+
+  let run ?fuel ?memory ?telemetry (f : Ir.func) ~(args : int list) : (outcome, trap) result =
+    match M.create ?memory ?telemetry f ~args with
+    | m -> run_machine ?fuel m
+    | exception Trap t -> Error t
+
+  let run_to_point ?(fuel = 10_000_000) ?(skip = 0) (m : M.machine) ~(point : int) :
+      M.machine option =
+    let rec go budget remaining =
+      if budget = 0 then None
+      else
+        match M.next_instr_id m with
+        | Some id when id = point ->
+            if remaining = 0 then Some m
+            else begin
+              ignore (M.step m : status);
+              go (budget - 1) (remaining - 1)
+            end
+        | Some _ -> (
+            match M.step m with
+            | Running -> go (budget - 1) remaining
+            | Returned _ | Trapped _ -> None)
+        | None -> None
+    in
+    go fuel skip
+end
+
+include Run (struct
+  type nonrec machine = machine
+
+  let create = create
+  let step = step
+  let next_instr_id = next_instr_id
+  let steps (m : machine) = m.steps
+  let fuel = fuel_left
+  let set_fuel = set_fuel
+  let events_rev (m : machine) = m.events
+end)
 
 (** Observable equality of results: equal returns and equal event traces,
     or both trapped (any trap ≈ any trap). *)
@@ -296,26 +363,3 @@ let equal_result (a : (outcome, trap) result) (b : (outcome, trap) result) : boo
 let pp_result ppf = function
   | Ok o -> Fmt.pf ppf "ret %d (%d steps, %d events)" o.ret o.steps (List.length o.events)
   | Error t -> Fmt.pf ppf "trap: %a" pp_trap t
-
-(** Run to the first time the machine is {e about to execute} instruction
-    [point] (after [skip] earlier arrivals); used to set up OSR sources.
-    Returns [None] when the point is never reached. *)
-let run_to_point ?(fuel = 10_000_000) ?(skip = 0) (m : machine) ~(point : int) :
-    machine option =
-  let rec go budget remaining =
-    if budget = 0 then None
-    else
-      match next_instr_id m with
-      | Some id when id = point ->
-          if remaining = 0 then Some m
-          else begin
-            ignore (step m);
-            go (budget - 1) (remaining - 1)
-          end
-      | Some _ -> (
-          match step m with
-          | Running -> go (budget - 1) remaining
-          | Returned _ | Trapped _ -> None)
-      | None -> None
-  in
-  go fuel skip

@@ -95,24 +95,63 @@ val fuel_left : machine -> int
 val set_fuel : machine -> int -> unit
 (** Grant [n] further steps from the machine's current position. *)
 
-val run_machine : ?fuel:int -> machine -> (outcome, trap) result
-(** Run to completion.  [fuel] (default 10M) further clamps the machine's
-    remaining budget; past it the run terminates with
-    [Error (Fuel_exhausted _)] — never an exception. *)
+(** The step core both engines expose: enough to create, pause, resume
+    and observe a machine. *)
+module type STEP = sig
+  type machine
 
-val run :
-  ?fuel:int ->
-  ?memory:memory ->
-  ?telemetry:Telemetry.sink ->
-  Ir.func ->
-  args:int list ->
-  (outcome, trap) result
-(** One-shot execution. *)
+  val create :
+    ?memory:memory -> ?telemetry:Telemetry.sink -> ?fuel:int -> Ir.func -> args:int list -> machine
+  (** Fresh machine at the function's entry; see {!val:create}.
+      @raise Trap on an argument-count mismatch *)
 
-val run_to_point : ?fuel:int -> ?skip:int -> machine -> point:int -> machine option
-(** Run until the machine is about to execute [point] (after [skip] earlier
-    arrivals); [None] when never reached.  Used to set up OSR sources and
-    debugger breakpoints. *)
+  val step : machine -> status
+  (** Execute one instruction or terminator. *)
+
+  val next_instr_id : machine -> int option
+  (** The current program point; [None] once the machine has stopped. *)
+
+  val steps : machine -> int
+
+  val fuel : machine -> int
+  (** Remaining step budget ([max_int] = unlimited). *)
+
+  val set_fuel : machine -> int -> unit
+  (** Grant [n] further steps; saturates at unlimited, never overflows. *)
+
+  val events_rev : machine -> event list
+  (** Observable events so far, most recent first. *)
+end
+
+(** Whole-run drivers over a step core. *)
+module type RUN = sig
+  type machine
+
+  val run_machine : ?fuel:int -> machine -> (outcome, trap) result
+  (** Run to completion.  [fuel] (default 10M) further clamps the
+      machine's remaining budget; past it the run terminates with
+      [Error (Fuel_exhausted _)] — never an exception. *)
+
+  val run :
+    ?fuel:int ->
+    ?memory:memory ->
+    ?telemetry:Telemetry.sink ->
+    Ir.func ->
+    args:int list ->
+    (outcome, trap) result
+  (** One-shot execution: [create] then [run_machine]; an argument-count
+      mismatch is [Error (Bad_arity _)]. *)
+
+  val run_to_point : ?fuel:int -> ?skip:int -> machine -> point:int -> machine option
+  (** Run until the machine is about to execute [point] (after [skip]
+      earlier arrivals); [None] when never reached.  Used to set up OSR
+      sources and debugger breakpoints. *)
+end
+
+module Run (M : STEP) : RUN with type machine := M.machine
+(** The one run loop: both engines derive their drivers from it. *)
+
+include RUN with type machine := machine
 
 val equal_result : (outcome, trap) result -> (outcome, trap) result -> bool
 (** Observable equality: equal returns and event traces; any trap equals

@@ -88,9 +88,9 @@ let transitions_on_kernel (name : string) =
         (fun i (at, landing, plan) ->
           if i mod 5 = 0 then begin
             let reference = Interp.run ~fuel:20_000_000 src ~args:e.default_args in
-            let osr =
-              Osrir.Osr_runtime.run_transition ~fuel:20_000_000 ~src ~args:e.default_args
-                ~at ~target ~landing plan
+            let osr, _ =
+              Osrir.Osr_runtime.Reference.run_transition_full ~fuel:20_000_000 ~src
+                ~args:e.default_args ~at ~target ~landing plan
             in
             if not (Interp.equal_result reference osr) then
               Alcotest.failf "%s: OSR %d→%d diverges: %a vs %a" name at landing

@@ -265,7 +265,12 @@ let test_paused_frames_agree () =
                 Alcotest.(check (option int))
                   (Printf.sprintf "%%%s at pause #%d" reg point)
                   (Some v) (Compiled.read_reg mc reg))
-              mr.Interp.frame
+              mr.Interp.frame;
+            (* Clamping a paused machine's budget must not overflow. *)
+            check_equal
+              (Printf.sprintf "resume from pause #%d with fuel max_int - 1" point)
+              (Interp.run_machine ~fuel:(max_int - 1) mr)
+              (Compiled.run_machine ~fuel:(max_int - 1) mc)
         | None, None -> ()
         | Some _, None | None, Some _ ->
             Alcotest.failf "engines disagree on reachability of #%d" point)
@@ -287,12 +292,12 @@ let osr_differential (fbase : Ir.func) (args : int list) : unit =
         (fun (rep : F.point_report) ->
           match (rep.F.landing, rep.F.avail_plan) with
           | Some landing, Some plan ->
-              let on_ref =
-                Rt.run_transition ~fuel:1_000_000 ~src ~args ~at:rep.F.point ~target ~landing
-                  plan
+              let on_ref, _ =
+                Rt.Reference.run_transition_full ~fuel:1_000_000 ~src ~args ~at:rep.F.point
+                  ~target ~landing plan
               in
-              let on_compiled =
-                Rt.Compiled.run_transition ~fuel:1_000_000 ~src ~args ~at:rep.F.point
+              let on_compiled, _ =
+                Rt.Compiled.run_transition_full ~fuel:1_000_000 ~src ~args ~at:rep.F.point
                   ~target ~landing plan
               in
               check_equal
@@ -355,13 +360,13 @@ let prop_osr_engines_agree =
             (fun (rep : F.point_report) ->
               match (rep.F.landing, rep.F.avail_plan) with
               | Some landing, Some plan -> (
-                  let on_ref =
-                    Rt.run_transition ~fuel:1_000_000 ~src ~args ~at:rep.F.point ~target
-                      ~landing plan
+                  let on_ref, _ =
+                    Rt.Reference.run_transition_full ~fuel:1_000_000 ~src ~args
+                      ~at:rep.F.point ~target ~landing plan
                   in
-                  let on_compiled =
-                    Rt.Compiled.run_transition ~fuel:1_000_000 ~src ~args ~at:rep.F.point
-                      ~target ~landing plan
+                  let on_compiled, _ =
+                    Rt.Compiled.run_transition_full ~fuel:1_000_000 ~src ~args
+                      ~at:rep.F.point ~target ~landing plan
                   in
                   match (on_ref, on_compiled) with
                   | Ok x, Ok y ->
@@ -404,7 +409,7 @@ let test_armed_sites_no_fire () =
   let mr = Interp.create r.P.fbase ~args:e.default_args in
   let armed_ref =
     fst
-      (Rt.run_with_osr mr
+      (Rt.Reference.run_with_osr mr
          (List.map (fun p -> { Rt.at = p; guard = (fun _ -> false); cont }) points))
   in
   let mc = Compiled.create r.P.fbase ~args:e.default_args in

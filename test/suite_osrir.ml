@@ -131,7 +131,7 @@ let transitions_correct ?(args_list = Gen_ir.sample_args) (fbase : Ir.func) : bo
                 (fun args ->
                   let reference = Interp.run ~fuel:1_000_000 src ~args in
                   let with_osr, osr =
-                    Rt.run_transition_full ~fuel:1_000_000 ~src ~args ~at:rep.point
+                    Rt.Reference.run_transition_full ~fuel:1_000_000 ~src ~args ~at:rep.point
                       ~target ~landing plan
                   in
                   (* A feasible point must not abort: an abort would fall
@@ -171,8 +171,8 @@ let test_transition_mid_loop () =
       | Error x -> Alcotest.failf "reconstruct failed on %s" x
       | Ok plan ->
           let reference = run_int r.fbase [ 6; 3 ] in
-          let osr =
-            Rt.run_transition ~arrival:2 ~src:r.fbase ~args:[ 6; 3 ] ~at:acc2
+          let osr, _ =
+            Rt.Reference.run_transition_full ~arrival:2 ~src:r.fbase ~args:[ 6; 3 ] ~at:acc2
               ~target:r.fopt ~landing plan
           in
           (match osr with
@@ -247,8 +247,9 @@ let test_gating_reconstruction () =
       List.iter
         (fun args ->
           let reference = Interp.run r.fbase ~args in
-          let osr =
-            Rt.run_transition ~src:r.fbase ~args ~at:cbr_id ~target:r.fopt ~landing:r_id plan
+          let osr, _ =
+            Rt.Reference.run_transition_full ~src:r.fbase ~args ~at:cbr_id ~target:r.fopt
+              ~landing:r_id plan
           in
           Alcotest.(check bool)
             (Printf.sprintf "gated transition sound on %s"

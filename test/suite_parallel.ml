@@ -130,7 +130,7 @@ let test_sweep_differential () =
       T.reset_counters ();
       let par_sink = T.create ~clock:(fake_clock ()) () in
       (* A small chunk so the point list really shards across tasks. *)
-      let s_par = F.analyze_par ~telemetry:par_sink ~pool ~chunk:8 (mk dir ()) in
+      let s_par = F.analyze ~telemetry:par_sink ~pool ~chunk:8 (mk dir ()) in
       let par_counters = T.counters_json () in
       Alcotest.(check bool) "reports byte-equal" true (s_seq = s_par);
       Alcotest.(check string) "merged counters byte-equal" seq_counters par_counters;

@@ -204,7 +204,7 @@ let prop_seeded_random_functions =
                   let injector = Fault.make ~seed:(i + (17 * List.length args)) in
                   let hooks = Fault.hooks injector in
                   let result, osr =
-                    Rt.run_transition_full ~fuel:1_000_000 ~hooks ~src ~args ~at:rep.F.point
+                    Rt.Reference.run_transition_full ~fuel:1_000_000 ~hooks ~src ~args ~at:rep.F.point
                       ~target ~landing plan
                   in
                   let ctx = Printf.sprintf "point #%d" rep.F.point in
@@ -241,7 +241,7 @@ let test_abort_resumes_source_lockstep () =
   (* A failing attempt: χ trap injected. *)
   let injector = Fault.make ~seed:0 in
   let hooks = Fault.hooks ~only:Fault.Chi_trap injector in
-  (match Rt.fire ~hooks ma { Rt.at = rep.F.point; guard = (fun _ -> true); cont } with
+  (match Rt.Reference.fire ~hooks ma { Rt.at = rep.F.point; guard = (fun _ -> true); cont } with
   | Error (Osr_error.Comp_trap _) -> ()
   | Error e -> Alcotest.failf "unexpected abort reason: %s" (Osr_error.to_string e)
   | Ok _ -> Alcotest.fail "χ-trapped attempt committed");
@@ -312,7 +312,7 @@ let test_memory_rollback_mid_chi () =
   let snap_brk = m.Interp.memory.Interp.brk in
   let injector = Fault.make ~seed:0 in
   let hooks = Fault.hooks ~only:Fault.Chi_trap injector in
-  (match Rt.fire ~hooks m { Rt.at = rep.F.point; guard = (fun _ -> true); cont } with
+  (match Rt.Reference.fire ~hooks m { Rt.at = rep.F.point; guard = (fun _ -> true); cont } with
   | Error (Osr_error.Comp_trap _) -> ()
   | Error e -> Alcotest.failf "unexpected abort reason: %s" (Osr_error.to_string e)
   | Ok _ -> Alcotest.fail "χ-trapped attempt committed");
@@ -341,7 +341,7 @@ let test_demoted_chi_commits () =
   let cont = Osrir.Contfun.generate ~promote:false target ~landing plan in
   let m = Interp.create src ~args in
   let result, osr =
-    Rt.run_with_osr ~fuel:20_000_000 m
+    Rt.Reference.run_with_osr ~fuel:20_000_000 m
       [ { Rt.at = rep.F.point; guard = (fun _ -> true); cont } ]
   in
   Alcotest.(check bool) "committed" true (osr.Rt.transition <> None);
@@ -374,7 +374,7 @@ let test_validation_catches_poison () =
       let run ~validate =
         let injector = Fault.make ~seed:3 in
         let hooks = Fault.hooks ~only:Fault.Poison injector in
-        Rt.run_transition_full ~fuel:20_000_000 ~validate ~hooks ~src ~args ~at:rep.F.point
+        Rt.Reference.run_transition_full ~fuel:20_000_000 ~validate ~hooks ~src ~args ~at:rep.F.point
           ~target ~landing plan
       in
       let result_v, osr_v = run ~validate:true in
