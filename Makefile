@@ -1,4 +1,4 @@
-.PHONY: all build test fmt bench bench-smoke bench-check perf perf-par perf-interp fuzz clean
+.PHONY: all build test fmt bench bench-smoke bench-check perf-par fuzz clean
 
 all: build
 
@@ -15,11 +15,14 @@ test:
 fmt:
 	dune build @fmt
 
+# Every paper table/figure, the ablations and the perf-par scaling run.
 bench:
 	dune exec bench/main.exe -- all
 
-# Fast instrumented self-check: sweep two kernels under a live telemetry
-# sink and validate the emitted Chrome trace with the in-tree JSON reader.
+# Fast self-check of the perf-par path (also part of `dune runtest`): the
+# parallel sweep untimed on two kernels at j = 1 and 2, every kernel
+# sweeping some points, and BENCH_parallel.json read back with the in-tree
+# JSON reader.
 bench-smoke:
 	dune exec bench/main.exe -- smoke
 
@@ -29,17 +32,9 @@ bench-smoke:
 bench-check:
 	python3 osrbench/run.py --self-check
 
-# Feasibility-sweep timing + BENCH_feasibility.json + Chrome trace.
-perf:
-	dune exec bench/main.exe -- perf --trace-out trace.json
-
 # Parallel sweep scaling (j = 1, 2, 4, #cores) + BENCH_parallel.json.
 perf-par:
 	dune exec bench/main.exe -- perf-par
-
-# Engine timing (reference vs compiled TinyVM) + BENCH_interp.json.
-perf-interp:
-	dune exec bench/main.exe -- interp
 
 # Large-iteration seeded fault-injection fuzzing over every feasible
 # corpus transition on both engines (a small fixed-seed slice of the same

@@ -115,6 +115,9 @@ let summarize (reports : point_report list) : summary =
   in
   { total_points; empty; live_ok; avail_ok; reports }
 
+(* Points per slice of a pooled sweep. *)
+let chunk = 64
+
 (* With a multi-domain [pool], the point list is cut into [chunk]-sized
    slices, each classified by whichever domain claims it using a
    domain-private {!Osr_ctx.fork} (fresh memo tables, shared read-only
@@ -125,10 +128,9 @@ let summarize (reports : point_report list) : summary =
    with a 1-domain pool or with a single slice, the sweep runs inline: no
    forks, no merge, no overhead. *)
 let analyze ?(config = Reconstruct_ir.default_config) ?(telemetry = Telemetry.null)
-    ?(pool : Parallel.Pool.t option) ?(chunk = 64) (t : Osr_ctx.t) : summary =
+    ?(pool : Parallel.Pool.t option) (t : Osr_ctx.t) : summary =
   let fname = t.Osr_ctx.src.Osr_ctx.func.Ir.fname in
   let points = Osr_ctx.source_points t in
-  let chunk = max 1 chunk in
   let reports =
     Telemetry.with_span telemetry ~cat:"analysis" "feasibility" @@ fun () ->
     match pool with

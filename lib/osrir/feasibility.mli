@@ -27,17 +27,16 @@ val analyze :
   ?config:Reconstruct_ir.config ->
   ?telemetry:Telemetry.sink ->
   ?pool:Parallel.Pool.t ->
-  ?chunk:int ->
   Osr_ctx.t ->
   summary
 (** Classify every source program point of the context's direction.  A live
     [telemetry] sink receives a ["feasibility"] span, per-outcome counters
     (group ["reconstruct"]) and remarks explaining infeasible and
     avail-only points.  With a multi-domain [pool] the point list is
-    sharded into [chunk]-sized slices (default 64), each domain querying
-    its own {!Osr_ctx.fork}; without one (or with a 1-domain pool) the
-    sweep runs inline.  Deterministic-merge contract: reports, counters and
-    remarks are byte-equal whatever the pool. *)
+    sharded into 64-point slices, each domain querying its own
+    {!Osr_ctx.fork}; without one (or with a 1-domain pool) the sweep runs
+    inline.  Deterministic-merge contract: reports, counters and remarks
+    are byte-equal whatever the pool. *)
 
 val percentages : summary -> float * float * float
 (** (empty, live, avail) percentages for the Figure 7/8 stacked bars. *)

@@ -96,7 +96,7 @@ module type S = sig
   type machine
 
   val fire :
-    ?hooks:hooks -> ?validate:bool -> machine -> machine gsite -> (machine, Osr_error.t) result
+    ?hooks:hooks -> machine -> machine gsite -> (machine, Osr_error.t) result
   (** Attempt the transition now, transactionally: build the continuation
       machine sharing the source machine's memory, run χ (the entry block)
       to the landing point, and validate the reconstructed frame.  [Ok]
@@ -108,7 +108,6 @@ module type S = sig
 
   val run_with_osr :
     ?fuel:int ->
-    ?validate:bool ->
     ?hooks:hooks ->
     machine ->
     machine gsite list ->
@@ -123,7 +122,6 @@ module type S = sig
   val run_transition_full :
     ?fuel:int ->
     ?arrival:int ->
-    ?validate:bool ->
     ?hooks:hooks ->
     ?telemetry:Telemetry.sink ->
     src:Ir.func ->
@@ -171,8 +169,8 @@ module Make (E : Engine.S) : S with type machine := E.machine = struct
            sources)
     with Bad e -> Error e
 
-  let fire ?(hooks = no_hooks) ?(validate = true) (m : E.machine) (site : E.machine gsite)
-      : (E.machine, Osr_error.t) result =
+  let fire ?(hooks = no_hooks) (m : E.machine) (site : E.machine gsite) :
+      (E.machine, Osr_error.t) result =
     let fname = (E.func m).Ir.fname in
     match eval_sources m ~at:site.at site.cont.param_sources with
     | Error e -> Error e
@@ -234,9 +232,7 @@ module Make (E : Engine.S) : S with type machine := E.machine = struct
                 | Some r -> E.clear_reg cont r
                 | None -> ());
                 let missing =
-                  if validate then
-                    List.filter (fun r -> E.read_reg cont r = None) site.cont.live_in
-                  else []
+                  List.filter (fun r -> E.read_reg cont r = None) site.cont.live_in
                 in
                 match missing with
                 | _ :: _ ->
@@ -258,9 +254,8 @@ module Make (E : Engine.S) : S with type machine := E.machine = struct
                           (List.length entry.Ir.body));
                     Ok cont)))
 
-  let run_with_osr ?(fuel = 10_000_000) ?(validate = true) ?(hooks = no_hooks)
-      (machine : E.machine) (sites : E.machine gsite list) :
-      (Interp.outcome, Interp.trap) result * osr_outcome =
+  let run_with_osr ?(fuel = 10_000_000) ?(hooks = no_hooks) (machine : E.machine)
+      (sites : E.machine gsite list) : (Interp.outcome, Interp.trap) result * osr_outcome =
     if E.fuel machine > fuel then E.set_fuel machine fuel;
     let fname = (E.func machine).Ir.fname in
     let tel = E.telemetry machine in
@@ -320,7 +315,7 @@ module Make (E : Engine.S) : S with type machine := E.machine = struct
                   go ()
               | Ok false -> advance ()
               | Ok true -> (
-                  match fire ~hooks ~validate machine site with
+                  match fire ~hooks machine site with
                   | Error e ->
                       abort id e;
                       go ()
@@ -358,9 +353,9 @@ module Make (E : Engine.S) : S with type machine := E.machine = struct
     in
     go ()
 
-  let run_transition_full ?(fuel = 10_000_000) ?(arrival = 0) ?(validate = true)
-      ?(hooks = no_hooks) ?telemetry ~(src : Ir.func) ~(args : int list) ~(at : int)
-      ~(target : Ir.func) ~(landing : int) (plan : Reconstruct_ir.plan) :
+  let run_transition_full ?(fuel = 10_000_000) ?(arrival = 0) ?(hooks = no_hooks) ?telemetry
+      ~(src : Ir.func) ~(args : int list) ~(at : int) ~(target : Ir.func) ~(landing : int)
+      (plan : Reconstruct_ir.plan) :
       (Interp.outcome, Interp.trap) result * osr_outcome =
     let cont = Contfun.generate target ~landing plan in
     let machine = E.create ?telemetry src ~args in
@@ -370,7 +365,7 @@ module Make (E : Engine.S) : S with type machine := E.machine = struct
       incr seen;
       hit
     in
-    run_with_osr ~fuel ~validate ~hooks machine [ { at; guard; cont } ]
+    run_with_osr ~fuel ~hooks machine [ { at; guard; cont } ]
 end
 
 (** The production runtime, on the compiled engine. *)

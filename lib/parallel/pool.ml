@@ -177,11 +177,6 @@ let run (type s a) (p : t) ?chunk ~(scratch : unit -> s) (f : s -> int -> a) (n 
         raise (Task_failed { index; exn; backtrace })
   end
 
-let map_list (p : t) ?chunk ~(scratch : unit -> 's) (f : 's -> 'a -> 'b) (xs : 'a list) :
-    'b list =
-  let arr = Array.of_list xs in
-  Array.to_list (run p ?chunk ~scratch (fun s i -> f s arr.(i)) (Array.length arr))
-
 let with_pool ?jobs (f : t -> 'a) : 'a =
   let p = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown p) (fun () -> f p)

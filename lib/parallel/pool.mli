@@ -48,9 +48,6 @@ val run : t -> ?chunk:int -> scratch:(unit -> 's) -> ('s -> int -> 'a) -> int ->
     [f] must not touch shared mutable state without its own
     synchronization; everything it needs mutable belongs in the scratch. *)
 
-val map_list : t -> ?chunk:int -> scratch:(unit -> 's) -> ('s -> 'a -> 'b) -> 'a list -> 'b list
-(** {!run} over a list, preserving order. *)
-
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent; the pool must not be
     used afterwards. *)

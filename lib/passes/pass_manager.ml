@@ -72,8 +72,6 @@ type apply_result = {
   per_pass : (string * Code_mapper.counts) list;  (** actions recorded by each pass *)
 }
 
-exception Verification_failed of string * string  (** pass name, details *)
-
 (* Sandboxing counter: passes undone after a failed post-pass
    verification. *)
 let stat_rolled_back =
@@ -89,18 +87,16 @@ let restore_func (dst : Ir.func) ~(from_ : Ir.func) : unit =
   dst.Ir.next_reg <- from_.Ir.next_reg
 
 (** Clone [f] and optimize the clone with [pipeline], recording actions.
-    The SSA verifier runs after every pass.  With [sandbox] (the default),
-    each pass runs transactionally: a verification failure rolls the
-    function {e and} the mapper history back to their pre-pass state,
-    emits a remark, bumps [pass.rolled_back], and the pipeline continues
-    with the remaining passes — a miscompiling pass degrades to a no-op
-    instead of killing the compilation.  With [sandbox:false] a failure
-    raises {!Verification_failed} naming the culprit (the debugging mode).
-    With a live [telemetry] sink each pass runs under a span named after
-    it (the [-time-passes] rows), the verifier under ["verify"], and the
-    mapper/analysis-manager statistics accumulate. *)
-let apply ?(pipeline = standard_pipeline) ?(verify = true) ?(sandbox = true)
-    ?(telemetry = Telemetry.null) (f : Ir.func) : apply_result =
+    The SSA verifier runs after every pass, and each pass runs
+    transactionally: a verification failure rolls the function {e and} the
+    mapper history back to their pre-pass state, emits a remark, bumps
+    [pass.rolled_back], and the pipeline continues with the remaining
+    passes — a miscompiling pass degrades to a no-op instead of killing
+    the compilation.  With a live [telemetry] sink each pass runs under a
+    span named after it (the [-time-passes] rows), the verifier under
+    ["verify"], and the mapper/analysis-manager statistics accumulate. *)
+let apply ?(pipeline = standard_pipeline) ?(telemetry = Telemetry.null) (f : Ir.func) :
+    apply_result =
   let fopt = Ir.clone_func f in
   let mapper = Code_mapper.create ~telemetry () in
   let am = Analysis_manager.create ~telemetry () in
@@ -108,34 +104,24 @@ let apply ?(pipeline = standard_pipeline) ?(verify = true) ?(sandbox = true)
   List.iter
     (fun (p : pass) ->
       let before = Code_mapper.counts mapper in
-      let pre =
-        if verify && sandbox then
-          Some (Ir.clone_func fopt, Code_mapper.snapshot mapper)
-        else None
-      in
+      let pre_ir = Ir.clone_func fopt and pre_mapper = Code_mapper.snapshot mapper in
       let changed =
         Telemetry.with_span telemetry ~cat:"pass" p.pname (fun () -> p.run ~mapper ~am fopt)
       in
       if changed then Analysis_manager.invalidate ~preserved:p.preserves am;
-      (if verify then
-         match
-           Telemetry.with_span telemetry ~cat:"verify" "verify" (fun () ->
-               Verifier.verify fopt)
-         with
-         | Ok () -> ()
-         | Error es -> (
-             let details = Fmt.str "%a" (Fmt.list ~sep:Fmt.cut Verifier.pp_error) es in
-             match pre with
-             | Some (pre_ir, pre_mapper) ->
-                 restore_func fopt ~from_:pre_ir;
-                 Code_mapper.restore mapper pre_mapper;
-                 (* The restored IR matches no cached analysis of the broken
-                    one. *)
-                 Analysis_manager.invalidate ~preserved:[] am;
-                 Telemetry.bump telemetry stat_rolled_back;
-                 Telemetry.remark telemetry ~pass:p.pname ~func:fopt.Ir.fname (fun () ->
-                     "pass rolled back: post-pass verification failed: " ^ details)
-             | None -> raise (Verification_failed (p.pname, details))));
+      (match
+         Telemetry.with_span telemetry ~cat:"verify" "verify" (fun () -> Verifier.verify fopt)
+       with
+      | Ok () -> ()
+      | Error es ->
+          let details = Fmt.str "%a" (Fmt.list ~sep:Fmt.cut Verifier.pp_error) es in
+          restore_func fopt ~from_:pre_ir;
+          Code_mapper.restore mapper pre_mapper;
+          (* The restored IR matches no cached analysis of the broken one. *)
+          Analysis_manager.invalidate ~preserved:[] am;
+          Telemetry.bump telemetry stat_rolled_back;
+          Telemetry.remark telemetry ~pass:p.pname ~func:fopt.Ir.fname (fun () ->
+              "pass rolled back: post-pass verification failed: " ^ details));
       (* Computed after a possible rollback, so a rolled-back pass reports
          zero actions. *)
       let after = Code_mapper.counts mapper in
@@ -152,35 +138,10 @@ let apply ?(pipeline = standard_pipeline) ?(verify = true) ?(sandbox = true)
     pipeline;
   { fbase = f; fopt; mapper; per_pass = List.rev !per_pass }
 
-(** {!apply} over a whole corpus, one function per task across [pool]'s
-    domains.  Each task already owns everything mutable — the clone, its
-    CodeMapper, its {!Analysis_manager} — so the only sharing to manage is
-    telemetry, which each task gets as a private {!Telemetry.fork}, joined
-    back in input order.  Counters, remarks and per-pass span aggregates
-    are therefore byte-equal to a sequential run's; results come back in
-    input order.  Without a pool (or with a 1-domain pool) this is exactly
-    [List.map apply]. *)
-let apply_corpus ?(pool : Parallel.Pool.t option) ?pipeline ?verify ?sandbox
-    ?(telemetry = Telemetry.null) (fs : Ir.func list) : apply_result list =
-  match pool with
-  | Some pool when Parallel.Pool.jobs pool > 1 ->
-      let arr = Array.of_list fs in
-      let n = Array.length arr in
-      let sinks = Array.init n (fun _ -> Telemetry.fork telemetry) in
-      let results =
-        Parallel.Pool.run pool ~chunk:1
-          ~scratch:(fun () -> ())
-          (fun () i -> apply ?pipeline ?verify ?sandbox ~telemetry:sinks.(i) arr.(i))
-          n
-      in
-      Array.iter (Telemetry.join telemetry) sinks;
-      Array.to_list results
-  | Some _ | None -> List.map (fun f -> apply ?pipeline ?verify ?sandbox ~telemetry f) fs
-
 (** Run mem2reg in place on a freshly built alloca-form function to obtain
     the paper's [fbase] (clang -O0 + mem2reg). *)
-let to_fbase ?(verify = true) (f : Ir.func) : Ir.func =
+let to_fbase (f : Ir.func) : Ir.func =
   let f' = Ir.clone_func f in
   let _ : bool = Mem2reg.run f' in
-  if verify then Verifier.verify_exn f';
+  Verifier.verify_exn f';
   f'

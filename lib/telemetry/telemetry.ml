@@ -19,9 +19,10 @@
       never pays for message formatting.  Filterable by pass name.
 
     The {!null} sink is disabled and shared: instrumented code paths run at
-    full speed when nobody is watching (`bench/main.exe perf` guards the
-    disabled overhead).  Timing uses [Unix.gettimeofday] by default; tests
-    inject a deterministic clock via {!create}.
+    full speed when nobody is watching (osrbench's untraced cycles run on
+    it, and its [trace.overhead_pct] metric is the cost of a live sink over
+    them).  Timing uses [Unix.gettimeofday] by default; tests inject a
+    deterministic clock via {!create}.
 
     {b Domains.}  A sink is single-domain: all its operations must come
     from the domain that owns it.  Parallel work forks one {e buffered}

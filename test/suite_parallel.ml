@@ -1,13 +1,12 @@
 (** Tests for the Domain work pool and the deterministic-merge contract:
     results commit in task order, a failing task propagates the
     lowest-index error after the batch drains (no hang, pool reusable),
-    and the three pooled drivers — feasibility sweep, pass-pipeline
-    corpus, buffered telemetry — produce output byte-equal to their
-    sequential counterparts at any domain count. *)
+    buffered telemetry merges deterministically, and the pooled
+    feasibility sweep is byte-equal to the sequential one at any domain
+    count. *)
 
 module T = Telemetry
 module Pool = Parallel.Pool
-module Ir = Miniir.Ir
 module P = Passes.Pass_manager
 module Ctx = Osrir.Osr_ctx
 module F = Osrir.Feasibility
@@ -33,13 +32,6 @@ let test_results_in_order () =
     r;
   let empty = Pool.run pool ~scratch:(fun () -> ()) (fun () i -> i) 0 in
   Alcotest.(check int) "empty batch" 0 (Array.length empty)
-
-let test_map_list () =
-  Pool.with_pool ~jobs:2 @@ fun pool ->
-  Alcotest.(check (list string))
-    "order preserved"
-    [ "a!"; "b!"; "c!" ]
-    (Pool.map_list pool ~scratch:(fun () -> ()) (fun () s -> s ^ "!") [ "a"; "b"; "c" ])
 
 let test_scratch_per_domain () =
   (* With one domain the single scratch value must thread through every
@@ -126,11 +118,15 @@ let test_sweep_differential () =
       T.reset_counters ();
       let seq_sink = T.create ~clock:(fake_clock ()) () in
       let s_seq = F.analyze ~telemetry:seq_sink (mk dir ()) in
+      (* The pooled sweep cuts the point list into 64-point slices; at
+         least one per domain keeps the multi-slice merge exercised. *)
+      Alcotest.(check bool)
+        "at least one 64-point slice per domain" true
+        ((s_seq.F.total_points + 63) / 64 >= Pool.jobs pool);
       let seq_counters = T.counters_json () in
       T.reset_counters ();
       let par_sink = T.create ~clock:(fake_clock ()) () in
-      (* A small chunk so the point list really shards across tasks. *)
-      let s_par = F.analyze ~telemetry:par_sink ~pool ~chunk:8 (mk dir ()) in
+      let s_par = F.analyze ~telemetry:par_sink ~pool (mk dir ()) in
       let par_counters = T.counters_json () in
       Alcotest.(check bool) "reports byte-equal" true (s_seq = s_par);
       Alcotest.(check string) "merged counters byte-equal" seq_counters par_counters;
@@ -147,41 +143,10 @@ let test_sweep_differential () =
     [ Ctx.Base_to_opt; Ctx.Opt_to_base ];
   T.reset_counters ()
 
-let test_apply_corpus_differential () =
-  let fbases =
-    List.map
-      (fun (e : Corpus.Kernels.entry) -> fst (Corpus.Dsl.to_fbase e.kernel))
-      (List.filteri (fun i _ -> i < 4) Corpus.Kernels.all)
-  in
-  Pool.with_pool ~jobs:4 @@ fun pool ->
-  T.reset_counters ();
-  let seq_sink = T.create ~clock:(fake_clock ()) () in
-  let seq = P.apply_corpus ~telemetry:seq_sink fbases in
-  let seq_counters = T.counters_json () in
-  T.reset_counters ();
-  let par_sink = T.create ~clock:(fake_clock ()) () in
-  let par = P.apply_corpus ~pool ~telemetry:par_sink fbases in
-  let par_counters = T.counters_json () in
-  List.iter2
-    (fun (a : P.apply_result) (b : P.apply_result) ->
-      Alcotest.(check string)
-        "optimized IR byte-equal"
-        (Ir.func_to_string a.P.fopt)
-        (Ir.func_to_string b.P.fopt);
-      Alcotest.(check bool) "per-pass action counts equal" true (a.P.per_pass = b.P.per_pass))
-    seq par;
-  Alcotest.(check string) "merged counters byte-equal" seq_counters par_counters;
-  Alcotest.(check (list string))
-    "remarks byte-equal, in corpus order"
-    (List.map T.remark_to_string (T.remarks seq_sink))
-    (List.map T.remark_to_string (T.remarks par_sink));
-  T.reset_counters ()
-
 let suite =
   ( "parallel",
     [
       Alcotest.test_case "pool: results in task order" `Quick test_results_in_order;
-      Alcotest.test_case "pool: map_list preserves order" `Quick test_map_list;
       Alcotest.test_case "pool: per-domain scratch" `Quick test_scratch_per_domain;
       Alcotest.test_case "pool: lowest error propagates, pool survives" `Quick
         test_error_propagates_lowest_and_pool_survives;
@@ -191,6 +156,4 @@ let suite =
       Alcotest.test_case "telemetry: null fork stays free" `Quick test_fork_of_null_is_free;
       Alcotest.test_case "feasibility: parallel sweep byte-equal" `Quick
         test_sweep_differential;
-      Alcotest.test_case "pass manager: parallel corpus byte-equal" `Quick
-        test_apply_corpus_differential;
     ] )

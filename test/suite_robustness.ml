@@ -351,9 +351,8 @@ let test_demoted_chi_commits () =
 
 (* -------------------- validation necessity -------------------- *)
 
-(* The same poisoned frame: with validation the transition aborts and the
-   run recovers byte-equal; without it the poison reaches the committed
-   continuation — the knob demonstrates what the validator buys. *)
+(* A poisoned frame: landing-point validation aborts the transition and
+   the run recovers byte-equal. *)
 let test_validation_catches_poison () =
   let entry = Option.get (Corpus.Kernels.find "sjeng") in
   let fbase, _ = Corpus.Dsl.to_fbase entry.kernel in
@@ -371,21 +370,15 @@ let test_validation_catches_poison () =
   | None -> Alcotest.skip ()
   | Some (src, target, rep, landing, plan) ->
       let reference = Interp.run ~fuel:20_000_000 src ~args in
-      let run ~validate =
-        let injector = Fault.make ~seed:3 in
-        let hooks = Fault.hooks ~only:Fault.Poison injector in
-        Rt.Reference.run_transition_full ~fuel:20_000_000 ~validate ~hooks ~src ~args ~at:rep.F.point
+      let hooks = Fault.hooks ~only:Fault.Poison (Fault.make ~seed:3) in
+      let result, osr =
+        Rt.Reference.run_transition_full ~fuel:20_000_000 ~hooks ~src ~args ~at:rep.F.point
           ~target ~landing plan
       in
-      let result_v, osr_v = run ~validate:true in
-      (match osr_v.Rt.aborted with
+      (match osr.Rt.aborted with
       | [ { Rt.reason = Osr_error.Frame_invalid { missing = _ :: _; _ }; _ } ] -> ()
       | _ -> Alcotest.fail "validation did not catch the poisoned frame");
-      check_byte_equal "validated run recovers" reference result_v;
-      let _result_nv, osr_nv = run ~validate:false in
-      Alcotest.(check bool)
-        "unvalidated transition commits the poisoned frame" true
-        (osr_nv.Rt.transition <> None && osr_nv.Rt.aborted = [])
+      check_byte_equal "validated run recovers" reference result
 
 (* -------------------- fuel budgets -------------------- *)
 
@@ -427,7 +420,7 @@ let test_fuel_stops_infinite_loop () =
 
 (* A deliberately miscompiling pass: its output fails SSA verification, so
    the sandboxed pipeline must undo it (IR and mapper history) and keep
-   going; the unsandboxed pipeline must raise. *)
+   going. *)
 let corrupt_pass : P.pass =
   {
     P.pname = "corrupt";
@@ -477,11 +470,6 @@ let test_sandboxed_pipeline () =
     (List.exists
        (fun rk -> String.length (Telemetry.remark_to_string rk) > 0)
        (Telemetry.remarks ~pass:"corrupt" sink));
-  (* Debugging mode still raises. *)
-  (match P.apply ~pipeline:sabotaged ~sandbox:false fbase with
-  | exception P.Verification_failed ("corrupt", _) -> ()
-  | exception e -> Alcotest.failf "unexpected exception %s" (Printexc.to_string e)
-  | _ -> Alcotest.fail "unsandboxed pipeline did not raise");
   (* And the sandboxed result still runs correctly. *)
   Alcotest.(check bool) "sandboxed fopt behaves" true
     (Interp.equal_result
