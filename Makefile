@@ -1,4 +1,4 @@
-.PHONY: all build test fmt bench bench-smoke bench-check perf-par fuzz clean
+.PHONY: all build test fmt bench bench-smoke bench-check bench-layers perf-par fuzz clean
 
 all: build
 
@@ -31,6 +31,13 @@ bench-smoke:
 # passes and per-cycle counts repeat across runs.
 bench-check:
 	python3 osrbench/run.py --self-check
+
+# Per-layer profile of the tier-up path: one traced 10-s tierup run (seed
+# 21), then the per-layer table it wrote (self time, share and allocation
+# per layer, and every span).  Run it on two checkouts for a before/after.
+bench-layers:
+	@python3 osrbench/run.py --workload tierup --seed 21 --seconds 10 --trace 1 > /dev/null
+	@cat .bench_out/tierup-seed21.layers.json
 
 # Parallel sweep scaling (j = 1, 2, 4, #cores) + BENCH_parallel.json.
 perf-par:

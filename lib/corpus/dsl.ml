@@ -206,27 +206,33 @@ let lower (k : kernel) : Ir.func * debug_info =
 let to_fbase (k : kernel) : Ir.func * debug_info =
   let raw, dbg = lower k in
   let fbase = Passes.Pass_manager.to_fbase raw in
-  let surviving = Hashtbl.create 256 in
-  List.iter (fun (i : Ir.instr) -> Hashtbl.replace surviving i.id ()) (Ir.all_instrs fbase);
+  let surviving = Hashtbl.create (fbase.Ir.next_id / 2) in
   List.iter
-    (fun (blk : Ir.block) -> Hashtbl.replace surviving blk.term_id ())
+    (fun (blk : Ir.block) ->
+      List.iter (fun (i : Ir.instr) -> Hashtbl.replace surviving i.id ()) blk.phis;
+      List.iter (fun (i : Ir.instr) -> Hashtbl.replace surviving i.id ()) blk.body;
+      Hashtbl.replace surviving blk.term_id ())
     fbase.Ir.blocks;
-  (* Remap via the raw function's block layout. *)
+  (* One scan of the raw layout: each raw instruction id → the first
+     surviving id after it in its block (the terminator included).  An id
+     that occurs twice maps by its first occurrence. *)
+  let next_surviving = Hashtbl.create (raw.Ir.next_id / 2) in
+  List.iter
+    (fun (blk : Ir.block) ->
+      let ids = Array.of_list (List.map (fun (i : Ir.instr) -> i.id) (Ir.block_instrs blk)) in
+      let next = Array.make (Array.length ids) None in
+      let after = ref (if Hashtbl.mem surviving blk.term_id then Some blk.term_id else None) in
+      for j = Array.length ids - 1 downto 0 do
+        next.(j) <- !after;
+        if Hashtbl.mem surviving ids.(j) then after := Some ids.(j)
+      done;
+      Array.iteri
+        (fun j id -> if not (Hashtbl.mem next_surviving id) then Hashtbl.add next_surviving id next.(j))
+        ids)
+    raw.Ir.blocks;
   let remap id =
     if Hashtbl.mem surviving id then Some id
-    else
-      (* find the instruction's successor within its raw block *)
-      let rec find_in_blocks = function
-        | [] -> None
-        | (blk : Ir.block) :: rest -> (
-            let ids = List.map (fun (i : Ir.instr) -> i.id) (Ir.block_instrs blk) in
-            match List.find_index (fun x -> x = id) ids with
-            | None -> find_in_blocks rest
-            | Some idx ->
-                let after = List.filteri (fun j _ -> j > idx) ids @ [ blk.term_id ] in
-                List.find_opt (Hashtbl.mem surviving) after)
-      in
-      find_in_blocks raw.Ir.blocks
+    else Option.join (Hashtbl.find_opt next_surviving id)
   in
   let source_points =
     List.sort_uniq compare (List.filter_map remap dbg.source_points)

@@ -121,7 +121,8 @@ and gen_stmt (rng : Random.State.t) (prof : profile) ~(depth : int) : stmt =
     to [fbase] form. *)
 type study_func = { fbase : Ir.func; dbg : Dsl.debug_info }
 
-let gen_function (prof : profile) (index : int) : study_func =
+(** The DSL kernel behind study function [index] of [prof]. *)
+let kernel_of (prof : profile) (index : int) : kernel =
   let seed = Hashtbl.hash (prof.bench, index, "osr-distilled") in
   let rng = Random.State.make [| seed |] in
   let n = prof.size_lo + Random.State.int rng (prof.size_hi - prof.size_lo + 1) in
@@ -135,17 +136,17 @@ let gen_function (prof : profile) (index : int) : study_func =
       (Slot (List.hd locals_pool))
       (List.tl locals_pool)
   in
-  let kernel =
-    {
-      kname = Printf.sprintf "%s_fn%03d" prof.bench index;
-      params = [ "x"; "y" ];
-      arrays = [ ("data", 16) ];
-      locals = locals_pool;
-      body;
-      ret;
-    }
-  in
-  let fbase, dbg = Dsl.to_fbase kernel in
+  {
+    kname = Printf.sprintf "%s_fn%03d" prof.bench index;
+    params = [ "x"; "y" ];
+    arrays = [ ("data", 16) ];
+    locals = locals_pool;
+    body;
+    ret;
+  }
+
+let gen_function (prof : profile) (index : int) : study_func =
+  let fbase, dbg = Dsl.to_fbase (kernel_of prof index) in
   { fbase; dbg }
 
 (** All functions of one benchmark. *)

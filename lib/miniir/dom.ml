@@ -17,25 +17,39 @@ type t = {
 }
 
 let compute ?(index : Func_index.t option) (f : Ir.func) : t =
-  let index = match index with Some i -> i | None -> Func_index.make f in
-  let preds = Hashtbl.create 16 in
-  List.iter (fun (b : Ir.block) -> Hashtbl.replace preds b.label []) f.blocks;
-  List.iter
-    (fun (b : Ir.block) ->
-      List.iter
-        (fun s ->
-          match Hashtbl.find_opt preds s with
-          | Some ps -> Hashtbl.replace preds s (b.label :: ps)
-          | None -> ())
-        (Ir.successors b))
-    f.blocks;
+  (* The traversal needs only label → block and the predecessor lists;
+     without an index, build just those two tables instead of a full
+     [Func_index].  Predecessor order does not matter: it changes neither
+     the idom fixpoint nor the frontiers. *)
+  let find_block, preds =
+    match index with
+    | Some i -> (Func_index.find_block i, i.Func_index.preds)
+    | None ->
+        let n = List.length f.blocks in
+        let blocks = Hashtbl.create n and preds = Hashtbl.create n in
+        List.iter
+          (fun (b : Ir.block) ->
+            Hashtbl.replace blocks b.label b;
+            Hashtbl.replace preds b.label [])
+          f.blocks;
+        List.iter
+          (fun (b : Ir.block) ->
+            List.iter
+              (fun s ->
+                match Hashtbl.find_opt preds s with
+                | Some ps -> Hashtbl.replace preds s (b.label :: ps)
+                | None -> ())
+              (Ir.successors b))
+          f.blocks;
+        (Hashtbl.find_opt blocks, preds)
+  in
   (* Reverse postorder from the entry. *)
   let visited = Hashtbl.create 16 in
   let post = ref [] in
   let rec dfs label =
     if not (Hashtbl.mem visited label) then begin
       Hashtbl.add visited label ();
-      (match Func_index.find_block index label with
+      (match find_block label with
       | Some b -> List.iter dfs (Ir.successors b)
       | None -> ());
       post := label :: !post

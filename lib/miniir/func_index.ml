@@ -1,7 +1,7 @@
 (** An immutable per-function index over a MiniIR function: O(1) lookup of
-    blocks by label, instructions by id, predecessors/successors, parameter
-    membership, definition sites, and per-block instruction order.  Built in
-    one pass over the function; every consumer that used to rescan
+    blocks by label, the block and position of every instruction id,
+    predecessors/successors, parameter membership and definition sites.
+    Built in one pass over the function; every consumer that used to rescan
     [f.blocks] ({!Ir.find_block}, {!Ir.predecessors}, per-point block
     rescans) goes through an index instead, which is what makes the
     per-point OSR feasibility sweep near-linear.
@@ -15,7 +15,6 @@
 type t = {
   func : Ir.func;
   blocks : (string, Ir.block) Hashtbl.t;  (** label → block *)
-  instrs : (int, Ir.instr) Hashtbl.t;  (** instruction id → instr (no terminators) *)
   owner : (int, string) Hashtbl.t;  (** instruction/terminator id → block label *)
   positions : (int, string * int) Hashtbl.t;
       (** id → (block, index): φ-nodes share index 0, body starts at 1, the
@@ -25,20 +24,22 @@ type t = {
   succs : (string, string list) Hashtbl.t;  (** label → successor labels *)
   param_set : (Ir.reg, unit) Hashtbl.t;
   defs : (Ir.reg, Ir.def_site) Hashtbl.t;  (** register → unique SSA definition *)
-  body_order : (string, Ir.instr array) Hashtbl.t;  (** label → body in execution order *)
 }
 
 let make (f : Ir.func) : t =
-  let n_blocks = max 16 (List.length f.blocks) in
+  (* Pre-sized so no table grows while it is filled: ids come from
+     [f.next_id], and there is at most one definition per id.  A [Hashtbl]
+     resizes only past two bindings per bucket, so half the count is
+     enough. *)
+  let n_blocks = List.length f.blocks / 2 in
+  let n_ids = f.next_id / 2 in
   let blocks = Hashtbl.create n_blocks in
-  let instrs = Hashtbl.create 64 in
-  let owner = Hashtbl.create 64 in
-  let positions = Hashtbl.create 64 in
+  let owner = Hashtbl.create n_ids in
+  let positions = Hashtbl.create n_ids in
   let preds = Hashtbl.create n_blocks in
   let succs = Hashtbl.create n_blocks in
   let param_set = Hashtbl.create 8 in
-  let defs = Hashtbl.create 64 in
-  let body_order = Hashtbl.create n_blocks in
+  let defs = Hashtbl.create n_ids in
   List.iter (fun p -> Hashtbl.replace param_set p ()) f.params;
   List.iter
     (fun (b : Ir.block) ->
@@ -48,7 +49,6 @@ let make (f : Ir.func) : t =
   List.iter
     (fun (b : Ir.block) ->
       let record_instr ~in_phis ~pos (i : Ir.instr) =
-        Hashtbl.replace instrs i.id i;
         Hashtbl.replace owner i.id b.label;
         Hashtbl.replace positions i.id (b.label, pos);
         match i.result with
@@ -59,17 +59,18 @@ let make (f : Ir.func) : t =
       List.iteri (fun k i -> record_instr ~in_phis:false ~pos:(k + 1) i) b.body;
       Hashtbl.replace owner b.term_id b.label;
       Hashtbl.replace positions b.term_id (b.label, List.length b.body + 1);
-      Hashtbl.replace body_order b.label (Array.of_list b.body);
       let ss = Ir.successors b in
       Hashtbl.replace succs b.label ss;
       List.iter
         (fun s ->
           match Hashtbl.find_opt preds s with
-          | Some ps -> Hashtbl.replace preds s (ps @ [ b.label ])
+          | Some ps -> Hashtbl.replace preds s (b.label :: ps)
           | None -> ())
         ss)
     f.blocks;
-  { func = f; blocks; instrs; owner; positions; preds; succs; param_set; defs; body_order }
+  (* Predecessors were consed on; put them back in block order. *)
+  Hashtbl.filter_map_inplace (fun _ ps -> Some (List.rev ps)) preds;
+  { func = f; blocks; owner; positions; preds; succs; param_set; defs }
 
 (* ------------------------------------------------------------------ *)
 (* Queries (mirroring the linear Ir accessors)                          *)
@@ -82,8 +83,6 @@ let block_exn (t : t) (label : string) : Ir.block =
   | Some b -> b
   | None ->
       invalid_arg (Printf.sprintf "Func_index.block_exn: no block %S in @%s" label t.func.fname)
-
-let find_instr (t : t) (id : int) : Ir.instr option = Hashtbl.find_opt t.instrs id
 
 let owner_of (t : t) (id : int) : string option = Hashtbl.find_opt t.owner id
 
@@ -99,10 +98,6 @@ let successors (t : t) (label : string) : string list =
 let is_param (t : t) (r : Ir.reg) : bool = Hashtbl.mem t.param_set r
 
 let def_of (t : t) (r : Ir.reg) : Ir.def_site option = Hashtbl.find_opt t.defs r
-
-(** The body of a block in execution order, as built.  φ-nodes excluded. *)
-let body_of (t : t) (label : string) : Ir.instr array =
-  Option.value ~default:[||] (Hashtbl.find_opt t.body_order label)
 
 (* ------------------------------------------------------------------ *)
 (* Consistency check (exercised by the test suite against the linear    *)
@@ -124,8 +119,6 @@ let check (t : t) : (unit, string) result =
         then fail "block %S: predecessor mismatch" b.label
         else if Ir.successors b <> successors t b.label then
           fail "block %S: successor mismatch" b.label
-        else if Array.to_list (body_of t b.label) <> b.body then
-          fail "block %S: body order mismatch" b.label
         else check_blocks rest
   in
   match check_blocks f.blocks with

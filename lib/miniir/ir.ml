@@ -79,6 +79,14 @@ let block_exn (f : func) (label : string) : block =
   | Some b -> b
   | None -> invalid_arg (Printf.sprintf "Ir.block_exn: no block %S in @%s" label f.fname)
 
+(** Label → block for every label, resolving to the first block like
+    {!find_block}: one scan for a pass that looks blocks up repeatedly
+    while the block list stays put. *)
+let block_table (f : func) : (string, block) Hashtbl.t =
+  let t = Hashtbl.create (List.length f.blocks) in
+  List.iter (fun b -> if not (Hashtbl.mem t b.label) then Hashtbl.add t b.label b) f.blocks;
+  t
+
 let successors_of_term : terminator -> string list = function
   | Br l -> [ l ]
   | Cbr (_, a, b) -> if String.equal a b then [ a ] else [ a; b ]

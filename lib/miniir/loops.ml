@@ -64,27 +64,26 @@ let compute ?(index : Func_index.t option) ?(dom : Dom.t option) (f : Ir.func) :
 
 let in_loop (l : loop) (label : string) = List.mem label l.body
 
+(* The queries below take an index of the function: they run once per
+   loop in LCSSA, LICM and LoopCanon, where a linear block lookup would
+   make each of those passes quadratic in the block count. *)
+
 (** Blocks outside the loop that the loop branches to. *)
-let exit_targets (f : Ir.func) (l : loop) : string list =
+let exit_targets (index : Func_index.t) (l : loop) : string list =
   List.sort_uniq compare
     (List.concat_map
        (fun label ->
-         match Ir.find_block f label with
-         | Some b -> List.filter (fun s -> not (in_loop l s)) (Ir.successors b)
-         | None -> [])
+         List.filter (fun s -> not (in_loop l s)) (Func_index.successors index label))
        l.body)
 
 (** Predecessors of the header from outside the loop (candidates to be
     replaced by a preheader). *)
-let outside_preds (f : Ir.func) (l : loop) : string list =
-  List.filter (fun p -> not (in_loop l p)) (Ir.predecessors f l.header)
+let outside_preds (index : Func_index.t) (l : loop) : string list =
+  List.filter (fun p -> not (in_loop l p)) (Func_index.predecessors index l.header)
 
 (** The unique preheader, if the loop is in canonical form: exactly one
     outside predecessor whose only successor is the header. *)
-let preheader (f : Ir.func) (l : loop) : string option =
-  match outside_preds f l with
-  | [ p ] -> (
-      match Ir.find_block f p with
-      | Some pb -> if Ir.successors pb = [ l.header ] then Some p else None
-      | None -> None)
+let preheader (index : Func_index.t) (l : loop) : string option =
+  match outside_preds index l with
+  | [ p ] -> if Func_index.successors index p = [ l.header ] then Some p else None
   | _ -> None

@@ -49,6 +49,7 @@ let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : 
   let changed = ref false in
   let dom = Analysis_manager.dom_of ?am f in
   let children = Mem2reg.dom_children dom in
+  let blocks = Ir.block_table f in
   let avail : (string, Ir.value) Hashtbl.t = Hashtbl.create 64 in
   let avail_loads : (string, Ir.value * int) Hashtbl.t = Hashtbl.create 16 in
   (* address string → (value, generation) *)
@@ -63,7 +64,7 @@ let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : 
       f.blocks
   in
   let rec walk (label : string) : unit =
-    let blk = Ir.block_exn f label in
+    let blk = Hashtbl.find blocks label in
     (* Load facts are block-local; expression facts are scoped and undone
        on exit from this dominator subtree. *)
     Hashtbl.reset avail_loads;

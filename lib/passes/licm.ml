@@ -25,10 +25,10 @@ let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : 
   let index = Analysis_manager.index_of ?am f in
   List.iter
     (fun (l : Loops.loop) ->
-      match Loops.preheader f l with
+      match Loops.preheader index l with
       | None -> ()
       | Some ph_label ->
-          let ph = Ir.block_exn f ph_label in
+          let ph = Func_index.block_exn index ph_label in
           let loop_has_memory_effects =
             List.exists
               (fun label ->
@@ -44,7 +44,7 @@ let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : 
                 | None -> false)
               l.body
           in
-          let exits = Loops.exit_targets f l in
+          let exits = Loops.exit_targets index l in
           (* Registers defined inside the loop (before any hoisting). *)
           let defined_in : (Ir.reg, unit) Hashtbl.t = Hashtbl.create 32 in
           List.iter

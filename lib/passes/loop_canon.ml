@@ -15,14 +15,16 @@ let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
   let continue_ = ref true in
   while !continue_ do
     continue_ := false;
-    let loop_info = Loops.compute f in
+    (* Each round rewires edges, so it indexes the function afresh. *)
+    let index = Func_index.make f in
+    let loop_info = Loops.compute ~index f in
     let needs_preheader =
-      List.find_opt (fun l -> Loops.preheader f l = None) loop_info.loops
+      List.find_opt (fun l -> Loops.preheader index l = None) loop_info.loops
     in
     match needs_preheader with
     | None -> ()
     | Some l ->
-        (match Loops.outside_preds f l with
+        (match Loops.outside_preds index l with
         | [] -> ()  (* unreachable loop; nothing to canonicalize *)
         | outside ->
             changed := true;

@@ -10,23 +10,24 @@ open Import
 
 module SMap = Map.Make (String)
 
-(* Is this alloca promotable?  Its address must only appear as the address
-   operand of loads and stores. *)
-let promotable (f : Ir.func) (slot : Ir.reg) : bool =
-  let ok = ref true in
-  let check_value v = match v with Ir.Reg r when String.equal r slot -> ok := false | _ -> () in
+(* Registers that appear anywhere but as the address operand of a load or
+   store: an alloca whose register escapes this way is not promotable.  One
+   scan of the function answers the question for every slot. *)
+let escaped_regs (f : Ir.func) : (Ir.reg, unit) Hashtbl.t =
+  let escaped = Hashtbl.create 64 in
+  let mark v = match v with Ir.Reg r -> Hashtbl.replace escaped r () | Ir.Const _ | Ir.Undef -> () in
   List.iter
     (fun (b : Ir.block) ->
       List.iter
         (fun (i : Ir.instr) ->
           match i.rhs with
-          | Ir.Load (Ir.Reg r) when String.equal r slot -> ()
-          | Ir.Store (v, Ir.Reg r) when String.equal r slot -> check_value v
-          | rhs -> List.iter check_value (Ir.rhs_operands rhs))
+          | Ir.Load (Ir.Reg _) -> ()
+          | Ir.Store (v, Ir.Reg _) -> mark v
+          | rhs -> List.iter mark (Ir.rhs_operands rhs))
         (Ir.block_instrs b);
-      List.iter check_value (Ir.term_operands b.term))
+      List.iter mark (Ir.term_operands b.term))
     f.blocks;
-  !ok
+  escaped
 
 (* Dominator-tree children, from the CHK idom array. *)
 let dom_children (dom : Dom.t) : (string, string list) Hashtbl.t =
@@ -41,46 +42,63 @@ let dom_children (dom : Dom.t) : (string, string list) Hashtbl.t =
     dom.order;
   children
 
+(* Every table below is built by one scan: the CFG does not change during
+   the pass, and per slot or per φ there are only hash lookups.  Blocks
+   resolve to the first block of a label and predecessors come in block
+   order, as with the linear [Ir] accessors. *)
 let run ?(am : Analysis_manager.t option) (f : Ir.func) : bool =
+  let escaped = escaped_regs f in
   let slots =
     List.concat_map
       (fun (b : Ir.block) ->
         List.filter_map
           (fun (i : Ir.instr) ->
             match (i.rhs, i.result) with
-            | Ir.Alloca 1, Some r when promotable f r -> Some (r, i.id)
+            | Ir.Alloca 1, Some r when not (Hashtbl.mem escaped r) -> Some r
             | _ -> None)
           b.body)
       f.blocks
   in
   if slots = [] then false
   else begin
-    let slot_names = List.map fst slots in
+    let is_slot = Hashtbl.create 16 in
+    List.iter (fun r -> Hashtbl.replace is_slot r ()) slots;
     let dom = Analysis_manager.dom_of ?am f in
     let df = Dom.frontiers dom in
     let children = dom_children dom in
-    (* Blocks storing to each slot. *)
-    let def_blocks slot =
-      List.filter_map
-        (fun (b : Ir.block) ->
-          let stores =
-            List.exists
-              (fun (i : Ir.instr) ->
-                match i.rhs with
-                | Ir.Store (_, Ir.Reg r) -> String.equal r slot
-                | _ -> false)
-              b.body
-          in
-          if stores then Some b.label else None)
-        f.blocks
-    in
+    let blocks = Ir.block_table f and preds = Hashtbl.create 64 in
+    List.iter
+      (fun (b : Ir.block) ->
+        List.iter
+          (fun s -> Hashtbl.replace preds s (b.label :: Option.value ~default:[] (Hashtbl.find_opt preds s)))
+          (Ir.successors b))
+      f.blocks;
+    let block_exn = Hashtbl.find blocks in
+    let preds_of label = List.rev (Option.value ~default:[] (Hashtbl.find_opt preds label)) in
+    (* Blocks storing to each slot, in block order. *)
+    let def_blocks = Hashtbl.create 16 in
+    List.iter
+      (fun (b : Ir.block) ->
+        let seen = Hashtbl.create 8 in
+        List.iter
+          (fun (i : Ir.instr) ->
+            match i.rhs with
+            | Ir.Store (_, Ir.Reg r) when Hashtbl.mem is_slot r && not (Hashtbl.mem seen r) ->
+                Hashtbl.add seen r ();
+                Hashtbl.replace def_blocks r
+                  (b.label :: Option.value ~default:[] (Hashtbl.find_opt def_blocks r))
+            | _ -> ())
+          b.body)
+      f.blocks;
     (* φ placement: iterated dominance frontier. *)
-    let phi_of : (string * string, Ir.instr) Hashtbl.t = Hashtbl.create 16 in
-    (* (block, slot) → phi instr *)
+    let phi_slot : (int, string * Ir.reg) Hashtbl.t = Hashtbl.create 64 in
+    (* placed φ id → (block, slot) *)
     List.iter
       (fun slot ->
         let worklist = Queue.create () in
-        List.iter (fun b -> Queue.push b worklist) (def_blocks slot);
+        List.iter
+          (fun b -> Queue.push b worklist)
+          (List.rev (Option.value ~default:[] (Hashtbl.find_opt def_blocks slot)));
         let placed = Hashtbl.create 8 in
         let enqueued = Hashtbl.create 8 in
         while not (Queue.is_empty worklist) do
@@ -89,17 +107,16 @@ let run ?(am : Analysis_manager.t option) (f : Ir.func) : bool =
             (fun d ->
               if not (Hashtbl.mem placed d) then begin
                 Hashtbl.add placed d ();
-                let blk = Ir.block_exn f d in
-                let preds = Ir.predecessors f d in
+                let blk = block_exn d in
                 let phi =
                   {
                     Ir.id = Ir.fresh_id f;
                     result = Some (Ir.fresh_reg ~hint:(slot ^ ".phi") f);
-                    rhs = Ir.Phi (List.map (fun p -> (p, Ir.Undef)) preds);
+                    rhs = Ir.Phi (List.map (fun p -> (p, Ir.Undef)) (preds_of d));
                   }
                 in
                 blk.phis <- blk.phis @ [ phi ];
-                Hashtbl.replace phi_of (d, slot) phi;
+                Hashtbl.replace phi_slot phi.id (d, slot);
                 if not (Hashtbl.mem enqueued d) then begin
                   Hashtbl.add enqueued d ();
                   Queue.push d worklist
@@ -107,7 +124,13 @@ let run ?(am : Analysis_manager.t option) (f : Ir.func) : bool =
               end)
             (Option.value ~default:[] (Hashtbl.find_opt df b))
         done)
-      slot_names;
+      slots;
+    (* The slot of a φ this pass placed in block [label]. *)
+    let slot_of_phi label (i : Ir.instr) =
+      match Hashtbl.find_opt phi_slot i.id with
+      | Some (l, slot) when String.equal l label -> Some slot
+      | _ -> None
+    in
     (* Renaming walk over the dominator tree. *)
     let replacements : (Ir.reg, Ir.value) Hashtbl.t = Hashtbl.create 32 in
     (* load result reg → value *)
@@ -123,27 +146,21 @@ let run ?(am : Analysis_manager.t option) (f : Ir.func) : bool =
       go v 64
     in
     let rec walk (label : string) (env : Ir.value SMap.t) : unit =
-      let blk = Ir.block_exn f label in
+      let blk = block_exn label in
       let env = ref env in
       (* φ-nodes of this block define new current values. *)
       List.iter
         (fun (i : Ir.instr) ->
-          List.iter
-            (fun slot ->
-              match Hashtbl.find_opt phi_of (label, slot) with
-              | Some phi when phi.id = i.id -> (
-                  match i.result with
-                  | Some r -> env := SMap.add slot (Ir.Reg r) !env
-                  | None -> ())
-              | _ -> ())
-            slot_names)
+          match (slot_of_phi label i, i.result) with
+          | Some slot, Some r -> env := SMap.add slot (Ir.Reg r) !env
+          | _ -> ())
         blk.phis;
       (* Body: consume loads/stores of promotable slots. *)
       blk.body <-
         List.filter
           (fun (i : Ir.instr) ->
             match i.rhs with
-            | Ir.Load (Ir.Reg a) when List.mem a slot_names ->
+            | Ir.Load (Ir.Reg a) when Hashtbl.mem is_slot a ->
                 let v =
                   match SMap.find_opt a !env with Some v -> resolve v | None -> Ir.Undef
                 in
@@ -151,78 +168,106 @@ let run ?(am : Analysis_manager.t option) (f : Ir.func) : bool =
                 | Some r -> Hashtbl.replace replacements r v
                 | None -> ());
                 false
-            | Ir.Store (v, Ir.Reg a) when List.mem a slot_names ->
+            | Ir.Store (v, Ir.Reg a) when Hashtbl.mem is_slot a ->
                 env := SMap.add a (resolve v) !env;
                 false
             | Ir.Alloca _ when
-                (match i.result with Some r -> List.mem r slot_names | None -> false) ->
+                (match i.result with Some r -> Hashtbl.mem is_slot r | None -> false) ->
                 false
             | _ -> true)
           blk.body;
       (* Fill φ incomings of successors from this edge. *)
       List.iter
         (fun s ->
-          let sb = Ir.block_exn f s in
           List.iter
             (fun (phi : Ir.instr) ->
-              List.iter
-                (fun slot ->
-                  match Hashtbl.find_opt phi_of (s, slot) with
-                  | Some p when p.id = phi.id ->
-                      let v =
-                        match SMap.find_opt slot !env with Some v -> resolve v | None -> Ir.Undef
-                      in
-                      phi.rhs <-
-                        (match phi.rhs with
-                        | Ir.Phi incoming ->
-                            Ir.Phi
-                              (List.map
-                                 (fun (l, old) -> if String.equal l label then (l, v) else (l, old))
-                                 incoming)
-                        | rhs -> rhs)
-                  | _ -> ())
-                slot_names)
-            sb.phis)
+              match slot_of_phi s phi with
+              | Some slot ->
+                  let v =
+                    match SMap.find_opt slot !env with Some v -> resolve v | None -> Ir.Undef
+                  in
+                  phi.rhs <-
+                    (match phi.rhs with
+                    | Ir.Phi incoming ->
+                        Ir.Phi
+                          (List.map
+                             (fun (l, old) -> if String.equal l label then (l, v) else (l, old))
+                             incoming)
+                    | rhs -> rhs)
+              | None -> ())
+            (block_exn s).phis)
         (Ir.successors blk);
       List.iter
         (fun c -> walk c !env)
         (Option.value ~default:[] (Hashtbl.find_opt children label))
     in
     walk (Ir.entry f).label SMap.empty;
-    (* Rewrite every remaining use of replaced load results. *)
+    (* Rewrite every remaining use of replaced load results, counting the
+       uses of every register and collecting the φs on the way. *)
+    let uses : (Ir.reg, int ref) Hashtbl.t = Hashtbl.create 256 in
+    let count delta v =
+      match v with
+      | Ir.Reg r -> (
+          match Hashtbl.find_opt uses r with
+          | Some n -> n := !n + delta
+          | None -> Hashtbl.add uses r (ref delta))
+      | Ir.Const _ | Ir.Undef -> ()
+    in
+    let phis_defining : (Ir.reg, Ir.instr list) Hashtbl.t = Hashtbl.create 64 in
     List.iter
       (fun (b : Ir.block) ->
+        let rewrite (i : Ir.instr) =
+          i.rhs <- Ir.map_rhs_operands resolve i.rhs;
+          List.iter (count 1) (Ir.rhs_operands i.rhs)
+        in
         List.iter
-          (fun (i : Ir.instr) -> i.rhs <- Ir.map_rhs_operands resolve i.rhs)
-          (Ir.block_instrs b);
-        b.term <- Ir.map_term_operands resolve b.term)
+          (fun (i : Ir.instr) ->
+            rewrite i;
+            match (i.rhs, i.result) with
+            | Ir.Phi _, Some r ->
+                Hashtbl.replace phis_defining r
+                  (i :: Option.value ~default:[] (Hashtbl.find_opt phis_defining r))
+            | _ -> ())
+          b.phis;
+        List.iter rewrite b.body;
+        b.term <- Ir.map_term_operands resolve b.term;
+        List.iter (count 1) (Ir.term_operands b.term))
       f.blocks;
     (* Prune unused φ-nodes ("pruned SSA"): the frontier placement inserts
-       φs whether or not a read follows; drop those nobody uses, repeating
-       because φs feed each other. *)
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      let used = Hashtbl.create 64 in
-      List.iter
-        (fun (b : Ir.block) ->
-          List.iter
-            (fun (i : Ir.instr) ->
-              List.iter (fun r -> Hashtbl.replace used r ()) (Ir.rhs_uses i.rhs))
-            (Ir.block_instrs b);
-          List.iter (fun r -> Hashtbl.replace used r ()) (Ir.term_uses b.term))
-        f.blocks;
-      List.iter
-        (fun (b : Ir.block) ->
-          let keep (i : Ir.instr) =
-            match (i.rhs, i.result) with
-            | Ir.Phi _, Some r when not (Hashtbl.mem used r) ->
-                changed := true;
-                false
-            | _ -> true
-          in
-          b.phis <- List.filter keep b.phis)
-        f.blocks
+       φs whether or not a read follows.  Dropping a φ nobody uses releases
+       its operands, which may leave other φs unused; the worklist reaches
+       the same fixpoint as rescanning until nothing changes, since a φ's
+       removal never depends on the order. *)
+    let used r = match Hashtbl.find_opt uses r with Some n -> !n > 0 | None -> false in
+    let dead = Hashtbl.create 64 in
+    let work = Queue.create () in
+    Hashtbl.iter (fun r _ -> if not (used r) then Queue.push r work) phis_defining;
+    while not (Queue.is_empty work) do
+      let r = Queue.pop work in
+      if not (Hashtbl.mem dead r) then begin
+        Hashtbl.add dead r ();
+        List.iter
+          (fun (i : Ir.instr) ->
+            List.iter
+              (fun v ->
+                count (-1) v;
+                match v with
+                | Ir.Reg u when Hashtbl.mem phis_defining u && not (used u) -> Queue.push u work
+                | _ -> ())
+              (Ir.rhs_operands i.rhs))
+          (Hashtbl.find phis_defining r)
+      end
     done;
+    if Hashtbl.length dead > 0 then
+      List.iter
+        (fun (b : Ir.block) ->
+          b.phis <-
+            List.filter
+              (fun (i : Ir.instr) ->
+                match (i.rhs, i.result) with
+                | Ir.Phi _, Some r -> not (Hashtbl.mem dead r)
+                | _ -> true)
+              b.phis)
+        f.blocks;
     true
   end

@@ -38,6 +38,9 @@ let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
   let block_work = Queue.create () in
   let instr_work = Queue.create () in
   let def_tbl = Ir.def_table f in
+  (* The analysis and the constant rewrite (step 1 below) leave the block
+     list alone; blocks go only in step 3, after the last lookup. *)
+  let blocks = Ir.block_table f in
   (* users table: reg → instructions reading it (plus terminator owners) *)
   let users : (Ir.reg, [ `I of Ir.instr | `T of Ir.block ] list) Hashtbl.t = Hashtbl.create 64 in
   let add_user r u =
@@ -54,7 +57,7 @@ let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
     if not (Hashtbl.mem exec_edges (src, dst)) then begin
       Hashtbl.add exec_edges (src, dst) ();
       (* Re-evaluate φ-nodes of dst (new incoming became executable). *)
-      (match Ir.find_block f dst with
+      (match Hashtbl.find_opt blocks dst with
       | Some db -> List.iter (fun i -> Queue.push i instr_work) db.phis
       | None -> ());
       if not (Hashtbl.mem exec_blocks dst) then begin
@@ -150,7 +153,7 @@ let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
     while not (Queue.is_empty block_work) do
       continue_ := true;
       let label = Queue.pop block_work in
-      let b = Ir.block_exn f label in
+      let b = Hashtbl.find blocks label in
       List.iter (fun i -> eval_instr i label) (Ir.block_instrs b);
       eval_term b
     done;
@@ -193,7 +196,7 @@ let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
                   Code_mapper.delete_instr m d.di)
                 mapper;
               replace_everywhere (Ir.Reg r) (Ir.Const n);
-              let blk = Ir.block_exn f d.block in
+              let blk = Hashtbl.find blocks d.block in
               blk.phis <- List.filter (fun (j : Ir.instr) -> j.id <> d.di.id) blk.phis;
               blk.body <- List.filter (fun (j : Ir.instr) -> j.id <> d.di.id) blk.body;
               changed := true

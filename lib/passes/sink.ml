@@ -21,8 +21,9 @@ let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : 
     bool =
   let changed = ref false in
   (* Sinking moves instructions but never touches blocks or edges, so one
-     dominator tree serves every fixpoint iteration. *)
+     dominator tree and one block table serve every fixpoint iteration. *)
   let dom = Analysis_manager.dom_of ?am f in
+  let blocks = Ir.block_table f in
   let continue_ = ref true in
   while !continue_ do
     continue_ := false;
@@ -58,7 +59,7 @@ let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : 
                         | [ target ]
                           when (not (String.equal target b.label))
                                && Dom.strictly_dominates_block dom ~a:b.label ~b:target ->
-                            let tb = Ir.block_exn f target in
+                            let tb = Hashtbl.find blocks target in
                             b.body <- List.filter (fun (j : Ir.instr) -> j.id <> i.id) b.body;
                             tb.body <- i :: tb.body;
                             Option.iter

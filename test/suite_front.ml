@@ -1,0 +1,477 @@
+(** Differential gate for the front half of the JIT path: [Dsl.to_fbase]
+    (lower, mem2reg, verify, source-point remap) and the pass pipeline
+    (LCSSA and the post-pass verifier) against the copies of the code they
+    replaced, kept in {!Ref_front}.  Every observable must be byte-identical:
+    the printed [fbase] and [fopt], the source points, the CodeMapper action
+    list, the per-pass counts, the remarks, every counter (including the
+    analysis manager's [am.*] hit/miss rows) and the span counts.
+
+    The verifier is also checked on seeded mutations of pipeline outputs,
+    one per error class: its error list must equal the reference copy's,
+    except for the duplicate-incoming φ error the reference cannot see. *)
+
+module T = Telemetry
+module Ir = Miniir.Ir
+module Dom = Miniir.Dom
+module V = Miniir.Verifier
+module P = Passes.Pass_manager
+module CM = Passes.Code_mapper
+module R = Ref_front
+
+(* -------------------- observables -------------------- *)
+
+let action_to_string : CM.action -> string = function
+  | CM.Add { id; block } -> Printf.sprintf "add #%d %s" id block
+  | CM.Delete { id } -> Printf.sprintf "delete #%d" id
+  | CM.Hoist { id; from_block; to_block } -> Printf.sprintf "hoist #%d %s->%s" id from_block to_block
+  | CM.Sink { id; from_block; to_block } -> Printf.sprintf "sink #%d %s->%s" id from_block to_block
+  | CM.Replace { old_value; new_value; inst } ->
+      Printf.sprintf "replace %s->%s%s" (Ir.value_to_string old_value)
+        (Ir.value_to_string new_value)
+        (match inst with Some i -> Printf.sprintf " in #%d" i | None -> "")
+
+let counts_to_string (name, (c : CM.counts)) =
+  Printf.sprintf "%s add=%d delete=%d hoist=%d sink=%d replace=%d" name c.add c.delete c.hoist
+    c.sink c.replace
+
+type observed = {
+  fbase : string;
+  points : string;
+  fopt : string;
+  actions : string;
+  per_pass : string;
+  remarks : string;
+  counters : string;
+  spans : string;
+}
+
+(* Build fbase with [to_fbase], run [apply] on it under a live sink, and
+   render everything the caller can see.  Counters are process-global, so
+   they are reset first and read before the other version runs. *)
+let observe ~(to_fbase : unit -> Ir.func * int list)
+    ~(apply : telemetry:T.sink -> Ir.func -> P.apply_result) : observed =
+  T.reset_counters ();
+  let tel = T.create () in
+  let fbase, points = to_fbase () in
+  let r = apply ~telemetry:tel fbase in
+  let lines f l = String.concat "\n" (List.map f l) in
+  {
+    fbase = Ir.func_to_string fbase;
+    points = lines string_of_int points;
+    fopt = Ir.func_to_string r.fopt;
+    actions = lines action_to_string (CM.actions_in_order r.mapper);
+    per_pass = lines counts_to_string r.per_pass;
+    remarks = lines T.remark_to_string (T.remarks tel);
+    counters = lines (String.concat " ") (T.counter_rows ~all:true ());
+    spans = lines (fun (n, c, _, _) -> Printf.sprintf "%s %d" n c) (T.span_rows tel |> List.sort compare);
+  }
+
+let check_same ~(what : string) (want : observed) (got : observed) =
+  let field name w g = Alcotest.(check string) (what ^ ": " ^ name) w g in
+  field "fbase" want.fbase got.fbase;
+  field "source points" want.points got.points;
+  field "fopt" want.fopt got.fopt;
+  field "mapper actions" want.actions got.actions;
+  field "per-pass counts" want.per_pass got.per_pass;
+  field "remarks" want.remarks got.remarks;
+  field "counters" want.counters got.counters;
+  field "span counts" want.spans got.spans
+
+let new_apply ~telemetry f = P.apply ~telemetry f
+let ref_apply ~telemetry f = R.apply ~telemetry f
+
+let check_kernel ~(what : string) (k : Corpus.Dsl.kernel) =
+  let want =
+    observe ~apply:ref_apply ~to_fbase:(fun () ->
+        let f, d = R.Dsl.to_fbase k in
+        (f, d.source_points))
+  in
+  let got =
+    observe ~apply:new_apply ~to_fbase:(fun () ->
+        let f, d = Corpus.Dsl.to_fbase k in
+        (f, d.source_points))
+  in
+  check_same ~what want got
+
+let test_kernels () =
+  List.iter
+    (fun (e : Corpus.Kernels.entry) -> check_kernel ~what:e.benchmark e.kernel)
+    Corpus.Kernels.all
+
+(* The whole Spec_c corpus takes the reference copies over ten seconds, so
+   the gate runs a fixed size-stratified sample: the 759 functions sorted by
+   the size of their alloca-form IR, cut into 128 equal strata, the middle
+   function of each plus the largest one. *)
+let spec_c_sample () : (string * Corpus.Dsl.kernel) list =
+  let population =
+    Array.of_list
+      (List.concat_map
+         (fun (prof : Corpus.Spec_c.profile) ->
+           List.init prof.total_scaled (fun i ->
+               let k = Corpus.Spec_c.kernel_of prof i in
+               (Ir.instr_count (fst (Corpus.Dsl.lower k)), prof.bench, i, k)))
+         Corpus.Spec_c.profiles)
+  in
+  Array.stable_sort (fun (a, b, i, _) (a', b', i', _) -> compare (a, b, i) (a', b', i')) population;
+  let n = Array.length population and strata = 128 in
+  let pick j =
+    let lo = j * n / strata and hi = (j + 1) * n / strata in
+    lo + ((hi - lo) / 2)
+  in
+  List.sort_uniq compare (n - 1 :: List.init strata pick)
+  |> List.map (fun j ->
+         let _, bench, i, k = population.(j) in
+         (Printf.sprintf "%s #%d" bench i, k))
+
+let test_spec_c () =
+  let sample = spec_c_sample () in
+  Alcotest.(check bool) "at least 128 functions" true (List.length sample >= 128);
+  List.iter (fun (what, k) -> check_kernel ~what k) sample
+
+(* Generated alloca-form functions: mem2reg, the verifier, the pipeline,
+   and LCSSA run standalone (no analysis manager), old against new. *)
+let prop_generated_identical =
+  QCheck.Test.make ~count:150 ~name:"front half identical on generated functions"
+    Gen_ir.arb_func (fun (raw : Ir.func) ->
+      let want = observe ~apply:ref_apply ~to_fbase:(fun () -> (R.to_fbase raw, [])) in
+      let got = observe ~apply:new_apply ~to_fbase:(fun () -> (P.to_fbase raw, [])) in
+      let standalone run =
+        let g = P.to_fbase raw in
+        let changed = run g in
+        (changed, Ir.func_to_string g)
+      in
+      (want = got
+      || QCheck.Test.fail_reportf "pipeline observables differ:\n%s\nvs\n%s" want.fopt got.fopt)
+      && (standalone (fun g -> R.Lcssa.run g) = standalone (fun g -> Passes.Lcssa.run g)
+         || QCheck.Test.fail_report "standalone LCSSA differs"))
+
+(* Shapes neither the corpus nor the generator produces: an exit with two
+   in-loop predecessors (the LCSSA φ gets one incoming per edge, in
+   predecessor order), a nested loop whose exit lies inside the outer loop
+   (the outer loop's φ becomes an outside use for the inner one), outside
+   uses in terminators and in an instruction reading the value twice, and
+   alloca slots whose address escapes through a store or a call next to an
+   unused φ the input already had (mem2reg must keep the first two and
+   prune the third). *)
+let shapes =
+  [
+    "func @two_edge_exit(%n, %k) {\n\
+     entry:\n\
+    \  br head\n\
+     head:\n\
+    \  %i = phi [entry: 0], [latch: %i2]\n\
+    \  %c = icmp slt %i, %n\n\
+    \  cbr %c, body, exit\n\
+     body:\n\
+    \  %s = mul %i, 3\n\
+    \  %d = icmp eq %s, %k\n\
+    \  cbr %d, exit, latch\n\
+     latch:\n\
+    \  %i2 = add %i, 1\n\
+    \  br head\n\
+     exit:\n\
+    \  %r = add %i, %i\n\
+    \  cbr %i, done, other\n\
+     other:\n\
+    \  ret %i\n\
+     done:\n\
+    \  ret %r\n\
+     }\n";
+    "func @nested(%n) {\n\
+     entry:\n\
+    \  br outer\n\
+     outer:\n\
+    \  %i = phi [entry: 0], [olatch: %i2]\n\
+    \  %acc = phi [entry: 0], [olatch: %acc2]\n\
+    \  %c = icmp slt %i, %n\n\
+    \  cbr %c, inner, exit\n\
+     inner:\n\
+    \  %j = phi [outer: 0], [inner: %j2]\n\
+    \  %t = add %acc, %j\n\
+    \  %j2 = add %j, 1\n\
+    \  %d = icmp slt %j2, %i\n\
+    \  cbr %d, inner, olatch\n\
+     olatch:\n\
+    \  %acc2 = add %t, %t\n\
+    \  %i2 = add %i, 1\n\
+    \  br outer\n\
+     exit:\n\
+    \  %u = mul %acc, %i\n\
+    \  ret %u\n\
+     }\n";
+    "func @escapes(%x) {\n\
+     entry:\n\
+    \  %a = alloca\n\
+    \  %b = alloca\n\
+    \  %c = alloca\n\
+    \  %d = alloca\n\
+    \  store %x, %a\n\
+    \  store %a, %b\n\
+    \  store %x, %c\n\
+    \  %h = call @hash(%c)\n\
+    \  store %h, %d\n\
+    \  cbr %x, l, r\n\
+     l:\n\
+    \  store 1, %d\n\
+    \  br j\n\
+     r:\n\
+    \  br j\n\
+     j:\n\
+    \  %u = phi [l: %x], [r: 0]\n\
+    \  %v = load %a\n\
+    \  %w = load %d\n\
+    \  %q = load %b\n\
+    \  %z = add %v, %w\n\
+    \  ret %z\n\
+     }\n";
+  ]
+
+let test_shapes () =
+  List.iter
+    (fun src ->
+      let f = Miniir.Ir_parser.parse_func src in
+      let what = f.Ir.fname in
+      check_same ~what
+        (observe ~apply:ref_apply ~to_fbase:(fun () -> (R.to_fbase f, [])))
+        (observe ~apply:new_apply ~to_fbase:(fun () -> (P.to_fbase f, [])));
+      let standalone run =
+        let g = Ir.clone_func f in
+        let m = CM.create () in
+        let changed = run ~mapper:m g in
+        Printf.sprintf "%b\n%s%s" changed (Ir.func_to_string g)
+          (String.concat "\n" (List.map action_to_string (CM.actions_in_order m)))
+      in
+      Alcotest.(check string) (what ^ ": standalone LCSSA")
+        (standalone (fun ~mapper g -> R.Lcssa.run ~mapper g))
+        (standalone (fun ~mapper g -> Passes.Lcssa.run ~mapper g)))
+    shapes
+
+(* mem2reg's other caller: continuation-function generation re-promotes
+   the demoted slots of [f'to], an input that already carries φ-nodes.  Run
+   both versions on the unpromoted continuations of every 10th feasible
+   point of each kernel, in both directions. *)
+let test_contfun_mem2reg () =
+  let checked = ref 0 in
+  List.iter
+    (fun (e : Corpus.Kernels.entry) ->
+      let r = P.apply (fst (Corpus.Dsl.to_fbase e.kernel)) in
+      List.iter
+        (fun (dir, target) ->
+          let ctx = Osrir.Osr_ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper dir in
+          List.iteri
+            (fun k (rep : Osrir.Feasibility.point_report) ->
+              match (rep.landing, rep.avail_plan) with
+              | Some landing, Some plan when k mod 10 = 0 ->
+                  let cont = Osrir.Contfun.generate ~promote:false target ~landing plan in
+                  let run m2r =
+                    let g = Ir.clone_func cont.fto in
+                    let changed = m2r g in
+                    Printf.sprintf "%b\n%s" changed (Ir.func_to_string g)
+                  in
+                  incr checked;
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s: mem2reg of the continuation at #%d" e.benchmark landing)
+                    (run (fun g -> R.Mem2reg.run g))
+                    (run (fun g -> Passes.Mem2reg.run g))
+              | _ -> ())
+            (Osrir.Feasibility.analyze ctx).reports)
+        [ (Osrir.Osr_ctx.Base_to_opt, r.fopt); (Osrir.Osr_ctx.Opt_to_base, r.fbase) ])
+    Corpus.Kernels.all;
+  if !checked = 0 then Alcotest.fail "no continuation was generated"
+
+(* -------------------- verifier mutations -------------------- *)
+
+let first_some f l = List.find_map f l
+
+let body_defs (f : Ir.func) : (Ir.block * Ir.instr * Ir.reg) list =
+  List.concat_map
+    (fun (b : Ir.block) ->
+      List.filter_map
+        (fun (i : Ir.instr) -> Option.map (fun r -> (b, i, r)) i.result)
+        b.body)
+    f.blocks
+
+let phis_of (f : Ir.func) : (Ir.block * Ir.instr * (string * Ir.value) list) list =
+  List.concat_map
+    (fun (b : Ir.block) ->
+      List.filter_map
+        (fun (i : Ir.instr) ->
+          match i.rhs with Ir.Phi inc -> Some (b, i, inc) | _ -> None)
+        b.phis)
+    f.blocks
+
+(* Each mutation edits a fresh clone in place; [false] = not applicable. *)
+let mutations : (string * (Ir.func -> bool)) list =
+  [
+    ( "duplicate label",
+      fun f ->
+        match List.rev f.blocks with
+        | last :: _ :: _ ->
+            last.label <- (List.nth f.blocks 1).label;
+            true
+        | _ -> false );
+    ( "unknown branch target",
+      fun f ->
+        List.exists
+          (fun (b : Ir.block) ->
+            match b.term with
+            | Ir.Br _ ->
+                b.term <- Ir.Br "nowhere";
+                true
+            | Ir.Cbr (c, _, e) ->
+                b.term <- Ir.Cbr (c, "nowhere", e);
+                true
+            | _ -> false)
+          f.blocks );
+    ( "duplicate id",
+      fun f ->
+        match (List.rev f.blocks, (Ir.entry f).term_id) with
+        | last :: _, dup when last.body <> [] ->
+            last.body <- { (List.hd last.body) with id = dup } :: List.tl last.body;
+            true
+        | _ -> false );
+    ( "double definition",
+      fun f ->
+        match body_defs f with
+        | (_, _, r) :: rest -> (
+            match List.rev rest with
+            | (_, i, _) :: _ ->
+                i.result <- Some r;
+                true
+            | [] -> false)
+        | [] -> false );
+    ( "phi/predecessor mismatch",
+      fun f ->
+        first_some
+          (fun (_, (i : Ir.instr), inc) ->
+            match List.rev inc with
+            | _ :: (_ :: _ as keep) ->
+                i.rhs <- Ir.Phi (List.rev keep);
+                Some ()
+            | _ -> None)
+          (phis_of f)
+        <> None );
+    ( "phi in body",
+      fun f ->
+        first_some
+          (fun ((b : Ir.block), (i : Ir.instr), _) ->
+            b.phis <- List.filter (fun (j : Ir.instr) -> j != i) b.phis;
+            b.body <- i :: b.body;
+            Some ())
+          (phis_of f)
+        <> None );
+    ( "entry phi",
+      fun f ->
+        let e = Ir.entry f in
+        e.phis <- [ { Ir.id = Ir.fresh_id f; result = Some (Ir.fresh_reg f); rhs = Ir.Phi [] } ];
+        true );
+    ( "undominated use",
+      fun f ->
+        let e = Ir.entry f in
+        match List.filter (fun ((b : Ir.block), _, _) -> b != e) (body_defs f) with
+        | (_, _, r) :: _ ->
+            e.body <-
+              e.body
+              @ [
+                  {
+                    Ir.id = Ir.fresh_id f;
+                    result = Some (Ir.fresh_reg f);
+                    rhs = Ir.Binop (Ir.Add, Ir.Reg r, Ir.Const 0);
+                  };
+                ];
+            true
+        | [] -> false );
+    ( "unavailable phi incoming",
+      fun f ->
+        let dom = Dom.compute f in
+        first_some
+          (fun (_, (i : Ir.instr), inc) ->
+            first_some
+              (fun (pred, _) ->
+                first_some
+                  (fun ((d : Ir.block), _, r) ->
+                    if Dom.reachable dom pred && not (Dom.dominates_block dom ~a:d.label ~b:pred)
+                    then begin
+                      i.rhs <-
+                        Ir.Phi
+                          (List.map
+                             (fun (l, v) -> if String.equal l pred then (l, Ir.Reg r) else (l, v))
+                             inc);
+                      Some ()
+                    end
+                    else None)
+                  (body_defs f))
+              inc)
+          (phis_of f)
+        <> None );
+  ]
+
+let dup_incoming (f : Ir.func) : bool =
+  first_some
+    (fun (_, (i : Ir.instr), inc) ->
+      match inc with
+      | first :: _ ->
+          i.rhs <- Ir.Phi (inc @ [ first ]);
+          Some ()
+      | [] -> None)
+    (phis_of f)
+  <> None
+
+let pipeline_outputs () : (string * Ir.func) list =
+  List.concat_map
+    (fun (e : Corpus.Kernels.entry) ->
+      let r = P.apply (fst (Corpus.Dsl.to_fbase e.kernel)) in
+      [ (e.benchmark ^ " fbase", r.fbase); (e.benchmark ^ " fopt", r.fopt) ])
+    Corpus.Kernels.all
+
+let contains (s : string) (sub : string) : bool =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let errors_to_string = function
+  | Ok () -> "ok"
+  | Error es -> String.concat "\n" (List.map (Fmt.str "%a" V.pp_error) es)
+
+let test_mutations () =
+  let outputs = pipeline_outputs () in
+  List.iter
+    (fun (cls, mutate) ->
+      let hits =
+        List.fold_left
+          (fun hits (what, f) ->
+            let g = Ir.clone_func f in
+            if not (mutate g) then hits
+            else begin
+              let want = R.Verifier.verify g and got = V.verify g in
+              Alcotest.(check string) (cls ^ " on " ^ what) (errors_to_string want)
+                (errors_to_string got);
+              if Result.is_error got then hits + 1 else hits
+            end)
+          0 outputs
+      in
+      if hits = 0 then Alcotest.failf "mutation class %S was never rejected" cls)
+    mutations;
+  List.iter
+    (fun (what, f) ->
+      let g = Ir.clone_func f in
+      if dup_incoming g then begin
+        Alcotest.(check string) ("reference accepts duplicate incoming on " ^ what) "ok"
+          (errors_to_string (R.Verifier.verify g));
+        match V.verify g with
+        | Error [ { V.what = msg; _ } ] when contains msg "more than one incoming" -> ()
+        | r -> Alcotest.failf "duplicate incoming on %s: %s" what (errors_to_string r)
+      end)
+    outputs
+
+let suite =
+  let t name f = Alcotest.test_case name `Quick f in
+  ( "front",
+    [
+      t "kernels: to_fbase + pipeline identical" test_kernels;
+      t "Spec_c sample: to_fbase + pipeline identical" test_spec_c;
+      QCheck_alcotest.to_alcotest prop_generated_identical;
+      t "hand-written shapes: pipeline, mem2reg, LCSSA identical" test_shapes;
+      t "continuations: mem2reg identical" test_contfun_mem2reg;
+      t "verifier: mutations match the reference" test_mutations;
+    ] )

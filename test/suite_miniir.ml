@@ -102,9 +102,30 @@ let test_verifier_phi_shape () =
        }\n"
   in
   (* head has two predecessors (entry, head) but the φ lists only one. *)
-  match Verifier.verify f with
+  (match Verifier.verify f with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "verifier missed φ/predecessor mismatch"
+  | Ok () -> Alcotest.fail "verifier missed φ/predecessor mismatch");
+  (* Two incomings from one predecessor: the label sets agree, but the
+     engines would silently take the first incoming. *)
+  let g =
+    Miniir.Ir_parser.parse_func
+      "func @g(%x) {\n\
+       entry:\n\
+      \  br a\n\
+       a:\n\
+      \  br b\n\
+       b:\n\
+      \  %m = phi [a: %x], [a: 7]\n\
+      \  ret %m\n\
+       }\n"
+  in
+  match Verifier.verify g with
+  | Error [ e ] ->
+      Alcotest.(check string) "duplicate incoming reported" "b: phi #3 has more than one incoming from {a}"
+        (Fmt.str "%a" Verifier.pp_error e)
+  | Error es ->
+      Alcotest.failf "expected one error, got:@.%a" (Fmt.list ~sep:Fmt.cut Verifier.pp_error) es
+  | Ok () -> Alcotest.fail "verifier missed a duplicate φ incoming"
 
 let test_dominance () =
   let f = sum_func () in
@@ -157,8 +178,9 @@ let test_loops () =
   | [ l ] ->
       Alcotest.(check string) "header" "head" l.header;
       Alcotest.(check (list string)) "body" [ "body"; "head" ] (List.sort compare l.body);
-      Alcotest.(check (list string)) "exit targets" [ "exit" ] (Loops.exit_targets f l);
-      Alcotest.(check (option string)) "preheader" (Some "entry") (Loops.preheader f l)
+      let index = Miniir.Func_index.make f in
+      Alcotest.(check (list string)) "exit targets" [ "exit" ] (Loops.exit_targets index l);
+      Alcotest.(check (option string)) "preheader" (Some "entry") (Loops.preheader index l)
   | ls -> Alcotest.failf "expected 1 loop, got %d" (List.length ls)
 
 let test_interp_memory () =

@@ -247,10 +247,11 @@ let test_loop_canon_inserts_preheader () =
   let m = CM.create () in
   let _ = Passes.Loop_canon.run ~mapper:m f in
   Verifier.verify_exn f;
-  let li = Miniir.Loops.compute f in
+  let index = Miniir.Func_index.make f in
+  let li = Miniir.Loops.compute ~index f in
   List.iter
     (fun l ->
-      Alcotest.(check bool) "loop has preheader" true (Miniir.Loops.preheader f l <> None))
+      Alcotest.(check bool) "loop has preheader" true (Miniir.Loops.preheader index l <> None))
     li.Miniir.Loops.loops;
   (* The merge φ for the two outside values lives in the preheader now. *)
   Alcotest.(check bool) "added a merge phi" true ((CM.counts m).add >= 1);

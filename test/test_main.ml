@@ -16,4 +16,5 @@ let () =
       Suite_telemetry.suite;
       Suite_parallel.suite;
       Suite_robustness.suite;
+      Suite_front.suite;
     ]
