@@ -71,19 +71,12 @@ let () =
             (Ctx.source_candidates bwd v.carrier)
         else begin
           (* Run the recovery plan for just this variable. *)
-          let st = R.fresh_state () in
           match
-            R.build bwd R.Avail st ~src_point:bp.opt_point ~landing:bp.base_point v.carrier
+            E.recovery_plan bwd R.Avail ~opt_point:bp.opt_point ~base_point:bp.base_point
+              v.carrier
           with
-          | exception R.Undef _ -> None
-          | _ -> (
-              let plan =
-                {
-                  R.transfers = List.rev st.transfers;
-                  comp = List.rev st.comp;
-                  keep = st.keep;
-                }
-              in
+          | None -> None
+          | Some plan -> (
               match
                 R.eval_plan plan ~src_frame:machine.frame ~memory:machine.memory
               with

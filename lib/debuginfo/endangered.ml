@@ -46,11 +46,9 @@ type func_report = {
     breakpoint.  [ctx] must be the deoptimizing ([Opt_to_base]) context. *)
 let recovery_plan (ctx : Ctx.t) (variant : R.variant) ~(opt_point : int) ~(base_point : int)
     (x : Ir.reg) : R.plan option =
-  let st = R.fresh_state () in
-  match R.build ctx variant st ~src_point:opt_point ~landing:base_point x with
-  | _ ->
-      Some
-        { R.transfers = List.rev st.transfers; comp = List.rev st.comp; keep = List.rev st.keep }
+  let st = R.fresh_state ctx ~src_point:opt_point ~landing:base_point in
+  match R.build variant st x with
+  | _ -> Some (R.plan_of_state st)
   | exception R.Undef _ -> None
 
 (* Try to reconstruct one fbase register from the fopt frame at opt_point. *)
@@ -65,8 +63,7 @@ let analyze_function ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Passes.Code
   let sv = Source_vars.analyze fbase ~user_vars in
   (* Breakpoint correspondence: fbase → fopt (where does the breakpoint
      land in optimized code), value recovery: fopt → fbase. *)
-  let fwd = Ctx.make ~fbase ~fopt ~mapper Ctx.Base_to_opt in
-  let bwd = Ctx.make ~fbase ~fopt ~mapper Ctx.Opt_to_base in
+  let fwd, bwd = Ctx.make_pair ~fbase ~fopt ~mapper () in
   let points =
     List.filter_map
       (fun base_point ->

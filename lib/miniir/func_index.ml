@@ -98,47 +98,3 @@ let successors (t : t) (label : string) : string list =
 let is_param (t : t) (r : Ir.reg) : bool = Hashtbl.mem t.param_set r
 
 let def_of (t : t) (r : Ir.reg) : Ir.def_site option = Hashtbl.find_opt t.defs r
-
-(* ------------------------------------------------------------------ *)
-(* Consistency check (exercised by the test suite against the linear    *)
-(* Ir accessors)                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(** Verify the index agrees with the linear accessors it replaces.
-    Returns an error description on the first mismatch. *)
-let check (t : t) : (unit, string) result =
-  let f = t.func in
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let rec check_blocks = function
-    | [] -> Ok ()
-    | (b : Ir.block) :: rest ->
-        if Ir.find_block f b.label <> find_block t b.label then
-          fail "block %S: index and Ir.find_block disagree" b.label
-        else if List.sort compare (Ir.predecessors f b.label)
-                <> List.sort compare (predecessors t b.label)
-        then fail "block %S: predecessor mismatch" b.label
-        else if Ir.successors b <> successors t b.label then
-          fail "block %S: successor mismatch" b.label
-        else check_blocks rest
-  in
-  match check_blocks f.blocks with
-  | Error _ as e -> e
-  | Ok () ->
-      let ok = ref (Ok ()) in
-      let legacy_owner = Ir.block_of_instr f in
-      Hashtbl.iter
-        (fun id label ->
-          if !ok = Ok () && Hashtbl.find_opt legacy_owner id <> Some label then
-            ok := fail "instr #%d: owner mismatch" id)
-        t.owner;
-      (match !ok with
-      | Ok () ->
-          let legacy_defs = Ir.def_table f in
-          Hashtbl.iter
-            (fun r (d : Ir.def_site) ->
-              match Hashtbl.find_opt legacy_defs r with
-              | Some d' when d'.Ir.di == d.Ir.di -> ()
-              | _ -> if !ok = Ok () then ok := fail "register %%%s: def-site mismatch" r)
-            t.defs
-      | Error _ -> ());
-      !ok

@@ -11,9 +11,11 @@
     bitsets: the block fixpoint works on gen/kill summaries with word-wide
     unions instead of [Set.Make(String)] element-by-element unions, which
     is what keeps the Figure 7/8 feasibility sweep (thousands of
-    [live_at]/[is_live] queries per function version) cheap.  The original
-    string-set implementation is retained below as {!Reference} and the
-    randomized test suite checks the two agree on generated functions. *)
+    [live_at]/[is_live] queries per function version) cheap.  A result is
+    never written after {!compute} returns, so one value can be queried
+    from several domains at once.  The original string-set implementation
+    lives on in the test suite, which checks the two agree on generated
+    functions. *)
 
 (* ------------------------------------------------------------------ *)
 (* Bitsets over interned registers                                      *)
@@ -68,7 +70,6 @@ type t = {
   ids : (string, int) Hashtbl.t;  (** name → interned id *)
   live_before : (int, Bits.t) Hashtbl.t;  (** instruction/terminator id → set *)
   live_out : (string, Bits.t) Hashtbl.t;  (** block label → live-out *)
-  elems : (int, string list) Hashtbl.t;  (** memoized sorted [live_at] answers *)
 }
 
 let compute ?(index : Func_index.t option) (f : Ir.func) : t =
@@ -209,13 +210,7 @@ let compute ?(index : Func_index.t option) (f : Ir.func) : t =
          start minus nothing (their defs are at this very point). *)
       List.iter (fun (i : Ir.instr) -> Hashtbl.replace live_before i.id live) b.phis)
     f.blocks;
-  { names; ids; live_before; live_out; elems = Hashtbl.create 64 }
-
-(** A shallow copy sharing the (now read-only) liveness results but owning
-    a fresh {!live_at} memo table.  The fixpoint tables are never written
-    after {!compute} returns; the memo is — so a fork per domain makes the
-    analysis safe to query concurrently. *)
-let fork (t : t) : t = { t with elems = Hashtbl.create 64 }
+  { names; ids; live_before; live_out }
 
 let to_sorted_names (t : t) (bs : Bits.t) : string list =
   let acc = ref [] in
@@ -224,15 +219,9 @@ let to_sorted_names (t : t) (bs : Bits.t) : string list =
 
 (** Registers live just before instruction [id] executes (sorted). *)
 let live_at (t : t) (id : int) : string list =
-  match Hashtbl.find_opt t.elems id with
-  | Some l -> l
-  | None -> (
-      match Hashtbl.find_opt t.live_before id with
-      | Some bs ->
-          let l = to_sorted_names t bs in
-          Hashtbl.replace t.elems id l;
-          l
-      | None -> [])
+  match Hashtbl.find_opt t.live_before id with
+  | Some bs -> to_sorted_names t bs
+  | None -> []
 
 (** Interned id of a register, for callers that pre-resolve names once and
     then test bits directly (see {!bits_at}). *)
@@ -251,116 +240,3 @@ let live_out_of (t : t) (label : string) : string list =
   match Hashtbl.find_opt t.live_out label with
   | Some bs -> to_sorted_names t bs
   | None -> []
-
-(* ------------------------------------------------------------------ *)
-(* Reference implementation                                             *)
-(* ------------------------------------------------------------------ *)
-
-(** The original [Set.Make(String)] implementation, kept as a differential
-    oracle for the bitset version (see the randomized agreement test in
-    [test/suite_miniir.ml]). *)
-module Reference = struct
-  module SSet = Set.Make (String)
-
-  type t = {
-    live_before : (int, SSet.t) Hashtbl.t;  (** instruction/terminator id → set *)
-    live_out : (string, SSet.t) Hashtbl.t;  (** block label → live-out *)
-  }
-
-  let compute (f : Ir.func) : t =
-    let phi_defs (b : Ir.block) =
-      List.fold_left
-        (fun s (i : Ir.instr) ->
-          match i.result with Some r -> SSet.add r s | None -> s)
-        SSet.empty b.phis
-    in
-    let phi_uses_from (b : Ir.block) ~(pred : string) =
-      List.fold_left
-        (fun s (i : Ir.instr) ->
-          match i.rhs with
-          | Ir.Phi incoming ->
-              List.fold_left
-                (fun s (l, v) ->
-                  match v with
-                  | Ir.Reg r when String.equal l pred -> SSet.add r s
-                  | Ir.Reg _ | Ir.Const _ | Ir.Undef -> s)
-                s incoming
-          | _ -> s)
-        SSet.empty b.phis
-    in
-    (* Backward transfer through terminator and body; returns live at body
-       start (before the first body instruction, after the φ-nodes). *)
-    let through_block (b : Ir.block) (out : SSet.t) : SSet.t =
-      let live = List.fold_left (fun s r -> SSet.add r s) out (Ir.term_uses b.term) in
-      List.fold_left
-        (fun live (i : Ir.instr) ->
-          let live = match i.result with Some r -> SSet.remove r live | None -> live in
-          List.fold_left (fun s r -> SSet.add r s) live (Ir.rhs_uses i.rhs))
-        live (List.rev b.body)
-    in
-    let live_in = Hashtbl.create 16 in
-    let live_out = Hashtbl.create 16 in
-    List.iter
-      (fun (b : Ir.block) ->
-        Hashtbl.replace live_in b.label SSet.empty;
-        Hashtbl.replace live_out b.label SSet.empty)
-      f.blocks;
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      List.iter
-        (fun (b : Ir.block) ->
-          let out =
-            List.fold_left
-              (fun acc s ->
-                match Ir.find_block f s with
-                | Some sb ->
-                    SSet.union acc
-                      (SSet.union (Hashtbl.find live_in s) (phi_uses_from sb ~pred:b.label))
-                | None -> acc)
-              SSet.empty (Ir.successors b)
-          in
-          let inn = SSet.diff (through_block b out) (phi_defs b) in
-          if not (SSet.equal out (Hashtbl.find live_out b.label)) then begin
-            Hashtbl.replace live_out b.label out;
-            changed := true
-          end;
-          if not (SSet.equal inn (Hashtbl.find live_in b.label)) then begin
-            Hashtbl.replace live_in b.label inn;
-            changed := true
-          end)
-        (List.rev f.blocks)
-    done;
-    (* Final per-instruction pass. *)
-    let live_before = Hashtbl.create 64 in
-    List.iter
-      (fun (b : Ir.block) ->
-        let out = Hashtbl.find live_out b.label in
-        let live = List.fold_left (fun s r -> SSet.add r s) out (Ir.term_uses b.term) in
-        Hashtbl.replace live_before b.term_id live;
-        let live =
-          List.fold_left
-            (fun live (i : Ir.instr) ->
-              let live' =
-                let l = match i.result with Some r -> SSet.remove r live | None -> live in
-                List.fold_left (fun s r -> SSet.add r s) l (Ir.rhs_uses i.rhs)
-              in
-              Hashtbl.replace live_before i.id live';
-              live')
-            live (List.rev b.body)
-        in
-        List.iter (fun (i : Ir.instr) -> Hashtbl.replace live_before i.id live) b.phis)
-      f.blocks;
-    { live_before; live_out }
-
-  let live_at (t : t) (id : int) : string list =
-    match Hashtbl.find_opt t.live_before id with
-    | Some s -> SSet.elements s
-    | None -> []
-
-  let is_live (t : t) (id : int) (r : string) : bool =
-    match Hashtbl.find_opt t.live_before id with Some s -> SSet.mem r s | None -> false
-
-  let live_out_of (t : t) (label : string) : string list =
-    match Hashtbl.find_opt t.live_out label with Some s -> SSet.elements s | None -> []
-end

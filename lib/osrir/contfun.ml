@@ -129,13 +129,14 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
         b.phis)
     f.blocks;
   (* --- 2. Demotion set. --------------------------------------------- *)
+  let target_live = Liveness.live_at (Liveness.compute target) landing in
   let def_tbl = Ir.def_table f in
   let is_instr_defined r = Hashtbl.mem def_tbl r in
   let demoted =
     List.sort_uniq String.compare
       (List.filter is_instr_defined
          (List.map fst plan.transfers @ List.map (fun (c : Reconstruct_ir.comp_instr) -> c.target) plan.comp)
-      @ List.filter is_instr_defined (Liveness.live_at (Liveness.compute target) landing))
+      @ List.filter is_instr_defined target_live)
   in
   let slot_of r = r ^ "$slot" in
   (* Rewrite uses to loads, defs get a trailing store. *)
@@ -313,7 +314,6 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
   in
   (* Function-parameter live values: any target parameter live at landing
      must be supplied by the caller as well; they keep their names. *)
-  let target_live = Liveness.live_at (Liveness.compute target) landing in
   let live_params = List.filter (fun p -> List.mem p target_live) target.params in
   let transfer_params = List.map param_name params_needed in
   let fto =

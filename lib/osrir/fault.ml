@@ -33,15 +33,6 @@ let kind_to_string = function
   | Poison -> "poison"
   | Fuel_cut -> "fuel-cut"
 
-let kind_of_string = function
-  | "misfire" -> Some Misfire
-  | "suppress" -> Some Suppress
-  | "guard-trap" -> Some Guard_trap
-  | "chi-trap" -> Some Chi_trap
-  | "poison" -> Some Poison
-  | "fuel-cut" -> Some Fuel_cut
-  | _ -> None
-
 type t = {
   seed : int;
   mutable state : int;

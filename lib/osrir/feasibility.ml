@@ -119,14 +119,13 @@ let summarize (reports : point_report list) : summary =
 let chunk = 64
 
 (* With a multi-domain [pool], the point list is cut into [chunk]-sized
-   slices, each classified by whichever domain claims it using a
-   domain-private {!Osr_ctx.fork} (fresh memo tables, shared read-only
-   analyses — no locks on the hot path) and a task-private
-   {!Telemetry.fork}.  Slices are concatenated and sub-sinks joined in
-   slice order, so reports, counters and remarks are byte-equal to the
-   inline sweep's no matter the domain count or schedule.  Without a pool,
-   with a 1-domain pool or with a single slice, the sweep runs inline: no
-   forks, no merge, no overhead. *)
+   slices, each classified by whichever domain claims it against the one
+   shared context (immutable once built — no locks on the hot path) and a
+   task-private {!Telemetry.fork}.  Slices are concatenated and sub-sinks
+   joined in slice order, so reports, counters and remarks are byte-equal
+   to the inline sweep's no matter the domain count or schedule.  Without
+   a pool, with a 1-domain pool or with a single slice, the sweep runs
+   inline: no forks, no merge, no overhead. *)
 let analyze ?(config = Reconstruct_ir.default_config) ?(telemetry = Telemetry.null)
     ?(pool : Parallel.Pool.t option) (t : Osr_ctx.t) : summary =
   let fname = t.Osr_ctx.src.Osr_ctx.func.Ir.fname in
@@ -139,14 +138,10 @@ let analyze ?(config = Reconstruct_ir.default_config) ?(telemetry = Telemetry.nu
         let points = Array.of_list points in
         let n = Array.length points in
         let nchunks = (n + chunk - 1) / chunk in
-        (* Freeze the shared state from the owning domain before any worker
-           can touch it: forks created inside workers then only read. *)
-        ignore (Osr_ctx.fork t : Osr_ctx.t);
         let sinks = Array.init nchunks (fun _ -> Telemetry.fork telemetry) in
         let slices =
           Parallel.Pool.run pool ~chunk:1
-            ~scratch:(fun () -> Osr_ctx.fork t)
-            (fun ctx ci ->
+            (fun ci ->
               let lo = ci * chunk in
               let hi = min n (lo + chunk) in
               let sink = sinks.(ci) in
@@ -154,7 +149,7 @@ let analyze ?(config = Reconstruct_ir.default_config) ?(telemetry = Telemetry.nu
                  must match the inline sweep's. *)
               let acc = ref [] in
               for i = lo to hi - 1 do
-                acc := classify_point ~config ~telemetry:sink ctx ~fname points.(i) :: !acc
+                acc := classify_point ~config ~telemetry:sink t ~fname points.(i) :: !acc
               done;
               List.rev !acc)
             nchunks

@@ -33,8 +33,8 @@ val analyze :
     [telemetry] sink receives a ["feasibility"] span, per-outcome counters
     (group ["reconstruct"]) and remarks explaining infeasible and
     avail-only points.  With a multi-domain [pool] the point list is
-    sharded into 64-point slices, each domain querying its own
-    {!Osr_ctx.fork}; without one (or with a 1-domain pool) the sweep runs
+    sharded into 64-point slices, every domain querying the one shared
+    context; without one (or with a 1-domain pool) the sweep runs
     inline.  Deterministic-merge contract: reports, counters and remarks
     are byte-equal whatever the pool. *)
 

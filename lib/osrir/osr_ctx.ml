@@ -7,13 +7,16 @@ open Import
 
     Performance architecture: each side carries a {!Func_index.t} — an
     immutable snapshot index of its function — and every side analysis
-    (dominators, liveness, loops, positions, defs, ownership) is derived
-    from that index exactly once in {!make_side}.  The context additionally
-    owns the cross-point caches that make the per-point feasibility sweep
-    near-linear: the landing-point table (all landing points of a block from
-    one backward scan) and memo tables for candidate search, re-execution
-    consistency, load-safety walks and gate identification, all of which
-    depend only on the (immutable during analysis) function pair. *)
+    (dominators, liveness, loops, positions, defs, ownership, the loops
+    containing each block) is derived from that index exactly once in
+    {!make_side}.  The context also builds, once, the cross-point tables
+    that make the per-point feasibility sweep near-linear: the landing
+    point of every source point (one backward scan per block), the
+    mapper's alias inverse, and the interned candidate list of every
+    destination register.  Nothing is written after {!make} or
+    {!make_pair} returns, so one context serves any number of domains at
+    once; reuse within one point lives in the per-point state of
+    {!Reconstruct_ir}. *)
 
 type direction = Base_to_opt | Opt_to_base
 
@@ -52,11 +55,24 @@ type side = {
   defs : (Ir.reg, Ir.def_site) Hashtbl.t;
   owner : (int, string) Hashtbl.t;  (** instruction id → block label *)
   loops : Loops.t;
+  loop_ids : (string, int list) Hashtbl.t;
+      (** block label → ascending ids (positions in [loops]) of the natural
+          loops containing the block; absent when it is in none *)
 }
 
 let make_side (f : Ir.func) : side =
   let index = Func_index.make f in
   let dom = Dom.compute ~index f in
+  let loops = Loops.compute ~index ~dom f in
+  let loop_ids = Hashtbl.create 16 in
+  List.iteri
+    (fun k (l : Loops.loop) ->
+      List.iter
+        (fun b ->
+          Hashtbl.replace loop_ids b (k :: Option.value ~default:[] (Hashtbl.find_opt loop_ids b)))
+        l.body)
+    loops.loops;
+  Hashtbl.filter_map_inplace (fun _ ks -> Some (List.rev ks)) loop_ids;
   {
     func = f;
     index;
@@ -65,7 +81,8 @@ let make_side (f : Ir.func) : side =
     live = Liveness.compute ~index f;
     defs = index.Func_index.defs;
     owner = index.Func_index.owner;
-    loops = Loops.compute ~index ~dom f;
+    loops;
+    loop_ids;
   }
 
 type t = {
@@ -75,55 +92,13 @@ type t = {
   direction : direction;
   src : side;  (** where execution currently is *)
   dst : side;  (** where execution lands *)
-  (* Sweep caches (valid because neither function changes once the context
-     exists).  All are lazy: a context built for a single query pays for
-     nothing it does not use. *)
-  mutable landing_tbl : (int, int) Hashtbl.t option;
+  aliases : (Ir.reg, Ir.reg list) Hashtbl.t;  (** {!Code_mapper.alias_inverse} *)
+  landing : (int, int) Hashtbl.t;
       (** source point → landing anchor; absent key = no landing *)
-  cand_cache : (Ir.reg, cand list) Hashtbl.t;  (** with replace-alias reuse *)
-  cand_cache_plain : (Ir.reg, cand list) Hashtbl.t;  (** name-stability only *)
-  mutable last_env : (int * penv) option;  (** one-slot point-env cache *)
-  reexec_cache : (int * int, bool) Hashtbl.t;  (** (def_id, landing) *)
-  load_safe_cache : (int * int, bool) Hashtbl.t;  (** (def_id, landing) *)
-  gate_cache : (int, (Ir.reg * Ir.value * Ir.value * int) option) Hashtbl.t;
-      (** φ instruction id → gate decomposition *)
+  cands : (Ir.reg, cand list) Hashtbl.t;
+      (** destination register → its interned candidates, replace aliases
+          included *)
 }
-
-let of_sides ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Code_mapper.t)
-    ~(base_side : side) ~(opt_side : side) (direction : direction) : t =
-  let src, dst =
-    match direction with
-    | Base_to_opt -> (base_side, opt_side)
-    | Opt_to_base -> (opt_side, base_side)
-  in
-  {
-    fbase;
-    fopt;
-    mapper;
-    direction;
-    src;
-    dst;
-    landing_tbl = None;
-    cand_cache = Hashtbl.create 64;
-    cand_cache_plain = Hashtbl.create 16;
-    last_env = None;
-    reexec_cache = Hashtbl.create 256;
-    load_safe_cache = Hashtbl.create 64;
-    gate_cache = Hashtbl.create 16;
-  }
-
-let make ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Code_mapper.t)
-    (direction : direction) : t =
-  of_sides ~fbase ~fopt ~mapper ~base_side:(make_side fbase) ~opt_side:(make_side fopt)
-    direction
-
-(** Both directions over one pair of side analyses: the forward and
-    backward sweeps see the same two functions, so dominators, liveness,
-    loops and the index are computed once instead of twice. *)
-let make_pair ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Code_mapper.t) () : t * t =
-  let base_side = make_side fbase and opt_side = make_side fopt in
-  ( of_sides ~fbase ~fopt ~mapper ~base_side ~opt_side Base_to_opt,
-    of_sides ~fbase ~fopt ~mapper ~base_side ~opt_side Opt_to_base )
 
 (** Has instruction [id] been moved between blocks by the optimizer? *)
 let is_moved (t : t) (id : int) : bool = Hashtbl.mem t.mapper.moved id
@@ -151,56 +126,24 @@ let source_points (t : t) : int list =
 (* All landing points at once: one backward walk per source block keeps the
    nearest anchor at-or-after the cursor, so the whole table costs O(points)
    instead of the O(block²) of rescanning the suffix for every point. *)
-let landing_table (t : t) : (int, int) Hashtbl.t =
-  match t.landing_tbl with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Hashtbl.create 256 in
+let fill_landing (t : t) : unit =
+  List.iter
+    (fun (b : Ir.block) ->
+      let cur = ref (if anchor t b.term_id then Some b.term_id else None) in
+      (match !cur with Some a -> Hashtbl.replace t.landing b.term_id a | None -> ());
       List.iter
-        (fun (b : Ir.block) ->
-          let cur = ref (if anchor t b.term_id then Some b.term_id else None) in
-          (match !cur with Some a -> Hashtbl.replace tbl b.term_id a | None -> ());
-          List.iter
-            (fun (i : Ir.instr) ->
-              if anchor t i.id then cur := Some i.id;
-              match !cur with Some a -> Hashtbl.replace tbl i.id a | None -> ())
-            (List.rev b.body))
-        t.src.func.blocks;
-      t.landing_tbl <- Some tbl;
-      tbl
+        (fun (i : Ir.instr) ->
+          if anchor t i.id then cur := Some i.id;
+          match !cur with Some a -> Hashtbl.replace t.landing i.id a | None -> ())
+        (List.rev b.body))
+    t.src.func.blocks
 
 (** Landing point in the destination for source point [p]: the first anchor
     at or after [p] in [p]'s source block (skipping instructions the
     optimizer deleted or moved away), or [None] when the whole remainder of
     the block has no anchor (e.g. the block does not exist on the other
     side). *)
-let landing_point (t : t) (p : int) : int option =
-  Hashtbl.find_opt (landing_table t) p
-
-(** A domain-private view of this context for the parallel sweep: the
-    immutable inputs (functions, side analyses, mapper, landing table) are
-    shared, every memo the per-point queries write is fresh.  The shared
-    pieces are made read-only first — the landing table is forced here and
-    the mapper's alias inverse is primed — so forks can query concurrently
-    without a single lock on the analysis hot path.  The parent must not
-    run pass pipelines over either function while forks are live (contexts
-    are only ever built over functions that no longer change). *)
-let fork (t : t) : t =
-  let landing = landing_table t in
-  Code_mapper.prime_aliases t.mapper;
-  let fork_side (s : side) : side = { s with live = Liveness.fork s.live } in
-  {
-    t with
-    src = fork_side t.src;
-    dst = fork_side t.dst;
-    landing_tbl = Some landing;
-    cand_cache = Hashtbl.create 64;
-    cand_cache_plain = Hashtbl.create 16;
-    last_env = None;
-    reexec_cache = Hashtbl.create 256;
-    load_safe_cache = Hashtbl.create 64;
-    gate_cache = Hashtbl.create 16;
-  }
+let landing_point (t : t) (p : int) : int option = Hashtbl.find_opt t.landing p
 
 (* ------------------------------------------------------------------ *)
 (* Value correspondence                                                 *)
@@ -234,64 +177,110 @@ let make_cand (t : t) (v : Ir.value) : cand =
       in
       { cv = v; akey; live_id }
 
-(** Interned source candidates for destination register [x']: name
-    stability plus the replace-action equivalences (Section 5.4's "implicit
-    aliasing information"), most specific first.  Memoized per context: the
-    answer depends only on the function pair and the action history. *)
+(* Candidate search for destination register [x']: name stability plus,
+   with [use_aliases], the replace-action equivalences (Section 5.4's
+   "implicit aliasing information"), most specific first. *)
+let search ~(use_aliases : bool) (t : t) (x' : Ir.reg) : cand list =
+  let name_based = if in_src_frame t x' then [ Ir.Reg x' ] else [] in
+  let from_replacements =
+    if not use_aliases then []
+    else
+      match t.direction with
+      | Base_to_opt ->
+          (* Base registers whose replacement chain resolves to x' hold
+             the same value (CSE kept x', deleted them). *)
+          List.filter_map
+            (fun alias -> if in_src_frame t alias then Some (Ir.Reg alias) else None)
+            (Option.value ~default:[] (Hashtbl.find_opt t.aliases x'))
+      | Opt_to_base -> (
+          (* x' is a base register; its replacement tells us what holds
+             the value in the optimized code. *)
+          match Code_mapper.resolve_replacement t.mapper x' with
+          | Some (Ir.Const c) -> [ Ir.Const c ]
+          | Some (Ir.Reg r') when in_src_frame t r' -> [ Ir.Reg r' ]
+          | Some _ | None -> [])
+  in
+  List.map (make_cand t) (name_based @ from_replacements)
+
+(* Every destination register — parameters, φ and body definitions — gets
+   its candidate list at construction: the sweep asks for the same register
+   at most of the points it visits. *)
+let fill_candidates (t : t) : unit =
+  let fill r = Hashtbl.replace t.cands r (search ~use_aliases:true t r) in
+  List.iter fill t.dst.func.params;
+  Hashtbl.iter (fun r _ -> fill r) t.dst.defs
+
+(** Interned source candidates for destination register [x'] (see
+    {!search}).  The ablation's [use_aliases = false] searches on demand. *)
 let candidates ?(use_aliases = true) (t : t) (x' : Ir.reg) : cand list =
-  let cache = if use_aliases then t.cand_cache else t.cand_cache_plain in
-  match Hashtbl.find_opt cache x' with
+  match if use_aliases then Hashtbl.find_opt t.cands x' else None with
   | Some cs -> cs
-  | None ->
-      let name_based = if in_src_frame t x' then [ Ir.Reg x' ] else [] in
-      let from_replacements =
-        if not use_aliases then []
-        else
-          match t.direction with
-          | Base_to_opt ->
-              (* Base registers whose replacement chain resolves to x' hold
-                 the same value (CSE kept x', deleted them). *)
-              List.filter_map
-                (fun alias ->
-                  if String.equal alias x' then None
-                  else if in_src_frame t alias then Some (Ir.Reg alias)
-                  else None)
-                (Code_mapper.base_aliases_of t.mapper x')
-          | Opt_to_base -> (
-              (* x' is a base register; its replacement tells us what holds
-                 the value in the optimized code. *)
-              match Code_mapper.resolve_replacement t.mapper x' with
-              | Some (Ir.Const c) -> [ Ir.Const c ]
-              | Some (Ir.Reg r') when in_src_frame t r' -> [ Ir.Reg r' ]
-              | Some _ | None -> [])
-      in
-      let cs = List.map (make_cand t) (name_based @ from_replacements) in
-      Hashtbl.replace cache x' cs;
-      cs
+  | None -> search ~use_aliases t x'
 
 (** Source-side values holding the same run-time value as destination
     register [x'] (the un-interned view of {!candidates}). *)
 let source_candidates ?(use_aliases = true) (t : t) (x' : Ir.reg) : Ir.value list =
   List.map (fun c -> c.cv) (candidates ~use_aliases t x')
 
-(** Resolved query environment of source point [p] (one-slot cache: the
-    sweep asks about one point many times in a row). *)
+(* ------------------------------------------------------------------ *)
+(* Construction                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let of_sides ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Code_mapper.t)
+    ~(aliases : (Ir.reg, Ir.reg list) Hashtbl.t) ~(base_side : side) ~(opt_side : side)
+    (direction : direction) : t =
+  let src, dst =
+    match direction with
+    | Base_to_opt -> (base_side, opt_side)
+    | Opt_to_base -> (opt_side, base_side)
+  in
+  let t =
+    {
+      fbase;
+      fopt;
+      mapper;
+      direction;
+      src;
+      dst;
+      aliases;
+      landing = Hashtbl.create (Hashtbl.length src.positions);
+      cands = Hashtbl.create (Hashtbl.length dst.defs + List.length dst.func.params);
+    }
+  in
+  fill_landing t;
+  fill_candidates t;
+  t
+
+(** The context for one direction.  Neither function may change while the
+    context is in use (contexts are built over finished pipeline results). *)
+let make ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Code_mapper.t)
+    (direction : direction) : t =
+  of_sides ~fbase ~fopt ~mapper ~aliases:(Code_mapper.alias_inverse mapper)
+    ~base_side:(make_side fbase) ~opt_side:(make_side fopt) direction
+
+(** Both directions over one pair of side analyses: the forward and
+    backward sweeps see the same two functions, so dominators, liveness,
+    loops, the index and the alias inverse are computed once instead of
+    twice. *)
+let make_pair ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Code_mapper.t) () : t * t =
+  let base_side = make_side fbase and opt_side = make_side fopt in
+  let aliases = Code_mapper.alias_inverse mapper in
+  ( of_sides ~fbase ~fopt ~mapper ~aliases ~base_side ~opt_side Base_to_opt,
+    of_sides ~fbase ~fopt ~mapper ~aliases ~base_side ~opt_side Opt_to_base )
+
+(* ------------------------------------------------------------------ *)
+(* Per-point queries                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** Resolved query environment of source point [p]; the per-point state
+    of {!Reconstruct_ir} computes it once per point. *)
 let point_env (t : t) (p : int) : penv =
-  match t.last_env with
-  | Some (q, e) when q = p -> e
-  | _ ->
-      let pe_bits = Liveness.bits_at t.src.live p in
-      let e =
-        match Hashtbl.find_opt t.src.positions p with
-        | None -> { pe_block = ""; pe_idx = 0; pe_rpo = -2; pe_bits }
-        | Some (block, idx) ->
-            let rpo =
-              Option.value ~default:(-1) (Hashtbl.find_opt t.src.dom.Dom.index block)
-            in
-            { pe_block = block; pe_idx = idx; pe_rpo = rpo; pe_bits }
-      in
-      t.last_env <- Some (p, e);
-      e
+  let pe_bits = Liveness.bits_at t.src.live p in
+  match Hashtbl.find_opt t.src.positions p with
+  | None -> { pe_block = ""; pe_idx = 0; pe_rpo = -2; pe_bits }
+  | Some (block, idx) ->
+      let rpo = Option.value ~default:(-1) (Hashtbl.find_opt t.src.dom.Dom.index block) in
+      { pe_block = block; pe_idx = idx; pe_rpo = rpo; pe_bits }
 
 (** Availability of an interned candidate at a point: the SSA definedness
     test of {!available_in_src} over pre-resolved coordinates. *)
@@ -336,21 +325,17 @@ let available_in_src (t : t) ~(src_point : int) (v : Ir.value) : bool =
     needed after its loop cannot be recomputed — only the frame still holds
     its final value, which is precisely what the [avail] variant exploits. *)
 let reexec_consistent (t : t) ~(def_id : int) ~(landing : int) : bool =
-  match Hashtbl.find_opt t.reexec_cache (def_id, landing) with
-  | Some b -> b
-  | None ->
-      let b =
-        match (Hashtbl.find_opt t.dst.owner def_id, Hashtbl.find_opt t.dst.owner landing)
-        with
-        | Some def_block, Some landing_block ->
-            List.for_all
-              (fun (l : Loops.loop) ->
-                (not (Loops.in_loop l def_block)) || Loops.in_loop l landing_block)
-              t.dst.loops.loops
-        | _, _ -> false
-      in
-      Hashtbl.replace t.reexec_cache (def_id, landing) b;
-      b
+  (* Is every id of the ascending list [a] also in the ascending [b]? *)
+  let rec subset a b =
+    match (a, b) with
+    | [], _ -> true
+    | _ :: _, [] -> false
+    | x :: a', y :: b' -> if x = y then subset a' b else x > y && subset a b'
+  in
+  let loops_of block = Option.value ~default:[] (Hashtbl.find_opt t.dst.loop_ids block) in
+  match (Hashtbl.find_opt t.dst.owner def_id, Hashtbl.find_opt t.dst.owner landing) with
+  | Some def_block, Some landing_block -> subset (loops_of def_block) (loops_of landing_block)
+  | _, _ -> false
 
 let live_in_src (t : t) ~(src_point : int) (v : Ir.value) : bool =
   match v with

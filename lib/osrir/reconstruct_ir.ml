@@ -59,7 +59,7 @@ let plan_is_empty (p : plan) : bool = p.comp = []
    landing point — checked as a CFG walk over destination program points
    from just after the load to the landing, cut at re-entries to the load
    itself (a re-entry restarts the window). *)
-let load_safe_uncached (t : Osr_ctx.t) ~(def_id : int) ~(landing : int) : bool =
+let load_safe_walk (t : Osr_ctx.t) ~(def_id : int) ~(landing : int) : bool =
   let index = t.dst.index in
   (* Sequence of (id, rhs option) points per block: body then terminator. *)
   let block_points (b : Ir.block) =
@@ -104,16 +104,6 @@ let load_safe_uncached (t : Osr_ctx.t) ~(def_id : int) ~(landing : int) : bool =
         walk_block label ~after:(Some def_id);
         true
       with Unsafe -> false)
-
-(* The walk depends only on the (immutable) destination function, so its
-   verdict is shared across every source point of the sweep. *)
-let load_safe (t : Osr_ctx.t) ~(def_id : int) ~(landing : int) : bool =
-  match Hashtbl.find_opt t.load_safe_cache (def_id, landing) with
-  | Some b -> b
-  | None ->
-      let b = load_safe_uncached t ~def_id ~landing in
-      Hashtbl.replace t.load_safe_cache (def_id, landing) b;
-      b
 
 (* Gating-function support (Section 9 future work, narrow sound case): a
    two-way φ in block J whose predecessors form a triangle or diamond under
@@ -167,7 +157,15 @@ let gate_of_phi (t : Osr_ctx.t) ~(phi_block : string) (incoming : (string * Ir.v
             | None -> None))
   | _ -> None
 
+(* The per-point state: the point pair, what is resolved once per point,
+   and the plan under construction.  Nothing here outlives the point, so
+   the context it reads stays immutable. *)
 type state = {
+  ctx : Osr_ctx.t;
+  landing : int;
+  env : Osr_ctx.penv;  (** the source point's query environment *)
+  load_safe : (int, bool) Hashtbl.t;
+      (** load definition id → {!load_safe_walk} verdict for [landing] *)
   mutable transfers : (Ir.reg * Ir.value) list;  (* reversed *)
   mutable comp : comp_instr list;  (* reversed *)
   mutable keep : Ir.reg list;
@@ -177,13 +175,39 @@ type state = {
           the landing environment) or a constant/alias *)
 }
 
-let fresh_state () =
-  { transfers = []; comp = []; keep = []; resolved = Hashtbl.create 16 }
+let fresh_state (t : Osr_ctx.t) ~(src_point : int) ~(landing : int) : state =
+  {
+    ctx = t;
+    landing;
+    env = Osr_ctx.point_env t src_point;
+    load_safe = Hashtbl.create 8;
+    transfers = [];
+    comp = [];
+    keep = [];
+    resolved = Hashtbl.create 16;
+  }
+
+(* A second build for the same point pair: an empty plan that keeps the
+   point environment and the load verdicts of [st]. *)
+let restart (st : state) : state =
+  { st with transfers = []; comp = []; keep = []; resolved = Hashtbl.create 16 }
+
+let plan_of_state (st : state) : plan =
+  { transfers = List.rev st.transfers; comp = List.rev st.comp; keep = List.rev st.keep }
+
+let load_safe (st : state) ~(def_id : int) : bool =
+  match Hashtbl.find_opt st.load_safe def_id with
+  | Some b -> b
+  | None ->
+      let b = load_safe_walk st.ctx ~def_id ~landing:st.landing in
+      Hashtbl.replace st.load_safe def_id b;
+      b
 
 (* Resolve one destination register, extending the plan.  Returns the value
    consumers should use for it. *)
-let rec build ?(config = default_config) (t : Osr_ctx.t) (variant : variant) (st : state)
-    ~(src_point : int) ~(landing : int) (x' : Ir.reg) : Ir.value =
+let rec build ?(config = default_config) (variant : variant) (st : state) (x' : Ir.reg) :
+    Ir.value =
+  let t = st.ctx and env = st.env in
   match Hashtbl.find_opt st.resolved x' with
   | Some v -> v
   | None ->
@@ -193,7 +217,6 @@ let rec build ?(config = default_config) (t : Osr_ctx.t) (variant : variant) (st
       in
       (* 1. Directly available at the origin (Algorithm 1, line 4)? *)
       let candidates = Osr_ctx.candidates ~use_aliases:config.use_aliases t x' in
-      let env = Osr_ctx.point_env t src_point in
       (* Both variants prefer a live candidate; only [Avail] falls back to a
          dead one.  The keep set then grows only when it must, and an [Avail]
          build whose keep set stays empty made exactly the [Live] build's
@@ -241,7 +264,7 @@ let rec build ?(config = default_config) (t : Osr_ctx.t) (variant : variant) (st
                           st.transfers <- (x', Ir.Const c) :: st.transfers;
                           note (Ir.Const c)
                       | Ir.Reg y' -> (
-                          match build ~config t variant st ~src_point ~landing y' with
+                          match build ~config variant st y' with
                           | Ir.Const c ->
                               st.transfers <- (x', Ir.Const c) :: st.transfers;
                               note (Ir.Const c)
@@ -261,20 +284,10 @@ let rec build ?(config = default_config) (t : Osr_ctx.t) (variant : variant) (st
                       | Ir.Undef -> raise (Undef x'))
                   | incoming
                     when config.gating
-                         && Osr_ctx.reexec_consistent t ~def_id:d.di.id ~landing -> (
+                         && Osr_ctx.reexec_consistent t ~def_id:d.di.id ~landing:st.landing -> (
                       (* Gating reconstruction: rebuild the φ as a select
-                         over its governing branch condition.  The
-                         decomposition is a property of the φ alone, so it
-                         is resolved once per context. *)
-                      let gate =
-                        match Hashtbl.find_opt t.gate_cache d.di.id with
-                        | Some g -> g
-                        | None ->
-                            let g = gate_of_phi t ~phi_block:d.block incoming in
-                            Hashtbl.replace t.gate_cache d.di.id g;
-                            g
-                      in
-                      match gate with
+                         over its governing branch condition. *)
+                      match gate_of_phi t ~phi_block:d.block incoming with
                       | None -> raise (Undef x')
                       | Some (c, tv, fv, d_term_id) ->
                           (* Both incomings must have been computed before
@@ -297,52 +310,47 @@ let rec build ?(config = default_config) (t : Osr_ctx.t) (variant : variant) (st
                           let build_value v =
                             match v with
                             | Ir.Const _ | Ir.Undef -> v
-                            | Ir.Reg y -> build ~config t variant st ~src_point ~landing y
+                            | Ir.Reg y -> build ~config variant st y
                           in
-                          let cv = build ~config t variant st ~src_point ~landing c in
+                          let cv = build ~config variant st c in
                           let tvv = build_value tv in
                           let fvv = build_value fv in
                           st.comp <- { target = x'; rhs = Ir.Select (cv, tvv, fvv) } :: st.comp;
                           note (Ir.Reg x'))
                   | _ -> raise (Undef x'))
-              | _ when not (Osr_ctx.reexec_consistent t ~def_id:d.di.id ~landing) ->
+              | _ when not (Osr_ctx.reexec_consistent t ~def_id:d.di.id ~landing:st.landing) ->
                   (* The definition sits in a loop the landing point is not
                      part of: its operands have advanced past the values of
                      its last execution, so recomputation would be wrong
                      (the frame, via avail, is the only source). *)
                   raise (Undef x')
-              | Ir.Load _ when not (load_safe t ~def_id:d.di.id ~landing) -> raise (Undef x')
+              | Ir.Load _ when not (load_safe st ~def_id:d.di.id) -> raise (Undef x')
               | rhs when Ir.is_reexecutable rhs ->
                   let rhs' =
                     Ir.map_rhs_operands
                       (fun v ->
                         match v with
                         | Ir.Const _ | Ir.Undef -> v
-                        | Ir.Reg y' -> build ~config t variant st ~src_point ~landing y')
+                        | Ir.Reg y' -> build ~config variant st y')
                       rhs
                   in
                   st.comp <- { target = x'; rhs = rhs' } :: st.comp;
                   note (Ir.Reg x')
               | _ -> raise (Undef x'))))
 
+(* Resolve every register of [targets] into [st]'s plan. *)
+let run ~(config : config) (variant : variant) (st : state) (targets : Ir.reg list) :
+    (plan, Ir.reg) result =
+  match List.iter (fun x' -> ignore (build ~config variant st x')) targets with
+  | () -> Ok (plan_of_state st)
+  | exception Undef x -> Error x
+
 (** Build the full plan for an OSR from [src_point] to [landing]: resolve
     every destination register live at the landing point.  [Error x] when
     register [x] defeats reconstruction (Algorithm 1's [throw undef]). *)
 let for_point_pair ?(variant = Live) ?(config = default_config) (t : Osr_ctx.t)
     ~(src_point : int) ~(landing : int) : (plan, Ir.reg) result =
-  let st = fresh_state () in
-  let targets = Liveness.live_at t.dst.live landing in
-  match
-    List.iter (fun x' -> ignore (build ~config t variant st ~src_point ~landing x')) targets
-  with
-  | () ->
-      Ok
-        {
-          transfers = List.rev st.transfers;
-          comp = List.rev st.comp;
-          keep = List.rev st.keep;
-        }
-  | exception Undef x -> Error x
+  run ~config variant (fresh_state t ~src_point ~landing) (Liveness.live_at t.dst.live landing)
 
 (** Both variants for one point pair, usually from a single build.  The
     [Avail] build is strictly more permissive than [Live] in its candidate
@@ -350,14 +358,18 @@ let for_point_pair ?(variant = Live) ?(config = default_config) (t : Osr_ctx.t)
     recursion): an [Avail] failure implies a [Live] failure, and an [Avail]
     success that never read a dead register — empty keep set — made exactly
     the choices the [Live] build would make, plan and all.  Only the
-    avail-feasible points with a non-empty keep set pay a second build. *)
+    avail-feasible points with a non-empty keep set pay a second build,
+    which reuses the first one's live targets, point environment and load
+    verdicts. *)
 let for_point_both ?(config = default_config) (t : Osr_ctx.t) ~(src_point : int)
     ~(landing : int) : (plan, Ir.reg) result * (plan, Ir.reg) result =
-  let avail = for_point_pair ~variant:Avail ~config t ~src_point ~landing in
+  let targets = Liveness.live_at t.dst.live landing in
+  let st = fresh_state t ~src_point ~landing in
+  let avail = run ~config Avail st targets in
   match avail with
   | Error _ -> (avail, avail)
   | Ok ap when ap.keep = [] -> (avail, avail)
-  | Ok _ -> (for_point_pair ~variant:Live ~config t ~src_point ~landing, avail)
+  | Ok _ -> (run ~config Live (restart st) targets, avail)
 
 (** Evaluate a plan against a source frame, producing the landing frame —
     the [[[c]](σ)] of Definition 3.1 at IR level.  Loads read from [memory]

@@ -43,29 +43,21 @@ type plan = {
 val comp_size : plan -> int
 val plan_is_empty : plan -> bool
 
-(** Mutable accumulator shared across the per-register [build] calls of one
-    OSR point pair. *)
-type state = {
-  mutable transfers : (Ir.reg * Ir.value) list;  (** reversed *)
-  mutable comp : comp_instr list;  (** reversed *)
-  mutable keep : Ir.reg list;
-  resolved : (Ir.reg, Ir.value) Hashtbl.t;
-}
+(** The state of one OSR point pair: the plan under construction, plus
+    what is resolved once per point (the source point's environment and the
+    load-safety verdicts for the landing).  One state serves one
+    [(src_point, landing)] pair only. *)
+type state
 
-val fresh_state : unit -> state
+val fresh_state : Osr_ctx.t -> src_point:int -> landing:int -> state
 
-val build :
-  ?config:config ->
-  Osr_ctx.t ->
-  variant ->
-  state ->
-  src_point:int ->
-  landing:int ->
-  Ir.reg ->
-  Ir.value
-(** Resolve one destination register, extending the plan; returns the value
-    consumers should use for it.
+val build : ?config:config -> variant -> state -> Ir.reg -> Ir.value
+(** Resolve one destination register, extending the state's plan; returns
+    the value consumers should use for it.
     @raise Undef when the register defeats reconstruction *)
+
+val plan_of_state : state -> plan
+(** The plan built so far. *)
 
 val for_point_pair :
   ?variant:variant ->

@@ -13,7 +13,7 @@ type batch = {
   b_next : int Atomic.t;  (** next unclaimed task index *)
   b_chunk : int;  (** indices claimed per grab *)
   b_n : int;
-  b_run : worker:int -> int -> unit;  (** wrapped task body; never raises *)
+  b_run : int -> unit;  (** wrapped task body; never raises *)
   mutable b_remaining : int;  (** uncompleted tasks; guarded by the pool mutex *)
 }
 
@@ -35,14 +35,14 @@ let jobs (p : t) : int = p.p_jobs
 (* Claim and execute chunks until the cursor runs off the end; the return
    value is how many tasks this domain completed (its contribution to
    [b_remaining]). *)
-let drain (b : batch) ~(worker : int) : int =
+let drain (b : batch) : int =
   let completed = ref 0 in
   let rec go () =
     let start = Atomic.fetch_and_add b.b_next b.b_chunk in
     if start < b.b_n then begin
       let stop = min b.b_n (start + b.b_chunk) in
       for i = start to stop - 1 do
-        b.b_run ~worker i
+        b.b_run i
       done;
       completed := !completed + (stop - start);
       go ()
@@ -51,7 +51,7 @@ let drain (b : batch) ~(worker : int) : int =
   go ();
   !completed
 
-let worker_loop (p : t) (wid : int) : unit =
+let worker_loop (p : t) : unit =
   let my_epoch = ref 0 in
   Mutex.lock p.mu;
   let rec loop () =
@@ -66,7 +66,7 @@ let worker_loop (p : t) (wid : int) : unit =
       | None -> loop ()
       | Some b ->
           Mutex.unlock p.mu;
-          let completed = drain b ~worker:wid in
+          let completed = drain b in
           Mutex.lock p.mu;
           b.b_remaining <- b.b_remaining - completed;
           if b.b_remaining = 0 then Condition.broadcast p.work_done;
@@ -103,35 +103,21 @@ let create ?jobs () : t =
     }
   in
   if jobs > 1 then
-    p.domains <- List.init (jobs - 1) (fun k -> Domain.spawn (fun () -> worker_loop p (k + 1)));
+    p.domains <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop p));
   (* A pool nobody shuts down must not block process exit (the runtime
      joins all live domains); shutdown is idempotent. *)
   at_exit (fun () -> shutdown p);
   p
 
-let run (type s a) (p : t) ?chunk ~(scratch : unit -> s) (f : s -> int -> a) (n : int) :
-    a array =
+let run (type a) (p : t) ?chunk (f : int -> a) (n : int) : a array =
   if n = 0 then [||]
   else begin
     if p.stop then invalid_arg "Pool.run: pool is shut down";
     let results : a option array = Array.make n None in
     let errors : (int * exn * string) list ref = ref [] in
     let err_mu = Mutex.create () in
-    (* One scratch slot per participating domain, created lazily on its
-       first task; slot [w] is only ever touched by domain [w]. *)
-    let scratches : s option array = Array.make p.p_jobs None in
-    let run_item ~worker i =
-      match
-        let s =
-          match scratches.(worker) with
-          | Some s -> s
-          | None ->
-              let s = scratch () in
-              scratches.(worker) <- Some s;
-              s
-        in
-        f s i
-      with
+    let run_item i =
+      match f i with
       | v -> results.(i) <- Some v
       | exception e ->
           let backtrace = Printexc.get_backtrace () in
@@ -146,7 +132,7 @@ let run (type s a) (p : t) ?chunk ~(scratch : unit -> s) (f : s -> int -> a) (n 
       (* Inline fast path: same order, same drain-then-raise error
          behavior, no synchronization. *)
       for i = 0 to n - 1 do
-        run_item ~worker:0 i
+        run_item i
       done
     else begin
       let b =
@@ -157,7 +143,7 @@ let run (type s a) (p : t) ?chunk ~(scratch : unit -> s) (f : s -> int -> a) (n 
       p.epoch <- p.epoch + 1;
       Condition.broadcast p.work_ready;
       Mutex.unlock p.mu;
-      let mine = drain b ~worker:0 in
+      let mine = drain b in
       Mutex.lock p.mu;
       b.b_remaining <- b.b_remaining - mine;
       while b.b_remaining > 0 do

@@ -16,11 +16,11 @@
     wrapped in {!Task_failed} — the same error a [jobs = 1] run of the
     same batch raises, so failure behavior is deterministic too.
 
-    Per-domain scratch: [run ~scratch] gives each participating domain one
-    scratch value, created lazily on its first task of the batch.  Use it
-    for the state that must not be shared across domains (an analysis
-    context with memo tables, a cloned function index) so the task hot
-    path takes no locks. *)
+    Tasks share what they read: the pool gives a domain no private state.
+    Whatever a task reads from several domains at once must not be written
+    while the batch runs (the parallel sweep shares one OSR context, which
+    is immutable once built); whatever it writes must be its own, such as
+    its result slot or a per-task telemetry fork. *)
 
 type t
 
@@ -37,16 +37,15 @@ val create : ?jobs:int -> unit -> t
 val jobs : t -> int
 (** The fixed domain count the pool was created with. *)
 
-val run : t -> ?chunk:int -> scratch:(unit -> 's) -> ('s -> int -> 'a) -> int -> 'a array
-(** [run pool ~scratch f n] evaluates [f scratch_of_my_domain i] for every
-    [i] in [0 .. n-1] across the pool's domains and returns the results in
-    index order.  [chunk] is the number of consecutive indices a domain
+val run : t -> ?chunk:int -> (int -> 'a) -> int -> 'a array
+(** [run pool f n] evaluates [f i] for every [i] in [0 .. n-1] across the
+    pool's domains and returns the results in index order.  [chunk] is the number of consecutive indices a domain
     claims per grab (default: a power-of-two sized so each domain gets
     roughly eight grabs).  With [jobs = 1] everything runs inline in the
     caller, in index order, through the same drain-then-raise error path.
 
     [f] must not touch shared mutable state without its own
-    synchronization; everything it needs mutable belongs in the scratch. *)
+    synchronization. *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent; the pool must not be

@@ -133,9 +133,6 @@ let index_of ?(am : t option) (f : Ir.func) : Func_index.t =
 let dom_of ?(am : t option) (f : Ir.func) : Dom.t =
   match am with Some t -> dom t f | None -> Dom.compute f
 
-let liveness_of ?(am : t option) (f : Ir.func) : Liveness.t =
-  match am with Some t -> liveness t f | None -> Liveness.compute f
-
 let loops_of ?(am : t option) (f : Ir.func) : Loops.t =
   match am with Some t -> loops t f | None -> Loops.compute f
 

@@ -46,28 +46,21 @@ let stat_replace = Telemetry.counter ~group:"mapper" "replace" ~desc:"operand us
 type t = {
   tel : Telemetry.sink;  (** where action statistics and pass remarks go *)
   mutable actions : action list;  (** most recent first *)
-  deleted : (int, unit) Hashtbl.t;
   added : (int, unit) Hashtbl.t;
   moved : (int, string * string) Hashtbl.t;  (** id → (original block, current block) *)
   (* Value equivalences from replace actions: maps an optimized-side value
      to base-side values it stands for, and vice versa.  Chains are
      resolved at query time. *)
   repl_fwd : (string, Ir.value) Hashtbl.t;  (** base reg → value it was replaced by *)
-  mutable alias_rev : (Ir.reg, Ir.reg list) Hashtbl.t option;
-      (** memoized inverse of the resolved replacement chains: surviving
-          register → base registers that collapsed onto it.  Rebuilt lazily;
-          dropped whenever [repl_fwd] gains an entry. *)
 }
 
 let create ?(telemetry = Telemetry.null) () : t =
   {
     tel = telemetry;
     actions = [];
-    deleted = Hashtbl.create 32;
     added = Hashtbl.create 16;
     moved = Hashtbl.create 16;
     repl_fwd = Hashtbl.create 32;
-    alias_rev = None;
   }
 
 let record (m : t) (a : action) : unit = m.actions <- a :: m.actions
@@ -85,7 +78,6 @@ let add_instr (m : t) (i : Ir.instr) ~(block : string) : unit =
 
 let delete_instr (m : t) (i : Ir.instr) : unit =
   Telemetry.bump m.tel stat_delete;
-  Hashtbl.replace m.deleted i.id ();
   record m (Delete { id = i.id })
 
 let hoist_instr (m : t) (i : Ir.instr) ~(from_block : string) ~(to_block : string) : unit =
@@ -107,9 +99,7 @@ let sink_instr (m : t) (i : Ir.instr) ~(from_block : string) ~(to_block : string
 let replace_all_uses (m : t) ~(old_value : Ir.value) ~(new_value : Ir.value) : unit =
   Telemetry.bump m.tel stat_replace;
   (match old_value with
-  | Ir.Reg r ->
-      Hashtbl.replace m.repl_fwd r new_value;
-      m.alias_rev <- None
+  | Ir.Reg r -> Hashtbl.replace m.repl_fwd r new_value
   | Ir.Const _ | Ir.Undef -> ());
   record m (Replace { old_value; new_value; inst = None })
 
@@ -120,7 +110,6 @@ let replace_use_in (m : t) ~(inst : Ir.instr) ~(old_value : Ir.value) ~(new_valu
 
 (* --- queries used by the OSR layer ---------------------------------- *)
 
-let is_deleted (m : t) (id : int) : bool = Hashtbl.mem m.deleted id
 let is_added (m : t) (id : int) : bool = Hashtbl.mem m.added id
 
 (** Resolve the replacement chain of a base-side register: the value that
@@ -139,36 +128,21 @@ let resolve_replacement (m : t) (r : Ir.reg) : Ir.value option =
   in
   match Hashtbl.find_opt m.repl_fwd r with Some v -> Some (follow v 64) | None -> None
 
-(** Base-side registers equivalent to the given optimized-side register —
-    the implicit aliasing information captured from replace actions
-    (Section 5.4): [r] itself plus every base register whose replacement
-    chain ends at [r]. *)
-let base_aliases_of (m : t) (r : Ir.reg) : Ir.reg list =
-  let rev =
-    match m.alias_rev with
-    | Some h -> h
-    | None ->
-        (* One scan of the replacement table inverts every resolved chain
-           at once; per-register queries are then O(answer). *)
-        let h = Hashtbl.create (max 16 (Hashtbl.length m.repl_fwd)) in
-        Hashtbl.iter
-          (fun old _ ->
-            match resolve_replacement m old with
-            | Some (Ir.Reg r') when not (String.equal old r') ->
-                Hashtbl.replace h r'
-                  (old :: Option.value ~default:[] (Hashtbl.find_opt h r'))
-            | _ -> ())
-          m.repl_fwd;
-        m.alias_rev <- Some h;
-        h
-  in
-  Option.value ~default:[] (Hashtbl.find_opt rev r) @ [ r ]
-
-(** Force the alias-inverse memo.  Queries on a primed mapper whose
-    replacement table no longer grows are read-only, which is what lets
-    the parallel sweep share one mapper across domains. *)
-let prime_aliases (m : t) : unit =
-  if m.alias_rev = None then ignore (base_aliases_of m "" : Ir.reg list)
+(** The inverse of the resolved replacement chains: surviving register →
+    the base registers that collapsed onto it (CSE kept it, deleted them)
+    — the implicit aliasing information captured from replace actions
+    (Section 5.4).  One scan of the replacement table; the OSR context
+    builds it once, when the history no longer grows. *)
+let alias_inverse (m : t) : (Ir.reg, Ir.reg list) Hashtbl.t =
+  let h = Hashtbl.create (max 16 (Hashtbl.length m.repl_fwd)) in
+  Hashtbl.iter
+    (fun old _ ->
+      match resolve_replacement m old with
+      | Some (Ir.Reg r') when not (String.equal old r') ->
+          Hashtbl.replace h r' (old :: Option.value ~default:[] (Hashtbl.find_opt h r'))
+      | _ -> ())
+    m.repl_fwd;
+  h
 
 (** Count of each primitive action kind, for Table 2. *)
 type counts = { add : int; delete : int; hoist : int; sink : int; replace : int }
@@ -192,7 +166,6 @@ let actions_in_order (m : t) : action list = List.rev m.actions
 
 type snapshot = {
   s_actions : action list;
-  s_deleted : (int, unit) Hashtbl.t;
   s_added : (int, unit) Hashtbl.t;
   s_moved : (int, string * string) Hashtbl.t;
   s_repl_fwd : (string, Ir.value) Hashtbl.t;
@@ -203,7 +176,6 @@ type snapshot = {
 let snapshot (m : t) : snapshot =
   {
     s_actions = m.actions;
-    s_deleted = Hashtbl.copy m.deleted;
     s_added = Hashtbl.copy m.added;
     s_moved = Hashtbl.copy m.moved;
     s_repl_fwd = Hashtbl.copy m.repl_fwd;
@@ -218,8 +190,6 @@ let restore (m : t) (s : snapshot) : unit =
     Hashtbl.reset dst;
     Hashtbl.iter (Hashtbl.replace dst) src
   in
-  refill m.deleted s.s_deleted;
   refill m.added s.s_added;
   refill m.moved s.s_moved;
-  refill m.repl_fwd s.s_repl_fwd;
-  m.alias_rev <- None
+  refill m.repl_fwd s.s_repl_fwd

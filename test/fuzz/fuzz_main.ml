@@ -233,8 +233,7 @@ let () =
   in
   let tallies =
     Parallel.Pool.with_pool ~jobs:!jobs (fun pool ->
-        Parallel.Pool.run pool ~chunk:8 ~scratch:(fun () -> ()) (fun () i -> run_iteration i)
-          !iters)
+        Parallel.Pool.run pool ~chunk:8 run_iteration !iters)
   in
   let total = fresh_tally () in
   Array.iter

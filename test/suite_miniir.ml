@@ -293,26 +293,26 @@ let prop_liveness_agrees_with_reference =
   QCheck.Test.make ~count:150 ~name:"bitset liveness agrees with reference"
     Gen_ir.arb_func (fun (f : Ir.func) ->
       let lv = Liveness.compute f in
-      let oracle = Liveness.Reference.compute f in
+      let oracle = Ref_miniir.Liveness.compute f in
       let regs = "nonexistent" :: all_regs f in
       List.for_all
         (fun p ->
           let got = Liveness.live_at lv p in
-          let want = Liveness.Reference.live_at oracle p in
+          let want = Ref_miniir.Liveness.live_at oracle p in
           if got <> want then
             QCheck.Test.fail_reportf "live_at %d: [%s] vs reference [%s]\n%s" p
               (String.concat " " got) (String.concat " " want) (Ir.func_to_string f)
           else
             List.for_all
               (fun r ->
-                Liveness.is_live lv p r = Liveness.Reference.is_live oracle p r
+                Liveness.is_live lv p r = Ref_miniir.Liveness.is_live oracle p r
                 || QCheck.Test.fail_reportf "is_live %d %s disagrees" p r)
               regs)
         (all_points f)
       && List.for_all
            (fun (b : Ir.block) ->
              Liveness.live_out_of lv b.label
-             = Liveness.Reference.live_out_of oracle b.label
+             = Ref_miniir.Liveness.live_out_of oracle b.label
              || QCheck.Test.fail_reportf "live_out_of %s disagrees" b.label)
            f.blocks)
 
@@ -320,7 +320,7 @@ let prop_func_index_consistent =
   QCheck.Test.make ~count:150 ~name:"Func_index agrees with linear lookups"
     Gen_ir.arb_func (fun (f : Ir.func) ->
       let idx = Miniir.Func_index.make f in
-      (match Miniir.Func_index.check idx with
+      (match Ref_miniir.Func_index.check idx with
       | Ok () -> ()
       | Error msg -> QCheck.Test.fail_reportf "Func_index.check: %s" msg);
       List.for_all

@@ -3,7 +3,7 @@
     lowest-index error after the batch drains (no hang, pool reusable),
     buffered telemetry merges deterministically, and the pooled
     feasibility sweep is byte-equal to the sequential one at any domain
-    count. *)
+    count, on every kernel. *)
 
 module T = Telemetry
 module Pool = Parallel.Pool
@@ -25,35 +25,20 @@ let fake_clock () =
 
 let test_results_in_order () =
   Pool.with_pool ~jobs:3 @@ fun pool ->
-  let r = Pool.run pool ~chunk:4 ~scratch:(fun () -> ()) (fun () i -> (7 * i) + 1) 100 in
+  let r = Pool.run pool ~chunk:4 (fun i -> (7 * i) + 1) 100 in
   Alcotest.(check int) "slot count" 100 (Array.length r);
   Array.iteri
     (fun i v -> Alcotest.(check int) (Printf.sprintf "slot %d" i) ((7 * i) + 1) v)
     r;
-  let empty = Pool.run pool ~scratch:(fun () -> ()) (fun () i -> i) 0 in
+  let empty = Pool.run pool (fun i -> i) 0 in
   Alcotest.(check int) "empty batch" 0 (Array.length empty)
-
-let test_scratch_per_domain () =
-  (* With one domain the single scratch value must thread through every
-     task in index order — the inline path is exactly a sequential fold. *)
-  (Pool.with_pool ~jobs:1 @@ fun pool ->
-   let r = Pool.run pool ~scratch:(fun () -> ref 0) (fun s _ -> incr s; !s) 8 in
-   Alcotest.(check (array int)) "j=1: one scratch, sequential" [| 1; 2; 3; 4; 5; 6; 7; 8 |] r);
-  (* With several domains each sees its own counter: values stay positive
-     and within the batch size, and a domain's tasks still see its scratch
-     grow monotonically per chunk. *)
-  Pool.with_pool ~jobs:4 @@ fun pool ->
-  let r = Pool.run pool ~chunk:2 ~scratch:(fun () -> ref 0) (fun s _ -> incr s; !s) 32 in
-  Array.iter (fun v -> Alcotest.(check bool) "scratch count sane" true (v >= 1 && v <= 32)) r
 
 exception Boom of int
 
 let test_error_propagates_lowest_and_pool_survives () =
   Pool.with_pool ~jobs:4 @@ fun pool ->
   (match
-     Pool.run pool ~chunk:2 ~scratch:(fun () -> ())
-       (fun () i -> if i = 33 || i = 17 then raise (Boom i) else i)
-       50
+     Pool.run pool ~chunk:2 (fun i -> if i = 33 || i = 17 then raise (Boom i) else i) 50
    with
   | _ -> Alcotest.fail "expected Task_failed"
   | exception Pool.Task_failed { index; exn; _ } ->
@@ -62,13 +47,13 @@ let test_error_propagates_lowest_and_pool_survives () =
       | Boom 17 -> ()
       | _ -> Alcotest.fail "wrong payload exception"));
   (* The batch drained and the pool is reusable: the next batch runs. *)
-  let r = Pool.run pool ~scratch:(fun () -> ()) (fun () i -> i * i) 10 in
+  let r = Pool.run pool (fun i -> i * i) 10 in
   Alcotest.(check int) "pool survives a failing batch" 81 r.(9)
 
 let test_error_jobs1_same_contract () =
   Pool.with_pool ~jobs:1 @@ fun pool ->
   match
-    Pool.run pool ~scratch:(fun () -> ()) (fun () i -> if i >= 3 then raise (Boom i) else i) 9
+    Pool.run pool (fun i -> if i >= 3 then raise (Boom i) else i) 9
   with
   | _ -> Alcotest.fail "expected Task_failed"
   | exception Pool.Task_failed { index; _ } ->
@@ -104,50 +89,63 @@ let test_fork_of_null_is_free () =
 
 (* -------------------- the pooled drivers -------------------- *)
 
-let kernel () =
-  let e = List.hd Corpus.Kernels.all in
-  let fbase, _ = Corpus.Dsl.to_fbase e.kernel in
-  P.apply fbase
+(* One sweep of [ctx] under a fresh live sink: the summary, the merged
+   counters, the remarks and the trace. *)
+let sweep ?pool (ctx : Ctx.t) =
+  T.reset_counters ();
+  let sink = T.create ~clock:(fake_clock ()) () in
+  let s = F.analyze ~telemetry:sink ?pool ctx in
+  (s, T.counters_json (), List.map T.remark_to_string (T.remarks sink), T.trace_events sink)
 
+(* Every kernel, both directions: one context per direction, swept inline
+   and then by pools of 2 and 4 domains.  The pooled sweeps share that
+   context across their domains, and running all three over the same value
+   also shows the context keeps no query-time state: an earlier sweep
+   cannot change what a later one sees. *)
 let test_sweep_differential () =
-  let r = kernel () in
-  let mk dir () = Ctx.make ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper dir in
-  Pool.with_pool ~jobs:4 @@ fun pool ->
-  List.iter
-    (fun dir ->
-      T.reset_counters ();
-      let seq_sink = T.create ~clock:(fake_clock ()) () in
-      let s_seq = F.analyze ~telemetry:seq_sink (mk dir ()) in
-      (* The pooled sweep cuts the point list into 64-point slices; at
-         least one per domain keeps the multi-slice merge exercised. *)
-      Alcotest.(check bool)
-        "at least one 64-point slice per domain" true
-        ((s_seq.F.total_points + 63) / 64 >= Pool.jobs pool);
-      let seq_counters = T.counters_json () in
-      T.reset_counters ();
-      let par_sink = T.create ~clock:(fake_clock ()) () in
-      let s_par = F.analyze ~telemetry:par_sink ~pool (mk dir ()) in
-      let par_counters = T.counters_json () in
-      Alcotest.(check bool) "reports byte-equal" true (s_seq = s_par);
-      Alcotest.(check string) "merged counters byte-equal" seq_counters par_counters;
-      Alcotest.(check (list string))
-        "remarks byte-equal, in point order"
-        (List.map T.remark_to_string (T.remarks seq_sink))
-        (List.map T.remark_to_string (T.remarks par_sink));
-      (* Under a deterministic clock the whole trace matches too: pooled
-         chunks record no spans of their own, so both runs contain exactly
-         the spans of the sequential sweep. *)
-      Alcotest.(check bool)
-        "trace events byte-equal under deterministic clocks" true
-        (T.trace_events seq_sink = T.trace_events par_sink))
-    [ Ctx.Base_to_opt; Ctx.Opt_to_base ];
+  Pool.with_pool ~jobs:2 @@ fun pool2 ->
+  Pool.with_pool ~jobs:4 @@ fun pool4 ->
+  List.iteri
+    (fun k (e : Corpus.Kernels.entry) ->
+      let r = P.apply (fst (Corpus.Dsl.to_fbase e.kernel)) in
+      let fwd, bwd = Ctx.make_pair ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper () in
+      List.iter
+        (fun (dir, ctx) ->
+          let what = Printf.sprintf "%s %s" e.benchmark dir in
+          let ((s_seq, seq_counters, seq_remarks, seq_trace) as seq) = sweep ctx in
+          (* The pooled sweep cuts the point list into 64-point slices; on
+             the first kernel, at least one per domain keeps the
+             multi-slice merge exercised. *)
+          if k = 0 then
+            Alcotest.(check bool)
+              (what ^ ": at least one 64-point slice per domain") true
+              ((s_seq.F.total_points + 63) / 64 >= Pool.jobs pool4);
+          List.iter
+            (fun pool ->
+              let s_par, par_counters, par_remarks, par_trace = sweep ~pool ctx in
+              let what = Printf.sprintf "%s j=%d" what (Pool.jobs pool) in
+              Alcotest.(check bool) (what ^ ": reports byte-equal") true (s_seq = s_par);
+              Alcotest.(check string)
+                (what ^ ": merged counters byte-equal") seq_counters par_counters;
+              Alcotest.(check (list string))
+                (what ^ ": remarks byte-equal, in point order") seq_remarks par_remarks;
+              (* Under a deterministic clock the whole trace matches too:
+                 pooled chunks record no spans of their own, so both runs
+                 contain exactly the spans of the sequential sweep. *)
+              Alcotest.(check bool)
+                (what ^ ": trace events byte-equal under deterministic clocks") true
+                (seq_trace = par_trace))
+            [ pool2; pool4 ];
+          Alcotest.(check bool) (what ^ ": a second inline sweep is identical") true
+            (sweep ctx = seq))
+        [ ("fwd", fwd); ("bwd", bwd) ])
+    Corpus.Kernels.all;
   T.reset_counters ()
 
 let suite =
   ( "parallel",
     [
       Alcotest.test_case "pool: results in task order" `Quick test_results_in_order;
-      Alcotest.test_case "pool: per-domain scratch" `Quick test_scratch_per_domain;
       Alcotest.test_case "pool: lowest error propagates, pool survives" `Quick
         test_error_propagates_lowest_and_pool_survives;
       Alcotest.test_case "pool: jobs=1 error contract" `Quick test_error_jobs1_same_contract;

@@ -17,4 +17,5 @@ let () =
       Suite_parallel.suite;
       Suite_robustness.suite;
       Suite_front.suite;
+      Suite_sweep.suite;
     ]
