@@ -162,6 +162,17 @@ let has_side_effects (r : rhs) : bool =
     compensation code, CSE-able, dead-code-removable). *)
 let is_pure_call (name : string) = List.mem name [ "abs"; "min"; "max"; "clz"; "hash" ]
 
+(** Can evaluating this rhs trap?  Division and remainder can (by zero),
+    and so can a shift whose amount is not a constant in [\[0, 62\]] — the
+    range both engines evaluate.  Code motion must not make such an rhs
+    run where it did not, nor skip it where it ran. *)
+let may_trap (r : rhs) : bool =
+  match r with
+  | Binop ((Sdiv | Srem), _, _) -> true
+  | Binop ((Shl | Lshr | Ashr), _, Const k) -> k < 0 || k > 62
+  | Binop ((Shl | Lshr | Ashr), _, (Reg _ | Undef)) -> true
+  | Binop _ | Icmp _ | Select _ | Call _ | Alloca _ | Load _ | Store _ | Phi _ -> false
+
 (** May this rhs be re-executed freely at a different program point given an
     unchanged memory state?  Loads additionally need the no-intervening-store
     analysis done by the OSR layer. *)

@@ -144,7 +144,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
     (fun (b : Ir.block) ->
       let rewrite_instr (i : Ir.instr) : Ir.instr list =
         (* Loads for demoted operands (φ-nodes excepted: their reads happen
-           at the edge and the incoming value is rewritten below). *)
+           at the edge, and their incomings keep the registers). *)
         let loads = ref [] in
         let fix v =
           match v with
@@ -168,29 +168,10 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
         in
         List.rev !loads @ [ i ] @ stores
       in
-      (* φ-node incomings and results. *)
+      (* φ-node results of demoted registers are stored to their slots. *)
       let phi_stores = ref [] in
       List.iter
         (fun (i : Ir.instr) ->
-          (match i.rhs with
-          | Ir.Phi incoming ->
-              i.rhs <-
-                Ir.Phi
-                  (List.map
-                     (fun (l, v) ->
-                       match v with
-                       | Ir.Reg r when List.mem r demoted ->
-                           (* The value is re-read at the edge via the pred's
-                              terminator — demoted reads must happen in the
-                              predecessor.  Simplest sound fix: read the slot
-                              here is illegal (φ has no body), so instead we
-                              keep the φ reading the original register when
-                              its definition still dominates the edge;
-                              otherwise the slot load goes into the pred. *)
-                           (l, Ir.Reg r)
-                       | _ -> (l, v))
-                     incoming)
-          | _ -> ());
           match i.result with
           | Some r when List.mem r demoted ->
               phi_stores :=

@@ -12,7 +12,7 @@ open Import
     {!make_side}.  The context also builds, once, the cross-point tables
     that make the per-point feasibility sweep near-linear: the landing
     point of every source point (one backward scan per block), the
-    mapper's alias inverse, and the interned candidate list of every
+    mapper's query index, and the interned candidate list of every
     destination register.  Nothing is written after {!make} or
     {!make_pair} returns, so one context serves any number of domains at
     once; reuse within one point lives in the per-point state of
@@ -88,11 +88,10 @@ let make_side (f : Ir.func) : side =
 type t = {
   fbase : Ir.func;
   fopt : Ir.func;
-  mapper : Code_mapper.t;
+  mapping : Code_mapper.index;  (** the mapper's log, replayed once *)
   direction : direction;
   src : side;  (** where execution currently is *)
   dst : side;  (** where execution lands *)
-  aliases : (Ir.reg, Ir.reg list) Hashtbl.t;  (** {!Code_mapper.alias_inverse} *)
   landing : (int, int) Hashtbl.t;
       (** source point → landing anchor; absent key = no landing *)
   cands : (Ir.reg, cand list) Hashtbl.t;
@@ -101,7 +100,7 @@ type t = {
 }
 
 (** Has instruction [id] been moved between blocks by the optimizer? *)
-let is_moved (t : t) (id : int) : bool = Hashtbl.mem t.mapper.moved id
+let is_moved (t : t) (id : int) : bool = Code_mapper.is_moved t.mapping id
 
 (* ------------------------------------------------------------------ *)
 (* Point correspondence (Δ)                                             *)
@@ -191,11 +190,12 @@ let search ~(use_aliases : bool) (t : t) (x' : Ir.reg) : cand list =
              the same value (CSE kept x', deleted them). *)
           List.filter_map
             (fun alias -> if in_src_frame t alias then Some (Ir.Reg alias) else None)
-            (Option.value ~default:[] (Hashtbl.find_opt t.aliases x'))
+            (Option.value ~default:[]
+               (Hashtbl.find_opt (Code_mapper.alias_inverse t.mapping) x'))
       | Opt_to_base -> (
           (* x' is a base register; its replacement tells us what holds
              the value in the optimized code. *)
-          match Code_mapper.resolve_replacement t.mapper x' with
+          match Code_mapper.resolve_replacement t.mapping x' with
           | Some (Ir.Const c) -> [ Ir.Const c ]
           | Some (Ir.Reg r') when in_src_frame t r' -> [ Ir.Reg r' ]
           | Some _ | None -> [])
@@ -226,9 +226,8 @@ let source_candidates ?(use_aliases = true) (t : t) (x' : Ir.reg) : Ir.value lis
 (* Construction                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let of_sides ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Code_mapper.t)
-    ~(aliases : (Ir.reg, Ir.reg list) Hashtbl.t) ~(base_side : side) ~(opt_side : side)
-    (direction : direction) : t =
+let of_sides ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapping : Code_mapper.index)
+    ~(base_side : side) ~(opt_side : side) (direction : direction) : t =
   let src, dst =
     match direction with
     | Base_to_opt -> (base_side, opt_side)
@@ -238,11 +237,10 @@ let of_sides ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Code_mapper.t)
     {
       fbase;
       fopt;
-      mapper;
+      mapping;
       direction;
       src;
       dst;
-      aliases;
       landing = Hashtbl.create (Hashtbl.length src.positions);
       cands = Hashtbl.create (Hashtbl.length dst.defs + List.length dst.func.params);
     }
@@ -255,18 +253,18 @@ let of_sides ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Code_mapper.t)
     context is in use (contexts are built over finished pipeline results). *)
 let make ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Code_mapper.t)
     (direction : direction) : t =
-  of_sides ~fbase ~fopt ~mapper ~aliases:(Code_mapper.alias_inverse mapper)
-    ~base_side:(make_side fbase) ~opt_side:(make_side fopt) direction
+  of_sides ~fbase ~fopt ~mapping:(Code_mapper.index mapper) ~base_side:(make_side fbase)
+    ~opt_side:(make_side fopt) direction
 
 (** Both directions over one pair of side analyses: the forward and
     backward sweeps see the same two functions, so dominators, liveness,
-    loops, the index and the alias inverse are computed once instead of
-    twice. *)
+    loops, the index and the mapper's query index are computed once
+    instead of twice. *)
 let make_pair ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Code_mapper.t) () : t * t =
   let base_side = make_side fbase and opt_side = make_side fopt in
-  let aliases = Code_mapper.alias_inverse mapper in
-  ( of_sides ~fbase ~fopt ~mapper ~aliases ~base_side ~opt_side Base_to_opt,
-    of_sides ~fbase ~fopt ~mapper ~aliases ~base_side ~opt_side Opt_to_base )
+  let mapping = Code_mapper.index mapper in
+  ( of_sides ~fbase ~fopt ~mapping ~base_side ~opt_side Base_to_opt,
+    of_sides ~fbase ~fopt ~mapping ~base_side ~opt_side Opt_to_base )
 
 (* ------------------------------------------------------------------ *)
 (* Per-point queries                                                    *)
@@ -332,9 +330,9 @@ let reexec_consistent (t : t) ~(def_id : int) ~(landing : int) : bool =
     | _ :: _, [] -> false
     | x :: a', y :: b' -> if x = y then subset a' b else x > y && subset a b'
   in
-  let loops_of block = Option.value ~default:[] (Hashtbl.find_opt t.dst.loop_ids block) in
+  let ids_of block = Option.value ~default:[] (Hashtbl.find_opt t.dst.loop_ids block) in
   match (Hashtbl.find_opt t.dst.owner def_id, Hashtbl.find_opt t.dst.owner landing) with
-  | Some def_block, Some landing_block -> subset (loops_of def_block) (loops_of landing_block)
+  | Some def_block, Some landing_block -> subset (ids_of def_block) (ids_of landing_block)
   | _, _ -> false
 
 let live_in_src (t : t) ~(src_point : int) (v : Ir.value) : bool =

@@ -11,10 +11,9 @@ module ISet = Set.Make (Int)
 let stat_deleted =
   Telemetry.counter ~group:"adce" "deleted" ~desc:"dead instructions removed"
 
-let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : Ir.func) :
-    bool =
-  let tel = match mapper with Some m -> Code_mapper.telemetry m | None -> Telemetry.null in
-  let def_tbl = (Analysis_manager.index_of ?am f).Func_index.defs in
+let run (m : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
+  let tel = Code_mapper.telemetry m in
+  let def_tbl = (Analysis_manager.index am f).Func_index.defs in
   let live = ref ISet.empty in
   let worklist = Queue.create () in
   let mark_reg r =
@@ -48,7 +47,7 @@ let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : 
       let keep (i : Ir.instr) =
         let k = ISet.mem i.id !live in
         if not k then begin
-          Option.iter (fun m -> Code_mapper.delete_instr m i) mapper;
+          Code_mapper.delete_instr m i;
           Telemetry.bump tel stat_deleted;
           Telemetry.remark tel ~pass:"ADCE" ~func:f.fname ~block:b.label ~instr:i.id
             (fun () ->

@@ -1,12 +1,12 @@
 open Import
 
 (** The analysis manager: memoizes the function-level analyses
-    ([Func_index], dominators, liveness, natural loops) for one function
-    version, with explicit invalidation.  Mirrors (in miniature) LLVM's
+    ([Func_index], dominators, natural loops) for one function version,
+    with explicit invalidation.  Mirrors (in miniature) LLVM's
     analysis-manager/pass-preservation contract:
 
-    - a pass asks for an analysis with {!index} / {!dom} / {!liveness} /
-      {!loops}; the manager computes it at most once per function version;
+    - a pass asks for an analysis with {!index} / {!dom} / {!loops}; the
+      manager computes it at most once per function version;
     - every pass declares which analyses it {e preserves} when it changes
       the function (see {!Pass_manager.pass}); after a changing pass run
       the pass manager calls {!invalidate} with that list and the manager
@@ -18,7 +18,7 @@ open Import
     tracks one function version at a time, which is all the pipeline
     needs). *)
 
-type analysis = Index | Dominators | Liveness | Loops
+type analysis = Index | Dominators | Loops
 
 (** CFG-shape-preserving passes (no block or edge changes) keep dominators
     and loop structure valid even while they add, delete, move or rewrite
@@ -30,7 +30,6 @@ type t = {
   mutable func : Ir.func option;  (** the function the cache is valid for *)
   mutable index : Func_index.t option;
   mutable dom : Dom.t option;
-  mutable live : Liveness.t option;
   mutable loops : Loops.t option;
 }
 
@@ -48,9 +47,6 @@ and miss_index = stat_miss "index"
 let hit_dom = stat_hit "dom"
 and miss_dom = stat_miss "dom"
 
-let hit_live = stat_hit "liveness"
-and miss_live = stat_miss "liveness"
-
 let hit_loops = stat_hit "loops"
 and miss_loops = stat_miss "loops"
 
@@ -59,12 +55,11 @@ let stat_invalidated =
     ~desc:"cached analyses dropped after a changing pass"
 
 let create ?(telemetry = Telemetry.null) () : t =
-  { tel = telemetry; func = None; index = None; dom = None; live = None; loops = None }
+  { tel = telemetry; func = None; index = None; dom = None; loops = None }
 
 let clear (t : t) : unit =
   t.index <- None;
   t.dom <- None;
-  t.live <- None;
   t.loops <- None
 
 (* Retarget the cache when asked about a different function. *)
@@ -99,18 +94,6 @@ let dom (t : t) (f : Ir.func) : Dom.t =
       t.dom <- Some d;
       d
 
-let liveness (t : t) (f : Ir.func) : Liveness.t =
-  bind t f;
-  match t.live with
-  | Some l ->
-      Telemetry.bump t.tel hit_live;
-      l
-  | None ->
-      Telemetry.bump t.tel miss_live;
-      let l = Liveness.compute ~index:(index t f) f in
-      t.live <- Some l;
-      l
-
 let loops (t : t) (f : Ir.func) : Loops.t =
   bind t f;
   match t.loops with
@@ -122,19 +105,6 @@ let loops (t : t) (f : Ir.func) : Loops.t =
       let l = Loops.compute ~index:(index t f) ~dom:(dom t f) f in
       t.loops <- Some l;
       l
-
-(* Convenience entry points for passes taking an optional manager: with a
-   manager they hit the cache, without one they compute from scratch
-   (standalone pass invocations in tests keep working unchanged). *)
-
-let index_of ?(am : t option) (f : Ir.func) : Func_index.t =
-  match am with Some t -> index t f | None -> Func_index.make f
-
-let dom_of ?(am : t option) (f : Ir.func) : Dom.t =
-  match am with Some t -> dom t f | None -> Dom.compute f
-
-let loops_of ?(am : t option) (f : Ir.func) : Loops.t =
-  match am with Some t -> loops t f | None -> Loops.compute f
 
 (** Drop every cached analysis not in [preserved].  Called by the pass
     manager after a pass reports it changed the function. *)
@@ -150,5 +120,4 @@ let invalidate ?(preserved : analysis list = []) (t : t) : unit =
   in
   if not (keep Index) then t.index <- drop t.index;
   if not (keep Dominators) then t.dom <- drop t.dom;
-  if not (keep Liveness) then t.live <- drop t.live;
   if not (keep Loops) then t.loops <- drop t.loops

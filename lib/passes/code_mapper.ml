@@ -1,8 +1,8 @@
 open Import
 
-(** The CodeMapper: records the five primitive IR-manipulation actions of
-    Section 5.1 while a pass transforms a cloned function, and answers the
-    queries the OSR machinery needs afterwards:
+(** The CodeMapper: an append-only log of the five primitive
+    IR-manipulation actions of Section 5.1, recorded while the passes
+    transform a cloned function:
 
     {ol
     {- [add(inst, loc)] — a new instruction was inserted}
@@ -13,7 +13,9 @@ open Import
 
     Because clones preserve instruction ids and register names, the mapping
     between program points and variables of the two versions (the Δ and the
-    value map of Section 4.2/5.1) falls out of this action history. *)
+    value map of Section 4.2/5.1) falls out of this history.  The log keeps
+    no derived state: the OSR layer replays a finished log once into an
+    {!index} and asks its queries there. *)
 
 type action =
   | Add of { id : int; block : string }
@@ -22,13 +24,6 @@ type action =
   | Sink of { id : int; from_block : string; to_block : string }
   | Replace of { old_value : Ir.value; new_value : Ir.value; inst : int option }
       (** [inst = None] means all uses were rewritten *)
-
-let action_kind = function
-  | Add _ -> `Add
-  | Delete _ -> `Delete
-  | Hoist _ -> `Hoist
-  | Sink _ -> `Sink
-  | Replace _ -> `Replace
 
 (* Statistics for Table 1/2 consumers and `--stats`: one counter per
    primitive action kind (the LLVM Statistic analogue). *)
@@ -46,23 +41,9 @@ let stat_replace = Telemetry.counter ~group:"mapper" "replace" ~desc:"operand us
 type t = {
   tel : Telemetry.sink;  (** where action statistics and pass remarks go *)
   mutable actions : action list;  (** most recent first *)
-  added : (int, unit) Hashtbl.t;
-  moved : (int, string * string) Hashtbl.t;  (** id → (original block, current block) *)
-  (* Value equivalences from replace actions: maps an optimized-side value
-     to base-side values it stands for, and vice versa.  Chains are
-     resolved at query time. *)
-  repl_fwd : (string, Ir.value) Hashtbl.t;  (** base reg → value it was replaced by *)
 }
 
-let create ?(telemetry = Telemetry.null) () : t =
-  {
-    tel = telemetry;
-    actions = [];
-    added = Hashtbl.create 16;
-    moved = Hashtbl.create 16;
-    repl_fwd = Hashtbl.create 32;
-  }
-
+let create ?(telemetry = Telemetry.null) () : t = { tel = telemetry; actions = [] }
 let record (m : t) (a : action) : unit = m.actions <- a :: m.actions
 
 (** The sink this mapper reports to — how passes, which already receive the
@@ -73,7 +54,6 @@ let telemetry (m : t) : Telemetry.sink = m.tel
 
 let add_instr (m : t) (i : Ir.instr) ~(block : string) : unit =
   Telemetry.bump m.tel stat_add;
-  Hashtbl.replace m.added i.id ();
   record m (Add { id = i.id; block })
 
 let delete_instr (m : t) (i : Ir.instr) : unit =
@@ -82,114 +62,122 @@ let delete_instr (m : t) (i : Ir.instr) : unit =
 
 let hoist_instr (m : t) (i : Ir.instr) ~(from_block : string) ~(to_block : string) : unit =
   Telemetry.bump m.tel stat_hoist;
-  let orig =
-    match Hashtbl.find_opt m.moved i.id with Some (o, _) -> o | None -> from_block
-  in
-  Hashtbl.replace m.moved i.id (orig, to_block);
   record m (Hoist { id = i.id; from_block; to_block })
 
 let sink_instr (m : t) (i : Ir.instr) ~(from_block : string) ~(to_block : string) : unit =
   Telemetry.bump m.tel stat_sink;
-  let orig =
-    match Hashtbl.find_opt m.moved i.id with Some (o, _) -> o | None -> from_block
-  in
-  Hashtbl.replace m.moved i.id (orig, to_block);
   record m (Sink { id = i.id; from_block; to_block })
 
-let replace_all_uses (m : t) ~(old_value : Ir.value) ~(new_value : Ir.value) : unit =
+(** Rewrite every use of [old_value] in [f] — instruction operands and
+    terminators alike — to [new_value], and record the replace. *)
+let replace_all_uses (m : t) (f : Ir.func) ~(old_value : Ir.value) ~(new_value : Ir.value) :
+    unit =
   Telemetry.bump m.tel stat_replace;
-  (match old_value with
-  | Ir.Reg r -> Hashtbl.replace m.repl_fwd r new_value
-  | Ir.Const _ | Ir.Undef -> ());
-  record m (Replace { old_value; new_value; inst = None })
+  record m (Replace { old_value; new_value; inst = None });
+  let subst v = if Ir.equal_value v old_value then new_value else v in
+  List.iter
+    (fun (b : Ir.block) ->
+      List.iter (fun (j : Ir.instr) -> j.rhs <- Ir.map_rhs_operands subst j.rhs) (Ir.block_instrs b);
+      b.term <- Ir.map_term_operands subst b.term)
+    f.blocks
 
+(** Record that the caller rewrote the uses in one instruction. *)
 let replace_use_in (m : t) ~(inst : Ir.instr) ~(old_value : Ir.value) ~(new_value : Ir.value) :
     unit =
   Telemetry.bump m.tel stat_replace;
   record m (Replace { old_value; new_value; inst = Some inst.id })
 
-(* --- queries used by the OSR layer ---------------------------------- *)
+let actions_in_order (m : t) : action list = List.rev m.actions
 
-let is_added (m : t) (id : int) : bool = Hashtbl.mem m.added id
+(* --- transactional snapshots (pass-pipeline sandboxing) -------------- *)
+
+(** A point in the history: the log as it stood.  The log only grows by
+    consing, so the head is the whole state. *)
+type snapshot = action list
+
+let snapshot (m : t) : snapshot = m.actions
+
+(** Roll the mapper back to [s]: the actions a misbehaving pass recorded
+    after the snapshot disappear from the history. *)
+let restore (m : t) (s : snapshot) : unit = m.actions <- s
+
+(* --- action counts (Tables 1 and 2) ---------------------------------- *)
+
+type counts = { add : int; delete : int; hoist : int; sink : int; replace : int }
+
+let tally (c : counts) : action -> counts = function
+  | Add _ -> { c with add = c.add + 1 }
+  | Delete _ -> { c with delete = c.delete + 1 }
+  | Hoist _ -> { c with hoist = c.hoist + 1 }
+  | Sink _ -> { c with sink = c.sink + 1 }
+  | Replace _ -> { c with replace = c.replace + 1 }
+
+let zero_counts = { add = 0; delete = 0; hoist = 0; sink = 0; replace = 0 }
+
+(** Count of each primitive action kind over the whole history. *)
+let counts (m : t) : counts = List.fold_left tally zero_counts m.actions
+
+(** Count of each kind over the actions recorded after [s] only. *)
+let counts_since (m : t) (s : snapshot) : counts =
+  let rec go c l =
+    if l == s then c else match l with [] -> c | a :: rest -> go (tally c a) rest
+  in
+  go zero_counts m.actions
+
+(* --- the query index the OSR layer builds once ------------------------ *)
+
+(** What the OSR layer asks of a finished history, from one replay of the
+    log in recording order. *)
+type index = {
+  moved : (int, unit) Hashtbl.t;  (** ids hoisted or sunk between blocks *)
+  repl : (Ir.reg, Ir.value) Hashtbl.t;
+      (** base register → the value its last all-uses replace put in its
+          place; chains are resolved at query time *)
+  aliases : (Ir.reg, Ir.reg list) Hashtbl.t;  (** see {!alias_inverse} *)
+}
 
 (** Resolve the replacement chain of a base-side register: the value that
     holds it in the optimized version ([None] if it was never replaced).
     CSE chains (a → b, b → c) resolve to the final survivor. *)
-let resolve_replacement (m : t) (r : Ir.reg) : Ir.value option =
+let resolve_replacement (ix : index) (r : Ir.reg) : Ir.value option =
   let rec follow v depth =
     if depth = 0 then v
     else
       match v with
       | Ir.Reg r' -> (
-          match Hashtbl.find_opt m.repl_fwd r' with
+          match Hashtbl.find_opt ix.repl r' with
           | Some v' -> follow v' (depth - 1)
           | None -> v)
       | Ir.Const _ | Ir.Undef -> v
   in
-  match Hashtbl.find_opt m.repl_fwd r with Some v -> Some (follow v 64) | None -> None
+  match Hashtbl.find_opt ix.repl r with Some v -> Some (follow v 64) | None -> None
 
 (** The inverse of the resolved replacement chains: surviving register →
     the base registers that collapsed onto it (CSE kept it, deleted them)
     — the implicit aliasing information captured from replace actions
-    (Section 5.4).  One scan of the replacement table; the OSR context
-    builds it once, when the history no longer grows. *)
-let alias_inverse (m : t) : (Ir.reg, Ir.reg list) Hashtbl.t =
-  let h = Hashtbl.create (max 16 (Hashtbl.length m.repl_fwd)) in
+    (Section 5.4). *)
+let alias_inverse (ix : index) : (Ir.reg, Ir.reg list) Hashtbl.t = ix.aliases
+
+let is_moved (ix : index) (id : int) : bool = Hashtbl.mem ix.moved id
+
+(** Replay the log into its {!index}.  Call it once the history no longer
+    grows; the OSR context does, at construction. *)
+let index (m : t) : index =
+  let moved = Hashtbl.create 16 and repl = Hashtbl.create 32 in
+  List.iter
+    (function
+      | Hoist { id; _ } | Sink { id; _ } -> Hashtbl.replace moved id ()
+      | Replace { old_value = Ir.Reg r; new_value; inst = None } ->
+          Hashtbl.replace repl r new_value
+      | Add _ | Delete _ | Replace _ -> ())
+    (actions_in_order m);
+  let ix = { moved; repl; aliases = Hashtbl.create (max 16 (Hashtbl.length repl)) } in
   Hashtbl.iter
     (fun old _ ->
-      match resolve_replacement m old with
+      match resolve_replacement ix old with
       | Some (Ir.Reg r') when not (String.equal old r') ->
-          Hashtbl.replace h r' (old :: Option.value ~default:[] (Hashtbl.find_opt h r'))
+          Hashtbl.replace ix.aliases r'
+            (old :: Option.value ~default:[] (Hashtbl.find_opt ix.aliases r'))
       | _ -> ())
-    m.repl_fwd;
-  h
-
-(** Count of each primitive action kind, for Table 2. *)
-type counts = { add : int; delete : int; hoist : int; sink : int; replace : int }
-
-let zero_counts = { add = 0; delete = 0; hoist = 0; sink = 0; replace = 0 }
-
-let counts (m : t) : counts =
-  List.fold_left
-    (fun c a ->
-      match action_kind a with
-      | `Add -> { c with add = c.add + 1 }
-      | `Delete -> { c with delete = c.delete + 1 }
-      | `Hoist -> { c with hoist = c.hoist + 1 }
-      | `Sink -> { c with sink = c.sink + 1 }
-      | `Replace -> { c with replace = c.replace + 1 })
-    zero_counts m.actions
-
-let actions_in_order (m : t) : action list = List.rev m.actions
-
-(* --- transactional snapshots (pass-pipeline sandboxing) -------------- *)
-
-type snapshot = {
-  s_actions : action list;
-  s_added : (int, unit) Hashtbl.t;
-  s_moved : (int, string * string) Hashtbl.t;
-  s_repl_fwd : (string, Ir.value) Hashtbl.t;
-}
-
-(** Capture the mapper's full state; O(|history|).  The action list is
-    immutable and shared, the index tables are copied. *)
-let snapshot (m : t) : snapshot =
-  {
-    s_actions = m.actions;
-    s_added = Hashtbl.copy m.added;
-    s_moved = Hashtbl.copy m.moved;
-    s_repl_fwd = Hashtbl.copy m.repl_fwd;
-  }
-
-(** Roll the mapper back to [s]: the actions a misbehaving pass recorded
-    after the snapshot disappear from the history and every derived
-    query. *)
-let restore (m : t) (s : snapshot) : unit =
-  m.actions <- s.s_actions;
-  let refill dst src =
-    Hashtbl.reset dst;
-    Hashtbl.iter (Hashtbl.replace dst) src
-  in
-  refill m.added s.s_added;
-  refill m.moved s.s_moved;
-  refill m.repl_fwd s.s_repl_fwd
+    repl;
+  ix

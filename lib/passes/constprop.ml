@@ -11,9 +11,8 @@ let stat_folded = Telemetry.counter ~group:"cp" "folded" ~desc:"constant instruc
 let stat_phi =
   Telemetry.counter ~group:"cp" "phi" ~desc:"single-value phi-nodes simplified"
 
-let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
-    (f : Ir.func) : bool =
-  let tel = match mapper with Some m -> Code_mapper.telemetry m | None -> Telemetry.null in
+let run (m : Code_mapper.t) (_ : Analysis_manager.t) (f : Ir.func) : bool =
+  let tel = Code_mapper.telemetry m in
   let changed = ref false in
   let continue_ = ref true in
   while !continue_ do
@@ -26,21 +25,11 @@ let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
       else
       match (Fold.fold_rhs i.rhs, i.result) with
       | Some n, Some r ->
-          let old_value = Ir.Reg r and new_value = Ir.Const n in
-          Option.iter (fun m -> Code_mapper.replace_all_uses m ~old_value ~new_value) mapper;
-          Option.iter (fun m -> Code_mapper.delete_instr m i) mapper;
+          Code_mapper.replace_all_uses m f ~old_value:(Ir.Reg r) ~new_value:(Ir.Const n);
+          Code_mapper.delete_instr m i;
           Telemetry.bump tel stat_folded;
           Telemetry.remark tel ~pass:"CP" ~func:f.fname ~block:b.label ~instr:i.id
             (fun () -> Printf.sprintf "folded %%%s to %d" r n);
-          (* Rewrite all uses, then remove the instruction. *)
-          let subst v = if Ir.equal_value v old_value then new_value else v in
-          List.iter
-            (fun (b' : Ir.block) ->
-              List.iter
-                (fun (j : Ir.instr) -> j.rhs <- Ir.map_rhs_operands subst j.rhs)
-                (Ir.block_instrs b');
-              b'.term <- Ir.map_term_operands subst b'.term)
-            f.blocks;
           b.body <- List.filter (fun (j : Ir.instr) -> j.id <> i.id) b.body;
           true
       | _ -> false
@@ -53,23 +42,12 @@ let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
       | Ir.Phi ((_, v0) :: rest), Some r
         when List.for_all (fun (_, v) -> Ir.equal_value v v0) rest
              && not (Ir.equal_value v0 (Ir.Reg r)) ->
-          let old_value = Ir.Reg r in
-          Option.iter
-            (fun m -> Code_mapper.replace_all_uses m ~old_value ~new_value:v0)
-            mapper;
-          Option.iter (fun m -> Code_mapper.delete_instr m i) mapper;
+          Code_mapper.replace_all_uses m f ~old_value:(Ir.Reg r) ~new_value:v0;
+          Code_mapper.delete_instr m i;
           Telemetry.bump tel stat_phi;
           Telemetry.remark tel ~pass:"CP" ~func:f.fname ~block:b.label ~instr:i.id
             (fun () ->
               Printf.sprintf "phi %%%s collapsed to %s" r (Ir.value_to_string v0));
-          let subst v = if Ir.equal_value v old_value then v0 else v in
-          List.iter
-            (fun (b' : Ir.block) ->
-              List.iter
-                (fun (j : Ir.instr) -> j.rhs <- Ir.map_rhs_operands subst j.rhs)
-                (Ir.block_instrs b');
-              b'.term <- Ir.map_term_operands subst b'.term)
-            f.blocks;
           b.phis <- List.filter (fun (j : Ir.instr) -> j.id <> i.id) b.phis;
           true
       | _ -> false

@@ -43,26 +43,16 @@ let rhs_key (rhs : Ir.rhs) : string option =
 let stat_expr = Telemetry.counter ~group:"cse" "expr" ~desc:"redundant pure expressions eliminated"
 let stat_load = Telemetry.counter ~group:"cse" "load" ~desc:"redundant loads forwarded"
 
-let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : Ir.func) :
-    bool =
-  let tel = match mapper with Some m -> Code_mapper.telemetry m | None -> Telemetry.null in
+let run (m : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
+  let tel = Code_mapper.telemetry m in
   let changed = ref false in
-  let dom = Analysis_manager.dom_of ?am f in
+  let dom = Analysis_manager.dom am f in
   let children = Mem2reg.dom_children dom in
   let blocks = Ir.block_table f in
   let avail : (string, Ir.value) Hashtbl.t = Hashtbl.create 64 in
   let avail_loads : (string, Ir.value * int) Hashtbl.t = Hashtbl.create 16 in
   (* address string → (value, generation) *)
   let generation = ref 0 in
-  let replace_everywhere old_value new_value =
-    let subst v = if Ir.equal_value v old_value then new_value else v in
-    List.iter
-      (fun (b : Ir.block) ->
-        List.iter (fun (j : Ir.instr) -> j.rhs <- Ir.map_rhs_operands subst j.rhs)
-          (Ir.block_instrs b);
-        b.term <- Ir.map_term_operands subst b.term)
-      f.blocks
-  in
   let rec walk (label : string) : unit =
     let blk = Hashtbl.find blocks label in
     (* Load facts are block-local; expression facts are scoped and undone
@@ -87,16 +77,12 @@ let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : 
               | Some (v, gen), Some r when gen = !generation ->
                   (* Available load (or store-forwarded value) from the
                      current generation: reuse it. *)
-                  Option.iter
-                    (fun m ->
-                      Code_mapper.replace_all_uses m ~old_value:(Ir.Reg r) ~new_value:v;
-                      Code_mapper.delete_instr m i)
-                    mapper;
+                  Code_mapper.replace_all_uses m f ~old_value:(Ir.Reg r) ~new_value:v;
+                  Code_mapper.delete_instr m i;
                   Telemetry.bump tel stat_load;
                   Telemetry.remark tel ~pass:"CSE" ~func:f.fname ~block:label ~instr:i.id
                     (fun () ->
                       Printf.sprintf "forwarded load %%%s from %s" r (Ir.value_to_string v));
-                  replace_everywhere (Ir.Reg r) v;
                   changed := true;
                   false
               | _, Some r ->
@@ -108,16 +94,12 @@ let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : 
               | Some key, Some r -> (
                   match Hashtbl.find_opt avail key with
                   | Some v ->
-                      Option.iter
-                        (fun m ->
-                          Code_mapper.replace_all_uses m ~old_value:(Ir.Reg r) ~new_value:v;
-                          Code_mapper.delete_instr m i)
-                        mapper;
+                      Code_mapper.replace_all_uses m f ~old_value:(Ir.Reg r) ~new_value:v;
+                      Code_mapper.delete_instr m i;
                       Telemetry.bump tel stat_expr;
                       Telemetry.remark tel ~pass:"CSE" ~func:f.fname ~block:label ~instr:i.id
                         (fun () ->
                           Printf.sprintf "%%%s subsumed by %s" r (Ir.value_to_string v));
-                      replace_everywhere (Ir.Reg r) v;
                       changed := true;
                       false
                   | None ->

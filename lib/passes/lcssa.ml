@@ -39,10 +39,9 @@ let outside_uses (f : Ir.func) ~(in_loop : string -> bool) : (Ir.reg, user list)
   Hashtbl.filter_map_inplace (fun _ us -> Some (List.rev us)) uses;
   uses
 
-let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : Ir.func) :
-    bool =
+let run (m : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
   let changed = ref false in
-  let loop_info = Analysis_manager.loops_of ?am f in
+  let loop_info = Analysis_manager.loops am f in
   (* φ insertion never adds or removes blocks or edges, so [loop_info.dom]
      and one index of the function serve every query below.  The index's
      def table is a snapshot: registers of the φs inserted here are not in
@@ -100,9 +99,7 @@ let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : 
                                if no outside use ends up rewritten below —
                                report the change or cached analyses go stale. *)
                             changed := true;
-                            Option.iter
-                              (fun m -> Code_mapper.add_instr m phi ~block:exit_label)
-                              mapper;
+                            Code_mapper.add_instr m phi ~block:exit_label;
                             (* Rewrite outside uses dominated by this exit.  A
                                later exit also records a [replace] for every
                                user it dominates, even one an earlier exit
@@ -125,11 +122,8 @@ let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : 
                                   (match u with
                                   | Term _ -> ub.term <- Ir.map_term_operands subst ub.term
                                   | Instr _ -> ui.rhs <- Ir.map_rhs_operands subst ui.rhs);
-                                  Option.iter
-                                    (fun m ->
-                                      Code_mapper.replace_use_in m ~inst:ui
-                                        ~old_value:(Ir.Reg r) ~new_value:(Ir.Reg phi_reg))
-                                    mapper;
+                                  Code_mapper.replace_use_in m ~inst:ui ~old_value:(Ir.Reg r)
+                                    ~new_value:(Ir.Reg phi_reg);
                                   changed := true
                                 end)
                               outside_users

@@ -6,7 +6,8 @@ open Import
 
     Safety rules:
     - side-effecting instructions, φ-nodes and allocas never move;
-    - possibly-trapping instructions (sdiv/srem) only move if their block
+    - possibly-trapping instructions ({!Ir.may_trap}: sdiv/srem, shifts by
+      an amount not known to be in range) only move if their block
       dominates every loop exit (no speculation of traps);
     - loads only move if the loop contains no store or impure call
       (our alias analysis is "all memory may alias");
@@ -17,12 +18,11 @@ open Import
 let stat_hoisted =
   Telemetry.counter ~group:"licm" "hoisted" ~desc:"loop-invariant instructions moved to preheaders"
 
-let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : Ir.func) :
-    bool =
-  let tel = match mapper with Some m -> Code_mapper.telemetry m | None -> Telemetry.null in
+let run (m : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
+  let tel = Code_mapper.telemetry m in
   let changed = ref false in
-  let loop_info = Analysis_manager.loops_of ?am f in
-  let index = Analysis_manager.index_of ?am f in
+  let loop_info = Analysis_manager.loops am f in
+  let index = Analysis_manager.index am f in
   List.iter
     (fun (l : Loops.loop) ->
       match Loops.preheader index l with
@@ -84,8 +84,8 @@ let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : 
                             | Ir.Phi _ | Ir.Alloca _ | Ir.Store _ -> false
                             | Ir.Call (name, _) when not (Ir.is_pure_call name) -> false
                             | Ir.Load _ -> not loop_has_memory_effects
-                            | Ir.Binop ((Ir.Sdiv | Ir.Srem), _, _) -> dominates_exits
-                            | Ir.Binop _ | Ir.Icmp _ | Ir.Select _ | Ir.Call _ -> true
+                            | (Ir.Binop _ | Ir.Icmp _ | Ir.Select _ | Ir.Call _) as rhs ->
+                                dominates_exits || not (Ir.may_trap rhs)
                           in
                           movable
                           && List.for_all invariant_operand (Ir.rhs_operands i.rhs))
@@ -107,10 +107,7 @@ let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : 
                               Printf.sprintf "hoisted %s from loop %s to preheader %s"
                                 (match i.result with Some r -> "%" ^ r | None -> "#" ^ string_of_int i.id)
                                 l.header ph_label);
-                          Option.iter
-                            (fun m ->
-                              Code_mapper.hoist_instr m i ~from_block:label ~to_block:ph_label)
-                            mapper)
+                          Code_mapper.hoist_instr m i ~from_block:label ~to_block:ph_label)
                         to_hoist
                     end)
               l.body

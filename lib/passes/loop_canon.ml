@@ -9,8 +9,7 @@ open Import
     Table 2's discussion).  OSR-aware: inserted φ-nodes are recorded as
     [add] actions. *)
 
-let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
-    (f : Ir.func) : bool =
+let run (m : Code_mapper.t) (_ : Analysis_manager.t) (f : Ir.func) : bool =
   let changed = ref false in
   let continue_ = ref true in
   while !continue_ do
@@ -96,9 +95,7 @@ let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
                               }
                             in
                             ph.phis <- ph.phis @ [ merge ];
-                            Option.iter
-                              (fun m -> Code_mapper.add_instr m merge ~block:ph_label)
-                              mapper;
+                            Code_mapper.add_instr m merge ~block:ph_label;
                             Ir.Reg (Option.get merge.result)
                           end
                     in

@@ -46,7 +46,7 @@ let dom_children (dom : Dom.t) : (string, string list) Hashtbl.t =
    the pass, and per slot or per φ there are only hash lookups.  Blocks
    resolve to the first block of a label and predecessors come in block
    order, as with the linear [Ir] accessors. *)
-let run ?(am : Analysis_manager.t option) (f : Ir.func) : bool =
+let run (f : Ir.func) : bool =
   let escaped = escaped_regs f in
   let slots =
     List.concat_map
@@ -63,7 +63,7 @@ let run ?(am : Analysis_manager.t option) (f : Ir.func) : bool =
   else begin
     let is_slot = Hashtbl.create 16 in
     List.iter (fun r -> Hashtbl.replace is_slot r ()) slots;
-    let dom = Analysis_manager.dom_of ?am f in
+    let dom = Dom.compute f in
     let df = Dom.frontiers dom in
     let children = dom_children dom in
     let blocks = Ir.block_table f and preds = Hashtbl.create 64 in

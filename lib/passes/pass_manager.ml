@@ -6,7 +6,7 @@ open Import
     primitive action, verify SSA after each pass, and hand back everything
     the OSR layer needs.
 
-    Analyses (dominators, liveness, loops, the function index) are owned
+    Analyses (dominators, loops, the function index) are owned
     by an {!Analysis_manager.t} shared across the pipeline: each pass
     declares which analyses it preserves {e when it changes the function},
     and the manager invalidates the rest; a pass that reports no change
@@ -14,51 +14,29 @@ open Import
 
 type pass = {
   pname : string;
-  run : ?mapper:Code_mapper.t -> ?am:Analysis_manager.t -> Ir.func -> bool;
-  instrumented : bool;
-      (** does this pass record CodeMapper actions (Table 1's pass set)? *)
+  run : Code_mapper.t -> Analysis_manager.t -> Ir.func -> bool;
+      (** transform the function in place, recording every primitive
+          action in the mapper; [true] iff the function changed *)
   preserves : Analysis_manager.analysis list;
       (** analyses still valid after this pass changed the function *)
 }
 
-let mem2reg : pass =
-  {
-    pname = "mem2reg";
-    run = (fun ?mapper:_ ?am f -> Mem2reg.run ?am f);
-    instrumented = false;
-    preserves = Analysis_manager.cfg_preserving;
-  }
-
 let constprop : pass =
-  { pname = "CP"; run = Constprop.run; instrumented = true;
-    preserves = Analysis_manager.cfg_preserving }
+  { pname = "CP"; run = Constprop.run; preserves = Analysis_manager.cfg_preserving }
 
 (* SCCP folds branches and deletes unreachable blocks: nothing survives. *)
-let sccp : pass = { pname = "SCCP"; run = Sccp.run; instrumented = true; preserves = [] }
-
-let cse : pass =
-  { pname = "CSE"; run = Cse.run; instrumented = true;
-    preserves = Analysis_manager.cfg_preserving }
-
-let adce : pass =
-  { pname = "ADCE"; run = Adce.run; instrumented = true;
-    preserves = Analysis_manager.cfg_preserving }
+let sccp : pass = { pname = "SCCP"; run = Sccp.run; preserves = [] }
+let cse : pass = { pname = "CSE"; run = Cse.run; preserves = Analysis_manager.cfg_preserving }
+let adce : pass = { pname = "ADCE"; run = Adce.run; preserves = Analysis_manager.cfg_preserving }
 
 (* LoopCanon inserts preheader blocks and rewires edges: nothing survives. *)
-let loop_canon : pass =
-  { pname = "LC"; run = Loop_canon.run; instrumented = true; preserves = [] }
+let loop_canon : pass = { pname = "LC"; run = Loop_canon.run; preserves = [] }
 
 let lcssa : pass =
-  { pname = "LCSSA"; run = Lcssa.run; instrumented = true;
-    preserves = Analysis_manager.cfg_preserving }
+  { pname = "LCSSA"; run = Lcssa.run; preserves = Analysis_manager.cfg_preserving }
 
-let licm : pass =
-  { pname = "LICM"; run = Licm.run; instrumented = true;
-    preserves = Analysis_manager.cfg_preserving }
-
-let sink : pass =
-  { pname = "Sink"; run = Sink.run; instrumented = true;
-    preserves = Analysis_manager.cfg_preserving }
+let licm : pass = { pname = "LICM"; run = Licm.run; preserves = Analysis_manager.cfg_preserving }
+let sink : pass = { pname = "Sink"; run = Sink.run; preserves = Analysis_manager.cfg_preserving }
 
 (** The optimization pipeline of Section 5.4 (ADCE, CP, CSE, LICM, SCCP,
     Sink, plus the LC and LCSSA utility passes LICM requires). *)
@@ -103,10 +81,9 @@ let apply ?(pipeline = standard_pipeline) ?(telemetry = Telemetry.null) (f : Ir.
   let per_pass = ref [] in
   List.iter
     (fun (p : pass) ->
-      let before = Code_mapper.counts mapper in
       let pre_ir = Ir.clone_func fopt and pre_mapper = Code_mapper.snapshot mapper in
       let changed =
-        Telemetry.with_span telemetry ~cat:"pass" p.pname (fun () -> p.run ~mapper ~am fopt)
+        Telemetry.with_span telemetry ~cat:"pass" p.pname (fun () -> p.run mapper am fopt)
       in
       if changed then Analysis_manager.invalidate ~preserved:p.preserves am;
       (match
@@ -122,19 +99,9 @@ let apply ?(pipeline = standard_pipeline) ?(telemetry = Telemetry.null) (f : Ir.
           Telemetry.bump telemetry stat_rolled_back;
           Telemetry.remark telemetry ~pass:p.pname ~func:fopt.Ir.fname (fun () ->
               "pass rolled back: post-pass verification failed: " ^ details));
-      (* Computed after a possible rollback, so a rolled-back pass reports
+      (* Counted after a possible rollback, so a rolled-back pass reports
          zero actions. *)
-      let after = Code_mapper.counts mapper in
-      let delta : Code_mapper.counts =
-        {
-          add = after.add - before.add;
-          delete = after.delete - before.delete;
-          hoist = after.hoist - before.hoist;
-          sink = after.sink - before.sink;
-          replace = after.replace - before.replace;
-        }
-      in
-      per_pass := (p.pname, delta) :: !per_pass)
+      per_pass := (p.pname, Code_mapper.counts_since mapper pre_mapper) :: !per_pass)
     pipeline;
   { fbase = f; fopt; mapper; per_pass = List.rev !per_pass }
 

@@ -20,8 +20,7 @@ let meet (a : lattice) (b : lattice) : lattice =
   | Const x, Const y -> if x = y then Const x else Bottom
   | Bottom, _ | _, Bottom -> Bottom
 
-let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
-    (f : Ir.func) : bool =
+let run (m : Code_mapper.t) (_ : Analysis_manager.t) (f : Ir.func) : bool =
   let changed = ref false in
   let state : (Ir.reg, lattice) Hashtbl.t = Hashtbl.create 64 in
   let get_state r =
@@ -173,15 +172,6 @@ let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
     done
   done;
   (* --- Rewrite phase ------------------------------------------------- *)
-  let replace_everywhere old_value new_value =
-    let subst v = if Ir.equal_value v old_value then new_value else v in
-    List.iter
-      (fun (b : Ir.block) ->
-        List.iter (fun (j : Ir.instr) -> j.rhs <- Ir.map_rhs_operands subst j.rhs)
-          (Ir.block_instrs b);
-        b.term <- Ir.map_term_operands subst b.term)
-      f.blocks
-  in
   (* 1. Materialize constants. *)
   Hashtbl.iter
     (fun r l ->
@@ -189,13 +179,8 @@ let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
       | Const n -> (
           match Hashtbl.find_opt def_tbl r with
           | Some (d : Ir.def_site) when not (Ir.has_side_effects d.di.rhs) ->
-              Option.iter
-                (fun m ->
-                  Code_mapper.replace_all_uses m ~old_value:(Ir.Reg r)
-                    ~new_value:(Ir.Const n);
-                  Code_mapper.delete_instr m d.di)
-                mapper;
-              replace_everywhere (Ir.Reg r) (Ir.Const n);
+              Code_mapper.replace_all_uses m f ~old_value:(Ir.Reg r) ~new_value:(Ir.Const n);
+              Code_mapper.delete_instr m d.di;
               let blk = Hashtbl.find blocks d.block in
               blk.phis <- List.filter (fun (j : Ir.instr) -> j.id <> d.di.id) blk.phis;
               blk.body <- List.filter (fun (j : Ir.instr) -> j.id <> d.di.id) blk.body;
@@ -231,9 +216,7 @@ let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
     changed := true;
     List.iter
       (fun (b : Ir.block) ->
-        List.iter
-          (fun i -> Option.iter (fun m -> Code_mapper.delete_instr m i) mapper)
-          (Ir.block_instrs b))
+        List.iter (Code_mapper.delete_instr m) (Ir.block_instrs b))
       removed;
     let removed_labels = List.map (fun (b : Ir.block) -> b.label) removed in
     f.blocks <- List.filter (fun (b : Ir.block) -> not (List.mem b.label removed_labels)) f.blocks;
@@ -257,12 +240,8 @@ let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
           (fun (i : Ir.instr) ->
             match (i.rhs, i.result) with
             | Ir.Phi [ (_, v) ], Some r ->
-                Option.iter
-                  (fun m ->
-                    Code_mapper.replace_all_uses m ~old_value:(Ir.Reg r) ~new_value:v;
-                    Code_mapper.delete_instr m i)
-                  mapper;
-                replace_everywhere (Ir.Reg r) v;
+                Code_mapper.replace_all_uses m f ~old_value:(Ir.Reg r) ~new_value:v;
+                Code_mapper.delete_instr m i;
                 changed := true;
                 false
             | _ -> true)

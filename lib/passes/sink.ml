@@ -4,25 +4,27 @@ open Import
     sit in a single dominated block down into that block, shrinking live
     ranges across branches.
 
-    Rules: only non-trapping pure rhs (no sdiv/srem — sinking may skip a
-    trap the original executed — and no loads — sinking past a store would
-    change the value); no uses in φ-nodes or terminators; the destination
-    must be a different block dominated by the defining block (so operands
-    and the moved definition still dominate every use).  OSR-aware: each
-    motion is recorded as a [sink] action. *)
+    Rules: only non-trapping pure rhs (nothing {!Ir.may_trap} accepts —
+    sinking may skip a trap the original executed — and no loads —
+    sinking past a store would change the value); no uses in φ-nodes or
+    terminators; the destination must be a different block dominated by
+    the defining block (so operands and the moved definition still
+    dominate every use).  OSR-aware: each motion is recorded as a [sink]
+    action. *)
 
-let sinkable_rhs : Ir.rhs -> bool = function
-  | Ir.Binop ((Ir.Sdiv | Ir.Srem), _, _) -> false
+let sinkable_rhs (rhs : Ir.rhs) : bool =
+  (not (Ir.may_trap rhs))
+  &&
+  match rhs with
   | Ir.Binop _ | Ir.Icmp _ | Ir.Select _ -> true
   | Ir.Call (name, _) -> Ir.is_pure_call name
   | Ir.Load _ | Ir.Store _ | Ir.Alloca _ | Ir.Phi _ -> false
 
-let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : Ir.func) :
-    bool =
+let run (m : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
   let changed = ref false in
   (* Sinking moves instructions but never touches blocks or edges, so one
      dominator tree and one block table serve every fixpoint iteration. *)
-  let dom = Analysis_manager.dom_of ?am f in
+  let dom = Analysis_manager.dom am f in
   let blocks = Ir.block_table f in
   let continue_ = ref true in
   while !continue_ do
@@ -62,10 +64,7 @@ let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : 
                             let tb = Hashtbl.find blocks target in
                             b.body <- List.filter (fun (j : Ir.instr) -> j.id <> i.id) b.body;
                             tb.body <- i :: tb.body;
-                            Option.iter
-                              (fun m ->
-                                Code_mapper.sink_instr m i ~from_block:b.label ~to_block:target)
-                              mapper;
+                            Code_mapper.sink_instr m i ~from_block:b.label ~to_block:target;
                             changed := true;
                             continue_ := true
                         | _ -> ()

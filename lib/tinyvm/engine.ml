@@ -220,7 +220,7 @@ module Compiled = struct
               let x = read m ~at a and y = read m ~at b in
               (match Passes.Fold.eval_binop op x y with
               | Some v -> write m dst v
-              | None -> raise (Interp.Trap (Division_by_zero at)));
+              | None -> raise (Interp.Trap (Interp.binop_trap op at)));
               m.pc <- pc + 1
           | Oicmp (dst, op, a, b) ->
               let x = read m ~at a and y = read m ~at b in

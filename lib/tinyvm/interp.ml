@@ -8,6 +8,7 @@ module Ir = Miniir.Ir
 
 type trap =
   | Division_by_zero of int  (** instruction id *)
+  | Shift_out_of_range of int  (** instruction id; the amount is outside [\[0, 62\]] *)
   | Undef_read of int
   | Unknown_intrinsic of string * int
   | Unreachable_reached of string  (** block label *)
@@ -17,6 +18,7 @@ type trap =
 
 let pp_trap ppf = function
   | Division_by_zero id -> Fmt.pf ppf "division by zero at #%d" id
+  | Shift_out_of_range id -> Fmt.pf ppf "shift amount out of range at #%d" id
   | Undef_read id -> Fmt.pf ppf "read of undef at #%d" id
   | Unknown_intrinsic (n, id) -> Fmt.pf ppf "unknown intrinsic @%s at #%d" n id
   | Unreachable_reached l -> Fmt.pf ppf "reached 'unreachable' in block %s" l
@@ -151,13 +153,18 @@ let exec_intrinsic (m : machine) ~(at : int) (name : string) (args : int list) :
         match args with [ a ] -> (a * 48271) land 0xFFFF | _ -> raise (Trap (Bad_arity name)))
     | _ -> raise (Trap (Unknown_intrinsic (name, at)))
 
+let binop_trap (op : Ir.binop) (at : int) : trap =
+  match op with
+  | Ir.Shl | Ir.Lshr | Ir.Ashr -> Shift_out_of_range at
+  | Ir.Sdiv | Ir.Srem | Ir.Add | Ir.Sub | Ir.Mul | Ir.And | Ir.Or | Ir.Xor -> Division_by_zero at
+
 let exec_rhs (m : machine) (i : Ir.instr) : int option =
   match i.rhs with
   | Ir.Binop (op, a, b) -> (
       let x = read m ~at:i.id a and y = read m ~at:i.id b in
       match Passes.Fold.eval_binop op x y with
       | Some v -> Some v
-      | None -> raise (Trap (Division_by_zero i.id)))
+      | None -> raise (Trap (binop_trap op i.id)))
   | Ir.Icmp (op, a, b) ->
       Some (Passes.Fold.eval_icmp op (read m ~at:i.id a) (read m ~at:i.id b))
   | Ir.Select (c, t, e) ->

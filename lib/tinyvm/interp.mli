@@ -8,6 +8,7 @@ module Ir = Miniir.Ir
 
 type trap =
   | Division_by_zero of int  (** instruction id *)
+  | Shift_out_of_range of int  (** instruction id; the amount is outside [\[0, 62\]] *)
   | Undef_read of int
   | Unknown_intrinsic of string * int
   | Unreachable_reached of string  (** block label *)
@@ -16,6 +17,11 @@ type trap =
   | Fuel_exhausted of int  (** steps executed when the budget ran out *)
 
 val pp_trap : Format.formatter -> trap -> unit
+
+val binop_trap : Ir.binop -> int -> trap
+(** The trap of a binop {!Passes.Fold.eval_binop} declines to evaluate, at
+    the given instruction id: {!Shift_out_of_range} for a shift, else
+    {!Division_by_zero}. *)
 
 type event = { callee : string; arg_values : int list }
 (** One observable (impure-intrinsic) call. *)

@@ -4,8 +4,11 @@
     [Dsl.to_fbase].  Each function below is a verbatim copy of the code it
     replaced; the only edits are references to other replaced code, which
     point at the copies here instead ([exit_targets], [dom_compute],
-    [Verifier], [pm_to_fbase]), and names qualified to compile outside
-    their module.  [apply] is copied too because it calls the verifier.
+    [Verifier], [pm_to_fbase]), names qualified to compile outside
+    their module, and the pass calling convention: [Lcssa.run] takes the
+    mapper and the analysis manager as required arguments (the body still
+    sees the optional mapper it was written for), and [Mem2reg.run] takes
+    no analysis manager (no caller passed one).  [apply] is copied too because it calls the verifier.
     [Suite_front] runs both versions side by side and asserts every
     observable is byte-identical. *)
 
@@ -249,10 +252,10 @@ let exit_targets (f : Ir.func) (l : Loops.loop) : string list =
          | None -> [])
        l.body)
 
-let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : Ir.func) :
-    bool =
+let run (mapper : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
+  let mapper = Some mapper in
   let changed = ref false in
-  let loop_info = Analysis_manager.loops_of ?am f in
+  let loop_info = Analysis_manager.loops am f in
   (* φ insertion never adds or removes blocks or edges, so [loop_info.dom]
      stays valid for every dominance query below.  The def table only gains
      entries (each inserted φ defines a fresh register) and existing sites
@@ -414,7 +417,7 @@ let dom_children (dom : Dom.t) : (string, string list) Hashtbl.t =
     dom.order;
   children
 
-let run ?(am : Analysis_manager.t option) (f : Ir.func) : bool =
+let run (f : Ir.func) : bool =
   let slots =
     List.concat_map
       (fun (b : Ir.block) ->
@@ -429,7 +432,7 @@ let run ?(am : Analysis_manager.t option) (f : Ir.func) : bool =
   if slots = [] then false
   else begin
     let slot_names = List.map fst slots in
-    let dom = match am with Some t -> Analysis_manager.dom t f | None -> dom_compute f in
+    let dom = dom_compute f in
     let df = Dom.frontiers dom in
     let children = dom_children dom in
     (* Blocks storing to each slot. *)
@@ -623,8 +626,7 @@ type apply_result = Pass_manager.apply_result = {
 
 type pass = Pass_manager.pass = {
   pname : string;
-  run : ?mapper:Code_mapper.t -> ?am:Analysis_manager.t -> Ir.func -> bool;
-  instrumented : bool;
+  run : Code_mapper.t -> Analysis_manager.t -> Ir.func -> bool;
   preserves : Analysis_manager.analysis list;
 }
 
@@ -639,7 +641,7 @@ let apply ?(pipeline = standard_pipeline) ?(telemetry = Telemetry.null) (f : Ir.
       let before = Code_mapper.counts mapper in
       let pre_ir = Ir.clone_func fopt and pre_mapper = Code_mapper.snapshot mapper in
       let changed =
-        Telemetry.with_span telemetry ~cat:"pass" p.pname (fun () -> p.run ~mapper ~am fopt)
+        Telemetry.with_span telemetry ~cat:"pass" p.pname (fun () -> p.run mapper am fopt)
       in
       if changed then Analysis_manager.invalidate ~preserved:p.preserves am;
       (match

@@ -5,7 +5,9 @@
     [Feasibility.classify_point]; and [Endangered.recovery_plan] and
     [analyze_function] (two [make] calls).  Each function is a verbatim
     copy of the code it replaced.  The only edits: [fork] is left out (no
-    sweep here runs in parallel), the mapper's memoized alias inverse is
+    sweep here runs in parallel), the mapper is the reference CodeMapper of
+    {!Ref_mapper} replayed from the library's log ([analyze_function]
+    replays it itself), the mapper's memoized alias inverse is
     rebuilt per query from [Code_mapper.alias_inverse] (the candidate memo
     above it still runs it once per register), the reconstruct counters are
     registered under the group [ref.reconstruct] so both versions can count
@@ -22,7 +24,7 @@ module Loops = Miniir.Loops
 module Interp = Tinyvm.Interp
 
 module Code_mapper = struct
-  include Passes.Code_mapper
+  include Ref_mapper
 
   let base_aliases_of (m : t) (r : Ir.reg) : Ir.reg list =
     Option.value ~default:[] (Hashtbl.find_opt (alias_inverse m) r) @ [ r ]
@@ -831,8 +833,9 @@ let analyze_function ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Passes.Code
   let sv = Source_vars.analyze fbase ~user_vars in
   (* Breakpoint correspondence: fbase → fopt (where does the breakpoint
      land in optimized code), value recovery: fopt → fbase. *)
-  let fwd = Ctx.make ~fbase ~fopt ~mapper Ctx.Base_to_opt in
-  let bwd = Ctx.make ~fbase ~fopt ~mapper Ctx.Opt_to_base in
+  let replayed = Ref_mapper.replay mapper in
+  let fwd = Ctx.make ~fbase ~fopt ~mapper:replayed Ctx.Base_to_opt in
+  let bwd = Ctx.make ~fbase ~fopt ~mapper:replayed Ctx.Opt_to_base in
   let points =
     List.filter_map
       (fun base_point ->

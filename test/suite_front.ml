@@ -129,7 +129,8 @@ let test_spec_c () =
   List.iter (fun (what, k) -> check_kernel ~what k) sample
 
 (* Generated alloca-form functions: mem2reg, the verifier, the pipeline,
-   and LCSSA run standalone (no analysis manager), old against new. *)
+   and LCSSA run standalone (a fresh mapper and analysis manager), old
+   against new. *)
 let prop_generated_identical =
   QCheck.Test.make ~count:150 ~name:"front half identical on generated functions"
     Gen_ir.arb_func (fun (raw : Ir.func) ->
@@ -142,7 +143,8 @@ let prop_generated_identical =
       in
       (want = got
       || QCheck.Test.fail_reportf "pipeline observables differ:\n%s\nvs\n%s" want.fopt got.fopt)
-      && (standalone (fun g -> R.Lcssa.run g) = standalone (fun g -> Passes.Lcssa.run g)
+      && (standalone (Suite_passes.run_pass R.Lcssa.run)
+          = standalone (Suite_passes.run_pass Passes.Lcssa.run)
          || QCheck.Test.fail_report "standalone LCSSA differs"))
 
 (* Shapes neither the corpus nor the generator produces: an exit with two
@@ -237,13 +239,12 @@ let test_shapes () =
       let standalone run =
         let g = Ir.clone_func f in
         let m = CM.create () in
-        let changed = run ~mapper:m g in
+        let changed = Suite_passes.run_pass ~mapper:m run g in
         Printf.sprintf "%b\n%s%s" changed (Ir.func_to_string g)
           (String.concat "\n" (List.map action_to_string (CM.actions_in_order m)))
       in
       Alcotest.(check string) (what ^ ": standalone LCSSA")
-        (standalone (fun ~mapper g -> R.Lcssa.run ~mapper g))
-        (standalone (fun ~mapper g -> Passes.Lcssa.run ~mapper g)))
+        (standalone R.Lcssa.run) (standalone Passes.Lcssa.run))
     shapes
 
 (* mem2reg's other caller: continuation-function generation re-promotes

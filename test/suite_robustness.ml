@@ -425,14 +425,11 @@ let corrupt_pass : P.pass =
   {
     P.pname = "corrupt";
     run =
-      (fun ?mapper ?am:_ f ->
+      (fun m _ f ->
         (* Record a bogus action too — rollback must erase it. *)
-        (match mapper with
-        | Some m -> Passes.Code_mapper.(record m (Delete { id = 424242 }))
-        | None -> ());
+        Passes.Code_mapper.(record m (Delete { id = 424242 }));
         (Ir.entry f).Ir.term <- Ir.Br "$nowhere";
         true);
-    instrumented = true;
     preserves = [];
   }
 

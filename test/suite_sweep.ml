@@ -69,7 +69,9 @@ let plan_to_string (p : R.plan option) : string =
 let check_pair ~(what : string) (r : P.apply_result) : unit =
   let fbase = r.P.fbase and fopt = r.P.fopt and mapper = r.P.mapper in
   let fwd, bwd = Ctx.make_pair ~fbase ~fopt ~mapper () in
-  let ref_fwd, ref_bwd = Ref.Osr_ctx.make_pair ~fbase ~fopt ~mapper () in
+  let ref_fwd, ref_bwd =
+    Ref.Osr_ctx.make_pair ~fbase ~fopt ~mapper:(Ref_mapper.replay mapper) ()
+  in
   List.iter
     (fun (dir, ctx, ref_ctx) ->
       List.iter

@@ -18,4 +18,5 @@ let () =
       Suite_robustness.suite;
       Suite_front.suite;
       Suite_sweep.suite;
+      Suite_mapper.suite;
     ]
