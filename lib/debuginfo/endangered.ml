@@ -60,10 +60,10 @@ let try_recover (ctx : Ctx.t) (variant : R.variant) ~(opt_point : int) ~(base_po
 
 let analyze_function ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Passes.Code_mapper.t)
     ~(user_vars : string list) ~(source_points : int list) : func_report =
-  let sv = Source_vars.analyze fbase ~user_vars in
   (* Breakpoint correspondence: fbase → fopt (where does the breakpoint
      land in optimized code), value recovery: fopt → fbase. *)
   let fwd, bwd = Ctx.make_pair ~fbase ~fopt ~mapper () in
+  let sv = Source_vars.analyze fwd.Ctx.src.Ctx.index ~user_vars in
   let points =
     List.filter_map
       (fun base_point ->

@@ -4,37 +4,37 @@
     [u.slot.phi.K], so a user variable's {e family} — the set of IR values
     that carry it — is recoverable from register names.
 
-    [value_at] answers the debugger's question: which IR value holds [u]
-    just before point [l] in [fbase]?  Tracked only when exactly one family
-    definition reaches the point on every path (conservative: at merges
-    whose φ was pruned, the variable is reported as untracked rather than
-    with a stale value). *)
+    [tracked_at] answers the debugger's question: which IR value holds each
+    user variable just before point [l] in [fbase]?  A variable is tracked
+    only when exactly one family definition reaches the point on every path
+    (conservative: at merges whose φ was pruned, the variable is reported
+    as untracked rather than with a stale value).
+
+    One linear pass per function: a register → variables table, each
+    block's last family definition per variable, a worklist fixpoint over
+    the index's predecessors, then one forward walk per block that records
+    the tracked variables at every point it passes — O(N·V + points·V) for
+    N instructions and V user variables. *)
 
 module Ir = Miniir.Ir
+module Func_index = Miniir.Func_index
 
-type t = {
-  fbase : Ir.func;
-  user_vars : string list;
-  families : (string, Ir.reg list) Hashtbl.t;  (** user var → family regs *)
-  reach_in : (string, (string, Ir.reg option) Hashtbl.t) Hashtbl.t;
-      (** block label → (user var → unique reaching family def, if any) *)
-}
+type t = { at : (int, (string * Ir.reg) list) Hashtbl.t  (** point → tracked vars *) }
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
+let family_prefixes (u : string) = (u ^ ".def.", u ^ ".slot.phi.")
 
 let family_of (fbase : Ir.func) (u : string) : Ir.reg list =
+  let def, phi = family_prefixes u in
   List.filter_map
     (fun (i : Ir.instr) ->
       match i.result with
-      | Some r
-        when starts_with ~prefix:(u ^ ".def.") r || starts_with ~prefix:(u ^ ".slot.phi.") r ->
+      | Some r when String.starts_with ~prefix:def r || String.starts_with ~prefix:phi r ->
           Some r
       | _ -> None)
     (Ir.all_instrs fbase)
 
 (* Per-variable reaching analysis with a three-point lattice:
-   None = no definition yet, Some (Some r) = unique def r, Some None =
+   Nothing = no definition yet, Unique r = unique def r, Conflict =
    conflicting defs. *)
 type reach = Nothing | Unique of Ir.reg | Conflict
 
@@ -44,88 +44,117 @@ let join a b =
   | Unique r1, Unique r2 -> if String.equal r1 r2 then a else Conflict
   | Conflict, _ | _, Conflict -> Conflict
 
-let analyze (fbase : Ir.func) ~(user_vars : string list) : t =
-  let families = Hashtbl.create 16 in
-  List.iter (fun u -> Hashtbl.replace families u (family_of fbase u)) user_vars;
-  let is_family u r = List.mem r (Hashtbl.find families u) in
-  (* Block transfer: last family def in the block wins. *)
-  let block_out (b : Ir.block) (u : string) (incoming : reach) : reach =
-    List.fold_left
-      (fun acc (i : Ir.instr) ->
-        match i.result with Some r when is_family u r -> Unique r | _ -> acc)
-      incoming (Ir.block_instrs b)
+let equal a b =
+  match (a, b) with
+  | Nothing, Nothing | Conflict, Conflict -> true
+  | Unique r1, Unique r2 -> String.equal r1 r2
+  | _ -> false
+
+let analyze (index : Func_index.t) ~(user_vars : string list) : t =
+  let vars = Array.of_list user_vars in
+  let nv = Array.length vars in
+  let prefixes = Array.map family_prefixes vars in
+  (* Register → positions in [user_vars] of the variables it carries (a
+     register can match more than one family by prefix). *)
+  let families_of r =
+    let acc = ref [] in
+    for k = nv - 1 downto 0 do
+      let def, phi = prefixes.(k) in
+      if String.starts_with ~prefix:def r || String.starts_with ~prefix:phi r then acc := k :: !acc
+    done;
+    !acc
   in
-  let state : (string * string, reach) Hashtbl.t = Hashtbl.create 64 in
-  let get label u = Option.value ~default:Nothing (Hashtbl.find_opt state (label, u)) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
+  let blocks = Array.of_list index.Func_index.func.Ir.blocks in
+  let nb = Array.length blocks in
+  let slot = Hashtbl.create nb in
+  Array.iteri
+    (fun k (b : Ir.block) -> if not (Hashtbl.mem slot b.label) then Hashtbl.add slot b.label k)
+    blocks;
+  let slots labels = List.filter_map (Hashtbl.find_opt slot) labels in
+  let preds = Array.map (fun (b : Ir.block) -> slots (Func_index.predecessors index b.label)) blocks in
+  let succs = Array.map (fun (b : Ir.block) -> slots (Func_index.successors index b.label)) blocks in
+  (* Block transfer: the last family def in the block wins; [gen] holds it
+     per variable ([Nothing] = the block defines none). *)
+  let fams : (Ir.reg, int list) Hashtbl.t = Hashtbl.create 64 in
+  let gen =
+    Array.map
       (fun (b : Ir.block) ->
-        List.iter
-          (fun u ->
-            let inn =
-              match Ir.predecessors fbase b.label with
-              | [] -> Nothing
-              | preds ->
-                  List.fold_left
-                    (fun acc p ->
-                      join acc (block_out (Ir.block_exn fbase p) u (get p u)))
-                    Nothing preds
-            in
-            if inn <> get b.label u then begin
-              Hashtbl.replace state (b.label, u) inn;
-              changed := true
-            end)
-          user_vars)
-      fbase.Ir.blocks
-  done;
-  let reach_in = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Ir.block) ->
-      let tbl = Hashtbl.create 8 in
-      List.iter
-        (fun u ->
-          match get b.label u with
-          | Unique r -> Hashtbl.replace tbl u (Some r)
-          | Nothing | Conflict -> Hashtbl.replace tbl u None)
-        user_vars;
-      Hashtbl.replace reach_in b.label tbl)
-    fbase.Ir.blocks;
-  { fbase; user_vars; families; reach_in }
-
-(** The IR value carrying user variable [u] just before instruction id
-    [point] in [fbase]; [None] when untracked there. *)
-let value_at (t : t) (u : string) ~(point : int) : Ir.reg option =
-  let is_family r = List.mem r (Hashtbl.find t.families u) in
-  let scan_block (b : Ir.block) (current : Ir.reg option) =
-    let instrs = Ir.block_instrs b in
-    let rec go current = function
-      | [] -> if point = b.term_id then Some current else None
-      | (i : Ir.instr) :: rest ->
-          if i.id = point then Some current
-          else
-            let current =
-              match i.result with Some r when is_family r -> Some r | _ -> current
-            in
-            go current rest
-    in
-    go current instrs
-  in
-  let rec find = function
-    | [] -> None
-    | (b : Ir.block) :: rest -> (
-        let incoming =
-          match Hashtbl.find_opt t.reach_in b.label with
-          | Some tbl -> Option.join (Hashtbl.find_opt tbl u)
-          | None -> None
+        let g = Array.make nv Nothing in
+        let scan (i : Ir.instr) =
+          match i.result with
+          | Some r -> (
+              match families_of r with
+              | [] -> ()
+              | ks ->
+                  Hashtbl.replace fams r ks;
+                  List.iter (fun k -> g.(k) <- Unique r) ks)
+          | None -> ()
         in
-        match scan_block b incoming with Some v -> v | None -> find rest)
+        List.iter scan b.phis;
+        List.iter scan b.body;
+        g)
+      blocks
   in
-  find t.fbase.Ir.blocks
+  let inn = Array.init nb (fun _ -> Array.make nv Nothing) in
+  let out p k = match gen.(p).(k) with Nothing -> inn.(p).(k) | g -> g in
+  let queued = Array.make nb true in
+  let work = Queue.create () in
+  for b = 0 to nb - 1 do
+    Queue.add b work
+  done;
+  while not (Queue.is_empty work) do
+    let b = Queue.pop work in
+    queued.(b) <- false;
+    if preds.(b) <> [] then begin
+      let changed = ref false in
+      for k = 0 to nv - 1 do
+        let v = List.fold_left (fun acc p -> join acc (out p k)) Nothing preds.(b) in
+        if not (equal v inn.(b).(k)) then begin
+          inn.(b).(k) <- v;
+          changed := true
+        end
+      done;
+      if !changed then
+        List.iter
+          (fun s ->
+            if not queued.(s) then begin
+              queued.(s) <- true;
+              Queue.add s work
+            end)
+          succs.(b)
+    end
+  done;
+  (* One forward walk per block: the tracked list changes only at family
+     defs, so consecutive points share one list.  The first block holding
+     a point answers for it. *)
+  let at = Hashtbl.create (index.Func_index.func.Ir.next_id / 2) in
+  Array.iteri
+    (fun b (blk : Ir.block) ->
+      let cur = Array.map (function Unique r -> Some r | Nothing | Conflict -> None) inn.(b) in
+      let listing () =
+        let acc = ref [] in
+        for k = nv - 1 downto 0 do
+          match cur.(k) with Some r -> acc := (vars.(k), r) :: !acc | None -> ()
+        done;
+        !acc
+      in
+      let now = ref (listing ()) in
+      let record id = if not (Hashtbl.mem at id) then Hashtbl.add at id !now in
+      let step (i : Ir.instr) =
+        record i.id;
+        match Option.bind i.result (Hashtbl.find_opt fams) with
+        | Some ks ->
+            List.iter (fun k -> cur.(k) <- i.result) ks;
+            now := listing ()
+        | None -> ()
+      in
+      List.iter step blk.phis;
+      List.iter step blk.body;
+      record blk.term_id)
+    blocks;
+  { at }
 
-(** All user variables tracked at [point] with their carrying values. *)
+(** All user variables tracked at [point] with their carrying values, in
+    [user_vars] order; [[]] at a point the function does not have. *)
 let tracked_at (t : t) ~(point : int) : (string * Ir.reg) list =
-  List.filter_map
-    (fun u -> Option.map (fun r -> (u, r)) (value_at t u ~point))
-    t.user_vars
+  Option.value ~default:[] (Hashtbl.find_opt t.at point)

@@ -7,7 +7,8 @@
     copy of the code it replaced.  The only edits: [fork] is left out (no
     sweep here runs in parallel), the mapper is the reference CodeMapper of
     {!Ref_mapper} replayed from the library's log ([analyze_function]
-    replays it itself), the mapper's memoized alias inverse is
+    replays it itself), [analyze_function] tracks source variables with
+    {!Ref_source_vars}, the mapper's memoized alias inverse is
     rebuilt per query from [Code_mapper.alias_inverse] (the candidate memo
     above it still runs it once per register), the reconstruct counters are
     registered under the group [ref.reconstruct] so both versions can count
@@ -788,7 +789,7 @@ end
 module Endangered = struct
 module Ctx = Osr_ctx
 module R = Reconstruct_ir
-module Source_vars = Debuginfo.Source_vars
+module Source_vars = Ref_source_vars
 
 type var_status = Debuginfo.Endangered.var_status = {
   var : string;

@@ -35,14 +35,14 @@ let kernel : Corpus.Dsl.kernel =
 
 let test_families () =
   let fbase, dbg = Corpus.Dsl.to_fbase kernel in
-  let sv = SV.analyze fbase ~user_vars:dbg.user_vars in
+  let sv = SV.analyze (Miniir.Func_index.make fbase) ~user_vars:dbg.user_vars in
   List.iter
     (fun u ->
       Alcotest.(check bool) (u ^ " has a family") true (SV.family_of fbase u <> []))
     [ "total"; "step"; "i" ];
   (* At the return, total must be tracked. *)
   let ret_point = (List.hd (List.rev fbase.Ir.blocks)).Ir.term_id in
-  match SV.value_at sv "total" ~point:ret_point with
+  match List.assoc_opt "total" (SV.tracked_at sv ~point:ret_point) with
   | Some carrier ->
       Alcotest.(check bool) "total carried by its family" true
         (List.mem carrier (SV.family_of fbase "total"))
@@ -50,7 +50,7 @@ let test_families () =
 
 let test_tracked_progression () =
   let fbase, dbg = Corpus.Dsl.to_fbase kernel in
-  let sv = SV.analyze fbase ~user_vars:dbg.user_vars in
+  let sv = SV.analyze (Miniir.Func_index.make fbase) ~user_vars:dbg.user_vars in
   (* Early in the function fewer variables are tracked than at the end. *)
   let first = List.hd dbg.source_points in
   let last = List.hd (List.rev dbg.source_points) in
@@ -199,6 +199,113 @@ let test_study_aggregates () =
       | _ -> ())
     reports
 
+(* ------------------------------------------------------------------ *)
+(* Differential gate: tracking against the verbatim old module          *)
+(* ------------------------------------------------------------------ *)
+
+(* [tracked_at] of the one-pass analysis and of {!Ref_source_vars} at every
+   instruction id, every terminator id and one absent id. *)
+let check_tracking ~(what : string) (fbase : Ir.func) ~(user_vars : string list) : unit =
+  let want = Ref_source_vars.analyze fbase ~user_vars in
+  let got = SV.analyze (Miniir.Func_index.make fbase) ~user_vars in
+  let show l = String.concat ", " (List.map (fun (u, r) -> u ^ "=" ^ r) l) in
+  List.iter
+    (fun point ->
+      let a = Ref_source_vars.tracked_at want ~point and b = SV.tracked_at got ~point in
+      if a <> b then Alcotest.failf "%s: tracked at %d: [%s] vs [%s]" what point (show a) (show b))
+    ((fbase.Ir.next_id :: List.map (fun (i : Ir.instr) -> i.id) (Ir.all_instrs fbase))
+    @ List.map (fun (b : Ir.block) -> b.term_id) fbase.Ir.blocks)
+
+let check_kernel_tracking ~what (k : Corpus.Dsl.kernel) =
+  let fbase, (dbg : Corpus.Dsl.debug_info) = Corpus.Dsl.to_fbase k in
+  check_tracking ~what fbase ~user_vars:dbg.user_vars
+
+let test_tracking_kernels () =
+  List.iter
+    (fun (e : Corpus.Kernels.entry) -> check_kernel_tracking ~what:e.benchmark e.kernel)
+    Corpus.Kernels.all
+
+let test_tracking_spec_c () =
+  List.iter (fun (what, k) -> check_kernel_tracking ~what k) (Suite_front.spec_c_sample ())
+
+(* Study functions past the end of each profile's corpus. *)
+let prop_tracking_generated =
+  let profiles = Array.of_list Corpus.Spec_c.profiles in
+  let gen =
+    QCheck.Gen.(
+      pair (int_bound (Array.length profiles - 1)) (int_bound 100_000)
+      |> map (fun (p, i) -> (profiles.(p), profiles.(p).Corpus.Spec_c.total_scaled + i)))
+  in
+  let print ((p : Corpus.Spec_c.profile), i) = Printf.sprintf "%s #%d" p.bench i in
+  QCheck.Test.make ~count:100 ~name:"tracking identical on generated study functions"
+    (QCheck.make ~print gen) (fun (prof, i) ->
+      let sf = Corpus.Spec_c.gen_function prof i in
+      check_tracking ~what:(print (prof, i)) sf.fbase ~user_vars:sf.dbg.user_vars;
+      true)
+
+(* Hand-built shapes the DSL does not produce: an unreachable block (one
+   with a self-loop), a self-loop, a merge whose φ was pruned, an empty
+   block whose only point is its terminator, and registers in two families
+   by prefix ([a.def.def.1] is in [a] and in [a.def]). *)
+let shapes =
+  [
+    ( "func @unreach(%x) {\n\
+       entry:\n\
+      \  %u.def.1 = add %x, 1\n\
+      \  br exit\n\
+       dead:\n\
+      \  %u.def.2 = add %x, 2\n\
+      \  %v.def.1 = add %x, 3\n\
+      \  br exit\n\
+       spin:\n\
+      \  %w.def.1 = add %x, 4\n\
+      \  br spin\n\
+       exit:\n\
+      \  %r = add %u.def.1, 0\n\
+      \  ret %r\n\
+       }\n",
+      [ "u"; "v"; "w" ] );
+    ( "func @selfloop(%n) {\n\
+       entry:\n\
+      \  %u.def.1 = add %n, 0\n\
+      \  br loop\n\
+       loop:\n\
+      \  %u.slot.phi.2 = phi [entry: %u.def.1], [loop: %u.def.3]\n\
+      \  %v.def.1 = mul %u.slot.phi.2, 2\n\
+      \  %u.def.3 = add %u.slot.phi.2, 1\n\
+      \  %c = icmp slt %u.def.3, %n\n\
+      \  cbr %c, loop, exit\n\
+       exit:\n\
+      \  ret %u.def.3\n\
+       }\n",
+      [ "u"; "v" ] );
+    ( "func @pruned(%x) {\n\
+       entry:\n\
+      \  %a.def.def.1 = add %x, 0\n\
+      \  cbr %x, l, r\n\
+       l:\n\
+      \  %u.def.1 = add %x, 1\n\
+      \  %v.def.1 = add %x, 2\n\
+      \  br j\n\
+       r:\n\
+      \  %u.def.2 = add %x, 3\n\
+      \  br j\n\
+       j:\n\
+      \  br k\n\
+       k:\n\
+      \  %w.def.1 = add %x, 4\n\
+      \  ret %w.def.1\n\
+       }\n",
+      [ "a"; "a.def"; "u"; "v"; "w" ] );
+  ]
+
+let test_tracking_shapes () =
+  List.iter
+    (fun (src, user_vars) ->
+      let f = Miniir.Ir_parser.parse_func src in
+      check_tracking ~what:f.Ir.fname f ~user_vars)
+    shapes
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   let s name f = Alcotest.test_case name `Slow f in
@@ -211,4 +318,8 @@ let suite =
       s "dynamic recovery oracle (corpus kernels)" test_recovery_dynamic_kernels;
       t "no loop-escape re-execution" test_no_loop_escape_reexecution;
       s "study aggregates" test_study_aggregates;
+      t "tracking identical: kernels" test_tracking_kernels;
+      t "tracking identical: Spec_c sample" test_tracking_spec_c;
+      t "tracking identical: hand-built shapes" test_tracking_shapes;
+      QCheck_alcotest.to_alcotest prop_tracking_generated;
     ] )
