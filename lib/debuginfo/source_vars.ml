@@ -33,20 +33,23 @@ let family_of (fbase : Ir.func) (u : string) : Ir.reg list =
       | _ -> None)
     (Ir.all_instrs fbase)
 
-(* Per-variable reaching analysis with a three-point lattice:
-   Nothing = no definition yet, Unique r = unique def r, Conflict =
-   conflicting defs. *)
-type reach = Nothing | Unique of Ir.reg | Conflict
+(* Per-variable reaching analysis over a flat lattice: Unvisited = no path
+   seen yet (the bottom), Nothing = no family definition on the paths
+   seen, Unique r = exactly def r on every path, Conflict = anything else
+   (the top).  [Nothing ⊔ Unique r] is a conflict: [r] is undefined on
+   the paths without a definition. *)
+type reach = Unvisited | Nothing | Unique of Ir.reg | Conflict
 
 let join a b =
   match (a, b) with
-  | Nothing, x | x, Nothing -> x
-  | Unique r1, Unique r2 -> if String.equal r1 r2 then a else Conflict
-  | Conflict, _ | _, Conflict -> Conflict
+  | Unvisited, x | x, Unvisited -> x
+  | Nothing, Nothing -> Nothing
+  | Unique r1, Unique r2 when String.equal r1 r2 -> a
+  | _ -> Conflict
 
 let equal a b =
   match (a, b) with
-  | Nothing, Nothing | Conflict, Conflict -> true
+  | Unvisited, Unvisited | Nothing, Nothing | Conflict, Conflict -> true
   | Unique r1, Unique r2 -> String.equal r1 r2
   | _ -> false
 
@@ -95,7 +98,11 @@ let analyze (index : Func_index.t) ~(user_vars : string list) : t =
         g)
       blocks
   in
-  let inn = Array.init nb (fun _ -> Array.make nv Nothing) in
+  (* The function starts with no definition: the entry block and blocks
+     without predecessors start from [Nothing], every other block from
+     [Unvisited]. *)
+  let seed = Array.mapi (fun b ps -> if b = 0 || ps = [] then Nothing else Unvisited) preds in
+  let inn = Array.map (fun s -> Array.make nv s) seed in
   let out p k = match gen.(p).(k) with Nothing -> inn.(p).(k) | g -> g in
   let queued = Array.make nb true in
   let work = Queue.create () in
@@ -108,7 +115,7 @@ let analyze (index : Func_index.t) ~(user_vars : string list) : t =
     if preds.(b) <> [] then begin
       let changed = ref false in
       for k = 0 to nv - 1 do
-        let v = List.fold_left (fun acc p -> join acc (out p k)) Nothing preds.(b) in
+        let v = List.fold_left (fun acc p -> join acc (out p k)) seed.(b) preds.(b) in
         if not (equal v inn.(b).(k)) then begin
           inn.(b).(k) <- v;
           changed := true
@@ -130,7 +137,7 @@ let analyze (index : Func_index.t) ~(user_vars : string list) : t =
   let at = Hashtbl.create (index.Func_index.func.Ir.next_id / 2) in
   Array.iteri
     (fun b (blk : Ir.block) ->
-      let cur = Array.map (function Unique r -> Some r | Nothing | Conflict -> None) inn.(b) in
+      let cur = Array.map (function Unique r -> Some r | Unvisited | Nothing | Conflict -> None) inn.(b) in
       let listing () =
         let acc = ref [] in
         for k = nv - 1 downto 0 do

@@ -2,7 +2,12 @@
     round-robin fixpoint over (block, user variable) that rescans
     predecessors and family lists, and a [value_at] that rescans the blocks
     from the top for every (point, variable).  The code below is a
-    verbatim copy of [Debuginfo.Source_vars]; it has no edits.
+    verbatim copy of [Debuginfo.Source_vars], with one edit, the join fix
+    made in the library too: the lattice has an [Unvisited] bottom apart
+    from [Nothing] (no definition), [Nothing ⊔ Unique r] is [Conflict],
+    the state defaults to [Unvisited], and the fold over predecessors
+    starts from [Nothing] at the entry block and from [Unvisited]
+    elsewhere (a block without predecessors still gets [Nothing]).
     [Suite_debuginfo] compares [tracked_at] of both versions at every
     program point, and {!Ref_sweep}'s [Endangered] reads this copy, so
     [Suite_sweep]'s [analyze_function] comparison gates the rewrite too. *)
@@ -33,13 +38,14 @@ let family_of (fbase : Ir.func) (u : string) : Ir.reg list =
 (* Per-variable reaching analysis with a three-point lattice:
    None = no definition yet, Some (Some r) = unique def r, Some None =
    conflicting defs. *)
-type reach = Nothing | Unique of Ir.reg | Conflict
+type reach = Unvisited | Nothing | Unique of Ir.reg | Conflict
 
 let join a b =
   match (a, b) with
-  | Nothing, x | x, Nothing -> x
-  | Unique r1, Unique r2 -> if String.equal r1 r2 then a else Conflict
-  | Conflict, _ | _, Conflict -> Conflict
+  | Unvisited, x | x, Unvisited -> x
+  | Nothing, Nothing -> Nothing
+  | Unique r1, Unique r2 when String.equal r1 r2 -> a
+  | _ -> Conflict
 
 let analyze (fbase : Ir.func) ~(user_vars : string list) : t =
   let families = Hashtbl.create 16 in
@@ -53,7 +59,7 @@ let analyze (fbase : Ir.func) ~(user_vars : string list) : t =
       incoming (Ir.block_instrs b)
   in
   let state : (string * string, reach) Hashtbl.t = Hashtbl.create 64 in
-  let get label u = Option.value ~default:Nothing (Hashtbl.find_opt state (label, u)) in
+  let get label u = Option.value ~default:Unvisited (Hashtbl.find_opt state (label, u)) in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -68,7 +74,8 @@ let analyze (fbase : Ir.func) ~(user_vars : string list) : t =
                   List.fold_left
                     (fun acc p ->
                       join acc (block_out (Ir.block_exn fbase p) u (get p u)))
-                    Nothing preds
+                    (if String.equal b.label (Ir.entry fbase).label then Nothing else Unvisited)
+                    preds
             in
             if inn <> get b.label u then begin
               Hashtbl.replace state (b.label, u) inn;
@@ -85,7 +92,7 @@ let analyze (fbase : Ir.func) ~(user_vars : string list) : t =
         (fun u ->
           match get b.label u with
           | Unique r -> Hashtbl.replace tbl u (Some r)
-          | Nothing | Conflict -> Hashtbl.replace tbl u None)
+          | Unvisited | Nothing | Conflict -> Hashtbl.replace tbl u None)
         user_vars;
       Hashtbl.replace reach_in b.label tbl)
     fbase.Ir.blocks;

@@ -121,7 +121,9 @@ let check_recovery_dynamically (kernel : Corpus.Dsl.kernel) (args : int list) =
                               Alcotest.failf
                                 "recovered %s (carrier %s) = %d but reference has %d at point %d"
                                 v.var v.carrier got want p.base_point
-                        | _, None -> ()  (* carrier never executed on this input *)
+                        | _, None ->
+                            Alcotest.failf "carrier %s of %s unbound at reached point %d"
+                              v.carrier v.var p.base_point
                         | None, _ -> Alcotest.failf "plan did not bind %s" v.carrier)))
             p.vars
       | _, _ -> ()  (* breakpoint not reached on this input *))
@@ -245,8 +247,9 @@ let prop_tracking_generated =
 
 (* Hand-built shapes the DSL does not produce: an unreachable block (one
    with a self-loop), a self-loop, a merge whose φ was pruned, an empty
-   block whose only point is its terminator, and registers in two families
-   by prefix ([a.def.def.1] is in [a] and in [a.def]). *)
+   block whose only point is its terminator, registers in two families by
+   prefix ([a.def.def.1] is in [a] and in [a.def]), and an entry block
+   with a predecessor. *)
 let shapes =
   [
     ( "func @unreach(%x) {\n\
@@ -297,6 +300,17 @@ let shapes =
       \  ret %w.def.1\n\
        }\n",
       [ "a"; "a.def"; "u"; "v"; "w" ] );
+    ( "func @reentry(%n) {\n\
+       entry:\n\
+      \  %c = icmp slt %n, 0\n\
+      \  cbr %c, body, exit\n\
+       body:\n\
+      \  %u.def.1 = add %n, 1\n\
+      \  br entry\n\
+       exit:\n\
+      \  ret 0\n\
+       }\n",
+      [ "u" ] );
   ]
 
 let test_tracking_shapes () =
@@ -305,6 +319,112 @@ let test_tracking_shapes () =
       let f = Miniir.Ir_parser.parse_func src in
       check_tracking ~what:f.Ir.fname f ~user_vars)
     shapes
+
+(* ------------------------------------------------------------------ *)
+(* Tracked carriers are defined on every path                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Every carrier tracked at a body instruction or a terminator is defined
+   by an instruction that dominates it. *)
+let check_carriers_dominate ~(what : string) (fbase : Ir.func) ~(user_vars : string list) =
+  let sv = SV.analyze (Miniir.Func_index.make fbase) ~user_vars in
+  let dom = Miniir.Dom.compute fbase and positions = Miniir.Dom.instr_positions fbase in
+  let def_id = Hashtbl.create 64 in
+  List.iter
+    (fun (i : Ir.instr) -> Option.iter (fun r -> Hashtbl.replace def_id r i.id) i.result)
+    (Ir.all_instrs fbase);
+  List.iter
+    (fun (b : Ir.block) ->
+      List.iter
+        (fun point ->
+          List.iter
+            (fun (u, c) ->
+              if
+                not
+                  (Miniir.Dom.instr_dominates dom positions ~def_id:(Hashtbl.find def_id c)
+                     ~use_id:point)
+              then Alcotest.failf "%s: carrier %s of %s does not dominate point %d" what c u point)
+            (SV.tracked_at sv ~point))
+        (List.map (fun (i : Ir.instr) -> i.id) b.body @ [ b.term_id ]))
+    fbase.Ir.blocks
+
+let test_carriers_dominate () =
+  let check (what, k) =
+    let fbase, (dbg : Corpus.Dsl.debug_info) = Corpus.Dsl.to_fbase k in
+    check_carriers_dominate ~what fbase ~user_vars:dbg.user_vars
+  in
+  List.iter (fun (e : Corpus.Kernels.entry) -> check (e.benchmark, e.kernel)) Corpus.Kernels.all;
+  List.iter check (Suite_front.spec_c_sample ())
+
+let untracked_at ~what (fbase : Ir.func) (dbg : Corpus.Dsl.debug_info) u point =
+  let sv = SV.analyze (Miniir.Func_index.make fbase) ~user_vars:dbg.user_vars in
+  match List.assoc_opt u (SV.tracked_at sv ~point) with
+  | None -> ()
+  | Some c -> Alcotest.failf "%s: %s tracked as %s at point %d" what u c point
+
+(* [t] is set in one arm of an [if] and dead after the merge, so mem2reg
+   prunes its φ: the other arm still holds the initial value. *)
+let test_untracked_after_one_arm_if () =
+  let open Corpus.Dsl in
+  let k =
+    {
+      kname = "one_arm";
+      params = [ "x"; "y" ];
+      arrays = [];
+      locals = [ "t"; "acc" ];
+      body =
+        [
+          Set ("acc", Param "y");
+          If (Cmp (Miniir.Ir.Sgt, Param "x", Const 0), [ Set ("t", Bin (Miniir.Ir.Mul, Param "x", Const 3)) ], []);
+          Set ("acc", Bin (Miniir.Ir.Add, Slot "acc", Param "x"));
+        ];
+      ret = Slot "acc";
+    }
+  in
+  let fbase, dbg = to_fbase k in
+  let last = List.hd (List.rev dbg.source_points) in
+  let ret = (List.hd (List.rev fbase.Ir.blocks)).Ir.term_id in
+  untracked_at ~what:"after the merge" fbase dbg "t" last;
+  untracked_at ~what:"at the return" fbase dbg "t" ret
+
+(* [probe] is set only inside the loop body and dead at the header: on
+   entry to the loop it holds the initial value, not the body's. *)
+let test_untracked_at_loop_header () =
+  let open Corpus.Dsl in
+  let k =
+    {
+      kname = "loop_only";
+      params = [ "n"; "y" ];
+      arrays = [];
+      locals = [ "probe"; "acc" ];
+      body =
+        [
+          Set ("acc", Param "y");
+          For
+            {
+              i = "i";
+              below = Param "n";
+              body =
+                [
+                  Set ("probe", Bin (Miniir.Ir.Mul, Slot "i", Const 10));
+                  Set ("acc", Bin (Miniir.Ir.Add, Slot "acc", Slot "probe"));
+                ];
+            };
+        ];
+      ret = Slot "acc";
+    }
+  in
+  let fbase, dbg = to_fbase k in
+  let header =
+    List.find
+      (fun (b : Ir.block) ->
+        List.exists
+          (fun (i : Ir.instr) ->
+            match i.result with Some r -> String.starts_with ~prefix:"i.slot.phi." r | None -> false)
+          b.phis)
+      fbase.Ir.blocks
+  in
+  untracked_at ~what:"at the loop header" fbase dbg "probe" header.term_id
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
@@ -322,4 +442,7 @@ let suite =
       t "tracking identical: Spec_c sample" test_tracking_spec_c;
       t "tracking identical: hand-built shapes" test_tracking_shapes;
       QCheck_alcotest.to_alcotest prop_tracking_generated;
+      t "tracked carriers dominate their points" test_carriers_dominate;
+      t "untracked after a one-arm if" test_untracked_after_one_arm_if;
+      t "untracked at a loop header" test_untracked_at_loop_header;
     ] )
