@@ -32,12 +32,14 @@ bench-smoke:
 bench-check:
 	python3 osrbench/run.py --self-check
 
-# Per-layer profile of the tier-up path: one traced 10-s tierup run (seed
-# 21), then the per-layer table it wrote (self time, share and allocation
-# per layer, and every span).  Run it on two checkouts for a before/after.
+# Per-layer profile of one workload: one traced 10-s run (seed 21) of
+# W = tierup (default), steady or debug, then the per-layer table it wrote
+# (self time, share and allocation per layer, and every span).  Run it on
+# two checkouts for a before/after, e.g. `make bench-layers W=debug`.
+W ?= tierup
 bench-layers:
-	@python3 osrbench/run.py --workload tierup --seed 21 --seconds 10 --trace 1 > /dev/null
-	@cat .bench_out/tierup-seed21.layers.json
+	@python3 osrbench/run.py --workload $(W) --seed 21 --seconds 10 --trace 1 > /dev/null
+	@cat .bench_out/$(W)-seed21.layers.json
 
 # Parallel sweep scaling (j = 1, 2, 4, #cores) + BENCH_parallel.json.
 perf-par:

@@ -594,33 +594,31 @@ let ablate () =
 
 (* ------------------------------------------------------------------ *)
 
-let usage () =
-  print_endline
-    "usage: main.exe [table1|table2|fig7|fig8|table3|table4|fig9|table5|\n\
-    \       ablate|perf-par|smoke|all]"
+(* What [all] runs, in order. *)
+let paper_modes =
+  [
+    ("table1", table1);
+    ("table2", table2);
+    ("fig7", fig7);
+    ("fig8", fig8);
+    ("table3", table3);
+    ("table4", table4);
+    ("fig9", fig9);
+    ("table5", table5);
+    ("ablate", ablate);
+    ("perf-par", parallel_perf);
+  ]
 
+let modes =
+  paper_modes
+  @ [ ("smoke", smoke); ("all", fun () -> List.iter (fun (_, run) -> run ()) paper_modes) ]
+
+(* Every named mode runs, in order; an unknown one stops before any runs. *)
 let () =
-  match if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" with
-  | "table1" -> table1 ()
-  | "table2" -> table2 ()
-  | "fig7" -> fig7 ()
-  | "fig8" -> fig8 ()
-  | "table3" -> table3 ()
-  | "table4" -> table4 ()
-  | "fig9" -> fig9 ()
-  | "table5" -> table5 ()
-  | "ablate" -> ablate ()
-  | "perf-par" -> parallel_perf ()
-  | "smoke" -> smoke ()
-  | "all" ->
-      table1 ();
-      table2 ();
-      fig7 ();
-      fig8 ();
-      table3 ();
-      table4 ();
-      fig9 ();
-      table5 ();
-      ablate ();
-      parallel_perf ()
-  | _ -> usage ()
+  let names = match List.tl (Array.to_list Sys.argv) with [] -> [ "all" ] | ns -> ns in
+  match List.map (fun n -> List.assoc_opt n modes) names with
+  | runs when List.for_all Option.is_some runs -> List.iter (fun run -> Option.get run ()) runs
+  | _ ->
+      Printf.printf "usage: main.exe [MODE...]  (default: all)\n  MODE = %s\n"
+        (String.concat "|" (List.map fst modes));
+      exit 2

@@ -47,12 +47,6 @@ let join a b =
   | Unique r1, Unique r2 when String.equal r1 r2 -> a
   | _ -> Conflict
 
-let equal a b =
-  match (a, b) with
-  | Unvisited, Unvisited | Nothing, Nothing | Conflict, Conflict -> true
-  | Unique r1, Unique r2 -> String.equal r1 r2
-  | _ -> false
-
 let analyze (index : Func_index.t) ~(user_vars : string list) : t =
   let vars = Array.of_list user_vars in
   let nv = Array.length vars in
@@ -112,24 +106,22 @@ let analyze (index : Func_index.t) ~(user_vars : string list) : t =
   while not (Queue.is_empty work) do
     let b = Queue.pop work in
     queued.(b) <- false;
-    if preds.(b) <> [] then begin
-      let changed = ref false in
-      for k = 0 to nv - 1 do
-        let v = List.fold_left (fun acc p -> join acc (out p k)) seed.(b) preds.(b) in
-        if not (equal v inn.(b).(k)) then begin
-          inn.(b).(k) <- v;
-          changed := true
-        end
-      done;
-      if !changed then
-        List.iter
-          (fun s ->
-            if not queued.(s) then begin
-              queued.(s) <- true;
-              Queue.add s work
-            end)
-          succs.(b)
-    end
+    let changed = ref false in
+    for k = 0 to nv - 1 do
+      let v = List.fold_left (fun acc p -> join acc (out p k)) seed.(b) preds.(b) in
+      if v <> inn.(b).(k) then begin
+        inn.(b).(k) <- v;
+        changed := true
+      end
+    done;
+    if !changed then
+      List.iter
+        (fun s ->
+          if not queued.(s) then begin
+            queued.(s) <- true;
+            Queue.add s work
+          end)
+        succs.(b)
   done;
   (* One forward walk per block: the tracked list changes only at family
      defs, so consecutive points share one list.  The first block holding
@@ -137,11 +129,11 @@ let analyze (index : Func_index.t) ~(user_vars : string list) : t =
   let at = Hashtbl.create (index.Func_index.func.Ir.next_id / 2) in
   Array.iteri
     (fun b (blk : Ir.block) ->
-      let cur = Array.map (function Unique r -> Some r | Unvisited | Nothing | Conflict -> None) inn.(b) in
+      let cur = Array.copy inn.(b) in
       let listing () =
         let acc = ref [] in
         for k = nv - 1 downto 0 do
-          match cur.(k) with Some r -> acc := (vars.(k), r) :: !acc | None -> ()
+          match cur.(k) with Unique r -> acc := (vars.(k), r) :: !acc | _ -> ()
         done;
         !acc
       in
@@ -149,11 +141,11 @@ let analyze (index : Func_index.t) ~(user_vars : string list) : t =
       let record id = if not (Hashtbl.mem at id) then Hashtbl.add at id !now in
       let step (i : Ir.instr) =
         record i.id;
-        match Option.bind i.result (Hashtbl.find_opt fams) with
-        | Some ks ->
-            List.iter (fun k -> cur.(k) <- i.result) ks;
+        match i.result with
+        | Some r when Hashtbl.mem fams r ->
+            List.iter (fun k -> cur.(k) <- Unique r) (Hashtbl.find fams r);
             now := listing ()
-        | None -> ()
+        | _ -> ()
       in
       List.iter step blk.phis;
       List.iter step blk.body;
