@@ -23,14 +23,14 @@ type t = { at : (int, (string * Ir.reg) list) Hashtbl.t  (** point → tracked v
 
 let family_prefixes (u : string) = (u ^ ".def.", u ^ ".slot.phi.")
 
+let in_family (def, phi) (r : Ir.reg) =
+  String.starts_with ~prefix:def r || String.starts_with ~prefix:phi r
+
 let family_of (fbase : Ir.func) (u : string) : Ir.reg list =
-  let def, phi = family_prefixes u in
+  let prefixes = family_prefixes u in
   List.filter_map
     (fun (i : Ir.instr) ->
-      match i.result with
-      | Some r when String.starts_with ~prefix:def r || String.starts_with ~prefix:phi r ->
-          Some r
-      | _ -> None)
+      match i.result with Some r when in_family prefixes r -> Some r | _ -> None)
     (Ir.all_instrs fbase)
 
 (* Per-variable reaching analysis over a flat lattice: Unvisited = no path
@@ -47,6 +47,7 @@ let join a b =
   | Unique r1, Unique r2 when String.equal r1 r2 -> a
   | _ -> Conflict
 
+(** Track [user_vars] over the function [index] was built from. *)
 let analyze (index : Func_index.t) ~(user_vars : string list) : t =
   let vars = Array.of_list user_vars in
   let nv = Array.length vars in
@@ -56,8 +57,7 @@ let analyze (index : Func_index.t) ~(user_vars : string list) : t =
   let families_of r =
     let acc = ref [] in
     for k = nv - 1 downto 0 do
-      let def, phi = prefixes.(k) in
-      if String.starts_with ~prefix:def r || String.starts_with ~prefix:phi r then acc := k :: !acc
+      if in_family prefixes.(k) r then acc := k :: !acc
     done;
     !acc
   in

@@ -1,7 +1,9 @@
 (** Tests for the Section 7 machinery: source-variable tracking, the
     endangered-variable analysis, and — most importantly — a dynamic oracle
     checking that every value the analysis claims recoverable really is
-    recovered correctly at a live breakpoint. *)
+    recovered correctly at a live breakpoint.  Source-variable tracking is
+    also compared point by point against the old fixpoint kept in
+    {!Ref_source_vars}. *)
 
 module Ir = Miniir.Ir
 module P = Passes.Pass_manager
@@ -202,7 +204,7 @@ let test_study_aggregates () =
     reports
 
 (* ------------------------------------------------------------------ *)
-(* Differential gate: tracking against the verbatim old module          *)
+(* Differential gate: tracking against the old fixpoint                *)
 (* ------------------------------------------------------------------ *)
 
 (* [tracked_at] of the one-pass analysis and of {!Ref_source_vars} at every
