@@ -389,39 +389,47 @@ let osr_run_cmd =
 
 (* --- debug-study ------------------------------------------------------ *)
 
-let debug_study_cmd =
-  let bench_name = Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCHMARK") in
-  let run name =
-    match Corpus.Spec_c.find name with
+let study_conv : Corpus.Spec_c.profile Arg.conv =
+  let parse s =
+    match Corpus.Spec_c.find s with
+    | Some p -> Ok p
     | None ->
-        Printf.eprintf "unknown study benchmark %S (try: %s)\n" name
-          (String.concat ", "
-             (List.map (fun (p : Corpus.Spec_c.profile) -> p.bench) Corpus.Spec_c.profiles))
-    | Some prof ->
-        List.iteri
-          (fun k (sf : Corpus.Spec_c.study_func) ->
-            let r = P.apply sf.fbase in
-            let rep =
-              Debuginfo.Endangered.analyze_function ~fbase:r.P.fbase ~fopt:r.P.fopt
-                ~mapper:r.P.mapper ~user_vars:sf.dbg.user_vars
-                ~source_points:sf.dbg.source_points
-            in
-            let show which =
-              match Debuginfo.Endangered.recoverability rep which with
-              | Some x -> Printf.sprintf "%.2f" x
-              | None -> "-"
-            in
-            Printf.printf
-              "fn%03d |fbase|=%4d points=%3d affected=%.2f recover(live)=%s recover(avail)=%s keep=%d\n"
-              k rep.base_size (List.length rep.points)
-              (Debuginfo.Endangered.affected_fraction rep)
-              (show `Live) (show `Avail)
-              (List.length (Debuginfo.Endangered.keep_set rep)))
-          (Corpus.Spec_c.functions_of prof)
+        Error
+          (`Msg
+            (Printf.sprintf "unknown study benchmark %S (try: %s)" s
+               (String.concat ", "
+                  (List.map (fun (p : Corpus.Spec_c.profile) -> p.bench) Corpus.Spec_c.profiles))))
+  in
+  let print ppf (p : Corpus.Spec_c.profile) = Format.pp_print_string ppf p.bench in
+  Arg.conv (parse, print)
+
+let debug_study_cmd =
+  let study_arg = Arg.(required & pos 0 (some study_conv) None & info [] ~docv:"BENCHMARK") in
+  let run (prof : Corpus.Spec_c.profile) =
+    List.iteri
+      (fun k (sf : Corpus.Spec_c.study_func) ->
+        let r = P.apply sf.fbase in
+        let rep =
+          Debuginfo.Endangered.analyze_function ~fbase:r.P.fbase ~fopt:r.P.fopt
+            ~mapper:r.P.mapper ~user_vars:sf.dbg.user_vars
+            ~source_points:sf.dbg.source_points
+        in
+        let show which =
+          match Debuginfo.Endangered.recoverability rep which with
+          | Some x -> Printf.sprintf "%.2f" x
+          | None -> "-"
+        in
+        Printf.printf
+          "fn%03d |fbase|=%4d points=%3d affected=%.2f recover(live)=%s recover(avail)=%s keep=%d\n"
+          k rep.base_size (List.length rep.points)
+          (Debuginfo.Endangered.affected_fraction rep)
+          (show `Live) (show `Avail)
+          (List.length (Debuginfo.Endangered.keep_set rep)))
+      (Corpus.Spec_c.functions_of prof)
   in
   Cmd.v
     (Cmd.info "debug-study" ~doc:"Section 7 endangered-variable study for one benchmark group.")
-    Term.(const run $ bench_name)
+    Term.(const run $ study_arg)
 
 let () =
   let doc = "TinyVM: MiniIR optimizer, interpreter and OSR playground" in

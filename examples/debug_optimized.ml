@@ -63,12 +63,12 @@ let () =
         if not v.endangered then
           (* Straight from the optimized frame (possibly via an alias). *)
           List.find_map
-            (fun cand ->
-              match cand with
+            (fun (cand : Ctx.cand) ->
+              match cand.cv with
               | Ir.Reg y -> Hashtbl.find_opt machine.frame y
               | Ir.Const c -> Some c
               | Ir.Undef -> None)
-            (Ctx.source_candidates bwd v.carrier)
+            (Ctx.candidates bwd v.carrier)
         else begin
           (* Run the recovery plan for just this variable. *)
           match

@@ -79,7 +79,7 @@ let () =
   match Ctx.landing_point ctx point with
   | None -> failwith "no landing"
   | Some landing -> (
-      match R.for_point_pair ~variant:R.Avail ctx ~src_point:point ~landing with
+      match snd (R.for_point_both ctx ~src_point:point ~landing) with
       | Error x -> failwith ("reconstruct failed on " ^ x)
       | Ok plan ->
           Printf.printf "transition at #%d -> #%d, transfers=%d, |c|=%d\n" point landing

@@ -77,8 +77,3 @@ let reverse_postorder (g : t) : int list =
     if not seen.(l - 1) then unreachable := l :: !unreachable
   done;
   !order @ !unreachable
-
-let pp ppf (g : t) =
-  for l = 1 to n_points g do
-    Fmt.pf ppf "%d -> [%a]@." l Fmt.(list ~sep:(any "; ") int) (succs g l)
-  done

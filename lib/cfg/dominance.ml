@@ -31,9 +31,6 @@ let dominators (t : t) (l : int) : int list = List.sort_uniq compare (l :: t.res
 
 let dominates (t : t) ~(dom : int) ~(point : int) = List.mem dom (dominators t point)
 
-let strictly_dominates (t : t) ~(dom : int) ~(point : int) =
-  dom <> point && dominates t ~dom ~point
-
 (** Immediate dominator: the unique strict dominator dominated by every
     other strict dominator.  [None] for the entry and unreachable points. *)
 let idom (t : t) (l : int) : int option =

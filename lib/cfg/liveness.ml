@@ -31,9 +31,6 @@ let analyze (g : Cfg.t) : t = { result = Solver.run g }
 (** Variables live at point [l] (before [I_l] executes). *)
 let live_at (t : t) (l : int) : Minilang.Ast.var list = t.result.before l
 
-(** Variables live just after [I_l] executes. *)
-let live_after (t : t) (l : int) : Minilang.Ast.var list = t.result.after l
-
 let is_live (t : t) (l : int) (x : Minilang.Ast.var) = List.mem x (live_at t l)
 
 (** One-shot convenience: [live p l]. *)

@@ -43,9 +43,6 @@ let analyze (g : Cfg.t) : t = { result = Solver.run g }
 (** Definitions reaching point [l] (before [I_l] executes). *)
 let reaching_at (t : t) (l : int) : def list = t.result.before l
 
-(** Definitions reaching the program-order point just after [I_l]. *)
-let reaching_after (t : t) (l : int) : def list = t.result.after l
-
 (** Definition points of [x] reaching point [l]. *)
 let defs_of (t : t) (l : int) (x : Minilang.Ast.var) : int list =
   List.filter_map (fun (y, ld) -> if String.equal x y then Some ld else None) (reaching_at t l)

@@ -51,7 +51,6 @@ let neg a = Not a
 let ax_fwd f = AX (Fwd, f)
 let ax_bwd f = AX (Bwd, f)
 let ex_fwd f = EX (Fwd, f)
-let ex_bwd f = EX (Bwd, f)
 let au_fwd a b = AU (Fwd, a, b)
 let au_bwd a b = AU (Bwd, a, b)
 let eu_fwd a b = EU (Fwd, a, b)

@@ -40,10 +40,6 @@ let pp_binding ppf = function
   | Bexpr e -> Fmt.pf ppf "expr %s" (Minilang.Pretty.expr_to_string e)
   | Bpoint l -> Fmt.pf ppf "point %d" l
 
-let pp_subst ppf (s : subst) =
-  let pp_pair ppf (k, b) = Fmt.pf ppf "%s ↦ %a" k pp_binding b in
-  Fmt.pf ppf "{%a}" (Fmt.list ~sep:(Fmt.any ", ") pp_pair) (SMap.bindings s)
-
 (** Reference to a program variable: concrete or meta. *)
 type var_arg = Vlit of Minilang.Ast.var | Vmeta of string
 

@@ -51,13 +51,6 @@ let recovery_plan (ctx : Ctx.t) (variant : R.variant) ~(opt_point : int) ~(base_
   | _ -> Some (R.plan_of_state st)
   | exception R.Undef _ -> None
 
-(* Try to reconstruct one fbase register from the fopt frame at opt_point. *)
-let try_recover (ctx : Ctx.t) (variant : R.variant) ~(opt_point : int) ~(base_point : int)
-    (x : Ir.reg) : (Ir.reg list, unit) result =
-  match recovery_plan ctx variant ~opt_point ~base_point x with
-  | Some plan -> Ok plan.keep
-  | None -> Error ()
-
 let analyze_function ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Passes.Code_mapper.t)
     ~(user_vars : string list) ~(source_points : int list) : func_report =
   (* Breakpoint correspondence: fbase → fopt (where does the breakpoint
@@ -70,6 +63,8 @@ let analyze_function ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Passes.Code
         match Ctx.landing_point fwd base_point with
         | None -> None
         | Some opt_point ->
+            let env = Ctx.point_env bwd opt_point in
+            let st = R.fresh_state bwd ~src_point:opt_point ~landing:base_point in
             let vars =
               List.map
                 (fun (var, carrier) ->
@@ -77,11 +72,11 @@ let analyze_function ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Passes.Code
                      live in the optimized frame at the breakpoint. *)
                   let direct =
                     List.exists
-                      (fun v ->
-                        Ctx.available_in_src bwd ~src_point:opt_point v
-                        && Ctx.live_in_src bwd ~src_point:opt_point v
-                        && match v with Ir.Reg _ -> true | _ -> false)
-                      (Ctx.source_candidates bwd carrier)
+                      (fun (c : Ctx.cand) ->
+                        (match c.cv with Ir.Reg _ -> true | _ -> false)
+                        && Ctx.cand_available bwd env c
+                        && Ctx.cand_live env c)
+                      (Ctx.candidates bwd carrier)
                   in
                   if direct then
                     {
@@ -93,18 +88,14 @@ let analyze_function ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Passes.Code
                       keep = [];
                     }
                   else
-                    let live_ok =
-                      Result.is_ok
-                        (try_recover bwd R.Live ~opt_point ~base_point carrier)
-                    in
-                    let avail = try_recover bwd R.Avail ~opt_point ~base_point carrier in
+                    let live, avail = R.both st [ carrier ] in
                     {
                       var;
                       carrier;
                       endangered = true;
-                      recoverable_live = live_ok;
+                      recoverable_live = Result.is_ok live;
                       recoverable_avail = Result.is_ok avail;
-                      keep = (match avail with Ok k -> k | Error () -> []);
+                      keep = (match avail with Ok p -> p.keep | Error _ -> []);
                     })
                 (Source_vars.tracked_at sv ~point:base_point)
             in

@@ -46,13 +46,6 @@ let parse_num st =
       | t -> fail st (Printf.sprintf "expected number after '-', found %s" (Lexer.token_to_string t)))
   | t -> fail st (Printf.sprintf "expected number, found %s" (Lexer.token_to_string t))
 
-let parse_ident st =
-  match peek st with
-  | Lexer.IDENT x ->
-      advance st;
-      x
-  | t -> fail st (Printf.sprintf "expected identifier, found %s" (Lexer.token_to_string t))
-
 let binop_of_token : Lexer.token -> (Ast.binop * int) option = function
   | Lexer.OROR -> Some (Ast.Or, 1)
   | Lexer.ANDAND -> Some (Ast.And, 2)

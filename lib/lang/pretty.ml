@@ -64,7 +64,3 @@ let program_to_string (p : Ast.program) =
 (** Render without point labels — re-parseable by {!Parser.parse_program}. *)
 let program_to_source (p : Ast.program) =
   String.concat "\n" (Array.to_list (Array.map instr_to_string p)) ^ "\n"
-
-let pp_program ppf p = Fmt.string ppf (program_to_string p)
-let pp_instr ppf i = Fmt.string ppf (instr_to_string i)
-let pp_expr ppf e = Fmt.string ppf (expr_to_string e)

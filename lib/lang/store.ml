@@ -29,8 +29,6 @@ let of_list (bindings : (Ast.var * int) list) : t =
 
 let to_list (sigma : t) : (Ast.var * int) list = VarMap.bindings sigma
 
-let defined_vars (sigma : t) : Ast.var list = List.map fst (VarMap.bindings sigma)
-
 let equal (a : t) (b : t) = VarMap.equal Int.equal a b
 
 (** [agree_on vars a b] holds iff [a|_vars = b|_vars] — the weak store

@@ -161,22 +161,11 @@ let frontiers (t : t) : (string, string list) Hashtbl.t =
 (* Instruction-level dominance                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Position of each instruction id inside its block: (block, index), where
-   φ-nodes share index 0 and the terminator sits after the body. *)
-let instr_positions (f : Ir.func) : (int, string * int) Hashtbl.t =
-  let t = Hashtbl.create 64 in
-  List.iter
-    (fun (b : Ir.block) ->
-      List.iter (fun (i : Ir.instr) -> Hashtbl.replace t i.id (b.label, 0)) b.phis;
-      List.iteri (fun k (i : Ir.instr) -> Hashtbl.replace t i.id (b.label, k + 1)) b.body;
-      Hashtbl.replace t b.term_id (b.label, List.length b.body + 1))
-    f.blocks;
-  t
-
 (** Does the definition at instruction [def_id] dominate the program point
     just before instruction [use_id]?  φ-nodes are treated as defining at
     the very top of their block (they dominate every body instruction of the
-    block); an instruction does not dominate itself. *)
+    block); an instruction does not dominate itself.  [positions] is a
+    {!Func_index.t}'s [positions] table. *)
 let instr_dominates (t : t) (positions : (int, string * int) Hashtbl.t) ~(def_id : int)
     ~(use_id : int) : bool =
   match (Hashtbl.find_opt positions def_id, Hashtbl.find_opt positions use_id) with

@@ -15,11 +15,9 @@
 type t = {
   func : Ir.func;
   blocks : (string, Ir.block) Hashtbl.t;  (** label → block *)
-  owner : (int, string) Hashtbl.t;  (** instruction/terminator id → block label *)
   positions : (int, string * int) Hashtbl.t;
-      (** id → (block, index): φ-nodes share index 0, body starts at 1, the
-          terminator sits after the body — same convention as
-          {!Dom.instr_positions} *)
+      (** instruction/terminator id → (block, index): φ-nodes share index 0,
+          the body starts at 1, the terminator sits after the body *)
   preds : (string, string list) Hashtbl.t;  (** label → predecessor labels *)
   succs : (string, string list) Hashtbl.t;  (** label → successor labels *)
   param_set : (Ir.reg, unit) Hashtbl.t;
@@ -34,7 +32,6 @@ let make (f : Ir.func) : t =
   let n_blocks = List.length f.blocks / 2 in
   let n_ids = f.next_id / 2 in
   let blocks = Hashtbl.create n_blocks in
-  let owner = Hashtbl.create n_ids in
   let positions = Hashtbl.create n_ids in
   let preds = Hashtbl.create n_blocks in
   let succs = Hashtbl.create n_blocks in
@@ -49,7 +46,6 @@ let make (f : Ir.func) : t =
   List.iter
     (fun (b : Ir.block) ->
       let record_instr ~in_phis ~pos (i : Ir.instr) =
-        Hashtbl.replace owner i.id b.label;
         Hashtbl.replace positions i.id (b.label, pos);
         match i.result with
         | Some r -> Hashtbl.replace defs r { Ir.di = i; block = b.label; in_phis }
@@ -57,7 +53,6 @@ let make (f : Ir.func) : t =
       in
       List.iter (record_instr ~in_phis:true ~pos:0) b.phis;
       List.iteri (fun k i -> record_instr ~in_phis:false ~pos:(k + 1) i) b.body;
-      Hashtbl.replace owner b.term_id b.label;
       Hashtbl.replace positions b.term_id (b.label, List.length b.body + 1);
       let ss = Ir.successors b in
       Hashtbl.replace succs b.label ss;
@@ -70,7 +65,7 @@ let make (f : Ir.func) : t =
     f.blocks;
   (* Predecessors were consed on; put them back in block order. *)
   Hashtbl.filter_map_inplace (fun _ ps -> Some (List.rev ps)) preds;
-  { func = f; blocks; owner; positions; preds; succs; param_set; defs }
+  { func = f; blocks; positions; preds; succs; param_set; defs }
 
 (* ------------------------------------------------------------------ *)
 (* Queries (mirroring the linear Ir accessors)                          *)
@@ -84,9 +79,10 @@ let block_exn (t : t) (label : string) : Ir.block =
   | None ->
       invalid_arg (Printf.sprintf "Func_index.block_exn: no block %S in @%s" label t.func.fname)
 
-let owner_of (t : t) (id : int) : string option = Hashtbl.find_opt t.owner id
-
 let position_of (t : t) (id : int) : (string * int) option = Hashtbl.find_opt t.positions id
+
+(** Block label of an instruction or terminator id. *)
+let owner_of (t : t) (id : int) : string option = Option.map fst (position_of t id)
 
 (** Predecessor labels, in block order (matches {!Ir.predecessors}). *)
 let predecessors (t : t) (label : string) : string list =

@@ -214,6 +214,25 @@ let block_of_instr (f : func) : (int, string) Hashtbl.t =
     f.blocks;
   t
 
+(** Map from every body instruction and terminator id to the first id at or
+    after it in its block (the terminator included) that satisfies [keep];
+    ids with no such successor in their block are absent.  One backward walk
+    per block.  This is the landing rule of OSR points and of source points
+    whose instruction an optimization removed; φ-nodes are not points. *)
+let first_kept_at_or_after ~(keep : int -> bool) (f : func) : (int, int) Hashtbl.t =
+  let t = Hashtbl.create (f.next_id / 2) in
+  List.iter
+    (fun b ->
+      let cur = ref None in
+      let visit id =
+        if keep id then cur := Some id;
+        match !cur with Some a -> Hashtbl.replace t id a | None -> ()
+      in
+      visit b.term_id;
+      List.iter (fun i -> visit i.id) (List.rev b.body))
+    f.blocks;
+  t
+
 (* ------------------------------------------------------------------ *)
 (* Construction helpers                                                 *)
 (* ------------------------------------------------------------------ *)

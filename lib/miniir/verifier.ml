@@ -57,7 +57,7 @@ let verify (f : Ir.func) : (unit, error list) result =
     f.blocks;
   let defs_tbl = index.Func_index.defs in
   if
-    Hashtbl.length index.Func_index.owner <> !n_ids
+    Hashtbl.length index.Func_index.positions <> !n_ids
     || Hashtbl.length defs_tbl <> !n_results
     || List.exists (Hashtbl.mem defs_tbl) f.params
   then begin

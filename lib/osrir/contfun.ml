@@ -75,16 +75,21 @@ let drop_unreachable (f : Ir.func) : unit =
 let generate ?(promote = true) (target : Ir.func) ~(landing : int)
     (plan : Reconstruct_ir.plan) : t =
   let f = Ir.clone_func target in
-  let positions = Dom.instr_positions f in
-  let landing_block, _ =
-    match Hashtbl.find_opt positions landing with
-    | Some p -> p
+  let lb =
+    match
+      List.find_opt
+        (fun (b : Ir.block) ->
+          b.term_id = landing
+          || List.exists (fun (i : Ir.instr) -> i.id = landing) (Ir.block_instrs b))
+        f.blocks
+    with
+    | Some b -> b
     | None ->
         raise
           (Osr_error.Error (Osr_error.No_such_point { func = target.fname; point = landing }))
   in
   (* --- 1. Split the landing block. --------------------------------- *)
-  let lb = Ir.block_exn f landing_block in
+  let landing_block = lb.label in
   let tail_label = landing_block ^ "$tail" in
   let rec split acc = function
     | [] -> (List.rev acc, [])  (* landing at the terminator *)
@@ -314,13 +319,15 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
   (* The validation obligation: registers of the finished [fto] live into
      the landing instruction.  The landing id survives splitting, demotion
      and re-promotion (it is never rewritten), so recompute liveness on the
-     final body; a missing id here is a broken construction invariant. *)
+     final body; a point liveness does not know is a broken construction
+     invariant. *)
+  let live = Liveness.compute fto in
   let live_in =
-    if not (Hashtbl.mem (Dom.instr_positions fto) landing) then
+    if Liveness.bits_at live landing = None then
       raise
         (Osr_error.Error
            (Osr_error.Internal
               { what = Printf.sprintf "Contfun.generate: landing #%d lost in @%s" landing fto.fname }))
-    else Liveness.live_at (Liveness.compute fto) landing
+    else Liveness.live_at live landing
   in
   { fto; param_sources; landing; live_in }

@@ -7,16 +7,16 @@ open Import
 
     Performance architecture: each side carries a {!Func_index.t} — an
     immutable snapshot index of its function — and every side analysis
-    (dominators, liveness, loops, positions, defs, ownership, the loops
-    containing each block) is derived from that index exactly once in
-    {!make_side}.  The context also builds, once, the cross-point tables
-    that make the per-point feasibility sweep near-linear: the landing
-    point of every source point (one backward scan per block), the
-    mapper's query index, and the interned candidate list of every
-    destination register.  Nothing is written after {!make} or
-    {!make_pair} returns, so one context serves any number of domains at
-    once; reuse within one point lives in the per-point state of
-    {!Reconstruct_ir}. *)
+    (dominators, liveness, loops, the loops containing each block) is
+    derived from that index exactly once in {!make_side}; positions,
+    definition sites and block ownership are the index's own tables.  The
+    context also builds, once, the cross-point tables that make the
+    per-point feasibility sweep near-linear: the landing point of every
+    source point ({!Ir.first_kept_at_or_after}), the mapper's query index,
+    and the interned candidate list of every destination register.
+    Nothing is written after {!make} or {!make_pair} returns, so one
+    context serves any number of domains at once; reuse within one point
+    lives in the per-point state of {!Reconstruct_ir}. *)
 
 type direction = Base_to_opt | Opt_to_base
 
@@ -50,10 +50,7 @@ type side = {
   func : Ir.func;
   index : Func_index.t;
   dom : Dom.t;
-  positions : (int, string * int) Hashtbl.t;
   live : Liveness.t;
-  defs : (Ir.reg, Ir.def_site) Hashtbl.t;
-  owner : (int, string) Hashtbl.t;  (** instruction id → block label *)
   loops : Loops.t;
   loop_ids : (string, int list) Hashtbl.t;
       (** block label → ascending ids (positions in [loops]) of the natural
@@ -73,17 +70,7 @@ let make_side (f : Ir.func) : side =
         l.body)
     loops.loops;
   Hashtbl.filter_map_inplace (fun _ ks -> Some (List.rev ks)) loop_ids;
-  {
-    func = f;
-    index;
-    dom;
-    positions = index.Func_index.positions;
-    live = Liveness.compute ~index f;
-    defs = index.Func_index.defs;
-    owner = index.Func_index.owner;
-    loops;
-    loop_ids;
-  }
+  { func = f; index; dom; live = Liveness.compute ~index f; loops; loop_ids }
 
 type t = {
   fbase : Ir.func;
@@ -99,19 +86,9 @@ type t = {
           included *)
 }
 
-(** Has instruction [id] been moved between blocks by the optimizer? *)
-let is_moved (t : t) (id : int) : bool = Code_mapper.is_moved t.mapping id
-
 (* ------------------------------------------------------------------ *)
 (* Point correspondence (Δ)                                             *)
 (* ------------------------------------------------------------------ *)
-
-(* A point id is a valid correspondence anchor when it exists on both sides
-   and was not moved between blocks: both versions being "about to execute
-   #id" are then the same control state (stores are never moved, so memory
-   also agrees — the store invariant of Section 5.3). *)
-let anchor (t : t) (id : int) : bool =
-  Hashtbl.mem t.src.positions id && Hashtbl.mem t.dst.positions id && not (is_moved t id)
 
 (** The OSR point universe on the source side: every body instruction and
     terminator (φ-nodes are not program locations, mirroring the paper's
@@ -120,21 +97,6 @@ let source_points (t : t) : int list =
   List.concat_map
     (fun (b : Ir.block) ->
       List.map (fun (i : Ir.instr) -> i.id) b.body @ [ b.term_id ])
-    t.src.func.blocks
-
-(* All landing points at once: one backward walk per source block keeps the
-   nearest anchor at-or-after the cursor, so the whole table costs O(points)
-   instead of the O(block²) of rescanning the suffix for every point. *)
-let fill_landing (t : t) : unit =
-  List.iter
-    (fun (b : Ir.block) ->
-      let cur = ref (if anchor t b.term_id then Some b.term_id else None) in
-      (match !cur with Some a -> Hashtbl.replace t.landing b.term_id a | None -> ());
-      List.iter
-        (fun (i : Ir.instr) ->
-          if anchor t i.id then cur := Some i.id;
-          match !cur with Some a -> Hashtbl.replace t.landing i.id a | None -> ())
-        (List.rev b.body))
     t.src.func.blocks
 
 (** Landing point in the destination for source point [p]: the first anchor
@@ -149,7 +111,7 @@ let landing_point (t : t) (p : int) : int option = Hashtbl.find_opt t.landing p
 (* ------------------------------------------------------------------ *)
 
 let in_src_frame (t : t) (r : Ir.reg) : bool =
-  Hashtbl.mem t.src.defs r || Func_index.is_param t.src.index r
+  Hashtbl.mem t.src.index.defs r || Func_index.is_param t.src.index r
 
 (* Intern one candidate value: resolve its availability site and liveness
    id once, so point-by-point tests need no further table lookups. *)
@@ -162,10 +124,10 @@ let make_cand (t : t) (v : Ir.value) : cand =
       let akey =
         if Func_index.is_param t.src.index y then Always
         else
-          match Hashtbl.find_opt t.src.defs y with
+          match Func_index.def_of t.src.index y with
           | None -> Never
           | Some (d : Ir.def_site) -> (
-              match Hashtbl.find_opt t.src.positions d.di.id with
+              match Func_index.position_of t.src.index d.di.id with
               | None -> Never
               | Some (block, idx) ->
                   let rpo =
@@ -208,19 +170,15 @@ let search ~(use_aliases : bool) (t : t) (x' : Ir.reg) : cand list =
 let fill_candidates (t : t) : unit =
   let fill r = Hashtbl.replace t.cands r (search ~use_aliases:true t r) in
   List.iter fill t.dst.func.params;
-  Hashtbl.iter (fun r _ -> fill r) t.dst.defs
+  Hashtbl.iter (fun r _ -> fill r) t.dst.index.defs
 
 (** Interned source candidates for destination register [x'] (see
-    {!search}).  The ablation's [use_aliases = false] searches on demand. *)
+    {!search}); [cv] is the source value.  The ablation's
+    [use_aliases = false] searches on demand. *)
 let candidates ?(use_aliases = true) (t : t) (x' : Ir.reg) : cand list =
   match if use_aliases then Hashtbl.find_opt t.cands x' else None with
   | Some cs -> cs
   | None -> search ~use_aliases t x'
-
-(** Source-side values holding the same run-time value as destination
-    register [x'] (the un-interned view of {!candidates}). *)
-let source_candidates ?(use_aliases = true) (t : t) (x' : Ir.reg) : Ir.value list =
-  List.map (fun c -> c.cv) (candidates ~use_aliases t x')
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
@@ -233,6 +191,15 @@ let of_sides ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapping : Code_mapper.index)
     | Base_to_opt -> (base_side, opt_side)
     | Opt_to_base -> (opt_side, base_side)
   in
+  (* A point id is a valid correspondence anchor when it exists on both
+     sides and was not moved between blocks: both versions being "about to
+     execute #id" are then the same control state (stores are never moved,
+     so memory also agrees — the store invariant of Section 5.3). *)
+  let anchor id =
+    Hashtbl.mem src.index.positions id
+    && Hashtbl.mem dst.index.positions id
+    && not (Code_mapper.is_moved mapping id)
+  in
   let t =
     {
       fbase;
@@ -241,11 +208,10 @@ let of_sides ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapping : Code_mapper.index)
       direction;
       src;
       dst;
-      landing = Hashtbl.create (Hashtbl.length src.positions);
-      cands = Hashtbl.create (Hashtbl.length dst.defs + List.length dst.func.params);
+      landing = Ir.first_kept_at_or_after ~keep:anchor src.func;
+      cands = Hashtbl.create (Hashtbl.length dst.index.defs + List.length dst.func.params);
     }
   in
-  fill_landing t;
   fill_candidates t;
   t
 
@@ -274,14 +240,18 @@ let make_pair ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Code_mapper.t) () 
     of {!Reconstruct_ir} computes it once per point. *)
 let point_env (t : t) (p : int) : penv =
   let pe_bits = Liveness.bits_at t.src.live p in
-  match Hashtbl.find_opt t.src.positions p with
+  match Func_index.position_of t.src.index p with
   | None -> { pe_block = ""; pe_idx = 0; pe_rpo = -2; pe_bits }
   | Some (block, idx) ->
       let rpo = Option.value ~default:(-1) (Hashtbl.find_opt t.src.dom.Dom.index block) in
       { pe_block = block; pe_idx = idx; pe_rpo = rpo; pe_bits }
 
-(** Availability of an interned candidate at a point: the SSA definedness
-    test of {!available_in_src} over pre-resolved coordinates. *)
+(** Is an interned candidate available in the source frame at a point?
+    Constants and parameters always; a register when its definition
+    dominates the point (SSA definedness), tested over pre-resolved
+    coordinates.  At a point in an unreachable block every definition
+    outside that block is available (vacuous dominance), also one in
+    another unreachable block. *)
 let cand_available (t : t) (e : penv) (c : cand) : bool =
   match c.akey with
   | Always -> true
@@ -300,20 +270,6 @@ let cand_live (e : penv) (c : cand) : bool =
   c.live_id < 0
   || (match e.pe_bits with Some b -> Liveness.Bits.mem b c.live_id | None -> false)
 
-(** Is [v] available in the source frame at source point [src_point]?
-    Constants always; registers when they are parameters or their
-    definition dominates the point (SSA definedness). *)
-let available_in_src (t : t) ~(src_point : int) (v : Ir.value) : bool =
-  match v with
-  | Ir.Const _ -> true
-  | Ir.Undef -> false
-  | Ir.Reg y ->
-      Func_index.is_param t.src.index y
-      || (match Hashtbl.find_opt t.src.defs y with
-         | Some (d : Ir.def_site) ->
-             Dom.instr_dominates t.src.dom t.src.positions ~def_id:d.di.id ~use_id:src_point
-         | None -> false)
-
 (** May the destination definition at instruction [def_id] be re-executed
     when the machine state corresponds to [landing]?  Re-execution reads the
     {e current} values of the definition's operands, which equal the values
@@ -331,12 +287,6 @@ let reexec_consistent (t : t) ~(def_id : int) ~(landing : int) : bool =
     | x :: a', y :: b' -> if x = y then subset a' b else x > y && subset a b'
   in
   let ids_of block = Option.value ~default:[] (Hashtbl.find_opt t.dst.loop_ids block) in
-  match (Hashtbl.find_opt t.dst.owner def_id, Hashtbl.find_opt t.dst.owner landing) with
+  match (Func_index.owner_of t.dst.index def_id, Func_index.owner_of t.dst.index landing) with
   | Some def_block, Some landing_block -> subset (ids_of def_block) (ids_of landing_block)
   | _, _ -> false
-
-let live_in_src (t : t) ~(src_point : int) (v : Ir.value) : bool =
-  match v with
-  | Ir.Const _ -> true
-  | Ir.Undef -> false
-  | Ir.Reg y -> Liveness.is_live t.src.live src_point y

@@ -11,7 +11,7 @@ open Import
 
     - line 4's "already available at the origin" becomes the candidate
       search over name-stable and replace-equivalent source values
-      ({!Osr_ctx.source_candidates});
+      ({!Osr_ctx.candidates});
     - the [live] / [avail] split (Section 5.2): [live] may read only
       source registers live at the OSR origin, [avail] any register whose
       definition dominates the origin, accumulating the keep set [K_avail];
@@ -97,7 +97,7 @@ let load_safe_walk (t : Osr_ctx.t) ~(def_id : int) ~(landing : int) : bool =
       walk_block label ~after:None
     end
   in
-  match Hashtbl.find_opt t.dst.owner def_id with
+  match Func_index.owner_of index def_id with
   | None -> false
   | Some label -> (
       try
@@ -187,7 +187,7 @@ let fresh_state (t : Osr_ctx.t) ~(src_point : int) ~(landing : int) : state =
     resolved = Hashtbl.create 16;
   }
 
-(* A second build for the same point pair: an empty plan that keeps the
+(* Another build for the same point pair: an empty plan that keeps the
    point environment and the load verdicts of [st]. *)
 let restart (st : state) : state =
   { st with transfers = []; comp = []; keep = []; resolved = Hashtbl.create 16 }
@@ -220,7 +220,7 @@ let rec build ?(config = default_config) (variant : variant) (st : state) (x' : 
       (* Both variants prefer a live candidate; only [Avail] falls back to a
          dead one.  The keep set then grows only when it must, and an [Avail]
          build whose keep set stays empty made exactly the [Live] build's
-         choices (see [for_point_both]). *)
+         choices (see [both]). *)
       let live_usable c =
         Osr_ctx.cand_available t env c && Osr_ctx.cand_live env c
       in
@@ -244,7 +244,7 @@ let rec build ?(config = default_config) (variant : variant) (st : state) (x' : 
           note (Ir.Reg x')
       | Some { cv = Ir.Undef; _ } | None -> (
           (* 2. Re-execute the destination definition (lines 5–8). *)
-          match Hashtbl.find_opt t.dst.defs x' with
+          match Func_index.def_of t.dst.index x' with
           | None -> raise (Undef x')
           | Some (d : Ir.def_site) -> (
               match d.di.rhs with
@@ -299,9 +299,9 @@ let rec build ?(config = default_config) (variant : variant) (st : state) (x' : 
                             | Ir.Undef -> false
                             | Ir.Reg y -> (
                                 Func_index.is_param t.dst.index y
-                                || match Hashtbl.find_opt t.dst.defs y with
+                                || match Func_index.def_of t.dst.index y with
                                    | Some (dy : Ir.def_site) ->
-                                       Dom.instr_dominates t.dst.dom t.dst.positions
+                                       Dom.instr_dominates t.dst.dom t.dst.index.positions
                                          ~def_id:dy.di.id ~use_id:d_term_id
                                    | None -> false)
                           in
@@ -345,31 +345,30 @@ let run ~(config : config) (variant : variant) (st : state) (targets : Ir.reg li
   | () -> Ok (plan_of_state st)
   | exception Undef x -> Error x
 
-(** Build the full plan for an OSR from [src_point] to [landing]: resolve
-    every destination register live at the landing point.  [Error x] when
-    register [x] defeats reconstruction (Algorithm 1's [throw undef]). *)
-let for_point_pair ?(variant = Live) ?(config = default_config) (t : Osr_ctx.t)
-    ~(src_point : int) ~(landing : int) : (plan, Ir.reg) result =
-  run ~config variant (fresh_state t ~src_point ~landing) (Liveness.live_at t.dst.live landing)
-
-(** Both variants for one point pair, usually from a single build.  The
-    [Avail] build is strictly more permissive than [Live] in its candidate
-    search and identical elsewhere, so (inductively over the resolution
-    recursion): an [Avail] failure implies a [Live] failure, and an [Avail]
-    success that never read a dead register — empty keep set — made exactly
-    the choices the [Live] build would make, plan and all.  Only the
-    avail-feasible points with a non-empty keep set pay a second build,
-    which reuses the first one's live targets, point environment and load
-    verdicts. *)
-let for_point_both ?(config = default_config) (t : Osr_ctx.t) ~(src_point : int)
-    ~(landing : int) : (plan, Ir.reg) result * (plan, Ir.reg) result =
-  let targets = Liveness.live_at t.dst.live landing in
-  let st = fresh_state t ~src_point ~landing in
-  let avail = run ~config Avail st targets in
+(** Both variants as [(live, avail)] for [targets] at [st]'s point pair,
+    usually from a single build.  The [Avail] build is strictly more
+    permissive than [Live] in its candidate search and identical elsewhere,
+    so (inductively over the resolution recursion): an [Avail] failure
+    implies a [Live] failure, and an [Avail] success that never read a dead
+    register — empty keep set — made exactly the choices the [Live] build
+    would make, plan and all.  Only an [Avail] plan with a non-empty keep
+    set pays a second build.  Each build starts from an empty plan and
+    shares [st]'s point environment and load verdicts, so one state serves
+    any number of calls. *)
+let both ?(config = default_config) (st : state) (targets : Ir.reg list) :
+    (plan, Ir.reg) result * (plan, Ir.reg) result =
+  let avail = run ~config Avail (restart st) targets in
   match avail with
   | Error _ -> (avail, avail)
   | Ok ap when ap.keep = [] -> (avail, avail)
   | Ok _ -> (run ~config Live (restart st) targets, avail)
+
+(** Both variants for one point pair: every destination register live at
+    the landing point.  [Error x] when register [x] defeats reconstruction
+    (Algorithm 1's [throw undef]). *)
+let for_point_both ?(config = default_config) (t : Osr_ctx.t) ~(src_point : int)
+    ~(landing : int) : (plan, Ir.reg) result * (plan, Ir.reg) result =
+  both ~config (fresh_state t ~src_point ~landing) (Liveness.live_at t.dst.live landing)
 
 (** Evaluate a plan against a source frame, producing the landing frame —
     the [[[c]](σ)] of Definition 3.1 at IR level.  Loads read from [memory]

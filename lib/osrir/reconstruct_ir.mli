@@ -59,15 +59,14 @@ val build : ?config:config -> variant -> state -> Ir.reg -> Ir.value
 val plan_of_state : state -> plan
 (** The plan built so far. *)
 
-val for_point_pair :
-  ?variant:variant ->
-  ?config:config ->
-  Osr_ctx.t ->
-  src_point:int ->
-  landing:int ->
-  (plan, Ir.reg) result
-(** The full plan for one OSR point pair: every destination register live
-    at the landing point. *)
+val both :
+  ?config:config -> state -> Ir.reg list -> (plan, Ir.reg) result * (plan, Ir.reg) result
+(** Both variants as [(live, avail)] for the given destination registers,
+    usually from a single build: an [Avail] failure implies a [Live]
+    failure, and an [Avail] plan with an empty keep set is the [Live] plan
+    verbatim.  Each variant starts from an empty plan and shares the
+    state's point environment and load verdicts; the state's own plan is
+    left untouched. *)
 
 val for_point_both :
   ?config:config ->
@@ -75,9 +74,7 @@ val for_point_both :
   src_point:int ->
   landing:int ->
   (plan, Ir.reg) result * (plan, Ir.reg) result
-(** Both variants as [(live, avail)] for one point pair, usually from a
-    single build: an [Avail] failure implies a [Live] failure, and an
-    [Avail] plan with an empty keep set is the [Live] plan verbatim. *)
+(** {!both} over every destination register live at the landing point. *)
 
 val eval_plan :
   plan -> src_frame:Interp.frame -> memory:Interp.memory -> (Interp.frame, Ir.reg) result

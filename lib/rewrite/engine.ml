@@ -112,8 +112,3 @@ let apply_fixpoint ?(max_steps = 1000) (rule : Rule.t) (p : Minilang.Ast.program
       | Some app -> go (apply_application p app) (steps - 1)
   in
   go p max_steps
-
-(** Apply a sequence of rules left to right, each to fixpoint. *)
-let apply_pipeline ?(max_steps = 1000) (rules : Rule.t list) (p : Minilang.Ast.program) :
-    Minilang.Ast.program =
-  List.fold_left (fun p r -> apply_fixpoint ~max_steps r p) p rules

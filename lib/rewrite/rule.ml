@@ -27,7 +27,3 @@ type t = {
 }
 
 let make ~name ~entries ~side = { name; entries; side }
-
-(** All formulas of the side condition, for meta-variable bookkeeping. *)
-let side_formulas (r : t) : Ctl.Formula.t list =
-  List.map (function At (_, f) -> f | Global f -> f) r.side

@@ -146,5 +146,3 @@ let standard_pipeline (p : Minilang.Ast.program) : Minilang.Ast.program =
   |> constant_fold
   |> Engine.apply_fixpoint dce
   |> Engine.apply_fixpoint hoist
-
-let all_rules = [ cp; dce; hoist; strength_reduction ]

@@ -56,8 +56,6 @@ let to_string = function
       Printf.sprintf "no slot for register %%%s in compiled @%s" reg func
   | Internal { what } -> Printf.sprintf "internal invariant broken: %s" what
 
-let pp ppf e = Format.pp_print_string ppf (to_string e)
-
 (* Distinct, documented CLI exit codes (see README "Exit codes"). *)
 let exit_code = function
   | Reconstruct_failed _ -> 10

@@ -35,6 +35,20 @@ expect() {
   echo "ok   $name (exit $got)"
 }
 
+# expect_code NAME EXPECTED_CODE CMD...: the exit code only (for cmdliner
+# usage errors, whose diagnostic spans several lines).
+expect_code() {
+  name=$1; want=$2; shift 2
+  "$@" >/dev/null 2>&1
+  got=$?
+  if [ "$got" -ne "$want" ]; then
+    echo "FAIL $name: expected exit $want, got $got" >&2
+    fails=$((fails + 1))
+    return
+  fi
+  echo "ok   $name (exit $got)"
+}
+
 # Discover a feasible transition point dynamically so the script never
 # goes stale when the pipeline changes ("#NN -> #MM" with a landing).
 AT=$("$CLI" osr-points bzip2 | sed -n 's/^ *#\([0-9][0-9]*\) *-> *#[0-9].*/\1/p' | head -1)
@@ -57,6 +71,9 @@ expect "osr-run --fuel -> 14"  14 "$CLI" osr-run bzip2 --at "$AT" --fuel 10
 
 # A nonexistent program point is a typed error, not an abort() or a 125.
 expect "bad --at -> 16"        16 "$CLI" osr-run bzip2 --at 999999
+
+# An unknown debug-study group is a usage error, like an unknown kernel.
+expect_code "debug-study unknown -> 124" 124 "$CLI" debug-study nosuch
 
 # Aborted-but-recovered runs (misfire/suppress keep the source alive).
 expect "suppress recovers"      0 "$CLI" osr-run bzip2 --at "$AT" --inject suppress

@@ -2,7 +2,9 @@
     the original [Set.Make(String)] liveness that the bitset
     [Miniir.Liveness] replaced, and the cross-check of a [Func_index]
     against the linear [Ir] accessors it replaces.  [Suite_miniir] runs
-    both against the library on generated functions. *)
+    both against the library on generated functions.  The index's block
+    ownership is the block of its [positions] table, so [Func_index.check]
+    compares owners through [positions]. *)
 
 module Ir = Miniir.Ir
 
@@ -146,10 +148,10 @@ module Func_index = struct
         let ok = ref (Ok ()) in
         let legacy_owner = Ir.block_of_instr f in
         Hashtbl.iter
-          (fun id label ->
+          (fun id (label, _) ->
             if !ok = Ok () && Hashtbl.find_opt legacy_owner id <> Some label then
               ok := fail "instr #%d: owner mismatch" id)
-          t.owner;
+          t.positions;
         (match !ok with
         | Ok () ->
             let legacy_defs = Ir.def_table f in

@@ -12,7 +12,9 @@
     rebuilt per query from [Code_mapper.alias_inverse] (the candidate memo
     above it still runs it once per register), the reconstruct counters are
     registered under the group [ref.reconstruct] so both versions can count
-    side by side, and names are qualified to compile outside their module.
+    side by side, [make_side] derives [owner] from the index's [positions]
+    (the index has no owner table of its own), and names are qualified to
+    compile outside their module.
     The plan, report and variant types are the library's, so results
     compare directly.  [Suite_sweep] runs both versions and asserts every
     observable is byte-identical. *)
@@ -85,7 +87,9 @@ let make_side (f : Ir.func) : side =
     positions = index.Func_index.positions;
     live = Liveness.compute ~index f;
     defs = index.Func_index.defs;
-    owner = index.Func_index.owner;
+    owner =
+      Hashtbl.of_seq
+        (Seq.map (fun (id, (block, _)) -> (id, block)) (Hashtbl.to_seq index.Func_index.positions));
     loops = Loops.compute ~index ~dom f;
   }
 

@@ -329,8 +329,9 @@ let test_tracking_shapes () =
 (* Every carrier tracked at a body instruction or a terminator is defined
    by an instruction that dominates it. *)
 let check_carriers_dominate ~(what : string) (fbase : Ir.func) ~(user_vars : string list) =
-  let sv = SV.analyze (Miniir.Func_index.make fbase) ~user_vars in
-  let dom = Miniir.Dom.compute fbase and positions = Miniir.Dom.instr_positions fbase in
+  let index = Miniir.Func_index.make fbase in
+  let sv = SV.analyze index ~user_vars in
+  let dom = Miniir.Dom.compute ~index fbase and positions = index.Miniir.Func_index.positions in
   let def_id = Hashtbl.create 64 in
   List.iter
     (fun (i : Ir.instr) -> Option.iter (fun r -> Hashtbl.replace def_id r i.id) i.result)

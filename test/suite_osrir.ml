@@ -58,7 +58,7 @@ let test_landing_points () =
       match Ctx.landing_point ctx p with
       | Some landing ->
           Alcotest.(check bool) "landing exists in fopt" true
-            (Hashtbl.mem ctx.dst.positions landing)
+            (Miniir.Func_index.position_of ctx.dst.index landing <> None)
       | None -> ())
     points
 
@@ -68,7 +68,7 @@ let test_value_candidates () =
   (* %k was folded to 5 in fopt: reconstructing base's %k from the
      optimized frame must offer the constant. *)
   Alcotest.(check bool) "k resolves to constant 5" true
-    (List.exists (fun v -> v = Ir.Const 5) (Ctx.source_candidates ctx "k"))
+    (List.exists (fun (c : Ctx.cand) -> c.cv = Ir.Const 5) (Ctx.candidates ctx "k"))
 
 (* -------------------- feasibility -------------------- *)
 
@@ -93,7 +93,7 @@ let test_contfun_verifies () =
       match Ctx.landing_point ctx p with
       | None -> ()
       | Some landing -> (
-          match R.for_point_pair ~variant:Avail ctx ~src_point:p ~landing with
+          match snd (R.for_point_both ctx ~src_point:p ~landing) with
           | Error _ -> ()
           | Ok plan ->
               let cont = Osrir.Contfun.generate r.fopt ~landing plan in
@@ -167,7 +167,7 @@ let test_transition_mid_loop () =
   match Ctx.landing_point ctx acc2 with
   | None -> Alcotest.fail "acc2 has no landing"
   | Some landing -> (
-      match R.for_point_pair ~variant:Avail ctx ~src_point:acc2 ~landing with
+      match snd (R.for_point_both ctx ~src_point:acc2 ~landing) with
       | Error x -> Alcotest.failf "reconstruct failed on %s" x
       | Ok plan ->
           let reference = run_int r.fbase [ 6; 3 ] in
@@ -231,11 +231,11 @@ let test_gating_reconstruction () =
   let r_id = (Hashtbl.find def_tbl "r").Ir.di.id in
   (* Without gating: undef (the φ has two distinct incomings). *)
   let no_gate = { R.default_config with gating = false } in
-  (match R.for_point_pair ~variant:R.Live ~config:no_gate ctx ~src_point:cbr_id ~landing:r_id with
+  (match fst (R.for_point_both ~config:no_gate ctx ~src_point:cbr_id ~landing:r_id) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected undef without gating");
   (* With gating: a select materializes the φ. *)
-  match R.for_point_pair ~variant:R.Live ctx ~src_point:cbr_id ~landing:r_id with
+  match fst (R.for_point_both ctx ~src_point:cbr_id ~landing:r_id) with
   | Error x -> Alcotest.failf "gating failed on %%%s" x
   | Ok plan ->
       Alcotest.(check bool) "plan contains a select" true

@@ -4,10 +4,11 @@
     directions, the default configuration and each single-switch ablation,
     the point reports (classification, landing, both plans, keep sets), the
     [reconstruct.*] counters and the remarks must be byte-identical; so
-    must [Endangered.recovery_plan] for every register live at every
-    landing, and [Endangered.analyze_function] on the debug study's
-    inputs.  The pairs are the 12 kernels, a size-stratified sample of the
-    [Spec_c] functions and generated functions. *)
+    must [Endangered.recovery_plan] and [Reconstruct_ir.both] for every
+    register live at every landing, and [Endangered.analyze_function] on
+    the debug study's inputs and the kernels.  The pairs are the 12
+    kernels, a size-stratified sample of the [Spec_c] functions and
+    generated functions. *)
 
 module T = Telemetry
 module Ir = Miniir.Ir
@@ -116,7 +117,9 @@ let check_pair ~(what : string) (r : P.apply_result) : unit =
               Alcotest.(check (list string))
                 (Printf.sprintf "%s %s: candidates of %%%s" what dir x)
                 (List.map Ir.value_to_string (Ref.Osr_ctx.source_candidates ~use_aliases ref_ctx x))
-                (List.map Ir.value_to_string (Ctx.source_candidates ~use_aliases ctx x)))
+                (List.map
+                   (fun (c : Ctx.cand) -> Ir.value_to_string c.Ctx.cv)
+                   (Ctx.candidates ~use_aliases ctx x)))
             [ true; false ])
         (dst.Ir.params @ List.filter_map (fun (i : Ir.instr) -> i.result) instrs);
       List.iter
@@ -129,16 +132,20 @@ let check_pair ~(what : string) (r : P.apply_result) : unit =
               then Alcotest.failf "%s %s: reexec_consistent #%d at #%d" what dir def_id landing)
             point_ids)
         def_ids;
-      (* Single-register recovery plans, as a debugger would ask for them. *)
+      (* Single-register recovery plans, as a debugger would ask for them:
+         each variant alone, and both from one state per point shared by
+         every register (as [Endangered] asks). *)
       List.iter
         (fun p ->
           match Ctx.landing_point ctx p with
           | None -> ()
           | Some landing ->
+              let st = R.fresh_state ctx ~src_point:p ~landing in
               List.iter
                 (fun x ->
+                  let both = R.both st [ x ] in
                   List.iter
-                    (fun variant ->
+                    (fun (variant, vname, from_both) ->
                       let want =
                         Ref.Endangered.recovery_plan ref_ctx variant ~opt_point:p
                           ~base_point:landing x
@@ -146,17 +153,34 @@ let check_pair ~(what : string) (r : P.apply_result) : unit =
                       let got = En.recovery_plan ctx variant ~opt_point:p ~base_point:landing x in
                       if want <> got then
                         Alcotest.failf "%s %s: recovery plan of %%%s at %d -> %d: %s vs %s" what
-                          dir x p landing (plan_to_string want) (plan_to_string got))
-                    [ R.Live; R.Avail ])
+                          dir x p landing (plan_to_string want) (plan_to_string got);
+                      let got = Result.to_option (from_both both) in
+                      if want <> got then
+                        Alcotest.failf "%s %s: both (%s) of %%%s at %d -> %d: %s vs %s" what dir
+                          vname x p landing (plan_to_string want) (plan_to_string got))
+                    [ (R.Live, "live", fst); (R.Avail, "avail", snd) ])
                 (Liveness.live_at ctx.Ctx.dst.Ctx.live landing))
         (Ctx.source_points ctx))
     [ ("fwd", fwd, ref_fwd); ("bwd", bwd, ref_bwd) ];
   T.reset_counters ()
 
+(* One DSL kernel: the sweep gate of [check_pair], then the debug study's
+   [Endangered.analyze_function] at the kernel's source points. *)
+let check_kernel ~(what : string) (k : Corpus.Dsl.kernel) : unit =
+  let fbase, (dbg : Corpus.Dsl.debug_info) = Corpus.Dsl.to_fbase k in
+  let r = P.apply fbase in
+  check_pair ~what r;
+  let analyze f =
+    f ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper ~user_vars:dbg.user_vars
+      ~source_points:dbg.source_points
+  in
+  Alcotest.(check bool)
+    (what ^ ": Endangered.analyze_function") true
+    (analyze Ref.Endangered.analyze_function = analyze En.analyze_function)
+
 let test_kernels () =
   List.iter
-    (fun (e : Corpus.Kernels.entry) ->
-      check_pair ~what:e.benchmark (P.apply (fst (Corpus.Dsl.to_fbase e.kernel))))
+    (fun (e : Corpus.Kernels.entry) -> check_kernel ~what:e.benchmark e.kernel)
     Corpus.Kernels.all
 
 (* The debug study's inputs: the Spec_c sample of [Suite_front] (the
@@ -164,19 +188,7 @@ let test_kernels () =
 let test_spec_c () =
   let sample = Suite_front.spec_c_sample () in
   Alcotest.(check bool) "at least 128 functions" true (List.length sample >= 128);
-  List.iter
-    (fun (what, k) ->
-      let fbase, (dbg : Corpus.Dsl.debug_info) = Corpus.Dsl.to_fbase k in
-      let r = P.apply fbase in
-      check_pair ~what r;
-      let analyze f =
-        f ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper ~user_vars:dbg.user_vars
-          ~source_points:dbg.source_points
-      in
-      Alcotest.(check bool)
-        (what ^ ": Endangered.analyze_function") true
-        (analyze Ref.Endangered.analyze_function = analyze En.analyze_function))
-    sample
+  List.iter (fun (what, k) -> check_kernel ~what k) sample
 
 let prop_generated =
   QCheck.Test.make ~count:60 ~name:"sweep identical on generated functions" Gen_ir.arb_func
