@@ -1,4 +1,4 @@
-.PHONY: all build test fmt bench bench-smoke bench-check bench-layers perf-par fuzz clean
+.PHONY: all build test fmt bench bench-smoke bench-check bench-layers bench-layers-diff perf-par fuzz clean
 
 all: build
 
@@ -40,6 +40,13 @@ W ?= tierup
 bench-layers:
 	@python3 osrbench/run.py --workload $(W) --seed 21 --seconds 10 --trace 1 > /dev/null
 	@cat .bench_out/$(W)-seed21.layers.json
+
+# Before/after of two per-layer tables, e.g. the .bench_out/debug-seed21.layers.json
+# that `make bench-layers W=debug` wrote in two checkouts: per span, self
+# ms/op and calls/op from A and B and the B/A ratio of self time.
+bench-layers-diff:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-layers-diff A=<layers.json> B=<layers.json>"; exit 2; }
+	@python3 bench/layers_diff.py $(A) $(B)
 
 # Parallel sweep scaling (j = 1, 2, 4, #cores) + BENCH_parallel.json.
 perf-par:

@@ -1,7 +1,7 @@
 (** Block-level dominance for MiniIR: the Cooper–Harvey–Kennedy "simple,
     fast dominance" algorithm, plus dominance frontiers (needed by mem2reg's
-    φ-placement) and instruction-level dominance queries (needed by the SSA
-    verifier and by the OSR availability analysis). *)
+    φ-placement) and instruction-level dominance queries (needed by the OSR
+    availability analysis). *)
 
 type t = {
   func : Ir.func;
@@ -16,50 +16,38 @@ type t = {
           making every dominance test O(1) instead of an idom-chain walk. *)
 }
 
-let compute ?(index : Func_index.t option) (f : Ir.func) : t =
-  (* The traversal needs only label → block and the predecessor lists;
-     without an index, build just those two tables instead of a full
-     [Func_index].  Predecessor order does not matter: it changes neither
-     the idom fixpoint nor the frontiers. *)
-  let find_block, preds =
-    match index with
-    | Some i -> (Func_index.find_block i, i.Func_index.preds)
-    | None ->
-        let n = List.length f.blocks in
-        let blocks = Hashtbl.create n and preds = Hashtbl.create n in
-        List.iter
-          (fun (b : Ir.block) ->
-            Hashtbl.replace blocks b.label b;
-            Hashtbl.replace preds b.label [])
-          f.blocks;
-        List.iter
-          (fun (b : Ir.block) ->
-            List.iter
-              (fun s ->
-                match Hashtbl.find_opt preds s with
-                | Some ps -> Hashtbl.replace preds s (b.label :: ps)
-                | None -> ())
-              (Ir.successors b))
-          f.blocks;
-        (Hashtbl.find_opt blocks, preds)
-  in
-  (* Reverse postorder from the entry. *)
-  let visited = Hashtbl.create 16 in
-  let post = ref [] in
-  let rec dfs label =
-    if not (Hashtbl.mem visited label) then begin
-      Hashtbl.add visited label ();
-      (match find_block label with
-      | Some b -> List.iter dfs (Ir.successors b)
-      | None -> ());
-      post := label :: !post
+type numbered = {
+  rpo : int array;  (** node → rpo index; [-1] when unreachable from node 0 *)
+  rpo_order : int array;  (** rpo index → node *)
+  rpo_idom : int array;  (** as [t.idom] *)
+  rpo_tin : int array;  (** as [t.tin] *)
+  rpo_tout : int array;  (** as [t.tout] *)
+}
+
+(** The dominator tree of a graph whose nodes are [0 .. n-1], node 0 the
+    entry: reverse postorder by a depth-first search that visits [succs]
+    in list order, the idom fixpoint, and the Euler tour of the tree.
+    [preds.(v)] must hold every node with an edge to [v], in any order:
+    the fixpoint does not depend on it.  {!compute} and the verifier both
+    number their blocks and call this. *)
+let numbered ~(succs : int list array) ~(preds : int list array) : numbered =
+  let nodes = Array.length succs in
+  let rpo = Array.make nodes (-1) in
+  let post = ref [] and n = ref 0 in
+  let rec dfs v =
+    if rpo.(v) < 0 then begin
+      (* Any mark will do while the search runs; [rpo] is renumbered
+         below. *)
+      rpo.(v) <- 0;
+      List.iter dfs succs.(v);
+      post := v :: !post;
+      incr n
     end
   in
-  dfs (Ir.entry f).label;
+  if nodes > 0 then dfs 0;
+  let n = !n in
   let order = Array.of_list !post in
-  let index = Hashtbl.create 16 in
-  Array.iteri (fun i l -> Hashtbl.replace index l i) order;
-  let n = Array.length order in
+  Array.iteri (fun i v -> rpo.(v) <- i) order;
   let idom = Array.make n (-1) in
   if n > 0 then idom.(0) <- 0;
   let intersect i j =
@@ -78,20 +66,17 @@ let compute ?(index : Func_index.t option) (f : Ir.func) : t =
   while !changed do
     changed := false;
     for i = 1 to n - 1 do
-      let label = order.(i) in
-      let ps =
-        List.filter_map (fun p -> Hashtbl.find_opt index p)
-          (Option.value ~default:[] (Hashtbl.find_opt preds label))
+      let new_idom =
+        List.fold_left
+          (fun acc p ->
+            let rp = rpo.(p) in
+            if rp < 0 || idom.(rp) < 0 then acc else if acc < 0 then rp else intersect acc rp)
+          (-1) preds.(order.(i))
       in
-      let processed = List.filter (fun p -> idom.(p) >= 0) ps in
-      match processed with
-      | [] -> ()
-      | first :: rest ->
-          let new_idom = List.fold_left (fun acc p -> intersect acc p) first rest in
-          if idom.(i) <> new_idom then begin
-            idom.(i) <- new_idom;
-            changed := true
-          end
+      if new_idom >= 0 && idom.(i) <> new_idom then begin
+        idom.(i) <- new_idom;
+        changed := true
+      end
     done
   done;
   (* Euler tour of the dominator tree (children from the idom array). *)
@@ -109,7 +94,52 @@ let compute ?(index : Func_index.t option) (f : Ir.func) : t =
     incr clock
   in
   if n > 0 then tour 0;
-  { func = f; order; index; idom; preds; tin; tout }
+  { rpo; rpo_order = order; rpo_idom = idom; rpo_tin = tin; rpo_tout = tout }
+
+let compute ?(index : Func_index.t option) (f : Ir.func) : t =
+  (* Number the labels: the entry's first, then every block label in block
+     order, then branch targets that name no block.  A label names its last
+     block, as a lookup by label finds it; a target naming no block is a
+     node without successors or predecessors. *)
+  let entry = (Ir.entry f).label in
+  let num = Hashtbl.create 16 and names = ref [] and count = ref 0 in
+  let number l =
+    match Hashtbl.find_opt num l with
+    | Some k -> k
+    | None ->
+        let k = !count in
+        Hashtbl.add num l k;
+        names := l :: !names;
+        incr count;
+        k
+  in
+  ignore (number entry : int);
+  List.iter (fun (b : Ir.block) -> ignore (number b.label : int)) f.blocks;
+  let n_labels = !count in
+  List.iter (fun b -> List.iter (fun s -> ignore (number s : int)) (Ir.successors b)) f.blocks;
+  let succs = Array.make !count [] and npreds = Array.make !count [] in
+  List.iter
+    (fun (b : Ir.block) ->
+      let k = number b.label and ss = List.map number (Ir.successors b) in
+      succs.(k) <- ss;
+      List.iter (fun s -> if s < n_labels then npreds.(s) <- k :: npreds.(s)) ss)
+    f.blocks;
+  let names = Array.of_list (List.rev !names) in
+  let preds =
+    match index with
+    | Some i -> i.Func_index.preds
+    | None ->
+        let preds = Hashtbl.create n_labels in
+        for k = n_labels - 1 downto 0 do
+          Hashtbl.replace preds names.(k) (List.map (fun p -> names.(p)) npreds.(k))
+        done;
+        preds
+  in
+  let g = numbered ~succs ~preds:npreds in
+  let order = Array.map (fun v -> names.(v)) g.rpo_order in
+  let index = Hashtbl.create 16 in
+  Array.iteri (fun i l -> Hashtbl.replace index l i) order;
+  { func = f; order; index; idom = g.rpo_idom; preds; tin = g.rpo_tin; tout = g.rpo_tout }
 
 (** Is [label] reachable from the entry? *)
 let reachable (t : t) (label : string) : bool = Hashtbl.mem t.index label

@@ -268,6 +268,49 @@ let clone_func (f : func) : func =
     next_reg = f.next_reg;
   }
 
+let equal_rhs (x : rhs) (y : rhs) : bool =
+  x == y
+  ||
+  match (x, y) with
+  | Binop (o, p, q), Binop (o', p', q') -> o == o' && equal_value p p' && equal_value q q'
+  | Icmp (o, p, q), Icmp (o', p', q') -> o == o' && equal_value p p' && equal_value q q'
+  | Select (c, p, q), Select (c', p', q') -> equal_value c c' && equal_value p p' && equal_value q q'
+  | Alloca n, Alloca n' -> Int.equal n n'
+  | Load p, Load p' -> equal_value p p'
+  | Store (p, q), Store (p', q') -> equal_value p p' && equal_value q q'
+  | Call (name, args), Call (name', args') ->
+      String.equal name name' && List.equal equal_value args args'
+  | Phi inc, Phi inc' ->
+      List.equal (fun (l, v) (l', v') -> String.equal l l' && equal_value v v') inc inc'
+  | (Binop _ | Icmp _ | Select _ | Alloca _ | Load _ | Store _ | Call _ | Phi _), _ -> false
+
+let equal_instr (i : instr) (j : instr) : bool =
+  Int.equal i.id j.id && Option.equal String.equal i.result j.result && equal_rhs i.rhs j.rhs
+
+let equal_term (x : terminator) (y : terminator) : bool =
+  x == y
+  ||
+  match (x, y) with
+  | Br l, Br l' -> String.equal l l'
+  | Cbr (c, l, m), Cbr (c', l', m') -> equal_value c c' && String.equal l l' && String.equal m m'
+  | Ret v, Ret v' -> equal_value v v'
+  | Unreachable, Unreachable -> true
+  | (Br _ | Cbr _ | Ret _ | Unreachable), _ -> false
+
+let equal_block (x : block) (y : block) : bool =
+  String.equal x.label y.label
+  && List.equal equal_instr x.phis y.phis
+  && List.equal equal_instr x.body y.body
+  && equal_term x.term y.term && Int.equal x.term_id y.term_id
+
+(** Do [a] and [b] have the same blocks and counters?  Compares labels,
+    φ and body instructions (ids, results, right-hand sides), terminators
+    and their ids, [next_id] and [next_reg]; [fname] and [params] are not
+    compared.  Allocates nothing. *)
+let equal_func (a : func) (b : func) : bool =
+  Int.equal a.next_id b.next_id && Int.equal a.next_reg b.next_reg
+  && List.equal equal_block a.blocks b.blocks
+
 (* ------------------------------------------------------------------ *)
 (* Printing                                                             *)
 (* ------------------------------------------------------------------ *)

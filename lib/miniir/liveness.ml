@@ -8,9 +8,10 @@
     predecessor, as usual.
 
     Registers are interned to dense integers and the sets are byte-array
-    bitsets: the block fixpoint works on gen/kill summaries with word-wide
-    unions instead of [Set.Make(String)] element-by-element unions, which
-    is what keeps the Figure 7/8 feasibility sweep (thousands of
+    bitsets: the block fixpoint works on gen/kill summaries with
+    byte-at-a-time unions instead of [Set.Make(String)] element-by-element
+    unions (a word-wide union did not move [Osr_ctx.make_pair] beyond
+    noise), which is what keeps the Figure 7/8 feasibility sweep (thousands of
     [live_at]/[is_live] queries per function version) cheap.  A result is
     never written after {!compute} returns, so one value can be queried
     from several domains at once.  The original string-set implementation

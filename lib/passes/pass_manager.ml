@@ -51,7 +51,7 @@ type apply_result = {
 }
 
 (* Sandboxing counter: passes undone after a failed post-pass
-   verification. *)
+   verification or a false "no change" report. *)
 let stat_rolled_back =
   Telemetry.counter ~group:"pass" "rolled_back"
     ~desc:"passes rolled back after failing post-pass verification"
@@ -65,20 +65,27 @@ let restore_func (dst : Ir.func) ~(from_ : Ir.func) : unit =
   dst.Ir.next_reg <- from_.Ir.next_reg
 
 (** Clone [f] and optimize the clone with [pipeline], recording actions.
-    The SSA verifier runs after every pass, and each pass runs
-    transactionally: a verification failure rolls the function {e and} the
-    mapper history back to their pre-pass state, emits a remark, bumps
-    [pass.rolled_back], and the pipeline continues with the remaining
-    passes — a miscompiling pass degrades to a no-op instead of killing
-    the compilation.  With a live [telemetry] sink each pass runs under a
-    span named after it (the [-time-passes] rows), the verifier under
-    ["verify"], and the mapper/analysis-manager statistics accumulate. *)
+    Each pass runs transactionally: a pass whose output fails the SSA
+    verifier, or that reports no change but changed the function, is
+    rolled back — the function {e and} the mapper history return to their
+    pre-pass state, a remark names the reason, [pass.rolled_back] is
+    bumped, and the pipeline continues with the remaining passes — so a
+    miscompiling pass degrades to a no-op instead of killing the
+    compilation.  The verifier runs after every pass except one that left
+    the function equal to its pre-pass clone ({!Ir.equal_func}) after an
+    earlier verification in this call accepted it: the change flag is
+    never trusted, the comparison is.  With a live [telemetry] sink each
+    pass runs under a span named after it (the [-time-passes] rows), the
+    verifier under ["verify"], and the mapper/analysis-manager statistics
+    accumulate. *)
 let apply ?(pipeline = standard_pipeline) ?(telemetry = Telemetry.null) (f : Ir.func) :
     apply_result =
   let fopt = Ir.clone_func f in
   let mapper = Code_mapper.create ~telemetry () in
   let am = Analysis_manager.create ~telemetry () in
   let per_pass = ref [] in
+  (* Has a verification in this call accepted [fopt] as it is now? *)
+  let verified = ref false in
   List.iter
     (fun (p : pass) ->
       let pre_ir = Ir.clone_func fopt and pre_mapper = Code_mapper.snapshot mapper in
@@ -86,19 +93,27 @@ let apply ?(pipeline = standard_pipeline) ?(telemetry = Telemetry.null) (f : Ir.
         Telemetry.with_span telemetry ~cat:"pass" p.pname (fun () -> p.run mapper am fopt)
       in
       if changed then Analysis_manager.invalidate ~preserved:p.preserves am;
-      (match
-         Telemetry.with_span telemetry ~cat:"verify" "verify" (fun () -> Verifier.verify fopt)
-       with
-      | Ok () -> ()
-      | Error es ->
-          let details = Fmt.str "%a" (Fmt.list ~sep:Fmt.cut Verifier.pp_error) es in
-          restore_func fopt ~from_:pre_ir;
-          Code_mapper.restore mapper pre_mapper;
-          (* The restored IR matches no cached analysis of the broken one. *)
-          Analysis_manager.invalidate ~preserved:[] am;
-          Telemetry.bump telemetry stat_rolled_back;
-          Telemetry.remark telemetry ~pass:p.pname ~func:fopt.Ir.fname (fun () ->
-              "pass rolled back: post-pass verification failed: " ^ details));
+      let roll_back reason =
+        restore_func fopt ~from_:pre_ir;
+        Code_mapper.restore mapper pre_mapper;
+        (* The restored IR matches no cached analysis of the discarded one. *)
+        Analysis_manager.invalidate ~preserved:[] am;
+        Telemetry.bump telemetry stat_rolled_back;
+        Telemetry.remark telemetry ~pass:p.pname ~func:fopt.Ir.fname (fun () ->
+            "pass rolled back: " ^ reason)
+      in
+      if (not changed) && not (Ir.equal_func fopt pre_ir) then
+        roll_back "reported no change but changed the function"
+      else if changed || not !verified then begin
+        match
+          Telemetry.with_span telemetry ~cat:"verify" "verify" (fun () -> Verifier.verify fopt)
+        with
+        | Ok () -> verified := true
+        | Error es ->
+            roll_back
+              ("post-pass verification failed: "
+              ^ Fmt.str "%a" (Fmt.list ~sep:Fmt.cut Verifier.pp_error) es)
+      end;
       (* Counted after a possible rollback, so a rolled-back pass reports
          zero actions. *)
       per_pass := (p.pname, Code_mapper.counts_since mapper pre_mapper) :: !per_pass)

@@ -4,11 +4,16 @@
     replaced, kept in {!Ref_front}.  Every observable must be byte-identical:
     the printed [fbase] and [fopt], the source points, the CodeMapper action
     list, the per-pass counts, the remarks, every counter (including the
-    analysis manager's [am.*] hit/miss rows) and the span counts.
+    analysis manager's [am.*] hit/miss rows) and the span counts.  The one
+    expected difference is the [verify] count: the pass manager skips the
+    verifier after a pass that left the function unchanged, and the test
+    counts those skips itself (see [new_apply]).
 
     The verifier is also checked on seeded mutations of pipeline outputs,
     one per error class: its error list must equal the reference copy's,
-    except for the duplicate-incoming φ error the reference cannot see. *)
+    except for the duplicate-incoming φ error the reference cannot see.
+    A second, randomized gate compares it with the copy of the verifier it
+    replaced, kept in {!Ref_miniir}, on mutants of eight kinds. *)
 
 module T = Telemetry
 module Ir = Miniir.Ir
@@ -42,8 +47,11 @@ type observed = {
   per_pass : string;
   remarks : string;
   counters : string;
-  spans : string;
+  spans : (string * int) list;  (** span name, count *)
+  skipped : int;  (** verifications [apply] skipped, as [new_apply] counts them *)
 }
+
+let verify_skips = ref 0
 
 (* Build fbase with [to_fbase], run [apply] on it under a live sink, and
    render everything the caller can see.  Counters are process-global, so
@@ -51,6 +59,7 @@ type observed = {
 let observe ~(to_fbase : unit -> Ir.func * int list)
     ~(apply : telemetry:T.sink -> Ir.func -> P.apply_result) : observed =
   T.reset_counters ();
+  verify_skips := 0;
   let tel = T.create () in
   let fbase, points = to_fbase () in
   let r = apply ~telemetry:tel fbase in
@@ -63,10 +72,23 @@ let observe ~(to_fbase : unit -> Ir.func * int list)
     per_pass = lines counts_to_string r.per_pass;
     remarks = lines T.remark_to_string (T.remarks tel);
     counters = lines (String.concat " ") (T.counter_rows ~all:true ());
-    spans = lines (fun (n, c, _, _) -> Printf.sprintf "%s %d" n c) (T.span_rows tel |> List.sort compare);
+    spans = List.sort compare (List.map (fun (n, c, _, _) -> (n, c)) (T.span_rows tel));
+    skipped = !verify_skips;
+  }
+
+let spans_to_string spans = String.concat "\n" (List.map (fun (n, c) -> Printf.sprintf "%s %d" n c) spans)
+
+(* What [got] should observe given the reference run [want]: the same,
+   with [got.skipped] fewer verifications. *)
+let expected (want : observed) (got : observed) : observed =
+  {
+    want with
+    spans = List.map (fun (n, c) -> if n = "verify" then (n, c - got.skipped) else (n, c)) want.spans;
+    skipped = got.skipped;
   }
 
 let check_same ~(what : string) (want : observed) (got : observed) =
+  let want = expected want got in
   let field name w g = Alcotest.(check string) (what ^ ": " ^ name) w g in
   field "fbase" want.fbase got.fbase;
   field "source points" want.points got.points;
@@ -75,9 +97,30 @@ let check_same ~(what : string) (want : observed) (got : observed) =
   field "per-pass counts" want.per_pass got.per_pass;
   field "remarks" want.remarks got.remarks;
   field "counters" want.counters got.counters;
-  field "span counts" want.spans got.spans
+  field "span counts" (spans_to_string want.spans) (spans_to_string got.spans)
 
-let new_apply ~telemetry f = P.apply ~telemetry f
+(* [P.apply] over the standard passes, each wrapped to count the
+   verifications the pass manager skips: after a pass that returns [false]
+   and leaves the function as it was (printed form and counters), once a
+   verification in this call has accepted the function.  Acceptance is the
+   reference verifier's; a pass that returns [false] but changed the
+   function is rolled back unverified. *)
+let new_apply ~telemetry f =
+  let verified = ref false in
+  let state (g : Ir.func) = Printf.sprintf "%s%d %d" (Ir.func_to_string g) g.next_id g.next_reg in
+  let wrap (p : P.pass) =
+    let run m am g =
+      let before = state g in
+      let changed = p.run m am g in
+      let same = (not changed) && String.equal (state g) before in
+      if same && !verified then incr verify_skips
+      else if changed || same then
+        if Result.is_ok (Ref_miniir.Verifier.verify g) then verified := true;
+      changed
+    in
+    { p with run }
+  in
+  P.apply ~pipeline:(List.map wrap P.standard_pipeline) ~telemetry f
 let ref_apply ~telemetry f = R.apply ~telemetry f
 
 let check_kernel ~(what : string) (k : Corpus.Dsl.kernel) =
@@ -141,7 +184,7 @@ let prop_generated_identical =
         let changed = run g in
         (changed, Ir.func_to_string g)
       in
-      (want = got
+      (expected want got = got
       || QCheck.Test.fail_reportf "pipeline observables differ:\n%s\nvs\n%s" want.fopt got.fopt)
       && (standalone (Suite_passes.run_pass R.Lcssa.run)
           = standalone (Suite_passes.run_pass Passes.Lcssa.run)
@@ -465,6 +508,197 @@ let test_mutations () =
       end)
     outputs
 
+
+(* -------------------- verifier differential gate -------------------- *)
+
+(* Pipeline outputs of the kernels, the Spec_c sample and generated
+   functions. *)
+let gate_inputs () : (string * Ir.func) list =
+  let fopt what f = (what, (P.apply f).fopt) in
+  List.map
+    (fun (e : Corpus.Kernels.entry) -> fopt e.benchmark (fst (Corpus.Dsl.to_fbase e.kernel)))
+    Corpus.Kernels.all
+  @ List.map (fun (what, k) -> fopt what (fst (Corpus.Dsl.to_fbase k))) (spec_c_sample ())
+  @ List.mapi
+      (fun n raw -> fopt (Printf.sprintf "generated #%d" n) (P.to_fbase raw))
+      (QCheck.Gen.generate ~rand:(Random.State.make [| 17 |]) ~n:60 Gen_ir.gen_func)
+
+let pick rng l = List.nth l (Random.State.int rng (List.length l))
+
+let registers (f : Ir.func) : Ir.reg list =
+  f.params @ List.filter_map (fun (i : Ir.instr) -> i.result) (Ir.all_instrs f)
+
+let labels (f : Ir.func) = List.map (fun (b : Ir.block) -> b.label) f.blocks
+
+(* Replace one operand, drawn uniformly from every operand of every
+   instruction and terminator, by [v ()]. *)
+let rewrite_operand rng (f : Ir.func) (v : unit -> Ir.value) : bool =
+  let n_rhs (i : Ir.instr) = List.length (Ir.rhs_operands i.rhs) in
+  let n_term (b : Ir.block) = List.length (Ir.term_operands b.term) in
+  let total =
+    List.fold_left
+      (fun acc (b : Ir.block) ->
+        acc + n_term b + List.fold_left (fun acc i -> acc + n_rhs i) 0 (Ir.block_instrs b))
+      0 f.blocks
+  in
+  total > 0
+  &&
+  let k = ref (Random.State.int rng total) in
+  let fn x =
+    let y = if !k = 0 then v () else x in
+    decr k;
+    y
+  in
+  List.iter
+    (fun (b : Ir.block) ->
+      List.iter (fun (i : Ir.instr) -> i.rhs <- Ir.map_rhs_operands fn i.rhs) (Ir.block_instrs b);
+      b.term <- Ir.map_term_operands fn b.term)
+    f.blocks;
+  true
+
+(* The eight kinds of change; each edits a fresh clone in place, [false] =
+   not applicable. *)
+let mutant_kinds : (string * (Random.State.t -> Ir.func -> bool)) list =
+  [
+    ( "operand -> random register",
+      fun rng f ->
+        let regs = registers f in
+        regs <> [] && rewrite_operand rng f (fun () -> Ir.Reg (pick rng regs)) );
+    ( "retargeted branch",
+      fun rng f ->
+        match List.filter (fun (b : Ir.block) -> Ir.successors b <> []) f.blocks with
+        | [] -> false
+        | bs ->
+            let b = pick rng bs and l = pick rng (labels f) in
+            (b.term <-
+               (match b.term with
+               | Ir.Cbr (c, x, y) -> if Random.State.bool rng then Ir.Cbr (c, l, y) else Ir.Cbr (c, x, l)
+               | _ -> Ir.Br l));
+            true );
+    ( "duplicated result",
+      fun rng f ->
+        match List.filter (fun (i : Ir.instr) -> i.result <> None) (Ir.all_instrs f) with
+        | _ :: _ :: _ as is ->
+            let i = pick rng is and j = pick rng is in
+            i != j
+            &&
+            (j.result <- i.result;
+             true)
+        | _ -> false );
+    ( "swapped body instructions",
+      fun rng f ->
+        match List.filter (fun (b : Ir.block) -> List.compare_length_with b.body 2 >= 0) f.blocks with
+        | [] -> false
+        | bs ->
+            let b = pick rng bs in
+            let a = Array.of_list b.body in
+            let x = Random.State.int rng (Array.length a) and y = Random.State.int rng (Array.length a) in
+            x <> y
+            &&
+            let t = a.(x) in
+            a.(x) <- a.(y);
+            a.(y) <- t;
+            b.body <- Array.to_list a;
+            true );
+    ( "relabelled phi incoming",
+      fun rng f ->
+        match phis_of f with
+        | [] -> false
+        | ps ->
+            let _, (i : Ir.instr), inc = pick rng ps in
+            inc <> []
+            &&
+            let k = Random.State.int rng (List.length inc) and l = pick rng (labels f) in
+            i.rhs <- Ir.Phi (List.mapi (fun j (l', v) -> if j = k then (l, v) else (l', v)) inc);
+            true );
+    ( "dropped block",
+      fun rng f ->
+        match f.blocks with
+        | e :: (_ :: _ as rest) ->
+            let b = pick rng rest in
+            f.blocks <- e :: List.filter (fun b' -> b' != b) rest;
+            true
+        | _ -> false );
+    ("use of an undefined register", fun rng f -> rewrite_operand rng f (fun () -> Ir.Reg "nodef"));
+    ( "instruction moved to another block's top",
+      fun rng f ->
+        match (List.filter (fun (b : Ir.block) -> b.body <> []) f.blocks, f.blocks) with
+        | [], _ | _, ([] | [ _ ]) -> false
+        | from, all ->
+            let b = pick rng from in
+            let i = pick rng b.body and dst = pick rng all in
+            dst != b
+            &&
+            (b.body <- List.filter (fun j -> j != i) b.body;
+             dst.body <- i :: dst.body;
+             true) );
+  ]
+
+let ids_in_range (f : Ir.func) =
+  List.for_all
+    (fun (b : Ir.block) ->
+      b.term_id >= 0 && b.term_id < f.next_id
+      && List.for_all (fun (i : Ir.instr) -> i.id >= 0 && i.id < f.next_id) (Ir.block_instrs b))
+    f.blocks
+
+let dom_to_string (f : Ir.func) (compute : Ir.func -> Dom.t) : string =
+  match compute f with
+  | exception e -> Printexc.to_string e
+  | d ->
+      let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+      let preds =
+        Hashtbl.fold (fun l ps acc -> (l ^ "<-" ^ String.concat "," ps) :: acc) d.Dom.preds []
+      in
+      String.concat " | "
+        ([ String.concat "," (Array.to_list d.Dom.order); ints d.idom; ints d.tin; ints d.tout ]
+        @ List.sort compare preds)
+
+(* Every mutant's error list must equal the reference verifier's; the walk
+   must accept exactly what the reference accepts, except a function with
+   an id outside [0, next_id), which only the explaining path accepts; and
+   [Dom.compute] must equal the reference copy's on every mutant. *)
+let test_differential () =
+  let rng = Random.State.make [| 2024 |] in
+  let inputs = gate_inputs () in
+  let failures = ref [] and mutants = ref 0 in
+  let check what (g : Ir.func) =
+    let want = Ref_miniir.Verifier.verify g and got = V.verify g in
+    let fail fmt = Printf.ksprintf (fun m -> failures := (what ^ ": " ^ m) :: !failures) fmt in
+    if errors_to_string want <> errors_to_string got then
+      fail "verify:\n%s\nreference:\n%s" (errors_to_string got) (errors_to_string want);
+    if V.accepts g <> (Result.is_ok want && ids_in_range g) then
+      fail "walk says %b, reference %s" (V.accepts g) (errors_to_string want);
+    if dom_to_string g Dom.compute <> dom_to_string g R.dom_compute then fail "Dom.compute differs";
+    Result.is_error want
+  in
+  List.iter (fun (what, f) -> ignore (check what f : bool)) inputs;
+  List.iter
+    (fun (kind, mutate) ->
+      let rejected = ref 0 in
+      List.iter
+        (fun (what, f) ->
+          for n = 1 to 3 do
+            let g = Ir.clone_func f in
+            if mutate rng g then begin
+              incr mutants;
+              if check (Printf.sprintf "%s, %s #%d" what kind n) g then incr rejected
+            end
+          done)
+        inputs;
+      if !rejected = 0 then Alcotest.failf "no %S mutant was rejected" kind)
+    mutant_kinds;
+  (* An id at or above [next_id]: valid, but only the explaining path can
+     tell. *)
+  let g = Ir.clone_func (snd (List.hd inputs)) in
+  let b = Ir.entry g in
+  b.body <- { (List.hd b.body) with id = g.next_id + 3 } :: List.tl b.body;
+  Alcotest.(check string) "id >= next_id is accepted" "ok" (errors_to_string (V.verify g));
+  ignore (check "id >= next_id" g : bool);
+  match List.rev !failures with
+  | [] -> Alcotest.(check bool) "over 4,000 mutants checked" true (!mutants > 4000)
+  | fs ->
+      Alcotest.failf "%d of %d mutants disagree; first:\n%s" (List.length fs) !mutants (List.hd fs)
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "front",
@@ -475,4 +709,5 @@ let suite =
       t "hand-written shapes: pipeline, mem2reg, LCSSA identical" test_shapes;
       t "continuations: mem2reg identical" test_contfun_mem2reg;
       t "verifier: mutations match the reference" test_mutations;
+      t "verifier: seeded mutants match the replaced verifier" test_differential;
     ] )

@@ -474,6 +474,50 @@ let test_sandboxed_pipeline () =
        (Interp.run r_sand.P.fopt ~args:entry.default_args));
   Telemetry.reset_counters ()
 
+(* A pass that edits the function but reports no change.  The edit is
+   valid SSA, so only the comparison with the pre-pass clone can catch
+   it. *)
+let misreporting_pass : P.pass =
+  {
+    P.pname = "misreport";
+    run =
+      (fun _ _ f ->
+        let e = Ir.entry f in
+        e.Ir.body <-
+          e.Ir.body
+          @ [ { Ir.id = Ir.fresh_id f; result = Some (Ir.fresh_reg f); rhs = Ir.Binop (Ir.Add, Ir.Const 1, Ir.Const 2) } ];
+        false);
+    preserves = [];
+  }
+
+let test_misreport_rolled_back () =
+  let entry = Option.get (Corpus.Kernels.find "bzip2") in
+  let fbase, _ = Corpus.Dsl.to_fbase entry.kernel in
+  Telemetry.reset_counters ();
+  let sink = Telemetry.create () in
+  let r_clean = P.apply fbase in
+  let r = P.apply ~pipeline:(P.standard_pipeline @ [ misreporting_pass ]) ~telemetry:sink fbase in
+  Alcotest.(check string) "misreporting pass undone" (Ir.func_to_string r_clean.P.fopt)
+    (Ir.func_to_string r.P.fopt);
+  Alcotest.(check int) "pass.rolled_back counted" 1 P.stat_rolled_back.Telemetry.value;
+  Alcotest.(check (list string)) "a remark names the misreport"
+    [ "[misreport] (bzip2_block_sort) pass rolled back: reported no change but changed the function" ]
+    (List.map Telemetry.remark_to_string (Telemetry.remarks ~pass:"misreport" sink));
+  Telemetry.reset_counters ()
+
+(* A pass that changes nothing and says so is verified only while no
+   verification in the call has accepted the function yet. *)
+let test_unchanged_skips_verify () =
+  let silent : P.pass = { P.pname = "silent"; run = (fun _ _ _ -> false); preserves = [] } in
+  let entry = Option.get (Corpus.Kernels.find "bzip2") in
+  let fbase, _ = Corpus.Dsl.to_fbase entry.kernel in
+  let sink = Telemetry.create () in
+  let r = P.apply ~pipeline:[ silent; silent; silent ] ~telemetry:sink fbase in
+  Alcotest.(check string) "function unchanged" (Ir.func_to_string fbase) (Ir.func_to_string r.P.fopt);
+  Alcotest.(check (list (pair string int))) "one verification for three passes"
+    [ ("silent", 3); ("verify", 1) ]
+    (List.sort compare (List.map (fun (n, c, _, _) -> (n, c)) (Telemetry.span_rows sink)))
+
 (* -------------------- typed errors surface, exceptions don't ---------- *)
 
 let test_typed_errors () =
@@ -527,6 +571,8 @@ let suite =
       t "fuel budgets on both engines" test_fuel_budgets;
       t "fuel stops an infinite loop" test_fuel_stops_infinite_loop;
       t "sandboxed pass pipeline rolls back" test_sandboxed_pipeline;
+      t "a misreported no-change is rolled back" test_misreport_rolled_back;
+      t "an unchanged pass skips the verifier" test_unchanged_skips_verify;
       t "typed errors replace exceptions" test_typed_errors;
       QCheck_alcotest.to_alcotest prop_seeded_random_functions;
     ] )
