@@ -43,7 +43,8 @@ bench-layers:
 
 # Before/after of two per-layer tables, e.g. the .bench_out/debug-seed21.layers.json
 # that `make bench-layers W=debug` wrote in two checkouts: per span, self
-# ms/op and calls/op from A and B and the B/A ratio of self time.
+# ms/op and calls/op from A and B and the B/A ratio of self time, then the
+# self ms/op of every layer and its B/A ratio.
 bench-layers-diff:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-layers-diff A=<layers.json> B=<layers.json>"; exit 2; }
 	@python3 bench/layers_diff.py $(A) $(B)

@@ -56,7 +56,8 @@ let analyze_function ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Passes.Code
   (* Breakpoint correspondence: fbase → fopt (where does the breakpoint
      land in optimized code), value recovery: fopt → fbase. *)
   let fwd, bwd = Ctx.make_pair ~fbase ~fopt ~mapper () in
-  let sv = Source_vars.analyze fwd.Ctx.src.Ctx.index ~user_vars in
+  let sv = Source_vars.analyze (Miniir.Func_index.make fbase) ~user_vars in
+  let st = R.fresh_state bwd ~src_point:(-1) ~landing:(-1) in
   let points =
     List.filter_map
       (fun base_point ->
@@ -64,7 +65,7 @@ let analyze_function ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Passes.Code
         | None -> None
         | Some opt_point ->
             let env = Ctx.point_env bwd opt_point in
-            let st = R.fresh_state bwd ~src_point:opt_point ~landing:base_point in
+            R.retarget st ~src_point:opt_point ~landing:base_point;
             let vars =
               List.map
                 (fun (var, carrier) ->

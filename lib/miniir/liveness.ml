@@ -7,237 +7,367 @@
     φ-node incomings are attributed to the tail of the corresponding
     predecessor, as usual.
 
-    Registers are interned to dense integers and the sets are byte-array
-    bitsets: the block fixpoint works on gen/kill summaries with
-    byte-at-a-time unions instead of [Set.Make(String)] element-by-element
-    unions (a word-wide union did not move [Osr_ctx.make_pair] beyond
-    noise), which is what keeps the Figure 7/8 feasibility sweep (thousands of
-    [live_at]/[is_live] queries per function version) cheap.  A result is
+    Everything is dense.  One walk over the function looks every register
+    occurrence up once, numbering registers and recording each point's
+    definition and uses as ints; blocks are numbered by position, with int
+    successor arrays.  The block fixpoint then works on byte-array bitsets:
+    per block, its gen set, its definitions (body and φ) and the φ uses its
+    outgoing edges carry, so one round is a few byte-wise unions (a
+    word-wide union did not move [Osr_ctx.make_pair] beyond noise).  The
+    per-point sets sit in an array indexed by instruction id.  A result is
     never written after {!compute} returns, so one value can be queried
-    from several domains at once.  The original string-set implementation
-    lives on in the test suite, which checks the two agree on generated
-    functions. *)
+    from several domains at once.
+
+    Register ids follow the first occurrence unless [~name_order:true]
+    asks for the [String.compare] order of the names: then ascending ids
+    are sorted names, so {!live_at} decodes without sorting and a caller
+    can walk a live set in name order without decoding it at all.  That
+    costs one sort of all the function's names, which the OSR context pays
+    once per function side; a caller that asks about one point (the
+    continuation generator) leaves it off, and {!live_at} sorts the few
+    names it returns.  The original string-set implementation lives on in
+    the test suite, which checks the two agree on generated functions, the
+    corpus and continuation functions. *)
 
 (* ------------------------------------------------------------------ *)
-(* Bitsets over interned registers                                      *)
+(* Bitsets over register ids                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Every set of one result lives in a few flat byte buffers, [width] bytes
+   per set: the per-point sets in one, the per-block ones in five more.
+   A set is then an offset, and computing a function allocates a handful
+   of blocks instead of one per point. *)
+
+let mem_bit (buf : Bytes.t) (off : int) (i : int) : bool =
+  Char.code (Bytes.unsafe_get buf (off + (i lsr 3))) land (1 lsl (i land 7)) <> 0
+
+let set_bit (buf : Bytes.t) (off : int) (i : int) : unit =
+  let k = off + (i lsr 3) in
+  Bytes.unsafe_set buf k
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get buf k) lor (1 lsl (i land 7))))
+
+let clear_bit (buf : Bytes.t) (off : int) (i : int) : unit =
+  let k = off + (i lsr 3) in
+  Bytes.unsafe_set buf k
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get buf k) land lnot (1 lsl (i land 7))))
+
+(** A read-only view of one set of a result. *)
 module Bits = struct
-  type t = Bytes.t
+  type t = { buf : Bytes.t; off : int; width : int }
 
-  let create (nbits : int) : t = Bytes.make ((nbits + 7) lsr 3) '\000'
-  let copy = Bytes.copy
-  let equal = Bytes.equal
+  let mem (b : t) (i : int) : bool = mem_bit b.buf b.off i
 
-  let mem (b : t) (i : int) : bool =
-    Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
-  let set (b : t) (i : int) : unit =
-    Bytes.unsafe_set b (i lsr 3)
-      (Char.unsafe_chr (Char.code (Bytes.unsafe_get b (i lsr 3)) lor (1 lsl (i land 7))))
-
-  let clear (b : t) (i : int) : unit =
-    Bytes.unsafe_set b (i lsr 3)
-      (Char.unsafe_chr (Char.code (Bytes.unsafe_get b (i lsr 3)) land lnot (1 lsl (i land 7))))
-
-  (** [union_into dst src]: dst ← dst ∪ src. *)
-  let union_into (dst : t) (src : t) : unit =
-    for k = 0 to Bytes.length dst - 1 do
-      Bytes.unsafe_set dst k
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get dst k) lor Char.code (Bytes.unsafe_get src k)))
-    done
-
-  (** [diff_into dst src]: dst ← dst \ src. *)
-  let diff_into (dst : t) (src : t) : unit =
-    for k = 0 to Bytes.length dst - 1 do
-      Bytes.unsafe_set dst k
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get dst k) land lnot (Char.code (Bytes.unsafe_get src k))))
-    done
-
+  (** Members in ascending order. *)
   let iter (fn : int -> unit) (b : t) : unit =
-    for k = 0 to Bytes.length b - 1 do
-      let byte = Char.code (Bytes.unsafe_get b k) in
+    for k = 0 to b.width - 1 do
+      let byte = Char.code (Bytes.unsafe_get b.buf (b.off + k)) in
       if byte <> 0 then
         for j = 0 to 7 do
           if byte land (1 lsl j) <> 0 then fn ((k lsl 3) lor j)
         done
     done
+
+  (** [fold_desc fn b acc] folds the members in descending order, so
+      consing them builds an ascending list. *)
+  let fold_desc (fn : int -> 'a -> 'a) (b : t) (acc : 'a) : 'a =
+    let acc = ref acc in
+    for k = b.width - 1 downto 0 do
+      let byte = Char.code (Bytes.unsafe_get b.buf (b.off + k)) in
+      if byte <> 0 then
+        for j = 7 downto 0 do
+          if byte land (1 lsl j) <> 0 then acc := fn ((k lsl 3) lor j) !acc
+        done
+    done;
+    !acc
 end
 
+(* String-keyed tables with [String.equal] in place of polymorphic
+   compare. *)
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash (s : string) = Hashtbl.hash s
+end)
+
 type t = {
-  names : string array;  (** interned register id → name *)
-  ids : (string, int) Hashtbl.t;  (** name → interned id *)
-  live_before : (int, Bits.t) Hashtbl.t;  (** instruction/terminator id → set *)
-  live_out : (string, Bits.t) Hashtbl.t;  (** block label → live-out *)
+  names : string array;  (** register id → name *)
+  ids : int Names.t;  (** name → register id *)
+  name_order : bool;  (** ascending ids are names in [String.compare] order *)
+  labels : int Names.t;  (** block label → block number (position) *)
+  width : int;  (** bytes per set *)
+  row : int array;  (** instruction/terminator id → its set in [sets]; [-1] none *)
+  sets : Bytes.t;  (** live-before sets, set [j] at byte [j * width] *)
+  outs : Bytes.t;  (** live-out of block [k] at byte [k * width] *)
 }
 
-let compute ?(index : Func_index.t option) (f : Ir.func) : t =
-  let index = match index with Some i -> i | None -> Func_index.make f in
-  (* --- Intern every register appearing in the function. --- *)
-  let ids = Hashtbl.create 64 in
-  let rev = ref [] in
-  let n = ref 0 in
+(* A growable int array. *)
+type ints = { mutable a : int array; mutable len : int }
+
+let ints (n : int) : ints = { a = Array.make (max 16 n) 0; len = 0 }
+
+let push (v : ints) (x : int) : unit =
+  if v.len = Array.length v.a then begin
+    let a = Array.make (2 * v.len) 0 in
+    Array.blit v.a 0 a 0 v.len;
+    v.a <- a
+  end;
+  Array.unsafe_set v.a v.len x;
+  v.len <- v.len + 1
+
+let compute ?(name_order = false) (f : Ir.func) : t =
+  let blocks = Array.of_list f.blocks in
+  let nb = Array.length blocks in
+  let labels = Names.create (max 16 nb) in
+  Array.iteri (fun k (b : Ir.block) -> Names.replace labels b.label k) blocks;
+  (* --- One walk: number registers, record every point's definition and
+     uses.  Point j of the walk is a body instruction or a terminator
+     (block k owns points [blk_lo.(k), blk_lo.(k+1))) and gets set j of
+     the result ([row]); its uses are [uses.a.(use_lo.(j)) ..
+     uses.a.(use_lo.(j+1) - 1)].  φ-nodes share their block's first set;
+     their definitions go to [phi_def], their incomings to (predecessor,
+     block, register) triples.  A first pass over the block lists sizes
+     the arrays. --- *)
+  let npts = ref 0 and max_id = ref (-1) in
+  let see id = if id > !max_id then max_id := id in
+  Array.iter
+    (fun (b : Ir.block) ->
+      List.iter (fun (i : Ir.instr) -> see i.id) b.phis;
+      List.iter
+        (fun (i : Ir.instr) ->
+          see i.id;
+          incr npts)
+        b.body;
+      see b.term_id;
+      incr npts)
+    blocks;
+  let npts = !npts in
+  let ids = Names.create (max 16 f.next_reg) in
+  let rev_names = ref [] and n = ref 0 in
   let intern r =
-    match Hashtbl.find_opt ids r with
+    match Names.find_opt ids r with
     | Some i -> i
     | None ->
         let i = !n in
-        Hashtbl.add ids r i;
-        rev := r :: !rev;
+        Names.add ids r i;
+        rev_names := r :: !rev_names;
         incr n;
         i
   in
   List.iter (fun p -> ignore (intern p : int)) f.params;
-  List.iter
-    (fun (b : Ir.block) ->
+  let row = Array.make (!max_id + 1) (-1) in
+  let pt_def = Array.make npts (-1) and use_lo = Array.make (npts + 1) 0 in
+  let uses = ints (2 * npts) and phi_def = ints 16 and phi_in = ints 16 in
+  let blk_lo = Array.make (nb + 1) 0 and phi_lo = Array.make (nb + 1) 0 in
+  let j = ref 0 in
+  let point id def =
+    row.(id) <- !j;
+    pt_def.(!j) <- def;
+    use_lo.(!j) <- uses.len;
+    incr j
+  in
+  let use v = match v with Ir.Reg r -> push uses (intern r) | Ir.Const _ | Ir.Undef -> () in
+  let def (i : Ir.instr) = match i.result with Some r -> intern r | None -> -1 in
+  Array.iteri
+    (fun k (b : Ir.block) ->
+      blk_lo.(k) <- !j;
+      phi_lo.(k) <- phi_def.len;
       List.iter
         (fun (i : Ir.instr) ->
-          (match i.result with Some r -> ignore (intern r : int) | None -> ());
-          List.iter (fun r -> ignore (intern r : int)) (Ir.rhs_uses i.rhs))
-        (Ir.block_instrs b);
-      List.iter (fun r -> ignore (intern r : int)) (Ir.term_uses b.term))
-    f.blocks;
-  let nbits = !n in
-  let names = Array.make (max 1 nbits) "" in
-  List.iteri (fun k r -> names.(nbits - 1 - k) <- r) !rev;
-  (* --- Per-block summaries: gen/kill over body+terminator, φ defs, and
-     φ uses attributed to each predecessor edge. --- *)
-  let gen = Hashtbl.create 16 in  (* upward-exposed uses of body+term *)
-  let kill = Hashtbl.create 16 in  (* body defs *)
-  let phi_defs = Hashtbl.create 16 in
-  let phi_in = Hashtbl.create 16 in  (* label → (pred → bitset of φ incomings) *)
-  List.iter
-    (fun (b : Ir.block) ->
-      let g = Bits.create nbits and k = Bits.create nbits in
-      List.iter
-        (fun (i : Ir.instr) ->
-          List.iter
-            (fun r ->
-              let ri = Hashtbl.find ids r in
-              if not (Bits.mem k ri) then Bits.set g ri)
-            (Ir.rhs_uses i.rhs);
-          match i.result with Some r -> Bits.set k (Hashtbl.find ids r) | None -> ())
-        b.body;
-      List.iter
-        (fun r ->
-          let ri = Hashtbl.find ids r in
-          if not (Bits.mem k ri) then Bits.set g ri)
-        (Ir.term_uses b.term);
-      Hashtbl.replace gen b.label g;
-      Hashtbl.replace kill b.label k;
-      let pd = Bits.create nbits in
-      let edge_uses : (string, Bits.t) Hashtbl.t = Hashtbl.create 4 in
-      List.iter
-        (fun (i : Ir.instr) ->
-          (match i.result with Some r -> Bits.set pd (Hashtbl.find ids r) | None -> ());
+          row.(i.id) <- !j;
+          push phi_def (def i);
           match i.rhs with
           | Ir.Phi incoming ->
               List.iter
                 (fun (l, v) ->
                   match v with
                   | Ir.Reg r ->
-                      let bs =
-                        match Hashtbl.find_opt edge_uses l with
-                        | Some bs -> bs
-                        | None ->
-                            let bs = Bits.create nbits in
-                            Hashtbl.add edge_uses l bs;
-                            bs
-                      in
-                      Bits.set bs (Hashtbl.find ids r)
+                      push phi_in (Option.value ~default:(-1) (Names.find_opt labels l));
+                      push phi_in k;
+                      push phi_in (intern r)
                   | Ir.Const _ | Ir.Undef -> ())
                 incoming
           | _ -> ())
         b.phis;
-      Hashtbl.replace phi_defs b.label pd;
-      Hashtbl.replace phi_in b.label edge_uses)
-    f.blocks;
-  (* --- Block-level fixpoint on bitsets. --- *)
-  let live_in = Hashtbl.create 16 in
-  let live_out = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Ir.block) ->
-      Hashtbl.replace live_in b.label (Bits.create nbits);
-      Hashtbl.replace live_out b.label (Bits.create nbits))
-    f.blocks;
-  let rev_blocks = List.rev f.blocks in
+      List.iter
+        (fun (i : Ir.instr) ->
+          point i.id (def i);
+          match i.rhs with
+          | Ir.Binop (_, a, c) | Ir.Icmp (_, a, c) | Ir.Store (a, c) ->
+              use a;
+              use c
+          | Ir.Select (a, c, e) ->
+              use a;
+              use c;
+              use e
+          | Ir.Load a -> use a
+          | Ir.Call (_, args) -> List.iter use args
+          | Ir.Phi incoming -> List.iter (fun (_, v) -> use v) incoming
+          | Ir.Alloca _ -> ())
+        b.body;
+      point b.term_id (-1);
+      match b.term with Ir.Cbr (c, _, _) | Ir.Ret c -> use c | Ir.Br _ | Ir.Unreachable -> ())
+    blocks;
+  blk_lo.(nb) <- npts;
+  phi_lo.(nb) <- phi_def.len;
+  use_lo.(npts) <- uses.len;
+  let nbits = !n in
+  let names = Array.make nbits "" in
+  List.iteri (fun k r -> names.(nbits - 1 - k) <- r) !rev_names;
+  (* --- Name order: renumber by rank, in place. --- *)
+  let names =
+    if not name_order then names
+    else begin
+      let perm = Array.init nbits Fun.id in
+      Array.stable_sort (fun a b -> String.compare names.(a) names.(b)) perm;
+      let rank = Array.make nbits 0 in
+      Array.iteri (fun k i -> rank.(i) <- k) perm;
+      let renumber (v : ints) ~(from : int) ~(step : int) =
+        let k = ref from in
+        while !k < v.len do
+          let x = v.a.(!k) in
+          if x >= 0 then v.a.(!k) <- rank.(x);
+          k := !k + step
+        done
+      in
+      renumber uses ~from:0 ~step:1;
+      Array.iteri (fun j x -> if x >= 0 then pt_def.(j) <- rank.(x)) pt_def;
+      renumber phi_def ~from:0 ~step:1;
+      renumber phi_in ~from:2 ~step:3;
+      Names.filter_map_inplace (fun _ i -> Some rank.(i)) ids;
+      (* Filled in place: [Array.map] would start the array with a young
+         name, and a large array made that way costs a minor collection. *)
+      let sorted = Array.make nbits "" in
+      Array.iteri (fun k i -> sorted.(k) <- names.(i)) perm;
+      sorted
+    end
+  in
+  (* --- Per-block summaries: upward-exposed uses, definitions (body and
+     φ), and the φ uses carried by each block's outgoing edges. --- *)
+  let width = (nbits + 7) lsr 3 in
+  let succs =
+    Array.map
+      (fun (b : Ir.block) ->
+        Array.of_list (List.filter_map (Names.find_opt labels) (Ir.successors b)))
+      blocks
+  in
+  let gen = Bytes.make (nb * width) '\000' and defs = Bytes.make (nb * width) '\000' in
+  let edge_uses = Bytes.make (nb * width) '\000' in
+  for k = 0 to nb - 1 do
+    let off = k * width in
+    for j = blk_lo.(k) to blk_lo.(k + 1) - 1 do
+      for u = use_lo.(j) to use_lo.(j + 1) - 1 do
+        let r = uses.a.(u) in
+        if not (mem_bit defs off r) then set_bit gen off r
+      done;
+      let r = pt_def.(j) in
+      if r >= 0 then set_bit defs off r
+    done;
+    (* φ results are defined at the block top: a body use of one is not
+       upward exposed past the block. *)
+    for j = phi_lo.(k) to phi_lo.(k + 1) - 1 do
+      let r = phi_def.a.(j) in
+      if r >= 0 then begin
+        clear_bit gen off r;
+        set_bit defs off r
+      end
+    done
+  done;
+  let e = ref 0 in
+  while !e < phi_in.len do
+    let p = phi_in.a.(!e) and k = phi_in.a.(!e + 1) in
+    if p >= 0 && Array.mem k succs.(p) then set_bit edge_uses (p * width) phi_in.a.(!e + 2);
+    e := !e + 3
+  done;
+  (* --- Block-level fixpoint: out = edge uses ∪ ⋃ succ in,
+     in = gen ∪ (out \ defs). --- *)
+  let live_in = Bytes.make (nb * width) '\000' and outs = Bytes.make (nb * width) '\000' in
+  let tmp = Bytes.create width in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun (b : Ir.block) ->
-        let out = Bits.create nbits in
-        List.iter
-          (fun s ->
-            match Hashtbl.find_opt live_in s with
-            | Some inn ->
-                Bits.union_into out inn;
-                (match Hashtbl.find_opt (Hashtbl.find phi_in s) b.label with
-                | Some bs -> Bits.union_into out bs
-                | None -> ())
-            | None -> ())
-          (Func_index.successors index b.label);
-        (* in = (gen ∪ (out \ kill)) \ phi_defs *)
-        let inn = Bits.copy out in
-        Bits.diff_into inn (Hashtbl.find kill b.label);
-        Bits.union_into inn (Hashtbl.find gen b.label);
-        Bits.diff_into inn (Hashtbl.find phi_defs b.label);
-        if not (Bits.equal out (Hashtbl.find live_out b.label)) then begin
-          Hashtbl.replace live_out b.label out;
+    for k = nb - 1 downto 0 do
+      let off = k * width in
+      Bytes.blit edge_uses off tmp 0 width;
+      Array.iter
+        (fun s ->
+          let soff = s * width in
+          for i = 0 to width - 1 do
+            Bytes.unsafe_set tmp i
+              (Char.unsafe_chr
+                 (Char.code (Bytes.unsafe_get tmp i)
+                 lor Char.code (Bytes.unsafe_get live_in (soff + i))))
+          done)
+        succs.(k);
+      for i = 0 to width - 1 do
+        let o = Char.code (Bytes.unsafe_get tmp i) in
+        if o <> Char.code (Bytes.unsafe_get outs (off + i)) then begin
+          Bytes.unsafe_set outs (off + i) (Char.unsafe_chr o);
           changed := true
         end;
-        if not (Bits.equal inn (Hashtbl.find live_in b.label)) then begin
-          Hashtbl.replace live_in b.label inn;
+        let x =
+          Char.code (Bytes.unsafe_get gen (off + i))
+          lor (o land lnot (Char.code (Bytes.unsafe_get defs (off + i))))
+        in
+        if x <> Char.code (Bytes.unsafe_get live_in (off + i)) then begin
+          Bytes.unsafe_set live_in (off + i) (Char.unsafe_chr x);
           changed := true
-        end)
-      rev_blocks
+        end
+      done
+    done
   done;
-  (* --- Final per-instruction backward pass. --- *)
-  let live_before = Hashtbl.create 64 in
-  List.iter
-    (fun (b : Ir.block) ->
-      let live = Bits.copy (Hashtbl.find live_out b.label) in
-      List.iter (fun r -> Bits.set live (Hashtbl.find ids r)) (Ir.term_uses b.term);
-      Hashtbl.replace live_before b.term_id (Bits.copy live);
-      List.iter
-        (fun (i : Ir.instr) ->
-          (match i.result with Some r -> Bits.clear live (Hashtbl.find ids r) | None -> ());
-          List.iter (fun r -> Bits.set live (Hashtbl.find ids r)) (Ir.rhs_uses i.rhs);
-          Hashtbl.replace live_before i.id (Bits.copy live))
-        (List.rev b.body);
-      (* φ-nodes all share the block-top point: live there is live at body
-         start minus nothing (their defs are at this very point). *)
-      List.iter (fun (i : Ir.instr) -> Hashtbl.replace live_before i.id live) b.phis)
-    f.blocks;
-  { names; ids; live_before; live_out }
+  (* --- Final per-point backward pass; a block's φ-nodes share the set of
+     its first point (their defs are at the block top). --- *)
+  let sets = Bytes.create (npts * width) in
+  for k = 0 to nb - 1 do
+    Bytes.blit outs (k * width) tmp 0 width;
+    for j = blk_lo.(k + 1) - 1 downto blk_lo.(k) do
+      let r = pt_def.(j) in
+      if r >= 0 then clear_bit tmp 0 r;
+      for u = use_lo.(j) to use_lo.(j + 1) - 1 do
+        set_bit tmp 0 uses.a.(u)
+      done;
+      Bytes.blit tmp 0 sets (j * width) width
+    done
+  done;
+  { names; ids; name_order; labels; width; row; sets; outs }
+
+let row_of (t : t) (id : int) : int =
+  if id >= 0 && id < Array.length t.row then Array.unsafe_get t.row id else -1
+
+(** Byte offset of point [id]'s live-before set, for {!mem_at}; [-1] for
+    unknown points. *)
+let offset_at (t : t) (id : int) : int =
+  let j = row_of t id in
+  if j < 0 then -1 else j * t.width
+
+(** Is register id [r] in the set at byte offset [off] ({!offset_at})? *)
+let mem_at (t : t) (off : int) (r : int) : bool = mem_bit t.sets off r
 
 let to_sorted_names (t : t) (bs : Bits.t) : string list =
-  let acc = ref [] in
-  Bits.iter (fun i -> acc := t.names.(i) :: !acc) bs;
-  List.sort String.compare !acc
+  let names = Bits.fold_desc (fun i acc -> t.names.(i) :: acc) bs [] in
+  if t.name_order then names else List.sort String.compare names
+
+(** Raw live-before set of a point ([None] for unknown points); query
+    with [Bits.mem] and ids from {!id_of}. *)
+let bits_at (t : t) (id : int) : Bits.t option =
+  let j = row_of t id in
+  if j < 0 then None else Some { Bits.buf = t.sets; off = j * t.width; width = t.width }
 
 (** Registers live just before instruction [id] executes (sorted). *)
 let live_at (t : t) (id : int) : string list =
-  match Hashtbl.find_opt t.live_before id with
-  | Some bs -> to_sorted_names t bs
-  | None -> []
+  match bits_at t id with Some bs -> to_sorted_names t bs | None -> []
 
-(** Interned id of a register, for callers that pre-resolve names once and
-    then test bits directly (see {!bits_at}). *)
-let id_of (t : t) (r : string) : int option = Hashtbl.find_opt t.ids r
-
-(** Raw live-before bitset of a point ([None] for unknown points); query
-    with [Bits.mem] and ids from {!id_of}. *)
-let bits_at (t : t) (id : int) : Bits.t option = Hashtbl.find_opt t.live_before id
+(** Register id of a name, for callers that resolve names once and then
+    test bits directly (see {!bits_at}). *)
+let id_of (t : t) (r : string) : int option = Names.find_opt t.ids r
 
 let is_live (t : t) (id : int) (r : string) : bool =
-  match (Hashtbl.find_opt t.live_before id, Hashtbl.find_opt t.ids r) with
-  | Some bs, Some ri -> Bits.mem bs ri
-  | _, _ -> false
+  let j = row_of t id in
+  j >= 0
+  && match Names.find_opt t.ids r with Some ri -> mem_bit t.sets (j * t.width) ri | None -> false
 
 let live_out_of (t : t) (label : string) : string list =
-  match Hashtbl.find_opt t.live_out label with
-  | Some bs -> to_sorted_names t bs
+  match Names.find_opt t.labels label with
+  | Some k -> to_sorted_names t { Bits.buf = t.outs; off = k * t.width; width = t.width }
   | None -> []

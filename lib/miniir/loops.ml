@@ -11,11 +11,11 @@ type loop = {
 type t = { loops : loop list; dom : Dom.t }
 
 (** Detect all natural loops.  Back edge: [b → h] with [h] dominating [b].
-    Loops sharing a header are merged.  [dom] and [index] are recomputed
-    when not supplied (the analysis manager passes cached ones). *)
+    Loops sharing a header are merged.  [dom] is recomputed when not
+    supplied (the analysis manager passes a cached one, and [index] to
+    build it from); the loop bodies follow [dom]'s predecessor lists. *)
 let compute ?(index : Func_index.t option) ?(dom : Dom.t option) (f : Ir.func) : t =
-  let index = match index with Some i -> i | None -> Func_index.make f in
-  let dom = match dom with Some d -> d | None -> Dom.compute ~index f in
+  let dom = match dom with Some d -> d | None -> Dom.compute ?index f in
   let back_edges =
     List.concat_map
       (fun (b : Ir.block) ->
@@ -44,7 +44,7 @@ let compute ?(index : Func_index.t option) ?(dom : Dom.t option) (f : Ir.func) :
         let rec flood label =
           if not (Hashtbl.mem body label) then begin
             Hashtbl.add body label ();
-            List.iter flood (Func_index.predecessors index label)
+            List.iter flood (Option.value ~default:[] (Hashtbl.find_opt dom.Dom.preds label))
           end
         in
         List.iter flood latches;

@@ -39,22 +39,23 @@ let param_prefix = "osr$"
 
 (* Remove blocks unreachable from the entry. *)
 let drop_unreachable (f : Ir.func) : unit =
-  let seen = Hashtbl.create 16 in
+  let blocks = Ir.block_table f in
+  let seen = Hashtbl.create (Hashtbl.length blocks) in
   let rec dfs label =
     if not (Hashtbl.mem seen label) then begin
       Hashtbl.add seen label ();
-      match Ir.find_block f label with
+      match Hashtbl.find_opt blocks label with
       | Some b -> List.iter dfs (Ir.successors b)
       | None -> ()
     end
   in
   dfs (Ir.entry f).label;
-  let removed =
-    List.filter_map
-      (fun (b : Ir.block) -> if Hashtbl.mem seen b.label then None else Some b.label)
-      f.blocks
-  in
-  if removed <> [] then begin
+  let removed = Hashtbl.create 8 in
+  List.iter
+    (fun (b : Ir.block) ->
+      if not (Hashtbl.mem seen b.label) then Hashtbl.replace removed b.label ())
+    f.blocks;
+  if Hashtbl.length removed > 0 then begin
     f.blocks <- List.filter (fun (b : Ir.block) -> Hashtbl.mem seen b.label) f.blocks;
     List.iter
       (fun (b : Ir.block) ->
@@ -62,7 +63,8 @@ let drop_unreachable (f : Ir.func) : unit =
           (fun (i : Ir.instr) ->
             match i.rhs with
             | Ir.Phi incoming ->
-                i.rhs <- Ir.Phi (List.filter (fun (l, _) -> not (List.mem l removed)) incoming)
+                i.rhs <-
+                  Ir.Phi (List.filter (fun (l, _) -> not (Hashtbl.mem removed l)) incoming)
             | _ -> ())
           b.phis)
       f.blocks
@@ -79,8 +81,8 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
     match
       List.find_opt
         (fun (b : Ir.block) ->
-          b.term_id = landing
-          || List.exists (fun (i : Ir.instr) -> i.id = landing) (Ir.block_instrs b))
+          let at (i : Ir.instr) = i.id = landing in
+          b.term_id = landing || List.exists at b.phis || List.exists at b.body)
         f.blocks
     with
     | Some b -> b
@@ -134,7 +136,8 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
         b.phis)
     f.blocks;
   (* --- 2. Demotion set. --------------------------------------------- *)
-  let target_live = Liveness.live_at (Liveness.compute target) landing in
+  let target_liveness = Liveness.compute target in
+  let target_live = Liveness.live_at target_liveness landing in
   let def_tbl = Ir.def_table f in
   let is_instr_defined r = Hashtbl.mem def_tbl r in
   let demoted =
@@ -143,6 +146,9 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
          (List.map fst plan.transfers @ List.map (fun (c : Reconstruct_ir.comp_instr) -> c.target) plan.comp)
       @ List.filter is_instr_defined target_live)
   in
+  let demoted_set = Hashtbl.create 16 in
+  List.iter (fun r -> Hashtbl.replace demoted_set r ()) demoted;
+  let is_demoted r = Hashtbl.mem demoted_set r in
   let slot_of r = r ^ "$slot" in
   (* Rewrite uses to loads, defs get a trailing store. *)
   List.iter
@@ -153,7 +159,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
         let loads = ref [] in
         let fix v =
           match v with
-          | Ir.Reg r when List.mem r demoted ->
+          | Ir.Reg r when is_demoted r ->
               let tmp = Ir.fresh_reg ~hint:(r ^ ".r") f in
               loads :=
                 { Ir.id = Ir.fresh_id f; result = Some tmp; rhs = Ir.Load (Ir.Reg (slot_of r)) }
@@ -166,7 +172,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
         | rhs -> i.rhs <- Ir.map_rhs_operands fix rhs);
         let stores =
           match i.result with
-          | Some r when List.mem r demoted ->
+          | Some r when is_demoted r ->
               [ { Ir.id = Ir.fresh_id f; result = None;
                   rhs = Ir.Store (Ir.Reg r, Ir.Reg (slot_of r)) } ]
           | _ -> []
@@ -178,7 +184,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
       List.iter
         (fun (i : Ir.instr) ->
           match i.result with
-          | Some r when List.mem r demoted ->
+          | Some r when is_demoted r ->
               phi_stores :=
                 { Ir.id = Ir.fresh_id f; result = None;
                   rhs = Ir.Store (Ir.Reg r, Ir.Reg (slot_of r)) }
@@ -193,7 +199,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
         Ir.map_term_operands
           (fun v ->
             match v with
-            | Ir.Reg r when List.mem r demoted ->
+            | Ir.Reg r when is_demoted r ->
                 let tmp = Ir.fresh_reg ~hint:(r ^ ".t") f in
                 term_loads :=
                   { Ir.id = Ir.fresh_id f; result = Some tmp;
@@ -208,6 +214,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
      the predecessor unconditionally (the new entry edge breaks dominance
      for the original definitions; the slot always carries the live value,
      and mem2reg re-promotion removes the loads that were unnecessary). *)
+  let blocks = Ir.block_table f in
   List.iter
     (fun (b : Ir.block) ->
       List.iter
@@ -219,8 +226,8 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
                   (List.map
                      (fun (l, v) ->
                        match v with
-                       | Ir.Reg r when List.mem r demoted -> (
-                           match Ir.find_block f l with
+                       | Ir.Reg r when is_demoted r -> (
+                           match Hashtbl.find_opt blocks l with
                            | Some pb ->
                                let tmp = Ir.fresh_reg ~hint:(r ^ ".e") f in
                                pb.body <-
@@ -235,18 +242,20 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
         b.phis)
     f.blocks;
   (* --- 3. Fresh entry: params, allocas, spills, compensation. ------- *)
+  (* Every distinct source value the transfers read, in first-use order. *)
+  let needed = Hashtbl.create 8 in
   let params_needed =
-    (* Every distinct source value the transfers read, in first-use order. *)
-    let seen = Hashtbl.create 8 in
     List.filter_map
       (fun (_, v) ->
         match v with
-        | Ir.Reg y when not (Hashtbl.mem seen y) ->
-            Hashtbl.add seen y ();
+        | Ir.Reg y when not (Hashtbl.mem needed y) ->
+            Hashtbl.add needed y ();
             Some y
         | _ -> None)
       plan.transfers
   in
+  let target_params = Hashtbl.create 8 in
+  List.iter (fun p -> Hashtbl.replace target_params p ()) f.params;
   let param_name y = param_prefix ^ y in
   let entry_label = "osr.entry" in
   let entry_body = ref [] in
@@ -261,7 +270,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
       let incoming =
         match v with Ir.Reg y -> Ir.Reg (param_name y) | (Ir.Const _ | Ir.Undef) as c -> c
       in
-      if List.mem x' demoted then emit (Ir.Store (incoming, Ir.Reg (slot_of x'))) None
+      if is_demoted x' then emit (Ir.Store (incoming, Ir.Reg (slot_of x'))) None
       else
         (* x' is a function parameter of the target; pass it through as a
            parameter of f'to directly (no demotion needed). *)
@@ -273,21 +282,21 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
     (fun (c : Reconstruct_ir.comp_instr) ->
       let fix v =
         match v with
-        | Ir.Reg r when List.mem r demoted ->
+        | Ir.Reg r when is_demoted r ->
             let tmp = Ir.fresh_reg ~hint:(r ^ ".c") f in
             emit (Ir.Load (Ir.Reg (slot_of r))) (Some tmp);
             Ir.Reg tmp
-        | Ir.Reg r when List.mem r f.params ->
+        | Ir.Reg r when Hashtbl.mem target_params r ->
             (* Target parameters reach the compensation code through the
                osr$-prefixed transfer parameter (the parameter itself is
                only a parameter of f'to when live at the landing). *)
-            if List.mem r params_needed then Ir.Reg (param_name r) else Ir.Reg r
+            if Hashtbl.mem needed r then Ir.Reg (param_name r) else Ir.Reg r
         | v -> v
       in
       let rhs' = Ir.map_rhs_operands fix c.rhs in
       let tmp = Ir.fresh_reg ~hint:(c.target ^ ".v") f in
       emit rhs' (Some tmp);
-      if List.mem c.target demoted then emit (Ir.Store (Ir.Reg tmp, Ir.Reg (slot_of c.target))) None)
+      if is_demoted c.target then emit (Ir.Store (Ir.Reg tmp, Ir.Reg (slot_of c.target))) None)
     plan.comp;
   let entry =
     {
@@ -300,7 +309,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
   in
   (* Function-parameter live values: any target parameter live at landing
      must be supplied by the caller as well; they keep their names. *)
-  let live_params = List.filter (fun p -> List.mem p target_live) target.params in
+  let live_params = List.filter (Liveness.is_live target_liveness landing) target.params in
   let transfer_params = List.map param_name params_needed in
   let fto =
     {

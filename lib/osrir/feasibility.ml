@@ -53,11 +53,12 @@ let stat_keep =
     ~desc:"registers kept artificially alive across avail plans"
 
 (* Classify one source point against [t], bumping counters and emitting
-   remarks through [telemetry].  This is the unit of work of every sweep
-   slice: per-point output order and counter totals are identical however
-   the points are sharded. *)
+   remarks through [telemetry]; [st] is the slice's reconstruction state,
+   moved to each landed point in turn.  This is the unit of work of every
+   sweep slice: per-point output order and counter totals are identical
+   however the points are sharded. *)
 let classify_point ~(config : Reconstruct_ir.config) ~(telemetry : Telemetry.sink)
-    (t : Osr_ctx.t) ~(fname : string) (p : int) : point_report =
+    (t : Osr_ctx.t) (st : Reconstruct_ir.state) ~(fname : string) (p : int) : point_report =
   Telemetry.bump telemetry stat_points;
   match Osr_ctx.landing_point t p with
   | None ->
@@ -67,7 +68,8 @@ let classify_point ~(config : Reconstruct_ir.config) ~(telemetry : Telemetry.sin
       { point = p; landing = None; classification = Infeasible; live_plan = None;
         avail_plan = None }
   | Some landing -> (
-      let live, avail = Reconstruct_ir.for_point_both ~config t ~src_point:p ~landing in
+      Reconstruct_ir.retarget st ~src_point:p ~landing;
+      let live, avail = Reconstruct_ir.both_at_landing ~config st in
       let report classification live_plan avail_plan =
         { point = p; landing = Some landing; classification; live_plan; avail_plan }
       in
@@ -145,18 +147,21 @@ let analyze ?(config = Reconstruct_ir.default_config) ?(telemetry = Telemetry.nu
               let lo = ci * chunk in
               let hi = min n (lo + chunk) in
               let sink = sinks.(ci) in
+              let st = Reconstruct_ir.fresh_state t ~src_point:(-1) ~landing:(-1) in
               (* Ascending order inside the slice: remark emission order
                  must match the inline sweep's. *)
               let acc = ref [] in
               for i = lo to hi - 1 do
-                acc := classify_point ~config ~telemetry:sink t ~fname points.(i) :: !acc
+                acc := classify_point ~config ~telemetry:sink t st ~fname points.(i) :: !acc
               done;
               List.rev !acc)
             nchunks
         in
         Array.iter (Telemetry.join telemetry) sinks;
         List.concat (Array.to_list slices)
-    | Some _ | None -> List.map (classify_point ~config ~telemetry t ~fname) points
+    | Some _ | None ->
+        let st = Reconstruct_ir.fresh_state t ~src_point:(-1) ~landing:(-1) in
+        List.map (classify_point ~config ~telemetry t st ~fname) points
   in
   summarize reports
 

@@ -2,7 +2,6 @@
 
 module Ir = Miniir.Ir
 module Dom = Miniir.Dom
-module Func_index = Miniir.Func_index
 module Liveness = Miniir.Liveness
 module Loops = Miniir.Loops
 module Verifier = Miniir.Verifier

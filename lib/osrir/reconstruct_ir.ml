@@ -60,7 +60,6 @@ let plan_is_empty (p : plan) : bool = p.comp = []
    from just after the load to the landing, cut at re-entries to the load
    itself (a re-entry restarts the window). *)
 let load_safe_walk (t : Osr_ctx.t) ~(def_id : int) ~(landing : int) : bool =
-  let index = t.dst.index in
   (* Sequence of (id, rhs option) points per block: body then terminator. *)
   let block_points (b : Ir.block) =
     List.map (fun (i : Ir.instr) -> (i.id, Some i.rhs)) b.body @ [ (b.term_id, None) ]
@@ -75,7 +74,7 @@ let load_safe_walk (t : Osr_ctx.t) ~(def_id : int) ~(landing : int) : bool =
   (* Walk the points of block [label] starting after position [after]
      (None = from the top), stopping at [landing] or [def_id]. *)
   let rec walk_block (label : string) ~(after : int option) : unit =
-    match Func_index.find_block index label with
+    match Osr_ctx.find_block t.dst label with
     | None -> ()
     | Some b ->
         let points = block_points b in
@@ -97,7 +96,7 @@ let load_safe_walk (t : Osr_ctx.t) ~(def_id : int) ~(landing : int) : bool =
       walk_block label ~after:None
     end
   in
-  match Func_index.owner_of index def_id with
+  match Osr_ctx.owner t.dst def_id with
   | None -> false
   | Some label -> (
       try
@@ -128,7 +127,7 @@ let gate_of_phi (t : Osr_ctx.t) ~(phi_block : string) (incoming : (string * Ir.v
         match Dom.idom_of dom phi_block with
         | None -> None
         | Some d_label -> (
-            match Func_index.find_block t.dst.index d_label with
+            match Osr_ctx.find_block t.dst d_label with
             | Some db -> (
                 match db.term with
                 | Ir.Cbr (Ir.Reg c, tl, el) when not (String.equal tl el) ->
@@ -141,11 +140,11 @@ let gate_of_phi (t : Osr_ctx.t) ~(phi_block : string) (incoming : (string * Ir.v
                         else None
                       else if
                         String.equal p tl
-                        && Func_index.predecessors t.dst.index p = [ d_label ]
+                        && Osr_ctx.predecessors t.dst p = [ d_label ]
                       then Some true
                       else if
                         String.equal p el
-                        && Func_index.predecessors t.dst.index p = [ d_label ]
+                        && Osr_ctx.predecessors t.dst p = [ d_label ]
                       then Some false
                       else None
                     in
@@ -157,193 +156,224 @@ let gate_of_phi (t : Osr_ctx.t) ~(phi_block : string) (incoming : (string * Ir.v
             | None -> None))
   | _ -> None
 
-(* The per-point state: the point pair, what is resolved once per point,
-   and the plan under construction.  Nothing here outlives the point, so
-   the context it reads stays immutable. *)
+(* The state of one point pair: the pair, what is resolved once per pair,
+   and the plan under construction.  A state moves from pair to pair
+   ({!retarget}), so a sweep allocates its tables once; the context it
+   reads stays immutable. *)
 type state = {
   ctx : Osr_ctx.t;
-  landing : int;
-  env : Osr_ctx.penv;  (** the source point's query environment *)
-  load_safe : (int, bool) Hashtbl.t;
+  mutable landing : int;
+  mutable env : Osr_ctx.penv;  (** the source point's query environment *)
+  mutable load_safe : (int * bool) list;
       (** load definition id → {!load_safe_walk} verdict for [landing] *)
   mutable transfers : (Ir.reg * Ir.value) list;  (* reversed *)
   mutable comp : comp_instr list;  (* reversed *)
   mutable keep : Ir.reg list;
-  resolved : (Ir.reg, Ir.value) Hashtbl.t;
-      (** destination register → the value to use for it inside compensation
-          operands: [Reg r] for transferred/compensated registers (bound in
-          the landing environment) or a constant/alias *)
+  resolved : Ir.value array;
+      (** destination register id → the value to use for it inside
+          compensation operands: [Reg r] for transferred/compensated
+          registers (bound in the landing environment) or a
+          constant/alias; an entry counts only where [stamps] holds the
+          current [stamp] *)
+  stamps : int array;
+  mutable stamp : int;  (** the current build's; bumping it empties [resolved] *)
 }
 
 let fresh_state (t : Osr_ctx.t) ~(src_point : int) ~(landing : int) : state =
+  let n = Array.length t.dst.as_cand in
   {
     ctx = t;
     landing;
     env = Osr_ctx.point_env t src_point;
-    load_safe = Hashtbl.create 8;
+    load_safe = [];
     transfers = [];
     comp = [];
     keep = [];
-    resolved = Hashtbl.create 16;
+    resolved = Array.make n Ir.Undef;
+    stamps = Array.make n 0;
+    stamp = 1;
   }
 
-(* Another build for the same point pair: an empty plan that keeps the
-   point environment and the load verdicts of [st]. *)
-let restart (st : state) : state =
-  { st with transfers = []; comp = []; keep = []; resolved = Hashtbl.create 16 }
+(* Empty [st]'s plan: the next build starts afresh at the same pair. *)
+let reset (st : state) : unit =
+  st.stamp <- st.stamp + 1;
+  st.transfers <- [];
+  st.comp <- [];
+  st.keep <- []
+
+(** Move [st] to another point pair, with an empty plan. *)
+let retarget (st : state) ~(src_point : int) ~(landing : int) : unit =
+  st.landing <- landing;
+  st.env <- Osr_ctx.point_env st.ctx src_point;
+  st.load_safe <- [];
+  reset st
 
 let plan_of_state (st : state) : plan =
   { transfers = List.rev st.transfers; comp = List.rev st.comp; keep = List.rev st.keep }
 
 let load_safe (st : state) ~(def_id : int) : bool =
-  match Hashtbl.find_opt st.load_safe def_id with
+  match List.assoc_opt def_id st.load_safe with
   | Some b -> b
   | None ->
       let b = load_safe_walk st.ctx ~def_id ~landing:st.landing in
-      Hashtbl.replace st.load_safe def_id b;
+      st.load_safe <- (def_id, b) :: st.load_safe;
       b
+
+(* The candidate a variant reads, {!Osr_ctx.no_cand} (an [Undef]) when
+   there is none.  Both variants prefer a live candidate; only [Avail]
+   falls back to a dead one.  The keep set then grows only when it must,
+   and an [Avail] build whose keep set stays empty made exactly the [Live]
+   build's choices (see [both]). *)
+let rec first_live t env = function
+  | [] -> Osr_ctx.no_cand
+  | c :: cs ->
+      if Osr_ctx.cand_available t env c && Osr_ctx.cand_live env c then c
+      else first_live t env cs
+
+let rec first_available t env = function
+  | [] -> Osr_ctx.no_cand
+  | c :: cs -> if Osr_ctx.cand_available t env c then c else first_available t env cs
+
+let pick (t : Osr_ctx.t) (env : Osr_ctx.penv) (variant : variant) (cs : Osr_ctx.cand list) :
+    Osr_ctx.cand =
+  let c = first_live t env cs in
+  if c == Osr_ctx.no_cand && variant = Avail then first_available t env cs else c
+
+(* Record [v] as the value of destination register id [x]. *)
+let note (st : state) (x : int) (v : Ir.value) : Ir.value =
+  st.stamps.(x) <- st.stamp;
+  st.resolved.(x) <- v;
+  v
+
+(* Resolve destination register id [x], extending the plan.  Returns the
+   value consumers should use for it. *)
+let rec build_id ~(config : config) (variant : variant) (st : state) (x : int) : Ir.value =
+  if st.stamps.(x) = st.stamp then st.resolved.(x)
+  else
+    let t = st.ctx and env = st.env in
+    let dst = t.dst in
+    let x' = dst.live.names.(x) in
+    (* 1. Directly available at the origin (Algorithm 1, line 4)? *)
+    match pick t env variant (Osr_ctx.candidates_of t ~use_aliases:config.use_aliases x) with
+    | { cv = Ir.Const _ as c; _ } ->
+        (* x' must exist in the landing frame even when every consumer
+           could inline the constant: it is live there. *)
+        st.transfers <- (x', c) :: st.transfers;
+        note st x c
+    | { cv = Ir.Reg y; _ } as c ->
+        if (not (Osr_ctx.cand_live env c)) && not (List.mem y st.keep) then
+          st.keep <- y :: st.keep;
+        st.transfers <- (x', c.cv) :: st.transfers;
+        note st x dst.as_cand.(x).cv
+    | { cv = Ir.Undef; _ } -> (
+        (* 2. Re-execute the destination definition (lines 5–8). *)
+        let build_value v =
+          match v with
+          | Ir.Const _ | Ir.Undef -> v
+          | Ir.Reg y -> build ~config variant st y
+        in
+        match dst.defs.(x) with
+        | None -> raise (Undef x')
+        | Some (d : Ir.def_site) -> (
+            match d.di.rhs with
+            | Ir.Phi _ when not config.constant_phi -> raise (Undef x')
+            | Ir.Phi incoming -> (
+                (* Constant-φ identification (Section 5.4): all incomings
+                   syntactically equal — LCSSA φ-nodes and the like.  The
+                   φ result still needs its own binding in the landing
+                   frame; reuse the incoming's source value when it was a
+                   plain transfer (zero extra instructions), fall back to
+                   a register move when it was compensated. *)
+                match incoming with
+                | (_, v0) :: rest when List.for_all (fun (_, v) -> Ir.equal_value v v0) rest -> (
+                    match build_value v0 with
+                    | Ir.Const _ as c ->
+                        st.transfers <- (x', c) :: st.transfers;
+                        note st x c
+                    | Ir.Reg z -> (
+                        match List.assoc_opt z st.transfers with
+                        | Some src_value ->
+                            st.transfers <- (x', src_value) :: st.transfers;
+                            note st x dst.as_cand.(x).cv
+                        | None ->
+                            (* z was computed by compensation code: alias
+                               with a move. *)
+                            st.comp <-
+                              { target = x'; rhs = Ir.Binop (Ir.Or, Ir.Reg z, Ir.Const 0) }
+                              :: st.comp;
+                            note st x dst.as_cand.(x).cv)
+                    | Ir.Undef -> raise (Undef x'))
+                | incoming
+                  when config.gating
+                       && Osr_ctx.reexec_consistent t ~def_id:d.di.id ~landing:st.landing -> (
+                    (* Gating reconstruction: rebuild the φ as a select
+                       over its governing branch condition. *)
+                    match gate_of_phi t ~phi_block:d.block incoming with
+                    | None -> raise (Undef x')
+                    | Some (c, tv, fv, d_term_id) ->
+                        (* Both incomings must have been computed before
+                           the branch (defs dominate d's terminator), so
+                           the frame holds them on either path. *)
+                        let always_executed v =
+                          match v with
+                          | Ir.Const _ -> true
+                          | Ir.Undef -> false
+                          | Ir.Reg y -> (
+                              match Liveness.id_of dst.live y with
+                              | Some y -> (
+                                  dst.as_cand.(y).akey = Osr_ctx.Always
+                                  || match dst.defs.(y) with
+                                     | Some (dy : Ir.def_site) ->
+                                         Osr_ctx.instr_dominates dst ~def_id:dy.di.id
+                                           ~use_id:d_term_id
+                                     | None -> false)
+                              | None -> false)
+                        in
+                        if not (always_executed tv && always_executed fv) then
+                          raise (Undef x');
+                        let cv = build ~config variant st c in
+                        let tvv = build_value tv in
+                        let fvv = build_value fv in
+                        st.comp <- { target = x'; rhs = Ir.Select (cv, tvv, fvv) } :: st.comp;
+                        note st x dst.as_cand.(x).cv)
+                | _ -> raise (Undef x'))
+            | _ when not (Osr_ctx.reexec_consistent t ~def_id:d.di.id ~landing:st.landing) ->
+                (* The definition sits in a loop the landing point is not
+                   part of: its operands have advanced past the values of
+                   its last execution, so recomputation would be wrong
+                   (the frame, via avail, is the only source). *)
+                raise (Undef x')
+            | Ir.Load _ when not (load_safe st ~def_id:d.di.id) -> raise (Undef x')
+            | rhs when Ir.is_reexecutable rhs ->
+                let rhs' = Ir.map_rhs_operands build_value rhs in
+                st.comp <- { target = x'; rhs = rhs' } :: st.comp;
+                note st x dst.as_cand.(x).cv
+            | _ -> raise (Undef x')))
 
 (* Resolve one destination register, extending the plan.  Returns the value
    consumers should use for it. *)
-let rec build ?(config = default_config) (variant : variant) (st : state) (x' : Ir.reg) :
-    Ir.value =
-  let t = st.ctx and env = st.env in
-  match Hashtbl.find_opt st.resolved x' with
-  | Some v -> v
-  | None ->
-      let note v =
-        Hashtbl.replace st.resolved x' v;
-        v
-      in
-      (* 1. Directly available at the origin (Algorithm 1, line 4)? *)
-      let candidates = Osr_ctx.candidates ~use_aliases:config.use_aliases t x' in
-      (* Both variants prefer a live candidate; only [Avail] falls back to a
-         dead one.  The keep set then grows only when it must, and an [Avail]
-         build whose keep set stays empty made exactly the [Live] build's
-         choices (see [both]). *)
-      let live_usable c =
-        Osr_ctx.cand_available t env c && Osr_ctx.cand_live env c
-      in
-      let found =
-        match List.find_opt live_usable candidates with
-        | Some _ as r -> r
-        | None when variant = Avail ->
-            List.find_opt (fun c -> Osr_ctx.cand_available t env c) candidates
-        | None -> None
-      in
-      (match found with
-      | Some { cv = Ir.Const c; _ } ->
-          (* x' must exist in the landing frame even when every consumer
-             could inline the constant: it is live there. *)
-          st.transfers <- (x', Ir.Const c) :: st.transfers;
-          note (Ir.Const c)
-      | Some ({ cv = Ir.Reg y; _ } as c) ->
-          if (not (Osr_ctx.cand_live env c)) && not (List.mem y st.keep) then
-            st.keep <- y :: st.keep;
-          st.transfers <- (x', Ir.Reg y) :: st.transfers;
-          note (Ir.Reg x')
-      | Some { cv = Ir.Undef; _ } | None -> (
-          (* 2. Re-execute the destination definition (lines 5–8). *)
-          match Func_index.def_of t.dst.index x' with
-          | None -> raise (Undef x')
-          | Some (d : Ir.def_site) -> (
-              match d.di.rhs with
-              | Ir.Phi _ when not config.constant_phi -> raise (Undef x')
-              | Ir.Phi incoming -> (
-                  (* Constant-φ identification (Section 5.4): all incomings
-                     syntactically equal — LCSSA φ-nodes and the like.  The
-                     φ result still needs its own binding in the landing
-                     frame; reuse the incoming's source value when it was a
-                     plain transfer (zero extra instructions), fall back to
-                     a register move when it was compensated. *)
-                  match incoming with
-                  | (_, v0) :: rest when List.for_all (fun (_, v) -> Ir.equal_value v v0) rest
-                    -> (
-                      match v0 with
-                      | Ir.Const c ->
-                          st.transfers <- (x', Ir.Const c) :: st.transfers;
-                          note (Ir.Const c)
-                      | Ir.Reg y' -> (
-                          match build ~config variant st y' with
-                          | Ir.Const c ->
-                              st.transfers <- (x', Ir.Const c) :: st.transfers;
-                              note (Ir.Const c)
-                          | Ir.Reg z -> (
-                              match List.assoc_opt z st.transfers with
-                              | Some src_value ->
-                                  st.transfers <- (x', src_value) :: st.transfers;
-                                  note (Ir.Reg x')
-                              | None ->
-                                  (* z was computed by compensation code:
-                                     alias with a move. *)
-                                  st.comp <-
-                                    { target = x'; rhs = Ir.Binop (Ir.Or, Ir.Reg z, Ir.Const 0) }
-                                    :: st.comp;
-                                  note (Ir.Reg x'))
-                          | Ir.Undef -> raise (Undef x'))
-                      | Ir.Undef -> raise (Undef x'))
-                  | incoming
-                    when config.gating
-                         && Osr_ctx.reexec_consistent t ~def_id:d.di.id ~landing:st.landing -> (
-                      (* Gating reconstruction: rebuild the φ as a select
-                         over its governing branch condition. *)
-                      match gate_of_phi t ~phi_block:d.block incoming with
-                      | None -> raise (Undef x')
-                      | Some (c, tv, fv, d_term_id) ->
-                          (* Both incomings must have been computed before
-                             the branch (defs dominate d's terminator), so
-                             the frame holds them on either path. *)
-                          let always_executed v =
-                            match v with
-                            | Ir.Const _ -> true
-                            | Ir.Undef -> false
-                            | Ir.Reg y -> (
-                                Func_index.is_param t.dst.index y
-                                || match Func_index.def_of t.dst.index y with
-                                   | Some (dy : Ir.def_site) ->
-                                       Dom.instr_dominates t.dst.dom t.dst.index.positions
-                                         ~def_id:dy.di.id ~use_id:d_term_id
-                                   | None -> false)
-                          in
-                          if not (always_executed tv && always_executed fv) then
-                            raise (Undef x');
-                          let build_value v =
-                            match v with
-                            | Ir.Const _ | Ir.Undef -> v
-                            | Ir.Reg y -> build ~config variant st y
-                          in
-                          let cv = build ~config variant st c in
-                          let tvv = build_value tv in
-                          let fvv = build_value fv in
-                          st.comp <- { target = x'; rhs = Ir.Select (cv, tvv, fvv) } :: st.comp;
-                          note (Ir.Reg x'))
-                  | _ -> raise (Undef x'))
-              | _ when not (Osr_ctx.reexec_consistent t ~def_id:d.di.id ~landing:st.landing) ->
-                  (* The definition sits in a loop the landing point is not
-                     part of: its operands have advanced past the values of
-                     its last execution, so recomputation would be wrong
-                     (the frame, via avail, is the only source). *)
-                  raise (Undef x')
-              | Ir.Load _ when not (load_safe st ~def_id:d.di.id) -> raise (Undef x')
-              | rhs when Ir.is_reexecutable rhs ->
-                  let rhs' =
-                    Ir.map_rhs_operands
-                      (fun v ->
-                        match v with
-                        | Ir.Const _ | Ir.Undef -> v
-                        | Ir.Reg y' -> build ~config variant st y')
-                      rhs
-                  in
-                  st.comp <- { target = x'; rhs = rhs' } :: st.comp;
-                  note (Ir.Reg x')
-              | _ -> raise (Undef x'))))
+and build ?(config = default_config) (variant : variant) (st : state) (x' : Ir.reg) : Ir.value =
+  match Liveness.id_of st.ctx.dst.live x' with
+  | Some x -> build_id ~config variant st x
+  | None -> raise (Undef x')
 
-(* Resolve every register of [targets] into [st]'s plan. *)
-let run ~(config : config) (variant : variant) (st : state) (targets : Ir.reg list) :
+(* Resolve every register [each] names into [st]'s plan. *)
+let run ~(config : config) (variant : variant) (st : state) (each : (int -> unit) -> unit) :
     (plan, Ir.reg) result =
-  match List.iter (fun x' -> ignore (build ~config variant st x')) targets with
+  match each (fun x -> ignore (build_id ~config variant st x : Ir.value)) with
   | () -> Ok (plan_of_state st)
   | exception Undef x -> Error x
+
+(* [both] on [st], whose plan starts empty. *)
+let both_in ~(config : config) (st : state) (each : (int -> unit) -> unit) :
+    (plan, Ir.reg) result * (plan, Ir.reg) result =
+  let avail = run ~config Avail st each in
+  match avail with
+  | Error _ -> (avail, avail)
+  | Ok ap when ap.keep = [] -> (avail, avail)
+  | Ok _ ->
+      reset st;
+      (run ~config Live st each, avail)
 
 (** Both variants as [(live, avail)] for [targets] at [st]'s point pair,
     usually from a single build.  The [Avail] build is strictly more
@@ -352,23 +382,34 @@ let run ~(config : config) (variant : variant) (st : state) (targets : Ir.reg li
     implies a [Live] failure, and an [Avail] success that never read a dead
     register — empty keep set — made exactly the choices the [Live] build
     would make, plan and all.  Only an [Avail] plan with a non-empty keep
-    set pays a second build.  Each build starts from an empty plan and
-    shares [st]'s point environment and load verdicts, so one state serves
-    any number of calls. *)
+    set pays a second build.  Each build starts from an empty plan (the
+    state's own plan is dropped) and shares [st]'s point environment and
+    load verdicts, so one state serves any number of calls. *)
 let both ?(config = default_config) (st : state) (targets : Ir.reg list) :
     (plan, Ir.reg) result * (plan, Ir.reg) result =
-  let avail = run ~config Avail (restart st) targets in
-  match avail with
-  | Error _ -> (avail, avail)
-  | Ok ap when ap.keep = [] -> (avail, avail)
-  | Ok _ -> (run ~config Live (restart st) targets, avail)
+  let dst = st.ctx.dst in
+  reset st;
+  both_in ~config st (fun f ->
+      List.iter
+        (fun x' ->
+          match Liveness.id_of dst.live x' with Some x -> f x | None -> raise (Undef x'))
+        targets)
+
+(** {!both} over every destination register live at [st]'s landing
+    point, in name order (the order of the landing's register ids). *)
+let both_at_landing ?(config = default_config) (st : state) :
+    (plan, Ir.reg) result * (plan, Ir.reg) result =
+  reset st;
+  match Liveness.bits_at st.ctx.dst.live st.landing with
+  | Some live -> both_in ~config st (fun f -> Liveness.Bits.iter f live)
+  | None -> both_in ~config st (fun _ -> ())
 
 (** Both variants for one point pair: every destination register live at
     the landing point.  [Error x] when register [x] defeats reconstruction
     (Algorithm 1's [throw undef]). *)
 let for_point_both ?(config = default_config) (t : Osr_ctx.t) ~(src_point : int)
     ~(landing : int) : (plan, Ir.reg) result * (plan, Ir.reg) result =
-  both ~config (fresh_state t ~src_point ~landing) (Liveness.live_at t.dst.live landing)
+  both_at_landing ~config (fresh_state t ~src_point ~landing)
 
 (** Evaluate a plan against a source frame, producing the landing frame —
     the [[[c]](σ)] of Definition 3.1 at IR level.  Loads read from [memory]

@@ -45,11 +45,15 @@ val plan_is_empty : plan -> bool
 
 (** The state of one OSR point pair: the plan under construction, plus
     what is resolved once per point (the source point's environment and the
-    load-safety verdicts for the landing).  One state serves one
-    [(src_point, landing)] pair only. *)
+    load-safety verdicts for the landing).  A state serves one
+    [(src_point, landing)] pair at a time; {!retarget} moves it to the
+    next, so a sweep reuses its tables. *)
 type state
 
 val fresh_state : Osr_ctx.t -> src_point:int -> landing:int -> state
+
+val retarget : state -> src_point:int -> landing:int -> unit
+(** Move the state to another point pair, with an empty plan. *)
 
 val build : ?config:config -> variant -> state -> Ir.reg -> Ir.value
 (** Resolve one destination register, extending the state's plan; returns
@@ -64,9 +68,14 @@ val both :
 (** Both variants as [(live, avail)] for the given destination registers,
     usually from a single build: an [Avail] failure implies a [Live]
     failure, and an [Avail] plan with an empty keep set is the [Live] plan
-    verbatim.  Each variant starts from an empty plan and shares the
-    state's point environment and load verdicts; the state's own plan is
-    left untouched. *)
+    verbatim.  Each variant starts from an empty plan (the state's own plan
+    is dropped) and shares the state's point environment and load
+    verdicts. *)
+
+val both_at_landing :
+  ?config:config -> state -> (plan, Ir.reg) result * (plan, Ir.reg) result
+(** {!both} over every destination register live at the state's landing
+    point, in name order. *)
 
 val for_point_both :
   ?config:config ->

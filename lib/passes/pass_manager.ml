@@ -54,7 +54,7 @@ type apply_result = {
    verification or a false "no change" report. *)
 let stat_rolled_back =
   Telemetry.counter ~group:"pass" "rolled_back"
-    ~desc:"passes rolled back after failing post-pass verification"
+    ~desc:"passes rolled back after failing post-pass verification or misreporting no change"
 
 (* Overwrite [dst]'s mutable body with [src]'s (a pristine clone taken
    before the pass ran); [fname] and [params] are immutable and no pass

@@ -85,7 +85,7 @@ let make_side (f : Ir.func) : side =
     index;
     dom;
     positions = index.Func_index.positions;
-    live = Liveness.compute ~index f;
+    live = Liveness.compute f;
     defs = index.Func_index.defs;
     owner =
       Hashtbl.of_seq

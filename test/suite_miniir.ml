@@ -289,32 +289,93 @@ let all_regs (f : Ir.func) : string list =
   let def_tbl = Ir.def_table f in
   f.params @ Hashtbl.fold (fun r _ acc -> r :: acc) def_tbl []
 
+(* The first disagreement between [Liveness], in both register
+   numberings, and the string-set reference on [f]: [live_at] (sorted) at
+   every point and at two ids that are no point, [is_live] of every
+   register and of an unknown name at every point, and [live_out_of] of
+   every block. *)
+let liveness_disagreement (f : Ir.func) : string option =
+  let oracle = Ref_miniir.Liveness.compute f in
+  let points = all_points f in
+  let absent = 1 + List.fold_left max 0 points in
+  let regs = "nonexistent" :: all_regs f in
+  let check (name_order : bool) =
+    let lv = Liveness.compute ~name_order f in
+    let fail fmt = Printf.ksprintf (fun m -> Some (Printf.sprintf "name_order %b: %s" name_order m)) fmt in
+    let at p =
+      let got = Liveness.live_at lv p and want = Ref_miniir.Liveness.live_at oracle p in
+      if got <> want then
+        fail "live_at %d: [%s] vs reference [%s]" p (String.concat " " got)
+          (String.concat " " want)
+      else if got <> List.sort String.compare got then fail "live_at %d is not sorted" p
+      else
+        List.find_map
+          (fun r ->
+            if Liveness.is_live lv p r <> Ref_miniir.Liveness.is_live oracle p r then
+              fail "is_live %d %s disagrees" p r
+            else None)
+          regs
+    in
+    match List.find_map at (-1 :: absent :: points) with
+    | Some _ as e -> e
+    | None ->
+        List.find_map
+          (fun (b : Ir.block) ->
+            if Liveness.live_out_of lv b.label <> Ref_miniir.Liveness.live_out_of oracle b.label
+            then fail "live_out_of %s disagrees" b.label
+            else None)
+          f.blocks
+  in
+  match check false with Some _ as e -> e | None -> check true
+
 let prop_liveness_agrees_with_reference =
   QCheck.Test.make ~count:150 ~name:"bitset liveness agrees with reference"
     Gen_ir.arb_func (fun (f : Ir.func) ->
-      let lv = Liveness.compute f in
-      let oracle = Ref_miniir.Liveness.compute f in
-      let regs = "nonexistent" :: all_regs f in
-      List.for_all
-        (fun p ->
-          let got = Liveness.live_at lv p in
-          let want = Ref_miniir.Liveness.live_at oracle p in
-          if got <> want then
-            QCheck.Test.fail_reportf "live_at %d: [%s] vs reference [%s]\n%s" p
-              (String.concat " " got) (String.concat " " want) (Ir.func_to_string f)
-          else
-            List.for_all
-              (fun r ->
-                Liveness.is_live lv p r = Ref_miniir.Liveness.is_live oracle p r
-                || QCheck.Test.fail_reportf "is_live %d %s disagrees" p r)
-              regs)
-        (all_points f)
-      && List.for_all
-           (fun (b : Ir.block) ->
-             Liveness.live_out_of lv b.label
-             = Ref_miniir.Liveness.live_out_of oracle b.label
-             || QCheck.Test.fail_reportf "live_out_of %s disagrees" b.label)
-           f.blocks)
+      match liveness_disagreement f with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_reportf "%s\n%s" msg (Ir.func_to_string f))
+
+(* The same oracle beyond generated functions: the 12 kernels and the
+   Spec_c sample of the debug study, fbase and fopt each, and for every
+   kernel the continuation function of its first feasible forward point,
+   re-promoted and in the raw demoted form. *)
+let test_liveness_corpus () =
+  let check what (f : Ir.func) =
+    match liveness_disagreement f with
+    | None -> ()
+    | Some msg -> Alcotest.failf "%s (@%s): %s" what f.Ir.fname msg
+  in
+  let pair what (k : Corpus.Dsl.kernel) =
+    let r = Passes.Pass_manager.apply (fst (Corpus.Dsl.to_fbase k)) in
+    check (what ^ " fbase") r.fbase;
+    check (what ^ " fopt") r.fopt;
+    r
+  in
+  List.iter
+    (fun (e : Corpus.Kernels.entry) ->
+      let r = pair e.benchmark e.kernel in
+      let ctx =
+        Osrir.Osr_ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Osrir.Osr_ctx.Base_to_opt
+      in
+      match
+        List.find_map
+          (fun (rep : Osrir.Feasibility.point_report) ->
+            match (rep.landing, rep.avail_plan) with
+            | Some landing, Some plan -> Some (landing, plan)
+            | _ -> None)
+          (Osrir.Feasibility.analyze ctx).reports
+      with
+      | None -> Alcotest.failf "%s: no feasible point" e.benchmark
+      | Some (landing, plan) ->
+          List.iter
+            (fun promote ->
+              let cont = Osrir.Contfun.generate ~promote r.fopt ~landing plan in
+              check (Printf.sprintf "%s fto (promote %b)" e.benchmark promote) cont.fto)
+            [ true; false ])
+    Corpus.Kernels.all;
+  let sample = Suite_front.spec_c_sample () in
+  Alcotest.(check bool) "at least 128 Spec_c functions" true (List.length sample >= 128);
+  List.iter (fun (what, k) -> ignore (pair what k : Passes.Pass_manager.apply_result)) sample
 
 let prop_func_index_consistent =
   QCheck.Test.make ~count:150 ~name:"Func_index agrees with linear lookups"
@@ -354,6 +415,7 @@ let suite =
       t "dominance" test_dominance;
       t "dominance frontier" test_dominance_frontier;
       t "liveness" test_liveness;
+      t "liveness agrees with reference on the corpus" test_liveness_corpus;
       t "loop detection" test_loops;
       t "interp memory" test_interp_memory;
       t "interp traps" test_interp_traps;

@@ -58,7 +58,7 @@ let test_landing_points () =
       match Ctx.landing_point ctx p with
       | Some landing ->
           Alcotest.(check bool) "landing exists in fopt" true
-            (Miniir.Func_index.position_of ctx.dst.index landing <> None)
+            (Ctx.is_point ctx.dst landing)
       | None -> ())
     points
 
