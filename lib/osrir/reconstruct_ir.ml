@@ -156,6 +156,28 @@ let gate_of_phi (t : Osr_ctx.t) ~(phi_block : string) (incoming : (string * Ir.v
             | None -> None))
   | _ -> None
 
+(* A growable stack of plan entries, reused from build to build: a plan's
+   lists are made once, when the build succeeds. *)
+type 'a stack = { mutable items : 'a array; mutable len : int; filler : 'a }
+
+let stack (filler : 'a) : 'a stack = { items = Array.make 16 filler; len = 0; filler }
+
+let push (s : 'a stack) (x : 'a) : unit =
+  if s.len = Array.length s.items then begin
+    let items = Array.make (2 * s.len) s.filler in
+    Array.blit s.items 0 items 0 s.len;
+    s.items <- items
+  end;
+  s.items.(s.len) <- x;
+  s.len <- s.len + 1
+
+let to_list (s : 'a stack) : 'a list =
+  let l = ref [] in
+  for i = s.len - 1 downto 0 do
+    l := s.items.(i) :: !l
+  done;
+  !l
+
 (* The state of one point pair: the pair, what is resolved once per pair,
    and the plan under construction.  A state moves from pair to pair
    ({!retarget}), so a sweep allocates its tables once; the context it
@@ -166,9 +188,9 @@ type state = {
   mutable env : Osr_ctx.penv;  (** the source point's query environment *)
   mutable load_safe : (int * bool) list;
       (** load definition id → {!load_safe_walk} verdict for [landing] *)
-  mutable transfers : (Ir.reg * Ir.value) list;  (* reversed *)
-  mutable comp : comp_instr list;  (* reversed *)
-  mutable keep : Ir.reg list;
+  transfers : (Ir.reg * Ir.value) stack;
+  comp : comp_instr stack;
+  keep : Ir.reg stack;
   resolved : Ir.value array;
       (** destination register id → the value to use for it inside
           compensation operands: [Reg r] for transferred/compensated
@@ -186,9 +208,9 @@ let fresh_state (t : Osr_ctx.t) ~(src_point : int) ~(landing : int) : state =
     landing;
     env = Osr_ctx.point_env t src_point;
     load_safe = [];
-    transfers = [];
-    comp = [];
-    keep = [];
+    transfers = stack ("", Ir.Undef);
+    comp = stack { target = ""; rhs = Ir.Alloca 0 };
+    keep = stack "";
     resolved = Array.make n Ir.Undef;
     stamps = Array.make n 0;
     stamp = 1;
@@ -197,9 +219,9 @@ let fresh_state (t : Osr_ctx.t) ~(src_point : int) ~(landing : int) : state =
 (* Empty [st]'s plan: the next build starts afresh at the same pair. *)
 let reset (st : state) : unit =
   st.stamp <- st.stamp + 1;
-  st.transfers <- [];
-  st.comp <- [];
-  st.keep <- []
+  st.transfers.len <- 0;
+  st.comp.len <- 0;
+  st.keep.len <- 0
 
 (** Move [st] to another point pair, with an empty plan. *)
 let retarget (st : state) ~(src_point : int) ~(landing : int) : unit =
@@ -209,7 +231,7 @@ let retarget (st : state) ~(src_point : int) ~(landing : int) : unit =
   reset st
 
 let plan_of_state (st : state) : plan =
-  { transfers = List.rev st.transfers; comp = List.rev st.comp; keep = List.rev st.keep }
+  { transfers = to_list st.transfers; comp = to_list st.comp; keep = to_list st.keep }
 
 let load_safe (st : state) ~(def_id : int) : bool =
   match List.assoc_opt def_id st.load_safe with
@@ -239,6 +261,21 @@ let pick (t : Osr_ctx.t) (env : Osr_ctx.penv) (variant : variant) (cs : Osr_ctx.
   let c = first_live t env cs in
   if c == Osr_ctx.no_cand && variant = Avail then first_available t env cs else c
 
+(* Is source register [y] in the keep set? *)
+let kept (st : state) (y : Ir.reg) : bool =
+  let rec from i = i >= 0 && (String.equal st.keep.items.(i) y || from (i - 1)) in
+  from (st.keep.len - 1)
+
+(* The source value the latest transfer of [z] reads. *)
+let transfer_of (st : state) (z : Ir.reg) : Ir.value option =
+  let rec from i =
+    if i < 0 then None
+    else
+      let r, v = st.transfers.items.(i) in
+      if String.equal r z then Some v else from (i - 1)
+  in
+  from (st.transfers.len - 1)
+
 (* Record [v] as the value of destination register id [x]. *)
 let note (st : state) (x : int) (v : Ir.value) : Ir.value =
   st.stamps.(x) <- st.stamp;
@@ -258,12 +295,11 @@ let rec build_id ~(config : config) (variant : variant) (st : state) (x : int) :
     | { cv = Ir.Const _ as c; _ } ->
         (* x' must exist in the landing frame even when every consumer
            could inline the constant: it is live there. *)
-        st.transfers <- (x', c) :: st.transfers;
+        push st.transfers (x', c);
         note st x c
     | { cv = Ir.Reg y; _ } as c ->
-        if (not (Osr_ctx.cand_live env c)) && not (List.mem y st.keep) then
-          st.keep <- y :: st.keep;
-        st.transfers <- (x', c.cv) :: st.transfers;
+        if (not (Osr_ctx.cand_live env c)) && not (kept st y) then push st.keep y;
+        push st.transfers (x', c.cv);
         note st x dst.as_cand.(x).cv
     | { cv = Ir.Undef; _ } -> (
         (* 2. Re-execute the destination definition (lines 5–8). *)
@@ -288,19 +324,18 @@ let rec build_id ~(config : config) (variant : variant) (st : state) (x : int) :
                 | (_, v0) :: rest when List.for_all (fun (_, v) -> Ir.equal_value v v0) rest -> (
                     match build_value v0 with
                     | Ir.Const _ as c ->
-                        st.transfers <- (x', c) :: st.transfers;
+                        push st.transfers (x', c);
                         note st x c
                     | Ir.Reg z -> (
-                        match List.assoc_opt z st.transfers with
+                        match transfer_of st z with
                         | Some src_value ->
-                            st.transfers <- (x', src_value) :: st.transfers;
+                            push st.transfers (x', src_value);
                             note st x dst.as_cand.(x).cv
                         | None ->
                             (* z was computed by compensation code: alias
                                with a move. *)
-                            st.comp <-
-                              { target = x'; rhs = Ir.Binop (Ir.Or, Ir.Reg z, Ir.Const 0) }
-                              :: st.comp;
+                            push st.comp
+                              { target = x'; rhs = Ir.Binop (Ir.Or, Ir.Reg z, Ir.Const 0) };
                             note st x dst.as_cand.(x).cv)
                     | Ir.Undef -> raise (Undef x'))
                 | incoming
@@ -334,7 +369,7 @@ let rec build_id ~(config : config) (variant : variant) (st : state) (x : int) :
                         let cv = build ~config variant st c in
                         let tvv = build_value tv in
                         let fvv = build_value fv in
-                        st.comp <- { target = x'; rhs = Ir.Select (cv, tvv, fvv) } :: st.comp;
+                        push st.comp { target = x'; rhs = Ir.Select (cv, tvv, fvv) };
                         note st x dst.as_cand.(x).cv)
                 | _ -> raise (Undef x'))
             | _ when not (Osr_ctx.reexec_consistent t ~def_id:d.di.id ~landing:st.landing) ->
@@ -346,7 +381,7 @@ let rec build_id ~(config : config) (variant : variant) (st : state) (x : int) :
             | Ir.Load _ when not (load_safe st ~def_id:d.di.id) -> raise (Undef x')
             | rhs when Ir.is_reexecutable rhs ->
                 let rhs' = Ir.map_rhs_operands build_value rhs in
-                st.comp <- { target = x'; rhs = rhs' } :: st.comp;
+                push st.comp { target = x'; rhs = rhs' };
                 note st x dst.as_cand.(x).cv
             | _ -> raise (Undef x')))
 
