@@ -10,13 +10,14 @@
     Everything is dense.  One walk over the function looks every register
     occurrence up once, numbering registers and recording each point's
     definition and uses as ints; blocks are numbered by position, with int
-    successor arrays.  The block fixpoint then works on byte-array bitsets:
-    per block, its gen set, its definitions (body and φ) and the φ uses its
-    outgoing edges carry, so one round is a few byte-wise unions (a
-    word-wide union did not move [Osr_ctx.make_pair] beyond noise).  The
-    per-point sets sit in an array indexed by instruction id.  A result is
-    never written after {!compute} returns, so one value can be queried
-    from several domains at once.
+    successor arrays.  The block fixpoint then works on bitsets: per block,
+    its gen set, its definitions (body and φ) and the φ uses its outgoing
+    edges carry, so one round is a few byte-wise unions (a word-wide union
+    did not move [Osr_ctx.make_pair] beyond noise).  The sets live in a few
+    flat byte buffers, the per-point ones in one buffer reached through an
+    array indexed by instruction id, so a result is a handful of blocks,
+    not one per point.  A result is never written after {!compute}
+    returns, so one value can be queried from several domains at once.
 
     Register ids follow the first occurrence unless [~name_order:true]
     asks for the [String.compare] order of the names: then ascending ids
@@ -33,10 +34,7 @@
 (* Bitsets over register ids                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Every set of one result lives in a few flat byte buffers, [width] bytes
-   per set: the per-point sets in one, the per-block ones in five more.
-   A set is then an offset, and computing a function allocates a handful
-   of blocks instead of one per point. *)
+(* A set is [width] bytes at an offset of a flat buffer. *)
 
 let mem_bit (buf : Bytes.t) (off : int) (i : int) : bool =
   Char.code (Bytes.unsafe_get buf (off + (i lsr 3))) land (1 lsl (i land 7)) <> 0
@@ -142,7 +140,7 @@ let compute ?(name_order = false) (f : Ir.func) : t =
       incr npts)
     blocks;
   let npts = !npts in
-  let ids = Names.create (max 16 f.next_reg) in
+  let ids = Names.create (max 16 (npts / 2)) in
   let rev_names = ref [] and n = ref 0 in
   let intern r =
     match Names.find_opt ids r with
@@ -334,15 +332,6 @@ let compute ?(name_order = false) (f : Ir.func) : t =
 
 let row_of (t : t) (id : int) : int =
   if id >= 0 && id < Array.length t.row then Array.unsafe_get t.row id else -1
-
-(** Byte offset of point [id]'s live-before set, for {!mem_at}; [-1] for
-    unknown points. *)
-let offset_at (t : t) (id : int) : int =
-  let j = row_of t id in
-  if j < 0 then -1 else j * t.width
-
-(** Is register id [r] in the set at byte offset [off] ({!offset_at})? *)
-let mem_at (t : t) (off : int) (r : int) : bool = mem_bit t.sets off r
 
 let to_sorted_names (t : t) (bs : Bits.t) : string list =
   let names = Bits.fold_desc (fun i acc -> t.names.(i) :: acc) bs [] in

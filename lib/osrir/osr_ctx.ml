@@ -5,18 +5,19 @@ open Import
     correspondence (the Δ of Section 4.2), and value correspondence derived
     from the CodeMapper's action history (Section 5.1).
 
-    Performance architecture: each side carries a {!Func_index.t} — an
-    immutable snapshot index of its function — and every side analysis
-    (dominators, liveness, loops, the loops containing each block) is
-    derived from that index exactly once in {!make_side}; positions,
-    definition sites and block ownership are the index's own tables.  The
-    context also builds, once, the cross-point tables that make the
-    per-point feasibility sweep near-linear: the landing point of every
-    source point ({!Ir.first_kept_at_or_after}), the mapper's query index,
-    and the interned candidate list of every destination register.
-    Nothing is written after {!make} or {!make_pair} returns, so one
-    context serves any number of domains at once; reuse within one point
-    lives in the per-point state of {!Reconstruct_ir}. *)
+    Performance architecture: each side numbers its function once — its
+    registers by {!Liveness} in name order, its blocks by position — and
+    {!make_side} derives every side analysis (dominators, liveness, loops,
+    the loops containing each block, each point's block and position,
+    each register's definition and source candidate) exactly once, in
+    arrays over those numbers.  The context also builds, once, the
+    cross-point tables that make the per-point feasibility sweep
+    near-linear: the landing point of every source point
+    ({!Ir.first_kept_at_or_after}), the mapper's query index, and the
+    interned candidate list of every destination register id.  Nothing is
+    written after {!make} or {!make_pair} returns, so one context serves
+    any number of domains at once; reuse within one point lives in the
+    per-point state of {!Reconstruct_ir}. *)
 
 type direction = Base_to_opt | Opt_to_base
 
@@ -43,8 +44,7 @@ type penv = {
   pe_block : int;  (** block number; [-1] unknown point *)
   pe_idx : int;
   pe_rpo : int;  (** rpo of the block; [-1] unreachable, [-2] unknown point *)
-  pe_live : Liveness.t;  (** the source side's liveness *)
-  pe_off : int;  (** the point's live-before set in [pe_live]; [-1] none *)
+  pe_bits : Liveness.Bits.t option;
 }
 
 (** One function version with every analysis the OSR layer asks about it.
@@ -178,9 +178,6 @@ type t = {
   dst : side;  (** where execution lands *)
   landing : (int, int) Hashtbl.t;
       (** source point → landing anchor; absent key = no landing *)
-  to_src : int array;
-      (** destination register id → id of the source register of the same
-          name; [-1] when the source has none *)
   cands : cand list array;
       (** destination register id → its interned candidates, replace
           aliases included *)
@@ -241,12 +238,13 @@ let search ~(use_aliases : bool) (t : t) (x' : Ir.reg) : cand list =
 
 (* Every destination register gets its candidate list at construction: the
    sweep asks for the same register at most of the points it visits.  The
-   name-stable candidate comes from [to_src]; only registers that occur in
-   the mapper's replace history are looked up by name. *)
-let fill_candidates (t : t) : unit =
+   name-stable candidate comes from [to_src] (destination register id → id
+   of the source register of the same name, [-1] for none); only registers
+   that occur in the mapper's replace history are looked up by name. *)
+let fill_candidates (t : t) ~(to_src : int array) : unit =
   Array.iteri
     (fun x y -> if in_frame t.src y then t.cands.(x) <- [ t.src.as_cand.(y) ])
-    t.to_src;
+    to_src;
   let add_aliases x' =
     match Liveness.id_of t.dst.live x' with
     | Some x -> (
@@ -313,11 +311,10 @@ let of_sides ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapping : Code_mapper.index)
       src;
       dst;
       landing = Ir.first_kept_at_or_after ~keep:anchor src.func;
-      to_src;
       cands = Array.make (Array.length dst.as_cand) [];
     }
   in
-  fill_candidates t;
+  fill_candidates t ~to_src;
   t
 
 (** The context for one direction.  Neither function may change while the
@@ -330,9 +327,9 @@ let make ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Code_mapper.t)
     ~opt_to_base direction
 
 (** Both directions over one pair of side analyses: the forward and
-    backward sweeps see the same two functions, so dominators, liveness,
-    loops, the index, the register correspondence and the mapper's query
-    index are computed once instead of twice. *)
+    backward sweeps see the same two functions, so every side analysis,
+    the register correspondence and the mapper's query index are computed
+    once instead of twice. *)
 let make_pair ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Code_mapper.t) () : t * t =
   let base_side = make_side fbase and opt_side = make_side fopt in
   let base_to_opt, opt_to_base = cross base_side opt_side in
@@ -348,11 +345,11 @@ let make_pair ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Code_mapper.t) () 
     of {!Reconstruct_ir} computes it once per point. *)
 let point_env (t : t) (p : int) : penv =
   let s = t.src in
-  let pe_live = s.live and pe_off = Liveness.offset_at s.live p in
+  let pe_bits = Liveness.bits_at s.live p in
   if is_point s p then
     let n = s.point_block.(p) in
-    { pe_block = n; pe_idx = s.point_idx.(p); pe_rpo = s.block_rpo.(n); pe_live; pe_off }
-  else { pe_block = -1; pe_idx = 0; pe_rpo = -2; pe_live; pe_off }
+    { pe_block = n; pe_idx = s.point_idx.(p); pe_rpo = s.block_rpo.(n); pe_bits }
+  else { pe_block = -1; pe_idx = 0; pe_rpo = -2; pe_bits }
 
 (** Is an interned candidate available in the source frame at a point?
     Constants and parameters always; a register when its definition
@@ -375,7 +372,8 @@ let cand_available (t : t) (e : penv) (c : cand) : bool =
             && d.Dom.tout.(e.pe_rpo) <= d.Dom.tout.(rpo))
 
 let cand_live (e : penv) (c : cand) : bool =
-  c.live_id < 0 || (e.pe_off >= 0 && Liveness.mem_at e.pe_live e.pe_off c.live_id)
+  c.live_id < 0
+  || (match e.pe_bits with Some b -> Liveness.Bits.mem b c.live_id | None -> false)
 
 (** May the destination definition at instruction [def_id] be re-executed
     when the machine state corresponds to [landing]?  Re-execution reads the
