@@ -58,7 +58,8 @@ val retarget : state -> src_point:int -> landing:int -> unit
 val build : ?config:config -> variant -> state -> Ir.reg -> Ir.value
 (** Resolve one destination register, extending the state's plan; returns
     the value consumers should use for it.
-    @raise Undef when the register defeats reconstruction *)
+    @raise Undef when the register defeats reconstruction, or is not a
+    register of the destination function *)
 
 val plan_of_state : state -> plan
 (** The plan built so far. *)

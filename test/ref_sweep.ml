@@ -13,8 +13,12 @@
     above it still runs it once per register), the reconstruct counters are
     registered under the group [ref.reconstruct] so both versions can count
     side by side, [make_side] derives [owner] from the index's [positions]
-    (the index has no owner table of its own), and names are qualified to
-    compile outside their module.
+    (the index has no owner table of its own), [make_side] calls
+    [Liveness.compute f] without the [~index] argument the dense liveness
+    no longer takes (its [id_of], [bits_at], [Bits.mem], [is_live] and
+    [live_at] keep their contracts, so the copy reads the library's
+    liveness as before), and names are qualified to compile outside their
+    module.
     The plan, report and variant types are the library's, so results
     compare directly.  [Suite_sweep] runs both versions and asserts every
     observable is byte-identical. *)
