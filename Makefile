@@ -1,4 +1,4 @@
-.PHONY: all build test fmt bench bench-smoke bench-check bench-layers bench-layers-diff perf-par fuzz clean
+.PHONY: all build test fmt loc bench bench-smoke bench-check bench-layers bench-layers-diff perf-par fuzz clean
 
 all: build
 
@@ -14,6 +14,18 @@ test:
 # dune-project; run `dune build @fmt --auto-promote` to fix reported diffs.
 fmt:
 	dune build @fmt
+
+# Non-blank lines of OCaml source (.ml and .mli): one row per lib/
+# directory and the lib total, the frozen reference copies test/ref_*.ml,
+# the rest of test/, and the total of all three.
+loc:
+	@find lib test -type f \( -name '*.ml' -o -name '*.mli' \) -exec awk ' \
+	  FNR == 1 { split(FILENAME, p, "/"); \
+	    g = p[1] == "lib" ? "lib/" p[2] : (FILENAME ~ /^test\/ref_[^\/]*\.ml$$/ ? "test/ref_*.ml" : "test (rest)") } \
+	  NF { n[g]++; if (g ~ /^lib\//) lib++; total++ } \
+	  END { for (g in n) if (g ~ /^lib\//) printf "%-16s %6d\n", g, n[g] | "sort"; close("sort"); \
+	    printf "%-16s %6d\n%-16s %6d\n%-16s %6d\n%-16s %6d\n", "lib total", lib, \
+	      "test/ref_*.ml", n["test/ref_*.ml"], "test (rest)", n["test (rest)"], "total", total }' {} +
 
 # Every paper table/figure, the ablations and the perf-par scaling run.
 bench:

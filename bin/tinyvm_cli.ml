@@ -229,20 +229,39 @@ let run_cmd =
 
 (* --- opt (file) ------------------------------------------------------ *)
 
+(* Exit code of [opt] on input that does not parse or verify. *)
+let malformed_ir = 19
+
 let opt_cmd =
   let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ir") in
   let run path telem =
     with_telemetry telem @@ fun sink ->
     let src = In_channel.with_open_text path In_channel.input_all in
-    let f = Miniir.Ir_parser.parse_func src in
-    Miniir.Verifier.verify_exn f;
+    let reject fmt =
+      Printf.ksprintf
+        (fun m ->
+          Printf.eprintf "tinyvm: %s\n" m;
+          exit malformed_ir)
+        fmt
+    in
+    let f =
+      try Miniir.Ir_parser.parse_func src
+      with Miniir.Ir_parser.Parse_error (msg, line) -> reject "%s:%d: %s" path line msg
+    in
+    (match Miniir.Verifier.verify f with
+    | Ok () -> ()
+    | Error es -> reject "%s: @%s: %s" path f.fname (Fmt.str "%a" Miniir.Verifier.pp_error (List.hd es)));
     let r = P.apply ~telemetry:sink f in
     print_string (Ir.func_to_string r.P.fopt);
     Printf.printf "; actions: %d\n"
       (List.length (Passes.Code_mapper.actions_in_order r.P.mapper))
   in
   Cmd.v
-    (Cmd.info "opt" ~doc:"Parse an IR file, run the optimization pipeline, print the result.")
+    (Cmd.info "opt"
+       ~doc:
+         "Parse an IR file, run the optimization pipeline, print the result.  Malformed input \
+          (a parse error or an SSA violation) exits with code 19 and one line naming the file \
+          and the line or the first verifier error.")
     Term.(const run $ file_arg $ telem_term)
 
 (* --- osr-points ------------------------------------------------------ *)

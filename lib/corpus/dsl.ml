@@ -206,8 +206,9 @@ let lower (k : kernel) : Ir.func * debug_info =
 let to_fbase (k : kernel) : Ir.func * debug_info =
   let raw, dbg = lower k in
   let fbase = Passes.Pass_manager.to_fbase raw in
-  let surviving = Ir.block_of_instr fbase in
-  let remap = Ir.first_kept_at_or_after ~keep:(Hashtbl.mem surviving) raw in
+  let remap =
+    Ir.first_kept_at_or_after ~keep:(Miniir.Func_index.is_point (Miniir.Func_index.make fbase)) raw
+  in
   let source_points =
     List.sort_uniq compare (List.filter_map (Hashtbl.find_opt remap) dbg.source_points)
   in

@@ -12,14 +12,14 @@
 
     One linear pass per function: a register → variables table, each
     block's last family definition per variable, a worklist fixpoint over
-    the index's predecessors, then one forward walk per block that records
-    the tracked variables at every point it passes — O(N·V + points·V) for
-    N instructions and V user variables. *)
+    the index's block graph, then one forward walk per block that records
+    the tracked variables at every point it passes, in an array by id —
+    O(N·V + points·V) for N instructions and V user variables. *)
 
 module Ir = Miniir.Ir
 module Func_index = Miniir.Func_index
 
-type t = { at : (int, (string * Ir.reg) list) Hashtbl.t  (** point → tracked vars *) }
+type t = { at : (string * Ir.reg) list array  (** point id → tracked vars *) }
 
 let family_prefixes (u : string) = (u ^ ".def.", u ^ ".slot.phi.")
 
@@ -61,18 +61,11 @@ let analyze (index : Func_index.t) ~(user_vars : string list) : t =
     done;
     !acc
   in
-  let blocks = Array.of_list index.Func_index.func.Ir.blocks in
+  let blocks = index.Func_index.blocks and preds = index.preds and succs = index.succs in
   let nb = Array.length blocks in
-  let slot = Hashtbl.create nb in
-  Array.iteri
-    (fun k (b : Ir.block) -> if not (Hashtbl.mem slot b.label) then Hashtbl.add slot b.label k)
-    blocks;
-  let slots labels = List.filter_map (Hashtbl.find_opt slot) labels in
-  let preds = Array.map (fun (b : Ir.block) -> slots (Func_index.predecessors index b.label)) blocks in
-  let succs = Array.map (fun (b : Ir.block) -> slots (Func_index.successors index b.label)) blocks in
   (* Block transfer: the last family def in the block wins; [gen] holds it
      per variable ([Nothing] = the block defines none). *)
-  let fams : (Ir.reg, int list) Hashtbl.t = Hashtbl.create 64 in
+  let fams : int list Ir.Names.t = Ir.Names.create 64 in
   let gen =
     Array.map
       (fun (b : Ir.block) ->
@@ -83,7 +76,7 @@ let analyze (index : Func_index.t) ~(user_vars : string list) : t =
               match families_of r with
               | [] -> ()
               | ks ->
-                  Hashtbl.replace fams r ks;
+                  Ir.Names.replace fams r ks;
                   List.iter (fun k -> g.(k) <- Unique r) ks)
           | None -> ()
         in
@@ -95,7 +88,7 @@ let analyze (index : Func_index.t) ~(user_vars : string list) : t =
   (* The function starts with no definition: the entry block and blocks
      without predecessors start from [Nothing], every other block from
      [Unvisited]. *)
-  let seed = Array.mapi (fun b ps -> if b = 0 || ps = [] then Nothing else Unvisited) preds in
+  let seed = Array.init nb (fun b -> if b = 0 || preds.(b) = [] then Nothing else Unvisited) in
   let inn = Array.map (fun s -> Array.make nv s) seed in
   let out p k = match gen.(p).(k) with Nothing -> inn.(p).(k) | g -> g in
   let queued = Array.make nb true in
@@ -117,16 +110,15 @@ let analyze (index : Func_index.t) ~(user_vars : string list) : t =
     if !changed then
       List.iter
         (fun s ->
-          if not queued.(s) then begin
+          if s < nb && not queued.(s) then begin
             queued.(s) <- true;
             Queue.add s work
           end)
         succs.(b)
   done;
   (* One forward walk per block: the tracked list changes only at family
-     defs, so consecutive points share one list.  The first block holding
-     a point answers for it. *)
-  let at = Hashtbl.create (index.Func_index.func.Ir.next_id / 2) in
+     defs, so consecutive points share one list. *)
+  let at = Array.make (Array.length index.point_block) [] in
   Array.iteri
     (fun b (blk : Ir.block) ->
       let cur = Array.copy inn.(b) in
@@ -138,12 +130,12 @@ let analyze (index : Func_index.t) ~(user_vars : string list) : t =
         !acc
       in
       let now = ref (listing ()) in
-      let record id = if not (Hashtbl.mem at id) then Hashtbl.add at id !now in
+      let record id = at.(id) <- !now in
       let step (i : Ir.instr) =
         record i.id;
         match i.result with
-        | Some r when Hashtbl.mem fams r ->
-            List.iter (fun k -> cur.(k) <- Unique r) (Hashtbl.find fams r);
+        | Some r when Ir.Names.mem fams r ->
+            List.iter (fun k -> cur.(k) <- Unique r) (Ir.Names.find fams r);
             now := listing ()
         | _ -> ()
       in
@@ -156,4 +148,4 @@ let analyze (index : Func_index.t) ~(user_vars : string list) : t =
 (** All user variables tracked at [point] with their carrying values, in
     [user_vars] order; [[]] at a point the function does not have. *)
 let tracked_at (t : t) ~(point : int) : (string * Ir.reg) list =
-  Option.value ~default:[] (Hashtbl.find_opt t.at point)
+  if point >= 0 && point < Array.length t.at then t.at.(point) else []

@@ -1,17 +1,19 @@
 (** Block-level dominance for MiniIR: the Cooper–Harvey–Kennedy "simple,
-    fast dominance" algorithm, plus dominance frontiers (needed by mem2reg's
-    φ-placement) and instruction-level dominance queries (needed by the OSR
-    availability analysis). *)
+    fast dominance" algorithm over the block graph of a {!Func_index}, plus
+    dominance frontiers (needed by mem2reg's φ-placement) and
+    instruction-level dominance over the index's points (needed by the OSR
+    availability analysis).  Every array is over the index's node numbers
+    or over reverse-postorder indices; the label queries resolve a label
+    through the index. *)
 
 type t = {
-  func : Ir.func;
-  order : string array;  (** reverse postorder, entry first *)
-  index : (string, int) Hashtbl.t;  (** label → rpo index *)
+  index : Func_index.t;  (** the numbering the tree is built over *)
+  rpo : int array;  (** node → rpo index; [-1] when unreachable from the entry *)
+  order : int array;  (** reverse postorder: rpo index → node, entry first *)
   idom : int array;  (** rpo index → rpo index of immediate dominator; entry maps to itself *)
-  preds : (string, string list) Hashtbl.t;
   tin : int array;
   tout : int array;
-      (** Euler-tour interval of each node in the dominator tree:
+      (** Euler-tour interval of each rpo index in the dominator tree:
           [a] dominates [b] iff [tin.(a) <= tin.(b) && tout.(b) <= tout.(a)],
           making every dominance test O(1) instead of an idom-chain walk. *)
 }
@@ -28,8 +30,9 @@ type numbered = {
     entry: reverse postorder by a depth-first search that visits [succs]
     in list order, the idom fixpoint, and the Euler tour of the tree.
     [preds.(v)] must hold every node with an edge to [v], in any order:
-    the fixpoint does not depend on it.  {!compute} and the verifier both
-    number their blocks and call this. *)
+    the fixpoint does not depend on it.  {!compute} calls it on a
+    {!Func_index}'s block graph, the verifier on its own per-call
+    numbering. *)
 let numbered ~(succs : int list array) ~(preds : int list array) : numbered =
   let nodes = Array.length succs in
   let rpo = Array.make nodes (-1) in
@@ -96,94 +99,62 @@ let numbered ~(succs : int list array) ~(preds : int list array) : numbered =
   if n > 0 then tour 0;
   { rpo; rpo_order = order; rpo_idom = idom; rpo_tin = tin; rpo_tout = tout }
 
-let compute ?(index : Func_index.t option) (f : Ir.func) : t =
-  (* Number the labels: the entry's first, then every block label in block
-     order, then branch targets that name no block.  A label names its last
-     block, as a lookup by label finds it; a target naming no block is a
-     node without successors or predecessors. *)
-  let entry = (Ir.entry f).label in
-  let num = Hashtbl.create 16 and names = ref [] and count = ref 0 in
-  let number l =
-    match Hashtbl.find_opt num l with
-    | Some k -> k
-    | None ->
-        let k = !count in
-        Hashtbl.add num l k;
-        names := l :: !names;
-        incr count;
-        k
-  in
-  ignore (number entry : int);
-  List.iter (fun (b : Ir.block) -> ignore (number b.label : int)) f.blocks;
-  let n_labels = !count in
-  List.iter (fun b -> List.iter (fun s -> ignore (number s : int)) (Ir.successors b)) f.blocks;
-  let succs = Array.make !count [] and npreds = Array.make !count [] in
-  List.iter
-    (fun (b : Ir.block) ->
-      let k = number b.label and ss = List.map number (Ir.successors b) in
-      succs.(k) <- ss;
-      List.iter (fun s -> if s < n_labels then npreds.(s) <- k :: npreds.(s)) ss)
-    f.blocks;
-  let names = Array.of_list (List.rev !names) in
-  let preds =
-    match index with
-    | Some i -> i.Func_index.preds
-    | None ->
-        let preds = Hashtbl.create n_labels in
-        for k = n_labels - 1 downto 0 do
-          Hashtbl.replace preds names.(k) (List.map (fun p -> names.(p)) npreds.(k))
-        done;
-        preds
-  in
-  let g = numbered ~succs ~preds:npreds in
-  let order = Array.map (fun v -> names.(v)) g.rpo_order in
-  let index = Hashtbl.create 16 in
-  Array.iteri (fun i l -> Hashtbl.replace index l i) order;
-  { func = f; order; index; idom = g.rpo_idom; preds; tin = g.rpo_tin; tout = g.rpo_tout }
+(** The dominator tree of [index]'s block graph, entry = block 0. *)
+let compute (index : Func_index.t) : t =
+  let g = numbered ~succs:index.succs ~preds:index.preds in
+  { index; rpo = g.rpo; order = g.rpo_order; idom = g.rpo_idom; tin = g.rpo_tin; tout = g.rpo_tout }
+
+(* Rpo index of [label]'s node; [-1] when unreachable or unknown. *)
+let rpo_of (t : t) (label : string) : int =
+  match Ir.Names.find_opt t.index.numbers label with Some v -> t.rpo.(v) | None -> -1
+
+(* Does rpo index [a] dominate rpo index [b]?  Unreachable ([-1]) nodes
+   dominate nothing and are dominated by everything (vacuous). *)
+let dominates_rpo (t : t) (a : int) (b : int) : bool =
+  a >= 0 && (b < 0 || (t.tin.(a) <= t.tin.(b) && t.tout.(b) <= t.tout.(a)))
 
 (** Is [label] reachable from the entry? *)
-let reachable (t : t) (label : string) : bool = Hashtbl.mem t.index label
+let reachable (t : t) (label : string) : bool = rpo_of t label >= 0
+
+(* Rpo index of the immediate dominator; [-1] for the entry or
+   unreachable nodes. *)
+let idom_rpo (t : t) (i : int) : int = if i <= 0 then -1 else t.idom.(i)
 
 (** Immediate dominator label; [None] for the entry or unreachable blocks. *)
 let idom_of (t : t) (label : string) : string option =
-  match Hashtbl.find_opt t.index label with
-  | None -> None
-  | Some 0 -> None
-  | Some i -> if t.idom.(i) >= 0 then Some t.order.(t.idom.(i)) else None
+  let d = idom_rpo t (rpo_of t label) in
+  if d < 0 then None else Some t.index.labels.(t.order.(d))
 
 (** Does block [a] dominate block [b]?  Unreachable blocks dominate nothing
     and are dominated by everything (vacuous). *)
 let dominates_block (t : t) ~(a : string) ~(b : string) : bool =
-  match (Hashtbl.find_opt t.index a, Hashtbl.find_opt t.index b) with
-  | Some ia, Some ib -> t.tin.(ia) <= t.tin.(ib) && t.tout.(ib) <= t.tout.(ia)
-  | None, _ -> false
-  | _, None -> true
+  dominates_rpo t (rpo_of t a) (rpo_of t b)
 
 let strictly_dominates_block (t : t) ~(a : string) ~(b : string) : bool =
   (not (String.equal a b)) && dominates_block t ~a ~b
 
-(** Dominance frontier per block label. *)
-let frontiers (t : t) : (string, string list) Hashtbl.t =
-  let df = Hashtbl.create 16 in
-  Array.iter (fun l -> Hashtbl.replace df l []) t.order;
-  Array.iter
-    (fun label ->
-      let ps =
-        List.filter (reachable t) (Option.value ~default:[] (Hashtbl.find_opt t.preds label))
-      in
-      if List.length ps >= 2 then
+(** Dominance frontier of every node; each list is in reverse postorder
+    (mem2reg places φs in this order). *)
+let frontiers (t : t) : int list array =
+  let df = Array.make (Array.length t.index.labels) [] in
+  Array.iteri
+    (fun i v ->
+      let ps = List.filter (fun p -> t.rpo.(p) >= 0) t.index.preds.(v) in
+      if List.compare_length_with ps 2 >= 0 then begin
+        let stop = idom_rpo t i in
         List.iter
           (fun p ->
-            let idom_label = idom_of t label in
             let rec runner r =
-              if Some r <> idom_label then begin
-                let cur = Option.value ~default:[] (Hashtbl.find_opt df r) in
-                if not (List.mem label cur) then Hashtbl.replace df r (label :: cur);
-                match idom_of t r with Some up -> runner up | None -> ()
+              if r <> stop then begin
+                let w = t.order.(r) in
+                if not (List.mem v df.(w)) then df.(w) <- v :: df.(w);
+                let up = idom_rpo t r in
+                if up >= 0 then runner up
               end
             in
-            runner p)
-          ps)
+            runner t.rpo.(p))
+          ps
+      end)
     t.order;
   df
 
@@ -194,12 +165,11 @@ let frontiers (t : t) : (string, string list) Hashtbl.t =
 (** Does the definition at instruction [def_id] dominate the program point
     just before instruction [use_id]?  φ-nodes are treated as defining at
     the very top of their block (they dominate every body instruction of the
-    block); an instruction does not dominate itself.  [positions] is a
-    {!Func_index.t}'s [positions] table. *)
-let instr_dominates (t : t) (positions : (int, string * int) Hashtbl.t) ~(def_id : int)
-    ~(use_id : int) : bool =
-  match (Hashtbl.find_opt positions def_id, Hashtbl.find_opt positions use_id) with
-  | Some (db, di), Some (ub, ui) ->
-      if String.equal db ub then di < ui
-      else strictly_dominates_block t ~a:db ~b:ub
-  | _, _ -> false
+    block); an instruction does not dominate itself. *)
+let instr_dominates (t : t) ~(def_id : int) ~(use_id : int) : bool =
+  let ix = t.index in
+  Func_index.is_point ix def_id && Func_index.is_point ix use_id
+  &&
+  let db = ix.point_block.(def_id) and ub = ix.point_block.(use_id) in
+  if db = ub then ix.point_pos.(def_id) < ix.point_pos.(use_id)
+  else dominates_rpo t t.rpo.(db) t.rpo.(ub)

@@ -1,10 +1,23 @@
-(** An immutable per-function index over a MiniIR function: O(1) lookup of
-    blocks by label, the block and position of every instruction id,
-    predecessors/successors, parameter membership and definition sites.
-    Built in one pass over the function; every consumer that used to rescan
-    [f.blocks] ({!Ir.find_block}, {!Ir.predecessors}, per-point block
-    rescans) goes through an index instead, which is what makes the
-    per-point OSR feasibility sweep near-linear.
+(** The one numbering of a function's blocks and program points.  Blocks
+    are numbered by their position in [f.blocks]; every analysis that asks
+    about blocks or points ({!Dom}, {!Loops}, {!Liveness}, mem2reg, source
+    variable tracking, the OSR context) reads this numbering instead of
+    making its own, and the label queries below serve the passes.
+
+    The block graph is a graph of {e nodes}: node [k] for
+    [k < Array.length blocks] is block [k], and a branch target that names
+    no block (only an invalid function has one) is a node after them, with
+    no successors or predecessors, so dominators see the graph a lookup by
+    label sees.  A label names its last block.
+
+    Program points are arrays by instruction id, sized by the largest id
+    in the function (not [f.next_id], which a broken function may
+    undercut): each φ-node, body instruction and terminator has its block
+    number and its position in the block — φ-nodes share position 0, the
+    body starts at 1, and the terminator sits after the body.
+
+    Register definitions are not part of the index: {!Ir.def_table} builds
+    the name → definition table for the few readers that need one.
 
     The index is a snapshot: it holds the block and instruction records of
     the function at build time.  Passes that mutate instruction {e contents}
@@ -14,83 +27,107 @@
 
 type t = {
   func : Ir.func;
-  blocks : (string, Ir.block) Hashtbl.t;  (** label → block *)
-  positions : (int, string * int) Hashtbl.t;
-      (** instruction/terminator id → (block, index): φ-nodes share index 0,
-          the body starts at 1, the terminator sits after the body *)
-  preds : (string, string list) Hashtbl.t;  (** label → predecessor labels *)
-  succs : (string, string list) Hashtbl.t;  (** label → successor labels *)
-  param_set : (Ir.reg, unit) Hashtbl.t;
-  defs : (Ir.reg, Ir.def_site) Hashtbl.t;  (** register → unique SSA definition *)
+  blocks : Ir.block array;  (** block number → block *)
+  labels : string array;  (** node → label *)
+  numbers : int Ir.Names.t;  (** label → node *)
+  succs : int list array;  (** node → successor nodes, in {!Ir.successors} order *)
+  preds : int list array;  (** node → predecessor blocks, in block order *)
+  point_block : int array;  (** instruction/terminator id → block number; [-1] none *)
+  point_pos : int array;  (** instruction/terminator id → position in its block *)
 }
 
 let make (f : Ir.func) : t =
-  (* Pre-sized so no table grows while it is filled: ids come from
-     [f.next_id], and there is at most one definition per id.  A [Hashtbl]
-     resizes only past two bindings per bucket, so half the count is
-     enough. *)
-  let n_blocks = List.length f.blocks / 2 in
-  let n_ids = f.next_id / 2 in
-  let blocks = Hashtbl.create n_blocks in
-  let positions = Hashtbl.create n_ids in
-  let preds = Hashtbl.create n_blocks in
-  let succs = Hashtbl.create n_blocks in
-  let param_set = Hashtbl.create 8 in
-  let defs = Hashtbl.create n_ids in
-  List.iter (fun p -> Hashtbl.replace param_set p ()) f.params;
-  List.iter
+  let blocks = Array.of_list f.blocks in
+  let nb = Array.length blocks in
+  let numbers = Ir.Names.create (max 16 nb) in
+  Array.iteri (fun k (b : Ir.block) -> Ir.Names.replace numbers b.label k) blocks;
+  let targets = ref [] and nodes = ref nb in
+  let node l =
+    match Ir.Names.find_opt numbers l with
+    | Some v -> v
+    | None ->
+        let v = !nodes in
+        Ir.Names.add numbers l v;
+        targets := l :: !targets;
+        incr nodes;
+        v
+  in
+  let block_succs = Array.map (fun b -> List.map node (Ir.successors b)) blocks in
+  let n = !nodes in
+  let succs = if n = nb then block_succs else Array.append block_succs (Array.make (n - nb) []) in
+  let labels =
+    Array.append (Array.map (fun (b : Ir.block) -> b.label) blocks) (Array.of_list (List.rev !targets))
+  in
+  let preds = Array.make n [] in
+  for k = nb - 1 downto 0 do
+    List.iter (fun s -> if s < nb then preds.(s) <- k :: preds.(s)) succs.(k)
+  done;
+  let max_id = ref (-1) in
+  let see id = if id > !max_id then max_id := id in
+  Array.iter
     (fun (b : Ir.block) ->
-      Hashtbl.replace blocks b.label b;
-      Hashtbl.replace preds b.label [])
-    f.blocks;
-  List.iter
-    (fun (b : Ir.block) ->
-      let record_instr ~in_phis ~pos (i : Ir.instr) =
-        Hashtbl.replace positions i.id (b.label, pos);
-        match i.result with
-        | Some r -> Hashtbl.replace defs r { Ir.di = i; block = b.label; in_phis }
-        | None -> ()
+      List.iter (fun (i : Ir.instr) -> see i.id) b.phis;
+      List.iter (fun (i : Ir.instr) -> see i.id) b.body;
+      see b.term_id)
+    blocks;
+  let point_block = Array.make (!max_id + 1) (-1) and point_pos = Array.make (!max_id + 1) 0 in
+  let at k pos id =
+    point_block.(id) <- k;
+    point_pos.(id) <- pos
+  in
+  Array.iteri
+    (fun k (b : Ir.block) ->
+      List.iter (fun (i : Ir.instr) -> at k 0 i.id) b.phis;
+      let term_pos =
+        List.fold_left
+          (fun pos (i : Ir.instr) ->
+            at k pos i.id;
+            pos + 1)
+          1 b.body
       in
-      List.iter (record_instr ~in_phis:true ~pos:0) b.phis;
-      List.iteri (fun k i -> record_instr ~in_phis:false ~pos:(k + 1) i) b.body;
-      Hashtbl.replace positions b.term_id (b.label, List.length b.body + 1);
-      let ss = Ir.successors b in
-      Hashtbl.replace succs b.label ss;
-      List.iter
-        (fun s ->
-          match Hashtbl.find_opt preds s with
-          | Some ps -> Hashtbl.replace preds s (b.label :: ps)
-          | None -> ())
-        ss)
-    f.blocks;
-  (* Predecessors were consed on; put them back in block order. *)
-  Hashtbl.filter_map_inplace (fun _ ps -> Some (List.rev ps)) preds;
-  { func = f; blocks; positions; preds; succs; param_set; defs }
+      at k term_pos b.term_id)
+    blocks;
+  { func = f; blocks; labels; numbers; succs; preds; point_block; point_pos }
 
 (* ------------------------------------------------------------------ *)
-(* Queries (mirroring the linear Ir accessors)                          *)
+(* Queries                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let find_block (t : t) (label : string) : Ir.block option = Hashtbl.find_opt t.blocks label
+(** Block number of [label]; [-1] when no block has it. *)
+let block_number (t : t) (label : string) : int =
+  match Ir.Names.find_opt t.numbers label with
+  | Some k when k < Array.length t.blocks -> k
+  | Some _ | None -> -1
+
+let find_block (t : t) (label : string) : Ir.block option =
+  let k = block_number t label in
+  if k < 0 then None else Some t.blocks.(k)
 
 let block_exn (t : t) (label : string) : Ir.block =
-  match Hashtbl.find_opt t.blocks label with
+  match find_block t label with
   | Some b -> b
   | None ->
       invalid_arg (Printf.sprintf "Func_index.block_exn: no block %S in @%s" label t.func.fname)
 
-let position_of (t : t) (id : int) : (string * int) option = Hashtbl.find_opt t.positions id
+(** Is [id] a φ-node, body instruction or terminator of the function? *)
+let is_point (t : t) (id : int) : bool =
+  id >= 0 && id < Array.length t.point_block && t.point_block.(id) >= 0
+
+(** Block label and position of a point. *)
+let position_of (t : t) (id : int) : (string * int) option =
+  if is_point t id then Some (t.blocks.(t.point_block.(id)).label, t.point_pos.(id)) else None
 
 (** Block label of an instruction or terminator id. *)
-let owner_of (t : t) (id : int) : string option = Option.map fst (position_of t id)
+let owner_of (t : t) (id : int) : string option =
+  if is_point t id then Some t.blocks.(t.point_block.(id)).label else None
+
+let labels_of (t : t) (nodes : int list) : string list = List.map (fun v -> t.labels.(v)) nodes
 
 (** Predecessor labels, in block order (matches {!Ir.predecessors}). *)
 let predecessors (t : t) (label : string) : string list =
-  Option.value ~default:[] (Hashtbl.find_opt t.preds label)
+  let k = block_number t label in
+  if k < 0 then [] else labels_of t t.preds.(k)
 
 let successors (t : t) (label : string) : string list =
-  Option.value ~default:[] (Hashtbl.find_opt t.succs label)
-
-let is_param (t : t) (r : Ir.reg) : bool = Hashtbl.mem t.param_set r
-
-let def_of (t : t) (r : Ir.reg) : Ir.def_site option = Hashtbl.find_opt t.defs r
+  let k = block_number t label in
+  if k < 0 then [] else labels_of t t.succs.(k)

@@ -79,12 +79,21 @@ let block_exn (f : func) (label : string) : block =
   | Some b -> b
   | None -> invalid_arg (Printf.sprintf "Ir.block_exn: no block %S in @%s" label f.fname)
 
+(** Tables keyed by register names or block labels, compared with
+    [String.equal]. *)
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash (s : string) = Hashtbl.hash s
+end)
+
 (** Label → block for every label, resolving to the first block like
     {!find_block}: one scan for a pass that looks blocks up repeatedly
     while the block list stays put. *)
-let block_table (f : func) : (string, block) Hashtbl.t =
-  let t = Hashtbl.create (List.length f.blocks) in
-  List.iter (fun b -> if not (Hashtbl.mem t b.label) then Hashtbl.add t b.label b) f.blocks;
+let block_table (f : func) : block Names.t =
+  let t = Names.create (List.length f.blocks) in
+  List.iter (fun b -> if not (Names.mem t b.label) then Names.add t b.label b) f.blocks;
   t
 
 let successors_of_term : terminator -> string list = function
@@ -190,27 +199,20 @@ let is_reexecutable (r : rhs) : bool =
 
 type def_site = { di : instr; block : string; in_phis : bool }
 
-(** Map from register to its (unique, by SSA) defining instruction. *)
-let def_table (f : func) : (reg, def_site) Hashtbl.t =
-  let t = Hashtbl.create 64 in
+(** Register → its defining instruction, the last one should a register be
+    defined twice.  The one definition table: every pass and check that
+    looks definitions up by name builds it here. *)
+let def_table (f : func) : def_site Names.t =
+  let t = Names.create (max 64 (f.next_id / 2)) in
   List.iter
     (fun b ->
-      List.iter
-        (fun i -> match i.result with Some r -> Hashtbl.replace t r { di = i; block = b.label; in_phis = true } | None -> ())
-        b.phis;
-      List.iter
-        (fun i -> match i.result with Some r -> Hashtbl.replace t r { di = i; block = b.label; in_phis = false } | None -> ())
-        b.body)
-    f.blocks;
-  t
-
-(** Map from instruction id to its block label. *)
-let block_of_instr (f : func) : (int, string) Hashtbl.t =
-  let t = Hashtbl.create 64 in
-  List.iter
-    (fun b ->
-      List.iter (fun i -> Hashtbl.replace t i.id b.label) (block_instrs b);
-      Hashtbl.replace t b.term_id b.label)
+      let add in_phis i =
+        match i.result with
+        | Some r -> Names.replace t r { di = i; block = b.label; in_phis }
+        | None -> ()
+      in
+      List.iter (add true) b.phis;
+      List.iter (add false) b.body)
     f.blocks;
   t
 

@@ -172,7 +172,9 @@ let parse_func (src : string) : Ir.func =
       end
       else if String.length line > 1 && line.[String.length line - 1] = ':' then begin
         let b = get_builder ln in
-        Builder.add_block_at b (String.sub line 0 (String.length line - 1))
+        let label = String.sub line 0 (String.length line - 1) in
+        if Ir.find_block b.func label <> None then fail ln "duplicate block label %s" label;
+        Builder.add_block_at b label
       end
       else begin
         let b = get_builder ln in

@@ -7,10 +7,11 @@
     φ-node incomings are attributed to the tail of the corresponding
     predecessor, as usual.
 
-    Everything is dense.  One walk over the function looks every register
-    occurrence up once, numbering registers and recording each point's
-    definition and uses as ints; blocks are numbered by position, with int
-    successor arrays.  The block fixpoint then works on bitsets: per block,
+    Everything is dense.  Blocks, their successors and the id range of
+    points come from the {!Func_index} the result is computed over.  One
+    walk over the function looks every register occurrence up once,
+    numbering registers and recording each point's definition and uses as
+    ints.  The block fixpoint then works on bitsets: per block,
     its gen set, its definitions (body and φ) and the φ uses its outgoing
     edges carry, so one round is a few byte-wise unions (a word-wide union
     did not move [Osr_ctx.make_pair] beyond noise).  The sets live in a few
@@ -79,20 +80,11 @@ module Bits = struct
     !acc
 end
 
-(* String-keyed tables with [String.equal] in place of polymorphic
-   compare. *)
-module Names = Hashtbl.Make (struct
-  type t = string
-
-  let equal = String.equal
-  let hash (s : string) = Hashtbl.hash s
-end)
-
 type t = {
+  index : Func_index.t;  (** the numbering of blocks and points *)
   names : string array;  (** register id → name *)
-  ids : int Names.t;  (** name → register id *)
+  ids : int Ir.Names.t;  (** name → register id *)
   name_order : bool;  (** ascending ids are names in [String.compare] order *)
-  labels : int Names.t;  (** block label → block number (position) *)
   width : int;  (** bytes per set *)
   row : int array;  (** instruction/terminator id → its set in [sets]; [-1] none *)
   sets : Bytes.t;  (** live-before sets, set [j] at byte [j * width] *)
@@ -113,47 +105,31 @@ let push (v : ints) (x : int) : unit =
   Array.unsafe_set v.a v.len x;
   v.len <- v.len + 1
 
-let compute ?(name_order = false) (f : Ir.func) : t =
-  let blocks = Array.of_list f.blocks in
+let compute ?(name_order = false) (index : Func_index.t) : t =
+  let f = index.func and blocks = index.blocks in
   let nb = Array.length blocks in
-  let labels = Names.create (max 16 nb) in
-  Array.iteri (fun k (b : Ir.block) -> Names.replace labels b.label k) blocks;
   (* --- One walk: number registers, record every point's definition and
      uses.  Point j of the walk is a body instruction or a terminator
      (block k owns points [blk_lo.(k), blk_lo.(k+1))) and gets set j of
      the result ([row]); its uses are [uses.a.(use_lo.(j)) ..
      uses.a.(use_lo.(j+1) - 1)].  φ-nodes share their block's first set;
      their definitions go to [phi_def], their incomings to (predecessor,
-     block, register) triples.  A first pass over the block lists sizes
-     the arrays. --- *)
-  let npts = ref 0 and max_id = ref (-1) in
-  let see id = if id > !max_id then max_id := id in
-  Array.iter
-    (fun (b : Ir.block) ->
-      List.iter (fun (i : Ir.instr) -> see i.id) b.phis;
-      List.iter
-        (fun (i : Ir.instr) ->
-          see i.id;
-          incr npts)
-        b.body;
-      see b.term_id;
-      incr npts)
-    blocks;
-  let npts = !npts in
-  let ids = Names.create (max 16 (npts / 2)) in
+     block, register) triples. --- *)
+  let npts = Array.fold_left (fun n (b : Ir.block) -> n + List.length b.body + 1) 0 blocks in
+  let ids = Ir.Names.create (max 16 (npts / 2)) in
   let rev_names = ref [] and n = ref 0 in
   let intern r =
-    match Names.find_opt ids r with
+    match Ir.Names.find_opt ids r with
     | Some i -> i
     | None ->
         let i = !n in
-        Names.add ids r i;
+        Ir.Names.add ids r i;
         rev_names := r :: !rev_names;
         incr n;
         i
   in
   List.iter (fun p -> ignore (intern p : int)) f.params;
-  let row = Array.make (!max_id + 1) (-1) in
+  let row = Array.make (Array.length index.point_block) (-1) in
   let pt_def = Array.make npts (-1) and use_lo = Array.make (npts + 1) 0 in
   let uses = ints (2 * npts) and phi_def = ints 16 and phi_in = ints 16 in
   let blk_lo = Array.make (nb + 1) 0 and phi_lo = Array.make (nb + 1) 0 in
@@ -180,7 +156,7 @@ let compute ?(name_order = false) (f : Ir.func) : t =
                 (fun (l, v) ->
                   match v with
                   | Ir.Reg r ->
-                      push phi_in (Option.value ~default:(-1) (Names.find_opt labels l));
+                      push phi_in (Func_index.block_number index l);
                       push phi_in k;
                       push phi_in (intern r)
                   | Ir.Const _ | Ir.Undef -> ())
@@ -232,7 +208,7 @@ let compute ?(name_order = false) (f : Ir.func) : t =
       Array.iteri (fun j x -> if x >= 0 then pt_def.(j) <- rank.(x)) pt_def;
       renumber phi_def ~from:0 ~step:1;
       renumber phi_in ~from:2 ~step:3;
-      Names.filter_map_inplace (fun _ i -> Some rank.(i)) ids;
+      Ir.Names.filter_map_inplace (fun _ i -> Some rank.(i)) ids;
       (* Filled in place: [Array.map] would start the array with a young
          name, and a large array made that way costs a minor collection. *)
       let sorted = Array.make nbits "" in
@@ -243,12 +219,7 @@ let compute ?(name_order = false) (f : Ir.func) : t =
   (* --- Per-block summaries: upward-exposed uses, definitions (body and
      φ), and the φ uses carried by each block's outgoing edges. --- *)
   let width = (nbits + 7) lsr 3 in
-  let succs =
-    Array.map
-      (fun (b : Ir.block) ->
-        Array.of_list (List.filter_map (Names.find_opt labels) (Ir.successors b)))
-      blocks
-  in
+  let succs = Array.init nb (fun k -> Array.of_list (List.filter (fun s -> s < nb) index.succs.(k))) in
   let gen = Bytes.make (nb * width) '\000' and defs = Bytes.make (nb * width) '\000' in
   let edge_uses = Bytes.make (nb * width) '\000' in
   for k = 0 to nb - 1 do
@@ -328,7 +299,7 @@ let compute ?(name_order = false) (f : Ir.func) : t =
       Bytes.blit tmp 0 sets (j * width) width
     done
   done;
-  { names; ids; name_order; labels; width; row; sets; outs }
+  { index; names; ids; name_order; width; row; sets; outs }
 
 let row_of (t : t) (id : int) : int =
   if id >= 0 && id < Array.length t.row then Array.unsafe_get t.row id else -1
@@ -349,14 +320,13 @@ let live_at (t : t) (id : int) : string list =
 
 (** Register id of a name, for callers that resolve names once and then
     test bits directly (see {!bits_at}). *)
-let id_of (t : t) (r : string) : int option = Names.find_opt t.ids r
+let id_of (t : t) (r : string) : int option = Ir.Names.find_opt t.ids r
 
 let is_live (t : t) (id : int) (r : string) : bool =
   let j = row_of t id in
   j >= 0
-  && match Names.find_opt t.ids r with Some ri -> mem_bit t.sets (j * t.width) ri | None -> false
+  && match Ir.Names.find_opt t.ids r with Some ri -> mem_bit t.sets (j * t.width) ri | None -> false
 
 let live_out_of (t : t) (label : string) : string list =
-  match Names.find_opt t.labels label with
-  | Some k -> to_sorted_names t { Bits.buf = t.outs; off = k * t.width; width = t.width }
-  | None -> []
+  let k = Func_index.block_number t.index label in
+  if k < 0 then [] else to_sorted_names t { Bits.buf = t.outs; off = k * t.width; width = t.width }

@@ -10,47 +10,54 @@ type loop = {
 
 type t = { loops : loop list; dom : Dom.t }
 
-(** Detect all natural loops.  Back edge: [b → h] with [h] dominating [b].
-    Loops sharing a header are merged.  [dom] is recomputed when not
-    supplied (the analysis manager passes a cached one, and [index] to
-    build it from); the loop bodies follow [dom]'s predecessor lists. *)
-let compute ?(index : Func_index.t option) ?(dom : Dom.t option) (f : Ir.func) : t =
-  let dom = match dom with Some d -> d | None -> Dom.compute ?index f in
-  let back_edges =
-    List.concat_map
-      (fun (b : Ir.block) ->
-        List.filter_map
+(** Detect all natural loops of the function [dom] was built over.  Back
+    edge: [b → h] with [h] dominating [b].  Loops sharing a header are
+    merged; a loop body is the header plus every block that reaches a latch
+    without passing through the header (a backward flood over the index's
+    predecessors, stopping at the header). *)
+let compute (dom : Dom.t) : t =
+  let index = dom.index in
+  let blocks = index.blocks in
+  let back_edges = ref [] in
+  Array.iteri
+    (fun k (b : Ir.block) ->
+      let rk = dom.rpo.(k) in
+      if rk >= 0 then
+        List.iter
           (fun s ->
-            if Dom.reachable dom b.label && Dom.dominates_block dom ~a:s ~b:b.label then
-              Some (b.label, s)
-            else None)
-          (Ir.successors b))
-      f.blocks
-  in
-  let by_header = Hashtbl.create 8 in
+            if Dom.dominates_rpo dom dom.rpo.(s) rk then
+              back_edges := (b.label, index.labels.(s)) :: !back_edges)
+          index.succs.(k))
+    blocks;
+  (* Keyed by label: the fold below visits the headers in the table's
+     bucket order, which ties in the size sort keep. *)
+  let by_header = Ir.Names.create 8 in
   List.iter
     (fun (latch, header) ->
-      let existing = Option.value ~default:[] (Hashtbl.find_opt by_header header) in
-      Hashtbl.replace by_header header (latch :: existing))
-    back_edges;
+      let existing = Option.value ~default:[] (Ir.Names.find_opt by_header header) in
+      Ir.Names.replace by_header header (latch :: existing))
+    (List.rev !back_edges);
   let loops =
-    Hashtbl.fold
+    Ir.Names.fold
       (fun header latches acc ->
-        (* Loop body: header plus every block that reaches a latch without
-           passing through the header (standard natural-loop construction:
-           backward flood from the latches, stopping at the header). *)
-        let body = Hashtbl.create 8 in
-        Hashtbl.add body header ();
-        let rec flood label =
-          if not (Hashtbl.mem body label) then begin
-            Hashtbl.add body label ();
-            List.iter flood (Option.value ~default:[] (Hashtbl.find_opt dom.Dom.preds label))
+        let body = Array.make (Array.length blocks) false in
+        let h = Func_index.block_number index header in
+        body.(h) <- true;
+        let rec flood k =
+          if not body.(k) then begin
+            body.(k) <- true;
+            List.iter flood index.preds.(k)
           end
         in
-        List.iter flood latches;
+        List.iter (fun l -> flood (Func_index.block_number index l)) latches;
         {
           header;
-          body = List.filter (Hashtbl.mem body) (List.map (fun (b : Ir.block) -> b.label) f.blocks);
+          body =
+            List.rev
+              (Array.fold_left
+                 (fun acc (b : Ir.block) ->
+                   if body.(Func_index.block_number index b.label) then b.label :: acc else acc)
+                 [] blocks);
           latches;
         }
         :: acc)

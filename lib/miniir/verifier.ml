@@ -14,7 +14,8 @@
     one register → (block, position) table, a bitmap of seen ids, and the
     dominator tree of {!Dom.numbered}.  Only a function the walk rejects
     pays for the error list: {!explain} runs every check again over a
-    {!Func_index} and a {!Dom.t} and reports each violation.  The verifier
+    {!Func_index}, its {!Dom.t} and {!Ir.def_table}, and reports each
+    violation.  The verifier
     never takes analyses from a pass pipeline's cache: a pass that wrongly
     declares itself CFG-preserving leaves stale dominators there, and
     catching that pass is exactly the verifier's job. *)
@@ -29,8 +30,8 @@ exception Reject
    block number and position as [block lsl 32 lor position]. *)
 let param = -1
 
-(** Does [f] pass every check?  Positions are numbered as
-    {!Func_index.positions} numbers them: φ-nodes at 0, the body from 1, the
+(** Does [f] pass every check?  Positions are numbered as {!Func_index}
+    numbers them: φ-nodes at 0, the body from 1, the
     terminator after the body.  A function with an id outside
     [\[0, next_id)] is left to {!explain}, which does not check that
     bound. *)
@@ -171,63 +172,39 @@ let explain (f : Ir.func) : (unit, error list) result =
   let index = Func_index.make f in
   let errs = ref [] in
   let err where fmt = Printf.ksprintf (fun what -> errs := { where; what } :: !errs) fmt in
-  (* Labels unique.  The index keeps one block per label, so the detailed
-     scan runs only when the counts say there is a duplicate. *)
-  let labels = index.Func_index.blocks in
-  let n_blocks = List.length f.blocks in
-  if Hashtbl.length labels <> n_blocks then begin
-    let seen = Hashtbl.create n_blocks in
-    List.iter
-      (fun (b : Ir.block) ->
-        if Hashtbl.mem seen b.label then err b.label "duplicate block label"
-        else Hashtbl.add seen b.label ())
-      f.blocks
-  end;
+  (* Labels unique *)
+  let labels = Ir.Names.create 16 in
+  List.iter
+    (fun (b : Ir.block) ->
+      if Ir.Names.mem labels b.label then err b.label "duplicate block label"
+      else Ir.Names.add labels b.label ())
+    f.blocks;
   (* Terminator targets exist *)
   List.iter
     (fun (b : Ir.block) ->
       List.iter
-        (fun s -> if not (Hashtbl.mem labels s) then err b.label "branch to unknown block %s" s)
+        (fun s -> if not (Ir.Names.mem labels s) then err b.label "branch to unknown block %s" s)
         (Ir.successors b))
     f.blocks;
-  (* Instruction ids unique; registers single-assignment.  Same counting:
-     the index holds one entry per distinct id and per distinct register. *)
-  let n_ids = ref 0 and n_results = ref 0 in
+  (* Instruction ids unique; registers single-assignment *)
+  let ids = Array.make (Array.length index.point_block) false in
+  let defs = Ir.Names.create 64 in
+  List.iter (fun p -> Ir.Names.replace defs p `Param) f.params;
   List.iter
     (fun (b : Ir.block) ->
-      let count (i : Ir.instr) =
-        incr n_ids;
-        if i.result <> None then incr n_results
-      in
-      List.iter count b.phis;
-      List.iter count b.body;
-      incr n_ids)
+      List.iter
+        (fun (i : Ir.instr) ->
+          if ids.(i.id) then err b.label "duplicate instruction id %d" i.id else ids.(i.id) <- true;
+          match i.result with
+          | Some r ->
+              if Ir.Names.mem defs r then err b.label "register %%%s defined twice" r
+              else Ir.Names.replace defs r `Instr
+          | None -> ())
+        (Ir.block_instrs b);
+      if ids.(b.term_id) then err b.label "duplicate terminator id %d" b.term_id
+      else ids.(b.term_id) <- true)
     f.blocks;
-  let defs_tbl = index.Func_index.defs in
-  if
-    Hashtbl.length index.Func_index.positions <> !n_ids
-    || Hashtbl.length defs_tbl <> !n_results
-    || List.exists (Hashtbl.mem defs_tbl) f.params
-  then begin
-    let ids = Hashtbl.create !n_ids in
-    let defs = Hashtbl.create !n_results in
-    List.iter (fun p -> Hashtbl.replace defs p `Param) f.params;
-    List.iter
-      (fun (b : Ir.block) ->
-        List.iter
-          (fun (i : Ir.instr) ->
-            if Hashtbl.mem ids i.id then err b.label "duplicate instruction id %d" i.id
-            else Hashtbl.add ids i.id ();
-            match i.result with
-            | Some r ->
-                if Hashtbl.mem defs r then err b.label "register %%%s defined twice" r
-                else Hashtbl.replace defs r `Instr
-            | None -> ())
-          (Ir.block_instrs b);
-        if Hashtbl.mem ids b.term_id then err b.label "duplicate terminator id %d" b.term_id
-        else Hashtbl.add ids b.term_id ())
-      f.blocks
-  end;
+  let is_param r = Ir.Names.find_opt defs r = Some `Param in
   (* φ shape: one incoming per predecessor, and only among phis *)
   List.iter
     (fun (b : Ir.block) ->
@@ -266,17 +243,16 @@ let explain (f : Ir.func) : (unit, error list) result =
   | [] -> err f.fname "function has no blocks");
   (* Dominance of uses (only meaningful if structure is sane so far) *)
   if !errs = [] then begin
-    let dom = Dom.compute ~index f in
-    let positions = index.Func_index.positions in
+    let dom = Dom.compute index in
+    let def_tbl = Ir.def_table f in
     let check_use (b : Ir.block) (use_id : int) (r : Ir.reg) =
-      if not (Func_index.is_param index r) then
-        match Hashtbl.find_opt defs_tbl r with
+      if not (is_param r) then
+        match Ir.Names.find_opt def_tbl r with
         | None -> err b.label "use of undefined register %%%s at #%d" r use_id
         | Some d ->
             let def_id = d.di.id in
-            if Dom.reachable dom b.label
-               && not (Dom.instr_dominates dom positions ~def_id ~use_id)
-            then err b.label "use of %%%s at #%d not dominated by its definition #%d" r use_id def_id
+            if Dom.reachable dom b.label && not (Dom.instr_dominates dom ~def_id ~use_id) then
+              err b.label "use of %%%s at #%d not dominated by its definition #%d" r use_id def_id
     in
     List.iter
       (fun (b : Ir.block) ->
@@ -288,8 +264,8 @@ let explain (f : Ir.func) : (unit, error list) result =
                 List.iter
                   (fun (pred, v) ->
                     match v with
-                    | Ir.Reg r when not (Func_index.is_param index r) -> (
-                        match Hashtbl.find_opt defs_tbl r with
+                    | Ir.Reg r when not (is_param r) -> (
+                        match Ir.Names.find_opt def_tbl r with
                         | None -> err b.label "phi #%d reads undefined %%%s" i.id r
                         | Some d ->
                             if Dom.reachable dom pred

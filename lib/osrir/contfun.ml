@@ -40,11 +40,11 @@ let param_prefix = "osr$"
 (* Remove blocks unreachable from the entry. *)
 let drop_unreachable (f : Ir.func) : unit =
   let blocks = Ir.block_table f in
-  let seen = Hashtbl.create (Hashtbl.length blocks) in
+  let seen = Hashtbl.create (Ir.Names.length blocks) in
   let rec dfs label =
     if not (Hashtbl.mem seen label) then begin
       Hashtbl.add seen label ();
-      match Hashtbl.find_opt blocks label with
+      match Ir.Names.find_opt blocks label with
       | Some b -> List.iter dfs (Ir.successors b)
       | None -> ()
     end
@@ -136,10 +136,10 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
         b.phis)
     f.blocks;
   (* --- 2. Demotion set. --------------------------------------------- *)
-  let target_liveness = Liveness.compute target in
+  let target_liveness = Liveness.compute (Func_index.make target) in
   let target_live = Liveness.live_at target_liveness landing in
   let def_tbl = Ir.def_table f in
-  let is_instr_defined r = Hashtbl.mem def_tbl r in
+  let is_instr_defined r = Ir.Names.mem def_tbl r in
   let demoted =
     List.sort_uniq String.compare
       (List.filter is_instr_defined
@@ -227,7 +227,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
                      (fun (l, v) ->
                        match v with
                        | Ir.Reg r when is_demoted r -> (
-                           match Hashtbl.find_opt blocks l with
+                           match Ir.Names.find_opt blocks l with
                            | Some pb ->
                                let tmp = Ir.fresh_reg ~hint:(r ^ ".e") f in
                                pb.body <-
@@ -330,7 +330,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
      and re-promotion (it is never rewritten), so recompute liveness on the
      final body; a point liveness does not know is a broken construction
      invariant. *)
-  let live = Liveness.compute fto in
+  let live = Liveness.compute (Func_index.make fto) in
   let live_in =
     if Liveness.bits_at live landing = None then
       raise

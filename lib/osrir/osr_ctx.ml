@@ -6,13 +6,13 @@ open Import
     from the CodeMapper's action history (Section 5.1).
 
     Performance architecture: each side numbers its function once — its
-    registers by {!Liveness} in name order, its blocks by position — and
-    {!make_side} derives every side analysis (dominators, liveness, loops,
-    the loops containing each block, each point's block and position,
-    each register's definition and source candidate) exactly once, in
-    arrays over those numbers.  The context also builds, once, the
-    cross-point tables that make the per-point feasibility sweep
-    near-linear: the landing point of every source point
+    blocks and points by one {!Func_index}, which its dominator tree,
+    loops and liveness all read, its registers by {!Liveness} in name
+    order — and {!make_side} derives every other side table (the loops
+    containing each block, each register's definition and source
+    candidate) exactly once, in arrays over those numbers.  The context
+    also builds, once, the cross-point tables that make the per-point
+    feasibility sweep near-linear: the landing point of every source point
     ({!Ir.first_kept_at_or_after}), the mapper's query index, and the
     interned candidate list of every destination register id.  Nothing is
     written after {!make} or {!make_pair} returns, so one context serves
@@ -48,21 +48,18 @@ type penv = {
 }
 
 (** One function version with every analysis the OSR layer asks about it.
-    Registers are numbered once, by {!Liveness} in name order, blocks by
-    position, and the per-register and per-point tables are arrays over
-    those numbers. *)
+    Blocks and points are numbered once, by its {!Func_index}, registers
+    by {!Liveness} in name order, and the per-register tables are arrays
+    over those numbers. *)
 type side = {
   func : Ir.func;
-  blocks : Ir.block array;  (** block number → block *)
+  index : Func_index.t;  (** block and point numbers *)
   dom : Dom.t;
   live : Liveness.t;  (** its register ids number the side *)
   loops : Loops.t;
   loop_ids : int list array;
       (** block number → ascending ids (positions in [loops]) of the
           natural loops containing the block *)
-  point_block : int array;  (** instruction/terminator id → block number; [-1] none *)
-  point_idx : int array;  (** instruction/terminator id → position in its block *)
-  block_rpo : int array;  (** block number → rpo index; [-1] unreachable *)
   defs : Ir.def_site option array;  (** register id → its SSA definition *)
   as_cand : cand array;
       (** register id → the register as a source candidate, [cv] its
@@ -75,30 +72,24 @@ type side = {
 let no_cand = { cv = Ir.Undef; akey = Never; live_id = -1 }
 
 let make_side (f : Ir.func) : side =
-  let dom = Dom.compute f in
-  let loops = Loops.compute ~dom f in
-  let live = Liveness.compute ~name_order:true f in
-  let blocks = Array.of_list f.blocks in
-  let nb = Array.length blocks in
-  let block_no l = Option.value ~default:(-1) (Liveness.Names.find_opt live.Liveness.labels l) in
-  let loop_ids = Array.make nb [] in
+  let index = Func_index.make f in
+  let dom = Dom.compute index in
+  let loops = Loops.compute dom in
+  let live = Liveness.compute ~name_order:true index in
+  let loop_ids = Array.make (Array.length index.blocks) [] in
   List.iteri
     (fun k (l : Loops.loop) ->
       List.iter
         (fun b ->
-          let n = block_no b in
+          let n = Func_index.block_number index b in
           if n >= 0 then loop_ids.(n) <- k :: loop_ids.(n))
         l.body)
     loops.loops;
   Array.iteri (fun n ks -> loop_ids.(n) <- List.rev ks) loop_ids;
-  let npoints = Array.length live.Liveness.row in
-  let point_block = Array.make npoints (-1) and point_idx = Array.make npoints 0 in
   let defs = Array.make (Array.length live.Liveness.names) None in
-  Array.iteri
-    (fun n (b : Ir.block) ->
-      let at ~in_phis idx (i : Ir.instr) =
-        point_block.(i.id) <- n;
-        point_idx.(i.id) <- idx;
+  Array.iter
+    (fun (b : Ir.block) ->
+      let at ~in_phis (i : Ir.instr) =
         match i.result with
         | Some r -> (
             match Liveness.id_of live r with
@@ -106,17 +97,9 @@ let make_side (f : Ir.func) : side =
             | None -> ())
         | None -> ()
       in
-      List.iter (at ~in_phis:true 0) b.phis;
-      List.iteri (fun k i -> at ~in_phis:false (k + 1) i) b.body;
-      point_block.(b.term_id) <- n;
-      point_idx.(b.term_id) <- List.length b.body + 1)
-    blocks;
-  let block_rpo =
-    Array.map
-      (fun (b : Ir.block) ->
-        Option.value ~default:(-1) (Hashtbl.find_opt dom.Dom.index b.label))
-      blocks
-  in
+      List.iter (at ~in_phis:true) b.phis;
+      List.iter (at ~in_phis:false) b.body)
+    index.blocks;
   (* Filled in place from a constant: a large array made from a young
      first element ([Array.mapi]) costs a minor collection. *)
   let as_cand = Array.make (Array.length live.Liveness.names) no_cand in
@@ -125,8 +108,8 @@ let make_side (f : Ir.func) : side =
       let akey =
         match defs.(x) with
         | Some d ->
-            let n = point_block.(d.di.id) in
-            At { block = n; idx = point_idx.(d.di.id); rpo = block_rpo.(n) }
+            let n = index.point_block.(d.di.id) in
+            At { block = n; idx = index.point_pos.(d.di.id); rpo = dom.rpo.(n) }
         | None -> Never
       in
       as_cand.(x) <- { cv = Ir.Reg r; akey; live_id = x })
@@ -137,37 +120,10 @@ let make_side (f : Ir.func) : side =
       | Some x -> as_cand.(x) <- { (as_cand.(x)) with akey = Always }
       | None -> ())
     f.params;
-  { func = f; blocks; dom; live; loops; loop_ids; point_block; point_idx; block_rpo; defs; as_cand }
+  { func = f; index; dom; live; loops; loop_ids; defs; as_cand }
 
 (** Register [x] of side [s] is part of its frame: a parameter or defined. *)
 let in_frame (s : side) (x : int) : bool = x >= 0 && s.as_cand.(x).akey <> Never
-
-(** Is [id] a program point (φ-node, body instruction or terminator) of
-    side [s]? *)
-let is_point (s : side) (id : int) : bool =
-  id >= 0 && id < Array.length s.point_block && s.point_block.(id) >= 0
-
-(** The block labelled [label]. *)
-let find_block (s : side) (label : string) : Ir.block option =
-  Option.map (fun n -> s.blocks.(n)) (Liveness.Names.find_opt s.live.Liveness.labels label)
-
-(** Label of the block holding point [id]. *)
-let owner (s : side) (id : int) : string option =
-  if is_point s id then Some s.blocks.(s.point_block.(id)).label else None
-
-(** Predecessor labels of a block. *)
-let predecessors (s : side) (label : string) : string list =
-  Option.value ~default:[] (Hashtbl.find_opt s.dom.Dom.preds label)
-
-(** Does the definition at point [def_id] dominate the point just before
-    [use_id]?  As {!Dom.instr_dominates}: φ-nodes define at the top of
-    their block, and an instruction does not dominate itself. *)
-let instr_dominates (s : side) ~(def_id : int) ~(use_id : int) : bool =
-  is_point s def_id && is_point s use_id
-  &&
-  let db = s.point_block.(def_id) and ub = s.point_block.(use_id) in
-  if db = ub then s.point_idx.(def_id) < s.point_idx.(use_id)
-  else Dom.strictly_dominates_block s.dom ~a:s.blocks.(db).label ~b:s.blocks.(ub).label
 
 type t = {
   fbase : Ir.func;
@@ -301,7 +257,10 @@ let of_sides ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapping : Code_mapper.index)
      sides and was not moved between blocks: both versions being "about to
      execute #id" are then the same control state (stores are never moved,
      so memory also agrees — the store invariant of Section 5.3). *)
-  let anchor id = is_point src id && is_point dst id && not (Code_mapper.is_moved mapping id) in
+  let anchor id =
+    Func_index.is_point src.index id && Func_index.is_point dst.index id
+    && not (Code_mapper.is_moved mapping id)
+  in
   let t =
     {
       fbase;
@@ -346,9 +305,9 @@ let make_pair ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Code_mapper.t) () 
 let point_env (t : t) (p : int) : penv =
   let s = t.src in
   let pe_bits = Liveness.bits_at s.live p in
-  if is_point s p then
-    let n = s.point_block.(p) in
-    { pe_block = n; pe_idx = s.point_idx.(p); pe_rpo = s.block_rpo.(n); pe_bits }
+  if Func_index.is_point s.index p then
+    let n = s.index.point_block.(p) in
+    { pe_block = n; pe_idx = s.index.point_pos.(p); pe_rpo = s.dom.rpo.(n); pe_bits }
   else { pe_block = -1; pe_idx = 0; pe_rpo = -2; pe_bits }
 
 (** Is an interned candidate available in the source frame at a point?
@@ -391,9 +350,7 @@ let reexec_consistent (t : t) ~(def_id : int) ~(landing : int) : bool =
     | _ :: _, [] -> false
     | x :: a', y :: b' -> if x = y then subset a' b else x > y && subset a b'
   in
-  let block_of id =
-    if id >= 0 && id < Array.length t.dst.point_block then t.dst.point_block.(id) else -1
-  in
+  let block_of id = if Func_index.is_point t.dst.index id then t.dst.index.point_block.(id) else -1 in
   let def_block = block_of def_id and landing_block = block_of landing in
   def_block >= 0 && landing_block >= 0
   && subset t.dst.loop_ids.(def_block) t.dst.loop_ids.(landing_block)

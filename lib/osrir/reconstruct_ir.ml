@@ -60,6 +60,8 @@ let plan_is_empty (p : plan) : bool = p.comp = []
    from just after the load to the landing, cut at re-entries to the load
    itself (a re-entry restarts the window). *)
 let load_safe_walk (t : Osr_ctx.t) ~(def_id : int) ~(landing : int) : bool =
+  let index = t.dst.index in
+  let nb = Array.length index.blocks in
   (* Sequence of (id, rhs option) points per block: body then terminator. *)
   let block_points (b : Ir.block) =
     List.map (fun (i : Ir.instr) -> (i.id, Some i.rhs)) b.body @ [ (b.term_id, None) ]
@@ -69,40 +71,35 @@ let load_safe_walk (t : Osr_ctx.t) ~(def_id : int) ~(landing : int) : bool =
     | Some (Ir.Call (name, _)) -> not (Ir.is_pure_call name)
     | Some _ | None -> false
   in
-  let visited_blocks : (string, unit) Hashtbl.t = Hashtbl.create 16 in
+  let visited = Array.make nb false in
   let exception Unsafe in
-  (* Walk the points of block [label] starting after position [after]
-     (None = from the top), stopping at [landing] or [def_id]. *)
-  let rec walk_block (label : string) ~(after : int option) : unit =
-    match Osr_ctx.find_block t.dst label with
-    | None -> ()
-    | Some b ->
-        let points = block_points b in
-        let rec scan started = function
-          | [] -> List.iter enter (Ir.successors b)
-          | (id, rhs) :: rest ->
-              if not started then
-                if Some id = after then scan true rest else scan false rest
-              else if id = landing then ()  (* window closed on this path *)
-              else if id = def_id then ()  (* window restarts; later segment covered *)
-              else if dirty rhs then raise Unsafe
-              else scan true rest
-        in
-        (* When scanning from the top, "started" is immediately true. *)
-        scan (after = None) points
-  and enter (label : string) : unit =
-    if not (Hashtbl.mem visited_blocks label) then begin
-      Hashtbl.add visited_blocks label ();
-      walk_block label ~after:None
+  (* Walk the points of block [k] starting after position [after] (None =
+     from the top), stopping at [landing] or [def_id]. *)
+  let rec walk_block (k : int) ~(after : int option) : unit =
+    let rec scan started = function
+      | [] -> List.iter enter index.succs.(k)
+      | (id, rhs) :: rest ->
+          if not started then
+            if Some id = after then scan true rest else scan false rest
+          else if id = landing then ()  (* window closed on this path *)
+          else if id = def_id then ()  (* window restarts; later segment covered *)
+          else if dirty rhs then raise Unsafe
+          else scan true rest
+    in
+    (* When scanning from the top, "started" is immediately true. *)
+    scan (after = None) (block_points index.blocks.(k))
+  and enter (k : int) : unit =
+    if k < nb && not visited.(k) then begin
+      visited.(k) <- true;
+      walk_block k ~after:None
     end
   in
-  match Osr_ctx.owner t.dst def_id with
-  | None -> false
-  | Some label -> (
-      try
-        walk_block label ~after:(Some def_id);
-        true
-      with Unsafe -> false)
+  Func_index.is_point index def_id
+  &&
+  try
+    walk_block index.point_block.(def_id) ~after:(Some def_id);
+    true
+  with Unsafe -> false
 
 (* Gating-function support (Section 9 future work, narrow sound case): a
    two-way φ in block J whose predecessors form a triangle or diamond under
@@ -127,7 +124,7 @@ let gate_of_phi (t : Osr_ctx.t) ~(phi_block : string) (incoming : (string * Ir.v
         match Dom.idom_of dom phi_block with
         | None -> None
         | Some d_label -> (
-            match Osr_ctx.find_block t.dst d_label with
+            match Func_index.find_block t.dst.index d_label with
             | Some db -> (
                 match db.term with
                 | Ir.Cbr (Ir.Reg c, tl, el) when not (String.equal tl el) ->
@@ -140,11 +137,11 @@ let gate_of_phi (t : Osr_ctx.t) ~(phi_block : string) (incoming : (string * Ir.v
                         else None
                       else if
                         String.equal p tl
-                        && Osr_ctx.predecessors t.dst p = [ d_label ]
+                        && Func_index.predecessors t.dst.index p = [ d_label ]
                       then Some true
                       else if
                         String.equal p el
-                        && Osr_ctx.predecessors t.dst p = [ d_label ]
+                        && Func_index.predecessors t.dst.index p = [ d_label ]
                       then Some false
                       else None
                     in
@@ -359,7 +356,7 @@ let rec build_id ~(config : config) (variant : variant) (st : state) (x : int) :
                                   dst.as_cand.(y).akey = Osr_ctx.Always
                                   || match dst.defs.(y) with
                                      | Some (dy : Ir.def_site) ->
-                                         Osr_ctx.instr_dominates dst ~def_id:dy.di.id
+                                         Dom.instr_dominates dst.dom ~def_id:dy.di.id
                                            ~use_id:d_term_id
                                      | None -> false)
                               | None -> false)

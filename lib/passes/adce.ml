@@ -6,21 +6,20 @@ open Import
     sweep, whole computation chains die at once.  OSR-aware: deletions are
     recorded. *)
 
-module ISet = Set.Make (Int)
-
 let stat_deleted =
   Telemetry.counter ~group:"adce" "deleted" ~desc:"dead instructions removed"
 
 let run (m : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
   let tel = Code_mapper.telemetry m in
-  let def_tbl = (Analysis_manager.index am f).Func_index.defs in
-  let live = ref ISet.empty in
+  let def_tbl = Ir.def_table f in
+  (* Live marks by instruction id, over the index's point range. *)
+  let live = Array.make (Array.length (Analysis_manager.index am f).point_block) false in
   let worklist = Queue.create () in
   let mark_reg r =
-    match Hashtbl.find_opt def_tbl r with
+    match Ir.Names.find_opt def_tbl r with
     | Some (d : Ir.def_site) ->
-        if not (ISet.mem d.di.id !live) then begin
-          live := ISet.add d.di.id !live;
+        if not live.(d.di.id) then begin
+          live.(d.di.id) <- true;
           Queue.push d.di worklist
         end
     | None -> ()
@@ -31,7 +30,7 @@ let run (m : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
       List.iter
         (fun (i : Ir.instr) ->
           if Ir.has_side_effects i.rhs then begin
-            live := ISet.add i.id !live;
+            live.(i.id) <- true;
             Queue.push i worklist
           end)
         (Ir.block_instrs b);
@@ -45,7 +44,7 @@ let run (m : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
   List.iter
     (fun (b : Ir.block) ->
       let keep (i : Ir.instr) =
-        let k = ISet.mem i.id !live in
+        let k = live.(i.id) in
         if not k then begin
           Code_mapper.delete_instr m i;
           Telemetry.bump tel stat_deleted;

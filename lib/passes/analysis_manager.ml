@@ -22,7 +22,9 @@ type analysis = Index | Dominators | Loops
 
 (** CFG-shape-preserving passes (no block or edge changes) keep dominators
     and loop structure valid even while they add, delete, move or rewrite
-    instructions. *)
+    instructions.  A kept dominator tree keeps the index it was built over:
+    its block graph is still the function's, its point tables are not, so
+    passes ask {!index} for points. *)
 let cfg_preserving : analysis list = [ Dominators; Loops ]
 
 type t = {
@@ -90,7 +92,7 @@ let dom (t : t) (f : Ir.func) : Dom.t =
       d
   | None ->
       Telemetry.bump t.tel miss_dom;
-      let d = Dom.compute ~index:(index t f) f in
+      let d = Dom.compute (index t f) in
       t.dom <- Some d;
       d
 
@@ -102,7 +104,12 @@ let loops (t : t) (f : Ir.func) : Loops.t =
       l
   | None ->
       Telemetry.bump t.tel miss_loops;
-      let l = Loops.compute ~index:(index t f) ~dom:(dom t f) f in
+      let d = dom t f in
+      (* The loops read the block graph of [d]'s index; a loop computation
+         also counts as one request for the index in the [am.index]
+         counters. *)
+      ignore (index t f : Func_index.t);
+      let l = Loops.compute d in
       t.loops <- Some l;
       l
 

@@ -53,8 +53,9 @@ let run (m : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
   let avail_loads : (string, Ir.value * int) Hashtbl.t = Hashtbl.create 16 in
   (* address string → (value, generation) *)
   let generation = ref 0 in
-  let rec walk (label : string) : unit =
-    let blk = Hashtbl.find blocks label in
+  let rec walk (node : int) : unit =
+    let label = dom.index.labels.(node) in
+    let blk = Ir.Names.find blocks label in
     (* Load facts are block-local; expression facts are scoped and undone
        on exit from this dominator subtree. *)
     Hashtbl.reset avail_loads;
@@ -108,9 +109,9 @@ let run (m : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
                       true)
               | _, _ -> true))
         blk.body;
-    List.iter walk (Option.value ~default:[] (Hashtbl.find_opt children label));
+    List.iter walk children.(node);
     (* Undo this scope's expression facts. *)
     List.iter (fun k -> Hashtbl.remove avail k) !added_exprs
   in
-  walk (Ir.entry f).label;
+  walk 0;
   !changed

@@ -43,10 +43,11 @@ let run (m : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
   let changed = ref false in
   let loop_info = Analysis_manager.loops am f in
   (* φ insertion never adds or removes blocks or edges, so [loop_info.dom]
-     and one index of the function serve every query below.  The index's
-     def table is a snapshot: registers of the φs inserted here are not in
-     it, so they never get an LCSSA φ of their own. *)
+     and one index of the function serve every query below.  The def table
+     is a snapshot: registers of the φs inserted here are not in it, so
+     they never get an LCSSA φ of their own. *)
   let index = Func_index.make f in
+  let def_tbl = Ir.def_table f in
   List.iter
     (fun (l : Loops.loop) ->
       let body = Hashtbl.create 16 in
@@ -79,7 +80,7 @@ let run (m : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
                     let preds = Func_index.predecessors index exit_label in
                     let loop_preds = List.filter in_loop preds in
                     if loop_preds <> [] then begin
-                      match Func_index.def_of index r with
+                      match Ir.Names.find_opt def_tbl r with
                       | Some (d : Ir.def_site)
                         when List.for_all
                                (fun p ->

@@ -16,7 +16,7 @@ let run (m : Code_mapper.t) (_ : Analysis_manager.t) (f : Ir.func) : bool =
     continue_ := false;
     (* Each round rewires edges, so it indexes the function afresh. *)
     let index = Func_index.make f in
-    let loop_info = Loops.compute ~index f in
+    let loop_info = Loops.compute (Dom.compute index) in
     let needs_preheader =
       List.find_opt (fun l -> Loops.preheader index l = None) loop_info.loops
     in

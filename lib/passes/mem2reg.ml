@@ -29,23 +29,21 @@ let escaped_regs (f : Ir.func) : (Ir.reg, unit) Hashtbl.t =
     f.blocks;
   escaped
 
-(* Dominator-tree children, from the CHK idom array. *)
-let dom_children (dom : Dom.t) : (string, string list) Hashtbl.t =
-  let children = Hashtbl.create 16 in
+(* Dominator-tree children by node, from the CHK idom array. *)
+let dom_children (dom : Dom.t) : int list array =
+  let children = Array.make (Array.length dom.index.labels) [] in
   Array.iteri
-    (fun i label ->
+    (fun i v ->
       if i > 0 && dom.idom.(i) >= 0 then begin
         let parent = dom.order.(dom.idom.(i)) in
-        let cur = Option.value ~default:[] (Hashtbl.find_opt children parent) in
-        Hashtbl.replace children parent (label :: cur)
+        children.(parent) <- v :: children.(parent)
       end)
     dom.order;
   children
 
 (* Every table below is built by one scan: the CFG does not change during
-   the pass, and per slot or per φ there are only hash lookups.  Blocks
-   resolve to the first block of a label and predecessors come in block
-   order, as with the linear [Ir] accessors. *)
+   the pass, so one index numbers the blocks throughout, and per slot or
+   per φ there are only lookups. *)
 let run (f : Ir.func) : bool =
   let escaped = escaped_regs f in
   let slots =
@@ -63,22 +61,15 @@ let run (f : Ir.func) : bool =
   else begin
     let is_slot = Hashtbl.create 16 in
     List.iter (fun r -> Hashtbl.replace is_slot r ()) slots;
-    let dom = Dom.compute f in
+    let index = Func_index.make f in
+    let dom = Dom.compute index in
     let df = Dom.frontiers dom in
     let children = dom_children dom in
-    let blocks = Ir.block_table f and preds = Hashtbl.create 64 in
-    List.iter
-      (fun (b : Ir.block) ->
-        List.iter
-          (fun s -> Hashtbl.replace preds s (b.label :: Option.value ~default:[] (Hashtbl.find_opt preds s)))
-          (Ir.successors b))
-      f.blocks;
-    let block_exn = Hashtbl.find blocks in
-    let preds_of label = List.rev (Option.value ~default:[] (Hashtbl.find_opt preds label)) in
+    let blocks = index.blocks in
     (* Blocks storing to each slot, in block order. *)
     let def_blocks = Hashtbl.create 16 in
-    List.iter
-      (fun (b : Ir.block) ->
+    Array.iteri
+      (fun k (b : Ir.block) ->
         let seen = Hashtbl.create 8 in
         List.iter
           (fun (i : Ir.instr) ->
@@ -86,49 +77,51 @@ let run (f : Ir.func) : bool =
             | Ir.Store (_, Ir.Reg r) when Hashtbl.mem is_slot r && not (Hashtbl.mem seen r) ->
                 Hashtbl.add seen r ();
                 Hashtbl.replace def_blocks r
-                  (b.label :: Option.value ~default:[] (Hashtbl.find_opt def_blocks r))
+                  (k :: Option.value ~default:[] (Hashtbl.find_opt def_blocks r))
             | _ -> ())
           b.body)
-      f.blocks;
-    (* φ placement: iterated dominance frontier. *)
-    let phi_slot : (int, string * Ir.reg) Hashtbl.t = Hashtbl.create 64 in
+      blocks;
+    (* φ placement: iterated dominance frontier.  [placed.(d)] and
+       [enqueued.(d)] hold the number of the last slot that placed a φ in
+       block [d] or queued it. *)
+    let phi_slot : (int, int * Ir.reg) Hashtbl.t = Hashtbl.create 64 in
     (* placed φ id → (block, slot) *)
-    List.iter
-      (fun slot ->
+    let placed = Array.make (Array.length blocks) (-1) in
+    let enqueued = Array.make (Array.length blocks) (-1) in
+    List.iteri
+      (fun n slot ->
         let worklist = Queue.create () in
         List.iter
           (fun b -> Queue.push b worklist)
           (List.rev (Option.value ~default:[] (Hashtbl.find_opt def_blocks slot)));
-        let placed = Hashtbl.create 8 in
-        let enqueued = Hashtbl.create 8 in
         while not (Queue.is_empty worklist) do
           let b = Queue.pop worklist in
           List.iter
             (fun d ->
-              if not (Hashtbl.mem placed d) then begin
-                Hashtbl.add placed d ();
-                let blk = block_exn d in
+              if placed.(d) <> n then begin
+                placed.(d) <- n;
+                let blk = blocks.(d) in
                 let phi =
                   {
                     Ir.id = Ir.fresh_id f;
                     result = Some (Ir.fresh_reg ~hint:(slot ^ ".phi") f);
-                    rhs = Ir.Phi (List.map (fun p -> (p, Ir.Undef)) (preds_of d));
+                    rhs = Ir.Phi (List.map (fun p -> (p, Ir.Undef)) (Func_index.labels_of index index.preds.(d)));
                   }
                 in
                 blk.phis <- blk.phis @ [ phi ];
                 Hashtbl.replace phi_slot phi.id (d, slot);
-                if not (Hashtbl.mem enqueued d) then begin
-                  Hashtbl.add enqueued d ();
+                if enqueued.(d) <> n then begin
+                  enqueued.(d) <- n;
                   Queue.push d worklist
                 end
               end)
-            (Option.value ~default:[] (Hashtbl.find_opt df b))
+            df.(b)
         done)
       slots;
-    (* The slot of a φ this pass placed in block [label]. *)
-    let slot_of_phi label (i : Ir.instr) =
+    (* The slot of a φ this pass placed in block [k]. *)
+    let slot_of_phi k (i : Ir.instr) =
       match Hashtbl.find_opt phi_slot i.id with
-      | Some (l, slot) when String.equal l label -> Some slot
+      | Some (d, slot) when d = k -> Some slot
       | _ -> None
     in
     (* Renaming walk over the dominator tree. *)
@@ -145,13 +138,13 @@ let run (f : Ir.func) : bool =
       in
       go v 64
     in
-    let rec walk (label : string) (env : Ir.value SMap.t) : unit =
-      let blk = block_exn label in
+    let rec walk (k : int) (env : Ir.value SMap.t) : unit =
+      let blk = blocks.(k) in
       let env = ref env in
       (* φ-nodes of this block define new current values. *)
       List.iter
         (fun (i : Ir.instr) ->
-          match (slot_of_phi label i, i.result) with
+          match (slot_of_phi k i, i.result) with
           | Some slot, Some r -> env := SMap.add slot (Ir.Reg r) !env
           | _ -> ())
         blk.phis;
@@ -191,17 +184,15 @@ let run (f : Ir.func) : bool =
                     | Ir.Phi incoming ->
                         Ir.Phi
                           (List.map
-                             (fun (l, old) -> if String.equal l label then (l, v) else (l, old))
+                             (fun (l, old) -> if String.equal l blk.label then (l, v) else (l, old))
                              incoming)
                     | rhs -> rhs)
               | None -> ())
-            (block_exn s).phis)
-        (Ir.successors blk);
-      List.iter
-        (fun c -> walk c !env)
-        (Option.value ~default:[] (Hashtbl.find_opt children label))
+            blocks.(s).phis)
+        index.succs.(k);
+      List.iter (fun c -> walk c !env) children.(k)
     in
-    walk (Ir.entry f).label SMap.empty;
+    walk 0 SMap.empty;
     (* Rewrite every remaining use of replaced load results, counting the
        uses of every register and collecting the φs on the way. *)
     let uses : (Ir.reg, int ref) Hashtbl.t = Hashtbl.create 256 in

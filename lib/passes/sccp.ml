@@ -39,7 +39,7 @@ let run (m : Code_mapper.t) (_ : Analysis_manager.t) (f : Ir.func) : bool =
   let def_tbl = Ir.def_table f in
   (* The analysis and the constant rewrite (step 1 below) leave the block
      list alone; blocks go only in step 3, after the last lookup. *)
-  let blocks = Ir.block_table f in
+  let index = Func_index.make f in
   (* users table: reg → instructions reading it (plus terminator owners) *)
   let users : (Ir.reg, [ `I of Ir.instr | `T of Ir.block ] list) Hashtbl.t = Hashtbl.create 64 in
   let add_user r u =
@@ -56,7 +56,7 @@ let run (m : Code_mapper.t) (_ : Analysis_manager.t) (f : Ir.func) : bool =
     if not (Hashtbl.mem exec_edges (src, dst)) then begin
       Hashtbl.add exec_edges (src, dst) ();
       (* Re-evaluate φ-nodes of dst (new incoming became executable). *)
-      (match Hashtbl.find_opt blocks dst with
+      (match Func_index.find_block index dst with
       | Some db -> List.iter (fun i -> Queue.push i instr_work) db.phis
       | None -> ());
       if not (Hashtbl.mem exec_blocks dst) then begin
@@ -67,13 +67,12 @@ let run (m : Code_mapper.t) (_ : Analysis_manager.t) (f : Ir.func) : bool =
   in
   (* Uniform work-item queue wrapping instructions and terminators. *)
   let instr_queue : [ `Instr of Ir.instr * string | `Term of Ir.block ] Queue.t = Queue.create () in
-  let owner_block : (int, string) Hashtbl.t = Ir.block_of_instr f in
   let push_users r =
     List.iter
       (fun u ->
         match u with
         | `I j -> (
-            match Hashtbl.find_opt owner_block j.Ir.id with
+            match Func_index.owner_of index j.Ir.id with
             | Some bl -> Queue.push (`Instr (j, bl)) instr_queue
             | None -> ())
         | `T b -> Queue.push (`Term b) instr_queue)
@@ -152,7 +151,7 @@ let run (m : Code_mapper.t) (_ : Analysis_manager.t) (f : Ir.func) : bool =
     while not (Queue.is_empty block_work) do
       continue_ := true;
       let label = Queue.pop block_work in
-      let b = Hashtbl.find blocks label in
+      let b = Func_index.block_exn index label in
       List.iter (fun i -> eval_instr i label) (Ir.block_instrs b);
       eval_term b
     done;
@@ -166,7 +165,7 @@ let run (m : Code_mapper.t) (_ : Analysis_manager.t) (f : Ir.func) : bool =
     while not (Queue.is_empty instr_work) do
       continue_ := true;
       let i = Queue.pop instr_work in
-      match Hashtbl.find_opt owner_block i.Ir.id with
+      match Func_index.owner_of index i.Ir.id with
       | Some bl -> if Hashtbl.mem exec_blocks bl then eval_instr i bl
       | None -> ()
     done
@@ -177,11 +176,11 @@ let run (m : Code_mapper.t) (_ : Analysis_manager.t) (f : Ir.func) : bool =
     (fun r l ->
       match l with
       | Const n -> (
-          match Hashtbl.find_opt def_tbl r with
+          match Ir.Names.find_opt def_tbl r with
           | Some (d : Ir.def_site) when not (Ir.has_side_effects d.di.rhs) ->
               Code_mapper.replace_all_uses m f ~old_value:(Ir.Reg r) ~new_value:(Ir.Const n);
               Code_mapper.delete_instr m d.di;
-              let blk = Hashtbl.find blocks d.block in
+              let blk = Func_index.block_exn index d.block in
               blk.phis <- List.filter (fun (j : Ir.instr) -> j.id <> d.di.id) blk.phis;
               blk.body <- List.filter (fun (j : Ir.instr) -> j.id <> d.di.id) blk.body;
               changed := true

@@ -61,7 +61,7 @@ let run (m : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
                         | [ target ]
                           when (not (String.equal target b.label))
                                && Dom.strictly_dominates_block dom ~a:b.label ~b:target ->
-                            let tb = Hashtbl.find blocks target in
+                            let tb = Ir.Names.find blocks target in
                             b.body <- List.filter (fun (j : Ir.instr) -> j.id <> i.id) b.body;
                             tb.body <- i :: tb.body;
                             Code_mapper.sink_instr m i ~from_block:b.label ~to_block:target;

@@ -75,6 +75,17 @@ expect "bad --at -> 16"        16 "$CLI" osr-run bzip2 --at 999999
 # An unknown debug-study group is a usage error, like an unknown kernel.
 expect_code "debug-study unknown -> 124" 124 "$CLI" debug-study nosuch
 
+# Malformed IR given to `opt`: a parse error, a duplicate label and an SSA
+# violation each exit 19 with one line naming the file.
+IR=$(mktemp -d)
+trap 'rm -rf "$IR"' EXIT
+printf 'func @f(%%x) {\nentry:\n  %%y = bogus %%x\n  ret %%y\n}\n' > "$IR/parse.ir"
+printf 'func @f(%%x) {\nentry:\n  br a\na:\n  br a\na:\n  ret %%x\n}\n' > "$IR/dup.ir"
+printf 'func @f(%%x) {\nentry:\n  ret %%nope\n}\n' > "$IR/ssa.ir"
+expect "opt parse error -> 19"      19 "$CLI" opt "$IR/parse.ir"
+expect "opt duplicate label -> 19"  19 "$CLI" opt "$IR/dup.ir"
+expect "opt SSA violation -> 19"    19 "$CLI" opt "$IR/ssa.ir"
+
 # Aborted-but-recovered runs (misfire/suppress keep the source alive).
 expect "suppress recovers"      0 "$CLI" osr-run bzip2 --at "$AT" --inject suppress
 

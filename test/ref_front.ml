@@ -10,10 +10,17 @@
     sees the optional mapper it was written for), and [Mem2reg.run] takes
     no analysis manager (no caller passed one).  [apply] is copied too because it calls the verifier.
     [Suite_front] runs both versions side by side and asserts every
-    observable is byte-identical. *)
+    observable is byte-identical.
+
+    Since the dense [Func_index]: the copies read the frozen index,
+    dominator queries and definition table of {!Ref_miniir}
+    ([Func_index], [Dom] includes [Ref_miniir.Dom], [Lcssa] calls
+    [Ref_miniir.def_table]), not the library's; [Lcssa]'s dominance
+    queries on the loops it gets from the library's analysis manager call
+    [Miniir.Dom.dominates_block], the library tree those loops carry. *)
 
 module Ir = Miniir.Ir
-module Func_index = Miniir.Func_index
+module Func_index = Ref_miniir.Func_index
 module Loops = Miniir.Loops
 module Code_mapper = Passes.Code_mapper
 module Analysis_manager = Passes.Analysis_manager
@@ -24,7 +31,7 @@ module Pass_manager = Passes.Pass_manager
 (* ------------------------------------------------------------------ *)
 
 module Dom = struct
-  include Miniir.Dom
+  include Ref_miniir.Dom
 
 let compute ?(index : Func_index.t option) (f : Ir.func) : t =
   let index = match index with Some i -> i | None -> Func_index.make f in
@@ -260,7 +267,7 @@ let run (mapper : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool 
      stays valid for every dominance query below.  The def table only gains
      entries (each inserted φ defines a fresh register) and existing sites
      never move, so one table serves the whole pass. *)
-  let def_tbl = Ir.def_table f in
+  let def_tbl = Ref_miniir.def_table f in
   List.iter
     (fun (l : Loops.loop) ->
       let exits = exit_targets f l in
@@ -319,7 +326,7 @@ let run (mapper : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool 
                       | Some (d : Ir.def_site)
                         when List.for_all
                                (fun p ->
-                                 Dom.dominates_block loop_info.dom ~a:d.block ~b:p)
+                                 Miniir.Dom.dominates_block loop_info.dom ~a:d.block ~b:p)
                                loop_preds ->
                           (* All exit preds must come from the loop for the φ
                              to be well-formed with a single φ; otherwise skip. *)
@@ -350,7 +357,7 @@ let run (mapper : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool 
                             List.iter
                               (fun ((ub : Ir.block), (ui : Ir.instr)) ->
                                 if
-                                  Dom.dominates_block loop_info.dom ~a:exit_label
+                                  Miniir.Dom.dominates_block loop_info.dom ~a:exit_label
                                     ~b:ub.label
                                   && ui.id <> phi.id
                                 then begin

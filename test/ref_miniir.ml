@@ -1,17 +1,26 @@
 (** Test-only oracles for the MiniIR analyses, moved out of the library:
     the original [Set.Make(String)] liveness that the bitset
-    [Miniir.Liveness] replaced, the cross-check of a [Func_index] against
-    the linear [Ir] accessors it replaces, and the SSA verifier that the
-    one-walk [Miniir.Verifier] replaced.  [Suite_miniir] runs the first two
-    against the library on generated functions; [Suite_front] runs the
-    verifier against the library on mutated pipeline outputs.  The index's
+    [Miniir.Liveness] replaced; the definition table, [Func_index],
+    [Dom] and [Loops.compute] as they were before the dense [Func_index]
+    (label-keyed [Hashtbl]s, [Dom] numbering labels itself), with the
+    cross-check of that index against the linear [Ir] accessors it
+    replaced; and the SSA verifier that the one-walk [Miniir.Verifier]
+    replaced.  [Suite_miniir] runs the liveness against the library on
+    generated functions and the corpus, and compares every query of the
+    dense index with the frozen one; [Suite_front] runs the verifier
+    against the library on mutated pipeline outputs.  The frozen index's
     block ownership is the block of its [positions] table, so
-    [Func_index.check] compares owners through [positions].  [Verifier.verify]
-    is a verbatim copy of the code it replaced; it reads the library's
-    [Func_index] and [Dom.compute] and shares its [error] type. *)
+    [Func_index.check] compares owners through [positions].
+    [Verifier.verify] is a verbatim copy of the code it replaced and
+    shares the library's [error] type.
+
+    Edits since the copies were made: the frozen block and point analyses
+    were added, and [Func_index.check] and [Verifier.verify] now read
+    them (the frozen [def_table], [block_of_instr], [Func_index],
+    [Dom.compute], [Dom.instr_dominates]) instead of the library's;
+    [check] moved into the frozen [Func_index] module. *)
 
 module Ir = Miniir.Ir
-module Dom = Miniir.Dom
 
 (* ------------------------------------------------------------------ *)
 (* Liveness over string sets                                            *)
@@ -124,11 +133,125 @@ module Liveness = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Func_index consistency check                                         *)
+(* The block and point analyses before the dense Func_index             *)
 (* ------------------------------------------------------------------ *)
 
+(* The definition and owner tables, the index, the dominator tree and the
+   loop detection as they were while the index kept label-keyed [Hashtbl]s and
+   [Dom] numbered labels itself: verbatim copies, so the reference copies
+   in this directory stay independent of the code they are compared
+   against.  Edits: names qualified to compile outside their module,
+   [Dom.compute] calls the library's [Miniir.Dom.numbered] (the one CHK
+   fixpoint, unchanged), and [Loops] re-exports the library's [loop]
+   record and [in_loop] so loop lists compare directly. *)
+
+(** Map from register to its (unique, by SSA) defining instruction. *)
+let def_table (f : Ir.func) : (Ir.reg, Ir.def_site) Hashtbl.t =
+  let t = Hashtbl.create 64 in
+  List.iter
+    (fun (b : Ir.block) ->
+      List.iter
+        (fun (i : Ir.instr) -> match i.result with Some r -> Hashtbl.replace t r { Ir.di = i; block = b.label; in_phis = true } | None -> ())
+        b.phis;
+      List.iter
+        (fun (i : Ir.instr) -> match i.result with Some r -> Hashtbl.replace t r { Ir.di = i; block = b.label; in_phis = false } | None -> ())
+        b.body)
+    f.blocks;
+  t
+
+(** Map from instruction id to its block label. *)
+let block_of_instr (f : Ir.func) : (int, string) Hashtbl.t =
+  let t = Hashtbl.create 64 in
+  List.iter
+    (fun (b : Ir.block) ->
+      List.iter (fun (i : Ir.instr) -> Hashtbl.replace t i.id b.label) (Ir.block_instrs b);
+      Hashtbl.replace t b.term_id b.label)
+    f.blocks;
+  t
+
 module Func_index = struct
-  include Miniir.Func_index
+type t = {
+  func : Ir.func;
+  blocks : (string, Ir.block) Hashtbl.t;  (** label → block *)
+  positions : (int, string * int) Hashtbl.t;
+      (** instruction/terminator id → (block, index): φ-nodes share index 0,
+          the body starts at 1, the terminator sits after the body *)
+  preds : (string, string list) Hashtbl.t;  (** label → predecessor labels *)
+  succs : (string, string list) Hashtbl.t;  (** label → successor labels *)
+  param_set : (Ir.reg, unit) Hashtbl.t;
+  defs : (Ir.reg, Ir.def_site) Hashtbl.t;  (** register → unique SSA definition *)
+}
+
+let make (f : Ir.func) : t =
+  (* Pre-sized so no table grows while it is filled: ids come from
+     [f.next_id], and there is at most one definition per id.  A [Hashtbl]
+     resizes only past two bindings per bucket, so half the count is
+     enough. *)
+  let n_blocks = List.length f.blocks / 2 in
+  let n_ids = f.next_id / 2 in
+  let blocks = Hashtbl.create n_blocks in
+  let positions = Hashtbl.create n_ids in
+  let preds = Hashtbl.create n_blocks in
+  let succs = Hashtbl.create n_blocks in
+  let param_set = Hashtbl.create 8 in
+  let defs = Hashtbl.create n_ids in
+  List.iter (fun p -> Hashtbl.replace param_set p ()) f.params;
+  List.iter
+    (fun (b : Ir.block) ->
+      Hashtbl.replace blocks b.label b;
+      Hashtbl.replace preds b.label [])
+    f.blocks;
+  List.iter
+    (fun (b : Ir.block) ->
+      let record_instr ~in_phis ~pos (i : Ir.instr) =
+        Hashtbl.replace positions i.id (b.label, pos);
+        match i.result with
+        | Some r -> Hashtbl.replace defs r { Ir.di = i; block = b.label; in_phis }
+        | None -> ()
+      in
+      List.iter (record_instr ~in_phis:true ~pos:0) b.phis;
+      List.iteri (fun k i -> record_instr ~in_phis:false ~pos:(k + 1) i) b.body;
+      Hashtbl.replace positions b.term_id (b.label, List.length b.body + 1);
+      let ss = Ir.successors b in
+      Hashtbl.replace succs b.label ss;
+      List.iter
+        (fun s ->
+          match Hashtbl.find_opt preds s with
+          | Some ps -> Hashtbl.replace preds s (b.label :: ps)
+          | None -> ())
+        ss)
+    f.blocks;
+  (* Predecessors were consed on; put them back in block order. *)
+  Hashtbl.filter_map_inplace (fun _ ps -> Some (List.rev ps)) preds;
+  { func = f; blocks; positions; preds; succs; param_set; defs }
+
+(* ------------------------------------------------------------------ *)
+(* Queries (mirroring the linear Ir accessors)                          *)
+(* ------------------------------------------------------------------ *)
+
+let find_block (t : t) (label : string) : Ir.block option = Hashtbl.find_opt t.blocks label
+
+let block_exn (t : t) (label : string) : Ir.block =
+  match Hashtbl.find_opt t.blocks label with
+  | Some b -> b
+  | None ->
+      invalid_arg (Printf.sprintf "Func_index.block_exn: no block %S in @%s" label t.func.fname)
+
+let position_of (t : t) (id : int) : (string * int) option = Hashtbl.find_opt t.positions id
+
+(** Block label of an instruction or terminator id. *)
+let owner_of (t : t) (id : int) : string option = Option.map fst (position_of t id)
+
+(** Predecessor labels, in block order (matches {!Ir.predecessors}). *)
+let predecessors (t : t) (label : string) : string list =
+  Option.value ~default:[] (Hashtbl.find_opt t.preds label)
+
+let successors (t : t) (label : string) : string list =
+  Option.value ~default:[] (Hashtbl.find_opt t.succs label)
+
+let is_param (t : t) (r : Ir.reg) : bool = Hashtbl.mem t.param_set r
+
+let def_of (t : t) (r : Ir.reg) : Ir.def_site option = Hashtbl.find_opt t.defs r
 
   (** Verify the index agrees with the linear accessors it replaces.
       Returns an error description on the first mismatch. *)
@@ -151,7 +274,7 @@ module Func_index = struct
     | Error _ as e -> e
     | Ok () ->
         let ok = ref (Ok ()) in
-        let legacy_owner = Ir.block_of_instr f in
+        let legacy_owner = block_of_instr f in
         Hashtbl.iter
           (fun id (label, _) ->
             if !ok = Ok () && Hashtbl.find_opt legacy_owner id <> Some label then
@@ -159,7 +282,7 @@ module Func_index = struct
           t.positions;
         (match !ok with
         | Ok () ->
-            let legacy_defs = Ir.def_table f in
+            let legacy_defs = def_table f in
             Hashtbl.iter
               (fun r (d : Ir.def_site) ->
                 match Hashtbl.find_opt legacy_defs r with
@@ -168,6 +291,193 @@ module Func_index = struct
               t.defs
         | Error _ -> ());
         !ok
+end
+
+module Dom = struct
+type t = {
+  func : Ir.func;
+  order : string array;  (** reverse postorder, entry first *)
+  index : (string, int) Hashtbl.t;  (** label → rpo index *)
+  idom : int array;  (** rpo index → rpo index of immediate dominator; entry maps to itself *)
+  preds : (string, string list) Hashtbl.t;
+  tin : int array;
+  tout : int array;
+      (** Euler-tour interval of each node in the dominator tree:
+          [a] dominates [b] iff [tin.(a) <= tin.(b) && tout.(b) <= tout.(a)],
+          making every dominance test O(1) instead of an idom-chain walk. *)
+}
+
+let compute ?(index : Func_index.t option) (f : Ir.func) : t =
+  (* Number the labels: the entry's first, then every block label in block
+     order, then branch targets that name no block.  A label names its last
+     block, as a lookup by label finds it; a target naming no block is a
+     node without successors or predecessors. *)
+  let entry = (Ir.entry f).label in
+  let num = Hashtbl.create 16 and names = ref [] and count = ref 0 in
+  let number l =
+    match Hashtbl.find_opt num l with
+    | Some k -> k
+    | None ->
+        let k = !count in
+        Hashtbl.add num l k;
+        names := l :: !names;
+        incr count;
+        k
+  in
+  ignore (number entry : int);
+  List.iter (fun (b : Ir.block) -> ignore (number b.label : int)) f.blocks;
+  let n_labels = !count in
+  List.iter (fun b -> List.iter (fun s -> ignore (number s : int)) (Ir.successors b)) f.blocks;
+  let succs = Array.make !count [] and npreds = Array.make !count [] in
+  List.iter
+    (fun (b : Ir.block) ->
+      let k = number b.label and ss = List.map number (Ir.successors b) in
+      succs.(k) <- ss;
+      List.iter (fun s -> if s < n_labels then npreds.(s) <- k :: npreds.(s)) ss)
+    f.blocks;
+  let names = Array.of_list (List.rev !names) in
+  let preds =
+    match index with
+    | Some i -> i.Func_index.preds
+    | None ->
+        let preds = Hashtbl.create n_labels in
+        for k = n_labels - 1 downto 0 do
+          Hashtbl.replace preds names.(k) (List.map (fun p -> names.(p)) npreds.(k))
+        done;
+        preds
+  in
+  let g = Miniir.Dom.numbered ~succs ~preds:npreds in
+  let order = Array.map (fun v -> names.(v)) g.rpo_order in
+  let index = Hashtbl.create 16 in
+  Array.iteri (fun i l -> Hashtbl.replace index l i) order;
+  { func = f; order; index; idom = g.rpo_idom; preds; tin = g.rpo_tin; tout = g.rpo_tout }
+
+(** Is [label] reachable from the entry? *)
+let reachable (t : t) (label : string) : bool = Hashtbl.mem t.index label
+
+(** Immediate dominator label; [None] for the entry or unreachable blocks. *)
+let idom_of (t : t) (label : string) : string option =
+  match Hashtbl.find_opt t.index label with
+  | None -> None
+  | Some 0 -> None
+  | Some i -> if t.idom.(i) >= 0 then Some t.order.(t.idom.(i)) else None
+
+(** Does block [a] dominate block [b]?  Unreachable blocks dominate nothing
+    and are dominated by everything (vacuous). *)
+let dominates_block (t : t) ~(a : string) ~(b : string) : bool =
+  match (Hashtbl.find_opt t.index a, Hashtbl.find_opt t.index b) with
+  | Some ia, Some ib -> t.tin.(ia) <= t.tin.(ib) && t.tout.(ib) <= t.tout.(ia)
+  | None, _ -> false
+  | _, None -> true
+
+let strictly_dominates_block (t : t) ~(a : string) ~(b : string) : bool =
+  (not (String.equal a b)) && dominates_block t ~a ~b
+
+(** Dominance frontier per block label. *)
+let frontiers (t : t) : (string, string list) Hashtbl.t =
+  let df = Hashtbl.create 16 in
+  Array.iter (fun l -> Hashtbl.replace df l []) t.order;
+  Array.iter
+    (fun label ->
+      let ps =
+        List.filter (reachable t) (Option.value ~default:[] (Hashtbl.find_opt t.preds label))
+      in
+      if List.length ps >= 2 then
+        List.iter
+          (fun p ->
+            let idom_label = idom_of t label in
+            let rec runner r =
+              if Some r <> idom_label then begin
+                let cur = Option.value ~default:[] (Hashtbl.find_opt df r) in
+                if not (List.mem label cur) then Hashtbl.replace df r (label :: cur);
+                match idom_of t r with Some up -> runner up | None -> ()
+              end
+            in
+            runner p)
+          ps)
+    t.order;
+  df
+
+(* ------------------------------------------------------------------ *)
+(* Instruction-level dominance                                          *)
+(* ------------------------------------------------------------------ *)
+
+(** Does the definition at instruction [def_id] dominate the program point
+    just before instruction [use_id]?  φ-nodes are treated as defining at
+    the very top of their block (they dominate every body instruction of the
+    block); an instruction does not dominate itself.  [positions] is a
+    {!Func_index.t}'s [positions] table. *)
+let instr_dominates (t : t) (positions : (int, string * int) Hashtbl.t) ~(def_id : int)
+    ~(use_id : int) : bool =
+  match (Hashtbl.find_opt positions def_id, Hashtbl.find_opt positions use_id) with
+  | Some (db, di), Some (ub, ui) ->
+      if String.equal db ub then di < ui
+      else strictly_dominates_block t ~a:db ~b:ub
+  | _, _ -> false
+end
+
+module Loops = struct
+  type loop = Miniir.Loops.loop = {
+    header : string;
+    body : string list;  (** all blocks of the loop, header included *)
+    latches : string list;  (** sources of back edges into the header *)
+  }
+
+type t = { loops : loop list; dom : Dom.t }
+
+(** Detect all natural loops.  Back edge: [b → h] with [h] dominating [b].
+    Loops sharing a header are merged.  [dom] is recomputed when not
+    supplied (the analysis manager passes a cached one, and [index] to
+    build it from); the loop bodies follow [dom]'s predecessor lists. *)
+let compute ?(index : Func_index.t option) ?(dom : Dom.t option) (f : Ir.func) : t =
+  let dom = match dom with Some d -> d | None -> Dom.compute ?index f in
+  let back_edges =
+    List.concat_map
+      (fun (b : Ir.block) ->
+        List.filter_map
+          (fun s ->
+            if Dom.reachable dom b.label && Dom.dominates_block dom ~a:s ~b:b.label then
+              Some (b.label, s)
+            else None)
+          (Ir.successors b))
+      f.blocks
+  in
+  let by_header = Hashtbl.create 8 in
+  List.iter
+    (fun (latch, header) ->
+      let existing = Option.value ~default:[] (Hashtbl.find_opt by_header header) in
+      Hashtbl.replace by_header header (latch :: existing))
+    back_edges;
+  let loops =
+    Hashtbl.fold
+      (fun header latches acc ->
+        (* Loop body: header plus every block that reaches a latch without
+           passing through the header (standard natural-loop construction:
+           backward flood from the latches, stopping at the header). *)
+        let body = Hashtbl.create 8 in
+        Hashtbl.add body header ();
+        let rec flood label =
+          if not (Hashtbl.mem body label) then begin
+            Hashtbl.add body label ();
+            List.iter flood (Option.value ~default:[] (Hashtbl.find_opt dom.Dom.preds label))
+          end
+        in
+        List.iter flood latches;
+        {
+          header;
+          body = List.filter (Hashtbl.mem body) (List.map (fun (b : Ir.block) -> b.label) f.blocks);
+          latches;
+        }
+        :: acc)
+      by_header []
+  in
+  (* Sort outermost-first (larger bodies first) for LICM processing. *)
+  let loops =
+    List.sort (fun a b -> compare (List.length b.body) (List.length a.body)) loops
+  in
+  { loops; dom }
+
+let in_loop (l : loop) (label : string) = List.mem label l.body
 end
 
 (* ------------------------------------------------------------------ *)

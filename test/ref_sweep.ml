@@ -14,20 +14,21 @@
     registered under the group [ref.reconstruct] so both versions can count
     side by side, [make_side] derives [owner] from the index's [positions]
     (the index has no owner table of its own), [make_side] calls
-    [Liveness.compute f] without the [~index] argument the dense liveness
-    no longer takes (its [id_of], [bits_at], [Bits.mem], [is_live] and
-    [live_at] keep their contracts, so the copy reads the library's
-    liveness as before), and names are qualified to compile outside their
-    module.
+    [Liveness.compute] on the library's dense [Func_index] of [f] (the
+    liveness takes an index again; its [id_of], [bits_at], [Bits.mem],
+    [is_live] and [live_at] keep their contracts, so the copy reads the
+    library's liveness as before), the index, dominator tree and loops are
+    the frozen [Func_index], [Dom] and [Loops] of {!Ref_miniir}, and names
+    are qualified to compile outside their module.
     The plan, report and variant types are the library's, so results
     compare directly.  [Suite_sweep] runs both versions and asserts every
     observable is byte-identical. *)
 
 module Ir = Miniir.Ir
-module Dom = Miniir.Dom
-module Func_index = Miniir.Func_index
+module Dom = Ref_miniir.Dom
+module Func_index = Ref_miniir.Func_index
 module Liveness = Miniir.Liveness
-module Loops = Miniir.Loops
+module Loops = Ref_miniir.Loops
 module Interp = Tinyvm.Interp
 
 module Code_mapper = struct
@@ -89,7 +90,7 @@ let make_side (f : Ir.func) : side =
     index;
     dom;
     positions = index.Func_index.positions;
-    live = Liveness.compute f;
+    live = Liveness.compute (Miniir.Func_index.make f);
     defs = index.Func_index.defs;
     owner =
       Hashtbl.of_seq

@@ -331,7 +331,7 @@ let test_tracking_shapes () =
 let check_carriers_dominate ~(what : string) (fbase : Ir.func) ~(user_vars : string list) =
   let index = Miniir.Func_index.make fbase in
   let sv = SV.analyze index ~user_vars in
-  let dom = Miniir.Dom.compute ~index fbase and positions = index.Miniir.Func_index.positions in
+  let dom = Miniir.Dom.compute index in
   let def_id = Hashtbl.create 64 in
   List.iter
     (fun (i : Ir.instr) -> Option.iter (fun r -> Hashtbl.replace def_id r i.id) i.result)
@@ -344,7 +344,7 @@ let check_carriers_dominate ~(what : string) (fbase : Ir.func) ~(user_vars : str
             (fun (u, c) ->
               if
                 not
-                  (Miniir.Dom.instr_dominates dom positions ~def_id:(Hashtbl.find def_id c)
+                  (Miniir.Dom.instr_dominates dom ~def_id:(Hashtbl.find def_id c)
                      ~use_id:point)
               then Alcotest.failf "%s: carrier %s of %s does not dominate point %d" what c u point)
             (SV.tracked_at sv ~point))

@@ -427,7 +427,7 @@ let mutations : (string * (Ir.func -> bool)) list =
         | [] -> false );
     ( "unavailable phi incoming",
       fun f ->
-        let dom = Dom.compute f in
+        let dom = Dom.compute (Miniir.Func_index.make f) in
         first_some
           (fun (_, (i : Ir.instr), inc) ->
             first_some
@@ -641,17 +641,34 @@ let ids_in_range (f : Ir.func) =
       && List.for_all (fun (i : Ir.instr) -> i.id >= 0 && i.id < f.next_id) (Ir.block_instrs b))
     f.blocks
 
-let dom_to_string (f : Ir.func) (compute : Ir.func -> Dom.t) : string =
-  match compute f with
+(* The facts of a dominator tree the gate compares: the reverse postorder
+   as labels, idom, tin and tout by rpo index, and each block label's
+   predecessor labels, in block order. *)
+let dom_facts (f : Ir.func) ~order ~idom ~tin ~tout ~(preds : string -> string list) : string =
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  String.concat " | "
+    ([ String.concat "," (Array.to_list order); ints idom; ints tin; ints tout ]
+    @ List.map
+        (fun l -> l ^ "<-" ^ String.concat "," (preds l))
+        (List.sort_uniq String.compare (labels f)))
+
+let dom_to_string (f : Ir.func) : string =
+  match Dom.compute (Miniir.Func_index.make f) with
   | exception e -> Printexc.to_string e
   | d ->
-      let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
-      let preds =
-        Hashtbl.fold (fun l ps acc -> (l ^ "<-" ^ String.concat "," ps) :: acc) d.Dom.preds []
-      in
-      String.concat " | "
-        ([ String.concat "," (Array.to_list d.Dom.order); ints d.idom; ints d.tin; ints d.tout ]
-        @ List.sort compare preds)
+      dom_facts f
+        ~order:(Array.map (fun v -> d.index.labels.(v)) d.order)
+        ~idom:d.idom ~tin:d.tin ~tout:d.tout
+        ~preds:(Miniir.Func_index.predecessors d.index)
+
+(* The reference conses each predecessor list, so it holds the block order
+   reversed. *)
+let ref_dom_to_string (f : Ir.func) : string =
+  match R.dom_compute f with
+  | exception e -> Printexc.to_string e
+  | d ->
+      dom_facts f ~order:d.order ~idom:d.idom ~tin:d.tin ~tout:d.tout ~preds:(fun l ->
+          List.rev (Option.value ~default:[] (Hashtbl.find_opt d.preds l)))
 
 (* Every mutant's error list must equal the reference verifier's; the walk
    must accept exactly what the reference accepts, except a function with
@@ -668,7 +685,7 @@ let test_differential () =
       fail "verify:\n%s\nreference:\n%s" (errors_to_string got) (errors_to_string want);
     if V.accepts g <> (Result.is_ok want && ids_in_range g) then
       fail "walk says %b, reference %s" (V.accepts g) (errors_to_string want);
-    if dom_to_string g Dom.compute <> dom_to_string g R.dom_compute then fail "Dom.compute differs";
+    if dom_to_string g <> ref_dom_to_string g then fail "Dom.compute differs";
     Result.is_error want
   in
   List.iter (fun (what, f) -> ignore (check what f : bool)) inputs;

@@ -57,7 +57,11 @@ let test_parser_errors () =
   in
   expect_fail "func @f(%x) {\nentry:\n  %a = bogus %x, 1\n  ret %a\n}\n";
   expect_fail "func @f(%x) {\nentry:\n  %a = add ?, 1\n  ret %a\n}\n";
-  expect_fail "%a = add 1, 2\n"
+  expect_fail "%a = add 1, 2\n";
+  match Miniir.Ir_parser.parse_func "func @f(%x) {\nentry:\n  br a\na:\n  br a\na:\n  ret %x\n}\n" with
+  | _ -> Alcotest.fail "duplicate label parsed"
+  | exception Miniir.Ir_parser.Parse_error (_, line) ->
+      Alcotest.(check int) "duplicate label reported at its second line" 6 line
 
 let test_verifier_catches () =
   let bad_use () =
@@ -129,7 +133,7 @@ let test_verifier_phi_shape () =
 
 let test_dominance () =
   let f = sum_func () in
-  let dom = Dom.compute f in
+  let dom = Dom.compute (Miniir.Func_index.make f) in
   Alcotest.(check bool) "entry dominates exit" true
     (Dom.dominates_block dom ~a:"entry" ~b:"exit");
   Alcotest.(check bool) "head dominates body" true (Dom.dominates_block dom ~a:"head" ~b:"body");
@@ -151,21 +155,23 @@ let test_dominance_frontier () =
       \  ret %x\n\
        }\n"
   in
-  let df = Dom.frontiers (Dom.compute f) in
-  Alcotest.(check (list string)) "df(a)" [ "join" ] (Hashtbl.find df "a");
-  Alcotest.(check (list string)) "df(b)" [ "join" ] (Hashtbl.find df "b");
-  Alcotest.(check (list string)) "df(entry)" [] (Hashtbl.find df "entry")
+  let index = Miniir.Func_index.make f in
+  let df = Dom.frontiers (Dom.compute index) in
+  let df_of l = Miniir.Func_index.labels_of index df.(Miniir.Func_index.block_number index l) in
+  Alcotest.(check (list string)) "df(a)" [ "join" ] (df_of "a");
+  Alcotest.(check (list string)) "df(b)" [ "join" ] (df_of "b");
+  Alcotest.(check (list string)) "df(entry)" [] (df_of "entry")
 
 let test_liveness () =
   let f = sum_func () in
-  let lv = Liveness.compute f in
+  let lv = Liveness.compute (Miniir.Func_index.make f) in
   let def_tbl = Ir.def_table f in
-  let s2_def = (Hashtbl.find def_tbl "s2").Ir.di.id in
+  let s2_def = (Ir.Names.find def_tbl "s2").Ir.di.id in
   (* At s2's definition, i and s are live (both still read after). *)
   Alcotest.(check bool) "i live at s2 def" true (Liveness.is_live lv s2_def "i");
   Alcotest.(check bool) "s live at s2 def" true (Liveness.is_live lv s2_def "s");
   (* x is live inside the loop (read by the comparison each iteration). *)
-  let c_def = (Hashtbl.find def_tbl "t.0").Ir.di.id in
+  let c_def = (Ir.Names.find def_tbl "t.0").Ir.di.id in
   Alcotest.(check bool) "x live at cmp" true (Liveness.is_live lv c_def "x");
   (* After the exit branch, only s matters. *)
   let exit_term = (Ir.block_exn f "exit").term_id in
@@ -173,7 +179,7 @@ let test_liveness () =
 
 let test_loops () =
   let f = sum_func () in
-  let li = Loops.compute f in
+  let li = Loops.compute (Dom.compute (Miniir.Func_index.make f)) in
   match li.loops with
   | [ l ] ->
       Alcotest.(check string) "header" "head" l.header;
@@ -236,7 +242,7 @@ let test_machine_stepping () =
   let m = Interp.create f ~args:[ 3 ] in
   (* Step to the third arrival at the s2 definition. *)
   let def_tbl = Ir.def_table f in
-  let s2_def = (Hashtbl.find def_tbl "s2").Ir.di.id in
+  let s2_def = (Ir.Names.find def_tbl "s2").Ir.di.id in
   match Interp.run_to_point m ~point:s2_def ~skip:2 with
   | Some m ->
       Alcotest.(check (option int)) "i = 2 on third arrival" (Some 2)
@@ -287,7 +293,7 @@ let all_points (f : Ir.func) : int list =
 
 let all_regs (f : Ir.func) : string list =
   let def_tbl = Ir.def_table f in
-  f.params @ Hashtbl.fold (fun r _ acc -> r :: acc) def_tbl []
+  f.params @ Ir.Names.fold (fun r _ acc -> r :: acc) def_tbl []
 
 (* The first disagreement between [Liveness], in both register
    numberings, and the string-set reference on [f]: [live_at] (sorted) at
@@ -300,7 +306,7 @@ let liveness_disagreement (f : Ir.func) : string option =
   let absent = 1 + List.fold_left max 0 points in
   let regs = "nonexistent" :: all_regs f in
   let check (name_order : bool) =
-    let lv = Liveness.compute ~name_order f in
+    let lv = Liveness.compute ~name_order (Miniir.Func_index.make f) in
     let fail fmt = Printf.ksprintf (fun m -> Some (Printf.sprintf "name_order %b: %s" name_order m)) fmt in
     let at p =
       let got = Liveness.live_at lv p and want = Ref_miniir.Liveness.live_at oracle p in
@@ -377,13 +383,75 @@ let test_liveness_corpus () =
   Alcotest.(check bool) "at least 128 Spec_c functions" true (List.length sample >= 128);
   List.iter (fun (what, k) -> ignore (pair what k : Passes.Pass_manager.apply_result)) sample
 
+(* The first query on which the dense index disagrees with the frozen
+   [Hashtbl] index of {!Ref_miniir}: block lookup, predecessors and
+   successors of every label the function names (blocks, branch targets,
+   φ incomings and one it does not), the position and owner of every id
+   from -1 to two past the largest, and the definition table against the
+   frozen index's. *)
+let index_mismatch (f : Ir.func) : string option =
+  let module Old = Ref_miniir.Func_index in
+  let module New = Miniir.Func_index in
+  let o = Old.make f and n = New.make f in
+  let fail fmt = Printf.ksprintf Option.some fmt in
+  let labels =
+    "nonexistent"
+    :: List.concat_map
+         (fun (b : Ir.block) ->
+           (b.label :: Ir.successors b)
+           @ List.concat_map
+               (fun (i : Ir.instr) ->
+                 match i.rhs with Ir.Phi inc -> List.map fst inc | _ -> [])
+               b.phis)
+         f.blocks
+  in
+  let same_block a b =
+    match (a, b) with Some x, Some y -> x == y | None, None -> true | _ -> false
+  in
+  match
+    List.find_opt
+      (fun l ->
+        not
+          (same_block (Old.find_block o l) (New.find_block n l)
+          && Old.predecessors o l = New.predecessors n l
+          && Old.successors o l = New.successors n l))
+      labels
+  with
+  | Some l -> fail "label %s" l
+  | None -> (
+      let max_id = Hashtbl.fold (fun id _ m -> max id m) o.positions f.next_id in
+      let rec ids k =
+        if k > max_id + 2 then None
+        else if Old.position_of o k <> New.position_of n k || Old.owner_of o k <> New.owner_of n k
+        then fail "id #%d" k
+        else ids (k + 1)
+      in
+      match ids (-1) with
+      | Some _ as e -> e
+      | None ->
+          let defs = Ir.def_table f in
+          if Hashtbl.length o.defs <> Ir.Names.length defs then fail "definition count"
+          else
+            Hashtbl.fold
+              (fun r (d : Ir.def_site) acc ->
+                match (acc, Ir.Names.find_opt defs r) with
+                | Some _, _ -> acc
+                | None, Some d'
+                  when d'.di == d.di && String.equal d'.block d.block && d'.in_phis = d.in_phis ->
+                    None
+                | None, _ -> fail "definition of %%%s" r)
+              o.defs None)
+
 let prop_func_index_consistent =
   QCheck.Test.make ~count:150 ~name:"Func_index agrees with linear lookups"
     Gen_ir.arb_func (fun (f : Ir.func) ->
       let idx = Miniir.Func_index.make f in
-      (match Ref_miniir.Func_index.check idx with
+      (match Ref_miniir.Func_index.check (Ref_miniir.Func_index.make f) with
       | Ok () -> ()
       | Error msg -> QCheck.Test.fail_reportf "Func_index.check: %s" msg);
+      (match index_mismatch f with
+      | None -> ()
+      | Some msg -> QCheck.Test.fail_reportf "dense index differs: %s" msg);
       List.for_all
         (fun (b : Ir.block) ->
           (match (Miniir.Func_index.find_block idx b.label, Ir.find_block f b.label) with
@@ -399,8 +467,69 @@ let prop_func_index_consistent =
              match Miniir.Func_index.position_of idx p with
              | None -> false
              | Some (label, _) -> Miniir.Func_index.owner_of idx p = Some label)
-           (all_points f)
-      && List.for_all (fun r -> Miniir.Func_index.is_param idx r) f.params)
+           (all_points f))
+
+(* The dense index against the frozen one beyond generated functions: the
+   12 kernels' fbase and fopt and each kernel's first feasible forward
+   continuation, the Spec_c sample's fbase and fopt, 60 generated
+   functions raw, as fbase and as fopt, one mutant of every kind of the
+   front gate per pipeline output, and a function with an id above
+   [next_id]. *)
+let test_index_corpus () =
+  let inputs = ref [] in
+  let add what f = inputs := (what, f) :: !inputs in
+  let pipeline what fbase =
+    let r = Passes.Pass_manager.apply fbase in
+    add (what ^ " fbase") r.fbase;
+    add (what ^ " fopt") r.fopt;
+    r
+  in
+  List.iter
+    (fun (e : Corpus.Kernels.entry) ->
+      let r = pipeline e.benchmark (fst (Corpus.Dsl.to_fbase e.kernel)) in
+      let ctx =
+        Osrir.Osr_ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Osrir.Osr_ctx.Base_to_opt
+      in
+      List.find_map
+        (fun (rep : Osrir.Feasibility.point_report) ->
+          match (rep.landing, rep.avail_plan) with
+          | Some landing, Some plan -> Some (Osrir.Contfun.generate r.fopt ~landing plan).fto
+          | _ -> None)
+        (Osrir.Feasibility.analyze ctx).reports
+      |> Option.iter (add (e.benchmark ^ " fto")))
+    Corpus.Kernels.all;
+  List.iter
+    (fun (what, k) -> ignore (pipeline what (fst (Corpus.Dsl.to_fbase k)) : Passes.Pass_manager.apply_result))
+    (Suite_front.spec_c_sample ());
+  List.iteri
+    (fun n raw ->
+      let what = Printf.sprintf "generated #%d" n in
+      add (what ^ " raw") (Ir.clone_func raw);
+      ignore (pipeline what (Passes.Pass_manager.to_fbase raw) : Passes.Pass_manager.apply_result))
+    (QCheck.Gen.generate ~rand:(Random.State.make [| 17 |]) ~n:60 Gen_ir.gen_func);
+  let outputs = List.rev !inputs in
+  let rng = Random.State.make [| 19 |] in
+  List.iter
+    (fun (what, f) ->
+      List.iter
+        (fun (kind, mutate) ->
+          let g = Ir.clone_func f in
+          if mutate rng g then add (Printf.sprintf "%s, %s" what kind) g)
+        Suite_front.mutant_kinds)
+    outputs;
+  let g = Ir.clone_func (snd (List.hd outputs)) in
+  let b = Ir.entry g in
+  b.body <- { (List.hd b.body) with id = g.next_id + 3 } :: List.tl b.body;
+  add "id >= next_id" g;
+  let checked = ref 0 in
+  List.iter
+    (fun (what, f) ->
+      incr checked;
+      match index_mismatch f with
+      | None -> ()
+      | Some msg -> Alcotest.failf "%s (@%s): dense index differs: %s" what f.Ir.fname msg)
+    (List.rev !inputs);
+  Alcotest.(check bool) "over 2,000 functions checked" true (!checked > 2000)
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
@@ -417,6 +546,7 @@ let suite =
       t "liveness" test_liveness;
       t "liveness agrees with reference on the corpus" test_liveness_corpus;
       t "loop detection" test_loops;
+      t "dense Func_index agrees with the frozen index" test_index_corpus;
       t "interp memory" test_interp_memory;
       t "interp traps" test_interp_traps;
       t "interp events" test_interp_events;

@@ -58,7 +58,7 @@ let test_landing_points () =
       match Ctx.landing_point ctx p with
       | Some landing ->
           Alcotest.(check bool) "landing exists in fopt" true
-            (Ctx.is_point ctx.dst landing)
+            (Miniir.Func_index.is_point ctx.dst.index landing)
       | None -> ())
     points
 
@@ -163,7 +163,7 @@ let test_transition_mid_loop () =
   let r = optimize (example ()) in
   let ctx = Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Base_to_opt in
   let def_tbl = Ir.def_table r.fbase in
-  let acc2 = (Hashtbl.find def_tbl "acc2").Ir.di.id in
+  let acc2 = (Ir.Names.find def_tbl "acc2").Ir.di.id in
   match Ctx.landing_point ctx acc2 with
   | None -> Alcotest.fail "acc2 has no landing"
   | Some landing -> (
@@ -228,7 +228,7 @@ let test_gating_reconstruction () =
   let ctx = Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Base_to_opt in
   let def_tbl = Ir.def_table r.fbase in
   let cbr_id = (Ir.block_exn r.fbase "entry").term_id in
-  let r_id = (Hashtbl.find def_tbl "r").Ir.di.id in
+  let r_id = (Ir.Names.find def_tbl "r").Ir.di.id in
   (* Without gating: undef (the φ has two distinct incomings). *)
   let no_gate = { R.default_config with gating = false } in
   (match fst (R.for_point_both ~config:no_gate ctx ~src_point:cbr_id ~landing:r_id) with

@@ -254,7 +254,7 @@ let test_loop_canon_inserts_preheader () =
   let _ = run_pass ~mapper:m Passes.Loop_canon.run f in
   Verifier.verify_exn f;
   let index = Miniir.Func_index.make f in
-  let li = Miniir.Loops.compute ~index f in
+  let li = Miniir.Loops.compute (Miniir.Dom.compute index) in
   List.iter
     (fun l ->
       Alcotest.(check bool) "loop has preheader" true (Miniir.Loops.preheader index l <> None))
@@ -605,15 +605,15 @@ let prop_am_caches_fresh =
       List.iter
         (fun (p : P.pass) ->
           ignore (AM.dom am g : Dom.t);
-          let live_before = Liveness.compute g in
+          let live_before = Liveness.compute (Miniir.Func_index.make g) in
           let changed = p.run mapper am g in
           if changed then AM.invalidate ~preserved:p.preserves am;
           (match am.AM.dom with
-          | Some d when not (dom_equal g d (Dom.compute g)) ->
+          | Some d when not (dom_equal g d (Dom.compute (Miniir.Func_index.make g))) ->
               QCheck.Test.fail_reportf "stale dominators after %s@.%s" p.pname
                 (Ir.func_to_string g)
           | Some _ | None -> ());
-          if (not changed) && not (live_equal g live_before (Liveness.compute g)) then
+          if (not changed) && not (live_equal g live_before (Liveness.compute (Miniir.Func_index.make g))) then
             QCheck.Test.fail_reportf "%s reported no change but liveness moved@.%s" p.pname
               (Ir.func_to_string g))
         P.standard_pipeline;

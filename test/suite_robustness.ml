@@ -228,7 +228,7 @@ let test_abort_resumes_source_lockstep () =
   let src, target, rep, landing, plan =
     first_reached_point ~skip:1 (feasible_points r Ctx.Base_to_opt) ~args
   in
-  let regs = src.Ir.params @ List.of_seq (Hashtbl.to_seq_keys (Ir.def_table src)) in
+  let regs = src.Ir.params @ List.of_seq (Ir.Names.to_seq_keys (Ir.def_table src)) in
   let cont = Osrir.Contfun.generate target ~landing plan in
   let ma = Interp.create src ~args in
   let mb = Interp.create src ~args in
