@@ -1,4 +1,4 @@
-.PHONY: all build test fmt loc bench bench-smoke bench-check bench-layers bench-layers-diff perf-par fuzz clean
+.PHONY: all build test fmt loc observables bench bench-smoke bench-check bench-layers bench-layers-diff perf-par fuzz clean
 
 all: build
 
@@ -26,6 +26,29 @@ loc:
 	  END { for (g in n) if (g ~ /^lib\//) printf "%-16s %6d\n", g, n[g] | "sort"; close("sort"); \
 	    printf "%-16s %6d\n%-16s %6d\n%-16s %6d\n%-16s %6d\n", "lib total", lib, \
 	      "test/ref_*.ml", n["test/ref_*.ml"], "test (rest)", n["test (rest)"], "total", total }' {} +
+
+# Every CLI observable a refactor must keep byte-identical, one file each
+# under OUT: `osr-points --stats --remarks` forward and `--backward` and
+# `show --opt` on the 12 kernels, `debug-study` on the 12 study groups, and
+# the bench tables, figures and ablations.  A before/after check is
+# `make observables OUT=a` in the parent and `make observables OUT=b` in
+# the change, then `diff -r a b`.
+OUT ?= .observables
+KERNELS = bzip2 h264ref hmmer namd perlbench sjeng soplex bullet dcraw ffmpeg fhourstones vp8
+STUDY_GROUPS = bzip2 gcc gobmk h264ref hmmer lbm libquantum mcf milc perlbench sjeng sphinx3
+BENCH_MODES = table1 table2 table3 table4 table5 fig7 fig8 fig9 ablate
+observables:
+	@dune build bin/tinyvm_cli.exe bench/main.exe
+	@mkdir -p $(OUT)
+	@set -e; cli=_build/default/bin/tinyvm_cli.exe; \
+	for k in $(KERNELS); do \
+	  $$cli osr-points $$k --stats --remarks > $(OUT)/osr-points-fwd.$$k.txt; \
+	  $$cli osr-points $$k --backward --stats --remarks > $(OUT)/osr-points-bwd.$$k.txt; \
+	  $$cli show $$k --opt > $(OUT)/show-opt.$$k.txt; \
+	done; \
+	for g in $(STUDY_GROUPS); do $$cli debug-study $$g > $(OUT)/debug-study.$$g.txt; done; \
+	for m in $(BENCH_MODES); do _build/default/bench/main.exe $$m > $(OUT)/bench.$$m.txt; done
+	@echo "observables written to $(OUT)"
 
 # Every paper table/figure, the ablations and the perf-par scaling run.
 bench:

@@ -56,7 +56,7 @@ let analyze_function ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Passes.Code
   (* Breakpoint correspondence: fbase → fopt (where does the breakpoint
      land in optimized code), value recovery: fopt → fbase. *)
   let fwd, bwd = Ctx.make_pair ~fbase ~fopt ~mapper () in
-  let sv = Source_vars.analyze (Miniir.Func_index.make fbase) ~user_vars in
+  let sv = Source_vars.analyze fwd.src.index ~user_vars in
   let st = R.fresh_state bwd ~src_point:(-1) ~landing:(-1) in
   let points =
     List.filter_map

@@ -20,10 +20,11 @@
     the name → definition table for the few readers that need one.
 
     The index is a snapshot: it holds the block and instruction records of
-    the function at build time.  Passes that mutate instruction {e contents}
-    in place keep a valid index; passes that add/remove blocks or
-    instructions, or rewrite terminators, must rebuild (the analysis
-    manager's invalidation contract, see [Passes.Analysis_manager]). *)
+    the function at build time.  Mutating instruction {e contents} or
+    moving instructions between blocks in place keeps its block graph and
+    block lookups valid, but not its point arrays; adding or removing
+    blocks, or rewriting terminators, needs a new index.  Each pass builds
+    its own when its run starts. *)
 
 type t = {
   func : Ir.func;

@@ -88,14 +88,6 @@ module Names = Hashtbl.Make (struct
   let hash (s : string) = Hashtbl.hash s
 end)
 
-(** Label → block for every label, resolving to the first block like
-    {!find_block}: one scan for a pass that looks blocks up repeatedly
-    while the block list stays put. *)
-let block_table (f : func) : block Names.t =
-  let t = Names.create (List.length f.blocks) in
-  List.iter (fun b -> if not (Names.mem t b.label) then Names.add t b.label b) f.blocks;
-  t
-
 let successors_of_term : terminator -> string list = function
   | Br l -> [ l ]
   | Cbr (_, a, b) -> if String.equal a b then [ a ] else [ a; b ]

@@ -14,58 +14,53 @@ type t = { loops : loop list; dom : Dom.t }
     edge: [b → h] with [h] dominating [b].  Loops sharing a header are
     merged; a loop body is the header plus every block that reaches a latch
     without passing through the header (a backward flood over the index's
-    predecessors, stopping at the header). *)
+    predecessors, stopping at the header).  Loops come outermost-first
+    (larger bodies first), equal sizes in header block order. *)
 let compute (dom : Dom.t) : t =
   let index = dom.index in
   let blocks = index.blocks in
-  let back_edges = ref [] in
+  (* Latches by header block number (a header dominates its latches, so it
+     is a block), each list in reverse back-edge order. *)
+  let latches_of = Array.make (Array.length blocks) [] in
   Array.iteri
     (fun k (b : Ir.block) ->
       let rk = dom.rpo.(k) in
       if rk >= 0 then
         List.iter
           (fun s ->
-            if Dom.dominates_rpo dom dom.rpo.(s) rk then
-              back_edges := (b.label, index.labels.(s)) :: !back_edges)
+            if Dom.dominates_rpo dom dom.rpo.(s) rk then begin
+              let h = Func_index.block_number index index.labels.(s) in
+              latches_of.(h) <- b.label :: latches_of.(h)
+            end)
           index.succs.(k))
     blocks;
-  (* Keyed by label: the fold below visits the headers in the table's
-     bucket order, which ties in the size sort keep. *)
-  let by_header = Ir.Names.create 8 in
-  List.iter
-    (fun (latch, header) ->
-      let existing = Option.value ~default:[] (Ir.Names.find_opt by_header header) in
-      Ir.Names.replace by_header header (latch :: existing))
-    (List.rev !back_edges);
-  let loops =
-    Ir.Names.fold
-      (fun header latches acc ->
-        let body = Array.make (Array.length blocks) false in
-        let h = Func_index.block_number index header in
-        body.(h) <- true;
-        let rec flood k =
-          if not body.(k) then begin
-            body.(k) <- true;
-            List.iter flood index.preds.(k)
-          end
-        in
-        List.iter (fun l -> flood (Func_index.block_number index l)) latches;
-        {
-          header;
-          body =
-            List.rev
-              (Array.fold_left
-                 (fun acc (b : Ir.block) ->
-                   if body.(Func_index.block_number index b.label) then b.label :: acc else acc)
-                 [] blocks);
-          latches;
-        }
-        :: acc)
-      by_header []
+  let loop_at h latches =
+    let body = Array.make (Array.length blocks) false in
+    body.(h) <- true;
+    let rec flood k =
+      if not body.(k) then begin
+        body.(k) <- true;
+        List.iter flood index.preds.(k)
+      end
+    in
+    List.iter (fun l -> flood (Func_index.block_number index l)) latches;
+    {
+      header = blocks.(h).label;
+      body =
+        List.rev
+          (Array.fold_left
+             (fun acc (b : Ir.block) ->
+               if body.(Func_index.block_number index b.label) then b.label :: acc else acc)
+             [] blocks);
+      latches;
+    }
   in
-  (* Sort outermost-first (larger bodies first) for LICM processing. *)
+  let loops = ref [] in
+  for h = Array.length blocks - 1 downto 0 do
+    if latches_of.(h) <> [] then loops := loop_at h latches_of.(h) :: !loops
+  done;
   let loops =
-    List.sort (fun a b -> compare (List.length b.body) (List.length a.body)) loops
+    List.stable_sort (fun a b -> compare (List.length b.body) (List.length a.body)) !loops
   in
   { loops; dom }
 

@@ -15,10 +15,9 @@
     dominator tree of {!Dom.numbered}.  Only a function the walk rejects
     pays for the error list: {!explain} runs every check again over a
     {!Func_index}, its {!Dom.t} and {!Ir.def_table}, and reports each
-    violation.  The verifier
-    never takes analyses from a pass pipeline's cache: a pass that wrongly
-    declares itself CFG-preserving leaves stale dominators there, and
-    catching that pass is exactly the verifier's job. *)
+    violation.  The verifier reads no pass's analyses: a pass that rewires
+    edges but keeps using an index of the old graph can emit a broken
+    function, and catching that pass is exactly the verifier's job. *)
 
 type error = { where : string; what : string }
 

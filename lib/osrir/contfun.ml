@@ -39,12 +39,12 @@ let param_prefix = "osr$"
 
 (* Remove blocks unreachable from the entry. *)
 let drop_unreachable (f : Ir.func) : unit =
-  let blocks = Ir.block_table f in
-  let seen = Hashtbl.create (Ir.Names.length blocks) in
+  let index = Func_index.make f in
+  let seen = Hashtbl.create (Array.length index.blocks) in
   let rec dfs label =
     if not (Hashtbl.mem seen label) then begin
       Hashtbl.add seen label ();
-      match Ir.Names.find_opt blocks label with
+      match Func_index.find_block index label with
       | Some b -> List.iter dfs (Ir.successors b)
       | None -> ()
     end
@@ -214,7 +214,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
      the predecessor unconditionally (the new entry edge breaks dominance
      for the original definitions; the slot always carries the live value,
      and mem2reg re-promotion removes the loads that were unnecessary). *)
-  let blocks = Ir.block_table f in
+  let index = Func_index.make f in
   List.iter
     (fun (b : Ir.block) ->
       List.iter
@@ -227,7 +227,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
                      (fun (l, v) ->
                        match v with
                        | Ir.Reg r when is_demoted r -> (
-                           match Ir.Names.find_opt blocks l with
+                           match Func_index.find_block index l with
                            | Some pb ->
                                let tmp = Ir.fresh_reg ~hint:(r ^ ".e") f in
                                pb.body <-

@@ -9,11 +9,11 @@ open Import
 let stat_deleted =
   Telemetry.counter ~group:"adce" "deleted" ~desc:"dead instructions removed"
 
-let run (m : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
+let run (m : Code_mapper.t) (f : Ir.func) : bool =
   let tel = Code_mapper.telemetry m in
   let def_tbl = Ir.def_table f in
   (* Live marks by instruction id, over the index's point range. *)
-  let live = Array.make (Array.length (Analysis_manager.index am f).point_block) false in
+  let live = Array.make (Array.length (Func_index.make f).point_block) false in
   let worklist = Queue.create () in
   let mark_reg r =
     match Ir.Names.find_opt def_tbl r with

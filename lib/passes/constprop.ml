@@ -11,7 +11,7 @@ let stat_folded = Telemetry.counter ~group:"cp" "folded" ~desc:"constant instruc
 let stat_phi =
   Telemetry.counter ~group:"cp" "phi" ~desc:"single-value phi-nodes simplified"
 
-let run (m : Code_mapper.t) (_ : Analysis_manager.t) (f : Ir.func) : bool =
+let run (m : Code_mapper.t) (f : Ir.func) : bool =
   let tel = Code_mapper.telemetry m in
   let changed = ref false in
   let continue_ = ref true in

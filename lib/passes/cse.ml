@@ -43,19 +43,18 @@ let rhs_key (rhs : Ir.rhs) : string option =
 let stat_expr = Telemetry.counter ~group:"cse" "expr" ~desc:"redundant pure expressions eliminated"
 let stat_load = Telemetry.counter ~group:"cse" "load" ~desc:"redundant loads forwarded"
 
-let run (m : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
+let run (m : Code_mapper.t) (f : Ir.func) : bool =
   let tel = Code_mapper.telemetry m in
   let changed = ref false in
-  let dom = Analysis_manager.dom am f in
+  let dom = Dom.compute (Func_index.make f) in
   let children = Mem2reg.dom_children dom in
-  let blocks = Ir.block_table f in
   let avail : (string, Ir.value) Hashtbl.t = Hashtbl.create 64 in
   let avail_loads : (string, Ir.value * int) Hashtbl.t = Hashtbl.create 16 in
   (* address string → (value, generation) *)
   let generation = ref 0 in
   let rec walk (node : int) : unit =
-    let label = dom.index.labels.(node) in
-    let blk = Ir.Names.find blocks label in
+    let blk = dom.index.blocks.(node) in
+    let label = blk.label in
     (* Load facts are block-local; expression facts are scoped and undone
        on exit from this dominator subtree. *)
     Hashtbl.reset avail_loads;

@@ -39,14 +39,14 @@ let outside_uses (f : Ir.func) ~(in_loop : string -> bool) : (Ir.reg, user list)
   Hashtbl.filter_map_inplace (fun _ us -> Some (List.rev us)) uses;
   uses
 
-let run (m : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
+let run (m : Code_mapper.t) (f : Ir.func) : bool =
   let changed = ref false in
-  let loop_info = Analysis_manager.loops am f in
-  (* φ insertion never adds or removes blocks or edges, so [loop_info.dom]
-     and one index of the function serve every query below.  The def table
+  (* φ insertion never adds or removes blocks or edges, so one index, its
+     dominator tree and its loops serve every query below.  The def table
      is a snapshot: registers of the φs inserted here are not in it, so
      they never get an LCSSA φ of their own. *)
   let index = Func_index.make f in
+  let loop_info = Loops.compute (Dom.compute index) in
   let def_tbl = Ir.def_table f in
   List.iter
     (fun (l : Loops.loop) ->
@@ -98,7 +98,8 @@ let run (m : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
                             eb.phis <- eb.phis @ [ phi ];
                             (* The φ alone already mutates the function, even
                                if no outside use ends up rewritten below —
-                               report the change or cached analyses go stale. *)
+                               report the change, or the pass manager rolls
+                               back a pass that misreports. *)
                             changed := true;
                             Code_mapper.add_instr m phi ~block:exit_label;
                             (* Rewrite outside uses dominated by this exit.  A

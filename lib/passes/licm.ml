@@ -18,11 +18,13 @@ open Import
 let stat_hoisted =
   Telemetry.counter ~group:"licm" "hoisted" ~desc:"loop-invariant instructions moved to preheaders"
 
-let run (m : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
+let run (m : Code_mapper.t) (f : Ir.func) : bool =
   let tel = Code_mapper.telemetry m in
   let changed = ref false in
-  let loop_info = Analysis_manager.loops am f in
-  let index = Analysis_manager.index am f in
+  (* Hoisting moves instructions but never touches blocks or edges, so one
+     index, its dominator tree and its loops serve every loop below. *)
+  let index = Func_index.make f in
+  let loop_info = Loops.compute (Dom.compute index) in
   List.iter
     (fun (l : Loops.loop) ->
       match Loops.preheader index l with

@@ -9,7 +9,7 @@ open Import
     Table 2's discussion).  OSR-aware: inserted φ-nodes are recorded as
     [add] actions. *)
 
-let run (m : Code_mapper.t) (_ : Analysis_manager.t) (f : Ir.func) : bool =
+let run (m : Code_mapper.t) (f : Ir.func) : bool =
   let changed = ref false in
   let continue_ = ref true in
   while !continue_ do

@@ -6,37 +6,25 @@ open Import
     primitive action, verify SSA after each pass, and hand back everything
     the OSR layer needs.
 
-    Analyses (dominators, loops, the function index) are owned
-    by an {!Analysis_manager.t} shared across the pipeline: each pass
-    declares which analyses it preserves {e when it changes the function},
-    and the manager invalidates the rest; a pass that reports no change
-    preserves everything. *)
+    A pass that reads analyses (dominators, loops) builds them from one
+    {!Func_index} of the function when its run starts; nothing is cached
+    across passes. *)
 
 type pass = {
   pname : string;
-  run : Code_mapper.t -> Analysis_manager.t -> Ir.func -> bool;
+  run : Code_mapper.t -> Ir.func -> bool;
       (** transform the function in place, recording every primitive
           action in the mapper; [true] iff the function changed *)
-  preserves : Analysis_manager.analysis list;
-      (** analyses still valid after this pass changed the function *)
 }
 
-let constprop : pass =
-  { pname = "CP"; run = Constprop.run; preserves = Analysis_manager.cfg_preserving }
-
-(* SCCP folds branches and deletes unreachable blocks: nothing survives. *)
-let sccp : pass = { pname = "SCCP"; run = Sccp.run; preserves = [] }
-let cse : pass = { pname = "CSE"; run = Cse.run; preserves = Analysis_manager.cfg_preserving }
-let adce : pass = { pname = "ADCE"; run = Adce.run; preserves = Analysis_manager.cfg_preserving }
-
-(* LoopCanon inserts preheader blocks and rewires edges: nothing survives. *)
-let loop_canon : pass = { pname = "LC"; run = Loop_canon.run; preserves = [] }
-
-let lcssa : pass =
-  { pname = "LCSSA"; run = Lcssa.run; preserves = Analysis_manager.cfg_preserving }
-
-let licm : pass = { pname = "LICM"; run = Licm.run; preserves = Analysis_manager.cfg_preserving }
-let sink : pass = { pname = "Sink"; run = Sink.run; preserves = Analysis_manager.cfg_preserving }
+let constprop : pass = { pname = "CP"; run = Constprop.run }
+let sccp : pass = { pname = "SCCP"; run = Sccp.run }
+let cse : pass = { pname = "CSE"; run = Cse.run }
+let adce : pass = { pname = "ADCE"; run = Adce.run }
+let loop_canon : pass = { pname = "LC"; run = Loop_canon.run }
+let lcssa : pass = { pname = "LCSSA"; run = Lcssa.run }
+let licm : pass = { pname = "LICM"; run = Licm.run }
+let sink : pass = { pname = "Sink"; run = Sink.run }
 
 (** The optimization pipeline of Section 5.4 (ADCE, CP, CSE, LICM, SCCP,
     Sink, plus the LC and LCSSA utility passes LICM requires). *)
@@ -76,13 +64,11 @@ let restore_func (dst : Ir.func) ~(from_ : Ir.func) : unit =
     earlier verification in this call accepted it: the change flag is
     never trusted, the comparison is.  With a live [telemetry] sink each
     pass runs under a span named after it (the [-time-passes] rows), the
-    verifier under ["verify"], and the mapper/analysis-manager statistics
-    accumulate. *)
+    verifier under ["verify"], and the mapper statistics accumulate. *)
 let apply ?(pipeline = standard_pipeline) ?(telemetry = Telemetry.null) (f : Ir.func) :
     apply_result =
   let fopt = Ir.clone_func f in
   let mapper = Code_mapper.create ~telemetry () in
-  let am = Analysis_manager.create ~telemetry () in
   let per_pass = ref [] in
   (* Has a verification in this call accepted [fopt] as it is now? *)
   let verified = ref false in
@@ -90,14 +76,11 @@ let apply ?(pipeline = standard_pipeline) ?(telemetry = Telemetry.null) (f : Ir.
     (fun (p : pass) ->
       let pre_ir = Ir.clone_func fopt and pre_mapper = Code_mapper.snapshot mapper in
       let changed =
-        Telemetry.with_span telemetry ~cat:"pass" p.pname (fun () -> p.run mapper am fopt)
+        Telemetry.with_span telemetry ~cat:"pass" p.pname (fun () -> p.run mapper fopt)
       in
-      if changed then Analysis_manager.invalidate ~preserved:p.preserves am;
       let roll_back reason =
         restore_func fopt ~from_:pre_ir;
         Code_mapper.restore mapper pre_mapper;
-        (* The restored IR matches no cached analysis of the discarded one. *)
-        Analysis_manager.invalidate ~preserved:[] am;
         Telemetry.bump telemetry stat_rolled_back;
         Telemetry.remark telemetry ~pass:p.pname ~func:fopt.Ir.fname (fun () ->
             "pass rolled back: " ^ reason)

@@ -20,7 +20,7 @@ let meet (a : lattice) (b : lattice) : lattice =
   | Const x, Const y -> if x = y then Const x else Bottom
   | Bottom, _ | _, Bottom -> Bottom
 
-let run (m : Code_mapper.t) (_ : Analysis_manager.t) (f : Ir.func) : bool =
+let run (m : Code_mapper.t) (f : Ir.func) : bool =
   let changed = ref false in
   let state : (Ir.reg, lattice) Hashtbl.t = Hashtbl.create 64 in
   let get_state r =

@@ -20,12 +20,12 @@ let sinkable_rhs (rhs : Ir.rhs) : bool =
   | Ir.Call (name, _) -> Ir.is_pure_call name
   | Ir.Load _ | Ir.Store _ | Ir.Alloca _ | Ir.Phi _ -> false
 
-let run (m : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
+let run (m : Code_mapper.t) (f : Ir.func) : bool =
   let changed = ref false in
   (* Sinking moves instructions but never touches blocks or edges, so one
-     dominator tree and one block table serve every fixpoint iteration. *)
-  let dom = Analysis_manager.dom am f in
-  let blocks = Ir.block_table f in
+     index and its dominator tree serve every fixpoint iteration. *)
+  let index = Func_index.make f in
+  let dom = Dom.compute index in
   let continue_ = ref true in
   while !continue_ do
     continue_ := false;
@@ -61,7 +61,7 @@ let run (m : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
                         | [ target ]
                           when (not (String.equal target b.label))
                                && Dom.strictly_dominates_block dom ~a:b.label ~b:target ->
-                            let tb = Ir.Names.find blocks target in
+                            let tb = Func_index.block_exn index target in
                             b.body <- List.filter (fun (j : Ir.instr) -> j.id <> i.id) b.body;
                             tb.body <- i :: tb.body;
                             Code_mapper.sink_instr m i ~from_block:b.label ~to_block:target;

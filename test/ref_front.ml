@@ -6,24 +6,28 @@
     point at the copies here instead ([exit_targets], [dom_compute],
     [Verifier], [pm_to_fbase]), names qualified to compile outside
     their module, and the pass calling convention: [Lcssa.run] takes the
-    mapper and the analysis manager as required arguments (the body still
-    sees the optional mapper it was written for), and [Mem2reg.run] takes
-    no analysis manager (no caller passed one).  [apply] is copied too because it calls the verifier.
-    [Suite_front] runs both versions side by side and asserts every
-    observable is byte-identical.
+    mapper as a required argument (the body still sees the optional mapper
+    it was written for).  [apply] is copied too because it calls the
+    verifier.  [Suite_front] runs both versions side by side and asserts
+    every observable is byte-identical.
 
     Since the dense [Func_index]: the copies read the frozen index,
     dominator queries and definition table of {!Ref_miniir}
     ([Func_index], [Dom] includes [Ref_miniir.Dom], [Lcssa] calls
     [Ref_miniir.def_table]), not the library's; [Lcssa]'s dominance
-    queries on the loops it gets from the library's analysis manager call
-    [Miniir.Dom.dominates_block], the library tree those loops carry. *)
+    queries on its loops call [Miniir.Dom.dominates_block], the library
+    tree those loops carry.
+
+    Since the pass layer lost its analysis manager: [apply] runs without
+    one (its creation and invalidation calls are gone, and the change flag
+    they read is bound to [_changed]), and [Lcssa.run] computes its loops
+    as [Loops.compute (Dom.compute (Func_index.make f))] over the
+    library's modules instead of asking the manager for them. *)
 
 module Ir = Miniir.Ir
 module Func_index = Ref_miniir.Func_index
 module Loops = Miniir.Loops
 module Code_mapper = Passes.Code_mapper
-module Analysis_manager = Passes.Analysis_manager
 module Pass_manager = Passes.Pass_manager
 
 (* ------------------------------------------------------------------ *)
@@ -259,10 +263,10 @@ let exit_targets (f : Ir.func) (l : Loops.loop) : string list =
          | None -> [])
        l.body)
 
-let run (mapper : Code_mapper.t) (am : Analysis_manager.t) (f : Ir.func) : bool =
+let run (mapper : Code_mapper.t) (f : Ir.func) : bool =
   let mapper = Some mapper in
   let changed = ref false in
-  let loop_info = Analysis_manager.loops am f in
+  let loop_info = Loops.compute (Miniir.Dom.compute (Miniir.Func_index.make f)) in
   (* φ insertion never adds or removes blocks or edges, so [loop_info.dom]
      stays valid for every dominance query below.  The def table only gains
      entries (each inserted φ defines a fresh register) and existing sites
@@ -633,24 +637,21 @@ type apply_result = Pass_manager.apply_result = {
 
 type pass = Pass_manager.pass = {
   pname : string;
-  run : Code_mapper.t -> Analysis_manager.t -> Ir.func -> bool;
-  preserves : Analysis_manager.analysis list;
+  run : Code_mapper.t -> Ir.func -> bool;
 }
 
 let apply ?(pipeline = standard_pipeline) ?(telemetry = Telemetry.null) (f : Ir.func) :
     apply_result =
   let fopt = Ir.clone_func f in
   let mapper = Code_mapper.create ~telemetry () in
-  let am = Analysis_manager.create ~telemetry () in
   let per_pass = ref [] in
   List.iter
     (fun (p : pass) ->
       let before = Code_mapper.counts mapper in
       let pre_ir = Ir.clone_func fopt and pre_mapper = Code_mapper.snapshot mapper in
-      let changed =
-        Telemetry.with_span telemetry ~cat:"pass" p.pname (fun () -> p.run mapper am fopt)
+      let _changed : bool =
+        Telemetry.with_span telemetry ~cat:"pass" p.pname (fun () -> p.run mapper fopt)
       in
-      if changed then Analysis_manager.invalidate ~preserved:p.preserves am;
       (match
          Telemetry.with_span telemetry ~cat:"verify" "verify" (fun () -> Verifier.verify fopt)
        with
@@ -659,8 +660,6 @@ let apply ?(pipeline = standard_pipeline) ?(telemetry = Telemetry.null) (f : Ir.
           let details = Fmt.str "%a" (Fmt.list ~sep:Fmt.cut Verifier.pp_error) es in
           restore_func fopt ~from_:pre_ir;
           Code_mapper.restore mapper pre_mapper;
-          (* The restored IR matches no cached analysis of the broken one. *)
-          Analysis_manager.invalidate ~preserved:[] am;
           Telemetry.bump telemetry stat_rolled_back;
           Telemetry.remark telemetry ~pass:p.pname ~func:fopt.Ir.fname (fun () ->
               "pass rolled back: post-pass verification failed: " ^ details));

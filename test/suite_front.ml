@@ -3,8 +3,8 @@
     (LCSSA and the post-pass verifier) against the copies of the code they
     replaced, kept in {!Ref_front}.  Every observable must be byte-identical:
     the printed [fbase] and [fopt], the source points, the CodeMapper action
-    list, the per-pass counts, the remarks, every counter (including the
-    analysis manager's [am.*] hit/miss rows) and the span counts.  The one
+    list, the per-pass counts, the remarks, every counter and the span
+    counts.  The one
     expected difference is the [verify] count: the pass manager skips the
     verifier after a pass that left the function unchanged, and the test
     counts those skips itself (see [new_apply]).
@@ -109,9 +109,9 @@ let new_apply ~telemetry f =
   let verified = ref false in
   let state (g : Ir.func) = Printf.sprintf "%s%d %d" (Ir.func_to_string g) g.next_id g.next_reg in
   let wrap (p : P.pass) =
-    let run m am g =
+    let run m g =
       let before = state g in
-      let changed = p.run m am g in
+      let changed = p.run m g in
       let same = (not changed) && String.equal (state g) before in
       if same && !verified then incr verify_skips
       else if changed || same then
@@ -172,8 +172,7 @@ let test_spec_c () =
   List.iter (fun (what, k) -> check_kernel ~what k) sample
 
 (* Generated alloca-form functions: mem2reg, the verifier, the pipeline,
-   and LCSSA run standalone (a fresh mapper and analysis manager), old
-   against new. *)
+   and LCSSA run standalone (a fresh mapper), old against new. *)
 let prop_generated_identical =
   QCheck.Test.make ~count:150 ~name:"front half identical on generated functions"
     Gen_ir.arb_func (fun (raw : Ir.func) ->

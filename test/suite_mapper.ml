@@ -43,10 +43,10 @@ let shadow_apply ?(pipeline = P.standard_pipeline) (f : Ir.func) : P.apply_resul
     {
       p with
       run =
-        (fun m am g ->
+        (fun m g ->
           settle g;
           let snap = Ref_mapper.snapshot refm and before = CM.snapshot m in
-          let changed = p.run m am g in
+          let changed = p.run m g in
           List.iter (Ref_mapper.record_action refm) (actions_since m before);
           last := Some (snap, g.Ir.blocks);
           changed);

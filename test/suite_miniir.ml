@@ -189,6 +189,30 @@ let test_loops () =
       Alcotest.(check (option string)) "preheader" (Some "entry") (Loops.preheader index l)
   | ls -> Alcotest.failf "expected 1 loop, got %d" (List.length ls)
 
+(* Two sibling self-loops of one block each: equal sizes keep header block
+   order, whatever the labels hash to. *)
+let test_loops_sibling_order () =
+  let f =
+    Miniir.Ir_parser.parse_func
+      "func @f(%x) {\n\
+       entry:\n\
+      \  br h0\n\
+       h0:\n\
+      \  %c0 = icmp slt %x, 1\n\
+      \  cbr %c0, h0, h1\n\
+       h1:\n\
+      \  br h2\n\
+       h2:\n\
+      \  %c2 = icmp slt %x, 2\n\
+      \  cbr %c2, h2, exit\n\
+       exit:\n\
+      \  ret 0\n\
+       }\n"
+  in
+  let li = Loops.compute (Dom.compute (Miniir.Func_index.make f)) in
+  Alcotest.(check (list string)) "headers in block order" [ "h0"; "h2" ]
+    (List.map (fun (l : Loops.loop) -> l.header) li.loops)
+
 let test_interp_memory () =
   let f =
     Miniir.Ir_parser.parse_func
@@ -546,6 +570,7 @@ let suite =
       t "liveness" test_liveness;
       t "liveness agrees with reference on the corpus" test_liveness_corpus;
       t "loop detection" test_loops;
+      t "sibling loops in header block order" test_loops_sibling_order;
       t "dense Func_index agrees with the frozen index" test_index_corpus;
       t "interp memory" test_interp_memory;
       t "interp traps" test_interp_traps;

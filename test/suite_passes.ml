@@ -7,14 +7,12 @@ module Verifier = Miniir.Verifier
 module Interp = Tinyvm.Interp
 module P = Passes.Pass_manager
 module CM = Passes.Code_mapper
-module AM = Passes.Analysis_manager
 
 let parse = Miniir.Ir_parser.parse_func
 
-(* Run one pass on its own: a fresh analysis manager, and a fresh mapper
-   unless the caller inspects it. *)
-let run_pass ?(mapper = CM.create ()) (run : CM.t -> AM.t -> Ir.func -> bool) f : bool =
-  run mapper (AM.create ()) f
+(* Run one pass on its own, with a fresh mapper unless the caller inspects
+   it. *)
+let run_pass ?(mapper = CM.create ()) (run : CM.t -> Ir.func -> bool) f : bool = run mapper f
 
 let run_int f args =
   match Interp.run f ~args with
@@ -569,17 +567,9 @@ let prop_pipeline =
             (Interp.run ~fuel:1_000_000 r.fopt ~args))
         (args :: Gen_ir.sample_args))
 
-(* ---------------- analysis-manager invalidation differential ------- *)
+(* ---------------- "no change" reports against liveness ------------- *)
 
-module Dom = Miniir.Dom
 module Liveness = Miniir.Liveness
-
-let dom_equal (f : Ir.func) (a : Dom.t) (b : Dom.t) : bool =
-  List.for_all
-    (fun (blk : Ir.block) ->
-      Dom.reachable a blk.label = Dom.reachable b blk.label
-      && Dom.idom_of a blk.label = Dom.idom_of b blk.label)
-    f.blocks
 
 let live_equal (f : Ir.func) (a : Liveness.t) (b : Liveness.t) : bool =
   List.for_all
@@ -590,29 +580,18 @@ let live_equal (f : Ir.func) (a : Liveness.t) (b : Liveness.t) : bool =
        (fun (i : Ir.instr) -> Liveness.live_at a i.id = Liveness.live_at b i.id)
        (Ir.all_instrs f)
 
-(* Populate the caches before each pass, then run the pass and the same
-   invalidation the pass manager performs: a dominator tree still cached
-   afterwards must agree with a fresh computation (the [preserves]
-   declarations are honest), and a pass that reports "no change" must
+(* Run the pipeline pass by pass: a pass that reports "no change" must
    leave liveness, computed directly before and after it, unchanged. *)
-let prop_am_caches_fresh =
-  QCheck.Test.make ~count:40 ~name:"cached dom/liveness stay equal to fresh computation"
+let prop_unchanged_keeps_liveness =
+  QCheck.Test.make ~count:40 ~name:"no-change passes leave liveness equal"
     Gen_ir.arb_func (fun f0 ->
       let f = P.to_fbase f0 in
       let g = Ir.clone_func f in
       let mapper = CM.create () in
-      let am = AM.create () in
       List.iter
         (fun (p : P.pass) ->
-          ignore (AM.dom am g : Dom.t);
           let live_before = Liveness.compute (Miniir.Func_index.make g) in
-          let changed = p.run mapper am g in
-          if changed then AM.invalidate ~preserved:p.preserves am;
-          (match am.AM.dom with
-          | Some d when not (dom_equal g d (Dom.compute (Miniir.Func_index.make g))) ->
-              QCheck.Test.fail_reportf "stale dominators after %s@.%s" p.pname
-                (Ir.func_to_string g)
-          | Some _ | None -> ());
+          let changed = p.run mapper g in
           if (not changed) && not (live_equal g live_before (Liveness.compute (Miniir.Func_index.make g))) then
             QCheck.Test.fail_reportf "%s reported no change but liveness moved@.%s" p.pname
               (Ir.func_to_string g))
@@ -672,5 +651,5 @@ let suite =
       q prop_licm;
       q prop_pipeline;
       q prop_pipeline_idempotent_ids;
-      q prop_am_caches_fresh;
+      q prop_unchanged_keeps_liveness;
     ] )

@@ -425,12 +425,11 @@ let corrupt_pass : P.pass =
   {
     P.pname = "corrupt";
     run =
-      (fun m _ f ->
+      (fun m f ->
         (* Record a bogus action too — rollback must erase it. *)
         Passes.Code_mapper.(record m (Delete { id = 424242 }));
         (Ir.entry f).Ir.term <- Ir.Br "$nowhere";
         true);
-    preserves = [];
   }
 
 let test_sandboxed_pipeline () =
@@ -481,13 +480,12 @@ let misreporting_pass : P.pass =
   {
     P.pname = "misreport";
     run =
-      (fun _ _ f ->
+      (fun _ f ->
         let e = Ir.entry f in
         e.Ir.body <-
           e.Ir.body
           @ [ { Ir.id = Ir.fresh_id f; result = Some (Ir.fresh_reg f); rhs = Ir.Binop (Ir.Add, Ir.Const 1, Ir.Const 2) } ];
         false);
-    preserves = [];
   }
 
 let test_misreport_rolled_back () =
@@ -508,7 +506,7 @@ let test_misreport_rolled_back () =
 (* A pass that changes nothing and says so is verified only while no
    verification in the call has accepted the function yet. *)
 let test_unchanged_skips_verify () =
-  let silent : P.pass = { P.pname = "silent"; run = (fun _ _ _ -> false); preserves = [] } in
+  let silent : P.pass = { P.pname = "silent"; run = (fun _ _ -> false) } in
   let entry = Option.get (Corpus.Kernels.find "bzip2") in
   let fbase, _ = Corpus.Dsl.to_fbase entry.kernel in
   let sink = Telemetry.create () in

@@ -198,7 +198,7 @@ let test_pipeline_populates_counters () =
   List.iter
     (fun g ->
       Alcotest.(check bool) ("group " ^ g ^ " populated") true (List.mem g groups))
-    [ "mapper"; "am"; "reconstruct"; "interp" ];
+    [ "mapper"; "reconstruct"; "interp" ];
   T.reset_counters ()
 
 let suite =
