@@ -12,8 +12,8 @@ let stat_deleted =
 let run (m : Code_mapper.t) (f : Ir.func) : bool =
   let tel = Code_mapper.telemetry m in
   let def_tbl = Ir.def_table f in
-  (* Live marks by instruction id, over the index's point range. *)
-  let live = Array.make (Array.length (Func_index.make f).point_block) false in
+  (* Live marks by id: a pass gets verified functions only, whose ids are below [next_id]. *)
+  let live = Array.make f.next_id false in
   let worklist = Queue.create () in
   let mark_reg r =
     match Ir.Names.find_opt def_tbl r with

@@ -53,7 +53,9 @@ let restore_func (dst : Ir.func) ~(from_ : Ir.func) : unit =
   dst.Ir.next_reg <- from_.Ir.next_reg
 
 (** Clone [f] and optimize the clone with [pipeline], recording actions.
-    Each pass runs transactionally: a pass whose output fails the SSA
+    [f] must pass the verifier, so every pass gets a function whose ids
+    are in [\[0, next_id)] (ADCE sizes its marks by [next_id]).  Each
+    pass runs transactionally: a pass whose output fails the SSA
     verifier, or that reports no change but changed the function, is
     rolled back — the function {e and} the mapper history return to their
     pre-pass state, a remark names the reason, [pass.rolled_back] is

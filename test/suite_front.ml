@@ -669,9 +669,9 @@ let ref_dom_to_string (f : Ir.func) : string =
       dom_facts f ~order:d.order ~idom:d.idom ~tin:d.tin ~tout:d.tout ~preds:(fun l ->
           List.rev (Option.value ~default:[] (Hashtbl.find_opt d.preds l)))
 
-(* Every mutant's error list must equal the reference verifier's; the walk
-   must accept exactly what the reference accepts, except a function with
-   an id outside [0, next_id), which only the explaining path accepts; and
+(* Every mutant's error list must equal the reference verifier's; the
+   verifier must accept exactly what the reference accepts among functions
+   whose ids are all in [0, next_id) (the reference has no id bound); and
    [Dom.compute] must equal the reference copy's on every mutant. *)
 let test_differential () =
   let rng = Random.State.make [| 2024 |] in
@@ -682,8 +682,8 @@ let test_differential () =
     let fail fmt = Printf.ksprintf (fun m -> failures := (what ^ ": " ^ m) :: !failures) fmt in
     if errors_to_string want <> errors_to_string got then
       fail "verify:\n%s\nreference:\n%s" (errors_to_string got) (errors_to_string want);
-    if V.accepts g <> (Result.is_ok want && ids_in_range g) then
-      fail "walk says %b, reference %s" (V.accepts g) (errors_to_string want);
+    if Result.is_ok got <> (Result.is_ok want && ids_in_range g) then
+      fail "verify says %s, reference %s" (errors_to_string got) (errors_to_string want);
     if dom_to_string g <> ref_dom_to_string g then fail "Dom.compute differs";
     Result.is_error want
   in
@@ -703,13 +703,60 @@ let test_differential () =
         inputs;
       if !rejected = 0 then Alcotest.failf "no %S mutant was rejected" kind)
     mutant_kinds;
-  (* An id at or above [next_id]: valid, but only the explaining path can
-     tell. *)
-  let g = Ir.clone_func (snd (List.hd inputs)) in
-  let b = Ir.entry g in
-  b.body <- { (List.hd b.body) with id = g.next_id + 3 } :: List.tl b.body;
-  Alcotest.(check string) "id >= next_id is accepted" "ok" (errors_to_string (V.verify g));
-  ignore (check "id >= next_id" g : bool);
+  (* Ids outside [0, next_id) and huge ones: the reference accepts an id
+     at or above [next_id] and raises on a negative one, so each case
+     states its error list ([] = valid). *)
+  let f = snd (List.hd inputs) in
+  let out_of_range what edit want =
+    let g = Ir.clone_func f in
+    let want = match want g with [] -> "ok" | es -> String.concat "\n" es in
+    edit g;
+    let got = match V.verify g with r -> errors_to_string r | exception e -> Printexc.to_string e in
+    Alcotest.(check string) what want got
+  in
+  let first_body id (g : Ir.func) =
+    let b = Ir.entry g in
+    b.body <- { (List.hd b.body) with id } :: List.tl b.body
+  in
+  let range (g : Ir.func) kind id =
+    Printf.sprintf "%s: %s id %d outside [0, %d)" (Ir.entry g).label kind id g.next_id
+  in
+  out_of_range "id >= next_id is rejected"
+    (fun g -> first_body (g.next_id + 3) g)
+    (fun g -> [ range g "instruction" (g.next_id + 3) ]);
+  out_of_range "id = next_id is rejected"
+    (fun g -> first_body g.next_id g)
+    (fun g -> [ range g "instruction" g.next_id ]);
+  out_of_range "id -1 is rejected" (first_body (-1)) (fun g -> [ range g "instruction" (-1) ]);
+  out_of_range "terminator id > next_id is rejected"
+    (fun g -> g.blocks <- { (Ir.entry g) with term_id = g.next_id + 1 } :: List.tl g.blocks)
+    (fun g -> [ range g "terminator" (g.next_id + 1) ]);
+  (* The range error sits where the duplicate-id error would, before the
+     register error of the same instruction. *)
+  out_of_range "id -1 with a duplicate register"
+    (fun g ->
+      let b = Ir.entry g in
+      match b.body with
+      | i :: j :: rest -> b.body <- i :: { j with id = -1; result = i.result } :: rest
+      | _ -> Alcotest.fail "entry block has fewer than two instructions")
+    (fun g ->
+      let r = Option.get (List.hd (Ir.entry g).body).result in
+      [
+        range g "instruction" (-1);
+        Printf.sprintf "%s: register %%%s defined twice" (Ir.entry g).label r;
+      ]);
+  (* A huge [next_id] sizes no allocation; ids far above the usual ones
+     are still checked for duplicates. *)
+  out_of_range "next_id = max_int is accepted" (fun g -> g.next_id <- max_int) (fun _ -> []);
+  out_of_range "duplicate id 2^40"
+    (fun g ->
+      g.next_id <- max_int;
+      let b = Ir.entry g in
+      b.body <- List.map (fun (i : Ir.instr) -> { i with id = 1 lsl 40 }) b.body)
+    (fun g ->
+      List.map
+        (fun _ -> Printf.sprintf "%s: duplicate instruction id %d" (Ir.entry g).label (1 lsl 40))
+        (List.tl (Ir.entry g).body));
   match List.rev !failures with
   | [] -> Alcotest.(check bool) "over 4,000 mutants checked" true (!mutants > 4000)
   | fs ->

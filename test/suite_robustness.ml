@@ -473,6 +473,49 @@ let test_sandboxed_pipeline () =
        (Interp.run r_sand.P.fopt ~args:entry.default_args));
   Telemetry.reset_counters ()
 
+(* A pass that gives the entry block's first instruction the id [id f],
+   leaving [next_id] as it is.  The verifier's range check must reject
+   its output, so that this pass, not a later innocent one, is rolled
+   back, and [apply] must not raise. *)
+let test_bad_id_rolled_back name (id : Ir.func -> int) () =
+  let written = ref (0, 0) in
+  let renumber : P.pass =
+    {
+      P.pname = name;
+      run =
+        (fun _ f ->
+          let e = Ir.entry f in
+          written := (id f, f.Ir.next_id);
+          (match e.Ir.body with
+          | i :: rest -> e.Ir.body <- { i with Ir.id = fst !written } :: rest
+          | [] -> Alcotest.fail "entry block has no body");
+          true);
+    }
+  in
+  let entry = Option.get (Corpus.Kernels.find "bzip2") in
+  let fbase, _ = Corpus.Dsl.to_fbase entry.kernel in
+  let pipeline = List.hd P.standard_pipeline :: renumber :: List.tl P.standard_pipeline in
+  Telemetry.reset_counters ();
+  let sink = Telemetry.create () in
+  let r_clean = P.apply fbase in
+  let r =
+    match P.apply ~pipeline ~telemetry:sink fbase with
+    | r -> r
+    | exception e -> Alcotest.failf "apply raised %s" (Printexc.to_string e)
+  in
+  Alcotest.(check string) "renumbering pass undone" (Ir.func_to_string r_clean.P.fopt)
+    (Ir.func_to_string r.P.fopt);
+  Alcotest.(check int) "pass.rolled_back counted" 1 P.stat_rolled_back.Telemetry.value;
+  let bad, next_id = !written in
+  Alcotest.(check (list string)) "a remark names the id"
+    [
+      Printf.sprintf
+        "[%s] (%s) pass rolled back: post-pass verification failed: %s: instruction id %d outside [0, %d)"
+        name fbase.Ir.fname (Ir.entry fbase).Ir.label bad next_id;
+    ]
+    (List.map Telemetry.remark_to_string (Telemetry.remarks ~pass:name sink));
+  Telemetry.reset_counters ()
+
 (* A pass that edits the function but reports no change.  The edit is
    valid SSA, so only the comparison with the pre-pass clone can catch
    it. *)
@@ -569,6 +612,9 @@ let suite =
       t "fuel budgets on both engines" test_fuel_budgets;
       t "fuel stops an infinite loop" test_fuel_stops_infinite_loop;
       t "sandboxed pass pipeline rolls back" test_sandboxed_pipeline;
+      t "a pass writing id -1 is rolled back" (test_bad_id_rolled_back "id-1" (fun _ -> -1));
+      t "a pass writing id next_id is rolled back"
+        (test_bad_id_rolled_back "id-next" (fun f -> f.Ir.next_id));
       t "a misreported no-change is rolled back" test_misreport_rolled_back;
       t "an unchanged pass skips the verifier" test_unchanged_skips_verify;
       t "typed errors replace exceptions" test_typed_errors;
