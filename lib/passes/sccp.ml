@@ -171,22 +171,30 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
     done
   done;
   (* --- Rewrite phase ------------------------------------------------- *)
-  (* 1. Materialize constants. *)
-  Hashtbl.iter
-    (fun r l ->
-      match l with
-      | Const n -> (
-          match Ir.Names.find_opt def_tbl r with
-          | Some (d : Ir.def_site) when not (Ir.has_side_effects d.di.rhs) ->
-              Code_mapper.replace_all_uses m f ~old_value:(Ir.Reg r) ~new_value:(Ir.Const n);
-              Code_mapper.delete_instr m d.di;
-              let blk = Func_index.block_exn index d.block in
-              blk.phis <- List.filter (fun (j : Ir.instr) -> j.id <> d.di.id) blk.phis;
-              blk.body <- List.filter (fun (j : Ir.instr) -> j.id <> d.di.id) blk.body;
-              changed := true
-          | _ -> ())
-      | Top | Bottom -> ())
-    state;
+  (* 1. Materialize constants, in definition order: block order, then
+     φ-nodes, then body. *)
+  List.iter
+    (fun (b : Ir.block) ->
+      List.iter
+        (fun (i : Ir.instr) ->
+          match i.result with
+          | None -> ()
+          | Some r -> (
+              match Hashtbl.find_opt state r with
+              | Some (Const n) -> (
+                  match Ir.Names.find_opt def_tbl r with
+                  | Some (d : Ir.def_site) when d.di == i && not (Ir.has_side_effects d.di.rhs) ->
+                      Code_mapper.replace_all_uses m f ~old_value:(Ir.Reg r)
+                        ~new_value:(Ir.Const n);
+                      Code_mapper.delete_instr m d.di;
+                      let blk = Func_index.block_exn index d.block in
+                      blk.phis <- List.filter (fun (j : Ir.instr) -> j.id <> d.di.id) blk.phis;
+                      blk.body <- List.filter (fun (j : Ir.instr) -> j.id <> d.di.id) blk.body;
+                      changed := true
+                  | _ -> ())
+              | Some (Top | Bottom) | None -> ()))
+        (Ir.block_instrs b))
+    f.blocks;
   (* 2. Fold conditional branches with constant or one-sided conditions. *)
   List.iter
     (fun (b : Ir.block) ->
