@@ -171,23 +171,37 @@ let test_spec_c () =
   Alcotest.(check bool) "at least 128 functions" true (List.length sample >= 128);
   List.iter (fun (what, k) -> check_kernel ~what k) sample
 
+(* One pass run alone on [g] with a fresh mapper: its change flag, the
+   printed function and the action log. *)
+let standalone (run : CM.t -> Ir.func -> bool) (g : Ir.func) : string =
+  let m = CM.create () in
+  let changed = Suite_passes.run_pass ~mapper:m run g in
+  Printf.sprintf "%b\n%s%s" changed (Ir.func_to_string g)
+    (String.concat "\n" (List.map action_to_string (CM.actions_in_order m)))
+
+(* The passes with a frozen copy in {!Ref_front}, old against new. *)
+let frozen_passes =
+  [
+    ("SCCP", R.Sccp.run, Passes.Sccp.run);
+    ("LCSSA", R.Lcssa.run, Passes.Lcssa.run);
+    ("Sink", R.Sink.run, Passes.Sink.run);
+  ]
+
 (* Generated alloca-form functions: mem2reg, the verifier, the pipeline,
-   and LCSSA run standalone (a fresh mapper), old against new. *)
+   and SCCP, LCSSA and Sink run standalone (a fresh mapper), old against
+   new. *)
 let prop_generated_identical =
   QCheck.Test.make ~count:150 ~name:"front half identical on generated functions"
     Gen_ir.arb_func (fun (raw : Ir.func) ->
       let want = observe ~apply:ref_apply ~to_fbase:(fun () -> (R.to_fbase raw, [])) in
       let got = observe ~apply:new_apply ~to_fbase:(fun () -> (P.to_fbase raw, [])) in
-      let standalone run =
-        let g = P.to_fbase raw in
-        let changed = run g in
-        (changed, Ir.func_to_string g)
-      in
       (expected want got = got
       || QCheck.Test.fail_reportf "pipeline observables differ:\n%s\nvs\n%s" want.fopt got.fopt)
-      && (standalone (Suite_passes.run_pass R.Lcssa.run)
-          = standalone (Suite_passes.run_pass Passes.Lcssa.run)
-         || QCheck.Test.fail_report "standalone LCSSA differs"))
+      && List.for_all
+           (fun (name, old_run, new_run) ->
+             standalone old_run (P.to_fbase raw) = standalone new_run (P.to_fbase raw)
+             || QCheck.Test.fail_reportf "standalone %s differs" name)
+           frozen_passes)
 
 (* Shapes neither the corpus nor the generator produces: an exit with two
    in-loop predecessors (the LCSSA φ gets one incoming per edge, in
@@ -196,7 +210,9 @@ let prop_generated_identical =
    uses in terminators and in an instruction reading the value twice, and
    alloca slots whose address escapes through a store or a call next to an
    unused φ the input already had (mem2reg must keep the first two and
-   prune the third). *)
+   prune the third), and a definition listed after the block that uses it
+   (Sink moves its user first, then, within the same round, sinks the
+   definition to where the user was when the round began). *)
 let shapes =
   [
     "func @two_edge_exit(%n, %k) {\n\
@@ -268,6 +284,21 @@ let shapes =
     \  %z = add %v, %w\n\
     \  ret %z\n\
      }\n";
+    "func @sink_chain(%p, %c) {\n\
+     entry:\n\
+    \  br pre\n\
+     a:\n\
+    \  %y = add %x, 2\n\
+    \  cbr %c, b, d\n\
+     b:\n\
+    \  %z = add %y, 3\n\
+    \  ret %z\n\
+     d:\n\
+    \  ret 0\n\
+     pre:\n\
+    \  %x = add %p, 1\n\
+    \  br a\n\
+     }\n";
   ]
 
 let test_shapes () =
@@ -278,15 +309,13 @@ let test_shapes () =
       check_same ~what
         (observe ~apply:ref_apply ~to_fbase:(fun () -> (R.to_fbase f, [])))
         (observe ~apply:new_apply ~to_fbase:(fun () -> (P.to_fbase f, [])));
-      let standalone run =
-        let g = Ir.clone_func f in
-        let m = CM.create () in
-        let changed = Suite_passes.run_pass ~mapper:m run g in
-        Printf.sprintf "%b\n%s%s" changed (Ir.func_to_string g)
-          (String.concat "\n" (List.map action_to_string (CM.actions_in_order m)))
-      in
-      Alcotest.(check string) (what ^ ": standalone LCSSA")
-        (standalone R.Lcssa.run) (standalone Passes.Lcssa.run))
+      List.iter
+        (fun (name, old_run, new_run) ->
+          Alcotest.(check string)
+            (what ^ ": standalone " ^ name)
+            (standalone old_run (Ir.clone_func f))
+            (standalone new_run (Ir.clone_func f)))
+        frozen_passes)
     shapes
 
 (* mem2reg's other caller: continuation-function generation re-promotes
