@@ -133,6 +133,9 @@ let dominates_block (t : t) ~(a : string) ~(b : string) : bool =
 let strictly_dominates_block (t : t) ~(a : string) ~(b : string) : bool =
   (not (String.equal a b)) && dominates_block t ~a ~b
 
+(** Does node [a] dominate node [b]?  {!dominates_block} by number. *)
+let dominates (t : t) (a : int) (b : int) : bool = dominates_rpo t t.rpo.(a) t.rpo.(b)
+
 (** Dominance frontier of every node; each list is in reverse postorder
     (mem2reg places φs in this order). *)
 let frontiers (t : t) : int list array =

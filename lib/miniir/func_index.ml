@@ -16,8 +16,11 @@
     number and its position in the block — φ-nodes share position 0, the
     body starts at 1, and the terminator sits after the body.
 
-    Register definitions are not part of the index: {!Ir.def_table} builds
-    the name → definition table for the few readers that need one.
+    Registers are numbered on demand, not by {!make}: a pass that keys its
+    state by register calls {!registers} once per run and reads dense
+    arrays by register id (see there).  {!make} stays as cheap as the
+    readers of blocks and points need, and {!Ir.def_table} serves the
+    few readers that look definitions up by name.
 
     The index is a snapshot: it holds the block and instruction records of
     the function at build time.  Mutating instruction {e contents} or
@@ -132,3 +135,126 @@ let predecessors (t : t) (label : string) : string list =
 let successors (t : t) (label : string) : string list =
   let k = block_number t label in
   if k < 0 then [] else labels_of t t.succs.(k)
+
+(** Is [id] a terminator of the function? *)
+let is_terminator (t : t) (id : int) : bool =
+  is_point t id && t.blocks.(t.point_block.(id)).term_id = id
+
+(* ------------------------------------------------------------------ *)
+(* Registers                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(** The registers of a function, numbered once.  Ids are dense: the
+    parameters first, then instruction results in block and instruction
+    order (φ-nodes, then body), then registers read but never defined
+    (only an invalid function has one).  A name gets one id, so a
+    register defined twice (also invalid) keeps its first id and, as in
+    {!Ir.def_table}, its last definition.
+
+    The table is a snapshot of the function when {!registers} ran, like
+    the point arrays of the index: a pass that rewrites operands or adds
+    instructions keeps what it needs current itself. *)
+type registers = {
+  names : string array;  (** register id → name *)
+  n_params : int;  (** ids below this are the parameters *)
+  def : int array;  (** register id → defining point; [-1] for a parameter or an undefined register *)
+  users : int list array;
+      (** register id → the points that read it, each once, in block order
+          and, within a block, φ-nodes, body, terminator (by [term_id]) *)
+  result : int array;  (** point → id of the register it defines; [-1] none *)
+  instr : Ir.instr array;  (** point → its instruction; {!no_instr} for a terminator or no point *)
+  first_operand : int array;
+      (** point → where its operands start in [operands]: those of its rhs
+          or terminator, in {!Ir.rhs_operands} / {!Ir.term_operands} order *)
+  operands : int array;  (** operand slot → register id; [-1] for a constant or [undef] *)
+}
+
+(** The placeholder of {!registers}' [instr] array where no instruction is. *)
+let no_instr : Ir.instr = { id = -1; result = None; rhs = Ir.Alloca 0 }
+
+(** Number the registers of [t]'s function: one walk that numbers the
+    definitions and one that resolves every operand, each with one name
+    lookup per definition or operand; users come from the resolved
+    operands. *)
+let registers (t : t) : registers =
+  let npts = Array.length t.point_block in
+  let params = t.func.params in
+  let cap = List.length params + npts in
+  let ids = Ir.Names.create (max 16 cap) in
+  let names = Array.make cap "" and def = Array.make cap (-1) in
+  let count = ref 0 in
+  let number r =
+    match Ir.Names.find_opt ids r with
+    | Some v -> v
+    | None ->
+        let v = !count in
+        Ir.Names.add ids r v;
+        names.(v) <- r;
+        incr count;
+        v
+  in
+  List.iter (fun r -> ignore (number r : int)) params;
+  let n_params = !count in
+  let result = Array.make npts (-1) and instr = Array.make npts no_instr in
+  let first_operand = Array.make npts 0 and n_operands = ref 0 in
+  let count_operand (_ : Ir.value) = incr n_operands in
+  Array.iter
+    (fun (b : Ir.block) ->
+      let visit (i : Ir.instr) =
+        instr.(i.id) <- i;
+        first_operand.(i.id) <- !n_operands;
+        Ir.iter_rhs_operands count_operand i.rhs;
+        match i.result with
+        | Some r ->
+            let v = number r in
+            def.(v) <- i.id;
+            result.(i.id) <- v
+        | None -> ()
+      in
+      List.iter visit b.phis;
+      List.iter visit b.body;
+      first_operand.(b.term_id) <- !n_operands;
+      Ir.iter_term_operands count_operand b.term)
+    t.blocks;
+  let n_defined = !count in
+  (* Operands: the reader of each slot, and the register it reads. *)
+  let operands = Array.make !n_operands (-1) and reader = Array.make !n_operands 0 in
+  let undefined = ref [] and slot = ref 0 in
+  let resolve p (v : Ir.value) =
+    (match v with
+    | Ir.Reg r ->
+        operands.(!slot) <-
+          (match Ir.Names.find_opt ids r with
+          | Some v -> v
+          | None ->
+              let v = !count in
+              Ir.Names.add ids r v;
+              undefined := r :: !undefined;
+              incr count;
+              v)
+    | Ir.Const _ | Ir.Undef -> ());
+    reader.(!slot) <- p;
+    incr slot
+  in
+  Array.iter
+    (fun (b : Ir.block) ->
+      let visit (i : Ir.instr) = Ir.iter_rhs_operands (resolve i.id) i.rhs in
+      List.iter visit b.phis;
+      List.iter visit b.body;
+      Ir.iter_term_operands (resolve b.term_id) b.term)
+    t.blocks;
+  let names =
+    Array.append (Array.sub names 0 n_defined) (Array.of_list (List.rev !undefined))
+  in
+  let n = Array.length names in
+  let def = if n <= cap then Array.sub def 0 n else Array.append def (Array.make (n - cap) (-1)) in
+  (* Walking the slots backwards conses each list into block order; a
+     point's slots are adjacent, so a repeated read meets itself at the
+     head. *)
+  let users = Array.make n [] in
+  for k = !n_operands - 1 downto 0 do
+    let v = operands.(k) and p = reader.(k) in
+    if v >= 0 then
+      match users.(v) with q :: _ when q = p -> () | us -> users.(v) <- p :: us
+  done;
+  { names; n_params; def; users; result; instr; first_operand; operands }

@@ -129,6 +129,37 @@ let term_operands : terminator -> value list = function
   | Ret v -> [ v ]
   | Br _ | Unreachable -> []
 
+(** [List.iter fn (rhs_operands r)] and [List.exists p (rhs_operands r)],
+    and the same for terminators, without building the list. *)
+let iter_rhs_operands (fn : value -> unit) : rhs -> unit = function
+  | Binop (_, a, b) | Icmp (_, a, b) | Store (a, b) ->
+      fn a;
+      fn b
+  | Select (c, a, b) ->
+      fn c;
+      fn a;
+      fn b
+  | Alloca _ -> ()
+  | Load a -> fn a
+  | Call (_, args) -> List.iter fn args
+  | Phi incoming -> List.iter (fun (_, v) -> fn v) incoming
+
+let exists_rhs_operand (p : value -> bool) : rhs -> bool = function
+  | Binop (_, a, b) | Icmp (_, a, b) | Store (a, b) -> p a || p b
+  | Select (c, a, b) -> p c || p a || p b
+  | Alloca _ -> false
+  | Load a -> p a
+  | Call (_, args) -> List.exists p args
+  | Phi incoming -> List.exists (fun (_, v) -> p v) incoming
+
+let iter_term_operands (fn : value -> unit) : terminator -> unit = function
+  | Cbr (c, _, _) | Ret c -> fn c
+  | Br _ | Unreachable -> ()
+
+let exists_term_operand (p : value -> bool) : terminator -> bool = function
+  | Cbr (c, _, _) | Ret c -> p c
+  | Br _ | Unreachable -> false
+
 (** Registers read by an rhs. *)
 let rhs_uses (r : rhs) : reg list =
   List.filter_map (function Reg x -> Some x | Const _ | Undef -> None) (rhs_operands r)

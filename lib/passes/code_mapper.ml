@@ -69,16 +69,22 @@ let sink_instr (m : t) (i : Ir.instr) ~(from_block : string) ~(to_block : string
   record m (Sink { id = i.id; from_block; to_block })
 
 (** Rewrite every use of [old_value] in [f] — instruction operands and
-    terminators alike — to [new_value], and record the replace. *)
+    terminators alike — to [new_value], and record the replace.  Only an
+    rhs or terminator that reads [old_value] is rebuilt. *)
 let replace_all_uses (m : t) (f : Ir.func) ~(old_value : Ir.value) ~(new_value : Ir.value) :
     unit =
   Telemetry.bump m.tel stat_replace;
   record m (Replace { old_value; new_value; inst = None });
-  let subst v = if Ir.equal_value v old_value then new_value else v in
+  let is_old v = Ir.equal_value v old_value in
+  let subst v = if is_old v then new_value else v in
+  let rewrite (j : Ir.instr) =
+    if Ir.exists_rhs_operand is_old j.rhs then j.rhs <- Ir.map_rhs_operands subst j.rhs
+  in
   List.iter
     (fun (b : Ir.block) ->
-      List.iter (fun (j : Ir.instr) -> j.rhs <- Ir.map_rhs_operands subst j.rhs) (Ir.block_instrs b);
-      b.term <- Ir.map_term_operands subst b.term)
+      List.iter rewrite b.phis;
+      List.iter rewrite b.body;
+      if Ir.exists_term_operand is_old b.term then b.term <- Ir.map_term_operands subst b.term)
     f.blocks
 
 (** Record that the caller rewrote the uses in one instruction. *)

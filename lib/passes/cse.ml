@@ -16,28 +16,23 @@ open Import
     OSR-aware: replaced uses and deletions are recorded (this mirrors the
     instrumented CSE of Figure 6). *)
 
-let rhs_key (rhs : Ir.rhs) : string option =
+(* Available expressions, keyed by the rhs itself: two pure rhs are the
+   same expression when they are equal after {!rhs_key} puts the operands
+   of a commutative operation in a canonical order. *)
+module Exprs = Hashtbl.Make (struct
+  type t = Ir.rhs
+
+  let equal = Ir.equal_rhs
+  let hash (r : Ir.rhs) = Hashtbl.hash r
+end)
+
+let rhs_key (rhs : Ir.rhs) : Ir.rhs option =
   match rhs with
-  | Ir.Binop (op, a, b) ->
+  | Ir.Binop (((Ir.Add | Ir.Mul | Ir.And | Ir.Or | Ir.Xor) as op), a, b) ->
       (* Normalize commutative operations. *)
-      let sa = Ir.value_to_string a and sb = Ir.value_to_string b in
-      let sa, sb =
-        match op with
-        | Ir.Add | Ir.Mul | Ir.And | Ir.Or | Ir.Xor -> if sa <= sb then (sa, sb) else (sb, sa)
-        | Ir.Sub | Ir.Sdiv | Ir.Srem | Ir.Shl | Ir.Lshr | Ir.Ashr -> (sa, sb)
-      in
-      Some (Printf.sprintf "%s %s %s" (Ir.binop_name op) sa sb)
-  | Ir.Icmp (op, a, b) ->
-      Some
-        (Printf.sprintf "icmp %s %s %s" (Ir.icmp_name op) (Ir.value_to_string a)
-           (Ir.value_to_string b))
-  | Ir.Select (c, t, e) ->
-      Some
-        (Printf.sprintf "select %s %s %s" (Ir.value_to_string c) (Ir.value_to_string t)
-           (Ir.value_to_string e))
-  | Ir.Call (name, args) when Ir.is_pure_call name ->
-      Some
-        (Printf.sprintf "call %s %s" name (String.concat " " (List.map Ir.value_to_string args)))
+      Some (if compare a b <= 0 then rhs else Ir.Binop (op, b, a))
+  | Ir.Binop _ | Ir.Icmp _ | Ir.Select _ -> Some rhs
+  | Ir.Call (name, _) when Ir.is_pure_call name -> Some rhs
   | Ir.Call _ | Ir.Alloca _ | Ir.Load _ | Ir.Store _ | Ir.Phi _ -> None
 
 let stat_expr = Telemetry.counter ~group:"cse" "expr" ~desc:"redundant pure expressions eliminated"
@@ -48,9 +43,9 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
   let changed = ref false in
   let dom = Dom.compute (Func_index.make f) in
   let children = Mem2reg.dom_children dom in
-  let avail : (string, Ir.value) Hashtbl.t = Hashtbl.create 64 in
-  let avail_loads : (string, Ir.value * int) Hashtbl.t = Hashtbl.create 16 in
-  (* address string → (value, generation) *)
+  let avail : Ir.value Exprs.t = Exprs.create 64 in
+  let avail_loads : (Ir.value, Ir.value * int) Hashtbl.t = Hashtbl.create 16 in
+  (* address → (value, generation) *)
   let generation = ref 0 in
   let rec walk (node : int) : unit =
     let blk = dom.index.blocks.(node) in
@@ -66,14 +61,13 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
           match i.rhs with
           | Ir.Store (v, addr) ->
               incr generation;
-              Hashtbl.replace avail_loads (Ir.value_to_string addr) (v, !generation);
+              Hashtbl.replace avail_loads addr (v, !generation);
               true
           | Ir.Call (name, _) when not (Ir.is_pure_call name) ->
               incr generation;
               true
           | Ir.Load addr -> (
-              let key = Ir.value_to_string addr in
-              match (Hashtbl.find_opt avail_loads key, i.result) with
+              match (Hashtbl.find_opt avail_loads addr, i.result) with
               | Some (v, gen), Some r when gen = !generation ->
                   (* Available load (or store-forwarded value) from the
                      current generation: reuse it. *)
@@ -86,13 +80,13 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
                   changed := true;
                   false
               | _, Some r ->
-                  Hashtbl.replace avail_loads key (Ir.Reg r, !generation);
+                  Hashtbl.replace avail_loads addr (Ir.Reg r, !generation);
                   true
               | _, None -> true)
           | rhs -> (
               match (rhs_key rhs, i.result) with
               | Some key, Some r -> (
-                  match Hashtbl.find_opt avail key with
+                  match Exprs.find_opt avail key with
                   | Some v ->
                       Code_mapper.replace_all_uses m f ~old_value:(Ir.Reg r) ~new_value:v;
                       Code_mapper.delete_instr m i;
@@ -104,13 +98,13 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
                       false
                   | None ->
                       added_exprs := key :: !added_exprs;
-                      Hashtbl.replace avail key (Ir.Reg r);
+                      Exprs.replace avail key (Ir.Reg r);
                       true)
               | _, _ -> true))
         blk.body;
     List.iter walk children.(node);
     (* Undo this scope's expression facts. *)
-    List.iter (fun k -> Hashtbl.remove avail k) !added_exprs
+    List.iter (fun k -> Exprs.remove avail k) !added_exprs
   in
   walk 0;
   !changed

@@ -38,7 +38,7 @@ type apply_result = {
   per_pass : (string * Code_mapper.counts) list;  (** actions recorded by each pass *)
 }
 
-(* Sandboxing counter: passes undone after a failed post-pass
+(* Sandboxing counter: passes undone after raising, a failed post-pass
    verification or a false "no change" report. *)
 let stat_rolled_back =
   Telemetry.counter ~group:"pass" "rolled_back"
@@ -55,7 +55,8 @@ let restore_func (dst : Ir.func) ~(from_ : Ir.func) : unit =
 (** Clone [f] and optimize the clone with [pipeline], recording actions.
     [f] must pass the verifier, so every pass gets a function whose ids
     are in [\[0, next_id)] (ADCE sizes its marks by [next_id]).  Each
-    pass runs transactionally: a pass whose output fails the SSA
+    pass runs transactionally: a pass that raises (any exception but
+    [Out_of_memory] and [Sys.Break]), whose output fails the SSA
     verifier, or that reports no change but changed the function, is
     rolled back — the function {e and} the mapper history return to their
     pre-pass state, a remark names the reason, [pass.rolled_back] is
@@ -77,9 +78,6 @@ let apply ?(pipeline = standard_pipeline) ?(telemetry = Telemetry.null) (f : Ir.
   List.iter
     (fun (p : pass) ->
       let pre_ir = Ir.clone_func fopt and pre_mapper = Code_mapper.snapshot mapper in
-      let changed =
-        Telemetry.with_span telemetry ~cat:"pass" p.pname (fun () -> p.run mapper fopt)
-      in
       let roll_back reason =
         restore_func fopt ~from_:pre_ir;
         Code_mapper.restore mapper pre_mapper;
@@ -87,18 +85,23 @@ let apply ?(pipeline = standard_pipeline) ?(telemetry = Telemetry.null) (f : Ir.
         Telemetry.remark telemetry ~pass:p.pname ~func:fopt.Ir.fname (fun () ->
             "pass rolled back: " ^ reason)
       in
-      if (not changed) && not (Ir.equal_func fopt pre_ir) then
-        roll_back "reported no change but changed the function"
-      else if changed || not !verified then begin
-        match
-          Telemetry.with_span telemetry ~cat:"verify" "verify" (fun () -> Verifier.verify fopt)
-        with
-        | Ok () -> verified := true
-        | Error es ->
-            roll_back
-              ("post-pass verification failed: "
-              ^ Fmt.str "%a" (Fmt.list ~sep:Fmt.cut Verifier.pp_error) es)
-      end;
+      (match Telemetry.with_span telemetry ~cat:"pass" p.pname (fun () -> p.run mapper fopt) with
+      | exception ((Out_of_memory | Sys.Break) as e) -> raise e
+      | exception e -> roll_back ("raised " ^ Printexc.to_string e)
+      | changed ->
+          if (not changed) && not (Ir.equal_func fopt pre_ir) then
+            roll_back "reported no change but changed the function"
+          else if changed || not !verified then begin
+            match
+              Telemetry.with_span telemetry ~cat:"verify" "verify" (fun () ->
+                  Verifier.verify fopt)
+            with
+            | Ok () -> verified := true
+            | Error es ->
+                roll_back
+                  ("post-pass verification failed: "
+                  ^ Fmt.str "%a" (Fmt.list ~sep:Fmt.cut Verifier.pp_error) es)
+          end);
       (* Counted after a possible rollback, so a rolled-back pass reports
          zero actions. *)
       per_pass := (p.pname, Code_mapper.counts_since mapper pre_mapper) :: !per_pass)

@@ -10,9 +10,22 @@ open Import
       the paper's Table 2), and
     - simplifies φ-nodes left with a single incoming edge.
 
-    OSR-aware: replaces and deletes are recorded in the CodeMapper. *)
+    OSR-aware: replaces and deletes are recorded in the CodeMapper.
+
+    The analysis runs on arrays over one {!Func_index} and its register
+    table, both built when the run starts: the lattice and the users by
+    register id, executable blocks by node, and executable edges as the
+    list of successor nodes taken out of each block.  Each φ's incoming
+    labels are resolved to nodes once.  Constants are materialized in
+    definition order (block order, then φ-nodes, then body). *)
 
 type lattice = Top | Const of int | Bottom
+
+let equal_lattice (a : lattice) (b : lattice) : bool =
+  match (a, b) with
+  | Top, Top | Bottom, Bottom -> true
+  | Const x, Const y -> x = y
+  | (Top | Const _ | Bottom), _ -> false
 
 let meet (a : lattice) (b : lattice) : lattice =
   match (a, b) with
@@ -22,85 +35,83 @@ let meet (a : lattice) (b : lattice) : lattice =
 
 let run (m : Code_mapper.t) (f : Ir.func) : bool =
   let changed = ref false in
-  let state : (Ir.reg, lattice) Hashtbl.t = Hashtbl.create 64 in
-  let get_state r =
-    if List.mem r f.params then Bottom
-    else Option.value ~default:Top (Hashtbl.find_opt state r)
-  in
-  let value_lattice = function
-    | Ir.Const n -> Const n
-    | Ir.Reg r -> get_state r
-    | Ir.Undef -> Bottom
-  in
-  let exec_blocks : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let exec_edges : (string * string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let block_work = Queue.create () in
-  let instr_work = Queue.create () in
-  let def_tbl = Ir.def_table f in
   (* The analysis and the constant rewrite (step 1 below) leave the block
      list alone; blocks go only in step 3, after the last lookup. *)
   let index = Func_index.make f in
-  (* users table: reg → instructions reading it (plus terminator owners) *)
-  let users : (Ir.reg, [ `I of Ir.instr | `T of Ir.block ] list) Hashtbl.t = Hashtbl.create 64 in
-  let add_user r u =
-    Hashtbl.replace users r (u :: Option.value ~default:[] (Hashtbl.find_opt users r))
+  let regs = Func_index.registers index in
+  let blocks = index.blocks in
+  let nb = Array.length blocks in
+  let state = Array.make (Array.length regs.names) Top in
+  let get_state v = if v < regs.n_params then Bottom else state.(v) in
+  (* Operand [k] of point [p], whose value is [v]. *)
+  let value_lattice p k (v : Ir.value) =
+    match v with
+    | Ir.Const n -> Const n
+    | Ir.Reg _ -> get_state regs.operands.(regs.first_operand.(p) + k)
+    | Ir.Undef -> Bottom
   in
-  List.iter
+  (* Node of each φ incoming's label, by operand slot; [-1] when the label
+     names no node. *)
+  let incoming_node = Array.make (Array.length regs.operands) (-1) in
+  Array.iter
     (fun (b : Ir.block) ->
       List.iter
-        (fun (i : Ir.instr) -> List.iter (fun r -> add_user r (`I i)) (Ir.rhs_uses i.rhs))
-        (Ir.block_instrs b);
-      List.iter (fun r -> add_user r (`T b)) (Ir.term_uses b.term))
-    f.blocks;
+        (fun (i : Ir.instr) ->
+          match i.rhs with
+          | Ir.Phi incoming ->
+              List.iteri
+                (fun k (l, _) ->
+                  match Ir.Names.find_opt index.numbers l with
+                  | Some v -> incoming_node.(regs.first_operand.(i.id) + k) <- v
+                  | None -> ())
+                incoming
+          | _ -> ())
+        b.phis)
+    blocks;
+  let exec = Array.make (Array.length index.labels) false in
+  (* Block node → the successor nodes whose edge is executable. *)
+  let exec_succs = Array.make nb [] in
+  let edge_exec src dst = src >= 0 && src < nb && List.mem dst exec_succs.(src) in
+  let block_work = Queue.create () in
+  let instr_work = Queue.create () in
   let mark_edge src dst =
-    if not (Hashtbl.mem exec_edges (src, dst)) then begin
-      Hashtbl.add exec_edges (src, dst) ();
+    if not (List.mem dst exec_succs.(src)) then begin
+      exec_succs.(src) <- dst :: exec_succs.(src);
       (* Re-evaluate φ-nodes of dst (new incoming became executable). *)
-      (match Func_index.find_block index dst with
-      | Some db -> List.iter (fun i -> Queue.push i instr_work) db.phis
-      | None -> ());
-      if not (Hashtbl.mem exec_blocks dst) then begin
-        Hashtbl.add exec_blocks dst ();
+      if dst < nb then List.iter (fun (i : Ir.instr) -> Queue.push i.id instr_work) blocks.(dst).phis;
+      if not exec.(dst) then begin
+        exec.(dst) <- true;
         Queue.push dst block_work
       end
     end
   in
-  (* Uniform work-item queue wrapping instructions and terminators. *)
-  let instr_queue : [ `Instr of Ir.instr * string | `Term of Ir.block ] Queue.t = Queue.create () in
-  let push_users r =
-    List.iter
-      (fun u ->
-        match u with
-        | `I j -> (
-            match Func_index.owner_of index j.Ir.id with
-            | Some bl -> Queue.push (`Instr (j, bl)) instr_queue
-            | None -> ())
-        | `T b -> Queue.push (`Term b) instr_queue)
-      (Option.value ~default:[] (Hashtbl.find_opt users r))
-  in
+  (* Users of changed registers: instruction and terminator points. *)
+  let instr_queue = Queue.create () in
   let set_state (i : Ir.instr) (l : lattice) =
-    match i.result with
-    | None -> ()
-    | Some r ->
-        let old = get_state r in
-        let next = if old = Top then l else meet old l in
-        if next <> old then begin
-          Hashtbl.replace state r next;
-          push_users r
-        end
+    let v = regs.result.(i.id) in
+    if v >= 0 then begin
+      let old = get_state v in
+      let next = if old = Top then l else meet old l in
+      if not (equal_lattice next old) then begin
+        state.(v) <- next;
+        List.iter (fun p -> Queue.push p instr_queue) regs.users.(v)
+      end
+    end
   in
-  let eval_instr (i : Ir.instr) (block : string) =
+  let eval_instr (i : Ir.instr) (block : int) =
+    let p = i.id in
     match i.rhs with
     | Ir.Phi incoming ->
-        let l =
+        let slot = regs.first_operand.(p) in
+        let _, l =
           List.fold_left
-            (fun acc (pred, v) ->
-              if Hashtbl.mem exec_edges (pred, block) then meet acc (value_lattice v) else acc)
-            Top incoming
+            (fun (k, acc) (_, v) ->
+              (k + 1, if edge_exec incoming_node.(slot + k) block then meet acc (value_lattice p k v) else acc))
+            (0, Top) incoming
         in
         set_state i l
     | Ir.Binop (op, a, b) -> (
-        match (value_lattice a, value_lattice b) with
+        match (value_lattice p 0 a, value_lattice p 1 b) with
         | Const x, Const y -> (
             match Fold.eval_binop op x y with
             | Some n -> set_state i (Const n)
@@ -108,17 +119,17 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
         | Bottom, _ | _, Bottom -> set_state i Bottom
         | Top, _ | _, Top -> ())
     | Ir.Icmp (op, a, b) -> (
-        match (value_lattice a, value_lattice b) with
+        match (value_lattice p 0 a, value_lattice p 1 b) with
         | Const x, Const y -> set_state i (Const (Fold.eval_icmp op x y))
         | Bottom, _ | _, Bottom -> set_state i Bottom
         | Top, _ | _, Top -> ())
     | Ir.Select (c, t, e) -> (
-        match value_lattice c with
-        | Const k -> set_state i (value_lattice (if k <> 0 then t else e))
-        | Bottom -> set_state i (meet (value_lattice t) (value_lattice e))
+        match value_lattice p 0 c with
+        | Const k -> set_state i (if k <> 0 then value_lattice p 1 t else value_lattice p 2 e)
+        | Bottom -> set_state i (meet (value_lattice p 1 t) (value_lattice p 2 e))
         | Top -> ())
     | Ir.Call (name, args) when Ir.is_pure_call name -> (
-        let arg_lats = List.map value_lattice args in
+        let arg_lats = List.mapi (value_lattice p) args in
         if List.exists (fun l -> l = Bottom) arg_lats then set_state i Bottom
         else if List.for_all (function Const _ -> true | _ -> false) arg_lats then
           let consts = List.map (function Const n -> n | _ -> 0) arg_lats in
@@ -129,83 +140,81 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
     | Ir.Load _ | Ir.Call _ | Ir.Alloca _ -> set_state i Bottom
     | Ir.Store _ -> ()
   in
-  let eval_term (b : Ir.block) =
-    match b.term with
-    | Ir.Br l -> mark_edge b.label l
-    | Ir.Cbr (c, t, e) -> (
-        match value_lattice c with
-        | Const k -> mark_edge b.label (if k <> 0 then t else e)
+  let eval_term k =
+    let b = blocks.(k) in
+    match (b.term, index.succs.(k)) with
+    | Ir.Br _, [ s ] -> mark_edge k s
+    | Ir.Cbr (c, _, _), succs -> (
+        (* [Ir.successors] lists a two-way branch to one label once. *)
+        let t, e = match succs with [ t; e ] -> (t, e) | t :: _ -> (t, t) | [] -> (-1, -1) in
+        match value_lattice b.term_id 0 c with
+        | Const n -> mark_edge k (if n <> 0 then t else e)
         | Bottom ->
-            mark_edge b.label t;
-            mark_edge b.label e
+            mark_edge k t;
+            mark_edge k e
         | Top -> ())
-    | Ir.Ret _ | Ir.Unreachable -> ()
+    | (Ir.Br _ | Ir.Ret _ | Ir.Unreachable), _ -> ()
   in
   (* Seed with the entry block. *)
-  let entry_label = (Ir.entry f).label in
-  Hashtbl.add exec_blocks entry_label ();
-  Queue.push entry_label block_work;
+  exec.(0) <- true;
+  Queue.push 0 block_work;
   let continue_ = ref true in
   while !continue_ do
     continue_ := false;
     while not (Queue.is_empty block_work) do
       continue_ := true;
-      let label = Queue.pop block_work in
-      let b = Func_index.block_exn index label in
-      List.iter (fun i -> eval_instr i label) (Ir.block_instrs b);
-      eval_term b
+      let k = Queue.pop block_work in
+      let b = blocks.(k) in
+      List.iter (fun i -> eval_instr i k) b.phis;
+      List.iter (fun i -> eval_instr i k) b.body;
+      eval_term k
     done;
     while not (Queue.is_empty instr_queue) do
       continue_ := true;
-      match Queue.pop instr_queue with
-      | `Instr (i, bl) -> if Hashtbl.mem exec_blocks bl then eval_instr i bl
-      | `Term b -> if Hashtbl.mem exec_blocks b.Ir.label then eval_term b
+      let p = Queue.pop instr_queue in
+      let k = index.point_block.(p) in
+      if exec.(k) then
+        let i = regs.instr.(p) in
+        if i == Func_index.no_instr then eval_term k else eval_instr i k
     done;
     (* φ re-evaluations queued by mark_edge land in instr_work; drain. *)
     while not (Queue.is_empty instr_work) do
       continue_ := true;
-      let i = Queue.pop instr_work in
-      match Func_index.owner_of index i.Ir.id with
-      | Some bl -> if Hashtbl.mem exec_blocks bl then eval_instr i bl
-      | None -> ()
+      let p = Queue.pop instr_work in
+      let k = index.point_block.(p) in
+      if exec.(k) then eval_instr regs.instr.(p) k
     done
   done;
   (* --- Rewrite phase ------------------------------------------------- *)
   (* 1. Materialize constants, in definition order: block order, then
      φ-nodes, then body. *)
-  List.iter
+  Array.iter
     (fun (b : Ir.block) ->
-      List.iter
-        (fun (i : Ir.instr) ->
-          match i.result with
-          | None -> ()
-          | Some r -> (
-              match Hashtbl.find_opt state r with
-              | Some (Const n) -> (
-                  match Ir.Names.find_opt def_tbl r with
-                  | Some (d : Ir.def_site) when d.di == i && not (Ir.has_side_effects d.di.rhs) ->
-                      Code_mapper.replace_all_uses m f ~old_value:(Ir.Reg r)
-                        ~new_value:(Ir.Const n);
-                      Code_mapper.delete_instr m d.di;
-                      let blk = Func_index.block_exn index d.block in
-                      blk.phis <- List.filter (fun (j : Ir.instr) -> j.id <> d.di.id) blk.phis;
-                      blk.body <- List.filter (fun (j : Ir.instr) -> j.id <> d.di.id) blk.body;
-                      changed := true
-                  | _ -> ())
-              | Some (Top | Bottom) | None -> ()))
-        (Ir.block_instrs b))
-    f.blocks;
+      let materialize (i : Ir.instr) =
+        let v = regs.result.(i.id) in
+        if v >= 0 && regs.def.(v) = i.id && not (Ir.has_side_effects i.rhs) then
+          match state.(v) with
+          | Const n ->
+              Code_mapper.replace_all_uses m f ~old_value:(Ir.Reg regs.names.(v))
+                ~new_value:(Ir.Const n);
+              Code_mapper.delete_instr m i;
+              b.phis <- List.filter (fun (j : Ir.instr) -> j.id <> i.id) b.phis;
+              b.body <- List.filter (fun (j : Ir.instr) -> j.id <> i.id) b.body;
+              changed := true
+          | Top | Bottom -> ()
+      in
+      List.iter materialize b.phis;
+      List.iter materialize b.body)
+    blocks;
   (* 2. Fold conditional branches with constant or one-sided conditions. *)
-  List.iter
-    (fun (b : Ir.block) ->
-      match b.term with
-      | Ir.Cbr (Ir.Const k, t, e) ->
-          b.term <- Ir.Br (if k <> 0 then t else e);
+  Array.iteri
+    (fun k (b : Ir.block) ->
+      match (b.term, index.succs.(k)) with
+      | Ir.Cbr (Ir.Const c, t, e), _ ->
+          b.term <- Ir.Br (if c <> 0 then t else e);
           changed := true
-      | Ir.Cbr (_, t, e) when Hashtbl.mem exec_blocks b.label -> (
-          let t_exec = Hashtbl.mem exec_edges (b.label, t) in
-          let e_exec = Hashtbl.mem exec_edges (b.label, e) in
-          match (t_exec, e_exec) with
+      | Ir.Cbr (_, t, e), [ tn; en ] when exec.(k) -> (
+          match (List.mem tn exec_succs.(k), List.mem en exec_succs.(k)) with
           | true, false ->
               b.term <- Ir.Br t;
               changed := true
@@ -214,19 +223,16 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
               changed := true
           | _, _ -> ())
       | _ -> ())
-    f.blocks;
+    blocks;
   (* 3. Remove unreachable blocks. *)
-  let removed =
-    List.filter (fun (b : Ir.block) -> not (Hashtbl.mem exec_blocks b.label)) f.blocks
-  in
-  if removed <> [] then begin
+  let removed k = k >= 0 && k < nb && not exec.(k) in
+  if Array.exists not (Array.sub exec 0 nb) then begin
     changed := true;
-    List.iter
-      (fun (b : Ir.block) ->
-        List.iter (Code_mapper.delete_instr m) (Ir.block_instrs b))
-      removed;
-    let removed_labels = List.map (fun (b : Ir.block) -> b.label) removed in
-    f.blocks <- List.filter (fun (b : Ir.block) -> not (List.mem b.label removed_labels)) f.blocks;
+    Array.iteri
+      (fun k (b : Ir.block) ->
+        if removed k then List.iter (Code_mapper.delete_instr m) (Ir.block_instrs b))
+      blocks;
+    f.blocks <- List.filteri (fun k _ -> exec.(k)) f.blocks;
     (* Drop φ incomings from removed predecessors. *)
     List.iter
       (fun (b : Ir.block) ->
@@ -234,7 +240,8 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
           (fun (i : Ir.instr) ->
             match i.rhs with
             | Ir.Phi incoming ->
-                i.rhs <- Ir.Phi (List.filter (fun (l, _) -> not (List.mem l removed_labels)) incoming)
+                let slot = regs.first_operand.(i.id) in
+                i.rhs <- Ir.Phi (List.filteri (fun k _ -> not (removed incoming_node.(slot + k))) incoming)
             | _ -> ())
           b.phis)
       f.blocks

@@ -10,7 +10,15 @@ open Import
     terminators; the destination must be a different block dominated by
     the defining block (so operands and the moved definition still
     dominate every use).  OSR-aware: each motion is recorded as a [sink]
-    action. *)
+    action.
+
+    Sinking moves instructions but never changes an operand, so one
+    register table ({!Func_index.registers}) gives every register's users
+    for the whole run.  Where a body user sits is read from an owner array
+    by point: the live one, updated by each motion, says whether an
+    instruction is still in the body being walked, and a copy taken at the
+    start of each fixpoint round gives the block of every use, so a round
+    decides on the blocks its uses had when it began. *)
 
 let sinkable_rhs (rhs : Ir.rhs) : bool =
   (not (Ir.may_trap rhs))
@@ -26,51 +34,40 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
      index and its dominator tree serve every fixpoint iteration. *)
   let index = Func_index.make f in
   let dom = Dom.compute index in
+  let regs = Func_index.registers index in
+  let owner = Array.copy index.point_block in
+  (* Is point [p] a body instruction?  φ-nodes sit at position 0, and
+     terminators have no instruction. *)
+  let in_body p = index.point_pos.(p) > 0 && regs.instr.(p) != Func_index.no_instr in
   let continue_ = ref true in
   while !continue_ do
     continue_ := false;
-    (* Collect use sites per register. *)
-    let uses : (Ir.reg, [ `Body of string | `Phi | `Term ] list) Hashtbl.t = Hashtbl.create 64 in
-    let add_use r site =
-      Hashtbl.replace uses r (site :: Option.value ~default:[] (Hashtbl.find_opt uses r))
-    in
-    List.iter
-      (fun (b : Ir.block) ->
-        List.iter (fun (i : Ir.instr) -> List.iter (fun r -> add_use r `Phi) (Ir.rhs_uses i.rhs)) b.phis;
+    let round_owner = Array.copy owner in
+    Array.iteri
+      (fun k (b : Ir.block) ->
         List.iter
           (fun (i : Ir.instr) ->
-            List.iter (fun r -> add_use r (`Body b.label)) (Ir.rhs_uses i.rhs))
-          b.body;
-        List.iter (fun r -> add_use r `Term) (Ir.term_uses b.term))
-      f.blocks;
-    List.iter
-      (fun (b : Ir.block) ->
-        List.iter
-          (fun (i : Ir.instr) ->
-            if List.exists (fun (j : Ir.instr) -> j.id = i.id) b.body && sinkable_rhs i.rhs then
-              match i.result with
-              | None -> ()
-              | Some r -> (
-                  match Hashtbl.find_opt uses r with
-                  | Some sites when sites <> [] ->
-                      let only_bodies =
-                        List.filter_map (function `Body l -> Some l | `Phi | `Term -> None) sites
-                      in
-                      if List.length only_bodies = List.length sites then begin
-                        match List.sort_uniq compare only_bodies with
-                        | [ target ]
-                          when (not (String.equal target b.label))
-                               && Dom.strictly_dominates_block dom ~a:b.label ~b:target ->
-                            let tb = Func_index.block_exn index target in
-                            b.body <- List.filter (fun (j : Ir.instr) -> j.id <> i.id) b.body;
-                            tb.body <- i :: tb.body;
-                            Code_mapper.sink_instr m i ~from_block:b.label ~to_block:target;
-                            changed := true;
-                            continue_ := true
-                        | _ -> ()
-                      end
-                  | Some _ | None -> ()))
+            if owner.(i.id) = k && sinkable_rhs i.rhs then
+              let v = regs.result.(i.id) in
+              if v >= 0 then
+                match regs.users.(v) with
+                | p :: rest when List.for_all in_body regs.users.(v) ->
+                    let target = round_owner.(p) in
+                    if
+                      List.for_all (fun q -> round_owner.(q) = target) rest
+                      && target <> k
+                      && Dom.dominates dom k target
+                    then begin
+                      let tb = index.blocks.(target) in
+                      b.body <- List.filter (fun (j : Ir.instr) -> j.id <> i.id) b.body;
+                      tb.body <- i :: tb.body;
+                      owner.(i.id) <- target;
+                      Code_mapper.sink_instr m i ~from_block:b.label ~to_block:tb.label;
+                      changed := true;
+                      continue_ := true
+                    end
+                | _ -> ())
           b.body)
-      f.blocks
+      index.blocks
   done;
   !changed

@@ -493,45 +493,55 @@ let prop_func_index_consistent =
              | Some (label, _) -> Miniir.Func_index.owner_of idx p = Some label)
            (all_points f))
 
+(* The functions of the index and register gates: the 12 kernels' fbase
+   and fopt and each kernel's first feasible forward continuation, the
+   Spec_c sample's fbase and fopt, and 60 generated functions raw, as
+   fbase and as fopt.  Built once; no check mutates them. *)
+let gate_functions : (string * Ir.func) list Lazy.t =
+  lazy
+    (let inputs = ref [] in
+     let add what f = inputs := (what, f) :: !inputs in
+     let pipeline what fbase =
+       let r = Passes.Pass_manager.apply fbase in
+       add (what ^ " fbase") r.fbase;
+       add (what ^ " fopt") r.fopt;
+       r
+     in
+     List.iter
+       (fun (e : Corpus.Kernels.entry) ->
+         let r = pipeline e.benchmark (fst (Corpus.Dsl.to_fbase e.kernel)) in
+         let ctx =
+           Osrir.Osr_ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper
+             Osrir.Osr_ctx.Base_to_opt
+         in
+         List.find_map
+           (fun (rep : Osrir.Feasibility.point_report) ->
+             match (rep.landing, rep.avail_plan) with
+             | Some landing, Some plan -> Some (Osrir.Contfun.generate r.fopt ~landing plan).fto
+             | _ -> None)
+           (Osrir.Feasibility.analyze ctx).reports
+         |> Option.iter (add (e.benchmark ^ " fto")))
+       Corpus.Kernels.all;
+     List.iter
+       (fun (what, k) ->
+         ignore (pipeline what (fst (Corpus.Dsl.to_fbase k)) : Passes.Pass_manager.apply_result))
+       (Suite_front.spec_c_sample ());
+     List.iteri
+       (fun n raw ->
+         let what = Printf.sprintf "generated #%d" n in
+         add (what ^ " raw") (Ir.clone_func raw);
+         ignore
+           (pipeline what (Passes.Pass_manager.to_fbase raw) : Passes.Pass_manager.apply_result))
+       (QCheck.Gen.generate ~rand:(Random.State.make [| 17 |]) ~n:60 Gen_ir.gen_func);
+     List.rev !inputs)
+
 (* The dense index against the frozen one beyond generated functions: the
-   12 kernels' fbase and fopt and each kernel's first feasible forward
-   continuation, the Spec_c sample's fbase and fopt, 60 generated
-   functions raw, as fbase and as fopt, one mutant of every kind of the
-   front gate per pipeline output, and a function with an id above
-   [next_id]. *)
+   gate functions, one mutant of every kind of the front gate per
+   pipeline output, and a function with an id above [next_id]. *)
 let test_index_corpus () =
-  let inputs = ref [] in
+  let outputs = Lazy.force gate_functions in
+  let inputs = ref (List.rev outputs) in
   let add what f = inputs := (what, f) :: !inputs in
-  let pipeline what fbase =
-    let r = Passes.Pass_manager.apply fbase in
-    add (what ^ " fbase") r.fbase;
-    add (what ^ " fopt") r.fopt;
-    r
-  in
-  List.iter
-    (fun (e : Corpus.Kernels.entry) ->
-      let r = pipeline e.benchmark (fst (Corpus.Dsl.to_fbase e.kernel)) in
-      let ctx =
-        Osrir.Osr_ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Osrir.Osr_ctx.Base_to_opt
-      in
-      List.find_map
-        (fun (rep : Osrir.Feasibility.point_report) ->
-          match (rep.landing, rep.avail_plan) with
-          | Some landing, Some plan -> Some (Osrir.Contfun.generate r.fopt ~landing plan).fto
-          | _ -> None)
-        (Osrir.Feasibility.analyze ctx).reports
-      |> Option.iter (add (e.benchmark ^ " fto")))
-    Corpus.Kernels.all;
-  List.iter
-    (fun (what, k) -> ignore (pipeline what (fst (Corpus.Dsl.to_fbase k)) : Passes.Pass_manager.apply_result))
-    (Suite_front.spec_c_sample ());
-  List.iteri
-    (fun n raw ->
-      let what = Printf.sprintf "generated #%d" n in
-      add (what ^ " raw") (Ir.clone_func raw);
-      ignore (pipeline what (Passes.Pass_manager.to_fbase raw) : Passes.Pass_manager.apply_result))
-    (QCheck.Gen.generate ~rand:(Random.State.make [| 17 |]) ~n:60 Gen_ir.gen_func);
-  let outputs = List.rev !inputs in
   let rng = Random.State.make [| 19 |] in
   List.iter
     (fun (what, f) ->
@@ -555,6 +565,107 @@ let test_index_corpus () =
     (List.rev !inputs);
   Alcotest.(check bool) "over 2,000 functions checked" true (!checked > 2000)
 
+(* The first field on which [Func_index.registers] disagrees with linear
+   scans of [f]: the names in id order (parameters, then results in block
+   and instruction order), the parameter count, each register's last
+   definition, each point's result, instruction and operand ids, and each
+   register's users in block order (φ-nodes, body, terminator), each
+   once. *)
+let registers_mismatch (f : Ir.func) : string option =
+  let module FI = Miniir.Func_index in
+  let t = FI.registers (FI.make f) in
+  let fail fmt = Printf.ksprintf Option.some fmt in
+  (* Every point in block order with its instruction (None for a
+     terminator), its result and its operands. *)
+  let points =
+    List.concat_map
+      (fun (b : Ir.block) ->
+        List.map (fun (i : Ir.instr) -> (i.id, Some i, i.result, Ir.rhs_operands i.rhs)) (b.phis @ b.body)
+        @ [ (b.term_id, None, None, Ir.term_operands b.term) ])
+      f.blocks
+  in
+  let defined = List.filter_map (fun (_, _, r, _) -> r) points in
+  let read =
+    List.concat_map
+      (fun (_, _, _, ops) -> List.filter_map (function Ir.Reg r -> Some r | _ -> None) ops)
+      points
+  in
+  let names =
+    List.fold_left
+      (fun acc r -> if List.mem r acc then acc else acc @ [ r ])
+      [] (f.params @ defined @ read)
+  in
+  let id r =
+    let rec go k = function [] -> -1 | x :: rest -> if String.equal x r then k else go (k + 1) rest in
+    go 0 names
+  in
+  let n_params = List.length (List.sort_uniq String.compare f.params) in
+  if Array.to_list t.names <> names then fail "names [%s]" (String.concat " " (Array.to_list t.names))
+  else if t.n_params <> n_params then fail "n_params %d, want %d" t.n_params n_params
+  else
+    let reg_checks =
+      List.mapi
+        (fun v r ->
+          let def =
+            List.fold_left
+              (fun acc (p, _, res, _) -> if res = Some r then p else acc)
+              (-1) points
+          in
+          let users =
+            List.filter_map
+              (fun (p, _, _, ops) -> if List.mem (Ir.Reg r) ops then Some p else None)
+              points
+          in
+          if t.def.(v) <> def then fail "def of %%%s: %d, want %d" r t.def.(v) def
+          else if t.users.(v) <> users then
+            fail "users of %%%s: [%s], want [%s]" r
+              (String.concat " " (List.map string_of_int t.users.(v)))
+              (String.concat " " (List.map string_of_int users))
+          else None)
+        names
+    in
+    match List.find_map Fun.id reg_checks with
+    | Some _ as e -> e
+    | None ->
+        List.find_map
+          (fun (p, i, res, ops) ->
+            let instr_ok =
+              match i with Some i -> t.instr.(p) == i | None -> t.instr.(p) == FI.no_instr
+            in
+            let result_ok = t.result.(p) = match res with Some r -> id r | None -> -1 in
+            let operands_ok =
+              List.mapi (fun k v -> (k, v)) ops
+              |> List.for_all (fun (k, v) ->
+                     t.operands.(t.first_operand.(p) + k)
+                     = match v with Ir.Reg r -> id r | Ir.Const _ | Ir.Undef -> -1)
+            in
+            if not instr_ok then fail "instruction at #%d" p
+            else if not result_ok then fail "result at #%d" p
+            else if not operands_ok then fail "operands at #%d" p
+            else None)
+          points
+
+(* The register table on the gate functions and on functions that read a
+   register no instruction defines, redefine a parameter or read one
+   register twice. *)
+let test_registers_corpus () =
+  let odd =
+    List.map
+      (fun src -> ("hand-written", Miniir.Ir_parser.parse_func src))
+      [
+        "func @f(%x, %y) {\nentry:\n  %a = add %x, %x\n  %b = add %u, %a\n  cbr %a, l, r\nl:\n  %x = mul %b, %v\n  br r\nr:\n  %c = phi [entry: %a], [l: %a]\n  ret %c\n}\n";
+      ]
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun (what, f) ->
+      incr checked;
+      match registers_mismatch f with
+      | None -> ()
+      | Some msg -> Alcotest.failf "%s (@%s): register table differs: %s" what f.Ir.fname msg)
+    (Lazy.force gate_functions @ odd);
+  Alcotest.(check bool) "over 400 functions checked" true (!checked > 400)
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   let q test = QCheck_alcotest.to_alcotest test in
@@ -572,6 +683,7 @@ let suite =
       t "loop detection" test_loops;
       t "sibling loops in header block order" test_loops_sibling_order;
       t "dense Func_index agrees with the frozen index" test_index_corpus;
+      t "register table agrees with linear scans" test_registers_corpus;
       t "interp memory" test_interp_memory;
       t "interp traps" test_interp_traps;
       t "interp events" test_interp_events;

@@ -546,6 +546,42 @@ let test_misreport_rolled_back () =
     (List.map Telemetry.remark_to_string (Telemetry.remarks ~pass:"misreport" sink));
   Telemetry.reset_counters ()
 
+(* A pass that edits the function, records an action and then raises:
+   [apply] must roll it back like a pass that fails verification, not
+   let the exception escape. *)
+let raising_pass : P.pass =
+  {
+    P.pname = "raises";
+    run =
+      (fun m f ->
+        Passes.Code_mapper.(record m (Delete { id = 424242 }));
+        (Ir.entry f).Ir.term <- Ir.Unreachable;
+        invalid_arg "raising pass");
+  }
+
+let test_raising_pass_rolled_back () =
+  let entry = Option.get (Corpus.Kernels.find "bzip2") in
+  let fbase, _ = Corpus.Dsl.to_fbase entry.kernel in
+  let pipeline = List.hd P.standard_pipeline :: raising_pass :: List.tl P.standard_pipeline in
+  Telemetry.reset_counters ();
+  let sink = Telemetry.create () in
+  let r_clean = P.apply fbase in
+  let r =
+    match P.apply ~pipeline ~telemetry:sink fbase with
+    | r -> r
+    | exception e -> Alcotest.failf "apply raised %s" (Printexc.to_string e)
+  in
+  Alcotest.(check string) "raising pass undone" (Ir.func_to_string r_clean.P.fopt)
+    (Ir.func_to_string r.P.fopt);
+  Alcotest.(check int) "same action count"
+    (List.length (Passes.Code_mapper.actions_in_order r_clean.P.mapper))
+    (List.length (Passes.Code_mapper.actions_in_order r.P.mapper));
+  Alcotest.(check int) "pass.rolled_back counted" 1 P.stat_rolled_back.Telemetry.value;
+  Alcotest.(check (list string)) "a remark names the exception"
+    [ "[raises] (bzip2_block_sort) pass rolled back: raised Invalid_argument(\"raising pass\")" ]
+    (List.map Telemetry.remark_to_string (Telemetry.remarks ~pass:"raises" sink));
+  Telemetry.reset_counters ()
+
 (* A pass that changes nothing and says so is verified only while no
    verification in the call has accepted the function yet. *)
 let test_unchanged_skips_verify () =
@@ -616,6 +652,7 @@ let suite =
       t "a pass writing id next_id is rolled back"
         (test_bad_id_rolled_back "id-next" (fun f -> f.Ir.next_id));
       t "a misreported no-change is rolled back" test_misreport_rolled_back;
+      t "a raising pass is rolled back" test_raising_pass_rolled_back;
       t "an unchanged pass skips the verifier" test_unchanged_skips_verify;
       t "typed errors replace exceptions" test_typed_errors;
       QCheck_alcotest.to_alcotest prop_seeded_random_functions;
