@@ -136,20 +136,16 @@ let successors (t : t) (label : string) : string list =
   let k = block_number t label in
   if k < 0 then [] else labels_of t t.succs.(k)
 
-(** Is [id] a terminator of the function? *)
-let is_terminator (t : t) (id : int) : bool =
-  is_point t id && t.blocks.(t.point_block.(id)).term_id = id
-
 (* ------------------------------------------------------------------ *)
 (* Registers                                                            *)
 (* ------------------------------------------------------------------ *)
 
 (** The registers of a function, numbered once.  Ids are dense: the
     parameters first, then instruction results in block and instruction
-    order (φ-nodes, then body), then registers read but never defined
-    (only an invalid function has one).  A name gets one id, so a
-    register defined twice (also invalid) keeps its first id and, as in
-    {!Ir.def_table}, its last definition.
+    order (φ-nodes, then body).  A name gets one id, so a register defined
+    twice (only an invalid function has one) keeps its first id and, as in
+    {!Ir.def_table}, its last definition; a register that nothing defines
+    gets none.
 
     The table is a snapshot of the function when {!registers} ran, like
     the point arrays of the index: a pass that rewrites operands or adds
@@ -157,7 +153,7 @@ let is_terminator (t : t) (id : int) : bool =
 type registers = {
   names : string array;  (** register id → name *)
   n_params : int;  (** ids below this are the parameters *)
-  def : int array;  (** register id → defining point; [-1] for a parameter or an undefined register *)
+  def : int array;  (** register id → defining point; [-1] for a parameter *)
   users : int list array;
       (** register id → the points that read it, each once, in block order
           and, within a block, φ-nodes, body, terminator (by [term_id]) *)
@@ -166,7 +162,9 @@ type registers = {
   first_operand : int array;
       (** point → where its operands start in [operands]: those of its rhs
           or terminator, in {!Ir.rhs_operands} / {!Ir.term_operands} order *)
-  operands : int array;  (** operand slot → register id; [-1] for a constant or [undef] *)
+  operands : int array;
+      (** operand slot → register id; [-1] for a constant, [undef] or a
+          register that nothing defines *)
 }
 
 (** The placeholder of {!registers}' [instr] array where no instruction is. *)
@@ -216,22 +214,13 @@ let registers (t : t) : registers =
       first_operand.(b.term_id) <- !n_operands;
       Ir.iter_term_operands count_operand b.term)
     t.blocks;
-  let n_defined = !count in
   (* Operands: the reader of each slot, and the register it reads. *)
   let operands = Array.make !n_operands (-1) and reader = Array.make !n_operands 0 in
-  let undefined = ref [] and slot = ref 0 in
+  let slot = ref 0 in
   let resolve p (v : Ir.value) =
     (match v with
-    | Ir.Reg r ->
-        operands.(!slot) <-
-          (match Ir.Names.find_opt ids r with
-          | Some v -> v
-          | None ->
-              let v = !count in
-              Ir.Names.add ids r v;
-              undefined := r :: !undefined;
-              incr count;
-              v)
+    | Ir.Reg r -> (
+        match Ir.Names.find_opt ids r with Some v -> operands.(!slot) <- v | None -> ())
     | Ir.Const _ | Ir.Undef -> ());
     reader.(!slot) <- p;
     incr slot
@@ -243,11 +232,8 @@ let registers (t : t) : registers =
       List.iter visit b.body;
       Ir.iter_term_operands (resolve b.term_id) b.term)
     t.blocks;
-  let names =
-    Array.append (Array.sub names 0 n_defined) (Array.of_list (List.rev !undefined))
-  in
-  let n = Array.length names in
-  let def = if n <= cap then Array.sub def 0 n else Array.append def (Array.make (n - cap) (-1)) in
+  let n = !count in
+  let names = Array.sub names 0 n and def = Array.sub def 0 n in
   (* Walking the slots backwards conses each list into block order; a
      point's slots are adjacent, so a repeated read meets itself at the
      head. *)

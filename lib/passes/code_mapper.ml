@@ -15,7 +15,11 @@ open Import
     between program points and variables of the two versions (the Δ and the
     value map of Section 4.2/5.1) falls out of this history.  The log keeps
     no derived state: the OSR layer replays a finished log once into an
-    {!index} and asks its queries there. *)
+    {!index} and asks its queries there.
+
+    {!replace_all_uses} is the one whole-function use substitution of the
+    passes: it records the action and rewrites the function in one call,
+    rebuilding only the rhs and terminators that read the old value. *)
 
 type action =
   | Add of { id : int; block : string }

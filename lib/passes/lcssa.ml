@@ -60,7 +60,7 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
   in
   (* Block number → the registers its instructions define. *)
   let defs_in = Array.make nb [] in
-  for v = Array.length regs.names - 1 downto regs.n_params do
+  for v = Array.length regs.names - 1 downto 0 do
     let d = regs.def.(v) in
     if d >= 0 then
       let k = index.point_block.(d) in

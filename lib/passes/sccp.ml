@@ -43,11 +43,14 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
   let nb = Array.length blocks in
   let state = Array.make (Array.length regs.names) Top in
   let get_state v = if v < regs.n_params then Bottom else state.(v) in
-  (* Operand [k] of point [p], whose value is [v]. *)
+  (* Operand [k] of point [p], whose value is [v].  A register that
+     nothing defines stays [Top]. *)
   let value_lattice p k (v : Ir.value) =
     match v with
     | Ir.Const n -> Const n
-    | Ir.Reg _ -> get_state regs.operands.(regs.first_operand.(p) + k)
+    | Ir.Reg _ ->
+        let v = regs.operands.(regs.first_operand.(p) + k) in
+        if v < 0 then Top else get_state v
     | Ir.Undef -> Bottom
   in
   (* Node of each φ incoming's label, by operand slot; [-1] when the label

@@ -206,7 +206,9 @@ let prop_generated_identical =
 (* Shapes neither the corpus nor the generator produces: an exit with two
    in-loop predecessors (the LCSSA φ gets one incoming per edge, in
    predecessor order), a nested loop whose exit lies inside the outer loop
-   (the outer loop's φ becomes an outside use for the inner one), outside
+   (the outer loop's φ becomes an outside use for the inner one), a value
+   of an inner loop used after the outer one (the outer loop's φ for it
+   gets an LCSSA φ of the inner loop as its incoming), outside
    uses in terminators and in an instruction reading the value twice, and
    alloca slots whose address escapes through a store or a call next to an
    unused φ the input already had (mem2reg must keep the first two and
@@ -258,6 +260,24 @@ let shapes =
      exit:\n\
     \  %u = mul %acc, %i\n\
     \  ret %u\n\
+     }\n";
+    "func @nested_escape(%n) {\n\
+     entry:\n\
+    \  br outer\n\
+     outer:\n\
+    \  %i = phi [entry: 0], [olatch: %i2]\n\
+    \  br inner\n\
+     inner:\n\
+    \  %j = phi [outer: 0], [inner: %j2]\n\
+    \  %j2 = add %j, 1\n\
+    \  %d = icmp slt %j2, %i\n\
+    \  cbr %d, inner, olatch\n\
+     olatch:\n\
+    \  %i2 = add %i, 1\n\
+    \  %c = icmp slt %i2, %n\n\
+    \  cbr %c, outer, exit\n\
+     exit:\n\
+    \  ret %j2\n\
      }\n";
     "func @escapes(%x) {\n\
      entry:\n\
