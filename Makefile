@@ -1,4 +1,4 @@
-.PHONY: all build test fmt loc observables bench bench-smoke bench-check bench-layers bench-layers-diff perf-par fuzz clean
+.PHONY: all build test fmt loc observables bench bench-smoke bench-check bench-layers bench-layers-diff bench-pairs perf-par fuzz clean
 
 all: build
 
@@ -83,6 +83,19 @@ bench-layers:
 bench-layers-diff:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-layers-diff A=<layers.json> B=<layers.json>"; exit 2; }
 	@python3 bench/layers_diff.py $(A) $(B)
+
+# Alternating before/after pairs of W (default tierup): N pairs (default 10)
+# of untraced SECONDS-s runs (default 30) in the parent checkout A and in
+# this one, seed SEED0 + i for pair i, the first side alternating; then per
+# end-to-end metric each side's median and quartiles, the change's wins and
+# whether a gain is shown (wins >= 9/10, median gap > the parent's IQR)
+# (`bench/pairs.py`).
+N ?= 10
+SECONDS ?= 30
+SEED0 ?= 1000
+bench-pairs:
+	@test -n "$(A)" || { echo "usage: make bench-pairs A=<parent checkout> [W=tierup] [N=10] [SECONDS=30] [SEED0=1000]"; exit 2; }
+	@python3 bench/pairs.py $(A) $(W) --n $(N) --seconds $(SECONDS) --seed0 $(SEED0)
 
 # Parallel sweep scaling (j = 1, 2, 4, #cores) + BENCH_parallel.json.
 perf-par:

@@ -545,6 +545,67 @@ let smoke () =
     s.seq_points
 
 (* ------------------------------------------------------------------ *)
+(* Compiled-continuation census                                         *)
+(* ------------------------------------------------------------------ *)
+
+(** The heap a compiled continuation keeps beyond its [f'to], over the
+    shape of osrbench's [steady] setup: four continuations per direction
+    per kernel (evenly spaced over the feasible points), each compiled and
+    measured with [Obj.reachable_words], in total and per field of
+    [Tinyvm.Compile.program] (a field's words beyond [f'to] and the
+    record's header). *)
+let census () =
+  let fields =
+    [ "func"; "code"; "ids"; "consts"; "edges"; "labels"; "regs"; "param_slots"; "max_moves" ]
+  in
+  let words x = Obj.reachable_words (Obj.repr x) in
+  (* Words reachable from [x] and not from [fto]; the pair's own 3 words
+     are not [x]'s. *)
+  let beyond fto x = words (x, fto) - 3 - words fto in
+  let sample (summary : F.summary Lazy.t) target =
+    let feasible =
+      Array.of_list
+        (List.filter_map
+           (fun (rep : F.point_report) ->
+             match (rep.F.landing, rep.F.avail_plan) with
+             | Some landing, Some plan -> Some (landing, plan)
+             | _ -> None)
+           (Lazy.force summary).F.reports)
+    in
+    let n = Array.length feasible in
+    List.init (min 4 n) (fun i ->
+        let landing, plan = feasible.(i * n / 4) in
+        Osrir.Contfun.generate target ~landing plan)
+  in
+  let conts =
+    List.concat_map
+      (fun kd -> sample kd.fwd kd.fopt @ sample kd.bwd kd.fbase)
+      (Lazy.force kernel_data)
+  in
+  let n = List.length conts in
+  let totals = Array.make (List.length fields) 0 in
+  let total = ref 0 and fto_words = ref 0 and instrs = ref 0 in
+  List.iter
+    (fun (c : Osrir.Contfun.t) ->
+      let fto = c.Osrir.Contfun.fto in
+      let p = Tinyvm.Compile.compile fto in
+      total := !total + beyond fto p;
+      fto_words := !fto_words + words fto;
+      instrs := !instrs + Ir.instr_count fto;
+      List.iteri
+        (fun i _ -> totals.(i) <- totals.(i) + beyond fto (Obj.field (Obj.repr p) i))
+        fields)
+    conts;
+  let kb w = float_of_int (w * (Sys.word_size / 8)) /. float_of_int n /. 1024. in
+  Printf.printf "Compiled continuations: %d (4 per direction per kernel), %.0f instrs each\n" n
+    (float_of_int !instrs /. float_of_int n);
+  Printf.printf "  f'to itself                %6.1f KB\n" (kb !fto_words);
+  Printf.printf "  program beyond f'to        %6.1f KB\n" (kb !total);
+  List.iteri (fun i name -> Printf.printf "    %-24s %6.1f KB\n" name (kb totals.(i))) fields;
+  Printf.printf "    %-24s %6.1f KB\n" "(record)" (kb (n * (List.length fields + 1)));
+  print_newline ()
+
+(* ------------------------------------------------------------------ *)
 (* Ablations                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -611,7 +672,7 @@ let paper_modes =
 
 let modes =
   paper_modes
-  @ [ ("smoke", smoke); ("all", fun () -> List.iter (fun (_, run) -> run ()) paper_modes) ]
+  @ [ ("smoke", smoke); ("census", census); ("all", fun () -> List.iter (fun (_, run) -> run ()) paper_modes) ]
 
 (* Every named mode runs, in order; an unknown one stops before any runs. *)
 let () =

@@ -21,7 +21,16 @@ open Import
        blocks yields more compact code"), and re-promote the slots with
        mem2reg, which rebuilds clean SSA with proper φ-nodes.}}
 
-    The result verifies under the standard SSA rules. *)
+    The result verifies under the standard SSA rules.
+
+    A continuation also carries what every firing needs and [f'to] alone
+    determines, computed here once instead of per attempt: χ's extent, and
+    whether χ can write memory (when it cannot, the runtime takes no
+    memory snapshot).  Its compiled program ([compiled]) is built by the
+    compiled engine on the first firing and reused by every later one, so
+    [f'to] is compiled once however often the continuation fires; it lives
+    as long as the continuation.  [f'to] is never mutated after
+    [generate]. *)
 
 type t = {
   fto : Ir.func;
@@ -33,6 +42,11 @@ type t = {
       (** registers of [fto] live into [landing] — the definedness
           obligation a reconstructed frame must meet before the transition
           may commit *)
+  chi_steps : int;
+      (** steps of χ, [fto]'s entry block: its body and its terminator (no
+          edge re-enters the entry block of a verified function) *)
+  chi_writes_memory : bool;  (** χ holds a [store] or an [alloca] *)
+  compiled : Tinyvm.Compile.cached;  (** [fto]'s program, compiled on first use *)
 }
 
 let param_prefix = "osr$"
@@ -339,4 +353,16 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
               { what = Printf.sprintf "Contfun.generate: landing #%d lost in @%s" landing fto.fname }))
     else Liveness.live_at live landing
   in
-  { fto; param_sources; landing; live_in }
+  let chi = (Ir.entry fto).body in
+  {
+    fto;
+    param_sources;
+    landing;
+    live_in;
+    chi_steps = List.length chi + 1;
+    chi_writes_memory =
+      List.exists
+        (fun (i : Ir.instr) -> match i.rhs with Ir.Store _ | Ir.Alloca _ -> true | _ -> false)
+        chi;
+    compiled = Tinyvm.Compile.cached fto;
+  }

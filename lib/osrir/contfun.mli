@@ -7,9 +7,19 @@ open Import
     Construction: split the landing block, demote the crossing registers to
     one-cell allocas, synthesize the entry, drop unreachable blocks, and
     re-promote with mem2reg — the result verifies under standard SSA
-    rules. *)
+    rules.
 
-type t = {
+    A continuation is built once and may fire many times.  Everything a
+    firing needs that [f'to] alone determines is computed once: χ's extent
+    and memory effect at [generate], the compiled program on the first
+    firing on the compiled engine (see {!Tinyvm.Compile.cached}).
+
+    Invariant: [fto] is never mutated after [generate].  The compiled
+    program is a snapshot of it, and [chi_steps] and [chi_writes_memory]
+    describe it; a caller that wants a changed [f'to] clones it
+    ([Ir.clone_func]) and builds its own machine from the clone. *)
+
+type t = private {
   fto : Ir.func;
   param_sources : Ir.value list;
       (** for each parameter of [fto], the source-side value the caller
@@ -19,6 +29,15 @@ type t = {
       (** registers of [fto] live into [landing] — the definedness
           obligation the runtime validates before committing a
           transition *)
+  chi_steps : int;
+      (** steps of χ, [fto]'s entry block: its body and its terminator.
+          No edge re-enters the entry block of a verified function, so
+          after these steps a run of [fto] has landed. *)
+  chi_writes_memory : bool;
+      (** χ holds a [store] or an [alloca] (which moves [brk]); the only
+          instructions of χ that change memory *)
+  compiled : Tinyvm.Compile.cached;
+      (** [fto] and its compiled program, compiled on first use *)
 }
 
 val param_prefix : string

@@ -172,50 +172,50 @@ module Make (E : Engine.S) : S with type machine := E.machine = struct
   let fire ?(hooks = no_hooks) (m : E.machine) (site : E.machine gsite) :
       (E.machine, Osr_error.t) result =
     let fname = (E.func m).Ir.fname in
-    match eval_sources m ~at:site.at site.cont.param_sources with
+    let c = site.cont in
+    match eval_sources m ~at:site.at c.param_sources with
     | Error e -> Error e
     | Ok args -> (
         let tel = E.telemetry m in
         let mem = E.memory m in
         (* Transaction snapshot: χ may allocate and store before it traps;
-           memory is the only state shared with the source frame. *)
-        let snap_cells = Hashtbl.copy mem.Interp.cells in
-        let snap_brk = mem.Interp.brk in
-        let rollback () =
-          Hashtbl.reset mem.Interp.cells;
-          Hashtbl.iter (Hashtbl.replace mem.Interp.cells) snap_cells;
-          mem.Interp.brk <- snap_brk
+           memory is the only state shared with the source frame.  A χ
+           without [store] or [alloca] leaves memory as it found it, and
+           needs none. *)
+        let rollback =
+          if not c.chi_writes_memory then ignore
+          else
+            let snap_cells = Hashtbl.copy mem.Interp.cells in
+            let snap_brk = mem.Interp.brk in
+            fun () ->
+              Hashtbl.reset mem.Interp.cells;
+              Hashtbl.iter (Hashtbl.replace mem.Interp.cells) snap_cells;
+              mem.Interp.brk <- snap_brk
         in
         let fuel =
           match hooks.h_fuel_cut ~at:site.at with
           | Some n -> min n (E.fuel m)
           | None -> E.fuel m
         in
-        match E.create ~memory:mem ~telemetry:tel ~fuel site.cont.fto ~args with
+        match E.of_cached ~memory:mem ~telemetry:tel ~fuel c.compiled ~args with
         | exception Interp.Trap t ->
             Error
               (Osr_error.Reconstruct_failed
                  { func = fname; at = site.at; what = Fmt.str "%a" Interp.pp_trap t })
         | cont -> (
-            let entry = Ir.entry site.cont.fto in
-            let n_chi = List.length entry.Ir.body + 1 in
-            let chi_ids = Hashtbl.create 16 in
-            List.iter (fun (i : Ir.instr) -> Hashtbl.replace chi_ids i.Ir.id ()) entry.Ir.body;
-            Hashtbl.replace chi_ids entry.Ir.term_id ();
+            let n_chi = c.chi_steps in
             let inject = hooks.h_chi_trap ~at:site.at in
             (* Step χ to the landing point (the entry block plus its
                terminator, whose edge moves run within the branch step). *)
             let rec run_chi k =
               match inject with
               | Some t when 2 * k >= n_chi -> `Chi_trap t
+              | _ when k >= n_chi -> `Landed
               | _ -> (
-                  match E.next_instr_id cont with
-                  | Some id when Hashtbl.mem chi_ids id -> (
-                      match E.step cont with
-                      | Interp.Running -> run_chi (k + 1)
-                      | Interp.Trapped t -> `Chi_trap t
-                      | Interp.Returned _ -> `Landed)
-                  | Some _ | None -> `Landed)
+                  match E.step cont with
+                  | Interp.Running -> run_chi (k + 1)
+                  | Interp.Trapped t -> `Chi_trap t
+                  | Interp.Returned _ -> `Landed)
             in
             match run_chi 0 with
             | `Chi_trap t ->
@@ -223,35 +223,29 @@ module Make (E : Engine.S) : S with type machine := E.machine = struct
                 Error
                   (match t with
                   | Interp.Fuel_exhausted steps ->
-                      Osr_error.Fuel_exhausted { func = site.cont.fto.Ir.fname; steps }
+                      Osr_error.Fuel_exhausted { func = c.fto.Ir.fname; steps }
                   | t ->
                       Osr_error.Comp_trap
-                        { func = fname; at = site.at; landing = site.cont.landing; trap = t })
+                        { func = fname; at = site.at; landing = c.landing; trap = t })
             | `Landed -> (
-                (match hooks.h_poison ~at:site.at ~live_in:site.cont.live_in with
+                (match hooks.h_poison ~at:site.at ~live_in:c.live_in with
                 | Some r -> E.clear_reg cont r
                 | None -> ());
-                let missing =
-                  List.filter (fun r -> E.read_reg cont r = None) site.cont.live_in
-                in
+                let missing = List.filter (fun r -> E.read_reg cont r = None) c.live_in in
                 match missing with
                 | _ :: _ ->
                     rollback ();
                     Error
                       (Osr_error.Frame_invalid
-                         {
-                           func = site.cont.fto.Ir.fname;
-                           landing = site.cont.landing;
-                           missing;
-                         })
+                         { func = c.fto.Ir.fname; landing = c.landing; missing })
                 | [] ->
                     (* Commit point: from here the transition is final. *)
+                    let comp = n_chi - 1 in
                     Telemetry.bump tel stat_fired;
-                    Telemetry.add tel stat_comp_instrs (List.length entry.Ir.body);
+                    Telemetry.add tel stat_comp_instrs comp;
                     Telemetry.remark tel ~pass:"osr" ~func:fname ~instr:site.at (fun () ->
                         Printf.sprintf "transition fired at #%d into %s (|entry comp| = %d)"
-                          site.at site.cont.fto.Ir.fname
-                          (List.length entry.Ir.body));
+                          site.at c.fto.Ir.fname comp);
                     Ok cont)))
 
   let run_with_osr ?(fuel = 10_000_000) ?(hooks = no_hooks) (machine : E.machine)
@@ -343,8 +337,7 @@ module Make (E : Engine.S) : S with type machine := E.machine = struct
                           (Some
                              {
                                fired_at = id;
-                               comp_entry_instrs =
-                                 List.length (Ir.entry site.cont.fto).Ir.body;
+                               comp_entry_instrs = site.cont.chi_steps - 1;
                              }) ))))
     and advance () =
       match E.step machine with

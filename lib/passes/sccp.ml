@@ -33,6 +33,16 @@ let meet (a : lattice) (b : lattice) : lattice =
   | Const x, Const y -> if x = y then Const x else Bottom
   | Bottom, _ | _, Bottom -> Bottom
 
+(* Remove the incomings from [pred] of [b]'s φ-nodes. *)
+let drop_incomings (b : Ir.block) ~(pred : string) : unit =
+  List.iter
+    (fun (i : Ir.instr) ->
+      match i.rhs with
+      | Ir.Phi incoming ->
+          i.rhs <- Ir.Phi (List.filter (fun (l, _) -> not (String.equal l pred)) incoming)
+      | _ -> ())
+    b.phis
+
 let run (m : Code_mapper.t) (f : Ir.func) : bool =
   let changed = ref false in
   (* The analysis and the constant rewrite (step 1 below) leave the block
@@ -209,21 +219,23 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
       List.iter materialize b.phis;
       List.iter materialize b.body)
     blocks;
-  (* 2. Fold conditional branches with constant or one-sided conditions. *)
+  (* 2. Fold conditional branches with constant or one-sided conditions.
+     The folded edge's φ incomings go after step 3. *)
+  let folded = ref [] in
+  let fold (b : Ir.block) ~keep ~drop =
+    b.term <- Ir.Br keep;
+    if not (String.equal keep drop) then folded := (b.label, drop) :: !folded;
+    changed := true
+  in
   Array.iteri
     (fun k (b : Ir.block) ->
       match (b.term, index.succs.(k)) with
       | Ir.Cbr (Ir.Const c, t, e), _ ->
-          b.term <- Ir.Br (if c <> 0 then t else e);
-          changed := true
+          if c <> 0 then fold b ~keep:t ~drop:e else fold b ~keep:e ~drop:t
       | Ir.Cbr (_, t, e), [ tn; en ] when exec.(k) -> (
           match (List.mem tn exec_succs.(k), List.mem en exec_succs.(k)) with
-          | true, false ->
-              b.term <- Ir.Br t;
-              changed := true
-          | false, true ->
-              b.term <- Ir.Br e;
-              changed := true
+          | true, false -> fold b ~keep:t ~drop:e
+          | false, true -> fold b ~keep:e ~drop:t
           | _, _ -> ())
       | _ -> ())
     blocks;
@@ -249,6 +261,15 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
           b.phis)
       f.blocks
   end;
+  (* Drop φ incomings along the folded edges: their source block no longer
+     branches to the target, which may still be reachable (a bottom-tested
+     loop's header after its back edge folds away). *)
+  List.iter
+    (fun (pred, target) ->
+      match Func_index.find_block index target with
+      | Some tb -> drop_incomings tb ~pred
+      | None -> ())
+    !folded;
   (* 4. Simplify φ-nodes left with a single incoming. *)
   List.iter
     (fun (b : Ir.block) ->

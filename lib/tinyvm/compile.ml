@@ -1,17 +1,24 @@
-(** One-shot compiler from MiniIR to a flat, pre-resolved instruction array
-    — the "bytecode" the compiled TinyVM engine dispatches over.
+(** One-shot compiler from MiniIR to a compact, pre-resolved program — the
+    "bytecode" the compiled TinyVM engine dispatches over.
 
     The translation removes every per-step lookup the reference interpreter
-    pays:
+    pays, and keeps the result small enough to hold on to (a continuation
+    keeps its program for as long as it lives, see {!cached}):
 
     - virtual registers become numbered frame slots ([int array] frame plus
-      a definedness bitmap — no string hashing);
-    - operands are pre-read into [Const n | Slot k | Undef];
+      a definedness bitmap — no string hashing).  Slots are numbered in
+      name order, so {!program.regs} (slot → name) is also the name → slot
+      index, searched by bisection ({!slot});
+    - operands are plain ints: a slot [k >= 0], {!undef}, or a constant,
+      [-2 - i] for entry [i] of the program's constant pool
+      {!program.consts};
     - block labels are resolved to program-counter indices at compile time
-      (a branch to a missing block compiles to an op that traps only when
-      the edge is actually taken, like the reference);
+      (a branch to a missing block compiles to an edge that traps only when
+      it is actually taken, like the reference);
     - φ-nodes disappear from the instruction stream: each CFG edge carries
-      a parallel-move sequence executed on the taken edge.
+      a parallel-move sequence executed on the taken edge.  An edge with no
+      moves is just its target pc; the others live in one flat [int array]
+      ({!program.edges}).
 
     One program point of the source function (a body instruction or a
     terminator) is exactly one program counter, so step counts, fuel
@@ -20,33 +27,38 @@
 
 module Ir = Miniir.Ir
 
-(** A pre-resolved operand. [Undef] traps when read as an instruction
-    operand; as a φ-move source it un-defines the destination (the
-    reference interpreter's lazy poison). *)
-type operand = Const of int | Slot of int | Undef
+(** A pre-resolved operand: a slot [k >= 0], [undef], or the constant
+    [consts.(-2 - o)].  [undef] traps when read as an instruction operand;
+    as a φ-move source it un-defines the destination (the reference
+    interpreter's lazy poison). *)
+type operand = int
 
-(** The parallel moves of one CFG edge, compiled from the target block's
-    φ-nodes.  Semantics of the reference [enter_block]: all sources are
-    read first (trapping, in φ order, on an undefined register), then all
-    destinations are written.  [mv_dst.(j) = -1] when the φ has no result
-    (the read still happens, for its trap).  [mv_bad >= 0] is the id of the
-    first malformed φ entry (missing incoming for this edge, or a non-φ
-    instruction in φ position): the reference traps [Undef_read] there
-    after the earlier reads succeed, so the move list is truncated at that
-    point and the engine raises after the read phase. *)
-type moves = {
-  mv_dst : int array;
-  mv_src : operand array;
-  mv_at : int array;  (** φ instruction id per move, for trap attribution *)
-  mv_bad : int;  (** instr id to trap [Undef_read] after the reads; -1 = none *)
-  mv_overlap : bool;
-      (** some source slot is also a destination slot of this edge: the
-          engine must buffer the read phase (swap/cycle case) *)
-}
+let undef : operand = -1
 
-type edge = { target_pc : int; moves : moves }
+(** A branch target.  [j >= 0] is the entry pc of a block entered with no
+    φ-moves.  [j < 0] is the edge record at offset [-1 - j] of
+    {!program.edges}:
 
-type jump = Jump of edge | Jump_missing of string
+    [target; n; bad; overlap; dst_0; src_0; at_0; …; dst_(n-1); src_(n-1); at_(n-1)]
+
+    - [target] is the target block's entry pc, or [-1 - i] for a missing
+      block named [labels.(i)] ([No_such_block] when taken, before any
+      move);
+    - the [n] moves are the target's φ-nodes for this edge, with the
+      semantics of the reference [enter_block]: all sources are read first
+      (trapping, in φ order, on an undefined register, [Undef_read at]),
+      then all destinations are written; [dst = -1] when the φ has no
+      result (the read still happens, for its trap);
+    - [bad >= 0] is the id of the first malformed φ entry (missing incoming
+      for this edge, or a non-φ instruction in φ position): the reference
+      traps [Undef_read] there after the earlier reads succeed, so the
+      moves stop at that point and the engine raises after the read phase;
+      [-1] = none;
+    - [overlap = 1] when some source slot is also a destination slot of
+      this edge: the engine must buffer the read phase (swap/cycle case). *)
+type jump = int
+
+let edge_header = 4
 
 (** One compiled op.  The leading [int] of result-producing ops is the
     destination slot, -1 for none.  Trap attribution ids are not embedded:
@@ -70,13 +82,13 @@ type op =
   | Ounreachable of string  (** block label *)
 
 type program = {
-  func : Ir.func;  (** the source function, for [next_id] and diagnostics *)
-  code : op array;
+  func : Ir.func;  (** the source function, for its parameters and name *)
+  code : op array;  (** entry at pc 0 *)
   ids : int array;  (** source program-point id per pc *)
-  entry_pc : int;
-  nslots : int;
-  slots : (Ir.reg, int) Hashtbl.t;
-  regs : Ir.reg array;  (** slot -> register name *)
+  consts : int array;  (** constant pool, sorted, without repeats *)
+  edges : int array;  (** the edge records of every jump with moves *)
+  labels : string array;  (** missing branch targets *)
+  regs : Ir.reg array;  (** slot → register name, sorted *)
   param_slots : int array;  (** slot of each function parameter, in order *)
   max_moves : int;  (** widest edge move list, for scratch sizing *)
 }
@@ -89,19 +101,33 @@ let stat_compiled_ops =
 
 (* ------------------------------------------------------------------ *)
 
-let slot_of (slots : (Ir.reg, int) Hashtbl.t) (next : int ref) (r : Ir.reg) : int =
-  match Hashtbl.find_opt slots r with
-  | Some k -> k
-  | None ->
-      let k = !next in
-      incr next;
-      Hashtbl.add slots r k;
-      k
+(* Index of [x] in the sorted array [a], or -1. *)
+let bisect (cmp : 'a -> 'a -> int) (a : 'a array) (x : 'a) : int =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let c = cmp x a.(mid) in
+      if c = 0 then mid else if c < 0 then go lo mid else go (mid + 1) hi
+  in
+  go 0 (Array.length a)
 
-let operand_of slots next : Ir.value -> operand = function
-  | Ir.Const n -> Const n
-  | Ir.Undef -> Undef
-  | Ir.Reg r -> Slot (slot_of slots next r)
+(** The slot of register [r] in [p], or -1 when [p] has none. *)
+let slot (p : program) (r : Ir.reg) : int = bisect String.compare p.regs r
+
+(* Grows by doubling; [contents] is the used prefix. *)
+type ints = { mutable buf : int array; mutable len : int }
+
+let push (b : ints) (x : int) : unit =
+  if b.len = Array.length b.buf then begin
+    let grown = Array.make (max 16 (2 * b.len)) 0 in
+    Array.blit b.buf 0 grown 0 b.len;
+    b.buf <- grown
+  end;
+  b.buf.(b.len) <- x;
+  b.len <- b.len + 1
+
+let contents (b : ints) : int array = Array.sub b.buf 0 b.len
 
 (** Compile [f].  Total on any function with at least one block, verified
     or not: malformed shapes (missing blocks, φs in body position, missing
@@ -110,87 +136,95 @@ let operand_of slots next : Ir.value -> operand = function
 let compile ?(telemetry = Telemetry.null) (f : Ir.func) : program =
   Telemetry.with_span telemetry ~cat:"vm" "compile" @@ fun () ->
   ignore (Ir.entry f : Ir.block) (* same [Invalid_argument] as the reference on an empty function *);
-  let slots : (Ir.reg, int) Hashtbl.t = Hashtbl.create 64 in
-  let next = ref 0 in
-  let param_slots = Array.of_list (List.map (slot_of slots next) f.params) in
-  (* [find_block] resolves duplicate labels to the first block; mirror that. *)
-  let block_tbl : (string, Ir.block) Hashtbl.t = Hashtbl.create 16 in
+  (* Every register and constant the function names, sorted. *)
+  let names = ref f.params and ints = ref [] in
+  let note = function
+    | Ir.Reg r -> names := r :: !names
+    | Ir.Const n -> ints := n :: !ints
+    | Ir.Undef -> ()
+  in
+  let note_instr (i : Ir.instr) =
+    Option.iter (fun r -> names := r :: !names) i.result;
+    Ir.iter_rhs_operands note i.rhs
+  in
   List.iter
     (fun (b : Ir.block) ->
-      if not (Hashtbl.mem block_tbl b.label) then Hashtbl.add block_tbl b.label b)
+      List.iter note_instr b.phis;
+      List.iter note_instr b.body;
+      Ir.iter_term_operands note b.term)
     f.blocks;
-  (* Pass 1: a pc for every body instruction and terminator; blocks keep
-     their first occurrence's entry pc (φ-nodes get no pc). *)
-  let entry_pcs : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let pc = ref 0 in
-  List.iter
-    (fun (b : Ir.block) ->
-      if not (Hashtbl.mem entry_pcs b.label) then Hashtbl.add entry_pcs b.label !pc;
-      pc := !pc + List.length b.body + 1)
-    f.blocks;
-  let size = !pc in
-  let code = Array.make size (Ounreachable "<uninit>") in
+  let regs = Array.of_list (List.sort_uniq String.compare !names) in
+  let consts = Array.of_list (List.sort_uniq Int.compare !ints) in
+  let slot_of r = bisect String.compare regs r in
+  let operand : Ir.value -> operand = function
+    | Ir.Reg r -> slot_of r
+    | Ir.Undef -> undef
+    | Ir.Const n -> -2 - bisect Int.compare consts n
+  in
+  let dst_of (i : Ir.instr) = match i.result with Some r -> slot_of r | None -> -1 in
+  (* Pass 1: a pc for every body instruction and terminator; a label names
+     its first block, at that block's entry pc (φ-nodes get no pc). *)
+  let blocks : (string, int * Ir.block) Hashtbl.t = Hashtbl.create 16 in
+  let size =
+    List.fold_left
+      (fun pc (b : Ir.block) ->
+        if not (Hashtbl.mem blocks b.label) then Hashtbl.add blocks b.label (pc, b);
+        pc + List.length b.body + 1)
+      0 f.blocks
+  in
+  let code = Array.make size Otrap_undef in
   let ids = Array.make size (-1) in
+  let edges = { buf = [||]; len = 0 } in
+  let labels = ref [] and n_labels = ref 0 in
   let max_moves = ref 0 in
-  (* Per-edge parallel moves from the target block's φ-nodes. *)
-  let compile_edge ~(pred : string) (target : string) : jump =
-    match Hashtbl.find_opt block_tbl target with
-    | None -> Jump_missing target
-    | Some tb ->
-        let dsts = ref [] and srcs = ref [] and ats = ref [] in
-        let bad = ref (-1) in
-        (try
-           List.iter
-             (fun (i : Ir.instr) ->
-               match i.rhs with
-               | Ir.Phi incoming -> (
-                   match List.assoc_opt pred incoming with
-                   | None ->
-                       bad := i.id;
-                       raise Exit
-                   | Some v ->
-                       dsts :=
-                         (match i.result with
-                         | Some r -> slot_of slots next r
-                         | None -> -1)
-                         :: !dsts;
-                       srcs := operand_of slots next v :: !srcs;
-                       ats := i.id :: !ats)
-               | _ ->
-                   bad := i.id;
-                   raise Exit)
-             tb.phis
-         with Exit -> ());
-        let mv_dst = Array.of_list (List.rev !dsts) in
-        let mv_src = Array.of_list (List.rev !srcs) in
-        let mv_at = Array.of_list (List.rev !ats) in
-        let mv_overlap =
-          Array.exists
-            (function
-              | Slot k -> Array.exists (fun d -> d = k) mv_dst
-              | Const _ | Undef -> false)
-            mv_src
+  (* The jump along [pred -> target], moves from the target's φ-nodes. *)
+  let jump ~(pred : string) (target : string) : jump =
+    let record target_pc moves bad =
+      let off = edges.len in
+      let overlap =
+        List.exists (fun (_, s, _) -> s >= 0 && List.exists (fun (d, _, _) -> d = s) moves) moves
+      in
+      List.iter (push edges) [ target_pc; List.length moves; bad; Bool.to_int overlap ];
+      List.iter
+        (fun (d, s, at) ->
+          push edges d;
+          push edges s;
+          push edges at)
+        moves;
+      max_moves := max !max_moves (List.length moves);
+      -1 - off
+    in
+    match Hashtbl.find_opt blocks target with
+    | None ->
+        let i = !n_labels in
+        labels := target :: !labels;
+        incr n_labels;
+        record (-1 - i) [] (-1)
+    | Some (pc, tb) -> (
+        let rec moves acc = function
+          | [] -> (List.rev acc, -1)
+          | (i : Ir.instr) :: rest -> (
+              match i.rhs with
+              | Ir.Phi incoming -> (
+                  match List.assoc_opt pred incoming with
+                  | Some v -> moves ((dst_of i, operand v, i.id) :: acc) rest
+                  | None -> (List.rev acc, i.id))
+              | _ -> (List.rev acc, i.id))
         in
-        max_moves := max !max_moves (Array.length mv_dst);
-        Jump
-          {
-            target_pc = Hashtbl.find entry_pcs tb.label;
-            moves = { mv_dst; mv_src; mv_at; mv_bad = !bad; mv_overlap };
-          }
+        match moves [] tb.phis with [], -1 -> pc | mv, bad -> record pc mv bad)
   in
   (* Pass 2: emit. *)
+  let pc = ref 0 in
   let emit id op =
     code.(!pc) <- op;
     ids.(!pc) <- id;
     incr pc
   in
-  pc := 0;
   List.iter
     (fun (b : Ir.block) ->
       List.iter
         (fun (i : Ir.instr) ->
-          let dst = match i.result with Some r -> slot_of slots next r | None -> -1 in
-          let v = operand_of slots next in
+          let dst = dst_of i and v = operand in
           let op =
             match i.rhs with
             | Ir.Binop (op, a, b) -> Obinop (dst, op, v a, v b)
@@ -215,31 +249,44 @@ let compile ?(telemetry = Telemetry.null) (f : Ir.func) : program =
         b.body;
       let term =
         match b.term with
-        | Ir.Br l -> Obr (compile_edge ~pred:b.label l)
-        | Ir.Cbr (c, t, e) ->
-            Ocbr
-              ( operand_of slots next c,
-                compile_edge ~pred:b.label t,
-                compile_edge ~pred:b.label e )
-        | Ir.Ret v -> Oret (operand_of slots next v)
+        | Ir.Br l -> Obr (jump ~pred:b.label l)
+        | Ir.Cbr (c, t, e) -> Ocbr (operand c, jump ~pred:b.label t, jump ~pred:b.label e)
+        | Ir.Ret v -> Oret (operand v)
         | Ir.Unreachable -> Ounreachable b.label
       in
       emit b.term_id term)
     f.blocks;
-  let regs = Array.make (max 1 !next) "" in
-  Hashtbl.iter (fun r k -> regs.(k) <- r) slots;
   Telemetry.bump telemetry stat_compiles;
   Telemetry.add telemetry stat_compiled_ops size;
   {
     func = f;
     code;
     ids;
-    entry_pc = 0;
-    nslots = !next;
-    slots;
+    consts;
+    edges = contents edges;
+    labels = Array.of_list (List.rev !labels);
     regs;
-    param_slots;
+    param_slots = Array.of_list (List.map slot_of f.params);
     max_moves = !max_moves;
   }
 
-let slot_of_reg (p : program) (r : Ir.reg) : int option = Hashtbl.find_opt p.slots r
+(* ------------------------------------------------------------------ *)
+
+(** A function with its compiled program, compiled on first use and kept:
+    how a continuation is compiled once however often it fires.  The
+    program is a snapshot of [source], so [source] must not change once
+    [cached] has been called on it. *)
+type cached = { source : Ir.func; program : program option Atomic.t }
+
+let cached (f : Ir.func) : cached = { source = f; program = Atomic.make None }
+
+(** The program of [c], compiled now (on [telemetry]) if no earlier call
+    compiled it.  Safe from several domains: two first calls may both
+    compile, and both return the program the first to finish published. *)
+let force ?telemetry (c : cached) : program =
+  match Atomic.get c.program with
+  | Some p -> p
+  | None -> (
+      let p = compile ?telemetry c.source in
+      if Atomic.compare_and_set c.program None (Some p) then p
+      else match Atomic.get c.program with Some p -> p | None -> assert false)

@@ -32,6 +32,17 @@ module type S = sig
       store invariant); [step] runs φ-moves on the taken edge, within the
       branch's step. *)
 
+  val of_cached :
+    ?memory:Interp.memory ->
+    ?telemetry:Telemetry.sink ->
+    ?fuel:int ->
+    Compile.cached ->
+    args:int list ->
+    machine
+  (** [create] on a cached function: the compiled engine compiles it the
+      first time only ({!Compile.force}), the reference engine runs its
+      source and never compiles it. *)
+
   val status : machine -> Interp.status
   val func : machine -> Ir.func
   val memory : machine -> Interp.memory
@@ -61,6 +72,10 @@ module Reference : S with type machine = Interp.machine = struct
   type machine = Interp.machine
 
   let create = Interp.create
+
+  let of_cached ?memory ?telemetry ?fuel (c : Compile.cached) ~args =
+    Interp.create ?memory ?telemetry ?fuel c.Compile.source ~args
+
   let step = Interp.step
   let status (m : machine) = m.Interp.status
   let next_instr_id = Interp.next_instr_id
@@ -89,6 +104,10 @@ module Compiled = struct
 
   type machine = {
     prog : program;
+    code : op array;  (** [prog]'s arrays, one indirection closer *)
+    ids : int array;
+    consts : int array;
+    edges : int array;
     frame : int array;
     defined : bool array;
     memory : Interp.memory;
@@ -108,8 +127,9 @@ module Compiled = struct
       ~(args : int list) : machine =
     if List.length args <> List.length p.func.Ir.params then
       raise (Interp.Trap (Bad_arity p.func.Ir.fname));
-    let frame = Array.make (max 1 p.nslots) 0 in
-    let defined = Array.make (max 1 p.nslots) false in
+    let nslots = max 1 (Array.length p.regs) in
+    let frame = Array.make nslots 0 in
+    let defined = Array.make nslots false in
     List.iteri
       (fun i a ->
         frame.(p.param_slots.(i)) <- a;
@@ -117,10 +137,14 @@ module Compiled = struct
       args;
     {
       prog = p;
+      code = p.code;
+      ids = p.ids;
+      consts = p.consts;
+      edges = p.edges;
       frame;
       defined;
       memory = (match memory with Some m -> m | None -> Interp.fresh_memory ());
-      pc = p.entry_pc;
+      pc = 0;
       status = Running;
       steps = 0;
       fuel_stop = fuel;
@@ -135,12 +159,16 @@ module Compiled = struct
       raise (Interp.Trap (Bad_arity f.Ir.fname));
     of_program ?memory ?telemetry ?fuel (compile ?telemetry f) ~args
 
+  let of_cached ?memory ?telemetry ?fuel (c : cached) ~(args : int list) : machine =
+    if List.length args <> List.length c.source.Ir.params then
+      raise (Interp.Trap (Bad_arity c.source.Ir.fname));
+    of_program ?memory ?telemetry ?fuel (force ?telemetry c) ~args
+
   let[@inline] read (m : machine) ~(at : int) (o : operand) : int =
-    match o with
-    | Const n -> n
-    | Slot k ->
-        if m.defined.(k) then m.frame.(k) else raise (Interp.Trap (Undef_read at))
-    | Undef -> raise (Interp.Trap (Undef_read at))
+    if o >= 0 then
+      if m.defined.(o) then m.frame.(o) else raise (Interp.Trap (Undef_read at))
+    else if o = undef then raise (Interp.Trap (Undef_read at))
+    else m.consts.(-2 - o)
 
   let[@inline] write (m : machine) (dst : int) (v : int) : unit =
     if dst >= 0 then begin
@@ -148,40 +176,45 @@ module Compiled = struct
       m.defined.(dst) <- true
     end
 
-  (* Parallel moves of one edge: the reference reads every φ source first
-     (trapping in φ order), then writes all destinations.  Without
-     source/destination overlap a single in-order pass is equivalent on
-     every non-trapping run (a post-trap frame is unobservable); with
-     overlap — swaps, cycles, permutations — the read phase goes through
-     the scratch buffer. *)
-  let exec_moves (m : machine) (mv : moves) : unit =
-    let n = Array.length mv.mv_dst in
-    if not mv.mv_overlap then
+  (* The edge record at [o] (see {!Compile.jump}).  The reference reads
+     every φ source first (trapping in φ order), then writes all
+     destinations.  Without source/destination overlap a single in-order
+     pass is equivalent on every non-trapping run (a post-trap frame is
+     unobservable); with overlap — swaps, cycles, permutations — the read
+     phase goes through the scratch buffer. *)
+  let take_edge (m : machine) (o : int) : unit =
+    let e = m.edges in
+    let target = e.(o) in
+    if target < 0 then raise (Interp.Trap (No_such_block m.prog.labels.(-1 - target)));
+    let n = e.(o + 1) in
+    if e.(o + 3) = 0 then
       for j = 0 to n - 1 do
-        let d = mv.mv_dst.(j) in
-        match mv.mv_src.(j) with
-        | Const v -> write m d v
-        | Slot k ->
-            if m.defined.(k) then write m d m.frame.(k)
-            else raise (Interp.Trap (Undef_read mv.mv_at.(j)))
-        | Undef -> if d >= 0 then m.defined.(d) <- false
+        let k = o + edge_header + (3 * j) in
+        let d = e.(k) and s = e.(k + 1) in
+        if s >= 0 then
+          if m.defined.(s) then write m d m.frame.(s)
+          else raise (Interp.Trap (Undef_read e.(k + 2)))
+        else if s = undef then (if d >= 0 then m.defined.(d) <- false)
+        else write m d m.consts.(-2 - s)
       done
     else begin
       for j = 0 to n - 1 do
-        match mv.mv_src.(j) with
-        | Const v ->
-            m.scratch.(j) <- v;
+        let k = o + edge_header + (3 * j) in
+        let s = e.(k + 1) in
+        if s >= 0 then
+          if m.defined.(s) then begin
+            m.scratch.(j) <- m.frame.(s);
             m.scratch_def.(j) <- true
-        | Slot k ->
-            if m.defined.(k) then begin
-              m.scratch.(j) <- m.frame.(k);
-              m.scratch_def.(j) <- true
-            end
-            else raise (Interp.Trap (Undef_read mv.mv_at.(j)))
-        | Undef -> m.scratch_def.(j) <- false
+          end
+          else raise (Interp.Trap (Undef_read e.(k + 2)))
+        else if s = undef then m.scratch_def.(j) <- false
+        else begin
+          m.scratch.(j) <- m.consts.(-2 - s);
+          m.scratch_def.(j) <- true
+        end
       done;
       for j = 0 to n - 1 do
-        let d = mv.mv_dst.(j) in
+        let d = e.(o + edge_header + (3 * j)) in
         if d >= 0 then
           if m.scratch_def.(j) then begin
             m.frame.(d) <- m.scratch.(j);
@@ -190,14 +223,12 @@ module Compiled = struct
           else m.defined.(d) <- false
       done
     end;
-    if mv.mv_bad >= 0 then raise (Interp.Trap (Undef_read mv.mv_bad))
+    let bad = e.(o + 2) in
+    if bad >= 0 then raise (Interp.Trap (Undef_read bad));
+    m.pc <- target
 
   let[@inline] take_jump (m : machine) (j : jump) : unit =
-    match j with
-    | Jump e ->
-        exec_moves m e.moves;
-        m.pc <- e.target_pc
-    | Jump_missing l -> raise (Interp.Trap (No_such_block l))
+    if j >= 0 then m.pc <- j else take_edge m (-1 - j)
 
   let exec_intrinsic_args (m : machine) ~(at : int) (ops : operand array) : int list =
     Array.fold_right (fun o acc -> read m ~at o :: acc) ops []
@@ -213,9 +244,9 @@ module Compiled = struct
         m.steps <- m.steps + 1;
         Telemetry.bump m.tel Interp.stat_steps;
         let pc = m.pc in
-        let at = m.prog.ids.(pc) in
+        let at = m.ids.(pc) in
         try
-          (match m.prog.code.(pc) with
+          (match m.code.(pc) with
           | Obinop (dst, op, a, b) ->
               let x = read m ~at a and y = read m ~at b in
               (match Passes.Fold.eval_binop op x y with
@@ -283,7 +314,7 @@ module Compiled = struct
   let next_instr_id (m : machine) : int option =
     match m.status with
     | Returned _ | Trapped _ -> None
-    | Running -> Some m.prog.ids.(m.pc)
+    | Running -> Some m.ids.(m.pc)
 
   let func (m : machine) = m.prog.func
   let memory (m : machine) = m.memory
@@ -297,24 +328,22 @@ module Compiled = struct
   let events_rev (m : machine) = m.events
 
   let read_reg (m : machine) (r : Ir.reg) : int option =
-    match Compile.slot_of_reg m.prog r with
-    | Some k when m.defined.(k) -> Some m.frame.(k)
-    | Some _ | None -> None
+    let k = Compile.slot m.prog r in
+    if k >= 0 && m.defined.(k) then Some m.frame.(k) else None
 
   let write_reg (m : machine) (r : Ir.reg) (v : int) : unit =
-    match Compile.slot_of_reg m.prog r with
-    | Some k ->
-        m.frame.(k) <- v;
-        m.defined.(k) <- true
-    | None ->
-        raise
-          (Osr_error.Error
-             (Osr_error.Unknown_register { func = m.prog.func.Ir.fname; reg = r }))
+    let k = Compile.slot m.prog r in
+    if k >= 0 then begin
+      m.frame.(k) <- v;
+      m.defined.(k) <- true
+    end
+    else
+      raise
+        (Osr_error.Error (Osr_error.Unknown_register { func = m.prog.func.Ir.fname; reg = r }))
 
   let clear_reg (m : machine) (r : Ir.reg) : unit =
-    match Compile.slot_of_reg m.prog r with
-    | Some k -> m.defined.(k) <- false
-    | None -> ()
+    let k = Compile.slot m.prog r in
+    if k >= 0 then m.defined.(k) <- false
 
   include Interp.Run (struct
     type nonrec machine = machine

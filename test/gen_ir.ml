@@ -2,7 +2,13 @@
     style): scalar slots and a small array manipulated through structured
     statements, lowered to basic blocks.  Generated functions always
     terminate (loops are counter-bounded) and never read uninitialized
-    slots (everything is zero-initialized in the entry block). *)
+    slots (everything is zero-initialized in the entry block).
+
+    Loops come top-tested ([while]) and bottom-tested ([do … while]).  A
+    bottom-tested loop's body dominates its exit, so after mem2reg a slot
+    stored in an inner loop and read after its enclosing loop is a value
+    defined in the inner loop and used outside both, with no φ in between
+    — the shape LCSSA must close for every loop it leaves. *)
 
 open QCheck
 
@@ -26,6 +32,7 @@ type stmt =
   | Sarr_store of expr * expr  (* arr[e1 & 7] := e2 *)
   | Sif of expr * stmt list * stmt list
   | Swhile of int * stmt list  (* bound, body *)
+  | Sdo of int * stmt list  (* bound, body: runs the body [bound] times, at least once *)
   | Semit of expr  (* observable event *)
 
 let gen_expr : expr Gen.t =
@@ -94,6 +101,11 @@ and gen_stmt ~depth : stmt Gen.t =
           let* bl = int_range 1 3 in
           let* body = gen_stmts ~depth:(depth - 1) bl in
           return (Swhile (bound, body)) );
+        ( 1,
+          let* bound = int_range 1 3 in
+          let* bl = int_range 1 3 in
+          let* body = gen_stmts ~depth:(depth - 1) bl in
+          return (Sdo (bound, body)) );
       ]
 
 (* ------------------------------------------------------------------ *)
@@ -108,6 +120,14 @@ let fresh_label st prefix =
   Printf.sprintf "%s%d" prefix n
 
 let slot_reg s = s ^ ".slot"
+
+(* A fresh loop-counter slot.  It is allocated here, in the current block
+   (which dominates the loop), not in the entry block: the builder is
+   already past the entry. *)
+let counter_slot (st : lower_state) : Ir.value =
+  let counter = Printf.sprintf "cnt%d.slot" st.next_counter in
+  st.next_counter <- st.next_counter + 1;
+  Builder.alloca ~reg:counter st.b
 
 let rec lower_expr (st : lower_state) (e : expr) : Ir.value =
   match e with
@@ -154,12 +174,7 @@ let rec lower_stmt (st : lower_state) (s : stmt) : unit =
       Builder.br st.b lj;
       Builder.add_block_at st.b lj
   | Swhile (bound, body) ->
-      let counter = Printf.sprintf "cnt%d.slot" st.next_counter in
-      st.next_counter <- st.next_counter + 1;
-      (* The counter slot is allocated lazily here; entry-allocated slots
-         would be cleaner but builder position is already past entry, so we
-         alloca in the current block (still dominates the loop). *)
-      let caddr = Builder.alloca ~reg:counter st.b in
+      let caddr = counter_slot st in
       Builder.store st.b (Ir.Const 0) caddr;
       let lh = fresh_label st "head" in
       let lb = fresh_label st "body" and lx = fresh_label st "exit" in
@@ -174,6 +189,19 @@ let rec lower_stmt (st : lower_state) (s : stmt) : unit =
       let c3 = Builder.add st.b c2 (Ir.Const 1) in
       Builder.store st.b c3 caddr;
       Builder.br st.b lh;
+      Builder.add_block_at st.b lx
+  | Sdo (bound, body) ->
+      let caddr = counter_slot st in
+      Builder.store st.b (Ir.Const 0) caddr;
+      let lb = fresh_label st "do" and lx = fresh_label st "done" in
+      Builder.br st.b lb;
+      Builder.add_block_at st.b lb;
+      List.iter (lower_stmt st) body;
+      let c = Builder.load st.b caddr in
+      let c2 = Builder.add st.b c (Ir.Const 1) in
+      Builder.store st.b c2 caddr;
+      let cond = Builder.icmp st.b Ir.Slt c2 (Ir.Const bound) in
+      Builder.cbr st.b cond lb lx;
       Builder.add_block_at st.b lx
 
 let lower (stmts : stmt list) (ret : expr) : Ir.func =

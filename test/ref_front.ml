@@ -30,7 +30,13 @@
     edits: [Sccp] reads [Ref_miniir.def_table] (a [Hashtbl], so its lookup
     is [Hashtbl.find_opt]) and the frozen [Func_index], and [Sink] builds
     its tree with this file's [Dom.compute ~index f].  [standard_pipeline]
-    runs the copies of SCCP, LCSSA and Sink. *)
+    runs the copies of SCCP, LCSSA and Sink.
+
+    Since SCCP drops the φ incomings of the edges it folds away: the fix
+    is made in [Sccp] here too (the [folded] list and the loop over it
+    after step 3).  Before it, folding a bottom-tested loop's back edge
+    left the header's φs an incoming from a block that no longer branches
+    there, which the verifier rejects. *)
 
 module Ir = Miniir.Ir
 module Func_index = Ref_miniir.Func_index
@@ -601,22 +607,22 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
         (Ir.block_instrs b))
     f.blocks;
   (* 2. Fold conditional branches with constant or one-sided conditions. *)
+  let folded = ref [] in
+  let fold (b : Ir.block) ~keep ~drop =
+    b.term <- Ir.Br keep;
+    if not (String.equal keep drop) then folded := (b.label, drop) :: !folded;
+    changed := true
+  in
   List.iter
     (fun (b : Ir.block) ->
       match b.term with
-      | Ir.Cbr (Ir.Const k, t, e) ->
-          b.term <- Ir.Br (if k <> 0 then t else e);
-          changed := true
+      | Ir.Cbr (Ir.Const k, t, e) -> if k <> 0 then fold b ~keep:t ~drop:e else fold b ~keep:e ~drop:t
       | Ir.Cbr (_, t, e) when Hashtbl.mem exec_blocks b.label -> (
           let t_exec = Hashtbl.mem exec_edges (b.label, t) in
           let e_exec = Hashtbl.mem exec_edges (b.label, e) in
           match (t_exec, e_exec) with
-          | true, false ->
-              b.term <- Ir.Br t;
-              changed := true
-          | false, true ->
-              b.term <- Ir.Br e;
-              changed := true
+          | true, false -> fold b ~keep:t ~drop:e
+          | false, true -> fold b ~keep:e ~drop:t
           | _, _ -> ())
       | _ -> ())
     f.blocks;
@@ -644,6 +650,19 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
           b.phis)
       f.blocks
   end;
+  List.iter
+    (fun (pred, target) ->
+      match Ir.find_block f target with
+      | Some (tb : Ir.block) ->
+          List.iter
+            (fun (i : Ir.instr) ->
+              match i.rhs with
+              | Ir.Phi incoming ->
+                  i.rhs <- Ir.Phi (List.filter (fun (l, _) -> not (String.equal l pred)) incoming)
+              | _ -> ())
+            tb.phis
+      | None -> ())
+    !folded;
   (* 4. Simplify φ-nodes left with a single incoming. *)
   List.iter
     (fun (b : Ir.block) ->

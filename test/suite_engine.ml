@@ -177,6 +177,141 @@ let test_traps_differential () =
   in
   List.iter (fun (name, src, args) -> differential name (parse src) args) cases
 
+(* -------------------- the int operand encoding -------------------- *)
+
+(* Operands are ints: slots from 0, undef at -1, constants below it
+   through a per-program pool.  Constants at the edges of the encoding
+   (-1 and -2, the two ends of [int]) and a repeated constant, as
+   instruction operands and as φ sources; undef operands and φ incomings;
+   and a φ swap whose sources mix constants and slots. *)
+let test_operand_encoding_differential () =
+  let lo = string_of_int min_int and hi = string_of_int max_int in
+  let cases =
+    [
+      ( "edge constants as operands",
+        Printf.sprintf
+          "func @f(%%x, %%y) {\n\
+           entry:\n\
+          \  %%a = add %%x, -1\n\
+          \  %%b = mul %%a, -2\n\
+          \  %%c = add %%b, -1\n\
+          \  %%d = xor %%c, %s\n\
+          \  %%e = and %%d, %s\n\
+          \  %%g = icmp slt %s, %%e\n\
+          \  %%h = select %%g, -2, %s\n\
+          \  call @emit(-1, %%h, %s)\n\
+          \  %%r = add %%h, %%e\n\
+          \  ret %%r\n\
+           }\n"
+          lo hi lo hi lo,
+        [ 5; 3 ] );
+      ( "edge constants as phi sources",
+        Printf.sprintf
+          "func @f(%%x, %%y) {\n\
+           entry:\n\
+          \  %%c = icmp sgt %%x, 0\n\
+          \  cbr %%c, a, b\n\
+           a:\n\
+          \  br j\n\
+           b:\n\
+          \  br j\n\
+           j:\n\
+          \  %%m = phi [a: -1], [b: %s]\n\
+          \  %%n = phi [a: %s], [b: -2]\n\
+          \  %%o = phi [a: -1], [b: -1]\n\
+          \  call @emit(%%m, %%n, %%o)\n\
+          \  ret %%o\n\
+           }\n"
+          lo hi,
+        [ 5; 3 ] );
+      ( "edge constants as phi sources, other edge",
+        Printf.sprintf
+          "func @f(%%x, %%y) {\n\
+           entry:\n\
+          \  %%c = icmp sgt %%x, 0\n\
+          \  cbr %%c, a, b\n\
+           a:\n\
+          \  br j\n\
+           b:\n\
+          \  br j\n\
+           j:\n\
+          \  %%m = phi [a: -1], [b: %s]\n\
+          \  %%n = phi [a: %s], [b: -2]\n\
+          \  call @emit(%%m, %%n)\n\
+          \  ret %%n\n\
+           }\n"
+          lo hi,
+        [ -5; 3 ] );
+      ( "undef operand of a call",
+        "func @f(%x, %y) {\nentry:\n  call @emit(%x, undef)\n  ret %y\n}\n",
+        [ 1; 2 ] );
+      ( "undef returned", "func @f(%x, %y) {\nentry:\n  ret undef\n}\n", [ 1; 2 ] );
+      ( "undef condition",
+        "func @f(%x, %y) {\nentry:\n  cbr undef, a, b\na:\n  ret %x\nb:\n  ret %y\n}\n",
+        [ 1; 2 ] );
+      ( "undef phi incoming, never read",
+        "func @f(%x, %y) {\n\
+         entry:\n\
+        \  br head\n\
+         head:\n\
+        \  %u = phi [entry: undef], [body: %i2]\n\
+        \  %i = phi [entry: 0], [body: %i2]\n\
+        \  %c = icmp slt %i, 3\n\
+        \  cbr %c, body, exit\n\
+         body:\n\
+        \  %i2 = add %i, 1\n\
+        \  br head\n\
+         exit:\n\
+        \  ret %u\n\
+         }\n",
+        [ 1; 2 ] );
+      ( "undef phi incoming, read",
+        "func @f(%x, %y) {\n\
+         entry:\n\
+        \  br head\n\
+         head:\n\
+        \  %u = phi [entry: undef], [body: %i2]\n\
+        \  %i = phi [entry: 0], [body: %i2]\n\
+        \  %s = add %u, 1\n\
+        \  %c = icmp slt %i, 3\n\
+        \  cbr %c, body, exit\n\
+         body:\n\
+        \  %i2 = add %i, 1\n\
+        \  br head\n\
+         exit:\n\
+        \  ret %s\n\
+         }\n",
+        [ 1; 2 ] );
+      ( "phi swap mixing constants and slots",
+        (* On the back edge %a and %b swap (slots), %k and %l take
+           constants and %u goes undef: one buffered move list. *)
+        Printf.sprintf
+          "func @f(%%x, %%y) {\n\
+           entry:\n\
+          \  br head\n\
+           head:\n\
+          \  %%a = phi [entry: -1], [body: %%b]\n\
+          \  %%b = phi [entry: %%y], [body: %%a]\n\
+          \  %%k = phi [entry: %%x], [body: %s]\n\
+          \  %%l = phi [entry: %s], [body: -2]\n\
+          \  %%u = phi [entry: 7], [body: undef]\n\
+          \  %%i = phi [entry: 0], [body: %%i2]\n\
+          \  call @emit(%%a, %%b, %%k, %%l)\n\
+          \  %%c = icmp slt %%i, 3\n\
+          \  cbr %%c, body, exit\n\
+           body:\n\
+          \  %%i2 = add %%i, 1\n\
+          \  br head\n\
+           exit:\n\
+          \  %%r = sub %%a, %%b\n\
+          \  ret %%r\n\
+           }\n"
+          lo hi,
+        [ 31; 7 ] );
+    ]
+  in
+  List.iter (fun (name, src, args) -> differential name (parse src) args) cases
+
 (* -------------------- randomized -------------------- *)
 
 let prop_engines_agree =
@@ -421,6 +556,164 @@ let test_armed_sites_no_fire () =
   check_equal "armed ref vs plain" plain armed_ref;
   check_equal "armed compiled vs plain" plain armed_compiled
 
+(* -------------------- compiled once per continuation -------------------- *)
+
+(* The first feasible point of [dir] that a run on [args] reaches, and a
+   continuation for it. *)
+let reached_continuation (r : P.apply_result) dir ~args =
+  let src, target =
+    match dir with
+    | Ctx.Base_to_opt -> (r.P.fbase, r.P.fopt)
+    | Ctx.Opt_to_base -> (r.P.fopt, r.P.fbase)
+  in
+  let ctx = Ctx.make ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper dir in
+  List.find_map
+    (fun (rep : F.point_report) ->
+      match (rep.F.landing, rep.F.avail_plan) with
+      | Some landing, Some plan
+        when Interp.run_to_point (Interp.create src ~args) ~point:rep.F.point <> None ->
+          Some (src, rep.F.point, Osrir.Contfun.generate target ~landing plan)
+      | _ -> None)
+    (F.analyze ctx).F.reports
+  |> Option.get
+
+(* A continuation fired twice with a live sink is compiled on the first
+   firing only on the compiled engine, and never on the reference engine;
+   every firing commits, is observably the plain run, and equals the
+   reference engine's first firing exactly (steps included).  Two domains
+   firing a fresh continuation at once agree with it too. *)
+let test_continuation_compiled_once () =
+  let e = List.hd Corpus.Kernels.all in
+  let args = e.default_args in
+  let r = P.apply (fst (Corpus.Dsl.to_fbase e.kernel)) in
+  let src, at, cont = reached_continuation r Ctx.Base_to_opt ~args in
+  let plain = Interp.run ~fuel:1_000_000 src ~args in
+  let compiles () = Tinyvm.Compile.stat_compiles.Telemetry.value in
+  let fire_twice name cont create run_with_osr =
+    List.init 2 (fun i ->
+        let sink = Telemetry.create () in
+        let m = create sink in
+        let before = compiles () in
+        let result, osr = run_with_osr m [ { Rt.at; guard = (fun _ -> true); cont } ] in
+        let ctx = Printf.sprintf "%s, firing %d" name (i + 1) in
+        Alcotest.(check bool) (ctx ^ ": committed") true (osr.Rt.transition <> None);
+        Alcotest.(check bool) (ctx ^ ": equals the plain run") true (Interp.equal_result plain result);
+        (compiles () - before, result))
+  in
+  let on_ref =
+    fire_twice "reference" cont
+      (fun sink -> Interp.create ~telemetry:sink src ~args)
+      (Rt.Reference.run_with_osr ~fuel:1_000_000)
+  in
+  Alcotest.(check (list int)) "reference engine: compiles per firing" [ 0; 0 ] (List.map fst on_ref);
+  Alcotest.(check bool)
+    "the reference engine leaves the program unbuilt" true
+    (Atomic.get cont.Osrir.Contfun.compiled.Tinyvm.Compile.program = None);
+  let want = snd (List.hd on_ref) in
+  (* The source machine's program is compiled beforehand, so the only
+     compile a firing can count is the continuation's. *)
+  let src_prog = Tinyvm.Compile.compile src in
+  let on_compiled =
+    fire_twice "compiled" cont
+      (fun sink -> Compiled.of_program ~telemetry:sink src_prog ~args)
+      (Rt.Compiled.run_with_osr ~fuel:1_000_000)
+  in
+  Alcotest.(check (list int)) "compiled engine: compiles per firing" [ 1; 0 ] (List.map fst on_compiled);
+  List.iteri (fun i (_, got) -> check_equal (Printf.sprintf "firing %d, engines" (i + 1)) want got)
+    (on_ref @ on_compiled);
+  let _, _, fresh = reached_continuation r Ctx.Base_to_opt ~args in
+  let fire_on_domain () =
+    Domain.spawn (fun () ->
+        fst
+          (Rt.Compiled.run_with_osr ~fuel:1_000_000 (Compiled.of_program src_prog ~args)
+             [ { Rt.at; guard = (fun _ -> true); cont = fresh } ]))
+  in
+  let d1 = fire_on_domain () and d2 = fire_on_domain () in
+  check_equal "first domain" want (Domain.join d1);
+  check_equal "second domain" want (Domain.join d2)
+
+(* -------------------- frame access by name -------------------- *)
+
+(* Every register a function names, and its parameters. *)
+let registers (f : Ir.func) : Ir.reg list =
+  let names = ref f.Ir.params in
+  let note = function Ir.Reg r -> names := r :: !names | Ir.Const _ | Ir.Undef -> () in
+  List.iter
+    (fun (b : Ir.block) ->
+      List.iter
+        (fun (i : Ir.instr) ->
+          Option.iter (fun r -> names := r :: !names) i.Ir.result;
+          Ir.iter_rhs_operands note i.Ir.rhs)
+        (Ir.block_instrs b);
+      Ir.iter_term_operands note b.Ir.term)
+    f.Ir.blocks;
+  List.sort_uniq String.compare !names
+
+(* [read_reg], [write_reg] and [clear_reg] on the compiled engine agree
+   with the reference engine on every register of the kernels' [fbase],
+   [fopt] and continuation functions: paused after a few steps, every
+   register reads the same; after writing every register, and again after
+   clearing every other one, every register reads the same, and the two
+   machines then run to the same outcome.  An unknown name reads [None]
+   and cannot be written. *)
+let test_frame_access_by_name () =
+  let module R = Engine.Reference in
+  let check_function ctx (f : Ir.func) ~args =
+    let mr = R.create ~fuel:5_000 f ~args and mc = Compiled.create ~fuel:5_000 f ~args in
+    let rec pause k =
+      if k > 0 && R.status mr = Interp.Running then (
+        ignore (R.step mr : Interp.status);
+        ignore (Compiled.step mc : Interp.status);
+        pause (k - 1))
+    in
+    pause 25;
+    let regs = registers f in
+    let agree what =
+      List.iter
+        (fun reg ->
+          Alcotest.(check (option int))
+            (Printf.sprintf "%s: %%%s %s" ctx reg what)
+            (R.read_reg mr reg) (Compiled.read_reg mc reg))
+        regs
+    in
+    agree "paused";
+    List.iteri
+      (fun i reg ->
+        R.write_reg mr reg (i - 7);
+        Compiled.write_reg mc reg (i - 7))
+      regs;
+    agree "written";
+    List.iteri
+      (fun i reg ->
+        if i mod 2 = 0 then begin
+          R.clear_reg mr reg;
+          Compiled.clear_reg mc reg
+        end)
+      regs;
+    agree "cleared";
+    check_equal (ctx ^ ": run after frame surgery") (R.run_machine mr) (Compiled.run_machine mc);
+    Alcotest.(check (option int)) (ctx ^ ": unknown name") None (Compiled.read_reg mc "no$such");
+    Compiled.clear_reg mc "no$such";
+    match Compiled.write_reg mc "no$such" 1 with
+    | () -> Alcotest.failf "%s: wrote an unknown register" ctx
+    | exception Tinyvm.Osr_error.Error (Tinyvm.Osr_error.Unknown_register { reg; _ }) ->
+        Alcotest.(check string) (ctx ^ ": unknown register named") "no$such" reg
+  in
+  List.iter
+    (fun (e : Corpus.Kernels.entry) ->
+      let r = P.apply (fst (Corpus.Dsl.to_fbase e.kernel)) in
+      let args = e.default_args in
+      check_function (e.benchmark ^ " fbase") r.P.fbase ~args;
+      check_function (e.benchmark ^ " fopt") r.P.fopt ~args;
+      List.iter
+        (fun dir ->
+          let _, _, cont = reached_continuation r dir ~args in
+          let fto = cont.Osrir.Contfun.fto in
+          check_function (e.benchmark ^ " " ^ fto.Ir.fname) fto
+            ~args:(List.map (fun _ -> 3) fto.Ir.params))
+        [ Ctx.Base_to_opt; Ctx.Opt_to_base ])
+    Corpus.Kernels.all
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   let q test = QCheck_alcotest.to_alcotest test in
@@ -428,11 +721,14 @@ let suite =
     [
       t "corpus differential (fbase + fopt)" test_corpus_differential;
       t "trapping programs differential" test_traps_differential;
+      t "int operand encoding differential" test_operand_encoding_differential;
       t "lockstep program points" test_lockstep_points;
       t "paused frames agree" test_paused_frames_agree;
       t "OSR differential on the example" test_osr_differential_example;
       t "OSR differential on corpus kernels" test_osr_differential_corpus;
       t "armed sites do not perturb" test_armed_sites_no_fire;
+      t "a continuation is compiled once" test_continuation_compiled_once;
+      t "frame access by name agrees" test_frame_access_by_name;
       q prop_engines_agree;
       q prop_osr_engines_agree;
     ] )

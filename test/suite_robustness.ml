@@ -304,6 +304,7 @@ let test_memory_rollback_mid_chi () =
   in
   let cont = Osrir.Contfun.generate ~promote:false target ~landing plan in
   Alcotest.(check bool) "demoted χ has memory effects" true (has_mem_effects cont);
+  Alcotest.(check bool) "demoted χ takes a snapshot" true cont.Osrir.Contfun.chi_writes_memory;
   let m = Interp.create src ~args in
   (match Interp.run_to_point m ~point:rep.F.point with
   | Some _ -> ()
@@ -329,6 +330,50 @@ let test_memory_rollback_mid_chi () =
   (* And the survivor still finishes exactly like an untouched run. *)
   check_byte_equal "post-rollback run" (Interp.run ~fuel:20_000_000 src ~args)
     (Interp.run_machine ~fuel:20_000_000 m)
+
+(* The other path: a promoted χ that neither stores nor allocates takes no
+   memory snapshot.  An injected χ trap must still leave the shared memory
+   byte-identical (every cell and [brk]), and the resumed source run must
+   equal the plain run, on both engines. *)
+let test_promoted_rollback_mid_chi () =
+  let entry = Option.get (Corpus.Kernels.find "bzip2") in
+  let fbase, _ = Corpus.Dsl.to_fbase entry.kernel in
+  let r = P.apply fbase in
+  let args = entry.default_args in
+  let src, target, rep, landing, plan =
+    List.find_opt
+      (fun (src, target, (rep : F.point_report), landing, plan) ->
+        (not (Osrir.Contfun.generate target ~landing plan).Osrir.Contfun.chi_writes_memory)
+        &&
+        let m = Interp.create src ~args in
+        Interp.run_to_point m ~point:rep.F.point <> None
+        && Hashtbl.length m.Interp.memory.Interp.cells > 0)
+      (feasible_points r Ctx.Base_to_opt)
+    |> Option.get
+  in
+  let cont = Osrir.Contfun.generate target ~landing plan in
+  let plain = Interp.run ~fuel:20_000_000 src ~args in
+  let hooks = Fault.hooks ~only:Fault.Chi_trap (Fault.make ~seed:0) in
+  let check (type m) (module E : Engine.S with type machine = m)
+      (fire : m -> m Rt.gsite -> (m, Osr_error.t) result) =
+    let m = E.create src ~args in
+    (match E.run_to_point m ~point:rep.F.point with
+    | Some _ -> ()
+    | None -> Alcotest.fail "point not reached");
+    let mem = E.memory m in
+    let cells () = List.sort compare (List.of_seq (Hashtbl.to_seq mem.Interp.cells)) in
+    let cells_before = cells () and brk_before = mem.Interp.brk in
+    Alcotest.(check bool) (E.name ^ ": the source has memory") true (cells_before <> []);
+    (match fire m { Rt.at = rep.F.point; guard = (fun _ -> true); cont } with
+    | Error (Osr_error.Comp_trap _) -> ()
+    | Error e -> Alcotest.failf "%s: unexpected abort reason: %s" E.name (Osr_error.to_string e)
+    | Ok _ -> Alcotest.failf "%s: χ-trapped attempt committed" E.name);
+    Alcotest.(check int) (E.name ^ ": brk unchanged") brk_before mem.Interp.brk;
+    Alcotest.(check (list (pair int int))) (E.name ^ ": cells unchanged") cells_before (cells ());
+    check_byte_equal (E.name ^ ": post-abort run") plain (E.run_machine ~fuel:20_000_000 m)
+  in
+  check (module Engine.Reference) (Rt.Reference.fire ~hooks);
+  check (module Engine.Compiled) (Rt.Compiled.fire ~hooks)
 
 (* The un-injected promote:false transition must also commit and agree —
    χ's real memory writes (the demotion slots) survive the commit. *)
@@ -643,6 +688,7 @@ let suite =
       t "seeded faults over the corpus" test_seeded_corpus;
       t "abort resumes the source frame (lockstep)" test_abort_resumes_source_lockstep;
       t "memory rollback mid-χ" test_memory_rollback_mid_chi;
+      t "promoted χ: no snapshot, memory untouched" test_promoted_rollback_mid_chi;
       t "demoted χ commits" test_demoted_chi_commits;
       t "validation catches a poisoned frame" test_validation_catches_poison;
       t "fuel budgets on both engines" test_fuel_budgets;
