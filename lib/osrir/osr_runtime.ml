@@ -16,13 +16,20 @@ open Import
     {- only then {e commits}: the continuation runs to completion and its
        result is the result of the original activation.}}
 
+    A continuation is compiled once: the first firing on the compiled
+    engine builds [f'to]'s program and keeps it on the {!Contfun.t}
+    ({!Tinyvm.Engine.S.of_cached}); every later firing reuses it.  χ's
+    extent and whether χ can write memory are also read off the
+    continuation, not recomputed per attempt.
+
     Transitions are {e guarded and transactional} (after Flückiger et
     al.'s treatment of deoptimization as an abortable event): any failure
     before the commit point — an unreadable source value, a trap inside χ,
     a frame that fails validation — rolls the shared memory back to its
-    pre-transition snapshot, disarms the site, records a typed
-    {!Osr_error.t}, and resumes the {e source} frame exactly where it was.
-    An aborted transition is observably a no-op.
+    pre-transition snapshot (taken only when χ holds a [store] or an
+    [alloca]; otherwise χ cannot have changed memory), disarms the site,
+    records a typed {!Osr_error.t}, and resumes the {e source} frame
+    exactly where it was.  An aborted transition is observably a no-op.
 
     The runtime is engine-polymorphic and written once: {!Make} builds the
     runtime signature {!S} over any {!Tinyvm.Engine.S}.  {!Compiled} runs

@@ -85,7 +85,7 @@ type program = {
   func : Ir.func;  (** the source function, for its parameters and name *)
   code : op array;  (** entry at pc 0 *)
   ids : int array;  (** source program-point id per pc *)
-  consts : int array;  (** constant pool, sorted, without repeats *)
+  consts : int array;  (** constant pool, without repeats *)
   edges : int array;  (** the edge records of every jump with moves *)
   labels : string array;  (** missing branch targets *)
   regs : Ir.reg array;  (** slot → register name, sorted *)
@@ -101,33 +101,34 @@ let stat_compiled_ops =
 
 (* ------------------------------------------------------------------ *)
 
-(* Index of [x] in the sorted array [a], or -1. *)
-let bisect (cmp : 'a -> 'a -> int) (a : 'a array) (x : 'a) : int =
+(** The slot of register [r] in [p], or -1 when [p] has none: a bisection
+    of the sorted [regs]. *)
+let slot (p : program) (r : Ir.reg) : int =
   let rec go lo hi =
     if lo >= hi then -1
     else
       let mid = (lo + hi) lsr 1 in
-      let c = cmp x a.(mid) in
+      let c = String.compare r p.regs.(mid) in
       if c = 0 then mid else if c < 0 then go lo mid else go (mid + 1) hi
   in
-  go 0 (Array.length a)
+  go 0 (Array.length p.regs)
 
-(** The slot of register [r] in [p], or -1 when [p] has none. *)
-let slot (p : program) (r : Ir.reg) : int = bisect String.compare p.regs r
-
-(* Grows by doubling; [contents] is the used prefix. *)
-type ints = { mutable buf : int array; mutable len : int }
-
-let push (b : ints) (x : int) : unit =
-  if b.len = Array.length b.buf then begin
-    let grown = Array.make (max 16 (2 * b.len)) 0 in
-    Array.blit b.buf 0 grown 0 b.len;
-    b.buf <- grown
-  end;
-  b.buf.(b.len) <- x;
-  b.len <- b.len + 1
-
-let contents (b : ints) : int array = Array.sub b.buf 0 b.len
+(* [op] with every slot [k] (destination or operand) replaced by [s k]. *)
+let renumber (s : int -> int) : op -> op = function
+  | Obinop (d, o, a, b) -> Obinop (s d, o, s a, s b)
+  | Oicmp (d, o, a, b) -> Oicmp (s d, o, s a, s b)
+  | Oselect (d, c, t, e) -> Oselect (s d, s c, s t, s e)
+  | Oalloca (d, n) -> Oalloca (s d, n)
+  | Oload (d, a) -> Oload (s d, s a)
+  | Ostore (d, v, a) -> Ostore (s d, s v, s a)
+  | Ocall_pure (d, name, ops) -> Ocall_pure (s d, name, Array.map s ops)
+  | Ocall_event (d, name, ops) -> Ocall_event (s d, name, Array.map s ops)
+  | Ocall_seed (d, a) -> Ocall_seed (s d, s a)
+  | Ocall_bad_arity (name, ops) -> Ocall_bad_arity (name, Array.map s ops)
+  | Ocall_unknown (name, ops) -> Ocall_unknown (name, Array.map s ops)
+  | Ocbr (c, t, e) -> Ocbr (s c, t, e)
+  | Oret v -> Oret (s v)
+  | (Otrap_undef | Obr _ | Ounreachable _) as op -> op
 
 (** Compile [f].  Total on any function with at least one block, verified
     or not: malformed shapes (missing blocks, φs in body position, missing
@@ -136,31 +137,32 @@ let contents (b : ints) : int array = Array.sub b.buf 0 b.len
 let compile ?(telemetry = Telemetry.null) (f : Ir.func) : program =
   Telemetry.with_span telemetry ~cat:"vm" "compile" @@ fun () ->
   ignore (Ir.entry f : Ir.block) (* same [Invalid_argument] as the reference on an empty function *);
-  (* Every register and constant the function names, sorted. *)
-  let names = ref f.params and ints = ref [] in
-  let note = function
-    | Ir.Reg r -> names := r :: !names
-    | Ir.Const n -> ints := n :: !ints
-    | Ir.Undef -> ()
+  (* Slots and pool entries are numbered in first-occurrence order while
+     emitting; the slots are renumbered in name order at the end. *)
+  let slots : (Ir.reg, int) Hashtbl.t = Hashtbl.create 64 and names = ref [] in
+  let slot_of r =
+    match Hashtbl.find_opt slots r with
+    | Some k -> k
+    | None ->
+        let k = Hashtbl.length slots in
+        Hashtbl.add slots r k;
+        names := r :: !names;
+        k
   in
-  let note_instr (i : Ir.instr) =
-    Option.iter (fun r -> names := r :: !names) i.result;
-    Ir.iter_rhs_operands note i.rhs
-  in
-  List.iter
-    (fun (b : Ir.block) ->
-      List.iter note_instr b.phis;
-      List.iter note_instr b.body;
-      Ir.iter_term_operands note b.term)
-    f.blocks;
-  let regs = Array.of_list (List.sort_uniq String.compare !names) in
-  let consts = Array.of_list (List.sort_uniq Int.compare !ints) in
-  let slot_of r = bisect String.compare regs r in
+  let pool : (int, int) Hashtbl.t = Hashtbl.create 16 and consts = ref [] in
   let operand : Ir.value -> operand = function
     | Ir.Reg r -> slot_of r
     | Ir.Undef -> undef
-    | Ir.Const n -> -2 - bisect Int.compare consts n
+    | Ir.Const n -> (
+        match Hashtbl.find_opt pool n with
+        | Some i -> -2 - i
+        | None ->
+            let i = Hashtbl.length pool in
+            Hashtbl.add pool n i;
+            consts := n :: !consts;
+            -2 - i)
   in
+  let param_slots = Array.of_list (List.map slot_of f.params) in
   let dst_of (i : Ir.instr) = match i.result with Some r -> slot_of r | None -> -1 in
   (* Pass 1: a pc for every body instruction and terminator; a label names
      its first block, at that block's entry pc (φ-nodes get no pc). *)
@@ -174,22 +176,26 @@ let compile ?(telemetry = Telemetry.null) (f : Ir.func) : program =
   in
   let code = Array.make size Otrap_undef in
   let ids = Array.make size (-1) in
-  let edges = { buf = [||]; len = 0 } in
+  let edge_words = ref [] and n_edge_words = ref 0 in
+  let push w =
+    edge_words := w :: !edge_words;
+    incr n_edge_words
+  in
   let labels = ref [] and n_labels = ref 0 in
   let max_moves = ref 0 in
   (* The jump along [pred -> target], moves from the target's φ-nodes. *)
   let jump ~(pred : string) (target : string) : jump =
     let record target_pc moves bad =
-      let off = edges.len in
+      let off = !n_edge_words in
       let overlap =
         List.exists (fun (_, s, _) -> s >= 0 && List.exists (fun (d, _, _) -> d = s) moves) moves
       in
-      List.iter (push edges) [ target_pc; List.length moves; bad; Bool.to_int overlap ];
+      List.iter push [ target_pc; List.length moves; bad; Bool.to_int overlap ];
       List.iter
         (fun (d, s, at) ->
-          push edges d;
-          push edges s;
-          push edges at)
+          push d;
+          push s;
+          push at)
         moves;
       max_moves := max !max_moves (List.length moves);
       -1 - off
@@ -256,17 +262,38 @@ let compile ?(telemetry = Telemetry.null) (f : Ir.func) : program =
       in
       emit b.term_id term)
     f.blocks;
+  (* Renumber the slots in name order: [regs] is then the name index. *)
+  let first = Array.of_list (List.rev !names) in
+  let by_name = Array.init (Array.length first) Fun.id in
+  Array.stable_sort (fun a b -> String.compare first.(a) first.(b)) by_name;
+  let rank = Array.make (Array.length first) 0 in
+  Array.iteri (fun k slot -> rank.(slot) <- k) by_name;
+  let s k = if k >= 0 then rank.(k) else k in
+  Array.iteri (fun pc op -> code.(pc) <- renumber s op) code;
+  let edges = Array.of_list (List.rev !edge_words) in
+  let rec renumber_edges o =
+    if o < Array.length edges then begin
+      let n = edges.(o + 1) in
+      for j = 0 to n - 1 do
+        let k = o + edge_header + (3 * j) in
+        edges.(k) <- s edges.(k);
+        edges.(k + 1) <- s edges.(k + 1)
+      done;
+      renumber_edges (o + edge_header + (3 * n))
+    end
+  in
+  renumber_edges 0;
   Telemetry.bump telemetry stat_compiles;
   Telemetry.add telemetry stat_compiled_ops size;
   {
     func = f;
     code;
     ids;
-    consts;
-    edges = contents edges;
+    consts = Array.of_list (List.rev !consts);
+    edges;
     labels = Array.of_list (List.rev !labels);
-    regs;
-    param_slots = Array.of_list (List.map slot_of f.params);
+    regs = Array.map (fun slot -> first.(slot)) by_name;
+    param_slots = Array.map s param_slots;
     max_moves = !max_moves;
   }
 

@@ -9,8 +9,13 @@
       — the semantic oracle the differential tests hold the compiled
       engine to;
     - {!Compiled}: a tight dispatch loop over {!Compile.program} — numbered
-      frame slots, pre-resolved branches, φ-nodes as per-edge parallel
-      moves — the production engine.
+      frame slots, int operands, pre-resolved branches, φ-nodes as
+      per-edge parallel moves — the production engine.
+
+    [of_cached] creates a machine for a function that is run many times,
+    such as an OSR continuation: the compiled engine compiles it on the
+    first call only and reuses the program ({!Compile.cached}); the
+    reference engine runs the source and never compiles it.
 
     Each engine supplies only its step core; [run_machine], [run] and
     [run_to_point] come from the one loop in {!Interp.Run}.  Both produce
@@ -327,6 +332,8 @@ module Compiled = struct
     m.fuel_stop <- (if n >= max_int - m.steps then max_int else m.steps + n)
   let events_rev (m : machine) = m.events
 
+  (* Frame access by name: a bisection of the program's sorted register
+     names. *)
   let read_reg (m : machine) (r : Ir.reg) : int option =
     let k = Compile.slot m.prog r in
     if k >= 0 && m.defined.(k) then Some m.frame.(k) else None
