@@ -24,7 +24,7 @@ open Import
     The result verifies under the standard SSA rules.
 
     A continuation also carries what every firing needs and [f'to] alone
-    determines, computed here once instead of per attempt: χ's extent, and
+    determines, computed here once: χ's extent, and
     whether χ can write memory (when it cannot, the runtime takes no
     memory snapshot).  Its compiled program ([compiled]) is built by the
     compiled engine on the first firing and reused by every later one, so

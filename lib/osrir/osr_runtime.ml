@@ -20,7 +20,7 @@ open Import
     engine builds [f'to]'s program and keeps it on the {!Contfun.t}
     ({!Tinyvm.Engine.S.of_cached}); every later firing reuses it.  χ's
     extent and whether χ can write memory are also read off the
-    continuation, not recomputed per attempt.
+    continuation.
 
     Transitions are {e guarded and transactional} (after Flückiger et
     al.'s treatment of deoptimization as an abortable event): any failure
