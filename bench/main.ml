@@ -5,10 +5,11 @@
     parallel-sweep scaling run.
 
     Usage: [bench/main.exe [table1|table2|fig7|fig8|table3|table4|fig9|
-    table5|ablate|perf-par|smoke|all]] (default: all).  [perf-par] times
-    the feasibility sweep at several pool widths and writes
+    table5|ablate|perf-par|smoke|census|all]] (default: all).  [perf-par]
+    times the feasibility sweep at several pool widths and writes
     BENCH_parallel.json; [smoke] is its fast untimed self-check, wired into
-    [dune runtest].  Per-layer timing of the whole pipeline is
+    [dune runtest]; [census] prints the heap a compiled continuation keeps
+    (not part of [all]).  Per-layer timing of the whole pipeline is
     [osrbench/]'s job. *)
 
 module Ir = Miniir.Ir
