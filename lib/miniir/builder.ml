@@ -1,10 +1,22 @@
 (** Imperative builder for MiniIR functions, in the style of LLVM's
     IRBuilder: create a function, position at a block, append instructions.
-    Used by the benchmark corpus and by tests. *)
+    Used by the benchmark corpus, the IR parser and tests.
+
+    Appending is O(1): the cursor block's new φ-nodes and body
+    instructions are kept newest first and written into the block when the
+    builder moves to another block ({!position_at}) or {!finish}es, and the
+    function's block list is written once, by {!finish}.  Until then the
+    function's ids and register counter are current, its blocks and the
+    cursor block's instruction lists are not.  Ids, names and order are
+    those of appending to the lists directly. *)
 
 type t = {
   func : Ir.func;
+  labels : Ir.block Ir.Names.t;  (** every block added, by label *)
+  mutable blocks_rev : Ir.block list;  (** blocks added, newest first *)
   mutable cursor : Ir.block option;  (** block receiving appended instructions *)
+  mutable phis_rev : Ir.instr list;  (** φ-nodes appended to [cursor], newest first *)
+  mutable body_rev : Ir.instr list;  (** instructions appended to [cursor], newest first *)
 }
 
 let create ~(name : string) ~(params : string list) : t =
@@ -17,12 +29,25 @@ let create ~(name : string) ~(params : string list) : t =
       next_reg = 0;
     }
   in
-  { func; cursor = None }
+  { func; labels = Ir.Names.create 16; blocks_rev = []; cursor = None; phis_rev = []; body_rev = [] }
+
+(* Write the cursor block's pending instructions into it. *)
+let flush (b : t) : unit =
+  match b.cursor with
+  | None -> ()
+  | Some blk ->
+      if b.phis_rev <> [] then blk.phis <- blk.phis @ List.rev b.phis_rev;
+      if b.body_rev <> [] then blk.body <- blk.body @ List.rev b.body_rev;
+      b.phis_rev <- [];
+      b.body_rev <- []
+
+(** Is there a block labelled [label]? *)
+let has_block (b : t) (label : string) : bool = Ir.Names.mem b.labels label
 
 (** Add a new empty block (terminated by [Unreachable] until sealed) and
     return its label.  The first block added is the entry. *)
 let add_block (b : t) (label : string) : string =
-  if Ir.find_block b.func label <> None then
+  if has_block b label then
     invalid_arg (Printf.sprintf "Builder.add_block: duplicate label %S" label);
   let blk =
     {
@@ -33,11 +58,17 @@ let add_block (b : t) (label : string) : string =
       term_id = Ir.fresh_id b.func;
     }
   in
-  b.func.blocks <- b.func.blocks @ [ blk ];
+  Ir.Names.replace b.labels label blk;
+  b.blocks_rev <- blk :: b.blocks_rev;
   label
 
 (** Point the builder at an existing block. *)
-let position_at (b : t) (label : string) : unit = b.cursor <- Some (Ir.block_exn b.func label)
+let position_at (b : t) (label : string) : unit =
+  match Ir.Names.find_opt b.labels label with
+  | Some blk ->
+      flush b;
+      b.cursor <- Some blk
+  | None -> invalid_arg (Printf.sprintf "Ir.block_exn: no block %S in @%s" label b.func.fname)
 
 let add_block_at (b : t) (label : string) : unit =
   ignore (add_block b label);
@@ -50,19 +81,19 @@ let current (b : t) : Ir.block =
 
 (* Append an instruction computing [rhs] into a fresh or given register. *)
 let emit ?reg ?(hint = "t") (b : t) (rhs : Ir.rhs) : Ir.value =
-  let blk = current b in
+  ignore (current b : Ir.block);
   let r = match reg with Some r -> r | None -> Ir.fresh_reg ~hint b.func in
   let i = { Ir.id = Ir.fresh_id b.func; result = Some r; rhs } in
   (match rhs with
-  | Ir.Phi _ -> blk.phis <- blk.phis @ [ i ]
-  | _ -> blk.body <- blk.body @ [ i ]);
+  | Ir.Phi _ -> b.phis_rev <- i :: b.phis_rev
+  | _ -> b.body_rev <- i :: b.body_rev);
   Ir.Reg r
 
 (* Append a void instruction (store, void call). *)
 let emit_void (b : t) (rhs : Ir.rhs) : unit =
-  let blk = current b in
+  ignore (current b : Ir.block);
   let i = { Ir.id = Ir.fresh_id b.func; result = None; rhs } in
-  blk.body <- blk.body @ [ i ]
+  b.body_rev <- i :: b.body_rev
 
 let binop ?reg ?hint (b : t) (op : Ir.binop) (x : Ir.value) (y : Ir.value) : Ir.value =
   emit ?reg ?hint b (Ir.Binop (op, x, y))
@@ -103,8 +134,15 @@ let cbr (b : t) (cond : Ir.value) (then_ : string) (else_ : string) : unit =
 let ret (b : t) (v : Ir.value) : unit = (current b).term <- Ir.Ret v
 let unreachable (b : t) : unit = (current b).term <- Ir.Unreachable
 
-(** Finish: return the function (no structural checks; run {!Verifier}). *)
-let finish (b : t) : Ir.func = b.func
+(** Finish: write the pending instructions and blocks into the function
+    and return it (no structural checks; run {!Verifier}). *)
+let finish (b : t) : Ir.func =
+  flush b;
+  if b.blocks_rev <> [] then begin
+    b.func.blocks <- b.func.blocks @ List.rev b.blocks_rev;
+    b.blocks_rev <- []
+  end;
+  b.func
 
 let param (b : t) (name : string) : Ir.value =
   if List.mem name b.func.params then Ir.Reg name

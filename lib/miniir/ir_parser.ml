@@ -136,7 +136,6 @@ let parse_rhs (line : int) (toks : string list) (raw : string) : Ir.rhs =
     @raise Parse_error on malformed input *)
 let parse_func (src : string) : Ir.func =
   let lines = String.split_on_char '\n' src in
-  let func = ref None in
   let builder = ref None in
   let get_builder ln =
     match !builder with Some b -> b | None -> fail ln "instruction before any block label"
@@ -167,13 +166,12 @@ let parse_func (src : string) : Ir.func =
                  else p)
         in
         let b = Builder.create ~name ~params in
-        func := Some b.func;
         builder := Some b
       end
       else if String.length line > 1 && line.[String.length line - 1] = ':' then begin
         let b = get_builder ln in
         let label = String.sub line 0 (String.length line - 1) in
-        if Ir.find_block b.func label <> None then fail ln "duplicate block label %s" label;
+        if Builder.has_block b label then fail ln "duplicate block label %s" label;
         Builder.add_block_at b label
       end
       else begin
@@ -193,4 +191,4 @@ let parse_func (src : string) : Ir.func =
             ignore (Builder.emit_void b (parse_rhs ln toks line))
       end)
     lines;
-  match !func with Some f -> f | None -> raise (Parse_error ("no function found", 0))
+  match !builder with Some b -> Builder.finish b | None -> raise (Parse_error ("no function found", 0))
