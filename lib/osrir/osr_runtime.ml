@@ -304,9 +304,9 @@ module Make (E : Engine.S) : S with type machine := E.machine = struct
               | exception Osr_error.Error e -> Error e))
     in
     let rec go () =
-      match E.next_instr_id machine with
-      | None -> (result_of_status (), outcome None)
-      | Some id -> (
+      match E.current_point machine with
+      | -1 -> (result_of_status (), outcome None)
+      | id -> (
           match (if id >= 0 && id < n then table.(id) else None) with
           | None -> advance ()
           | Some site -> (

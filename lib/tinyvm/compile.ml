@@ -22,7 +22,7 @@
 
     One program point of the source function (a body instruction or a
     terminator) is exactly one program counter, so step counts, fuel
-    accounting and [next_instr_id] agree with {!Interp} instruction by
+    accounting and [current_point] agree with {!Interp} instruction by
     instruction. *)
 
 module Ir = Miniir.Ir

@@ -2,7 +2,8 @@
 
     {!module-type:S} is the step-wise machine API the OSR layer depends
     on: create at entry, step one program point at a time, pause anywhere,
-    observe the current point via [next_instr_id], and read/write the frame
+    observe the current point via [current_point] ([next_instr_id] as an
+    option), and read/write the frame
     by register name.  Two implementations:
 
     - {!Reference}: the original tree-walking {!Interp}, wrapped unchanged
@@ -21,7 +22,7 @@
     [run_to_point] come from the one loop in {!Interp.Run}.  Both produce
     byte-identical observables: same [outcome] (return value,
     event trace, step count), same traps with the same payloads, and the
-    same sequence of [next_instr_id] values, so OSR transitions and the
+    same sequence of [current_point] values, so OSR transitions and the
     differential tests run on either engine interchangeably. *)
 
 module Ir = Miniir.Ir
@@ -83,6 +84,7 @@ module Reference : S with type machine = Interp.machine = struct
 
   let step = Interp.step
   let status (m : machine) = m.Interp.status
+  let current_point = Interp.current_point
   let next_instr_id = Interp.next_instr_id
   let func (m : machine) = m.Interp.func
   let memory (m : machine) = m.Interp.memory
@@ -316,10 +318,11 @@ module Compiled = struct
 
   let status (m : machine) = m.status
 
+  let current_point (m : machine) : int =
+    match m.status with Returned _ | Trapped _ -> -1 | Running -> m.ids.(m.pc)
+
   let next_instr_id (m : machine) : int option =
-    match m.status with
-    | Returned _ | Trapped _ -> None
-    | Running -> Some m.ids.(m.pc)
+    match current_point m with -1 -> None | id -> Some id
 
   let func (m : machine) = m.prog.func
   let memory (m : machine) = m.memory
@@ -357,6 +360,7 @@ module Compiled = struct
 
     let create = create
     let step = step
+    let current_point = current_point
     let next_instr_id = next_instr_id
     let steps = steps
     let fuel = fuel

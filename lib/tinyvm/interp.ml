@@ -228,13 +228,17 @@ let step (m : machine) : status =
         m.status)
 
 (** The id of the instruction (or terminator) the machine will execute
-    next — the machine's current program point. *)
-let next_instr_id (m : machine) : int option =
+    next — the machine's current program point — or [-1] once it has
+    stopped.  Allocates nothing: the run loops ask it every step. *)
+let current_point (m : machine) : int =
   match m.status with
-  | Returned _ | Trapped _ -> None
+  | Returned _ | Trapped _ -> -1
   | Running ->
-      if m.idx < Array.length m.cur_body then Some m.cur_body.(m.idx).id
-      else Some m.cur_block.term_id
+      if m.idx < Array.length m.cur_body then m.cur_body.(m.idx).id else m.cur_block.term_id
+
+(** {!current_point} as an option: [None] once the machine has stopped. *)
+let next_instr_id (m : machine) : int option =
+  match current_point m with -1 -> None | id -> Some id
 
 let create ?(memory : memory option) ?(telemetry = Telemetry.null) ?(fuel = max_int)
     (f : Ir.func) ~(args : int list) : machine =
@@ -284,6 +288,7 @@ module type STEP = sig
     ?memory:memory -> ?telemetry:Telemetry.sink -> ?fuel:int -> Ir.func -> args:int list -> machine
 
   val step : machine -> status
+  val current_point : machine -> int
   val next_instr_id : machine -> int option
   val steps : machine -> int
   val fuel : machine -> int
@@ -331,18 +336,18 @@ module Run (M : STEP) : RUN with type machine := M.machine = struct
     let rec go budget remaining =
       if budget = 0 then None
       else
-        match M.next_instr_id m with
-        | Some id when id = point ->
+        match M.current_point m with
+        | -1 -> None
+        | id when id = point ->
             if remaining = 0 then Some m
             else begin
               ignore (M.step m : status);
               go (budget - 1) (remaining - 1)
             end
-        | Some _ -> (
+        | _ -> (
             match M.step m with
             | Running -> go (budget - 1) remaining
             | Returned _ | Trapped _ -> None)
-        | None -> None
     in
     go fuel skip
 end
@@ -352,6 +357,7 @@ include Run (struct
 
   let create = create
   let step = step
+  let current_point = current_point
   let next_instr_id = next_instr_id
   let steps (m : machine) = m.steps
   let fuel = fuel_left

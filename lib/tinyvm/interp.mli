@@ -91,9 +91,13 @@ val create :
 val step : machine -> status
 (** Execute one instruction or terminator (φ-nodes run at block entry). *)
 
-val next_instr_id : machine -> int option
+val current_point : machine -> int
 (** The machine's current program point: the id of the instruction or
-    terminator it will execute next. *)
+    terminator it will execute next, or [-1] once it has stopped.  Allocates
+    nothing, so a run loop can ask it every step. *)
+
+val next_instr_id : machine -> int option
+(** {!current_point} as an option: [None] once the machine has stopped. *)
 
 val fuel_left : machine -> int
 (** Remaining step budget ([max_int] = unlimited). *)
@@ -113,6 +117,10 @@ module type STEP = sig
 
   val step : machine -> status
   (** Execute one instruction or terminator. *)
+
+  val current_point : machine -> int
+  (** The current program point; [-1] once the machine has stopped.
+      Allocates nothing. *)
 
   val next_instr_id : machine -> int option
   (** The current program point; [None] once the machine has stopped. *)

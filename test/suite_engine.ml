@@ -338,7 +338,7 @@ let prop_engines_agree =
 
 (* -------------------- lockstep bisimulation -------------------- *)
 
-(* Step both machines in lockstep and compare the program point at every
+(* Step both machines in lockstep and compare [current_point] at every
    step — much stronger than end-state equality: the engines must agree on
    the entire control path. *)
 let test_lockstep_points () =
@@ -352,17 +352,22 @@ let test_lockstep_points () =
       let continue = ref true in
       while !continue && !budget > 0 do
         decr budget;
-        let pr = Interp.next_instr_id mr and pc = Compiled.next_instr_id mc in
+        let pr = Interp.current_point mr and pc = Compiled.current_point mc in
         if pr <> pc then
-          Alcotest.failf "%s: lockstep diverged at step %d: ref %a vs compiled %a"
-            e.benchmark mr.Interp.steps
-            Fmt.(option ~none:(any "-") int)
-            pr
-            Fmt.(option ~none:(any "-") int)
-            pc;
+          Alcotest.failf "%s: lockstep diverged at step %d: ref %d vs compiled %d" e.benchmark
+            mr.Interp.steps pr pc;
+        (* [next_instr_id] is the same point as an option. *)
+        let want = if pr < 0 then None else Some pr in
+        if Interp.next_instr_id mr <> want || Compiled.next_instr_id mc <> want then
+          Alcotest.failf "%s: next_instr_id disagrees with current_point %d at step %d"
+            e.benchmark pr mr.Interp.steps;
         match (Interp.step mr, Compiled.step mc) with
         | Interp.Running, Interp.Running -> ()
         | sr, sc ->
+            (* Both stopped: the point reads -1 on both. *)
+            if Interp.current_point mr <> -1 || Compiled.current_point mc <> -1 then
+              Alcotest.failf "%s: stopped machine has point ref %d / compiled %d" e.benchmark
+                (Interp.current_point mr) (Compiled.current_point mc);
             (match (sr, sc) with
             | Interp.Returned a, Interp.Returned b ->
                 Alcotest.(check int) (e.benchmark ^ ": lockstep ret") a b
