@@ -6,28 +6,22 @@ open Import
 
     This is the front-end pass of the paper's pipeline — [fbase] is
     "clang -O0 followed by mem2reg" (Section 6.1) — so it runs {e before}
-    OSR instrumentation and takes no CodeMapper. *)
+    OSR instrumentation and takes no CodeMapper.  Continuation generation
+    runs it again to re-promote the slots it demoted.
 
-module SMap = Map.Make (String)
-
-(* Registers that appear anywhere but as the address operand of a load or
-   store: an alloca whose register escapes this way is not promotable.  One
-   scan of the function answers the question for every slot. *)
-let escaped_regs (f : Ir.func) : (Ir.reg, unit) Hashtbl.t =
-  let escaped = Hashtbl.create 64 in
-  let mark v = match v with Ir.Reg r -> Hashtbl.replace escaped r () | Ir.Const _ | Ir.Undef -> () in
-  List.iter
-    (fun (b : Ir.block) ->
-      List.iter
-        (fun (i : Ir.instr) ->
-          match i.rhs with
-          | Ir.Load (Ir.Reg _) -> ()
-          | Ir.Store (v, Ir.Reg _) -> mark v
-          | rhs -> List.iter mark (Ir.rhs_operands rhs))
-        (Ir.block_instrs b);
-      List.iter mark (Ir.term_operands b.term))
-    f.blocks;
-  escaped
+    Tables.  The slots are found first, from the allocas, and numbered;
+    every later question about an operand is a lookup in that small table,
+    and per slot or per block the state lives in arrays: the blocks storing
+    to each slot, the φ-nodes placed in each block (appended to the block
+    once, after placement), and during renaming one current value per slot
+    with an undo log that restores the values on the way back up the
+    dominator tree.  A second table, by name, holds what the last walk
+    asks about a register: the load results renaming replaced (with their
+    values) and the φ-nodes (numbered for pruning).  Only instructions
+    and terminators that read a replaced load are rebuilt.  The output —
+    φ ids, names and order, replacements and pruning — is that of the
+    name-keyed version kept in the test suite, which the front gate
+    compares it with. *)
 
 (* Dominator-tree children by node, from the CHK idom array. *)
 let dom_children (dom : Dom.t) : int list array =
@@ -41,224 +35,288 @@ let dom_children (dom : Dom.t) : int list array =
     dom.order;
   children
 
-(* Every table below is built by one scan: the CFG does not change during
-   the pass, so one index numbers the blocks throughout, and per slot or
-   per φ there are only lookups. *)
-let run (f : Ir.func) : bool =
-  let escaped = escaped_regs f in
-  let slots =
-    List.concat_map
-      (fun (b : Ir.block) ->
-        List.filter_map
-          (fun (i : Ir.instr) ->
-            match (i.rhs, i.result) with
-            | Ir.Alloca 1, Some r when not (Hashtbl.mem escaped r) -> Some r
-            | _ -> None)
-          b.body)
-      f.blocks
-  in
-  if slots = [] then false
+(* What the final walk asks about a register name. *)
+type reg_info =
+  | Replaced of Ir.value  (** a load result renaming removed, and its value *)
+  | Phi_result of int  (** the result of φ-node number [k] *)
+
+(* The alloca slots of [f] whose address never escapes: every size-1
+   alloca with a result, minus those whose register appears anywhere but
+   as the address of a load or store.  Returns the slot names in
+   instruction order, their numbering, and for each slot the numbers of
+   the blocks storing to it (positions in [f.blocks], the {!Func_index}
+   numbering), ascending. *)
+let find_slots (f : Ir.func) : Ir.reg array * int Ir.Names.t * int list array =
+  let cands = Ir.Names.create 16 and names = ref [] and n = ref 0 in
+  List.iter
+    (fun (b : Ir.block) ->
+      List.iter
+        (fun (i : Ir.instr) ->
+          match (i.rhs, i.result) with
+          | Ir.Alloca 1, Some r ->
+              Ir.Names.replace cands r !n;
+              names := r :: !names;
+              incr n
+          | _ -> ())
+        b.body)
+    f.blocks;
+  let n = !n in
+  if n = 0 then ([||], cands, [||])
   else begin
-    let is_slot = Hashtbl.create 16 in
-    List.iter (fun r -> Hashtbl.replace is_slot r ()) slots;
+    let escaped = Array.make n false and stored = Array.make n [] in
+    let index r = match Ir.Names.find_opt cands r with Some s -> s | None -> -1 in
+    let mark v =
+      match v with
+      | Ir.Reg r ->
+          let s = index r in
+          if s >= 0 then escaped.(s) <- true
+      | Ir.Const _ | Ir.Undef -> ()
+    in
+    let escape (i : Ir.instr) =
+      match i.rhs with
+      | Ir.Load (Ir.Reg _) -> ()
+      | Ir.Store (v, Ir.Reg _) -> mark v
+      | rhs -> Ir.iter_rhs_operands mark rhs
+    in
+    List.iteri
+      (fun k (b : Ir.block) ->
+        List.iter escape b.phis;
+        List.iter
+          (fun (i : Ir.instr) ->
+            escape i;
+            match i.rhs with
+            | Ir.Store (_, Ir.Reg a) -> (
+                let s = index a in
+                if s >= 0 then
+                  match stored.(s) with k' :: _ when k' = k -> () | ks -> stored.(s) <- k :: ks)
+            | _ -> ())
+          b.body;
+        Ir.iter_term_operands mark b.term)
+      f.blocks;
+    (* Renumber the slots that did not escape, keeping their order. *)
+    let slots = Ir.Names.create 16 and kept = ref [] and defs = ref [] and m = ref 0 in
+    List.iteri
+      (fun s r ->
+        if not escaped.(s) then begin
+          Ir.Names.replace slots r !m;
+          kept := r :: !kept;
+          defs := List.rev stored.(s) :: !defs;
+          incr m
+        end)
+      (List.rev !names);
+    (Array.of_list (List.rev !kept), slots, Array.of_list (List.rev !defs))
+  end
+
+let run (f : Ir.func) : bool =
+  let slot_names, slots, def_blocks = find_slots f in
+  let nslots = Array.length slot_names in
+  if nslots = 0 then false
+  else begin
+    let slot_of r = match Ir.Names.find_opt slots r with Some s -> s | None -> -1 in
     let index = Func_index.make f in
+    let blocks = index.blocks in
+    let nb = Array.length blocks in
     let dom = Dom.compute index in
     let df = Dom.frontiers dom in
     let children = dom_children dom in
-    let blocks = index.blocks in
-    (* Blocks storing to each slot, in block order. *)
-    let def_blocks = Hashtbl.create 16 in
-    Array.iteri
-      (fun k (b : Ir.block) ->
-        let seen = Hashtbl.create 8 in
-        List.iter
-          (fun (i : Ir.instr) ->
-            match i.rhs with
-            | Ir.Store (_, Ir.Reg r) when Hashtbl.mem is_slot r && not (Hashtbl.mem seen r) ->
-                Hashtbl.add seen r ();
-                Hashtbl.replace def_blocks r
-                  (k :: Option.value ~default:[] (Hashtbl.find_opt def_blocks r))
-            | _ -> ())
-          b.body)
-      blocks;
     (* φ placement: iterated dominance frontier.  [placed.(d)] and
        [enqueued.(d)] hold the number of the last slot that placed a φ in
-       block [d] or queued it. *)
-    let phi_slot : (int, int * Ir.reg) Hashtbl.t = Hashtbl.create 64 in
-    (* placed φ id → (block, slot) *)
-    let placed = Array.make (Array.length blocks) (-1) in
-    let enqueued = Array.make (Array.length blocks) (-1) in
-    List.iteri
-      (fun n slot ->
-        let worklist = Queue.create () in
+       block [d] or queued it; [new_phis.(d)] holds the φs placed in [d]
+       with their slots, newest first. *)
+    let new_phis = Array.make nb [] in
+    let placed = Array.make nb (-1) in
+    let enqueued = Array.make nb (-1) in
+    let worklist = Queue.create () in
+    for n = 0 to nslots - 1 do
+      List.iter (fun b -> Queue.push b worklist) def_blocks.(n);
+      while not (Queue.is_empty worklist) do
+        let b = Queue.pop worklist in
         List.iter
-          (fun b -> Queue.push b worklist)
-          (List.rev (Option.value ~default:[] (Hashtbl.find_opt def_blocks slot)));
-        while not (Queue.is_empty worklist) do
-          let b = Queue.pop worklist in
-          List.iter
-            (fun d ->
-              if placed.(d) <> n then begin
-                placed.(d) <- n;
-                let blk = blocks.(d) in
-                let phi =
-                  {
-                    Ir.id = Ir.fresh_id f;
-                    result = Some (Ir.fresh_reg ~hint:(slot ^ ".phi") f);
-                    rhs = Ir.Phi (List.map (fun p -> (p, Ir.Undef)) (Func_index.labels_of index index.preds.(d)));
-                  }
-                in
-                blk.phis <- blk.phis @ [ phi ];
-                Hashtbl.replace phi_slot phi.id (d, slot);
-                if enqueued.(d) <> n then begin
-                  enqueued.(d) <- n;
-                  Queue.push d worklist
-                end
-              end)
-            df.(b)
-        done)
-      slots;
-    (* The slot of a φ this pass placed in block [k]. *)
-    let slot_of_phi k (i : Ir.instr) =
-      match Hashtbl.find_opt phi_slot i.id with
-      | Some (d, slot) when d = k -> Some slot
-      | _ -> None
-    in
-    (* Renaming walk over the dominator tree. *)
-    let replacements : (Ir.reg, Ir.value) Hashtbl.t = Hashtbl.create 32 in
-    (* load result reg → value *)
+          (fun d ->
+            if placed.(d) <> n then begin
+              placed.(d) <- n;
+              let phi =
+                {
+                  Ir.id = Ir.fresh_id f;
+                  result = Some (Ir.fresh_reg ~hint:(slot_names.(n) ^ ".phi") f);
+                  rhs = Ir.Phi (List.map (fun p -> (p, Ir.Undef)) (Func_index.labels_of index index.preds.(d)));
+                }
+              in
+              new_phis.(d) <- (phi, n) :: new_phis.(d);
+              if enqueued.(d) <> n then begin
+                enqueued.(d) <- n;
+                Queue.push d worklist
+              end
+            end)
+          df.(b)
+      done
+    done;
+    Array.iteri
+      (fun d placed_rev ->
+        if placed_rev <> [] then begin
+          let placed = List.rev placed_rev in
+          new_phis.(d) <- placed;
+          blocks.(d).phis <- blocks.(d).phis @ List.map fst placed
+        end)
+      new_phis;
+    (* Renaming walk over the dominator tree.  [cur.(s)] is slot [s]'s
+       current value; every assignment logs the value it overwrites, and a
+       block's assignments are undone when its subtree is done. *)
+    let info : reg_info Ir.Names.t = Ir.Names.create 64 in
     let resolve v =
       let rec go v d =
         if d = 0 then v
         else
           match v with
           | Ir.Reg r -> (
-              match Hashtbl.find_opt replacements r with Some v' -> go v' (d - 1) | None -> v)
+              match Ir.Names.find_opt info r with Some (Replaced v') -> go v' (d - 1) | _ -> v)
           | _ -> v
       in
       go v 64
     in
-    let rec walk (k : int) (env : Ir.value SMap.t) : unit =
+    let cur = Array.make nslots Ir.Undef in
+    let undo_slot = ref [] in
+    let assign s v =
+      undo_slot := (s, cur.(s)) :: !undo_slot;
+      cur.(s) <- v
+    in
+    let slot_op (i : Ir.instr) =
+      match i.rhs with
+      | Ir.Load (Ir.Reg a) | Ir.Store (_, Ir.Reg a) -> slot_of a >= 0
+      | Ir.Alloca _ -> ( match i.result with Some r -> slot_of r >= 0 | None -> false)
+      | _ -> false
+    in
+    let rec walk (k : int) : unit =
       let blk = blocks.(k) in
-      let env = ref env in
-      (* φ-nodes of this block define new current values. *)
+      let mark = !undo_slot in
+      (* φ-nodes placed in this block define new current values. *)
       List.iter
-        (fun (i : Ir.instr) ->
-          match (slot_of_phi k i, i.result) with
-          | Some slot, Some r -> env := SMap.add slot (Ir.Reg r) !env
-          | _ -> ())
-        blk.phis;
+        (fun ((i : Ir.instr), s) -> match i.result with Some r -> assign s (Ir.Reg r) | None -> ())
+        new_phis.(k);
       (* Body: consume loads/stores of promotable slots. *)
-      blk.body <-
-        List.filter
-          (fun (i : Ir.instr) ->
-            match i.rhs with
-            | Ir.Load (Ir.Reg a) when Hashtbl.mem is_slot a ->
-                let v =
-                  match SMap.find_opt a !env with Some v -> resolve v | None -> Ir.Undef
-                in
-                (match i.result with
-                | Some r -> Hashtbl.replace replacements r v
-                | None -> ());
-                false
-            | Ir.Store (v, Ir.Reg a) when Hashtbl.mem is_slot a ->
-                env := SMap.add a (resolve v) !env;
-                false
-            | Ir.Alloca _ when
-                (match i.result with Some r -> Hashtbl.mem is_slot r | None -> false) ->
-                false
-            | _ -> true)
-          blk.body;
+      if List.exists slot_op blk.body then
+        blk.body <-
+          List.filter
+            (fun (i : Ir.instr) ->
+              match i.rhs with
+              | Ir.Load (Ir.Reg a) ->
+                  let s = slot_of a in
+                  s < 0
+                  ||
+                  (let v = resolve cur.(s) in
+                   (match i.result with Some r -> Ir.Names.replace info r (Replaced v) | None -> ());
+                   false)
+              | Ir.Store (v, Ir.Reg a) ->
+                  let s = slot_of a in
+                  s < 0
+                  ||
+                  (assign s (resolve v);
+                   false)
+              | Ir.Alloca _ -> not (slot_op i)
+              | _ -> true)
+            blk.body;
       (* Fill φ incomings of successors from this edge. *)
       List.iter
         (fun s ->
           List.iter
-            (fun (phi : Ir.instr) ->
-              match slot_of_phi s phi with
-              | Some slot ->
-                  let v =
-                    match SMap.find_opt slot !env with Some v -> resolve v | None -> Ir.Undef
-                  in
+            (fun ((phi : Ir.instr), slot) ->
+              let v = resolve cur.(slot) in
+              match phi.rhs with
+              | Ir.Phi incoming ->
                   phi.rhs <-
-                    (match phi.rhs with
-                    | Ir.Phi incoming ->
-                        Ir.Phi
-                          (List.map
-                             (fun (l, old) -> if String.equal l blk.label then (l, v) else (l, old))
-                             incoming)
-                    | rhs -> rhs)
-              | None -> ())
-            blocks.(s).phis)
+                    Ir.Phi
+                      (List.map
+                         (fun (l, old) -> if String.equal l blk.label then (l, v) else (l, old))
+                         incoming)
+              | _ -> ())
+            new_phis.(s))
         index.succs.(k);
-      List.iter (fun c -> walk c !env) children.(k)
+      List.iter walk children.(k);
+      while !undo_slot != mark do
+        match !undo_slot with
+        | (s, v) :: rest ->
+            cur.(s) <- v;
+            undo_slot := rest
+        | [] -> assert false
+      done
     in
-    walk 0 SMap.empty;
-    (* Rewrite every remaining use of replaced load results, counting the
-       uses of every register and collecting the φs on the way. *)
-    let uses : (Ir.reg, int ref) Hashtbl.t = Hashtbl.create 256 in
-    let count delta v =
-      match v with
-      | Ir.Reg r -> (
-          match Hashtbl.find_opt uses r with
-          | Some n -> n := !n + delta
-          | None -> Hashtbl.add uses r (ref delta))
-      | Ir.Const _ | Ir.Undef -> ()
-    in
-    let phis_defining : (Ir.reg, Ir.instr list) Hashtbl.t = Hashtbl.create 64 in
+    walk 0;
+    (* Number every φ of the function, then rewrite the operands that read
+       a replaced load and count the uses of every φ. *)
+    let phis = ref [] and nphis = ref 0 in
     List.iter
       (fun (b : Ir.block) ->
-        let rewrite (i : Ir.instr) =
-          i.rhs <- Ir.map_rhs_operands resolve i.rhs;
-          List.iter (count 1) (Ir.rhs_operands i.rhs)
-        in
         List.iter
           (fun (i : Ir.instr) ->
-            rewrite i;
             match (i.rhs, i.result) with
             | Ir.Phi _, Some r ->
-                Hashtbl.replace phis_defining r
-                  (i :: Option.value ~default:[] (Hashtbl.find_opt phis_defining r))
+                Ir.Names.replace info r (Phi_result !nphis);
+                phis := i :: !phis;
+                incr nphis
             | _ -> ())
-          b.phis;
+          b.phis)
+      f.blocks;
+    let phis = Array.of_list (List.rev !phis) in
+    let uses = Array.make !nphis 0 in
+    let phi_number v =
+      match v with
+      | Ir.Reg r -> ( match Ir.Names.find_opt info r with Some (Phi_result k) -> k | _ -> -1)
+      | Ir.Const _ | Ir.Undef -> -1
+    in
+    let count delta v =
+      let k = phi_number v in
+      if k >= 0 then uses.(k) <- uses.(k) + delta
+    in
+    let replaced v =
+      match v with
+      | Ir.Reg r -> ( match Ir.Names.find_opt info r with Some (Replaced _) -> true | _ -> false)
+      | Ir.Const _ | Ir.Undef -> false
+    in
+    let rewrite (i : Ir.instr) =
+      if Ir.exists_rhs_operand replaced i.rhs then i.rhs <- Ir.map_rhs_operands resolve i.rhs;
+      Ir.iter_rhs_operands (count 1) i.rhs
+    in
+    List.iter
+      (fun (b : Ir.block) ->
+        List.iter rewrite b.phis;
         List.iter rewrite b.body;
-        b.term <- Ir.map_term_operands resolve b.term;
-        List.iter (count 1) (Ir.term_operands b.term))
+        if Ir.exists_term_operand replaced b.term then b.term <- Ir.map_term_operands resolve b.term;
+        Ir.iter_term_operands (count 1) b.term)
       f.blocks;
     (* Prune unused φ-nodes ("pruned SSA"): the frontier placement inserts
        φs whether or not a read follows.  Dropping a φ nobody uses releases
        its operands, which may leave other φs unused; the worklist reaches
        the same fixpoint as rescanning until nothing changes, since a φ's
        removal never depends on the order. *)
-    let used r = match Hashtbl.find_opt uses r with Some n -> !n > 0 | None -> false in
-    let dead = Hashtbl.create 64 in
+    let dead = Array.make !nphis false in
     let work = Queue.create () in
-    Hashtbl.iter (fun r _ -> if not (used r) then Queue.push r work) phis_defining;
+    Array.iteri (fun k n -> if n = 0 then Queue.push k work) uses;
+    let any_dead = not (Queue.is_empty work) in
     while not (Queue.is_empty work) do
-      let r = Queue.pop work in
-      if not (Hashtbl.mem dead r) then begin
-        Hashtbl.add dead r ();
-        List.iter
-          (fun (i : Ir.instr) ->
-            List.iter
-              (fun v ->
-                count (-1) v;
-                match v with
-                | Ir.Reg u when Hashtbl.mem phis_defining u && not (used u) -> Queue.push u work
-                | _ -> ())
-              (Ir.rhs_operands i.rhs))
-          (Hashtbl.find phis_defining r)
+      let k = Queue.pop work in
+      if not dead.(k) then begin
+        dead.(k) <- true;
+        Ir.iter_rhs_operands
+          (fun v ->
+            let u = phi_number v in
+            if u >= 0 then begin
+              uses.(u) <- uses.(u) - 1;
+              if uses.(u) = 0 then Queue.push u work
+            end)
+          phis.(k).rhs
       end
     done;
-    if Hashtbl.length dead > 0 then
+    if any_dead then begin
+      let is_dead (i : Ir.instr) =
+        match i.rhs with
+        | Ir.Phi _ -> (
+            match i.result with Some r -> let k = phi_number (Ir.Reg r) in k >= 0 && dead.(k) | None -> false)
+        | _ -> false
+      in
       List.iter
         (fun (b : Ir.block) ->
-          b.phis <-
-            List.filter
-              (fun (i : Ir.instr) ->
-                match (i.rhs, i.result) with
-                | Ir.Phi _, Some r -> not (Hashtbl.mem dead r)
-                | _ -> true)
-              b.phis)
-        f.blocks;
+          if List.exists is_dead b.phis then b.phis <- List.filter (fun i -> not (is_dead i)) b.phis)
+        f.blocks
+    end;
     true
   end
