@@ -54,31 +54,30 @@ let param_prefix = "osr$"
 (* Remove blocks unreachable from the entry. *)
 let drop_unreachable (f : Ir.func) : unit =
   let index = Func_index.make f in
-  let seen = Hashtbl.create (Array.length index.blocks) in
-  let rec dfs label =
-    if not (Hashtbl.mem seen label) then begin
-      Hashtbl.add seen label ();
-      match Func_index.find_block index label with
-      | Some b -> List.iter dfs (Ir.successors b)
-      | None -> ()
+  let nb = Array.length index.blocks in
+  let seen = Array.make nb false in
+  let rec dfs k =
+    if k < nb && not seen.(k) then begin
+      seen.(k) <- true;
+      List.iter dfs index.succs.(k)
     end
   in
-  dfs (Ir.entry f).label;
-  let removed = Hashtbl.create 8 in
-  List.iter
-    (fun (b : Ir.block) ->
-      if not (Hashtbl.mem seen b.label) then Hashtbl.replace removed b.label ())
-    f.blocks;
-  if Hashtbl.length removed > 0 then begin
-    f.blocks <- List.filter (fun (b : Ir.block) -> Hashtbl.mem seen b.label) f.blocks;
+  dfs 0;
+  if Array.exists not seen then begin
+    (* A label names its last block: an incoming from a label is dropped
+       when that block is. *)
+    let removed l =
+      let k = Func_index.block_number index l in
+      k >= 0 && not seen.(k)
+    in
+    f.blocks <- List.filteri (fun k _ -> seen.(k)) f.blocks;
     List.iter
       (fun (b : Ir.block) ->
         List.iter
           (fun (i : Ir.instr) ->
             match i.rhs with
             | Ir.Phi incoming ->
-                i.rhs <-
-                  Ir.Phi (List.filter (fun (l, _) -> not (Hashtbl.mem removed l)) incoming)
+                i.rhs <- Ir.Phi (List.filter (fun (l, _) -> not (removed l)) incoming)
             | _ -> ())
           b.phis)
       f.blocks
@@ -150,19 +149,41 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
         b.phis)
     f.blocks;
   (* --- 2. Demotion set. --------------------------------------------- *)
+  (* Registers are the target's, numbered by its liveness; the demotion
+     set is a flag per register id. *)
   let target_liveness = Liveness.compute (Func_index.make target) in
   let target_live = Liveness.live_at target_liveness landing in
-  let def_tbl = Ir.def_table f in
-  let is_instr_defined r = Ir.Names.mem def_tbl r in
+  let id_of r = match Liveness.id_of target_liveness r with Some x -> x | None -> -1 in
+  let nregs = Array.length target_liveness.names in
+  let instr_defined = Array.make nregs false in
+  List.iter
+    (fun (b : Ir.block) ->
+      let def (i : Ir.instr) =
+        match i.result with
+        | Some r ->
+            let x = id_of r in
+            if x >= 0 then instr_defined.(x) <- true
+        | None -> ()
+      in
+      List.iter def b.phis;
+      List.iter def b.body)
+    target.blocks;
+  let is_instr_defined r =
+    let x = id_of r in
+    x >= 0 && instr_defined.(x)
+  in
   let demoted =
     List.sort_uniq String.compare
       (List.filter is_instr_defined
          (List.map fst plan.transfers @ List.map (fun (c : Reconstruct_ir.comp_instr) -> c.target) plan.comp)
       @ List.filter is_instr_defined target_live)
   in
-  let demoted_set = Hashtbl.create 16 in
-  List.iter (fun r -> Hashtbl.replace demoted_set r ()) demoted;
-  let is_demoted r = Hashtbl.mem demoted_set r in
+  let demoted_ids = Array.make nregs false in
+  List.iter (fun r -> demoted_ids.(id_of r) <- true) demoted;
+  let is_demoted r =
+    let x = id_of r in
+    x >= 0 && demoted_ids.(x)
+  in
   let slot_of r = r ^ "$slot" in
   (* Rewrite uses to loads, defs get a trailing store. *)
   List.iter
@@ -257,19 +278,13 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
     f.blocks;
   (* --- 3. Fresh entry: params, allocas, spills, compensation. ------- *)
   (* Every distinct source value the transfers read, in first-use order. *)
-  let needed = Hashtbl.create 8 in
   let params_needed =
-    List.filter_map
-      (fun (_, v) ->
-        match v with
-        | Ir.Reg y when not (Hashtbl.mem needed y) ->
-            Hashtbl.add needed y ();
-            Some y
-        | _ -> None)
-      plan.transfers
+    List.rev
+      (List.fold_left
+         (fun acc (_, v) ->
+           match v with Ir.Reg y when not (List.mem y acc) -> y :: acc | _ -> acc)
+         [] plan.transfers)
   in
-  let target_params = Hashtbl.create 8 in
-  List.iter (fun p -> Hashtbl.replace target_params p ()) f.params;
   let param_name y = param_prefix ^ y in
   let entry_label = "osr.entry" in
   let entry_body = ref [] in
@@ -300,11 +315,11 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
             let tmp = Ir.fresh_reg ~hint:(r ^ ".c") f in
             emit (Ir.Load (Ir.Reg (slot_of r))) (Some tmp);
             Ir.Reg tmp
-        | Ir.Reg r when Hashtbl.mem target_params r ->
+        | Ir.Reg r when List.mem r f.params ->
             (* Target parameters reach the compensation code through the
                osr$-prefixed transfer parameter (the parameter itself is
                only a parameter of f'to when live at the landing). *)
-            if Hashtbl.mem needed r then Ir.Reg (param_name r) else Ir.Reg r
+            if List.mem r params_needed then Ir.Reg (param_name r) else Ir.Reg r
         | v -> v
       in
       let rhs' = Ir.map_rhs_operands fix c.rhs in
