@@ -168,6 +168,12 @@ let push (s : 'a stack) (x : 'a) : unit =
   s.items.(s.len) <- x;
   s.len <- s.len + 1
 
+(* Make [dst] a copy of [src]. *)
+let copy_into (dst : 'a stack) (src : 'a stack) : unit =
+  if Array.length dst.items < src.len then dst.items <- Array.make (Array.length src.items) dst.filler;
+  Array.blit src.items 0 dst.items 0 src.len;
+  dst.len <- src.len
+
 let to_list (s : 'a stack) : 'a list =
   let l = ref [] in
   for i = s.len - 1 downto 0 do
@@ -175,16 +181,8 @@ let to_list (s : 'a stack) : 'a list =
   done;
   !l
 
-(* The state of one point pair: the pair, what is resolved once per pair,
-   and the plan under construction.  A state moves from pair to pair
-   ({!retarget}), so a sweep allocates its tables once; the context it
-   reads stays immutable. *)
-type state = {
-  ctx : Osr_ctx.t;
-  mutable landing : int;
-  mutable env : Osr_ctx.penv;  (** the source point's query environment *)
-  mutable load_safe : (int * bool) list;
-      (** load definition id → {!load_safe_walk} verdict for [landing] *)
+(* One variant's plan under construction, and its memo. *)
+type lane = {
   transfers : (Ir.reg * Ir.value) stack;
   comp : comp_instr stack;
   keep : Ir.reg stack;
@@ -196,29 +194,77 @@ type state = {
           current [stamp] *)
   stamps : int array;
   mutable stamp : int;  (** the current build's; bumping it empties [resolved] *)
+  noted : int stack;  (** the register ids [resolved] holds, in resolution order *)
 }
 
-let fresh_state (t : Osr_ctx.t) ~(src_point : int) ~(landing : int) : state =
-  let n = Array.length t.dst.as_cand in
+let lane (n : int) : lane =
   {
-    ctx = t;
-    landing;
-    env = Osr_ctx.point_env t src_point;
-    load_safe = [];
     transfers = stack ("", Ir.Undef);
     comp = stack { target = ""; rhs = Ir.Alloca 0 };
     keep = stack "";
     resolved = Array.make n Ir.Undef;
     stamps = Array.make n 0;
     stamp = 1;
+    noted = stack 0;
   }
 
-(* Empty [st]'s plan: the next build starts afresh at the same pair. *)
+(* The Live lane of a state that has never needed one. *)
+let no_lane : lane = lane 0
+
+let clear (ln : lane) : unit =
+  ln.stamp <- ln.stamp + 1;
+  ln.transfers.len <- 0;
+  ln.comp.len <- 0;
+  ln.keep.len <- 0;
+  ln.noted.len <- 0
+
+let plan_of_lane (ln : lane) : plan =
+  { transfers = to_list ln.transfers; comp = to_list ln.comp; keep = to_list ln.keep }
+
+(* The state of one point pair: the pair, what is resolved once per pair,
+   and the plans under construction.  A state moves from pair to pair
+   ({!retarget}), so a sweep allocates its tables once; the context it
+   reads stays immutable.
+
+   One build resolves registers for a set of variants at once, a [mask]:
+   bit 1 is lane [a]'s variant ([Avail] in {!both}, the requested one in
+   {!build}), bit 2 is [Live] (only in {!both}).  The two variants share
+   lane [a] until the first register where [Avail] takes a dead candidate
+   and [Live] has none; there the build forks ([split]): lane [l] becomes a
+   copy of lane [a], and from then on each variant extends its own lane. *)
+type state = {
+  ctx : Osr_ctx.t;
+  mutable landing : int;
+  mutable env : Osr_ctx.penv;  (** the source point's query environment *)
+  mutable load_safe : (int * bool) list;
+      (** load definition id → {!load_safe_walk} verdict for [landing] *)
+  a : lane;
+  mutable a_variant : variant;
+  mutable l : lane;  (** made at the first fork *)
+  mutable split : bool;  (** [Live] has its own lane in this build *)
+  mutable live_failed : bool;  (** [Live] failed in this build, at [live_err] *)
+  mutable live_err : Ir.reg;
+}
+
+let fresh_state (t : Osr_ctx.t) ~(src_point : int) ~(landing : int) : state =
+  {
+    ctx = t;
+    landing;
+    env = Osr_ctx.point_env t src_point;
+    load_safe = [];
+    a = lane (Array.length t.dst.as_cand);
+    a_variant = Avail;
+    l = no_lane;
+    split = false;
+    live_failed = false;
+    live_err = "";
+  }
+
+(* Empty [st]'s plans: the next build starts afresh at the same pair. *)
 let reset (st : state) : unit =
-  st.stamp <- st.stamp + 1;
-  st.transfers.len <- 0;
-  st.comp.len <- 0;
-  st.keep.len <- 0
+  clear st.a;
+  st.split <- false;
+  st.live_failed <- false
 
 (** Move [st] to another point pair, with an empty plan. *)
 let retarget (st : state) ~(src_point : int) ~(landing : int) : unit =
@@ -227,8 +273,7 @@ let retarget (st : state) ~(src_point : int) ~(landing : int) : unit =
   st.load_safe <- [];
   reset st
 
-let plan_of_state (st : state) : plan =
-  { transfers = to_list st.transfers; comp = to_list st.comp; keep = to_list st.keep }
+let plan_of_state (st : state) : plan = plan_of_lane st.a
 
 let load_safe (st : state) ~(def_id : int) : bool =
   match List.assoc_opt def_id st.load_safe with
@@ -241,8 +286,8 @@ let load_safe (st : state) ~(def_id : int) : bool =
 (* The candidate a variant reads, {!Osr_ctx.no_cand} (an [Undef]) when
    there is none.  Both variants prefer a live candidate; only [Avail]
    falls back to a dead one.  The keep set then grows only when it must,
-   and an [Avail] build whose keep set stays empty made exactly the [Live]
-   build's choices (see [both]). *)
+   and until [Avail] takes a dead candidate both variants make the same
+   choices (see {!both}). *)
 let rec first_live t env = function
   | [] -> Osr_ctx.no_cand
   | c :: cs ->
@@ -253,170 +298,278 @@ let rec first_available t env = function
   | [] -> Osr_ctx.no_cand
   | c :: cs -> if Osr_ctx.cand_available t env c then c else first_available t env cs
 
-let pick (t : Osr_ctx.t) (env : Osr_ctx.penv) (variant : variant) (cs : Osr_ctx.cand list) :
-    Osr_ctx.cand =
-  let c = first_live t env cs in
-  if c == Osr_ctx.no_cand && variant = Avail then first_available t env cs else c
-
 (* Is source register [y] in the keep set? *)
-let kept (st : state) (y : Ir.reg) : bool =
-  let rec from i = i >= 0 && (String.equal st.keep.items.(i) y || from (i - 1)) in
-  from (st.keep.len - 1)
+let kept (ln : lane) (y : Ir.reg) : bool =
+  let rec from i = i >= 0 && (String.equal ln.keep.items.(i) y || from (i - 1)) in
+  from (ln.keep.len - 1)
 
 (* The source value the latest transfer of [z] reads. *)
-let transfer_of (st : state) (z : Ir.reg) : Ir.value option =
+let transfer_of (ln : lane) (z : Ir.reg) : Ir.value option =
   let rec from i =
     if i < 0 then None
     else
-      let r, v = st.transfers.items.(i) in
+      let r, v = ln.transfers.items.(i) in
       if String.equal r z then Some v else from (i - 1)
   in
-  from (st.transfers.len - 1)
+  from (ln.transfers.len - 1)
 
 (* Record [v] as the value of destination register id [x]. *)
-let note (st : state) (x : int) (v : Ir.value) : Ir.value =
-  st.stamps.(x) <- st.stamp;
-  st.resolved.(x) <- v;
-  v
+let note (ln : lane) (x : int) (v : Ir.value) : unit =
+  ln.stamps.(x) <- ln.stamp;
+  ln.resolved.(x) <- v;
+  push ln.noted x
 
-(* Resolve destination register id [x], extending the plan.  Returns the
-   value consumers should use for it. *)
-let rec build_id ~(config : config) (variant : variant) (st : state) (x : int) : Ir.value =
-  if st.stamps.(x) = st.stamp then st.resolved.(x)
-  else
-    let t = st.ctx and env = st.env in
-    let dst = t.dst in
-    let x' = dst.live.names.(x) in
-    (* 1. Directly available at the origin (Algorithm 1, line 4)? *)
-    match pick t env variant (Osr_ctx.candidates_of t ~use_aliases:config.use_aliases x) with
-    | { cv = Ir.Const _ as c; _ } ->
-        (* x' must exist in the landing frame even when every consumer
-           could inline the constant: it is live there. *)
-        push st.transfers (x', c);
-        note st x c
-    | { cv = Ir.Reg y; _ } as c ->
-        if (not (Osr_ctx.cand_live env c)) && not (kept st y) then push st.keep y;
-        push st.transfers (x', c.cv);
-        note st x dst.as_cand.(x).cv
-    | { cv = Ir.Undef; _ } -> (
-        (* 2. Re-execute the destination definition (lines 5–8). *)
-        let build_value v =
-          match v with
-          | Ir.Const _ | Ir.Undef -> v
-          | Ir.Reg y -> build ~config variant st y
-        in
-        match dst.defs.(x) with
-        | None -> raise (Undef x')
-        | Some (d : Ir.def_site) -> (
-            match d.di.rhs with
-            | Ir.Phi _ when not config.constant_phi -> raise (Undef x')
-            | Ir.Phi incoming -> (
-                (* Constant-φ identification (Section 5.4): all incomings
-                   syntactically equal — LCSSA φ-nodes and the like.  The
-                   φ result still needs its own binding in the landing
-                   frame; reuse the incoming's source value when it was a
-                   plain transfer (zero extra instructions), fall back to
-                   a register move when it was compensated. *)
-                match incoming with
-                | (_, v0) :: rest when List.for_all (fun (_, v) -> Ir.equal_value v v0) rest -> (
-                    match build_value v0 with
-                    | Ir.Const _ as c ->
-                        push st.transfers (x', c);
-                        note st x c
-                    | Ir.Reg z -> (
-                        match transfer_of st z with
-                        | Some src_value ->
-                            push st.transfers (x', src_value);
-                            note st x dst.as_cand.(x).cv
-                        | None ->
-                            (* z was computed by compensation code: alias
-                               with a move. *)
-                            push st.comp
-                              { target = x'; rhs = Ir.Binop (Ir.Or, Ir.Reg z, Ir.Const 0) };
-                            note st x dst.as_cand.(x).cv)
-                    | Ir.Undef -> raise (Undef x'))
-                | incoming
-                  when config.gating
-                       && Osr_ctx.reexec_consistent t ~def_id:d.di.id ~landing:st.landing -> (
-                    (* Gating reconstruction: rebuild the φ as a select
-                       over its governing branch condition. *)
-                    match gate_of_phi t ~phi_block:d.block incoming with
-                    | None -> raise (Undef x')
-                    | Some (c, tv, fv, d_term_id) ->
-                        (* Both incomings must have been computed before
-                           the branch (defs dominate d's terminator), so
-                           the frame holds them on either path. *)
-                        let always_executed v =
-                          match v with
-                          | Ir.Const _ -> true
-                          | Ir.Undef -> false
-                          | Ir.Reg y -> (
-                              match Liveness.id_of dst.live y with
-                              | Some y -> (
-                                  dst.as_cand.(y).akey = Osr_ctx.Always
-                                  || match dst.defs.(y) with
-                                     | Some (dy : Ir.def_site) ->
-                                         Dom.instr_dominates dst.dom ~def_id:dy.di.id
-                                           ~use_id:d_term_id
-                                     | None -> false)
-                              | None -> false)
-                        in
-                        if not (always_executed tv && always_executed fv) then
-                          raise (Undef x');
-                        let cv = build ~config variant st c in
-                        let tvv = build_value tv in
-                        let fvv = build_value fv in
-                        push st.comp { target = x'; rhs = Ir.Select (cv, tvv, fvv) };
-                        note st x dst.as_cand.(x).cv)
-                | _ -> raise (Undef x'))
-            | _ when not (Osr_ctx.reexec_consistent t ~def_id:d.di.id ~landing:st.landing) ->
-                (* The definition sits in a loop the landing point is not
-                   part of: its operands have advanced past the values of
-                   its last execution, so recomputation would be wrong
-                   (the frame, via avail, is the only source). *)
-                raise (Undef x')
-            | Ir.Load _ when not (load_safe st ~def_id:d.di.id) -> raise (Undef x')
-            | rhs when Ir.is_reexecutable rhs ->
-                let rhs' = Ir.map_rhs_operands build_value rhs in
-                push st.comp { target = x'; rhs = rhs' };
-                note st x dst.as_cand.(x).cv
-            | _ -> raise (Undef x')))
+let has (ln : lane) (x : int) : bool = ln.stamps.(x) = ln.stamp
 
-(* Resolve one destination register, extending the plan.  Returns the value
-   consumers should use for it. *)
-and build ?(config = default_config) (variant : variant) (st : state) (x' : Ir.reg) : Ir.value =
+(* The lanes of [mask]'s variants that a build writes: lane [a] alone
+   until the fork, then each variant's own.  [f] gets the variants it
+   writes for and the lane. *)
+let iter_lanes (st : state) (mask : int) (f : int -> lane -> unit) : unit =
+  if not st.split then f mask st.a
+  else begin
+    if mask land 1 <> 0 then f 1 st.a;
+    if mask land 2 <> 0 then f 2 st.l
+  end
+
+(* [mask] without [Live] once it has failed. *)
+let alive (st : state) (mask : int) : int = if st.live_failed then mask land 1 else mask
+
+(* The variants of [mask] whose lane has not resolved register id [x]. *)
+let lacking (st : state) (mask : int) (x : int) : int =
+  let mask = alive st mask in
+  (if mask land 1 <> 0 && not (has st.a x) then 1 else 0)
+  lor if mask land 2 <> 0 && not (has (if st.split then st.l else st.a) x) then 2 else 0
+
+(* Give [Live] its own lane: a copy of lane [a], the plan both variants
+   have made so far. *)
+let fork (st : state) : unit =
+  if st.l == no_lane then st.l <- lane (Array.length st.a.stamps);
+  let a = st.a and l = st.l in
+  clear l;
+  copy_into l.transfers a.transfers;
+  copy_into l.comp a.comp;
+  copy_into l.keep a.keep;
+  for k = 0 to a.noted.len - 1 do
+    let x = a.noted.items.(k) in
+    note l x a.resolved.(x)
+  done;
+  st.split <- true
+
+(* [Live] alone failed; the build goes on for [Avail]. *)
+exception Live_failed
+
+(* Register [name] defeats reconstruction for the variants of [mask]:
+   when lane [a]'s variant is among them the whole build fails (an [Avail]
+   failure implies a [Live] failure), otherwise [Live] does. *)
+let fail (st : state) (mask : int) (name : Ir.reg) : 'a =
+  if mask land 1 <> 0 then raise (Undef name)
+  else begin
+    st.live_failed <- true;
+    st.live_err <- name;
+    raise Live_failed
+  end
+
+(* Resolve destination register id [x] for the variants of [mask],
+   extending their plans; returns [mask] without [Live] if it failed. *)
+let rec resolve ~(config : config) (st : state) (mask : int) (x : int) : int =
+  (match lacking st mask x with
+  | 0 -> ()
+  | 2 when mask land 1 <> 0 -> ( try resolve_new ~config st 2 x with Live_failed -> ())
+  | m -> resolve_new ~config st m x);
+  alive st mask
+
+(* [resolve] for the variants of [mask], none of which has resolved [x]. *)
+and resolve_new ~(config : config) (st : state) (mask : int) (x : int) : unit =
+  let t = st.ctx and env = st.env in
+  let dst = t.dst in
+  let x' = dst.live.names.(x) in
+  (* 1. Directly available at the origin (Algorithm 1, line 4)?  One
+     search serves both variants. *)
+  let cands = Osr_ctx.candidates_of t ~use_aliases:config.use_aliases x in
+  let live_c = first_live t env cands in
+  let a_c =
+    if mask land 1 <> 0 && live_c == Osr_ctx.no_cand && st.a_variant = Avail then
+      first_available t env cands
+    else live_c
+  in
+  if mask = 3 && (not st.split) && a_c != live_c then fork st;
+  let reexec = ref 0 in
+  iter_lanes st mask (fun m ln ->
+      let c = if m land 1 <> 0 then a_c else live_c in
+      match c.cv with
+      | Ir.Const _ as k ->
+          (* x' must exist in the landing frame even when every consumer
+             could inline the constant: it is live there. *)
+          push ln.transfers (x', k);
+          note ln x k
+      | Ir.Reg y ->
+          if (not (Osr_ctx.cand_live env c)) && not (kept ln y) then push ln.keep y;
+          push ln.transfers (x', c.cv);
+          note ln x dst.as_cand.(x).cv
+      | Ir.Undef -> reexec := !reexec lor m);
+  (* 2. Re-execute the destination definition (lines 5–8). *)
+  match !reexec with
+  | 0 -> ()
+  | 2 when mask land 1 <> 0 -> ( try reexecute ~config st 2 x x' with Live_failed -> ())
+  | m -> reexecute ~config st m x x'
+
+(* Resolve operand [v] for the variants of [mask]. *)
+and operand ~(config : config) (st : state) (mask : int) (v : Ir.value) : int =
+  match v with
+  | Ir.Const _ | Ir.Undef -> mask
+  | Ir.Reg y -> (
+      match Liveness.id_of st.ctx.dst.live y with
+      | Some i -> resolve ~config st mask i
+      | None -> fail st mask y)
+
+(* The value operand [v] stands for in lane [ln], once resolved there. *)
+and value_in (st : state) (ln : lane) (v : Ir.value) : Ir.value =
+  match v with
+  | Ir.Const _ | Ir.Undef -> v
+  | Ir.Reg y -> (
+      match Liveness.id_of st.ctx.dst.live y with Some i -> ln.resolved.(i) | None -> v)
+
+and reexecute ~(config : config) (st : state) (mask : int) (x : int) (x' : Ir.reg) : unit =
+  let t = st.ctx in
+  let dst = t.dst in
+  let compensate mask rhs_of =
+    iter_lanes st mask (fun _ ln ->
+        push ln.comp { target = x'; rhs = rhs_of ln };
+        note ln x dst.as_cand.(x).cv)
+  in
+  match dst.defs.(x) with
+  | None -> fail st mask x'
+  | Some (d : Ir.def_site) -> (
+      match d.di.rhs with
+      | Ir.Phi _ when not config.constant_phi -> fail st mask x'
+      | Ir.Phi incoming -> (
+          (* Constant-φ identification (Section 5.4): all incomings
+             syntactically equal — LCSSA φ-nodes and the like.  The φ
+             result still needs its own binding in the landing frame;
+             reuse the incoming's source value when it was a plain
+             transfer (zero extra instructions), fall back to a register
+             move when it was compensated. *)
+          match incoming with
+          | (_, v0) :: rest when List.for_all (fun (_, v) -> Ir.equal_value v v0) rest ->
+              let mask = operand ~config st mask v0 in
+              iter_lanes st mask (fun m ln ->
+                  match value_in st ln v0 with
+                  | Ir.Const _ as c ->
+                      push ln.transfers (x', c);
+                      note ln x c
+                  | Ir.Reg z -> (
+                      match transfer_of ln z with
+                      | Some src_value ->
+                          push ln.transfers (x', src_value);
+                          note ln x dst.as_cand.(x).cv
+                      | None ->
+                          (* z was computed by compensation code: alias
+                             with a move. *)
+                          push ln.comp { target = x'; rhs = Ir.Binop (Ir.Or, Ir.Reg z, Ir.Const 0) };
+                          note ln x dst.as_cand.(x).cv)
+                  | Ir.Undef ->
+                      if m land 1 <> 0 || mask = 2 then fail st m x'
+                      else begin
+                        (* Live alone fails here; Avail's lane goes on. *)
+                        st.live_failed <- true;
+                        st.live_err <- x'
+                      end)
+          | incoming
+            when config.gating && Osr_ctx.reexec_consistent t ~def_id:d.di.id ~landing:st.landing -> (
+              (* Gating reconstruction: rebuild the φ as a select over its
+                 governing branch condition. *)
+              match gate_of_phi t ~phi_block:d.block incoming with
+              | None -> fail st mask x'
+              | Some (c, tv, fv, d_term_id) ->
+                  (* Both incomings must have been computed before the
+                     branch (defs dominate d's terminator), so the frame
+                     holds them on either path. *)
+                  let always_executed v =
+                    match v with
+                    | Ir.Const _ -> true
+                    | Ir.Undef -> false
+                    | Ir.Reg y -> (
+                        match Liveness.id_of dst.live y with
+                        | Some y -> (
+                            dst.as_cand.(y).akey = Osr_ctx.Always
+                            || match dst.defs.(y) with
+                               | Some (dy : Ir.def_site) ->
+                                   Dom.instr_dominates dst.dom ~def_id:dy.di.id ~use_id:d_term_id
+                               | None -> false)
+                        | None -> false)
+                  in
+                  if not (always_executed tv && always_executed fv) then fail st mask x';
+                  let mask = operand ~config st mask (Ir.Reg c) in
+                  let mask = operand ~config st mask tv in
+                  let mask = operand ~config st mask fv in
+                  compensate mask (fun ln ->
+                      Ir.Select (value_in st ln (Ir.Reg c), value_in st ln tv, value_in st ln fv)))
+          | _ -> fail st mask x')
+      | _ when not (Osr_ctx.reexec_consistent t ~def_id:d.di.id ~landing:st.landing) ->
+          (* The definition sits in a loop the landing point is not part
+             of: its operands have advanced past the values of its last
+             execution, so recomputation would be wrong (the frame, via
+             avail, is the only source). *)
+          fail st mask x'
+      | Ir.Load _ when not (load_safe st ~def_id:d.di.id) -> fail st mask x'
+      | rhs when Ir.is_reexecutable rhs ->
+          (* The operands resolve in [map_rhs_operands] order, as one
+             variant's build would; the first lane's rhs is made on the
+             way, the other's (after a fork) from its lane. *)
+          let first = if mask land 1 <> 0 || not st.split then st.a else st.l in
+          let m = ref mask in
+          let rhs_first =
+            Ir.map_rhs_operands
+              (fun v ->
+                match v with
+                | Ir.Const _ | Ir.Undef -> v
+                | Ir.Reg y -> (
+                    match Liveness.id_of dst.live y with
+                    | Some i ->
+                        m := resolve ~config st !m i;
+                        first.resolved.(i)
+                    | None -> fail st !m y))
+              rhs
+          in
+          compensate !m (fun ln ->
+              if ln == first then rhs_first else Ir.map_rhs_operands (value_in st ln) rhs)
+      | _ -> fail st mask x')
+
+(** Resolve one destination register for [variant], extending the
+    state's plan.  Returns the value consumers should use for it. *)
+let build ?(config = default_config) (variant : variant) (st : state) (x' : Ir.reg) : Ir.value =
   match Liveness.id_of st.ctx.dst.live x' with
-  | Some x -> build_id ~config variant st x
+  | Some x ->
+      st.a_variant <- variant;
+      ignore (resolve ~config st 1 x : int);
+      st.a.resolved.(x)
   | None -> raise (Undef x')
 
-(* Resolve every register [each] names into [st]'s plan. *)
-let run ~(config : config) (variant : variant) (st : state) (each : (int -> unit) -> unit) :
-    (plan, Ir.reg) result =
-  match each (fun x -> ignore (build_id ~config variant st x : Ir.value)) with
-  | () -> Ok (plan_of_state st)
-  | exception Undef x -> Error x
-
-(* [both] on [st], whose plan starts empty. *)
+(* [both] on [st], whose plans start empty: one build for both variants. *)
 let both_in ~(config : config) (st : state) (each : (int -> unit) -> unit) :
     (plan, Ir.reg) result * (plan, Ir.reg) result =
-  let avail = run ~config Avail st each in
-  match avail with
-  | Error _ -> (avail, avail)
-  | Ok ap when ap.keep = [] -> (avail, avail)
-  | Ok _ ->
-      reset st;
-      (run ~config Live st each, avail)
+  st.a_variant <- Avail;
+  match each (fun x -> ignore (resolve ~config st 3 x : int)) with
+  | () ->
+      let avail = Ok (plan_of_lane st.a) in
+      if not st.split then (avail, avail)
+      else if st.live_failed then (Error st.live_err, avail)
+      else (Ok (plan_of_lane st.l), avail)
+  | exception Undef x -> (Error x, Error x)
 
 (** Both variants as [(live, avail)] for [targets] at [st]'s point pair,
-    usually from a single build.  The [Avail] build is strictly more
-    permissive than [Live] in its candidate search and identical elsewhere,
-    so (inductively over the resolution recursion): an [Avail] failure
-    implies a [Live] failure, and an [Avail] success that never read a dead
-    register — empty keep set — made exactly the choices the [Live] build
-    would make, plan and all.  Only an [Avail] plan with a non-empty keep
-    set pays a second build.  Each build starts from an empty plan (the
-    state's own plan is dropped) and shares [st]'s point environment and
-    load verdicts, so one state serves any number of calls. *)
+    from one build.  The [Avail] build is strictly more permissive than
+    [Live] in its candidate search and identical elsewhere, so
+    (inductively over the resolution recursion) the two make the same
+    choices until [Avail] first takes a dead candidate where [Live] has
+    none; up to there the [Live] plan is the [Avail] plan's prefix, and an
+    [Avail] failure implies a [Live] failure.  The build resolves each
+    register once for both variants, forks at that first register
+    (see {!state}), and goes on with one lane per variant, each resolving
+    in the order its own build would: every plan and failing register is
+    the one of two separate builds.  Each call starts from empty plans and
+    shares [st]'s point environment and load verdicts, so one state serves
+    any number of calls. *)
 let both ?(config = default_config) (st : state) (targets : Ir.reg list) :
     (plan, Ir.reg) result * (plan, Ir.reg) result =
   let dst = st.ctx.dst in

@@ -8,7 +8,13 @@
     register live at every landing, and [Endangered.analyze_function] on
     the debug study's inputs and the kernels.  The pairs are the 12
     kernels, a size-stratified sample of the [Spec_c] functions and
-    generated functions. *)
+    generated functions.
+
+    [Reconstruct_ir.both] builds both variants in one recursion that
+    forks where [Avail] first takes a dead candidate.  The kernels and the
+    generated functions must reach that fork on both of its outcomes:
+    points where [Live] then succeeds with a plan of its own, and points
+    where [Live] fails although [Avail] succeeded. *)
 
 module T = Telemetry
 module Ir = Miniir.Ir
@@ -64,10 +70,34 @@ let plan_to_string (p : R.plan option) : string =
               p.R.comp))
         (String.concat ", " p.R.keep)
 
+(* Points past the fork of the single build, counted on the reference's
+   default-configuration reports: [live_own] where the [Avail] plan keeps
+   registers and [Live] succeeds with a different plan, [live_failed]
+   where [Live] fails and [Avail] succeeds. *)
+type divergence = { mutable live_own : int; mutable live_failed : int }
+
+let count_divergence (d : divergence) (reports : F.point_report list) : unit =
+  List.iter
+    (fun (r : F.point_report) ->
+      match (r.F.live_plan, r.F.avail_plan) with
+      | Some lp, Some ap when ap.R.keep <> [] && lp <> ap -> d.live_own <- d.live_own + 1
+      | None, Some _ -> d.live_failed <- d.live_failed + 1
+      | _ -> ())
+    reports
+
+let check_divergence ~(what : string) (d : divergence) : unit =
+  if d.live_own = 0 || d.live_failed = 0 then
+    Alcotest.failf
+      "%s: the single build's fork is not reached on both outcomes (%d points where Live has a \
+       plan of its own, %d where Live fails)"
+      what d.live_own d.live_failed
+
 (* Check one function pair; [what] names it in failure messages.  The new
    contexts are built once and serve every configuration, so an answer
-   that depended on an earlier query would show up as a difference. *)
-let check_pair ~(what : string) (r : P.apply_result) : unit =
+   that depended on an earlier query would show up as a difference.
+   Counts the pair's divergent points into [div]. *)
+let check_pair ?(div = { live_own = 0; live_failed = 0 }) ~(what : string) (r : P.apply_result) :
+    unit =
   let fbase = r.P.fbase and fopt = r.P.fopt and mapper = r.P.mapper in
   let fwd, bwd = Ctx.make_pair ~fbase ~fopt ~mapper () in
   let ref_fwd, ref_bwd =
@@ -86,6 +116,7 @@ let check_pair ~(what : string) (r : P.apply_result) : unit =
             observe ~group:"reconstruct" (fun ~telemetry ->
                 (F.analyze ~config ~telemetry ctx).F.reports)
           in
+          if cname = "default" then count_divergence div want.reports;
           Alcotest.(check int) (what ^ ": report count") (List.length want.reports)
             (List.length got.reports);
           List.iter2
@@ -166,10 +197,10 @@ let check_pair ~(what : string) (r : P.apply_result) : unit =
 
 (* One DSL kernel: the sweep gate of [check_pair], then the debug study's
    [Endangered.analyze_function] at the kernel's source points. *)
-let check_kernel ~(what : string) (k : Corpus.Dsl.kernel) : unit =
+let check_kernel ?div ~(what : string) (k : Corpus.Dsl.kernel) : unit =
   let fbase, (dbg : Corpus.Dsl.debug_info) = Corpus.Dsl.to_fbase k in
   let r = P.apply fbase in
-  check_pair ~what r;
+  check_pair ?div ~what r;
   let analyze f =
     f ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper ~user_vars:dbg.user_vars
       ~source_points:dbg.source_points
@@ -179,9 +210,11 @@ let check_kernel ~(what : string) (k : Corpus.Dsl.kernel) : unit =
     (analyze Ref.Endangered.analyze_function = analyze En.analyze_function)
 
 let test_kernels () =
+  let div = { live_own = 0; live_failed = 0 } in
   List.iter
-    (fun (e : Corpus.Kernels.entry) -> check_kernel ~what:e.benchmark e.kernel)
-    Corpus.Kernels.all
+    (fun (e : Corpus.Kernels.entry) -> check_kernel ~div ~what:e.benchmark e.kernel)
+    Corpus.Kernels.all;
+  check_divergence ~what:"kernels" div
 
 (* The debug study's inputs: the Spec_c sample of [Suite_front] (the
    middle function of each of 128 size strata, plus the largest). *)
@@ -190,11 +223,27 @@ let test_spec_c () =
   Alcotest.(check bool) "at least 128 functions" true (List.length sample >= 128);
   List.iter (fun (what, k) -> check_kernel ~what k) sample
 
+(* Divergent points over generated functions, summed over the property's
+   cases; the test after the property checks them. *)
+let generated_div = { live_own = 0; live_failed = 0 }
+
 let prop_generated =
   QCheck.Test.make ~count:60 ~name:"sweep identical on generated functions" Gen_ir.arb_func
     (fun (raw : Ir.func) ->
-      check_pair ~what:raw.Ir.fname (P.apply (P.to_fbase raw));
+      check_pair ~div:generated_div ~what:raw.Ir.fname (P.apply (P.to_fbase raw));
       true)
+
+(* The functions the property drew, or, when it has not run in this
+   process, 60 drawn here from a fixed seed. *)
+let test_generated_divergence () =
+  if generated_div.live_own + generated_div.live_failed = 0 then begin
+    let rand = Random.State.make [| 24 |] in
+    List.iter
+      (fun (raw : Ir.func) ->
+        check_pair ~div:generated_div ~what:raw.Ir.fname (P.apply (P.to_fbase raw)))
+      (QCheck.Gen.generate ~rand ~n:60 Gen_ir.gen_func)
+  end;
+  check_divergence ~what:"generated functions" generated_div
 
 let suite =
   ( "sweep",
@@ -202,4 +251,6 @@ let suite =
       Alcotest.test_case "kernels: sweep + recovery plans identical" `Quick test_kernels;
       Alcotest.test_case "Spec_c sample: sweep + endangered identical" `Quick test_spec_c;
       QCheck_alcotest.to_alcotest prop_generated;
+      Alcotest.test_case "generated functions reach both outcomes of the fork" `Quick
+        test_generated_divergence;
     ] )
