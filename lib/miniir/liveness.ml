@@ -56,14 +56,20 @@ module Bits = struct
 
   let mem (b : t) (i : int) : bool = mem_bit b.buf b.off i
 
+  (* [low_bit.[m]]: the position of the lowest set bit of byte [m > 0]. *)
+  let low_bit =
+    String.init 256 (fun m ->
+        let rec at j = if j = 7 || m land (1 lsl j) <> 0 then j else at (j + 1) in
+        Char.chr (at 0))
+
   (** Members in ascending order. *)
   let iter (fn : int -> unit) (b : t) : unit =
     for k = 0 to b.width - 1 do
-      let byte = Char.code (Bytes.unsafe_get b.buf (b.off + k)) in
-      if byte <> 0 then
-        for j = 0 to 7 do
-          if byte land (1 lsl j) <> 0 then fn ((k lsl 3) lor j)
-        done
+      let byte = ref (Char.code (Bytes.unsafe_get b.buf (b.off + k))) in
+      while !byte <> 0 do
+        fn ((k lsl 3) lor Char.code (String.unsafe_get low_bit !byte));
+        byte := !byte land (!byte - 1)
+      done
     done
 
   (** [fold_desc fn b acc] folds the members in descending order, so

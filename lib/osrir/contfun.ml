@@ -51,8 +51,9 @@ type t = {
 
 let param_prefix = "osr$"
 
-(* Remove blocks unreachable from the entry. *)
-let drop_unreachable (f : Ir.func) : unit =
+(* Remove blocks unreachable from the entry.  Returns the function's
+   index when nothing was removed (it is then still [f]'s). *)
+let drop_unreachable (f : Ir.func) : Func_index.t option =
   let index = Func_index.make f in
   let nb = Array.length index.blocks in
   let seen = Array.make nb false in
@@ -63,7 +64,8 @@ let drop_unreachable (f : Ir.func) : unit =
     end
   in
   dfs 0;
-  if Array.exists not seen then begin
+  if not (Array.exists not seen) then Some index
+  else begin
     (* A label names its last block: an incoming from a label is dropped
        when that block is. *)
     let removed l =
@@ -80,7 +82,8 @@ let drop_unreachable (f : Ir.func) : unit =
                 i.rhs <- Ir.Phi (List.filter (fun (l, _) -> not (removed l)) incoming)
             | _ -> ())
           b.phis)
-      f.blocks
+      f.blocks;
+    None
   end
 
 (** Generate [f'to] for a transition into [target] at instruction
@@ -180,89 +183,77 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
   in
   let demoted_ids = Array.make nregs false in
   List.iter (fun r -> demoted_ids.(id_of r) <- true) demoted;
+  (* Every operand is asked about: a name as long as no demoted one is
+     answered without a lookup. *)
+  let demoted_length = Array.make (1 + List.fold_left (fun m r -> max m (String.length r)) 0 demoted) false in
+  List.iter (fun r -> demoted_length.(String.length r) <- true) demoted;
   let is_demoted r =
+    let l = String.length r in
+    l < Array.length demoted_length
+    && demoted_length.(l)
+    &&
     let x = id_of r in
     x >= 0 && demoted_ids.(x)
   in
   let slot_of r = r ^ "$slot" in
-  (* Rewrite uses to loads, defs get a trailing store. *)
+  (* Rewrite uses to loads, defs get a trailing store.  A block's new body
+     is gathered newest first in [out]. *)
+  let demoted_reg v = match v with Ir.Reg r -> is_demoted r | Ir.Const _ | Ir.Undef -> false in
+  let store_of r =
+    { Ir.id = Ir.fresh_id f; result = None; rhs = Ir.Store (Ir.Reg r, Ir.Reg (slot_of r)) }
+  in
   List.iter
     (fun (b : Ir.block) ->
-      let rewrite_instr (i : Ir.instr) : Ir.instr list =
-        (* Loads for demoted operands (φ-nodes excepted: their reads happen
-           at the edge, and their incomings keep the registers). *)
-        let loads = ref [] in
-        let fix v =
-          match v with
-          | Ir.Reg r when is_demoted r ->
-              let tmp = Ir.fresh_reg ~hint:(r ^ ".r") f in
-              loads :=
-                { Ir.id = Ir.fresh_id f; result = Some tmp; rhs = Ir.Load (Ir.Reg (slot_of r)) }
-                :: !loads;
-              Ir.Reg tmp
-          | _ -> v
-        in
-        (match i.rhs with
-        | Ir.Phi _ -> ()
-        | rhs -> i.rhs <- Ir.map_rhs_operands fix rhs);
-        let stores =
-          match i.result with
-          | Some r when is_demoted r ->
-              [ { Ir.id = Ir.fresh_id f; result = None;
-                  rhs = Ir.Store (Ir.Reg r, Ir.Reg (slot_of r)) } ]
-          | _ -> []
-        in
-        List.rev !loads @ [ i ] @ stores
+      let out = ref [] in
+      (* A load of [r]'s slot into a fresh register named after [hint]. *)
+      let reload hint v =
+        match v with
+        | Ir.Reg r when is_demoted r ->
+            let tmp = Ir.fresh_reg ~hint:(r ^ hint) f in
+            out :=
+              { Ir.id = Ir.fresh_id f; result = Some tmp; rhs = Ir.Load (Ir.Reg (slot_of r)) }
+              :: !out;
+            Ir.Reg tmp
+        | _ -> v
       in
       (* φ-node results of demoted registers are stored to their slots. *)
-      let phi_stores = ref [] in
       List.iter
         (fun (i : Ir.instr) ->
-          match i.result with
-          | Some r when is_demoted r ->
-              phi_stores :=
-                { Ir.id = Ir.fresh_id f; result = None;
-                  rhs = Ir.Store (Ir.Reg r, Ir.Reg (slot_of r)) }
-                :: !phi_stores
-          | _ -> ())
+          match i.result with Some r when is_demoted r -> out := store_of r :: !out | _ -> ())
         b.phis;
-      b.body <- List.rev !phi_stores @ List.concat_map rewrite_instr b.body;
+      List.iter
+        (fun (i : Ir.instr) ->
+          (* Loads for demoted operands (φ-nodes excepted: their reads
+             happen at the edge, and their incomings keep the
+             registers). *)
+          (match i.rhs with
+          | Ir.Phi _ -> ()
+          | rhs -> if Ir.exists_rhs_operand demoted_reg rhs then i.rhs <- Ir.map_rhs_operands (reload ".r") rhs);
+          out := i :: !out;
+          match i.result with Some r when is_demoted r -> out := store_of r :: !out | _ -> ())
+        b.body;
       (* Terminator operands reading demoted registers re-load the slot at
          the end of the block. *)
-      let term_loads = ref [] in
-      b.term <-
-        Ir.map_term_operands
-          (fun v ->
-            match v with
-            | Ir.Reg r when is_demoted r ->
-                let tmp = Ir.fresh_reg ~hint:(r ^ ".t") f in
-                term_loads :=
-                  { Ir.id = Ir.fresh_id f; result = Some tmp;
-                    rhs = Ir.Load (Ir.Reg (slot_of r)) }
-                  :: !term_loads;
-                Ir.Reg tmp
-            | _ -> v)
-          b.term;
-      b.body <- b.body @ List.rev !term_loads)
+      if Ir.exists_term_operand demoted_reg b.term then b.term <- Ir.map_term_operands (reload ".t") b.term;
+      b.body <- List.rev !out)
     f.blocks;
   (* φ incomings reading demoted registers: re-read the slot at the end of
      the predecessor unconditionally (the new entry edge breaks dominance
      for the original definitions; the slot always carries the live value,
      and mem2reg re-promotion removes the loads that were unnecessary). *)
-  let index = Func_index.make f in
   List.iter
     (fun (b : Ir.block) ->
       List.iter
         (fun (i : Ir.instr) ->
           match i.rhs with
-          | Ir.Phi incoming ->
+          | Ir.Phi incoming when List.exists (fun (_, v) -> demoted_reg v) incoming ->
               i.rhs <-
                 Ir.Phi
                   (List.map
                      (fun (l, v) ->
                        match v with
                        | Ir.Reg r when is_demoted r -> (
-                           match Func_index.find_block index l with
+                           match Ir.find_block f l with
                            | Some pb ->
                                let tmp = Ir.fresh_reg ~hint:(r ^ ".e") f in
                                pb.body <-
@@ -349,8 +340,8 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
       next_reg = f.next_reg;
     }
   in
-  drop_unreachable fto;
-  if promote then ignore (Passes.Mem2reg.run fto : bool);
+  let index = drop_unreachable fto in
+  if promote then ignore (Passes.Mem2reg.run ?index fto : bool);
   let param_sources =
     List.map (fun p -> Ir.Reg p) live_params @ List.map (fun y -> Ir.Reg y) params_needed
   in

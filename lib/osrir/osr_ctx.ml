@@ -132,8 +132,9 @@ type t = {
   direction : direction;
   src : side;  (** where execution currently is *)
   dst : side;  (** where execution lands *)
-  landing : (int, int) Hashtbl.t;
-      (** source point → landing anchor; absent key = no landing *)
+  landing : int array;
+      (** source point id → landing anchor; [-1] (or an id beyond the
+          array) = no landing *)
   cands : cand list array;
       (** destination register id → its interned candidates, replace
           aliases included *)
@@ -157,7 +158,8 @@ let source_points (t : t) : int list =
     optimizer deleted or moved away), or [None] when the whole remainder of
     the block has no anchor (e.g. the block does not exist on the other
     side). *)
-let landing_point (t : t) (p : int) : int option = Hashtbl.find_opt t.landing p
+let landing_point (t : t) (p : int) : int option =
+  if p >= 0 && p < Array.length t.landing && t.landing.(p) >= 0 then Some t.landing.(p) else None
 
 (* ------------------------------------------------------------------ *)
 (* Value correspondence                                                 *)
@@ -261,6 +263,8 @@ let of_sides ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapping : Code_mapper.index)
     Func_index.is_point src.index id && Func_index.is_point dst.index id
     && not (Code_mapper.is_moved mapping id)
   in
+  let landing = Array.make (Array.length src.index.point_block) (-1) in
+  Hashtbl.iter (fun p a -> landing.(p) <- a) (Ir.first_kept_at_or_after ~keep:anchor src.func);
   let t =
     {
       fbase;
@@ -269,7 +273,7 @@ let of_sides ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapping : Code_mapper.index)
       direction;
       src;
       dst;
-      landing = Ir.first_kept_at_or_after ~keep:anchor src.func;
+      landing;
       cands = Array.make (Array.length dst.as_cand) [];
     }
   in

@@ -62,42 +62,42 @@ let plan_is_empty (p : plan) : bool = p.comp = []
 let load_safe_walk (t : Osr_ctx.t) ~(def_id : int) ~(landing : int) : bool =
   let index = t.dst.index in
   let nb = Array.length index.blocks in
-  (* Sequence of (id, rhs option) points per block: body then terminator. *)
-  let block_points (b : Ir.block) =
-    List.map (fun (i : Ir.instr) -> (i.id, Some i.rhs)) b.body @ [ (b.term_id, None) ]
-  in
-  let dirty = function
-    | Some (Ir.Store _) -> true
-    | Some (Ir.Call (name, _)) -> not (Ir.is_pure_call name)
-    | Some _ | None -> false
+  let dirty (rhs : Ir.rhs) =
+    match rhs with
+    | Ir.Store _ -> true
+    | Ir.Call (name, _) -> not (Ir.is_pure_call name)
+    | _ -> false
   in
   let visited = Array.make nb false in
   let exception Unsafe in
-  (* Walk the points of block [k] starting after position [after] (None =
-     from the top), stopping at [landing] or [def_id]. *)
-  let rec walk_block (k : int) ~(after : int option) : unit =
+  (* Walk the points of block [k] (its body, then its terminator) from
+     just after point [after] ([-1] = from the top), stopping at [landing]
+     or [def_id]; a walk that runs off the block's end enters its
+     successors. *)
+  let rec walk_block (k : int) ~(after : int) : unit =
+    let b = index.blocks.(k) in
     let rec scan started = function
-      | [] -> List.iter enter index.succs.(k)
-      | (id, rhs) :: rest ->
-          if not started then
-            if Some id = after then scan true rest else scan false rest
-          else if id = landing then ()  (* window closed on this path *)
-          else if id = def_id then ()  (* window restarts; later segment covered *)
-          else if dirty rhs then raise Unsafe
+      | [] ->
+          if not (started && (b.term_id = landing || b.term_id = def_id)) then
+            List.iter enter index.succs.(k)
+      | (i : Ir.instr) :: rest ->
+          if not started then scan (i.id = after) rest
+          else if i.id = landing then ()  (* window closed on this path *)
+          else if i.id = def_id then ()  (* window restarts; later segment covered *)
+          else if dirty i.rhs then raise Unsafe
           else scan true rest
     in
-    (* When scanning from the top, "started" is immediately true. *)
-    scan (after = None) (block_points index.blocks.(k))
+    scan (after < 0) b.body
   and enter (k : int) : unit =
     if k < nb && not visited.(k) then begin
       visited.(k) <- true;
-      walk_block k ~after:None
+      walk_block k ~after:(-1)
     end
   in
   Func_index.is_point index def_id
   &&
   try
-    walk_block index.point_block.(def_id) ~after:(Some def_id);
+    walk_block index.point_block.(def_id) ~after:def_id;
     true
   with Unsafe -> false
 
@@ -154,107 +154,104 @@ let gate_of_phi (t : Osr_ctx.t) ~(phi_block : string) (incoming : (string * Ir.v
   | _ -> None
 
 (* A growable stack of plan entries, reused from build to build: a plan's
-   lists are made once, when the build succeeds. *)
-type 'a stack = { mutable items : 'a array; mutable len : int; filler : 'a }
-
-let stack (filler : 'a) : 'a stack = { items = Array.make 16 filler; len = 0; filler }
-
-let push (s : 'a stack) (x : 'a) : unit =
-  if s.len = Array.length s.items then begin
-    let items = Array.make (2 * s.len) s.filler in
-    Array.blit s.items 0 items 0 s.len;
-    s.items <- items
-  end;
-  s.items.(s.len) <- x;
-  s.len <- s.len + 1
-
-(* Make [dst] a copy of [src]. *)
-let copy_into (dst : 'a stack) (src : 'a stack) : unit =
-  if Array.length dst.items < src.len then dst.items <- Array.make (Array.length src.items) dst.filler;
-  Array.blit src.items 0 dst.items 0 src.len;
-  dst.len <- src.len
-
-let to_list (s : 'a stack) : 'a list =
-  let l = ref [] in
-  for i = s.len - 1 downto 0 do
-    l := s.items.(i) :: !l
-  done;
-  !l
-
-(* One variant's plan under construction, and its memo. *)
-type lane = {
-  transfers : (Ir.reg * Ir.value) stack;
-  comp : comp_instr stack;
-  keep : Ir.reg stack;
-  resolved : Ir.value array;
-      (** destination register id → the value to use for it inside
-          compensation operands: [Reg r] for transferred/compensated
-          registers (bound in the landing environment) or a
-          constant/alias; an entry counts only where [stamps] holds the
-          current [stamp] *)
-  stamps : int array;
-  mutable stamp : int;  (** the current build's; bumping it empties [resolved] *)
-  noted : int stack;  (** the register ids [resolved] holds, in resolution order *)
+   lists are made once, when the build succeeds.  Each entry carries the
+   variants whose plan holds it, a mask (bit 1 lane [a]'s variant, bit 2
+   [Live]; see {!state}). *)
+type 'a stack = {
+  mutable items : 'a array;
+  mutable tags : int array;
+  mutable len : int;
+  filler : 'a;
 }
 
-let lane (n : int) : lane =
-  {
-    transfers = stack ("", Ir.Undef);
-    comp = stack { target = ""; rhs = Ir.Alloca 0 };
-    keep = stack "";
-    resolved = Array.make n Ir.Undef;
-    stamps = Array.make n 0;
-    stamp = 1;
-    noted = stack 0;
-  }
+let stack (filler : 'a) : 'a stack =
+  { items = Array.make 16 filler; tags = Array.make 16 0; len = 0; filler }
 
-(* The Live lane of a state that has never needed one. *)
-let no_lane : lane = lane 0
+let push (s : 'a stack) (tag : int) (x : 'a) : unit =
+  if s.len = Array.length s.items then begin
+    let items = Array.make (2 * s.len) s.filler and tags = Array.make (2 * s.len) 0 in
+    Array.blit s.items 0 items 0 s.len;
+    Array.blit s.tags 0 tags 0 s.len;
+    s.items <- items;
+    s.tags <- tags
+  end;
+  s.items.(s.len) <- x;
+  s.tags.(s.len) <- tag;
+  s.len <- s.len + 1
 
-let clear (ln : lane) : unit =
-  ln.stamp <- ln.stamp + 1;
-  ln.transfers.len <- 0;
-  ln.comp.len <- 0;
-  ln.keep.len <- 0;
-  ln.noted.len <- 0
-
-let plan_of_lane (ln : lane) : plan =
-  { transfers = to_list ln.transfers; comp = to_list ln.comp; keep = to_list ln.keep }
+(* The entries of the variant [bit], in push order. *)
+let to_list (s : 'a stack) (bit : int) : 'a list =
+  let l = ref [] in
+  for i = s.len - 1 downto 0 do
+    if s.tags.(i) land bit <> 0 then l := s.items.(i) :: !l
+  done;
+  !l
 
 (* The state of one point pair: the pair, what is resolved once per pair,
    and the plans under construction.  A state moves from pair to pair
    ({!retarget}), so a sweep allocates its tables once; the context it
    reads stays immutable.
 
-   One build resolves registers for a set of variants at once, a [mask]:
-   bit 1 is lane [a]'s variant ([Avail] in {!both}, the requested one in
-   {!build}), bit 2 is [Live] (only in {!both}).  The two variants share
-   lane [a] until the first register where [Avail] takes a dead candidate
-   and [Live] has none; there the build forks ([split]): lane [l] becomes a
-   copy of lane [a], and from then on each variant extends its own lane. *)
+   One build resolves registers for a set of variants at once, a mask:
+   bit 1 is [a_variant] ([Avail] in {!both}, the requested variant in
+   {!build}), bit 2 is [Live] (only in {!both}).  The two variants make
+   the same choices until the first register where [Avail] takes a dead
+   candidate and [Live] has none.  There the build forks ([split]): from
+   then on each variant resolves in its own order, with its own memo —
+   [Live]'s is [resolved] up to the fork and [live_resolved] after it —
+   and every plan entry is tagged with the variants that made it, once
+   when both made the same one.  Only [Avail] keeps registers alive, so
+   the keep set is bit 1's alone. *)
 type state = {
   ctx : Osr_ctx.t;
   mutable landing : int;
   mutable env : Osr_ctx.penv;  (** the source point's query environment *)
   mutable load_safe : (int * bool) list;
       (** load definition id → {!load_safe_walk} verdict for [landing] *)
-  a : lane;
+  transfers : (Ir.reg * Ir.value) stack;
+  comp : comp_instr stack;
+  keep : Ir.reg stack;
+  resolved : Ir.value array;
+      (** destination register id → bit 1's value for it inside
+          compensation operands: [Reg r] for transferred/compensated
+          registers (bound in the landing environment) or a
+          constant/alias; an entry counts only where [stamps] holds
+          [base] (resolved before the fork, for both variants) or
+          [base + 1] (after it, for bit 1 alone) *)
+  stamps : int array;
+  mutable base : int;  (** the current build's; moving it empties [resolved] *)
+  mutable live_resolved : Ir.value array;  (** [Live]'s after the fork; made at the first *)
+  mutable live_stamps : int array;
+  mutable live_stamp : int;  (** the current fork's *)
+  operand_ids : int array array;
+      (** destination register id → the register ids of its definition's
+          operands in the order {!Ir.map_rhs_operands} visits them ([-1]
+          a constant or [undef], [-2] a name the function does not
+          define); filled the first time the definition is re-executed *)
   mutable a_variant : variant;
-  mutable l : lane;  (** made at the first fork *)
-  mutable split : bool;  (** [Live] has its own lane in this build *)
+  mutable split : bool;  (** the variants have forked in this build *)
   mutable live_failed : bool;  (** [Live] failed in this build, at [live_err] *)
   mutable live_err : Ir.reg;
 }
 
 let fresh_state (t : Osr_ctx.t) ~(src_point : int) ~(landing : int) : state =
+  let n = Array.length t.dst.as_cand in
   {
     ctx = t;
     landing;
     env = Osr_ctx.point_env t src_point;
     load_safe = [];
-    a = lane (Array.length t.dst.as_cand);
+    transfers = stack ("", Ir.Undef);
+    comp = stack { target = ""; rhs = Ir.Alloca 0 };
+    keep = stack "";
+    resolved = Array.make n Ir.Undef;
+    stamps = Array.make n 0;
+    base = 1;
+    live_resolved = [||];
+    live_stamps = [||];
+    live_stamp = 0;
+    operand_ids = Array.make n [||];
     a_variant = Avail;
-    l = no_lane;
     split = false;
     live_failed = false;
     live_err = "";
@@ -262,7 +259,10 @@ let fresh_state (t : Osr_ctx.t) ~(src_point : int) ~(landing : int) : state =
 
 (* Empty [st]'s plans: the next build starts afresh at the same pair. *)
 let reset (st : state) : unit =
-  clear st.a;
+  st.base <- st.base + 2;
+  st.transfers.len <- 0;
+  st.comp.len <- 0;
+  st.keep.len <- 0;
   st.split <- false;
   st.live_failed <- false
 
@@ -273,7 +273,15 @@ let retarget (st : state) ~(src_point : int) ~(landing : int) : unit =
   st.load_safe <- [];
   reset st
 
-let plan_of_state (st : state) : plan = plan_of_lane st.a
+(* The plan of the variant [bit]. *)
+let plan_of (st : state) (bit : int) : plan =
+  {
+    transfers = to_list st.transfers bit;
+    comp = to_list st.comp bit;
+    keep = (if bit = 1 then to_list st.keep 1 else []);
+  }
+
+let plan_of_state (st : state) : plan = plan_of st 1
 
 let load_safe (st : state) ~(def_id : int) : bool =
   match List.assoc_opt def_id st.load_safe with
@@ -291,7 +299,7 @@ let load_safe (st : state) ~(def_id : int) : bool =
 let rec first_live t env = function
   | [] -> Osr_ctx.no_cand
   | c :: cs ->
-      if Osr_ctx.cand_available t env c && Osr_ctx.cand_live env c then c
+      if Osr_ctx.cand_live env c && Osr_ctx.cand_available t env c then c
       else first_live t env cs
 
 let rec first_available t env = function
@@ -299,68 +307,115 @@ let rec first_available t env = function
   | c :: cs -> if Osr_ctx.cand_available t env c then c else first_available t env cs
 
 (* Is source register [y] in the keep set? *)
-let kept (ln : lane) (y : Ir.reg) : bool =
-  let rec from i = i >= 0 && (String.equal ln.keep.items.(i) y || from (i - 1)) in
-  from (ln.keep.len - 1)
+let kept (st : state) (y : Ir.reg) : bool =
+  let k = st.keep in
+  let rec from i = i >= 0 && (String.equal k.items.(i) y || from (i - 1)) in
+  from (k.len - 1)
 
-(* The source value the latest transfer of [z] reads. *)
-let transfer_of (ln : lane) (z : Ir.reg) : Ir.value option =
+(* The source value the latest transfer of [z] in the plans of [bits]
+   reads. *)
+let transfer_of (st : state) (bits : int) (z : Ir.reg) : Ir.value option =
+  let s = st.transfers in
   let rec from i =
     if i < 0 then None
     else
-      let r, v = ln.transfers.items.(i) in
-      if String.equal r z then Some v else from (i - 1)
+      let r, v = s.items.(i) in
+      if s.tags.(i) land bits <> 0 && String.equal r z then Some v else from (i - 1)
   in
-  from (ln.transfers.len - 1)
+  from (s.len - 1)
 
-(* Record [v] as the value of destination register id [x]. *)
-let note (ln : lane) (x : int) (v : Ir.value) : unit =
-  ln.stamps.(x) <- ln.stamp;
-  ln.resolved.(x) <- v;
-  push ln.noted x
+(* Has the variant [bit] resolved register id [x]? *)
+let has (st : state) (bit : int) (x : int) : bool =
+  if bit = 1 || not st.split then st.stamps.(x) >= st.base
+  else st.live_stamps.(x) = st.live_stamp || st.stamps.(x) = st.base
 
-let has (ln : lane) (x : int) : bool = ln.stamps.(x) = ln.stamp
+(* The variant [bit]'s value for register id [x], once resolved. *)
+let value (st : state) (bit : int) (x : int) : Ir.value =
+  if bit = 2 && st.split && st.live_stamps.(x) = st.live_stamp then st.live_resolved.(x)
+  else st.resolved.(x)
 
-(* The lanes of [mask]'s variants that a build writes: lane [a] alone
-   until the fork, then each variant's own.  [f] gets the variants it
-   writes for and the lane. *)
-let iter_lanes (st : state) (mask : int) (f : int -> lane -> unit) : unit =
-  if not st.split then f mask st.a
+(* The value operand [v] stands for in the variant [bit]. *)
+let value_of (st : state) (bit : int) (v : Ir.value) : Ir.value =
+  match v with
+  | Ir.Const _ | Ir.Undef -> v
+  | Ir.Reg y -> (
+      match Liveness.id_of st.ctx.dst.live y with Some i -> value st bit i | None -> v)
+
+(* Record [v] as the value of register id [x] for the variants [bits]. *)
+let note (st : state) (bits : int) (x : int) (v : Ir.value) : unit =
+  if not st.split then begin
+    st.stamps.(x) <- st.base;
+    st.resolved.(x) <- v
+  end
   else begin
-    if mask land 1 <> 0 then f 1 st.a;
-    if mask land 2 <> 0 then f 2 st.l
+    if bits land 1 <> 0 then begin
+      st.stamps.(x) <- st.base + 1;
+      st.resolved.(x) <- v
+    end;
+    if bits land 2 <> 0 then begin
+      st.live_stamps.(x) <- st.live_stamp;
+      st.live_resolved.(x) <- v
+    end
+  end
+
+(* The operand ids of [rhs], the definition of register id [x] (see
+   [operand_ids]). *)
+let operand_ids (st : state) (x : int) (rhs : Ir.rhs) : int array =
+  let ids = st.operand_ids.(x) in
+  if Array.length ids > 0 then ids
+  else begin
+    let live = st.ctx.dst.live and acc = ref [] in
+    ignore
+      (Ir.map_rhs_operands
+         (fun v ->
+           let i =
+             match v with
+             | Ir.Const _ | Ir.Undef -> -1
+             | Ir.Reg y -> ( match Liveness.id_of live y with Some i -> i | None -> -2)
+           in
+           acc := i :: !acc;
+           v)
+         rhs
+        : Ir.rhs);
+    let ids = Array.of_list (List.rev !acc) in
+    st.operand_ids.(x) <- ids;
+    ids
   end
 
 (* [mask] without [Live] once it has failed. *)
 let alive (st : state) (mask : int) : int = if st.live_failed then mask land 1 else mask
 
-(* The variants of [mask] whose lane has not resolved register id [x]. *)
+(* The variants of [mask] that have not resolved register id [x]. *)
 let lacking (st : state) (mask : int) (x : int) : int =
   let mask = alive st mask in
-  (if mask land 1 <> 0 && not (has st.a x) then 1 else 0)
-  lor if mask land 2 <> 0 && not (has (if st.split then st.l else st.a) x) then 2 else 0
+  (if mask land 1 <> 0 && not (has st 1 x) then 1 else 0)
+  lor if mask land 2 <> 0 && not (has st 2 x) then 2 else 0
 
-(* Give [Live] its own lane: a copy of lane [a], the plan both variants
-   have made so far. *)
+(* The variants part: [Live] gets its own memo. *)
 let fork (st : state) : unit =
-  if st.l == no_lane then st.l <- lane (Array.length st.a.stamps);
-  let a = st.a and l = st.l in
-  clear l;
-  copy_into l.transfers a.transfers;
-  copy_into l.comp a.comp;
-  copy_into l.keep a.keep;
-  for k = 0 to a.noted.len - 1 do
-    let x = a.noted.items.(k) in
-    note l x a.resolved.(x)
-  done;
+  let n = Array.length st.resolved in
+  if Array.length st.live_stamps < n then begin
+    st.live_resolved <- Array.make n Ir.Undef;
+    st.live_stamps <- Array.make n 0
+  end;
+  st.live_stamp <- st.live_stamp + 1;
   st.split <- true
+
+(* Run [f] once for the variants of [mask] that share their choices: once
+   for all of them before the fork, once per variant after it. *)
+let groups (st : state) (mask : int) (f : int -> unit) : unit =
+  if st.split && mask = 3 then begin
+    f 1;
+    f 2
+  end
+  else f mask
 
 (* [Live] alone failed; the build goes on for [Avail]. *)
 exception Live_failed
 
 (* Register [name] defeats reconstruction for the variants of [mask]:
-   when lane [a]'s variant is among them the whole build fails (an [Avail]
-   failure implies a [Live] failure), otherwise [Live] does. *)
+   when bit 1 is among them the whole build fails (an [Avail] failure
+   implies a [Live] failure), otherwise [Live] does. *)
 let fail (st : state) (mask : int) (name : Ir.reg) : 'a =
   if mask land 1 <> 0 then raise (Undef name)
   else begin
@@ -369,49 +424,67 @@ let fail (st : state) (mask : int) (name : Ir.reg) : 'a =
     raise Live_failed
   end
 
+(* Candidate [c] for register id [x] in the plans of [bits]; a [dead]
+   one joins the keep set. *)
+let take (st : state) ~(dead : bool) (bits : int) (x : int) (x' : Ir.reg) (c : Osr_ctx.cand) : unit =
+  match c.cv with
+  | Ir.Reg y ->
+      if dead && not (kept st y) then push st.keep 1 y;
+      push st.transfers bits (x', c.cv);
+      note st bits x st.ctx.dst.as_cand.(x).cv
+  | k ->
+      (* x' must exist in the landing frame even when every consumer could
+         inline the constant: it is live there. *)
+      push st.transfers bits (x', k);
+      note st bits x k
+
+(* Compensation [rhs] for register id [x] in the plans of [bits]. *)
+let compensate (st : state) (bits : int) (x : int) (x' : Ir.reg) (rhs : Ir.rhs) : unit =
+  push st.comp bits { target = x'; rhs };
+  note st bits x st.ctx.dst.as_cand.(x).cv
+
 (* Resolve destination register id [x] for the variants of [mask],
    extending their plans; returns [mask] without [Live] if it failed. *)
 let rec resolve ~(config : config) (st : state) (mask : int) (x : int) : int =
-  (match lacking st mask x with
-  | 0 -> ()
-  | 2 when mask land 1 <> 0 -> ( try resolve_new ~config st 2 x with Live_failed -> ())
-  | m -> resolve_new ~config st m x);
-  alive st mask
+  if not st.split then begin
+    (* Before the fork the variants share one memo, and [Live] has not
+       failed. *)
+    if st.stamps.(x) < st.base then resolve_new ~config st mask x;
+    alive st mask
+  end
+  else begin
+    (match lacking st mask x with
+    | 0 -> ()
+    | 2 when mask land 1 <> 0 -> ( try resolve_new ~config st 2 x with Live_failed -> ())
+    | m -> resolve_new ~config st m x);
+    alive st mask
+  end
 
 (* [resolve] for the variants of [mask], none of which has resolved [x]. *)
 and resolve_new ~(config : config) (st : state) (mask : int) (x : int) : unit =
   let t = st.ctx and env = st.env in
-  let dst = t.dst in
-  let x' = dst.live.names.(x) in
+  let x' = t.dst.live.names.(x) in
   (* 1. Directly available at the origin (Algorithm 1, line 4)?  One
      search serves both variants. *)
   let cands = Osr_ctx.candidates_of t ~use_aliases:config.use_aliases x in
   let live_c = first_live t env cands in
-  let a_c =
-    if mask land 1 <> 0 && live_c == Osr_ctx.no_cand && st.a_variant = Avail then
-      first_available t env cands
-    else live_c
-  in
-  if mask = 3 && (not st.split) && a_c != live_c then fork st;
-  let reexec = ref 0 in
-  iter_lanes st mask (fun m ln ->
-      let c = if m land 1 <> 0 then a_c else live_c in
-      match c.cv with
-      | Ir.Const _ as k ->
-          (* x' must exist in the landing frame even when every consumer
-             could inline the constant: it is live there. *)
-          push ln.transfers (x', k);
-          note ln x k
-      | Ir.Reg y ->
-          if (not (Osr_ctx.cand_live env c)) && not (kept ln y) then push ln.keep y;
-          push ln.transfers (x', c.cv);
-          note ln x dst.as_cand.(x).cv
-      | Ir.Undef -> reexec := !reexec lor m);
-  (* 2. Re-execute the destination definition (lines 5–8). *)
-  match !reexec with
-  | 0 -> ()
-  | 2 when mask land 1 <> 0 -> ( try reexecute ~config st 2 x x' with Live_failed -> ())
-  | m -> reexecute ~config st m x x'
+  if live_c != Osr_ctx.no_cand then take st ~dead:false mask x x' live_c
+  else
+    let a_c =
+      if mask land 1 <> 0 && st.a_variant = Avail then first_available t env cands
+      else Osr_ctx.no_cand
+    in
+    if a_c == Osr_ctx.no_cand then
+      (* 2. Re-execute the destination definition (lines 5–8). *)
+      reexecute ~config st mask x x'
+    else if mask = 1 then take st ~dead:true 1 x x' a_c
+    else begin
+      (* [Avail] takes a dead candidate, [Live] has none: the variants
+         part here, if they have not yet. *)
+      if not st.split then fork st;
+      take st ~dead:true 1 x x' a_c;
+      try reexecute ~config st 2 x x' with Live_failed -> ()
+    end
 
 (* Resolve operand [v] for the variants of [mask]. *)
 and operand ~(config : config) (st : state) (mask : int) (v : Ir.value) : int =
@@ -422,21 +495,9 @@ and operand ~(config : config) (st : state) (mask : int) (v : Ir.value) : int =
       | Some i -> resolve ~config st mask i
       | None -> fail st mask y)
 
-(* The value operand [v] stands for in lane [ln], once resolved there. *)
-and value_in (st : state) (ln : lane) (v : Ir.value) : Ir.value =
-  match v with
-  | Ir.Const _ | Ir.Undef -> v
-  | Ir.Reg y -> (
-      match Liveness.id_of st.ctx.dst.live y with Some i -> ln.resolved.(i) | None -> v)
-
 and reexecute ~(config : config) (st : state) (mask : int) (x : int) (x' : Ir.reg) : unit =
   let t = st.ctx in
   let dst = t.dst in
-  let compensate mask rhs_of =
-    iter_lanes st mask (fun _ ln ->
-        push ln.comp { target = x'; rhs = rhs_of ln };
-        note ln x dst.as_cand.(x).cv)
-  in
   match dst.defs.(x) with
   | None -> fail st mask x'
   | Some (d : Ir.def_site) -> (
@@ -452,25 +513,24 @@ and reexecute ~(config : config) (st : state) (mask : int) (x : int) (x' : Ir.re
           match incoming with
           | (_, v0) :: rest when List.for_all (fun (_, v) -> Ir.equal_value v v0) rest ->
               let mask = operand ~config st mask v0 in
-              iter_lanes st mask (fun m ln ->
-                  match value_in st ln v0 with
+              groups st mask (fun bits ->
+                  match value_of st (bits land -bits) v0 with
                   | Ir.Const _ as c ->
-                      push ln.transfers (x', c);
-                      note ln x c
+                      push st.transfers bits (x', c);
+                      note st bits x c
                   | Ir.Reg z -> (
-                      match transfer_of ln z with
+                      match transfer_of st bits z with
                       | Some src_value ->
-                          push ln.transfers (x', src_value);
-                          note ln x dst.as_cand.(x).cv
+                          push st.transfers bits (x', src_value);
+                          note st bits x dst.as_cand.(x).cv
                       | None ->
                           (* z was computed by compensation code: alias
                              with a move. *)
-                          push ln.comp { target = x'; rhs = Ir.Binop (Ir.Or, Ir.Reg z, Ir.Const 0) };
-                          note ln x dst.as_cand.(x).cv)
+                          compensate st bits x x' (Ir.Binop (Ir.Or, Ir.Reg z, Ir.Const 0)))
                   | Ir.Undef ->
-                      if m land 1 <> 0 || mask = 2 then fail st m x'
+                      if bits land 1 <> 0 || mask = 2 then fail st bits x'
                       else begin
-                        (* Live alone fails here; Avail's lane goes on. *)
+                        (* [Live] alone fails here; [Avail] goes on. *)
                         st.live_failed <- true;
                         st.live_err <- x'
                       end)
@@ -502,8 +562,10 @@ and reexecute ~(config : config) (st : state) (mask : int) (x : int) (x' : Ir.re
                   let mask = operand ~config st mask (Ir.Reg c) in
                   let mask = operand ~config st mask tv in
                   let mask = operand ~config st mask fv in
-                  compensate mask (fun ln ->
-                      Ir.Select (value_in st ln (Ir.Reg c), value_in st ln tv, value_in st ln fv)))
+                  groups st mask (fun bits ->
+                      let bit = bits land -bits in
+                      compensate st bits x x'
+                        (Ir.Select (value_of st bit (Ir.Reg c), value_of st bit tv, value_of st bit fv))))
           | _ -> fail st mask x')
       | _ when not (Osr_ctx.reexec_consistent t ~def_id:d.di.id ~landing:st.landing) ->
           (* The definition sits in a loop the landing point is not part
@@ -514,25 +576,43 @@ and reexecute ~(config : config) (st : state) (mask : int) (x : int) (x' : Ir.re
       | Ir.Load _ when not (load_safe st ~def_id:d.di.id) -> fail st mask x'
       | rhs when Ir.is_reexecutable rhs ->
           (* The operands resolve in [map_rhs_operands] order, as one
-             variant's build would; the first lane's rhs is made on the
-             way, the other's (after a fork) from its lane. *)
-          let first = if mask land 1 <> 0 || not st.split then st.a else st.l in
-          let m = ref mask in
-          let rhs_first =
+             variant's build would; the rhs of the lowest variant is made
+             on the way, [Live]'s after a fork from its own values, and one
+             entry serves both when the two agree. *)
+          let ids = operand_ids st x rhs in
+          let bit = mask land -mask in
+          let m = ref mask and k = ref 0 in
+          let rhs' =
             Ir.map_rhs_operands
               (fun v ->
+                let i = ids.(!k) in
+                incr k;
                 match v with
                 | Ir.Const _ | Ir.Undef -> v
-                | Ir.Reg y -> (
-                    match Liveness.id_of dst.live y with
-                    | Some i ->
-                        m := resolve ~config st !m i;
-                        first.resolved.(i)
-                    | None -> fail st !m y))
+                | Ir.Reg y ->
+                    if i < 0 then fail st !m y;
+                    m := resolve ~config st !m i;
+                    value st bit i)
               rhs
           in
-          compensate !m (fun ln ->
-              if ln == first then rhs_first else Ir.map_rhs_operands (value_in st ln) rhs)
+          let m = !m in
+          if st.split && m = 3 then begin
+            k := 0;
+            let live_rhs =
+              Ir.map_rhs_operands
+                (fun v ->
+                  let i = ids.(!k) in
+                  incr k;
+                  if i >= 0 then value st 2 i else v)
+                rhs
+            in
+            if Ir.equal_rhs rhs' live_rhs then compensate st 3 x x' rhs'
+            else begin
+              compensate st 1 x x' rhs';
+              compensate st 2 x x' live_rhs
+            end
+          end
+          else compensate st m x x' rhs'
       | _ -> fail st mask x')
 
 (** Resolve one destination register for [variant], extending the
@@ -542,7 +622,7 @@ let build ?(config = default_config) (variant : variant) (st : state) (x' : Ir.r
   | Some x ->
       st.a_variant <- variant;
       ignore (resolve ~config st 1 x : int);
-      st.a.resolved.(x)
+      st.resolved.(x)
   | None -> raise (Undef x')
 
 (* [both] on [st], whose plans start empty: one build for both variants. *)
@@ -551,10 +631,10 @@ let both_in ~(config : config) (st : state) (each : (int -> unit) -> unit) :
   st.a_variant <- Avail;
   match each (fun x -> ignore (resolve ~config st 3 x : int)) with
   | () ->
-      let avail = Ok (plan_of_lane st.a) in
+      let avail = Ok (plan_of st 1) in
       if not st.split then (avail, avail)
       else if st.live_failed then (Error st.live_err, avail)
-      else (Ok (plan_of_lane st.l), avail)
+      else (Ok (plan_of st 2), avail)
   | exception Undef x -> (Error x, Error x)
 
 (** Both variants as [(live, avail)] for [targets] at [st]'s point pair,

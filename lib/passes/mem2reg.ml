@@ -64,7 +64,14 @@ let find_slots (f : Ir.func) : Ir.reg array * int Ir.Names.t * int list array =
   if n = 0 then ([||], cands, [||])
   else begin
     let escaped = Array.make n false and stored = Array.make n [] in
-    let index r = match Ir.Names.find_opt cands r with Some s -> s | None -> -1 in
+    (* The table is asked only about names as long as some slot's. *)
+    let lengths = Array.make (1 + List.fold_left (fun m r -> max m (String.length r)) 0 !names) false in
+    List.iter (fun r -> lengths.(String.length r) <- true) !names;
+    let index r =
+      let l = String.length r in
+      if l >= Array.length lengths || not lengths.(l) then -1
+      else match Ir.Names.find_opt cands r with Some s -> s | None -> -1
+    in
     let mark v =
       match v with
       | Ir.Reg r ->
@@ -107,13 +114,15 @@ let find_slots (f : Ir.func) : Ir.reg array * int Ir.Names.t * int list array =
     (Array.of_list (List.rev !kept), slots, Array.of_list (List.rev !defs))
   end
 
-let run (f : Ir.func) : bool =
+(** Promote [f]'s slots; false when it has none.  [index], when given, must
+    be [f]'s current index. *)
+let run ?(index : Func_index.t option) (f : Ir.func) : bool =
   let slot_names, slots, def_blocks = find_slots f in
   let nslots = Array.length slot_names in
   if nslots = 0 then false
   else begin
     let slot_of r = match Ir.Names.find_opt slots r with Some s -> s | None -> -1 in
-    let index = Func_index.make f in
+    let index = match index with Some index -> index | None -> Func_index.make f in
     let blocks = index.blocks in
     let nb = Array.length blocks in
     let dom = Dom.compute index in
@@ -263,25 +272,33 @@ let run (f : Ir.func) : bool =
       | Ir.Reg r -> ( match Ir.Names.find_opt info r with Some (Phi_result k) -> k | _ -> -1)
       | Ir.Const _ | Ir.Undef -> -1
     in
-    let count delta v =
-      let k = phi_number v in
-      if k >= 0 then uses.(k) <- uses.(k) + delta
-    in
-    let replaced v =
+    (* One lookup per operand: a φ read counts a use, a replaced load
+       marks its reader for rebuilding and counts the use of its value. *)
+    let rebuild = ref false in
+    let visit v =
       match v with
-      | Ir.Reg r -> ( match Ir.Names.find_opt info r with Some (Replaced _) -> true | _ -> false)
-      | Ir.Const _ | Ir.Undef -> false
+      | Ir.Reg r -> (
+          match Ir.Names.find_opt info r with
+          | Some (Phi_result k) -> uses.(k) <- uses.(k) + 1
+          | Some (Replaced _) ->
+              rebuild := true;
+              let k = phi_number (resolve v) in
+              if k >= 0 then uses.(k) <- uses.(k) + 1
+          | None -> ())
+      | Ir.Const _ | Ir.Undef -> ()
     in
     let rewrite (i : Ir.instr) =
-      if Ir.exists_rhs_operand replaced i.rhs then i.rhs <- Ir.map_rhs_operands resolve i.rhs;
-      Ir.iter_rhs_operands (count 1) i.rhs
+      rebuild := false;
+      Ir.iter_rhs_operands visit i.rhs;
+      if !rebuild then i.rhs <- Ir.map_rhs_operands resolve i.rhs
     in
     List.iter
       (fun (b : Ir.block) ->
         List.iter rewrite b.phis;
         List.iter rewrite b.body;
-        if Ir.exists_term_operand replaced b.term then b.term <- Ir.map_term_operands resolve b.term;
-        Ir.iter_term_operands (count 1) b.term)
+        rebuild := false;
+        Ir.iter_term_operands visit b.term;
+        if !rebuild then b.term <- Ir.map_term_operands resolve b.term)
       f.blocks;
     (* Prune unused φ-nodes ("pruned SSA"): the frontier placement inserts
        φs whether or not a read follows.  Dropping a φ nobody uses releases
