@@ -23,6 +23,13 @@ open Import
 
     The result verifies under the standard SSA rules.
 
+    The demotion works on the target's register numbering (its liveness,
+    which step 2 needs anyway): whether a register is defined by an
+    instruction and whether it is demoted are flags per register id, and
+    the rewrite looks an operand's id up only when some demoted register
+    has a name of its length.  The re-promotion reuses the block index of
+    the unreachable-block removal when that removed nothing.
+
     A continuation also carries what every firing needs and [f'to] alone
     determines, computed here once: χ's extent, and
     whether χ can write memory (when it cannot, the runtime takes no

@@ -18,7 +18,13 @@ open Import
     - lines 5–8 re-execute the destination definition, recursing on its
       operands — with φ-nodes handled by the constant-φ identification of
       Section 5.4 (all incomings syntactically equal — the LCSSA case) and
-      loads guarded by a no-intervening-store path check (Section 5.3). *)
+      loads guarded by a no-intervening-store path check (Section 5.3).
+
+    A sweep asks for both variants at every point, and {!both} builds them
+    in one recursion (see {!state}): the candidate search and the
+    re-execution checks run once per register for both variants, and the
+    variants part only below a register where [Avail] reads a dead
+    candidate. *)
 
 type variant = Live | Avail
 
@@ -155,8 +161,8 @@ let gate_of_phi (t : Osr_ctx.t) ~(phi_block : string) (incoming : (string * Ir.v
 
 (* A growable stack of plan entries, reused from build to build: a plan's
    lists are made once, when the build succeeds.  Each entry carries the
-   variants whose plan holds it, a mask (bit 1 lane [a]'s variant, bit 2
-   [Live]; see {!state}). *)
+   variants whose plan holds it, a mask (bit 1 [a_variant], bit 2 [Live];
+   see {!state}). *)
 type 'a stack = {
   mutable items : 'a array;
   mutable tags : int array;
@@ -645,9 +651,10 @@ let both_in ~(config : config) (st : state) (each : (int -> unit) -> unit) :
     none; up to there the [Live] plan is the [Avail] plan's prefix, and an
     [Avail] failure implies a [Live] failure.  The build resolves each
     register once for both variants, forks at that first register
-    (see {!state}), and goes on with one lane per variant, each resolving
-    in the order its own build would: every plan and failing register is
-    the one of two separate builds.  Each call starts from empty plans and
+    (see {!state}), and from there resolves for each variant in the order
+    its own build would, sharing the plan entries and the search where the
+    two agree: every plan and failing register is the one of two separate
+    builds.  Each call starts from empty plans and
     shares [st]'s point environment and load verdicts, so one state serves
     any number of calls. *)
 let both ?(config = default_config) (st : state) (targets : Ir.reg list) :

@@ -43,9 +43,10 @@ type plan = {
 val comp_size : plan -> int
 val plan_is_empty : plan -> bool
 
-(** The state of one OSR point pair: the plan under construction, plus
+(** The state of one OSR point pair: the plans under construction, plus
     what is resolved once per point (the source point's environment and the
-    load-safety verdicts for the landing).  A state serves one
+    load-safety verdicts for the landing) and per destination function
+    (the operand ids of re-executed definitions).  A state serves one
     [(src_point, landing)] pair at a time; {!retarget} moves it to the
     next, so a sweep reuses its tables. *)
 type state
@@ -67,11 +68,13 @@ val plan_of_state : state -> plan
 val both :
   ?config:config -> state -> Ir.reg list -> (plan, Ir.reg) result * (plan, Ir.reg) result
 (** Both variants as [(live, avail)] for the given destination registers,
-    usually from a single build: an [Avail] failure implies a [Live]
-    failure, and an [Avail] plan with an empty keep set is the [Live] plan
-    verbatim.  Each variant starts from an empty plan (the state's own plan
-    is dropped) and shares the state's point environment and load
-    verdicts. *)
+    from one build that resolves each register once for both.  The
+    variants share their choices until [Avail] first takes a dead
+    candidate where [Live] has none; from there each goes on in its own
+    resolution order, so every plan and failing register is the one two
+    separate builds would give.  An [Avail] failure fails both.  Each call
+    starts from empty plans (the state's own plan is dropped) and shares
+    the state's point environment and load verdicts. *)
 
 val both_at_landing :
   ?config:config -> state -> (plan, Ir.reg) result * (plan, Ir.reg) result
