@@ -239,23 +239,31 @@ let def_table (f : func) : def_site Names.t =
     f.blocks;
   t
 
-(** Map from every body instruction and terminator id to the first id at or
-    after it in its block (the terminator included) that satisfies [keep];
-    ids with no such successor in their block are absent.  One backward walk
-    per block.  This is the landing rule of OSR points and of source points
+(** Call [fn id anchor] for every body instruction and terminator [id]
+    whose block has, at or after it (the terminator included), an id that
+    satisfies [keep]: [anchor] is the first such id.  One backward walk per
+    block.  This is the landing rule of OSR points and of source points
     whose instruction an optimization removed; φ-nodes are not points. *)
-let first_kept_at_or_after ~(keep : int -> bool) (f : func) : (int, int) Hashtbl.t =
-  let t = Hashtbl.create (f.next_id / 2) in
+let iter_first_kept ~(keep : int -> bool) (f : func) (fn : int -> int -> unit) : unit =
   List.iter
     (fun b ->
-      let cur = ref None in
+      let found = ref false and cur = ref 0 in
       let visit id =
-        if keep id then cur := Some id;
-        match !cur with Some a -> Hashtbl.replace t id a | None -> ()
+        if keep id then begin
+          found := true;
+          cur := id
+        end;
+        if !found then fn id !cur
       in
       visit b.term_id;
       List.iter (fun i -> visit i.id) (List.rev b.body))
-    f.blocks;
+    f.blocks
+
+(** {!iter_first_kept} as a table: id → anchor; ids without one are
+    absent. *)
+let first_kept_at_or_after ~(keep : int -> bool) (f : func) : (int, int) Hashtbl.t =
+  let t = Hashtbl.create (f.next_id / 2) in
+  iter_first_kept ~keep f (Hashtbl.replace t);
   t
 
 (* ------------------------------------------------------------------ *)

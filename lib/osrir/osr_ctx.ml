@@ -13,7 +13,7 @@ open Import
     candidate) exactly once, in arrays over those numbers.  The context
     also builds, once, the cross-point tables that make the per-point
     feasibility sweep near-linear: the landing point of every source point
-    ({!Ir.first_kept_at_or_after}), the mapper's query index, and the
+    ({!Ir.iter_first_kept}), the mapper's query index, and the
     interned candidate list of every destination register id.  Nothing is
     written after {!make} or {!make_pair} returns, so one context serves
     any number of domains at once; reuse within one point lives in the
@@ -264,7 +264,7 @@ let of_sides ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapping : Code_mapper.index)
     && not (Code_mapper.is_moved mapping id)
   in
   let landing = Array.make (Array.length src.index.point_block) (-1) in
-  Hashtbl.iter (fun p a -> landing.(p) <- a) (Ir.first_kept_at_or_after ~keep:anchor src.func);
+  Ir.iter_first_kept ~keep:anchor src.func (fun p a -> landing.(p) <- a);
   let t =
     {
       fbase;
