@@ -160,6 +160,16 @@ let exists_term_operand (p : value -> bool) : terminator -> bool = function
   | Cbr (c, _, _) | Ret c -> p c
   | Br _ | Unreachable -> false
 
+(** A filter for lookups asked about every operand: true of a name as
+    long as some name of [names], so a table of [names] need only be
+    asked about those. *)
+let length_of_some (names : reg list) : reg -> bool =
+  let seen = Array.make (1 + List.fold_left (fun m r -> max m (String.length r)) 0 names) false in
+  List.iter (fun r -> seen.(String.length r) <- true) names;
+  fun r ->
+    let l = String.length r in
+    l < Array.length seen && seen.(l)
+
 (** Registers read by an rhs. *)
 let rhs_uses (r : rhs) : reg list =
   List.filter_map (function Reg x -> Some x | Const _ | Undef -> None) (rhs_operands r)

@@ -190,14 +190,9 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
   in
   let demoted_ids = Array.make nregs false in
   List.iter (fun r -> demoted_ids.(id_of r) <- true) demoted;
-  (* Every operand is asked about: a name as long as no demoted one is
-     answered without a lookup. *)
-  let demoted_length = Array.make (1 + List.fold_left (fun m r -> max m (String.length r)) 0 demoted) false in
-  List.iter (fun r -> demoted_length.(String.length r) <- true) demoted;
+  let maybe_demoted = Ir.length_of_some demoted in
   let is_demoted r =
-    let l = String.length r in
-    l < Array.length demoted_length
-    && demoted_length.(l)
+    maybe_demoted r
     &&
     let x = id_of r in
     x >= 0 && demoted_ids.(x)
