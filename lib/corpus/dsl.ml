@@ -202,14 +202,21 @@ let lower (k : kernel) : Ir.func * debug_info =
 
 (** Lower and promote: the paper's [fbase].  Source points that mem2reg
     removed (loads/stores) are remapped to the next surviving instruction
-    of the same block: the OSR landing rule, {!Ir.first_kept_at_or_after}. *)
+    of the same block: the OSR landing rule, {!Ir.iter_first_kept}. *)
 let to_fbase (k : kernel) : Ir.func * debug_info =
   let raw, dbg = lower k in
   let fbase = Passes.Pass_manager.to_fbase raw in
-  let remap =
-    Ir.first_kept_at_or_after ~keep:(Miniir.Func_index.is_point (Miniir.Func_index.make fbase)) raw
-  in
+  (* Raw ids are [fbase]'s too; the ids mem2reg added are larger. *)
+  let survives = Array.make fbase.next_id false in
+  List.iter
+    (fun (b : Ir.block) ->
+      List.iter (fun (i : Ir.instr) -> survives.(i.id) <- true) b.body;
+      survives.(b.term_id) <- true)
+    fbase.blocks;
+  let remap = Array.make raw.next_id (-1) in
+  Ir.iter_first_kept ~keep:(Array.get survives) raw (fun id anchor -> remap.(id) <- anchor);
   let source_points =
-    List.sort_uniq compare (List.filter_map (Hashtbl.find_opt remap) dbg.source_points)
+    List.sort_uniq compare
+      (List.filter_map (fun p -> if p < raw.next_id && remap.(p) >= 0 then Some remap.(p) else None) dbg.source_points)
   in
   (fbase, { dbg with source_points })

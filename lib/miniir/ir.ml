@@ -269,13 +269,6 @@ let iter_first_kept ~(keep : int -> bool) (f : func) (fn : int -> int -> unit) :
       List.iter (fun i -> visit i.id) (List.rev b.body))
     f.blocks
 
-(** {!iter_first_kept} as a table: id → anchor; ids without one are
-    absent. *)
-let first_kept_at_or_after ~(keep : int -> bool) (f : func) : (int, int) Hashtbl.t =
-  let t = Hashtbl.create (f.next_id / 2) in
-  iter_first_kept ~keep f (Hashtbl.replace t);
-  t
-
 (* ------------------------------------------------------------------ *)
 (* Construction helpers                                                 *)
 (* ------------------------------------------------------------------ *)

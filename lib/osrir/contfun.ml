@@ -148,7 +148,8 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
       List.iter
         (fun (i : Ir.instr) ->
           match i.rhs with
-          | Ir.Phi incoming ->
+          | Ir.Phi incoming when List.exists (fun (l, _) -> String.equal l landing_block) incoming
+            ->
               i.rhs <-
                 Ir.Phi
                   (List.map
