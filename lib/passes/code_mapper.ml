@@ -79,7 +79,11 @@ let replace_all_uses (m : t) (f : Ir.func) ~(old_value : Ir.value) ~(new_value :
     unit =
   Telemetry.bump m.tel stat_replace;
   record m (Replace { old_value; new_value; inst = None });
-  let is_old v = Ir.equal_value v old_value in
+  let is_old =
+    match old_value with
+    | Ir.Reg r -> ( function Ir.Reg x -> String.equal x r | Ir.Const _ | Ir.Undef -> false)
+    | Ir.Const _ | Ir.Undef -> fun v -> Ir.equal_value v old_value
+  in
   let subst v = if is_old v then new_value else v in
   let rewrite (j : Ir.instr) =
     if Ir.exists_rhs_operand is_old j.rhs then j.rhs <- Ir.map_rhs_operands subst j.rhs

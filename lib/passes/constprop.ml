@@ -19,10 +19,6 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
     continue_ := false;
     (* Find a foldable instruction. *)
     let try_fold (b : Ir.block) (i : Ir.instr) : bool =
-      (* The traversal iterates over a snapshot of the body; skip
-         instructions already removed by an earlier fold this round. *)
-      if not (List.exists (fun (j : Ir.instr) -> j.id = i.id) b.body) then false
-      else
       match (Fold.fold_rhs i.rhs, i.result) with
       | Some n, Some r ->
           Code_mapper.replace_all_uses m f ~old_value:(Ir.Reg r) ~new_value:(Ir.Const n);
@@ -36,8 +32,6 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
     in
     (* Single-value φ: all incomings identical (and not the φ itself). *)
     let try_phi (b : Ir.block) (i : Ir.instr) : bool =
-      if not (List.exists (fun (j : Ir.instr) -> j.id = i.id) b.phis) then false
-      else
       match (i.rhs, i.result) with
       | Ir.Phi ((_, v0) :: rest), Some r
         when List.for_all (fun (_, v) -> Ir.equal_value v v0) rest
