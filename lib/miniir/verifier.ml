@@ -42,18 +42,18 @@ let verify (f : Ir.func) : (unit, error list) result =
   let n = Array.length blocks in
   let labels_e = ref [] and targets_e = ref [] and ids_e = ref [] and phis_e = ref []
   and entry_e = ref [] in
-  let num = Hashtbl.create n in
+  let num = Ir.Names.create n in
   Array.iteri
     (fun k (b : Ir.block) ->
-      if Hashtbl.mem num b.label then begin
+      if Ir.Names.mem num b.label then begin
         add labels_e b.label "duplicate block label";
-        Hashtbl.replace num b.label k
+        Ir.Names.replace num b.label k
       end
-      else Hashtbl.add num b.label k)
+      else Ir.Names.add num b.label k)
     blocks;
-  let unique = Hashtbl.length num = n in
+  let unique = Ir.Names.length num = n in
   (* The block that block [k]'s label names: the last with that label. *)
-  let canon k = if unique then k else Hashtbl.find num blocks.(k).Ir.label in
+  let canon k = if unique then k else Ir.Names.find num blocks.(k).Ir.label in
   (* An unknown target is -1 in [succs]; only a valid function's graph
      reaches {!Dom.numbered}. *)
   let succs =
@@ -61,7 +61,7 @@ let verify (f : Ir.func) : (unit, error list) result =
       (fun (b : Ir.block) ->
         List.map
           (fun l ->
-            match Hashtbl.find num l with
+            match Ir.Names.find num l with
             | k -> k
             | exception Not_found ->
                 add targets_e b.label "branch to unknown block %s" l;
@@ -88,14 +88,14 @@ let verify (f : Ir.func) : (unit, error list) result =
     else if Hashtbl.mem seen_above id then add ids_e where "duplicate %s id %d" what id
     else Hashtbl.add seen_above id ()
   in
-  let defs = Hashtbl.create (bits / 2) in
-  List.iter (fun p -> Hashtbl.replace defs p param) f.params;
+  let defs = Ir.Names.create (max 16 (bits / 2)) in
+  List.iter (fun p -> Ir.Names.replace defs p param) f.params;
   let define (b : Ir.block) k pos (i : Ir.instr) =
     see "instruction" b.label i.id;
     match i.result with
     | Some r ->
-        if Hashtbl.mem defs r then add ids_e b.label "register %%%s defined twice" r
-        else Hashtbl.add defs r ((k lsl 32) lor pos)
+        if Ir.Names.mem defs r then add ids_e b.label "register %%%s defined twice" r
+        else Ir.Names.add defs r ((k lsl 32) lor pos)
     | None -> ()
   in
   (* One incoming per predecessor label: stamp the predecessors' labels,
@@ -115,7 +115,7 @@ let verify (f : Ir.func) : (unit, error list) result =
   let rec consume s = function
     | [] -> true
     | (l, _) :: rest -> (
-        match Hashtbl.find num l with
+        match Ir.Names.find num l with
         | c ->
             stamp.(c) = s
             &&
@@ -191,7 +191,7 @@ let verify (f : Ir.func) : (unit, error list) result =
          blocks need only a definition. *)
       let use (b : Ir.block) k id pos = function
         | Ir.Reg r -> (
-            match Hashtbl.find defs r with
+            match Ir.Names.find defs r with
             | exception Not_found ->
                 add uses_e b.label "use of undefined register %%%s at #%d" r id
             | d ->
@@ -212,10 +212,10 @@ let verify (f : Ir.func) : (unit, error list) result =
         | (l, v) :: rest ->
             (match v with
             | Ir.Reg r -> (
-                match Hashtbl.find defs r with
+                match Ir.Names.find defs r with
                 | exception Not_found -> add uses_e b.label "phi #%d reads undefined %%%s" i.id r
                 | d ->
-                    let p = Hashtbl.find num l in
+                    let p = Ir.Names.find num l in
                     if d <> param && rpo.(p) >= 0 && not (dominates (d lsr 32) p) then
                       add uses_e b.label "phi #%d incoming %%%s from %s not available there" i.id
                         r l)
