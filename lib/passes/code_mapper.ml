@@ -72,13 +72,18 @@ let sink_instr (m : t) (i : Ir.instr) ~(from_block : string) ~(to_block : string
   Telemetry.bump m.tel stat_sink;
   record m (Sink { id = i.id; from_block; to_block })
 
+(** Record a replace of every use of [old_value] by [new_value] that the
+    caller carries out itself. *)
+let replaced_all_uses (m : t) ~(old_value : Ir.value) ~(new_value : Ir.value) : unit =
+  Telemetry.bump m.tel stat_replace;
+  record m (Replace { old_value; new_value; inst = None })
+
 (** Rewrite every use of [old_value] in [f] — instruction operands and
     terminators alike — to [new_value], and record the replace.  Only an
     rhs or terminator that reads [old_value] is rebuilt. *)
 let replace_all_uses (m : t) (f : Ir.func) ~(old_value : Ir.value) ~(new_value : Ir.value) :
     unit =
-  Telemetry.bump m.tel stat_replace;
-  record m (Replace { old_value; new_value; inst = None });
+  replaced_all_uses m ~old_value ~new_value;
   let is_old =
     match old_value with
     | Ir.Reg r -> ( function Ir.Reg x -> String.equal x r | Ir.Const _ | Ir.Undef -> false)

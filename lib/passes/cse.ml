@@ -14,7 +14,13 @@ open Import
     arms, loop back edges), which the dominator walk does not see.
 
     OSR-aware: replaced uses and deletions are recorded (this mirrors the
-    instrumented CSE of Figure 6). *)
+    instrumented CSE of Figure 6).
+
+    A replace is recorded when it is made and carried out lazily: the walk
+    reads every instruction's operands through the replacements made so
+    far before looking at it, and one walk at the end rewrites the rest of
+    the function, so the output is that of rewriting the whole function at
+    each replace. *)
 
 (* Available expressions, keyed by the rhs itself: two pure rhs are the
    same expression when they are equal after {!rhs_key} puts the operands
@@ -47,6 +53,21 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
   let avail_loads : (Ir.value, Ir.value * int) Hashtbl.t = Hashtbl.create 16 in
   (* address → (value, generation) *)
   let generation = ref 0 in
+  (* Replaced register → the value that replaced it. *)
+  let replaced : Ir.value Ir.Names.t = Ir.Names.create 16 in
+  let rec current v =
+    match v with
+    | Ir.Reg r -> ( match Ir.Names.find_opt replaced r with Some v' -> current v' | None -> v)
+    | Ir.Const _ | Ir.Undef -> v
+  in
+  let is_replaced v = match v with Ir.Reg r -> Ir.Names.mem replaced r | Ir.Const _ | Ir.Undef -> false in
+  let update (i : Ir.instr) =
+    if Ir.exists_rhs_operand is_replaced i.rhs then i.rhs <- Ir.map_rhs_operands current i.rhs
+  in
+  let replace r v =
+    Code_mapper.replaced_all_uses m ~old_value:(Ir.Reg r) ~new_value:v;
+    Ir.Names.replace replaced r v
+  in
   let rec walk (node : int) : unit =
     let blk = dom.index.blocks.(node) in
     let label = blk.label in
@@ -58,6 +79,7 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
     blk.body <-
       List.filter
         (fun (i : Ir.instr) ->
+          if Ir.Names.length replaced > 0 then update i;
           match i.rhs with
           | Ir.Store (v, addr) ->
               incr generation;
@@ -71,7 +93,7 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
               | Some (v, gen), Some r when gen = !generation ->
                   (* Available load (or store-forwarded value) from the
                      current generation: reuse it. *)
-                  Code_mapper.replace_all_uses m f ~old_value:(Ir.Reg r) ~new_value:v;
+                  replace r v;
                   Code_mapper.delete_instr m i;
                   Telemetry.bump tel stat_load;
                   Telemetry.remark tel ~pass:"CSE" ~func:f.fname ~block:label ~instr:i.id
@@ -88,7 +110,7 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
               | Some key, Some r -> (
                   match Exprs.find_opt avail key with
                   | Some v ->
-                      Code_mapper.replace_all_uses m f ~old_value:(Ir.Reg r) ~new_value:v;
+                      replace r v;
                       Code_mapper.delete_instr m i;
                       Telemetry.bump tel stat_expr;
                       Telemetry.remark tel ~pass:"CSE" ~func:f.fname ~block:label ~instr:i.id
@@ -107,4 +129,11 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
     List.iter (fun k -> Exprs.remove avail k) !added_exprs
   in
   walk 0;
+  if Ir.Names.length replaced > 0 then
+    List.iter
+      (fun (b : Ir.block) ->
+        List.iter update b.phis;
+        List.iter update b.body;
+        if Ir.exists_term_operand is_replaced b.term then b.term <- Ir.map_term_operands current b.term)
+      f.blocks;
   !changed
