@@ -94,8 +94,12 @@ let verify (f : Ir.func) : (unit, error list) result =
     see "instruction" b.label i.id;
     match i.result with
     | Some r ->
-        if Ir.Names.mem defs r then add ids_e b.label "register %%%s defined twice" r
-        else Ir.Names.add defs r ((k lsl 32) lor pos)
+        (* One lookup: a name already there leaves the count unchanged.
+           Which definition it then maps to does not matter, since the use
+           checks only run on a function without this error. *)
+        let n = Ir.Names.length defs in
+        Ir.Names.replace defs r ((k lsl 32) lor pos);
+        if Ir.Names.length defs = n then add ids_e b.label "register %%%s defined twice" r
     | None -> ()
   in
   (* One incoming per predecessor label: stamp the predecessors' labels,
