@@ -139,13 +139,13 @@ let compile ?(telemetry = Telemetry.null) (f : Ir.func) : program =
   ignore (Ir.entry f : Ir.block) (* same [Invalid_argument] as the reference on an empty function *);
   (* Slots and pool entries are numbered in first-occurrence order while
      emitting; the slots are renumbered in name order at the end. *)
-  let slots : (Ir.reg, int) Hashtbl.t = Hashtbl.create 64 and names = ref [] in
+  let slots : int Ir.Names.t = Ir.Names.create (max 64 (f.next_id / 2)) and names = ref [] in
   let slot_of r =
-    match Hashtbl.find_opt slots r with
+    match Ir.Names.find_opt slots r with
     | Some k -> k
     | None ->
-        let k = Hashtbl.length slots in
-        Hashtbl.add slots r k;
+        let k = Ir.Names.length slots in
+        Ir.Names.add slots r k;
         names := r :: !names;
         k
   in
@@ -166,11 +166,11 @@ let compile ?(telemetry = Telemetry.null) (f : Ir.func) : program =
   let dst_of (i : Ir.instr) = match i.result with Some r -> slot_of r | None -> -1 in
   (* Pass 1: a pc for every body instruction and terminator; a label names
      its first block, at that block's entry pc (φ-nodes get no pc). *)
-  let blocks : (string, int * Ir.block) Hashtbl.t = Hashtbl.create 16 in
+  let blocks : (int * Ir.block) Ir.Names.t = Ir.Names.create 16 in
   let size =
     List.fold_left
       (fun pc (b : Ir.block) ->
-        if not (Hashtbl.mem blocks b.label) then Hashtbl.add blocks b.label (pc, b);
+        if not (Ir.Names.mem blocks b.label) then Ir.Names.add blocks b.label (pc, b);
         pc + List.length b.body + 1)
       0 f.blocks
   in
@@ -200,7 +200,7 @@ let compile ?(telemetry = Telemetry.null) (f : Ir.func) : program =
       max_moves := max !max_moves (List.length moves);
       -1 - off
     in
-    match Hashtbl.find_opt blocks target with
+    match Ir.Names.find_opt blocks target with
     | None ->
         let i = !n_labels in
         labels := target :: !labels;
