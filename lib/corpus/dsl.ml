@@ -59,7 +59,7 @@ let slot_reg u = u ^ ".slot"
 let fresh_label st prefix =
   let n = st.label_counter in
   st.label_counter <- n + 1;
-  Printf.sprintf "%s.%d" prefix n
+  Ir.numbered prefix n
 
 (* Record the next instruction emitted as a source point: we peek at the
    function's id counter. *)

@@ -278,8 +278,27 @@ let fresh_id (f : func) : int =
   f.next_id <- id + 1;
   id
 
+(** [numbered prefix n] is [Printf.sprintf "%s.%d" prefix n], written
+    directly: registers and labels are named this way by the thousand, and
+    the format interpreter costs several times the string. *)
+let numbered (prefix : string) (n : int) : string =
+  if n < 0 then prefix ^ "." ^ string_of_int n
+  else begin
+    let rec digits k x = if x < 10 then k else digits (k + 1) (x / 10) in
+    let d = digits 1 n and l = String.length prefix in
+    let s = Bytes.create (l + 1 + d) in
+    Bytes.blit_string prefix 0 s 0 l;
+    Bytes.set s l '.';
+    let x = ref n in
+    for i = l + d downto l + 1 do
+      Bytes.set s i (Char.chr (48 + (!x mod 10)));
+      x := !x / 10
+    done;
+    Bytes.unsafe_to_string s
+  end
+
 let fresh_reg ?(hint = "t") (f : func) : reg =
-  let r = Printf.sprintf "%s.%d" hint f.next_reg in
+  let r = numbered hint f.next_reg in
   f.next_reg <- f.next_reg + 1;
   r
 

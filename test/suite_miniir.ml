@@ -661,6 +661,19 @@ let test_registers_corpus () =
     (Lazy.force gate_functions @ odd);
   Alcotest.(check bool) "over 400 functions checked" true (!checked > 400)
 
+(* [Ir.numbered] names registers and labels without the format
+   interpreter; the names must be those of [Printf.sprintf "%s.%d"]. *)
+let test_numbered_names () =
+  List.iter
+    (fun (prefix, n) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%S %d" prefix n)
+        (Printf.sprintf "%s.%d" prefix n)
+        (Ir.numbered prefix n))
+    (List.concat_map
+       (fun p -> List.map (fun n -> (p, n)) [ 0; 1; 9; 10; 99; 100; 1009; 123456789; max_int; -1; -10; min_int ])
+       [ ""; "t"; "acc.phi"; "x$slot" ])
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   let q test = QCheck_alcotest.to_alcotest test in
@@ -684,6 +697,7 @@ let suite =
       t "interp events" test_interp_events;
       t "machine stepping" test_machine_stepping;
       t "clone independence" test_clone_independent;
+      t "numbered names are the sprintf names" test_numbered_names;
       q prop_generated_verify;
       q prop_generated_terminate;
       q prop_roundtrip;
