@@ -1,5 +1,5 @@
 (** The front half of the JIT path as it was before its one-scan
-    rewrites: SCCP, LCSSA, Sink, mem2reg, the SSA verifier,
+    rewrites: CP, SCCP, CSE, LCSSA, Sink, mem2reg, the SSA verifier,
     [Dom.compute], the pass manager's [apply] that calls the verifier, and
     the source-point remap of [Dsl.to_fbase].  Each function below is a verbatim copy of the code it
     replaced; the only edits are references to other replaced code, which
@@ -29,14 +29,22 @@
     tables, after SCCP's constant rewrite took definition order.  Their
     edits: [Sccp] reads [Ref_miniir.def_table] (a [Hashtbl], so its lookup
     is [Hashtbl.find_opt]) and the frozen [Func_index], and [Sink] builds
-    its tree with this file's [Dom.compute ~index f].  [standard_pipeline]
-    runs the copies of SCCP, LCSSA and Sink.
+    its tree with this file's [Dom.compute ~index f].
 
     Since SCCP drops the φ incomings of the edges it folds away: the fix
     is made in [Sccp] here too (the [folded] list and the loop over it
     after step 3).  Before it, folding a bottom-tested loop's back edge
     left the header's φs an incoming from a block that no longer branches
-    there, which the verifier rejects. *)
+    there, which the verifier rejects.
+
+    Since CP scans no block per visited instruction and CSE carries out
+    its replaces lazily: [Constprop] and [Cse] are verbatim copies of
+    those passes as they were; their edits: the counters are the
+    library's ([Passes.Constprop.stat_folded] and so on, so a run bumps
+    the same rows), and [Cse] builds its dominator tree with the
+    library's [Dom] and [Func_index] and reads [Passes.Mem2reg]'s tree
+    children.  [standard_pipeline] runs the copies of CP, SCCP, CSE,
+    LCSSA and Sink. *)
 
 module Ir = Miniir.Ir
 module Func_index = Ref_miniir.Func_index
@@ -989,6 +997,201 @@ let run (f : Ir.func) : bool =
 end
 
 (* ------------------------------------------------------------------ *)
+(* CP                                                                   *)
+(* ------------------------------------------------------------------ *)
+
+module Constprop = struct
+module Fold = Passes.Fold
+
+(** Constant propagation (the paper's CP): fold instructions whose operands
+    are constants, replace all uses of the result with the constant, and
+    delete the instruction.  Also simplifies single-value φ-nodes exposed by
+    the folding.  OSR-aware: every deletion and use-rewrite is recorded in
+    the CodeMapper. *)
+
+let stat_folded = Passes.Constprop.stat_folded
+
+let stat_phi = Passes.Constprop.stat_phi
+
+let run (m : Code_mapper.t) (f : Ir.func) : bool =
+  let tel = Code_mapper.telemetry m in
+  let changed = ref false in
+  let continue_ = ref true in
+  while !continue_ do
+    continue_ := false;
+    (* Find a foldable instruction. *)
+    let try_fold (b : Ir.block) (i : Ir.instr) : bool =
+      (* The traversal iterates over a snapshot of the body; skip
+         instructions already removed by an earlier fold this round. *)
+      if not (List.exists (fun (j : Ir.instr) -> j.id = i.id) b.body) then false
+      else
+      match (Fold.fold_rhs i.rhs, i.result) with
+      | Some n, Some r ->
+          Code_mapper.replace_all_uses m f ~old_value:(Ir.Reg r) ~new_value:(Ir.Const n);
+          Code_mapper.delete_instr m i;
+          Telemetry.bump tel stat_folded;
+          Telemetry.remark tel ~pass:"CP" ~func:f.fname ~block:b.label ~instr:i.id
+            (fun () -> Printf.sprintf "folded %%%s to %d" r n);
+          b.body <- List.filter (fun (j : Ir.instr) -> j.id <> i.id) b.body;
+          true
+      | _ -> false
+    in
+    (* Single-value φ: all incomings identical (and not the φ itself). *)
+    let try_phi (b : Ir.block) (i : Ir.instr) : bool =
+      if not (List.exists (fun (j : Ir.instr) -> j.id = i.id) b.phis) then false
+      else
+      match (i.rhs, i.result) with
+      | Ir.Phi ((_, v0) :: rest), Some r
+        when List.for_all (fun (_, v) -> Ir.equal_value v v0) rest
+             && not (Ir.equal_value v0 (Ir.Reg r)) ->
+          Code_mapper.replace_all_uses m f ~old_value:(Ir.Reg r) ~new_value:v0;
+          Code_mapper.delete_instr m i;
+          Telemetry.bump tel stat_phi;
+          Telemetry.remark tel ~pass:"CP" ~func:f.fname ~block:b.label ~instr:i.id
+            (fun () ->
+              Printf.sprintf "phi %%%s collapsed to %s" r (Ir.value_to_string v0));
+          b.phis <- List.filter (fun (j : Ir.instr) -> j.id <> i.id) b.phis;
+          true
+      | _ -> false
+    in
+    List.iter
+      (fun (b : Ir.block) ->
+        List.iter
+          (fun i ->
+            if try_fold b i then begin
+              changed := true;
+              continue_ := true
+            end)
+          b.body;
+        List.iter
+          (fun i ->
+            if try_phi b i then begin
+              changed := true;
+              continue_ := true
+            end)
+          b.phis)
+      f.blocks
+  done;
+  !changed
+end
+
+(* ------------------------------------------------------------------ *)
+(* CSE                                                                  *)
+(* ------------------------------------------------------------------ *)
+
+module Cse = struct
+
+(** Common subexpression elimination in the style of LLVM's EarlyCSE:
+    a dominator-tree walk with a scoped hash table of available pure
+    expressions (always sound in SSA — a value, once computed, never
+    changes), plus {e block-local} redundant-load elimination and
+    store-to-load forwarding tracked per memory generation — any store or
+    impure call starts a new generation, exactly the "available load from
+    right generation" check in the paper's Figure 6 excerpt.
+
+    Load availability is deliberately not propagated across blocks: with an
+    all-may-alias memory model, a fact recorded in a dominator is invalidated
+    by stores on {e any} CFG path into the current block (sibling branch
+    arms, loop back edges), which the dominator walk does not see.
+
+    OSR-aware: replaced uses and deletions are recorded (this mirrors the
+    instrumented CSE of Figure 6). *)
+
+(* Available expressions, keyed by the rhs itself: two pure rhs are the
+   same expression when they are equal after {!rhs_key} puts the operands
+   of a commutative operation in a canonical order. *)
+module Exprs = Hashtbl.Make (struct
+  type t = Ir.rhs
+
+  let equal = Ir.equal_rhs
+  let hash (r : Ir.rhs) = Hashtbl.hash r
+end)
+
+let rhs_key (rhs : Ir.rhs) : Ir.rhs option =
+  match rhs with
+  | Ir.Binop (((Ir.Add | Ir.Mul | Ir.And | Ir.Or | Ir.Xor) as op), a, b) ->
+      (* Normalize commutative operations. *)
+      Some (if compare a b <= 0 then rhs else Ir.Binop (op, b, a))
+  | Ir.Binop _ | Ir.Icmp _ | Ir.Select _ -> Some rhs
+  | Ir.Call (name, _) when Ir.is_pure_call name -> Some rhs
+  | Ir.Call _ | Ir.Alloca _ | Ir.Load _ | Ir.Store _ | Ir.Phi _ -> None
+
+let stat_expr = Passes.Cse.stat_expr
+let stat_load = Passes.Cse.stat_load
+
+let run (m : Code_mapper.t) (f : Ir.func) : bool =
+  let tel = Code_mapper.telemetry m in
+  let changed = ref false in
+  let dom = Miniir.Dom.compute (Miniir.Func_index.make f) in
+  let children = Passes.Mem2reg.dom_children dom in
+  let avail : Ir.value Exprs.t = Exprs.create 64 in
+  let avail_loads : (Ir.value, Ir.value * int) Hashtbl.t = Hashtbl.create 16 in
+  (* address → (value, generation) *)
+  let generation = ref 0 in
+  let rec walk (node : int) : unit =
+    let blk = dom.index.blocks.(node) in
+    let label = blk.label in
+    (* Load facts are block-local; expression facts are scoped and undone
+       on exit from this dominator subtree. *)
+    Hashtbl.reset avail_loads;
+    incr generation;
+    let added_exprs = ref [] in
+    blk.body <-
+      List.filter
+        (fun (i : Ir.instr) ->
+          match i.rhs with
+          | Ir.Store (v, addr) ->
+              incr generation;
+              Hashtbl.replace avail_loads addr (v, !generation);
+              true
+          | Ir.Call (name, _) when not (Ir.is_pure_call name) ->
+              incr generation;
+              true
+          | Ir.Load addr -> (
+              match (Hashtbl.find_opt avail_loads addr, i.result) with
+              | Some (v, gen), Some r when gen = !generation ->
+                  (* Available load (or store-forwarded value) from the
+                     current generation: reuse it. *)
+                  Code_mapper.replace_all_uses m f ~old_value:(Ir.Reg r) ~new_value:v;
+                  Code_mapper.delete_instr m i;
+                  Telemetry.bump tel stat_load;
+                  Telemetry.remark tel ~pass:"CSE" ~func:f.fname ~block:label ~instr:i.id
+                    (fun () ->
+                      Printf.sprintf "forwarded load %%%s from %s" r (Ir.value_to_string v));
+                  changed := true;
+                  false
+              | _, Some r ->
+                  Hashtbl.replace avail_loads addr (Ir.Reg r, !generation);
+                  true
+              | _, None -> true)
+          | rhs -> (
+              match (rhs_key rhs, i.result) with
+              | Some key, Some r -> (
+                  match Exprs.find_opt avail key with
+                  | Some v ->
+                      Code_mapper.replace_all_uses m f ~old_value:(Ir.Reg r) ~new_value:v;
+                      Code_mapper.delete_instr m i;
+                      Telemetry.bump tel stat_expr;
+                      Telemetry.remark tel ~pass:"CSE" ~func:f.fname ~block:label ~instr:i.id
+                        (fun () ->
+                          Printf.sprintf "%%%s subsumed by %s" r (Ir.value_to_string v));
+                      changed := true;
+                      false
+                  | None ->
+                      added_exprs := key :: !added_exprs;
+                      Exprs.replace avail key (Ir.Reg r);
+                      true)
+              | _, _ -> true))
+        blk.body;
+    List.iter walk children.(node);
+    (* Undo this scope's expression facts. *)
+    List.iter (fun k -> Exprs.remove avail k) !added_exprs
+  in
+  walk 0;
+  !changed
+end
+
+(* ------------------------------------------------------------------ *)
 (* Pass_manager.apply / to_fbase                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -996,6 +1199,8 @@ let standard_pipeline : Pass_manager.pass list =
   List.map
     (fun (p : Pass_manager.pass) ->
       match p.pname with
+      | "CP" -> { p with run = Constprop.run }
+      | "CSE" -> { p with run = Cse.run }
       | "SCCP" -> { p with run = Sccp.run }
       | "LCSSA" -> { p with run = Lcssa.run }
       | "Sink" -> { p with run = Sink.run }

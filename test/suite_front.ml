@@ -182,14 +182,16 @@ let standalone (run : CM.t -> Ir.func -> bool) (g : Ir.func) : string =
 (* The passes with a frozen copy in {!Ref_front}, old against new. *)
 let frozen_passes =
   [
+    ("CP", R.Constprop.run, Passes.Constprop.run);
     ("SCCP", R.Sccp.run, Passes.Sccp.run);
+    ("CSE", R.Cse.run, Passes.Cse.run);
     ("LCSSA", R.Lcssa.run, Passes.Lcssa.run);
     ("Sink", R.Sink.run, Passes.Sink.run);
   ]
 
 (* Generated alloca-form functions: mem2reg, the verifier, the pipeline,
-   and SCCP, LCSSA and Sink run standalone (a fresh mapper), old against
-   new. *)
+   and CP, SCCP, CSE, LCSSA and Sink run standalone (a fresh mapper), old
+   against new. *)
 let prop_generated_identical =
   QCheck.Test.make ~count:150 ~name:"front half identical on generated functions"
     Gen_ir.arb_func (fun (raw : Ir.func) ->
