@@ -36,8 +36,9 @@ open Import
     on the compiled slot-register engine and is the production runtime;
     {!Reference} runs on the tree-walking interpreter and serves only as
     the differential oracle.  Armed points live in a direct-indexed
-    [site option array] keyed by instruction id — O(1) per step, one guard
-    evaluation per arrival. *)
+    [site option array] keyed by instruction id, mirrored by the byte
+    array the engine's [run_to_armed] tests between armed points — O(1)
+    per step, one guard evaluation per arrival. *)
 
 module Engine = Tinyvm.Engine
 
@@ -265,12 +266,18 @@ module Make (E : Engine.S) : S with type machine := E.machine = struct
        first site, like the List.find_opt it replaces. *)
     let n = List.fold_left (fun acc s -> max acc (s.at + 1)) (E.func machine).Ir.next_id sites in
     let table : E.machine gsite option array = Array.make n None in
+    let armed = Bytes.make n '\000' in
     List.iter
-      (fun s -> if s.at >= 0 && table.(s.at) = None then table.(s.at) <- Some s)
+      (fun s ->
+        if s.at >= 0 && table.(s.at) = None then begin
+          table.(s.at) <- Some s;
+          Bytes.set armed s.at '\001'
+        end)
       sites;
     let aborted = ref [] in
     let abort id (e : Osr_error.t) =
       table.(id) <- None;
+      Bytes.set armed id '\000';
       Telemetry.bump tel stat_aborted;
       Telemetry.remark tel ~pass:"osr" ~func:fname ~instr:id (fun () ->
           "transition aborted: " ^ Osr_error.to_string e);
@@ -304,10 +311,10 @@ module Make (E : Engine.S) : S with type machine := E.machine = struct
               | exception Osr_error.Error e -> Error e))
     in
     let rec go () =
-      match E.current_point machine with
+      match E.run_to_armed machine ~armed with
       | -1 -> (result_of_status (), outcome None)
       | id -> (
-          match (if id >= 0 && id < n then table.(id) else None) with
+          match table.(id) with
           | None -> advance ()
           | Some site -> (
               match guard_decision site id with

@@ -310,6 +310,7 @@ module type RUN = sig
     (outcome, trap) result
 
   val run_to_point : ?fuel:int -> ?skip:int -> machine -> point:int -> machine option
+  val run_to_armed : machine -> armed:Bytes.t -> int
 end
 
 module Run (M : STEP) : RUN with type machine := M.machine = struct
@@ -350,6 +351,16 @@ module Run (M : STEP) : RUN with type machine := M.machine = struct
             | Returned _ | Trapped _ -> None)
     in
     go fuel skip
+
+  let run_to_armed (m : M.machine) ~(armed : Bytes.t) : int =
+    let n = Bytes.length armed in
+    let rec go () =
+      match M.current_point m with
+      | -1 -> -1
+      | id when id >= 0 && id < n && Bytes.get armed id <> '\000' -> id
+      | _ -> ( match M.step m with Running -> go () | Returned _ | Trapped _ -> -1)
+    in
+    go ()
 end
 
 include Run (struct

@@ -160,6 +160,12 @@ module type RUN = sig
   (** Run until the machine is about to execute [point] (after [skip]
       earlier arrivals); [None] when never reached.  Used to set up OSR
       sources and debugger breakpoints. *)
+
+  val run_to_armed : machine -> armed:Bytes.t -> int
+  (** Step until the machine is about to execute a point [p] whose byte in
+      [armed] is not ['\000'] and return [p], or return [-1] once the
+      machine has stopped; a point outside [armed] is never armed.  The
+      OSR runtime's loop between armed points. *)
 end
 
 module Run (M : STEP) : RUN with type machine := M.machine

@@ -378,6 +378,61 @@ let test_lockstep_points () =
       done)
     (List.filteri (fun i _ -> i < 4) Corpus.Kernels.all)
 
+(* The loop between armed points: the compiled engine's own loop and the
+   reference engine's (the one in [Interp.Run]) stop at the same points
+   after the same steps, and end the same way, with every fifth point
+   armed, a point disarmed after its second arrival, and a fuel budget
+   that runs out part of the way. *)
+let test_run_to_armed () =
+  List.iter
+    (fun (e : Corpus.Kernels.entry) ->
+      let fbase, _ = Corpus.Dsl.to_fbase e.kernel in
+      let r = P.apply fbase in
+      List.iter
+        (fun (f, fuel) ->
+          let run create run_to_armed step steps =
+            let m = create f in
+            let armed = Bytes.make f.Ir.next_id '\000' in
+            for p = 0 to f.Ir.next_id - 1 do
+              if p mod 5 = 0 then Bytes.set armed p '\001'
+            done;
+            let hits = Hashtbl.create 16 and trace = ref [] in
+            let rec go () =
+              match run_to_armed m ~armed with
+              | -1 -> List.rev !trace
+              | p ->
+                  trace := (p, steps m) :: !trace;
+                  let n = 1 + Option.value ~default:0 (Hashtbl.find_opt hits p) in
+                  Hashtbl.replace hits p n;
+                  if n = 2 then Bytes.set armed p '\000';
+                  (match step m with Interp.Running -> () | _ -> ());
+                  go ()
+            in
+            (go (), m)
+          in
+          let tr, mr =
+            run
+              (fun f -> Interp.create ~fuel f ~args:e.default_args)
+              Interp.run_to_armed Interp.step (fun m -> m.Interp.steps)
+          in
+          let tc, mc =
+            run
+              (fun f -> Compiled.create ~fuel f ~args:e.default_args)
+              Compiled.run_to_armed Compiled.step Compiled.steps
+          in
+          let what = Printf.sprintf "%s/%s fuel %d" e.benchmark f.Ir.fname fuel in
+          Alcotest.(check bool) (what ^ ": some point armed and reached") true (tr <> []);
+          Alcotest.(check (list (pair int int))) (what ^ ": stops and steps") tr tc;
+          Alcotest.(check int) (what ^ ": point after the run") (-1) (Compiled.current_point mc);
+          Alcotest.(check bool)
+            (what ^ ": same end") true
+            (match (mr.Interp.status, Compiled.status mc) with
+            | Interp.Returned a, Interp.Returned b -> a = b
+            | Interp.Trapped a, Interp.Trapped b -> a = b
+            | _ -> false))
+        [ (r.P.fbase, max_int); (r.P.fopt, max_int); (r.P.fopt, 500) ])
+    Corpus.Kernels.all
+
 (* At a mid-execution pause point, the compiled frame (read back through
    the slot table) must match the reference hashtable frame on every
    register the reference has defined. *)
@@ -728,6 +783,7 @@ let suite =
       t "trapping programs differential" test_traps_differential;
       t "int operand encoding differential" test_operand_encoding_differential;
       t "lockstep program points" test_lockstep_points;
+      t "armed-point loop agrees" test_run_to_armed;
       t "paused frames agree" test_paused_frames_agree;
       t "OSR differential on the example" test_osr_differential_example;
       t "OSR differential on corpus kernels" test_osr_differential_corpus;
