@@ -102,7 +102,8 @@ let count_instrumentation rel =
       in
       count "Code_mapper.add_instr" + count "Code_mapper.delete_instr"
       + count "Code_mapper.hoist_instr" + count "Code_mapper.sink_instr"
-      + count "Code_mapper.replace_all_uses" + count "Code_mapper.replace_use_in")
+      + count "Code_mapper.replace_all_uses" + count "Code_mapper.replaced_all_uses"
+      + count "Code_mapper.replace_use_in")
     (read_source rel)
 
 let table1 () =

@@ -64,10 +64,6 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
   let update (i : Ir.instr) =
     if Ir.exists_rhs_operand is_replaced i.rhs then i.rhs <- Ir.map_rhs_operands current i.rhs
   in
-  let replace r v =
-    Code_mapper.replaced_all_uses m ~old_value:(Ir.Reg r) ~new_value:v;
-    Ir.Names.replace replaced r v
-  in
   let rec walk (node : int) : unit =
     let blk = dom.index.blocks.(node) in
     let label = blk.label in
@@ -93,7 +89,8 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
               | Some (v, gen), Some r when gen = !generation ->
                   (* Available load (or store-forwarded value) from the
                      current generation: reuse it. *)
-                  replace r v;
+                  Code_mapper.replaced_all_uses m ~old_value:(Ir.Reg r) ~new_value:v;
+                  Ir.Names.replace replaced r v;
                   Code_mapper.delete_instr m i;
                   Telemetry.bump tel stat_load;
                   Telemetry.remark tel ~pass:"CSE" ~func:f.fname ~block:label ~instr:i.id
@@ -110,7 +107,8 @@ let run (m : Code_mapper.t) (f : Ir.func) : bool =
               | Some key, Some r -> (
                   match Exprs.find_opt avail key with
                   | Some v ->
-                      replace r v;
+                      Code_mapper.replaced_all_uses m ~old_value:(Ir.Reg r) ~new_value:v;
+                      Ir.Names.replace replaced r v;
                       Code_mapper.delete_instr m i;
                       Telemetry.bump tel stat_expr;
                       Telemetry.remark tel ~pass:"CSE" ~func:f.fname ~block:label ~instr:i.id
