@@ -217,6 +217,8 @@ let to_fbase (k : kernel) : Ir.func * debug_info =
   Ir.iter_first_kept ~keep:(Array.get survives) raw (fun id anchor -> remap.(id) <- anchor);
   let source_points =
     List.sort_uniq compare
-      (List.filter_map (fun p -> if p < raw.next_id && remap.(p) >= 0 then Some remap.(p) else None) dbg.source_points)
+      (List.filter_map
+         (fun p -> if p < raw.next_id && remap.(p) >= 0 then Some remap.(p) else None)
+         dbg.source_points)
   in
   (fbase, { dbg with source_points })
