@@ -20,9 +20,7 @@
 
     Each engine supplies only its step core; [run_machine], [run],
     [run_to_point] and [run_to_armed] come from the one loop in
-    {!Interp.Run}, except that the compiled engine runs [run_to_armed],
-    the OSR runtime's loop between armed points, in a loop of its own
-    whose step is a direct call.  Both produce
+    {!Interp.Run}.  Both produce
     byte-identical observables: same [outcome] (return value,
     event trace, step count), same traps with the same payloads, and the
     same sequence of [current_point] values, so OSR transitions and the
@@ -370,23 +368,6 @@ module Compiled = struct
     let set_fuel = set_fuel
     let events_rev = events_rev
   end)
-
-  (* The loop between armed points, written here so that a step is a
-     direct call, not one through the functor's argument. *)
-  let run_to_armed (m : machine) ~(armed : Bytes.t) : int =
-    let n = Bytes.length armed in
-    let rec go () =
-      match m.status with
-      | Returned _ | Trapped _ -> -1
-      | Running ->
-          let id = m.ids.(m.pc) in
-          if id >= 0 && id < n && Bytes.get armed id <> '\000' then id
-          else begin
-            ignore (step m : Interp.status);
-            go ()
-          end
-    in
-    go ()
 end
 
 (* The Compiled struct must satisfy the engine signature (checked here;

@@ -378,8 +378,8 @@ let test_lockstep_points () =
       done)
     (List.filteri (fun i _ -> i < 4) Corpus.Kernels.all)
 
-(* The loop between armed points: the compiled engine's own loop and the
-   reference engine's (the one in [Interp.Run]) stop at the same points
+(* The loop between armed points ([Interp.Run]'s, over each engine's step
+   core): the compiled and the reference engine stop at the same points
    after the same steps, and end the same way, with every fifth point
    armed, a point disarmed after its second arrival, and a fuel budget
    that runs out part of the way. *)
