@@ -160,16 +160,6 @@ let exists_term_operand (p : value -> bool) : terminator -> bool = function
   | Cbr (c, _, _) | Ret c -> p c
   | Br _ | Unreachable -> false
 
-(** A filter for lookups asked about every operand: true of a name as
-    long as some name of [names], so a table of [names] need only be
-    asked about those. *)
-let length_of_some (names : reg list) : reg -> bool =
-  let seen = Array.make (1 + List.fold_left (fun m r -> max m (String.length r)) 0 names) false in
-  List.iter (fun r -> seen.(String.length r) <- true) names;
-  fun r ->
-    let l = String.length r in
-    l < Array.length seen && seen.(l)
-
 (** Registers read by an rhs. *)
 let rhs_uses (r : rhs) : reg list =
   List.filter_map (function Reg x -> Some x | Const _ | Undef -> None) (rhs_operands r)
@@ -278,24 +268,10 @@ let fresh_id (f : func) : int =
   f.next_id <- id + 1;
   id
 
-(** [numbered prefix n] is [Printf.sprintf "%s.%d" prefix n], written
-    directly: registers and labels are named this way by the thousand, and
-    the format interpreter costs several times the string. *)
-let numbered (prefix : string) (n : int) : string =
-  if n < 0 then prefix ^ "." ^ string_of_int n
-  else begin
-    let rec digits k x = if x < 10 then k else digits (k + 1) (x / 10) in
-    let d = digits 1 n and l = String.length prefix in
-    let s = Bytes.create (l + 1 + d) in
-    Bytes.blit_string prefix 0 s 0 l;
-    Bytes.set s l '.';
-    let x = ref n in
-    for i = l + d downto l + 1 do
-      Bytes.set s i (Char.chr (48 + (!x mod 10)));
-      x := !x / 10
-    done;
-    Bytes.unsafe_to_string s
-  end
+(** [numbered prefix n] is [Printf.sprintf "%s.%d" prefix n] without the
+    format interpreter: registers and labels are named this way by the
+    thousand. *)
+let numbered (prefix : string) (n : int) : string = prefix ^ "." ^ string_of_int n
 
 let fresh_reg ?(hint = "t") (f : func) : reg =
   let r = numbered hint f.next_reg in

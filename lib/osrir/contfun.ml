@@ -26,8 +26,8 @@ open Import
     The demotion works on the target's register numbering (its liveness,
     which step 2 needs anyway): whether a register is defined by an
     instruction and whether it is demoted are flags per register id, and
-    the rewrite looks an operand's id up only when some demoted register
-    has a name of its length.  The re-promotion reuses the block index of
+    the rewrite looks each register operand's id up in its liveness'
+    table.  The re-promotion reuses the block index of
     the unreachable-block removal when that removed nothing.
 
     A continuation also carries what every firing needs and [f'to] alone
@@ -191,10 +191,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
   in
   let demoted_ids = Array.make nregs false in
   List.iter (fun r -> demoted_ids.(id_of r) <- true) demoted;
-  let maybe_demoted = Ir.length_of_some demoted in
   let is_demoted r =
-    maybe_demoted r
-    &&
     let x = id_of r in
     x >= 0 && demoted_ids.(x)
   in

@@ -10,9 +10,8 @@ open Import
     runs it again to re-promote the slots it demoted.
 
     Tables.  The slots are found first, from the allocas, and numbered;
-    every later question about an operand is a lookup in that small table
-    (asked only about names as long as some slot's), and per slot or per
-    block the state lives in arrays: the blocks storing
+    every later question about an operand is a lookup in that small table,
+    and per slot or per block the state lives in arrays: the blocks storing
     to each slot, the φ-nodes placed in each block (appended to the block
     once, after placement), and during renaming one current value per slot
     with an undo log that restores the values on the way back up the
@@ -65,11 +64,7 @@ let find_slots (f : Ir.func) : Ir.reg array * int Ir.Names.t * int list array =
   if n = 0 then ([||], cands, [||])
   else begin
     let escaped = Array.make n false and stored = Array.make n [] in
-    let maybe_slot = Ir.length_of_some !names in
-    let index r =
-      if not (maybe_slot r) then -1
-      else match Ir.Names.find_opt cands r with Some s -> s | None -> -1
-    in
+    let index r = match Ir.Names.find_opt cands r with Some s -> s | None -> -1 in
     let mark v =
       match v with
       | Ir.Reg r ->
