@@ -14,8 +14,12 @@ median and quartiles, the ratio of the medians (B/A), how many pairs the
 change wins (strictly better in the metric's direction; ties count for
 neither), and whether a gain is shown: wins >= 9/10 of the pairs and a
 median gap in the better direction larger than the parent's interquartile
-range.  It also flags a median worse than the parent's by more than the
-metric's bound.  Every run's metrics go to .bench_out/pairs-W.json in B.
+range.  The wins are also split by which side ran first in the pair: a
+workload can favour the side that runs first, or second, and the
+alternation cancels that only over many pairs.  It also flags a median
+worse than the parent's by more than the metric's bound, and says whether
+both sides printed the same per-cycle counts (steps, fires, commits, ...)
+on every seed.  Every run's metrics go to .bench_out/pairs-W.json in B.
 """
 
 import argparse
@@ -37,6 +41,7 @@ def run(checkout, workload, seed, seconds):
         sys.exit(f"{checkout}: seed {seed}: no JSON result (exit code {r.returncode})")
     if r.returncode != 0 or not res.get("correct", False):
         sys.exit(f"{checkout}: seed {seed}: run failed (exit code {r.returncode})")
+    res["counts"] = [line for line in lines if line.startswith("counts/cycle:")]
     return res
 
 
@@ -66,9 +71,11 @@ def main():
         metrics = json.load(fh)["end_to_end"]
     sides = {"A": a.a, "B": a.b}
     runs = {"A": [], "B": []}
+    a_first = []
     for i in range(a.n):
         seed = a.seed0 + i
         order = ("A", "B") if i % 2 == 0 else ("B", "A")
+        a_first.append(order[0] == "A")
         for side in order:
             runs[side].append(run(sides[side], a.workload, seed, a.seconds))
         print(f"pair {i + 1}/{a.n} (seed {seed}, {order[0]} first): " + ", ".join(
@@ -81,21 +88,28 @@ def main():
         att = sum(r["attempted"] for r in runs[side])
         fail = sum(r["failed"] for r in runs[side])
         print(f"  {side}: {fail} of {att} operations failed")
+    same = sum(x["counts"] == y["counts"] for x, y in zip(runs["A"], runs["B"]))
+    print(f"  per-cycle counts identical in {same} of {a.n} pairs")
     header = ["metric", "A q1", "A median", "A q3", "B q1", "B median", "B q3", "B/A",
-              "B wins", "gain shown", "beyond bound"]
+              "B wins", "A first", "B first", "gain shown", "beyond bound"]
     rows = [header]
+    n_a_first = sum(a_first)
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         va = [r["metrics"][name]["value"] for r in runs["A"]]
         vb = [r["metrics"][name]["value"] for r in runs["B"]]
         a1, am, a3 = quartiles(va)
         b1, bm, b3 = quartiles(vb)
-        wins = sum((y < x) if lower else (y > x) for x, y in zip(va, vb))
+        won = [(y < x) if lower else (y > x) for x, y in zip(va, vb)]
+        wins = sum(won)
+        wins_a_first = sum(w for w, f in zip(won, a_first) if f)
         gap = (am - bm) if lower else (bm - am)
         shown = wins * 10 >= 9 * a.n and gap > a3 - a1
         worse = -gap > m["bound"] * abs(am)
         rows.append([name, f"{a1:.4g}", f"{am:.4g}", f"{a3:.4g}", f"{b1:.4g}", f"{bm:.4g}",
                      f"{b3:.4g}", f"{bm / am:.3f}" if am else "-", f"{wins}/{a.n}",
+                     f"{wins_a_first}/{n_a_first}",
+                     f"{wins - wins_a_first}/{a.n - n_a_first}",
                      "yes" if shown else "no", "YES" if worse else "no"])
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     for r in rows:

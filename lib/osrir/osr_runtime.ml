@@ -193,12 +193,8 @@ module Make (E : Engine.S) : S with type machine := E.machine = struct
         let rollback =
           if not c.chi_writes_memory then ignore
           else
-            let snap_cells = Hashtbl.copy mem.Interp.cells in
-            let snap_brk = mem.Interp.brk in
-            fun () ->
-              Hashtbl.reset mem.Interp.cells;
-              Hashtbl.iter (Hashtbl.replace mem.Interp.cells) snap_cells;
-              mem.Interp.brk <- snap_brk
+            let snap = Interp.mem_snapshot mem in
+            fun () -> Interp.mem_restore mem snap
         in
         let fuel =
           match hooks.h_fuel_cut ~at:site.at with

@@ -722,9 +722,9 @@ let eval_plan (plan : plan) ~(src_frame : Interp.frame) ~(memory : Interp.memory
           | Ir.Binop (op, a, b) -> (
               match (read a, read b) with
               | Some x, Some y -> (
-                  match Passes.Fold.eval_binop op x y with
-                  | Some v -> v
-                  | None -> raise (Bad target))
+                  match Passes.Fold.binop op x y with
+                  | v -> v
+                  | exception Passes.Fold.Undefined -> raise (Bad target))
               | _ -> raise (Bad target))
           | Ir.Icmp (op, a, b) -> (
               match (read a, read b) with

@@ -6,19 +6,28 @@ open Import
     Division and remainder by zero are {e not} folded: the VM traps on
     them, so folding would change observable behaviour. *)
 
-let eval_binop (op : Ir.binop) (a : int) (b : int) : int option =
+exception Undefined
+
+(** [op a b], or [Undefined] where MiniIR leaves it undefined: division or
+    remainder by 0, a shift amount outside [\[0, 62\]].  Allocates
+    nothing, so the engines call it on every binop step. *)
+let binop (op : Ir.binop) (a : int) (b : int) : int =
   match op with
-  | Ir.Add -> Some (a + b)
-  | Ir.Sub -> Some (a - b)
-  | Ir.Mul -> Some (a * b)
-  | Ir.Sdiv -> if b = 0 then None else Some (a / b)
-  | Ir.Srem -> if b = 0 then None else Some (a mod b)
-  | Ir.Shl -> if b < 0 || b > 62 then None else Some (a lsl b)
-  | Ir.Lshr -> if b < 0 || b > 62 then None else Some ((a land max_int) lsr b)
-  | Ir.Ashr -> if b < 0 || b > 62 then None else Some (a asr b)
-  | Ir.And -> Some (a land b)
-  | Ir.Or -> Some (a lor b)
-  | Ir.Xor -> Some (a lxor b)
+  | Ir.Add -> a + b
+  | Ir.Sub -> a - b
+  | Ir.Mul -> a * b
+  | Ir.Sdiv -> if b = 0 then raise Undefined else a / b
+  | Ir.Srem -> if b = 0 then raise Undefined else a mod b
+  | Ir.Shl -> if b < 0 || b > 62 then raise Undefined else a lsl b
+  | Ir.Lshr -> if b < 0 || b > 62 then raise Undefined else (a land max_int) lsr b
+  | Ir.Ashr -> if b < 0 || b > 62 then raise Undefined else a asr b
+  | Ir.And -> a land b
+  | Ir.Or -> a lor b
+  | Ir.Xor -> a lxor b
+
+(** {!binop} as an option: [None] where it is undefined. *)
+let eval_binop (op : Ir.binop) (a : int) (b : int) : int option =
+  match binop op a b with v -> Some v | exception Undefined -> None
 
 let eval_icmp (op : Ir.icmp) (a : int) (b : int) : int =
   let r =

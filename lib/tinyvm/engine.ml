@@ -257,9 +257,9 @@ module Compiled = struct
           (match m.code.(pc) with
           | Obinop (dst, op, a, b) ->
               let x = read m ~at a and y = read m ~at b in
-              (match Passes.Fold.eval_binop op x y with
-              | Some v -> write m dst v
-              | None -> raise (Interp.Trap (Interp.binop_trap op at)));
+              (match Passes.Fold.binop op x y with
+              | v -> write m dst v
+              | exception Passes.Fold.Undefined -> raise (Interp.Trap (Interp.binop_trap op at)));
               m.pc <- pc + 1
           | Oicmp (dst, op, a, b) ->
               let x = read m ~at a and y = read m ~at b in
@@ -271,9 +271,7 @@ module Compiled = struct
               write m dst (if cv <> 0 then tv else ev);
               m.pc <- pc + 1
           | Oalloca (dst, n) ->
-              let addr = m.memory.Interp.brk in
-              m.memory.Interp.brk <- addr + max 1 n;
-              write m dst addr;
+              write m dst (Interp.mem_alloca m.memory n);
               m.pc <- pc + 1
           | Oload (dst, a) ->
               write m dst (Interp.mem_load m.memory (read m ~at a));

@@ -39,14 +39,89 @@ type outcome = {
   steps : int;
 }
 
-type memory = { cells : (int, int) Hashtbl.t; mutable brk : int }
+(* Linear memory.  Cells at addresses in [\[0, 2^22)] live in 256-word
+   pages, indexed by [addr lsr 8]: a page is allocated on the first store
+   to it (256 words, so on the minor heap), and a page never stored to is
+   [zero_page], which is shared and never written, so it reads 0.  The
+   page table grows to the highest page stored to.  Every other address
+   (negative, or at least 2^22) is a [far] cell.  Loads cannot tell a
+   stored 0 from a cell never written. *)
+let page_bits = 8
+let page_mask = (1 lsl page_bits) - 1
+let max_pages = 1 lsl (22 - page_bits)
+let zero_page : int array = Array.make (1 lsl page_bits) 0
 
-let fresh_memory () : memory = { cells = Hashtbl.create 256; brk = 1024 }
+type memory = {
+  mutable pages : int array array;  (** by page number; [zero_page] when never stored to *)
+  mutable far : (int, int) Hashtbl.t;
+  mutable brk : int;
+}
 
+let fresh_memory () : memory = { pages = [||]; far = Hashtbl.create 16; brk = 1024 }
+
+let far_load (m : memory) (addr : int) : int =
+  match Hashtbl.find m.far addr with v -> v | exception Not_found -> 0
+
+(* [addr lsr page_bits] of a negative address is at least 2^54, so one
+   unsigned-style compare routes it to [far] with the large ones. *)
 let mem_load (m : memory) (addr : int) : int =
-  Option.value ~default:0 (Hashtbl.find_opt m.cells addr)
+  let p = addr lsr page_bits in
+  if p < Array.length m.pages then
+    Array.unsafe_get (Array.unsafe_get m.pages p) (addr land page_mask)
+  else if p < max_pages then 0
+  else far_load m addr
 
-let mem_store (m : memory) (addr : int) (v : int) : unit = Hashtbl.replace m.cells addr v
+let page_for_store (m : memory) (p : int) : int array =
+  let n = Array.length m.pages in
+  if p >= n then begin
+    let pages = Array.make (min max_pages (max (p + 1) (2 * n))) zero_page in
+    Array.blit m.pages 0 pages 0 n;
+    m.pages <- pages
+  end;
+  let page = m.pages.(p) in
+  if page != zero_page then page
+  else begin
+    let page = Array.make (1 lsl page_bits) 0 in
+    m.pages.(p) <- page;
+    page
+  end
+
+let mem_store (m : memory) (addr : int) (v : int) : unit =
+  let p = addr lsr page_bits in
+  if p < max_pages then Array.unsafe_set (page_for_store m p) (addr land page_mask) v
+  else Hashtbl.replace m.far addr v
+
+let mem_alloca (m : memory) (n : int) : int =
+  let addr = m.brk in
+  m.brk <- addr + max 1 n;
+  addr
+
+let mem_brk (m : memory) : int = m.brk
+
+type mem_snapshot = { s_pages : int array array; s_far : (int, int) Hashtbl.t; s_brk : int }
+
+let copy_pages (pages : int array array) : int array array =
+  Array.map (fun page -> if page == zero_page then page else Array.copy page) pages
+
+let mem_snapshot (m : memory) : mem_snapshot =
+  { s_pages = copy_pages m.pages; s_far = Hashtbl.copy m.far; s_brk = m.brk }
+
+let mem_restore (m : memory) (s : mem_snapshot) : unit =
+  m.pages <- copy_pages s.s_pages;
+  m.far <- Hashtbl.copy s.s_far;
+  m.brk <- s.s_brk
+
+let mem_cells (m : memory) : (int * int) list =
+  let cells = Hashtbl.fold (fun a v acc -> if v <> 0 then (a, v) :: acc else acc) m.far [] in
+  let cells = ref cells in
+  Array.iteri
+    (fun p page ->
+      if page != zero_page then
+        Array.iteri
+          (fun k v -> if v <> 0 then cells := ((p lsl page_bits) lor k, v) :: !cells)
+          page)
+    m.pages;
+  List.sort compare !cells
 
 type frame = (Ir.reg, int) Hashtbl.t
 
@@ -162,9 +237,9 @@ let exec_rhs (m : machine) (i : Ir.instr) : int option =
   match i.rhs with
   | Ir.Binop (op, a, b) -> (
       let x = read m ~at:i.id a and y = read m ~at:i.id b in
-      match Passes.Fold.eval_binop op x y with
-      | Some v -> Some v
-      | None -> raise (Trap (binop_trap op i.id)))
+      match Passes.Fold.binop op x y with
+      | v -> Some v
+      | exception Passes.Fold.Undefined -> raise (Trap (binop_trap op i.id)))
   | Ir.Icmp (op, a, b) ->
       Some (Passes.Fold.eval_icmp op (read m ~at:i.id a) (read m ~at:i.id b))
   | Ir.Select (c, t, e) ->
@@ -173,10 +248,7 @@ let exec_rhs (m : machine) (i : Ir.instr) : int option =
       let cv = read m ~at:i.id c in
       let tv = read m ~at:i.id t and ev = read m ~at:i.id e in
       Some (if cv <> 0 then tv else ev)
-  | Ir.Alloca n ->
-      let addr = m.memory.brk in
-      m.memory.brk <- addr + max 1 n;
-      Some addr
+  | Ir.Alloca n -> Some (mem_alloca m.memory n)
   | Ir.Load a -> Some (mem_load m.memory (read m ~at:i.id a))
   | Ir.Store (v, a) ->
       mem_store m.memory (read m ~at:i.id a) (read m ~at:i.id v);

@@ -19,7 +19,7 @@ type trap =
 val pp_trap : Format.formatter -> trap -> unit
 
 val binop_trap : Ir.binop -> int -> trap
-(** The trap of a binop {!Passes.Fold.eval_binop} declines to evaluate, at
+(** The trap of a binop {!Passes.Fold.binop} leaves undefined, at
     the given instruction id: {!Shift_out_of_range} for a shift, else
     {!Division_by_zero}. *)
 
@@ -33,12 +33,41 @@ val equal_event : event -> event -> bool
     semantics in the paper's framework (Definition 2.4). *)
 type outcome = { ret : int; events : event list; steps : int }
 
-type memory = { cells : (int, int) Hashtbl.t; mutable brk : int }
-(** Linear memory with a bump allocator; uninitialized cells read 0. *)
+type memory
+(** Linear memory with a bump allocator, the one state an OSR transition
+    shares between versions (the store invariant of Section 5.3).  A cell
+    never written reads 0, so a load cannot tell it from a stored 0.
+    Cells at addresses in [\[0, 2^22)] are kept in 256-word pages, each
+    allocated on the first store to it; other addresses (negative, or at
+    least 2^22) in a hash table.  Only this module knows the format. *)
 
 val fresh_memory : unit -> memory
+(** Empty memory: every cell reads 0 and [brk] is 1024. *)
+
 val mem_load : memory -> int -> int
+(** The cell at an address; 0 when it was never written.  Allocates
+    nothing. *)
+
 val mem_store : memory -> int -> int -> unit
+
+val mem_alloca : memory -> int -> int
+(** [mem_alloca m n] returns [brk] and bumps it by [max 1 n] cells. *)
+
+val mem_brk : memory -> int
+(** The next address {!mem_alloca} returns. *)
+
+type mem_snapshot
+(** A copy of a memory's cells and [brk]. *)
+
+val mem_snapshot : memory -> mem_snapshot
+
+val mem_restore : memory -> mem_snapshot -> unit
+(** Put the memory back as it was at the snapshot, in place, so every
+    machine sharing it sees the restored cells; a snapshot can be
+    restored more than once. *)
+
+val mem_cells : memory -> (int * int) list
+(** The cells that read non-zero, by ascending address. *)
 
 type frame = (Ir.reg, int) Hashtbl.t
 (** Virtual-register environment of one activation. *)

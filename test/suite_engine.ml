@@ -312,6 +312,182 @@ let test_operand_encoding_differential () =
   in
   List.iter (fun (name, src, args) -> differential name (parse src) args) cases
 
+(* -------------------- paged memory -------------------- *)
+
+(* The memory as it was a plain table: every stored cell in a [Hashtbl],
+   a missing one reads 0, a snapshot is a copy of the table and [brk]. *)
+module Table_memory = struct
+  type t = { cells : (int, int) Hashtbl.t; mutable brk : int }
+
+  let create () = { cells = Hashtbl.create 256; brk = 1024 }
+  let load m a = Option.value ~default:0 (Hashtbl.find_opt m.cells a)
+  let store m a v = Hashtbl.replace m.cells a v
+
+  let alloca m n =
+    let a = m.brk in
+    m.brk <- a + max 1 n;
+    a
+
+  let snapshot m = (Hashtbl.copy m.cells, m.brk)
+
+  let restore m (cells, brk) =
+    Hashtbl.reset m.cells;
+    Hashtbl.iter (Hashtbl.replace m.cells) cells;
+    m.brk <- brk
+
+  let nonzero m =
+    List.sort compare
+      (Hashtbl.fold (fun a v acc -> if v <> 0 then (a, v) :: acc else acc) m.cells [])
+end
+
+(* Seeded random sequences of alloca, load, store, snapshot and restore on
+   [Interp]'s memory and on the table model: every load, [brk] and the
+   non-zero cells must agree (the cells after every snapshot, restore and
+   20th operation).  Addresses mix page
+   edges, the neighbourhood of [brk], negative addresses, the 2^22 edge
+   of the paged range and random ones; stores include 0 and [alloca]
+   sizes include 0 and negative ones. *)
+let test_memory_differential () =
+  let limit = 1 lsl 22 in
+  let fixed =
+    [| 0; 1; 255; 256; 257; 511; 512; 513; 1023; 1024; 1025; limit - 257; limit - 256;
+       limit - 1; limit; limit + 1; limit + 256; max_int; -1; -2; -255; -256; -257;
+       min_int; min_int + 1 |]
+  in
+  let sizes = [| -5; -1; 0; 1; 2; 3; 255; 256; 257; 1000 |] in
+  let values = [| 0; 0; 1; -1; 7; max_int; min_int |] in
+  for seed = 0 to 99 do
+    let rs = Random.State.make [| seed |] in
+    let pick a = a.(Random.State.int rs (Array.length a)) in
+    let m = Interp.fresh_memory () and model = Table_memory.create () in
+    let snaps = ref [] in
+    (* Fails without an assertion line per operation: 60,000 of them
+       would cost more than the operations. *)
+    let agree what want got =
+      if want <> got then Alcotest.failf "seed %d: %s: %d, table %d" seed what got want
+    in
+    let addr () =
+      let brk = Interp.mem_brk m in
+      match Random.State.int rs 6 with
+      | 0 | 1 -> pick fixed
+      | 2 -> brk + Random.State.int rs 5 - 2
+      | 3 -> (256 * Random.State.int rs 40) + Random.State.int rs 3 - 1
+      | 4 -> Random.State.int rs limit
+      | _ -> Random.State.bits rs - (1 lsl 29) + (if Random.State.bool rs then limit else 0)
+    in
+    for step = 1 to 300 do
+      let op = Random.State.int rs 10 in
+      (match op with
+      | 0 ->
+          let n = pick sizes in
+          agree "alloca" (Table_memory.alloca model n) (Interp.mem_alloca m n)
+      | 1 | 2 | 3 ->
+          let a = addr () in
+          agree (Printf.sprintf "load %d" a) (Table_memory.load model a) (Interp.mem_load m a)
+      | 4 | 5 | 6 | 7 ->
+          let a = addr () in
+          let v = if Random.State.bool rs then pick values else Random.State.bits rs in
+          Table_memory.store model a v;
+          Interp.mem_store m a v
+      | 8 -> snaps := (Interp.mem_snapshot m, Table_memory.snapshot model) :: !snaps
+      | _ -> (
+          match !snaps with
+          | [] -> ()
+          | l ->
+              let s, ts = List.nth l (Random.State.int rs (List.length l)) in
+              Interp.mem_restore m s;
+              Table_memory.restore model ts));
+      agree "brk" model.Table_memory.brk (Interp.mem_brk m);
+      if (op >= 8 || step mod 20 = 0) && Table_memory.nonzero model <> Interp.mem_cells m then
+        Alcotest.failf "seed %d: the non-zero cells differ from the table's" seed
+    done;
+    Array.iter
+      (fun a ->
+        agree (Printf.sprintf "final load %d" a) (Table_memory.load model a) (Interp.mem_load m a))
+      fixed
+  done
+
+(* Minor words allocated by [n] runs of [f]. *)
+let minor_words_of n f =
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    ignore (Sys.opaque_identity (f i) : int)
+  done;
+  Gc.minor_words () -. w0
+
+let test_memory_no_alloc () =
+  let m = Interp.fresh_memory () in
+  let base = Interp.mem_alloca m 600 in
+  for k = 0 to 599 do
+    Interp.mem_store m (base + k) k
+  done;
+  let words =
+    minor_words_of 10_000 (fun i ->
+        Interp.mem_store m (base + (i mod 600)) i;
+        Interp.mem_load m (base + ((i * 7) mod 600)) + Interp.mem_load m (i * 4096))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "paged loads and stores allocate nothing (%.0f words)" words)
+    true (words < 64.)
+
+(* -------------------- binop evaluator -------------------- *)
+
+(* The option-returning evaluator as the engines used it, kept as the
+   oracle of {!Passes.Fold.binop}. *)
+let table_binop (op : Ir.binop) (a : int) (b : int) : int option =
+  match op with
+  | Ir.Add -> Some (a + b)
+  | Ir.Sub -> Some (a - b)
+  | Ir.Mul -> Some (a * b)
+  | Ir.Sdiv -> if b = 0 then None else Some (a / b)
+  | Ir.Srem -> if b = 0 then None else Some (a mod b)
+  | Ir.Shl -> if b < 0 || b > 62 then None else Some (a lsl b)
+  | Ir.Lshr -> if b < 0 || b > 62 then None else Some ((a land max_int) lsr b)
+  | Ir.Ashr -> if b < 0 || b > 62 then None else Some (a asr b)
+  | Ir.And -> Some (a land b)
+  | Ir.Or -> Some (a lor b)
+  | Ir.Xor -> Some (a lxor b)
+
+let all_binops =
+  Ir.[ Add; Sub; Mul; Sdiv; Srem; Shl; Lshr; Ashr; And; Or; Xor ]
+
+(* Every binop on every pair of edge operands: [binop] raises exactly
+   where the oracle declines — division and remainder by 0, shift amounts
+   outside [0, 62] — else returns its value; [eval_binop] is its option
+   form. *)
+let test_binop_evaluator () =
+  let edges = [ 0; 1; -1; 62; 63; 64; -62; -63; -64; min_int; max_int ] in
+  let undefined op b =
+    match op with
+    | Ir.Sdiv | Ir.Srem -> b = 0
+    | Ir.Shl | Ir.Lshr | Ir.Ashr -> b < 0 || b > 62
+    | Ir.Add | Ir.Sub | Ir.Mul | Ir.And | Ir.Or | Ir.Xor -> false
+  in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              let ctx = Printf.sprintf "%s %d, %d" (Ir.binop_name op) a b in
+              let got =
+                match Passes.Fold.binop op a b with
+                | v -> Some v
+                | exception Passes.Fold.Undefined -> None
+              in
+              Alcotest.(check (option int)) ctx (table_binop op a b) got;
+              Alcotest.(check bool) (ctx ^ ": undefined") (undefined op b) (got = None);
+              Alcotest.(check (option int)) (ctx ^ ": eval_binop") got
+                (Passes.Fold.eval_binop op a b))
+            edges)
+        edges)
+    all_binops;
+  let words =
+    minor_words_of 10_000 (fun i -> Passes.Fold.binop (List.nth all_binops (i mod 11)) i 3)
+  in
+  Alcotest.(check bool) (Printf.sprintf "binop allocates nothing (%.0f words)" words) true
+    (words < 64.)
+
 (* -------------------- randomized -------------------- *)
 
 let prop_engines_agree =
@@ -790,6 +966,9 @@ let suite =
       t "armed sites do not perturb" test_armed_sites_no_fire;
       t "a continuation is compiled once" test_continuation_compiled_once;
       t "frame access by name agrees" test_frame_access_by_name;
+      t "paged memory agrees with a table" test_memory_differential;
+      t "paged memory access allocates nothing" test_memory_no_alloc;
+      t "binop evaluator on edge operands" test_binop_evaluator;
       q prop_engines_agree;
       q prop_osr_engines_agree;
     ] )

@@ -309,23 +309,22 @@ let test_memory_rollback_mid_chi () =
   (match Interp.run_to_point m ~point:rep.F.point with
   | Some _ -> ()
   | None -> Alcotest.fail "point not reached");
-  let snap_cells = Hashtbl.copy m.Interp.memory.Interp.cells in
-  let snap_brk = m.Interp.memory.Interp.brk in
+  let snap_cells = Interp.mem_cells m.Interp.memory in
+  let snap_brk = Interp.mem_brk m.Interp.memory in
   let injector = Fault.make ~seed:0 in
   let hooks = Fault.hooks ~only:Fault.Chi_trap injector in
   (match Rt.Reference.fire ~hooks m { Rt.at = rep.F.point; guard = (fun _ -> true); cont } with
   | Error (Osr_error.Comp_trap _) -> ()
   | Error e -> Alcotest.failf "unexpected abort reason: %s" (Osr_error.to_string e)
   | Ok _ -> Alcotest.fail "χ-trapped attempt committed");
-  Alcotest.(check int) "brk restored" snap_brk m.Interp.memory.Interp.brk;
-  Alcotest.(check int) "cell count restored" (Hashtbl.length snap_cells)
-    (Hashtbl.length m.Interp.memory.Interp.cells);
-  Hashtbl.iter
-    (fun k v ->
+  Alcotest.(check int) "brk restored" snap_brk (Interp.mem_brk m.Interp.memory);
+  let cells = Interp.mem_cells m.Interp.memory in
+  Alcotest.(check int) "cell count restored" (List.length snap_cells) (List.length cells);
+  List.iter
+    (fun (k, v) ->
       Alcotest.(check (option int))
         (Printf.sprintf "cell %d restored" k)
-        (Some v)
-        (Hashtbl.find_opt m.Interp.memory.Interp.cells k))
+        (Some v) (List.assoc_opt k cells))
     snap_cells;
   (* And the survivor still finishes exactly like an untouched run. *)
   check_byte_equal "post-rollback run" (Interp.run ~fuel:20_000_000 src ~args)
@@ -347,7 +346,7 @@ let test_promoted_rollback_mid_chi () =
         &&
         let m = Interp.create src ~args in
         Interp.run_to_point m ~point:rep.F.point <> None
-        && Hashtbl.length m.Interp.memory.Interp.cells > 0)
+        && Interp.mem_cells m.Interp.memory <> [])
       (feasible_points r Ctx.Base_to_opt)
     |> Option.get
   in
@@ -361,14 +360,14 @@ let test_promoted_rollback_mid_chi () =
     | Some _ -> ()
     | None -> Alcotest.fail "point not reached");
     let mem = E.memory m in
-    let cells () = List.sort compare (List.of_seq (Hashtbl.to_seq mem.Interp.cells)) in
-    let cells_before = cells () and brk_before = mem.Interp.brk in
+    let cells () = Interp.mem_cells mem in
+    let cells_before = cells () and brk_before = Interp.mem_brk mem in
     Alcotest.(check bool) (E.name ^ ": the source has memory") true (cells_before <> []);
     (match fire m { Rt.at = rep.F.point; guard = (fun _ -> true); cont } with
     | Error (Osr_error.Comp_trap _) -> ()
     | Error e -> Alcotest.failf "%s: unexpected abort reason: %s" E.name (Osr_error.to_string e)
     | Ok _ -> Alcotest.failf "%s: χ-trapped attempt committed" E.name);
-    Alcotest.(check int) (E.name ^ ": brk unchanged") brk_before mem.Interp.brk;
+    Alcotest.(check int) (E.name ^ ": brk unchanged") brk_before (Interp.mem_brk mem);
     Alcotest.(check (list (pair int int))) (E.name ^ ": cells unchanged") cells_before (cells ());
     check_byte_equal (E.name ^ ": post-abort run") plain (E.run_machine ~fuel:20_000_000 m)
   in
