@@ -1,11 +1,12 @@
-.PHONY: all build test fmt loc observables bench bench-smoke bench-check bench-layers bench-layers-diff bench-pairs perf-par fuzz clean
+.PHONY: all build test fmt loc observables bench bench-check bench-layers bench-layers-diff bench-pairs fuzz clean
 
 all: build
 
 build:
 	dune build
 
-# Tier-1 gate: full build + every test suite (includes the bench smoke rule).
+# Tier-1 gate: full build + every test suite (includes the fuzz slice and
+# the quick bench modes table2, fig7, fig8, table3 and ablate).
 test:
 	dune build && dune runtest
 
@@ -50,16 +51,9 @@ observables:
 	for m in $(BENCH_MODES); do _build/default/bench/main.exe $$m > $(OUT)/bench.$$m.txt; done
 	@echo "observables written to $(OUT)"
 
-# Every paper table/figure, the ablations and the perf-par scaling run.
+# Every paper table/figure and the ablations.
 bench:
 	dune exec bench/main.exe -- all
-
-# Fast self-check of the perf-par path (also part of `dune runtest`): the
-# parallel sweep untimed on two kernels at j = 1 and 2, every kernel
-# sweeping some points, and BENCH_parallel.json read back with the in-tree
-# JSON reader.
-bench-smoke:
-	dune exec bench/main.exe -- smoke
 
 # End-to-end benchmark self-check: quick cycles of every osrbench workload,
 # traced and untraced; fails unless every metric is emitted, every oracle
@@ -96,10 +90,6 @@ SEED0 ?= 1000
 bench-pairs:
 	@test -n "$(A)" || { echo "usage: make bench-pairs A=<parent checkout> [W=tierup] [N=10] [SECONDS=30] [SEED0=1000]"; exit 2; }
 	@python3 bench/pairs.py $(A) $(W) --n $(N) --seconds $(SECONDS) --seed0 $(SEED0)
-
-# Parallel sweep scaling (j = 1, 2, 4, #cores) + BENCH_parallel.json.
-perf-par:
-	dune exec bench/main.exe -- perf-par
 
 # Large-iteration seeded fault-injection fuzzing over every feasible
 # corpus transition on both engines (a small fixed-seed slice of the same

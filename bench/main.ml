@@ -1,14 +1,11 @@
 (** The benchmark harness: regenerates every table and figure of the
     paper's evaluation (Section 6: Tables 1–3, Figures 7–8; Section 7:
     Tables 4–5, Figure 9) over this repository's corpus, plus ablation
-    studies of the design choices called out in DESIGN.md and the
-    parallel-sweep scaling run.
+    studies of the design choices called out in DESIGN.md.
 
     Usage: [bench/main.exe [table1|table2|fig7|fig8|table3|table4|fig9|
-    table5|ablate|perf-par|smoke|census|all]] (default: all).  [perf-par]
-    times the feasibility sweep at several pool widths and writes
-    BENCH_parallel.json; [smoke] is its fast untimed self-check, wired into
-    [dune runtest]; [census] prints the heap a compiled continuation keeps
+    table5|ablate|census|all]...] (default: all); several modes run in the
+    order named.  [census] prints the heap a compiled continuation keeps
     (not part of [all]).  Per-layer timing of the whole pipeline is
     [osrbench/]'s job. *)
 
@@ -33,24 +30,25 @@ type kernel_data = {
   bwd : F.summary Lazy.t;  (** fopt → fbase feasibility *)
 }
 
-let build_kernel_data (entries : Corpus.Kernels.entry list) : kernel_data list =
-  List.map
-    (fun (entry : Corpus.Kernels.entry) ->
-      let r = P.apply (fst (Corpus.Dsl.to_fbase entry.kernel)) in
-      {
-        entry;
-        fbase = r.fbase;
-        fopt = r.fopt;
-        mapper = r.mapper;
-        per_pass = r.per_pass;
-        fwd =
-          lazy (F.analyze (Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Base_to_opt));
-        bwd =
-          lazy (F.analyze (Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Opt_to_base));
-      })
-    entries
-
-let kernel_data : kernel_data list Lazy.t = lazy (build_kernel_data Corpus.Kernels.all)
+let kernel_data : kernel_data list Lazy.t =
+  lazy
+    (List.map
+       (fun (entry : Corpus.Kernels.entry) ->
+         let r = P.apply (fst (Corpus.Dsl.to_fbase entry.kernel)) in
+         {
+           entry;
+           fbase = r.fbase;
+           fopt = r.fopt;
+           mapper = r.mapper;
+           per_pass = r.per_pass;
+           fwd =
+             lazy
+               (F.analyze (Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Base_to_opt));
+           bwd =
+             lazy
+               (F.analyze (Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Opt_to_base));
+         })
+       Corpus.Kernels.all)
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: per-pass instrumentation statistics                         *)
@@ -369,184 +367,6 @@ let table5 () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Parallel sweep scaling (`perf-par` -> BENCH_parallel.json)           *)
-(* ------------------------------------------------------------------ *)
-
-(** Fwd+bwd points of each kernel, swept through [pool] when one is given.
-    Fresh contexts every run: the cost includes the per-version side
-    analyses, built serially in the caller's domain exactly as the tables
-    pay them; a multi-domain pool shards only the point classification. *)
-let sweep_points ?pool ?(telemetry = Telemetry.null) (kds : kernel_data list) : int list =
-  List.map
-    (fun kd ->
-      let fwd_ctx, bwd_ctx =
-        Ctx.make_pair ~fbase:kd.fbase ~fopt:kd.fopt ~mapper:kd.mapper ()
-      in
-      let fwd = F.analyze ~telemetry ?pool fwd_ctx in
-      let bwd = F.analyze ~telemetry ?pool bwd_ctx in
-      fwd.F.total_points + bwd.F.total_points)
-    kds
-
-(** One warm-up run, then best of three. *)
-let best_of_3 (f : unit -> int) : int * float =
-  ignore (f () : int);
-  let time () =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let runs = List.init 3 (fun _ -> time ()) in
-  (fst (List.hd runs), List.fold_left (fun a (_, t) -> min a t) infinity runs)
-
-type scaling = {
-  cores : int;  (** [Domain.recommended_domain_count] of the measuring machine *)
-  seq_points : int;
-  seq_wall : float;  (** the sweep without a pool *)
-  rows : (int * int * float) list;  (** jobs, points, wall *)
-  ov1 : float;  (** live-sink overhead (%) on the inline j=1 path *)
-  ovmax : float;  (** live-sink overhead (%) at the widest pool *)
-}
-
-(** The sweep of [kds] without a pool and through a pool of each width in
-    [js].  [time f] returns [f ()] and its wall time: {!best_of_3} for
-    [perf-par], one untimed run for the smoke. *)
-let measure_scaling ~(time : (unit -> int) -> int * float) ~(js : int list)
-    (kds : kernel_data list) : scaling =
-  let total ?pool ?telemetry () = List.fold_left ( + ) 0 (sweep_points ?pool ?telemetry kds) in
-  let seq_points, seq_wall = time (fun () -> total ()) in
-  let rows =
-    List.map
-      (fun j ->
-        Parallel.Pool.with_pool ~jobs:j (fun pool ->
-            let pts, wall = time (fun () -> total ~pool ()) in
-            (j, pts, wall)))
-      js
-  in
-  (* Telemetry cost of the pooled sweep under a live buffered sink, at the
-     inline j=1 path and at the widest pool; their difference isolates the
-     per-chunk fork + join overhead. *)
-  let live_overhead j =
-    Parallel.Pool.with_pool ~jobs:j (fun pool ->
-        let _, null_wall = time (fun () -> total ~pool ()) in
-        let _, live_wall =
-          time (fun () ->
-              Telemetry.reset_counters ();
-              total ~pool ~telemetry:(Telemetry.create ()) ())
-        in
-        Telemetry.reset_counters ();
-        100.0 *. (live_wall -. null_wall) /. null_wall)
-  in
-  let ov1 = live_overhead 1 in
-  let ovmax = live_overhead (List.fold_left max 1 js) in
-  { cores = Domain.recommended_domain_count (); seq_points; seq_wall; rows; ov1; ovmax }
-
-let write_parallel_json path (s : scaling) =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc
-    "  \"benchmark\": \"parallel feasibility sweep fwd+bwd over corpus\",\n";
-  Printf.fprintf oc "  \"hardware_cores\": %d,\n" s.cores;
-  Printf.fprintf oc
-    "  \"note\": \"hardware_cores is Domain.recommended_domain_count on the \
-     measuring machine; pool speedups are bounded above by it\",\n";
-  Printf.fprintf oc
-    "  \"sequential\": { \"wall_s\": %.6f, \"points_per_sec\": %.1f, \
-     \"total_points\": %d },\n"
-    s.seq_wall
-    (float_of_int s.seq_points /. s.seq_wall)
-    s.seq_points;
-  Printf.fprintf oc "  \"pool\": [\n";
-  List.iteri
-    (fun i (j, pts, wall) ->
-      Printf.fprintf oc
-        "    { \"jobs\": %d, \"wall_s\": %.6f, \"points_per_sec\": %.1f, \
-         \"speedup_vs_seq\": %.3f, \"total_points\": %d }%s\n"
-        j wall
-        (float_of_int pts /. wall)
-        (s.seq_wall /. wall) pts
-        (if i = List.length s.rows - 1 then "" else ","))
-    s.rows;
-  Printf.fprintf oc "  ],\n";
-  (match List.find_opt (fun (j, _, _) -> j = 1) s.rows with
-  | Some (_, _, w1) ->
-      Printf.fprintf oc "  \"j1_overhead_vs_sequential_pct\": %.2f,\n"
-        (100.0 *. (w1 -. s.seq_wall) /. s.seq_wall)
-  | None -> ());
-  Printf.fprintf oc
-    "  \"telemetry_live_overhead_pct\": { \"j1\": %.2f, \"jmax\": %.2f },\n" s.ov1 s.ovmax;
-  (* Fork/merge cost proper: live-vs-null overhead growth from the inline
-     j=1 path (no forks) to the widest pool (one fork per chunk). *)
-  Printf.fprintf oc "  \"merge_overhead_pct\": %.2f\n" (s.ovmax -. s.ov1);
-  Printf.fprintf oc "}\n";
-  close_out oc
-
-let parallel_perf () =
-  let cores = Domain.recommended_domain_count () in
-  let js = List.sort_uniq compare [ 1; 2; 4; cores ] in
-  let s = measure_scaling ~time:best_of_3 ~js (Lazy.force kernel_data) in
-  print_endline "Parallel feasibility sweep (fwd + bwd over corpus, best of 3):";
-  Printf.printf "  %-12s %10s %12s %14s %9s\n" "config" "points" "wall (ms)" "points/sec"
-    "speedup";
-  Printf.printf "  %-12s %10d %12.2f %14.0f %8s\n" "sequential" s.seq_points
-    (1000.0 *. s.seq_wall)
-    (float_of_int s.seq_points /. s.seq_wall)
-    "1.00x";
-  List.iter
-    (fun (j, pts, wall) ->
-      Printf.printf "  %-12s %10d %12.2f %14.0f %8.2fx\n"
-        (Printf.sprintf "pool -j %d" j)
-        pts (1000.0 *. wall)
-        (float_of_int pts /. wall)
-        (s.seq_wall /. wall))
-    s.rows;
-  Printf.printf "  live-sink overhead: %+.2f%% at j=1, %+.2f%% at j=%d (merge %+.2f%%)\n"
-    s.ov1 s.ovmax (List.fold_left max 1 js) (s.ovmax -. s.ov1);
-  Printf.printf "  hardware cores: %d\n" s.cores;
-  write_parallel_json "BENCH_parallel.json" s;
-  print_endline "  wrote BENCH_parallel.json";
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Smoke check (wired into `dune runtest`; also `make bench-smoke`)     *)
-(* ------------------------------------------------------------------ *)
-
-(** [perf-par] untimed on two kernels at j = 1 and 2: every kernel sweeps
-    some points, every pool width sweeps the sequential point count, and
-    the BENCH_parallel.json writer emits JSON the in-tree reader loads. *)
-let smoke () =
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        prerr_endline ("bench smoke: FAILED: " ^ m);
-        exit 1)
-      fmt
-  in
-  let kds = build_kernel_data (List.filteri (fun i _ -> i < 2) Corpus.Kernels.all) in
-  if List.length kds <> 2 then fail "expected 2 kernels, corpus has %d" (List.length kds);
-  List.iter2
-    (fun kd pts -> if pts <= 0 then fail "kernel %s swept 0 points" kd.entry.benchmark)
-    kds (sweep_points kds);
-  let s = measure_scaling ~time:(fun f -> (f (), 1.0)) ~js:[ 1; 2 ] kds in
-  List.iter
-    (fun (j, pts, _) ->
-      if pts <> s.seq_points then
-        fail "pool -j %d swept %d points, sequential %d" j pts s.seq_points)
-    s.rows;
-  let path = Filename.temp_file "osr_par_smoke" ".json" in
-  write_parallel_json path s;
-  let contents = In_channel.with_open_text path In_channel.input_all in
-  Sys.remove path;
-  let module J = Telemetry.Json in
-  (match J.parse contents with
-  | Error e -> fail "parallel bench JSON unparseable: %s" e
-  | Ok json -> (
-      match (J.member "sequential" json, J.member "pool" json) with
-      | Some (J.Obj _), Some (J.Arr pool) when List.length pool = List.length s.rows -> ()
-      | _ -> fail "parallel bench JSON lacks \"sequential\" or a \"pool\" row per width"));
-  Printf.printf "bench smoke OK: %d kernels, %d points at j = 1 and 2\n" (List.length kds)
-    s.seq_points
-
-(* ------------------------------------------------------------------ *)
 (* Compiled-continuation census                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -669,12 +489,11 @@ let paper_modes =
     ("fig9", fig9);
     ("table5", table5);
     ("ablate", ablate);
-    ("perf-par", parallel_perf);
   ]
 
 let modes =
   paper_modes
-  @ [ ("smoke", smoke); ("census", census); ("all", fun () -> List.iter (fun (_, run) -> run ()) paper_modes) ]
+  @ [ ("census", census); ("all", fun () -> List.iter (fun (_, run) -> run ()) paper_modes) ]
 
 (* Every named mode runs, in order; an unknown one stops before any runs. *)
 let () =

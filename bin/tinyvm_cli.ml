@@ -50,20 +50,6 @@ let args_opt =
     value & opt_all int []
     & info [ "a"; "arg" ] ~docv:"N" ~doc:"Function argument (repeatable; default: the kernel's)")
 
-(* --- sweep sharding (-j, osr-points / osr-run) ----------------------- *)
-
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Shard the feasibility sweep across $(docv) domains.  Output is deterministic: \
-           reports, statistics counters and remarks are byte-equal to a $(b,-j 1) run.")
-
-let with_pool (jobs : int) (f : Parallel.Pool.t option -> 'a) : 'a =
-  if jobs <= 1 then f None
-  else Parallel.Pool.with_pool ~jobs (fun pool -> f (Some pool))
-
 (* --- engine selection (run / osr-run) -------------------------------- *)
 
 let engine_arg =
@@ -267,13 +253,12 @@ let opt_cmd =
 (* --- osr-points ------------------------------------------------------ *)
 
 let osr_points_cmd =
-  let run (entry : Corpus.Kernels.entry) backward jobs telem =
-    with_pool jobs @@ fun pool ->
+  let run (entry : Corpus.Kernels.entry) backward telem =
     with_telemetry telem @@ fun sink ->
     let r, _ = prepare ~telemetry:sink entry in
     let dir = if backward then Ctx.Opt_to_base else Ctx.Base_to_opt in
     let ctx = Ctx.make ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper dir in
-    let s = F.analyze ?pool ~telemetry:sink ctx in
+    let s = F.analyze ~telemetry:sink ctx in
     Printf.printf "%s, %s: %d points — %d with empty c, %d live-feasible, %d avail-feasible\n"
       entry.benchmark
       (if backward then "fopt → fbase" else "fbase → fopt")
@@ -295,7 +280,7 @@ let osr_points_cmd =
   in
   Cmd.v
     (Cmd.info "osr-points" ~doc:"Per-point OSR feasibility for a kernel.")
-    Term.(const run $ bench_arg $ backward_flag $ jobs_arg $ telem_term)
+    Term.(const run $ bench_arg $ backward_flag $ telem_term)
 
 (* --- osr-run --------------------------------------------------------- *)
 
@@ -332,10 +317,8 @@ let osr_run_cmd =
             "Seed-driven random fault injection behind the runtime hooks (the fuzzing \
              mode); every decision replays deterministically for a given $(docv).")
   in
-  let run (entry : Corpus.Kernels.entry) backward args at arrival fuel inject seed engine
-      jobs telem =
+  let run (entry : Corpus.Kernels.entry) backward args at arrival fuel inject seed engine telem =
     guarded @@ fun () ->
-    with_pool jobs @@ fun pool ->
     with_telemetry telem @@ fun sink ->
     let (module E : Tinyvm.Engine.S) = engine_mod engine in
     let module Rt = Osrir.Osr_runtime.Make (E) in
@@ -354,7 +337,7 @@ let osr_run_cmd =
     let ctx = Ctx.make ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper dir in
     (* The full sweep classifies every point (and feeds the reconstruct
        counters); the chosen point's avail plan is then looked up in it. *)
-    let s = F.analyze ?pool ~telemetry:sink ctx in
+    let s = F.analyze ~telemetry:sink ctx in
     match List.find_opt (fun (rep : F.point_report) -> rep.point = at) s.reports with
     | None -> die (Tinyvm.Osr_error.No_such_point { func = src.Ir.fname; point = at })
     | Some { landing = None; _ } ->
@@ -404,7 +387,7 @@ let osr_run_cmd =
     (Cmd.info "osr-run" ~doc:"Run a kernel, firing an OSR transition at a chosen point.")
     Term.(
       const run $ bench_arg $ backward_flag $ args_opt $ at_arg $ arrival_arg $ fuel_arg
-      $ inject_arg $ seed_arg $ engine_arg $ jobs_arg $ telem_term)
+      $ inject_arg $ seed_arg $ engine_arg $ telem_term)
 
 (* --- debug-study ------------------------------------------------------ *)
 

@@ -117,51 +117,13 @@ let summarize (reports : point_report list) : summary =
   in
   { total_points; empty; live_ok; avail_ok; reports }
 
-(* Points per slice of a pooled sweep. *)
-let chunk = 64
-
-(* With a multi-domain [pool], the point list is cut into [chunk]-sized
-   slices, each classified by whichever domain claims it against the one
-   shared context (immutable once built — no locks on the hot path) and a
-   task-private {!Telemetry.fork}.  Slices are concatenated and sub-sinks
-   joined in slice order, so reports, counters and remarks are byte-equal
-   to the inline sweep's no matter the domain count or schedule.  Without
-   a pool, with a 1-domain pool or with a single slice, the sweep runs
-   inline: no forks, no merge, no overhead. *)
 let analyze ?(config = Reconstruct_ir.default_config) ?(telemetry = Telemetry.null)
-    ?(pool : Parallel.Pool.t option) (t : Osr_ctx.t) : summary =
+    (t : Osr_ctx.t) : summary =
   let fname = t.Osr_ctx.src.Osr_ctx.func.Ir.fname in
-  let points = Osr_ctx.source_points t in
   let reports =
     Telemetry.with_span telemetry ~cat:"analysis" "feasibility" @@ fun () ->
-    match pool with
-    | Some pool when Parallel.Pool.jobs pool > 1 && List.compare_length_with points chunk > 0
-      ->
-        let points = Array.of_list points in
-        let n = Array.length points in
-        let nchunks = (n + chunk - 1) / chunk in
-        let sinks = Array.init nchunks (fun _ -> Telemetry.fork telemetry) in
-        let slices =
-          Parallel.Pool.run pool ~chunk:1
-            (fun ci ->
-              let lo = ci * chunk in
-              let hi = min n (lo + chunk) in
-              let sink = sinks.(ci) in
-              let st = Reconstruct_ir.fresh_state t ~src_point:(-1) ~landing:(-1) in
-              (* Ascending order inside the slice: remark emission order
-                 must match the inline sweep's. *)
-              let acc = ref [] in
-              for i = lo to hi - 1 do
-                acc := classify_point ~config ~telemetry:sink t st ~fname points.(i) :: !acc
-              done;
-              List.rev !acc)
-            nchunks
-        in
-        Array.iter (Telemetry.join telemetry) sinks;
-        List.concat (Array.to_list slices)
-    | Some _ | None ->
-        let st = Reconstruct_ir.fresh_state t ~src_point:(-1) ~landing:(-1) in
-        List.map (classify_point ~config ~telemetry t st ~fname) points
+    let st = Reconstruct_ir.fresh_state t ~src_point:(-1) ~landing:(-1) in
+    List.map (classify_point ~config ~telemetry t st ~fname) (Osr_ctx.source_points t)
   in
   summarize reports
 

@@ -26,17 +26,12 @@ type summary = {
 val analyze :
   ?config:Reconstruct_ir.config ->
   ?telemetry:Telemetry.sink ->
-  ?pool:Parallel.Pool.t ->
   Osr_ctx.t ->
   summary
-(** Classify every source program point of the context's direction.  A live
-    [telemetry] sink receives a ["feasibility"] span, per-outcome counters
-    (group ["reconstruct"]) and remarks explaining infeasible and
-    avail-only points.  With a multi-domain [pool] the point list is
-    sharded into 64-point slices, every domain querying the one shared
-    context; without one (or with a 1-domain pool) the sweep runs
-    inline.  Deterministic-merge contract: reports, counters and remarks
-    are byte-equal whatever the pool. *)
+(** Classify every source program point of the context's direction, in
+    block and instruction order.  A live [telemetry] sink receives a
+    ["feasibility"] span, per-outcome counters (group ["reconstruct"]) and
+    remarks explaining infeasible and avail-only points. *)
 
 val percentages : summary -> float * float * float
 (** (empty, live, avail) percentages for the Figure 7/8 stacked bars. *)

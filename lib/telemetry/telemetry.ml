@@ -24,21 +24,14 @@
     them).  Timing uses [Unix.gettimeofday] by default; tests inject a
     deterministic clock via {!create}.
 
-    {b Domains.}  A sink is single-domain: all its operations must come
-    from the domain that owns it.  Parallel work forks one {e buffered}
-    sub-sink per task with {!fork} — bumps land in a private delta table
-    instead of the global counter registry, spans and remarks accumulate
-    locally — and the owner merges them back with {!join}, in task order.
-    Counter merging is addition (order-independent), and events/remarks
-    append in join order, so a [j = N] run that joins its sub-sinks in
-    task-index order reproduces the [j = 1] stream byte for byte. *)
+    A sink is used from one domain: all its operations come from the
+    domain that created it. *)
 
 (* ------------------------------------------------------------------ *)
 (* Counters                                                            *)
 (* ------------------------------------------------------------------ *)
 
 type counter = {
-  cid : int;  (** registration index — the key buffered sinks merge on *)
   group : string;  (** subsystem, e.g. ["mapper"], ["am"], ["interp"] *)
   cname : string;  (** counter name inside the group *)
   cdesc : string;
@@ -50,10 +43,9 @@ type counter = {
    never depends on registration or hashing order). *)
 let registry : counter list ref = ref []
 
-(** Register a counter.  Call once, at module level, from the main domain
-    (module initialization runs there; worker domains only ever bump). *)
+(** Register a counter.  Call once, at module level. *)
 let counter ~(group : string) ?(desc : string = "") (name : string) : counter =
-  let c = { cid = List.length !registry; group; cname = name; cdesc = desc; value = 0 } in
+  let c = { group; cname = name; cdesc = desc; value = 0 } in
   registry := c :: !registry;
   c
 
@@ -105,10 +97,6 @@ type sink = {
   mutable stack : span_frame list;  (** open spans, innermost first *)
   totals : (string, agg) Hashtbl.t;  (** span name → aggregate *)
   mutable remarks : remark list;  (** reversed *)
-  deltas : (int, counter * int ref) Hashtbl.t option;
-      (** buffered sinks ({!fork}) accumulate counter bumps here, keyed by
-          [cid], instead of touching the global registry — the domain-safe
-          mode; {!join} folds the deltas back in *)
 }
 
 (** The shared disabled sink: every operation is a no-op. *)
@@ -121,7 +109,6 @@ let null : sink =
     stack = [];
     totals = Hashtbl.create 1;
     remarks = [];
-    deltas = None;
   }
 
 (** A live sink.  [clock] defaults to [Unix.gettimeofday]. *)
@@ -134,79 +121,16 @@ let create ?(clock = Unix.gettimeofday) () : sink =
     stack = [];
     totals = Hashtbl.create 32;
     remarks = [];
-    deltas = None;
   }
 
 let is_enabled (s : sink) : bool = s.enabled
-
-(** A buffered child of [parent] for one parallel task: enabled iff the
-    parent is (forking the {!null} sink returns {!null} — the disabled
-    parallel path pays nothing), sharing the parent's clock and time
-    origin, with private event/remark/counter storage.  Hand each task its
-    own fork, use it from exactly one domain, and {!join} the forks back in
-    task order. *)
-let fork (parent : sink) : sink =
-  if not parent.enabled then null
-  else
-    {
-      enabled = true;
-      clock = parent.clock;
-      t0 = parent.t0;
-      events = [];
-      stack = [];
-      totals = Hashtbl.create 8;
-      remarks = [];
-      deltas = Some (Hashtbl.create 16);
-    }
-
-(** Merge a completed fork back into its parent (call from the parent's
-    owning domain, after the task finished).  Counter deltas add — an
-    order-independent reduction, so merged totals equal the sequential
-    run's no matter how tasks were scheduled; events, span aggregates and
-    remarks append in call order, which the caller makes deterministic by
-    joining in task-index order. *)
-let join (parent : sink) (child : sink) : unit =
-  if parent.enabled && child.enabled && child != parent then begin
-    (match child.deltas with
-    | None -> ()
-    | Some tbl ->
-        Hashtbl.iter
-          (fun cid ((c : counter), d) ->
-            match parent.deltas with
-            | None -> c.value <- c.value + !d
-            | Some ptbl -> (
-                (* a buffered parent keeps buffering (nested forks) *)
-                match Hashtbl.find_opt ptbl cid with
-                | Some (_, pd) -> pd := !pd + !d
-                | None -> Hashtbl.replace ptbl cid (c, ref !d)))
-          tbl);
-    parent.events <- child.events @ parent.events;
-    parent.remarks <- child.remarks @ parent.remarks;
-    Hashtbl.iter
-      (fun name (a : agg) ->
-        match Hashtbl.find_opt parent.totals name with
-        | Some pa ->
-            pa.n <- pa.n + a.n;
-            pa.total <- pa.total +. a.total;
-            pa.self <- pa.self +. a.self
-        | None -> Hashtbl.replace parent.totals name { n = a.n; total = a.total; self = a.self })
-      child.totals
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Counter bumps (sink-gated)                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The disabled path stays one branch; a live unbuffered sink pays one
-   extra (perfectly predicted) match on [deltas]. *)
-let add (s : sink) (c : counter) (n : int) : unit =
-  if s.enabled then
-    match s.deltas with
-    | None -> c.value <- c.value + n
-    | Some tbl -> (
-        match Hashtbl.find_opt tbl c.cid with
-        | Some (_, d) -> d := !d + n
-        | None -> Hashtbl.replace tbl c.cid (c, ref n))
+(* A disabled sink pays one branch. *)
+let add (s : sink) (c : counter) (n : int) : unit = if s.enabled then c.value <- c.value + n
 
 let bump (s : sink) (c : counter) : unit = add s c 1
 

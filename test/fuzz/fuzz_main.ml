@@ -8,14 +8,13 @@
     reports a typed {!Tinyvm.Osr_error.t}; never a crash, never a
     silently wrong answer.
 
-    Each iteration is a pure function of its index, so [-j N] shards the
-    iteration space across N domains and merges the per-task tallies in
-    index order: totals, injection histograms and failure reports are
-    byte-equal to a sequential run.  [FUZZ_SEED] in the environment
-    overrides the default first seed (the [-seed0] flag still wins), and
-    every failure prints the seed that reproduces it.
+    Iterations run in index order, and each depends only on [-seed0] and
+    its index, so separate processes over disjoint seed ranges share out a
+    large run.  [FUZZ_SEED] in the environment overrides the default
+    first seed (the [-seed0] flag still wins), and every failure prints
+    the seed that reproduces it.
 
-    {v [FUZZ_SEED=N] fuzz_main.exe [-n ITERS] [-seed0 N] [-j N]
+    {v [FUZZ_SEED=N] fuzz_main.exe [-n ITERS] [-seed0 N]
        [-engine ref|compiled|all] v} *)
 
 module Ir = Miniir.Ir
@@ -42,7 +41,6 @@ let seed0 =
     | None -> 1)
 
 let engine_names = ref "all"
-let jobs = ref 1
 
 let speclist =
   [
@@ -53,9 +51,6 @@ let speclist =
     ( "-engine",
       Arg.Set_string engine_names,
       "ENGINE ref, compiled or all (default all)" );
-    ( "-j",
-      Arg.Set_int jobs,
-      "N shard iterations across N domains (deterministic; default 1)" );
   ]
 
 type case = {
@@ -68,8 +63,7 @@ type case = {
   plan : Osrir.Reconstruct_ir.plan;
 }
 
-(* Every feasible transition of every corpus kernel, both directions.
-   Built once in the main domain; workers only read it. *)
+(* Every feasible transition of every corpus kernel, both directions. *)
 let cases : case array =
   Corpus.Kernels.all
   |> List.concat_map (fun (e : Corpus.Kernels.entry) ->
@@ -105,9 +99,7 @@ let cases : case array =
 
 let fuel = 20_000_000
 
-(* Per-task outcome record: workers never touch shared state, the main
-   domain folds these in iteration order, so the merged totals, histogram
-   and failure log are independent of the domain count. *)
+(* Outcome totals over every iteration run so far. *)
 type tally = {
   mutable t_crashes : int;
   mutable t_wrong : int;
@@ -203,7 +195,7 @@ let run_case (t : tally) (module E : Engine.S) (c : case) ~(seed : int) ~only =
 let () =
   Arg.parse speclist
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "[FUZZ_SEED=N] fuzz_main.exe [-n ITERS] [-seed0 N] [-j N] [-engine ref|compiled|all]";
+    "[FUZZ_SEED=N] fuzz_main.exe [-n ITERS] [-seed0 N] [-engine ref|compiled|all]";
   let engines =
     match !engine_names with
     | "all" -> Engine.all
@@ -213,14 +205,11 @@ let () =
     prerr_endline "no feasible transition points in the corpus";
     exit 2
   end;
-  Printf.printf "fuzzing %d iterations over %d transition cases, seeds from %d (%d domain%s)\n%!"
-    !iters (Array.length cases) !seed0 !jobs
-    (if !jobs = 1 then "" else "s");
+  Printf.printf "fuzzing %d iterations over %d transition cases, seeds from %d\n%!" !iters
+    (Array.length cases) !seed0;
   let n_kinds = List.length Fault.all_kinds in
-  (* One iteration = one task; everything it needs is derived from the
-     index, so sharding cannot change what any iteration does. *)
-  let run_iteration i : tally =
-    let t = fresh_tally () in
+  let total = fresh_tally () in
+  for i = 0 to !iters - 1 do
     let seed = !seed0 + i in
     let c = cases.(seed * 2654435761 land max_int mod Array.length cases) in
     (* Alternate between pure seeded mode and per-kind deterministic mode
@@ -228,30 +217,8 @@ let () =
     let only =
       if i mod 3 = 0 then Some (List.nth Fault.all_kinds (i / 3 mod n_kinds)) else None
     in
-    List.iter (fun e -> run_case t e c ~seed ~only) engines;
-    t
-  in
-  let tallies =
-    Parallel.Pool.with_pool ~jobs:!jobs (fun pool ->
-        Parallel.Pool.run pool ~chunk:8 run_iteration !iters)
-  in
-  let total = fresh_tally () in
-  Array.iter
-    (fun (t : tally) ->
-      total.t_crashes <- total.t_crashes + t.t_crashes;
-      total.t_wrong <- total.t_wrong + t.t_wrong;
-      total.t_committed <- total.t_committed + t.t_committed;
-      total.t_aborted <- total.t_aborted + t.t_aborted;
-      total.t_typed <- total.t_typed + t.t_typed;
-      List.iter
-        (fun (key, n) ->
-          let m = Option.value ~default:0 (List.assoc_opt key total.t_inj) in
-          total.t_inj <- (key, m + n) :: List.remove_assoc key total.t_inj)
-        t.t_inj;
-      List.iter
-        (fun msg -> total.t_failures <- msg :: total.t_failures)
-        (List.rev t.t_failures))
-    tallies;
+    List.iter (fun e -> run_case total e c ~seed ~only) engines
+  done;
   List.iter (fun msg -> Printf.eprintf "%s\n%!" msg) (List.rev total.t_failures);
   Printf.printf "committed: %d  aborted: %d  typed errors: %d\n" total.t_committed
     total.t_aborted total.t_typed;

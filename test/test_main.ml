@@ -14,7 +14,6 @@ let () =
       Suite_debuginfo.suite;
       Suite_report.suite;
       Suite_telemetry.suite;
-      Suite_parallel.suite;
       Suite_robustness.suite;
       Suite_front.suite;
       Suite_sweep.suite;
